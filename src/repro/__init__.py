@@ -249,14 +249,16 @@ class Database:
                 "columns": [[col.name, col.type.value] for col in table.schema],
                 "rows": [list(row) for row in table.rows],
             }
+        # The definitions only: ``Index.info()`` would also count entries,
+        # which rebuilds an index that DELETE/UPDATE left stale.
         indexes = [
             {
-                "name": info["name"],
-                "table": info["table"],
-                "column": info["column"],
-                "kind": info["kind"],
+                "name": index.name,
+                "table": index.table_name,
+                "column": index.column,
+                "kind": index.kind,
             }
-            for info in self.catalog.index_info()
+            for index in map(self.catalog.index, self.catalog.index_names())
         ]
         return {
             "tables": tables,

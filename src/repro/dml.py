@@ -6,19 +6,28 @@ mutation statements on top of it:
 * ``INSERT … VALUES`` evaluates constant expressions (via the constant
   folder, so arithmetic and CASE over literals work) and appends;
 * ``INSERT … SELECT`` runs the query through the normal planner;
-* ``DELETE`` partitions the table with a **bypass selection** on the
-  WHERE predicate — the negative stream (FALSE *or UNKNOWN*) is exactly
-  the keep set, which sidesteps the classic trap of deleting with
-  ``NOT p`` under three-valued logic;
-* ``UPDATE`` numbers the rows (ν), partitions the same way, applies the
-  assignments to the positive stream via map operators, and merges the
-  streams back in original row order.
+* ``DELETE`` and ``UPDATE`` number the rows (ν) and take the positive
+  stream of a **bypass selection** σ± on the WHERE predicate: exactly the
+  rows the predicate is TRUE for, so a row it is FALSE *or UNKNOWN* for
+  stays as it is — which sidesteps the classic trap of deleting with
+  ``NOT p`` under three-valued logic.  ``UPDATE`` extends that stream
+  with one map operator per assignment, all evaluated against the *old*
+  row.  The plan runs once; the sequence numbers are the positions to
+  drop or overwrite in a copy of the row list.
 
 Subqueries are allowed anywhere a predicate or value expression is —
 name resolution and evaluation reuse the ordinary translator and engine.
-Statistics and secondary indexes for the touched table are refreshed
-afterwards — INSERT through the incremental append path, DELETE/UPDATE
-through a full rebuild.
+
+A statement costs what it changes, not what the table holds.  The row
+list is copied and spliced (a *new* list, so MVCC versions pinned on the
+old one stay readable; INSERT appends in place) and ``table.version``
+moves once per statement, once per row for INSERT.  The catalog's
+statistics are moved by the rows added and removed
+(:meth:`Catalog.apply_delta`), a column batch cached at the pre-statement
+version is carried to the new one by the same delta
+(:meth:`Table.carry_batch`), and an INSERT folds its tail into the
+secondary indexes that were current.  Nothing else is recomputed here:
+stale indexes rebuild on their next probe.
 """
 
 from __future__ import annotations
@@ -97,12 +106,11 @@ def _execute_insert(stmt: ast.InsertStmt, catalog: Catalog, views) -> DmlResult:
             constants = tuple(_constant_value(expr) for expr in value_row)
             new_rows.append(_scatter(constants, positions, len(table.schema)))
 
-    start = len(table.rows)
+    start, base_version = len(table.rows), table.version
     table.extend(new_rows)
-    # Indexes fold the appended tail in incrementally; rows below
-    # ``start`` are untouched by an INSERT.
-    catalog.note_appends(stmt.table, start)
-    catalog.analyze(stmt.table)
+    catalog.note_appends(stmt.table, start, base_version)
+    catalog.apply_delta(stmt.table, new_rows, [])
+    table.carry_batch(base_version, lambda batch: batch.appended(new_rows))
     return DmlResult("insert", stmt.table, len(new_rows))
 
 
@@ -160,91 +168,94 @@ def _constant_value(expr_node: ast.Node):
 # ---------------------------------------------------------------------------
 
 
-def _dml_context(table_name: str, catalog: Catalog, views):
-    """(translator, scope, numbered scan plan, sequence attr) for a table."""
+def _positive_stream(stmt, assignments, catalog: Catalog, views):
+    """ν + σ± over ``stmt.table``, evaluated once.
+
+    Returns ``(positions, values)``: the positions (ascending) of the
+    rows ``stmt.where`` is TRUE for and, per such row, the values of the
+    ``assignments`` expressions (AST nodes) against the old row.
+    """
     translator = _Translator(catalog, views)
-    table = catalog.table(table_name)
+    table = catalog.table(stmt.table)
     scope = _Scope(None)
     qualifier = translator.table_counter.next("q")
-    scope.add_table(table_name, qualifier, table.schema.names)
-    scan = L.Scan(table_name, table.schema.qualify(qualifier), qualifier)
-    return translator, scope, scan
+    scope.add_table(stmt.table, qualifier, table.schema.names)
+    scan = L.Scan(stmt.table, table.schema.qualify(qualifier), qualifier)
+    predicate = (
+        translator.translate_expr(stmt.where, scope) if stmt.where is not None else E.TRUE
+    )
+    plan: L.Operator = L.BypassSelect(L.Numbering(scan, "dml.seq"), predicate).positive
+    for index, value_node in enumerate(assignments):
+        plan = L.Map(plan, f"dml.new{index}", translator.translate_expr(value_node, scope))
+    arity = len(table.schema)
+    hit = execute_plan(plan, catalog).rows
+    # ν numbers from 1, in scan order.
+    return [row[arity] - 1 for row in hit], [row[arity + 1 :] for row in hit]
+
+
+def _swap_rows(catalog: Catalog, name: str, rows: list, added, removed, derive_batch):
+    """Install ``rows`` as the table's new row list and move what hangs
+    off the table by the delta."""
+    table = catalog.table(name)
+    base_version = table.version
+    # A new list, not an in-place splice: MVCC versions pinned at older
+    # LSNs keep the old list alive by reference (see repro.storage.mvcc).
+    table.rows = rows
+    table.invalidate()
+    catalog.apply_delta(name, added, removed)
+    table.carry_batch(base_version, derive_batch)
 
 
 def _execute_delete(stmt: ast.DeleteStmt, catalog: Catalog, views) -> DmlResult:
-    table = catalog.table(stmt.table)
+    old = catalog.table(stmt.table).rows
     if stmt.where is None:
-        affected = len(table)
-        # Swap in a fresh list instead of clearing in place: MVCC
-        # snapshots pinned at older LSNs keep the old list alive by
-        # reference (see repro.storage.mvcc).
-        table.rows = []
-        table.invalidate()
-        catalog.refresh_indexes(stmt.table)
-        catalog.analyze(stmt.table)
-        return DmlResult("delete", stmt.table, affected)
-
-    translator, scope, scan = _dml_context(stmt.table, catalog, views)
-    predicate = translator.translate_expr(stmt.where, scope)
-    bypass = L.BypassSelect(scan, predicate)
-    keep = execute_plan(bypass.negative, catalog).rows
-    affected = len(table) - len(keep)
-    # New list, not in-place splice: older MVCC versions reference the
-    # previous list and must keep seeing the pre-statement rows.
-    table.rows = list(keep)
-    table.invalidate()
-    catalog.refresh_indexes(stmt.table)
-    catalog.analyze(stmt.table)
-    return DmlResult("delete", stmt.table, affected)
+        positions = range(len(old))
+    else:
+        positions, _ = _positive_stream(stmt, (), catalog, views)
+    kept: list = []
+    begin = 0
+    for position in positions:
+        kept += old[begin:position]
+        begin = position + 1
+    kept += old[begin:]
+    removed = [old[position] for position in positions]
+    _swap_rows(
+        catalog, stmt.table, kept, [], removed, lambda batch: batch.without(positions)
+    )
+    return DmlResult("delete", stmt.table, len(removed))
 
 
 def _execute_update(stmt: ast.UpdateStmt, catalog: Catalog, views) -> DmlResult:
     table = catalog.table(stmt.table)
-    translator, scope, scan = _dml_context(stmt.table, catalog, views)
-
-    arity = len(table.schema)
     lower_names = {name.lower(): index for index, name in enumerate(table.schema.names)}
-    assignment_positions = []
-    assignment_exprs = []
-    for column, value_node in stmt.assignments:
+    columns = []
+    for column, _ in stmt.assignments:
         if column.lower() not in lower_names:
             raise TranslationError(f"table {stmt.table!r} has no column {column!r}")
-        assignment_positions.append(lower_names[column.lower()])
-        assignment_exprs.append(translator.translate_expr(value_node, scope))
-    if len(set(assignment_positions)) != len(assignment_positions):
+        columns.append(lower_names[column.lower()])
+    if len(set(columns)) != len(columns):
         raise TranslationError("duplicate column in UPDATE SET list")
 
-    sequence = "dml.seq"
-    numbered = L.Numbering(scan, sequence)
-    predicate = (
-        translator.translate_expr(stmt.where, scope) if stmt.where is not None else E.TRUE
+    # All assignment values come from the *old* row (SQL semantics:
+    # SET a = b, b = a swaps).
+    positions, values = _positive_stream(
+        stmt, [value_node for _, value_node in stmt.assignments], catalog, views
     )
-    bypass = L.BypassSelect(numbered, predicate)
-
-    # Evaluate all assignment values against the *old* row (SQL
-    # semantics: SET a = b, b = a swaps), then splice them in.
-    update_plan: L.Operator = bypass.positive
-    for index, expression in enumerate(assignment_exprs):
-        update_plan = L.Map(update_plan, f"dml.new{index}", expression)
-    updated_rows = execute_plan(update_plan, catalog).rows
-    kept_rows = execute_plan(bypass.negative, catalog).rows
-
-    merged: list[tuple] = []
-    value_count = len(assignment_exprs)
-    for row in updated_rows:
-        base = list(row[:arity])
-        new_values = row[arity + 1 : arity + 1 + value_count]
-        for position, value in zip(assignment_positions, new_values):
-            base[position] = value
-        merged.append((row[arity], tuple(base)))  # (sequence, new row)
-    for row in kept_rows:
-        merged.append((row[arity], tuple(row[:arity])))
-    merged.sort(key=lambda pair: pair[0])
-
-    # New list, not in-place splice: older MVCC versions reference the
-    # previous list and must keep seeing the pre-statement rows.
-    table.rows = [row for _, row in merged]
-    table.invalidate()
-    catalog.refresh_indexes(stmt.table)
-    catalog.analyze(stmt.table)
-    return DmlResult("update", stmt.table, len(updated_rows))
+    rows = list(table.rows)
+    removed, added = [], []
+    for position, new_values in zip(positions, values):
+        row = list(rows[position])
+        for column, value in zip(columns, new_values):
+            row[column] = value
+        removed.append(rows[position])
+        added.append(tuple(row))
+        rows[position] = added[-1]
+    _swap_rows(
+        catalog,
+        stmt.table,
+        rows,
+        added,
+        removed,
+        lambda batch: batch.overwritten(positions, columns, added),
+    )
+    return DmlResult("update", stmt.table, len(added))

@@ -34,10 +34,21 @@ from repro.storage.schema import Schema
 Row = tuple
 
 
-def build_column(values: Sequence) -> tuple[np.ndarray, np.ndarray | None]:
+#: The layouts, narrowest first: a value of a narrower layout also fits
+#: every wider one.
+_LAYOUT_WIDTH = {"i": 0, "f": 1, "O": 2}
+
+
+def build_column(
+    values: Sequence, like: np.dtype | None = None
+) -> tuple[np.ndarray, np.ndarray | None] | None:
     """Build ``(data, valid)`` for one column of Python values.
 
-    ``valid`` is ``None`` when every value is non-NULL.
+    ``valid`` is ``None`` when every value is non-NULL.  With ``like``
+    the column is built in exactly that layout — it is a delta to an
+    existing column — and the result is ``None`` when some value does
+    not belong in it (a float or a string for ``int64``, an int beyond
+    64 bits).
     """
     n = len(values)
     valid: np.ndarray | None = None
@@ -53,19 +64,30 @@ def build_column(values: Sequence) -> tuple[np.ndarray, np.ndarray | None]:
             is_int = False
     if has_null:
         valid = np.fromiter((v is not None for v in values), dtype=bool, count=n)
-    if is_int or is_float:
-        dtype = np.int64 if is_int else np.float64
+    dtype = np.dtype(np.int64 if is_int else np.float64 if is_float else object)
+    if like is not None:
+        if _LAYOUT_WIDTH[dtype.kind] > _LAYOUT_WIDTH[like.kind]:
+            return None
+        dtype = like
+    if dtype.kind != "O":
         try:
             data = np.fromiter(
                 (v if v is not None else 0 for v in values), dtype=dtype, count=n
             )
             return data, valid
         except (OverflowError, ValueError):
-            pass  # e.g. ints beyond 64 bits: fall through to the object layout
+            # e.g. ints beyond 64 bits: only the object layout holds them
+            if like is not None:
+                return None
     data = np.empty(n, dtype=object)
     for i, v in enumerate(values):
         data[i] = v
     return data, valid
+
+
+def _unless_all(mask: np.ndarray) -> np.ndarray | None:
+    """``mask``, or ``None`` (the "no NULLs" form) when it is all true."""
+    return None if mask.all() else mask
 
 
 def column_to_pylist(data: np.ndarray, valid: np.ndarray | None) -> list:
@@ -243,6 +265,61 @@ class Batch:
                     )
                 )
         return cls(schema, data, valid, length)
+
+    # -- writer-side deltas -------------------------------------------------
+    #
+    # How DML carries a table's cached pivot to the next table version
+    # (``Table.carry_batch``).  Each returns a new batch over new arrays
+    # for what changed — readers pinned at the old version keep theirs —
+    # or ``None`` when a value does not fit its column's layout, which
+    # sends the table back to the one full pivot, :meth:`from_rows`.  A
+    # layout never narrows: a ``float64`` column stays ``float64`` after
+    # its last float has left, as it would have had the float stayed.
+
+    def appended(self, rows: Sequence[Row]) -> "Batch | None":
+        """This batch with ``rows`` added at the end."""
+        if not rows:
+            return self
+        if self.base_length == 0:
+            return None  # an empty pivot has no layout yet
+        base = self.compact()
+        tail = [build_column(values, data.dtype) for values, data in zip(zip(*rows), base.data)]
+        if any(column is None for column in tail):
+            return None
+        data, valid = zip(*tail) if tail else ((), ())
+        return Batch.concat(self.schema, [base, Batch(self.schema, data, valid, len(rows))])
+
+    def without(self, positions: Sequence[int]) -> "Batch":
+        """This batch minus the rows at ``positions`` (distinct)."""
+        base = self.compact()
+        gone = np.fromiter(positions, dtype=np.int64, count=len(positions))
+        data = [np.delete(column, gone) for column in base.data]
+        valid = [
+            None if mask is None else _unless_all(np.delete(mask, gone)) for mask in base.valid
+        ]
+        return Batch(self.schema, data, valid, len(base) - len(gone))
+
+    def overwritten(
+        self, positions: Sequence[int], columns: Sequence[int], rows: Sequence[Row]
+    ) -> "Batch | None":
+        """This batch with ``rows`` in place of those at ``positions``;
+        only the columns at ``columns`` differ from what they replace."""
+        base = self.compact()
+        where = np.fromiter(positions, dtype=np.int64, count=len(positions))
+        data, valid = list(base.data), list(base.valid)
+        for column in columns:
+            built = build_column([row[column] for row in rows], data[column].dtype)
+            if built is None:
+                return None
+            new_data, new_valid = built
+            data[column] = data[column].copy()
+            data[column][where] = new_data
+            mask = valid[column]
+            if mask is not None or new_valid is not None:
+                mask = np.ones(len(base), dtype=bool) if mask is None else mask.copy()
+                mask[where] = True if new_valid is None else new_valid
+                valid[column] = _unless_all(mask)
+        return Batch(self.schema, data, valid, len(base))
 
     # -- materialisation ----------------------------------------------------
 

@@ -1,15 +1,31 @@
 """The catalog: named tables plus optimizer statistics.
 
-Statistics are deliberately simple (row count, per-column distinct counts
-and min/max) — enough for the selectivity formulas in
-:mod:`repro.optimizer.cardinality`.  They are computed eagerly on
-registration and refreshed explicitly via :meth:`Catalog.analyze`.
+Statistics are deliberately simple (row count, per-column distinct counts,
+NULL counts, min/max and an equi-width histogram) — enough for the
+selectivity formulas in :mod:`repro.optimizer.cardinality`.
+
+They are kept current at the cost of what a statement changes.  A
+:class:`TableStats` holds, per column, the multiset of its values
+(value → count) and its NULL count; :mod:`repro.dml` hands
+:meth:`Catalog.apply_delta` the rows each statement added and removed,
+which moves only those counts.  The figures the optimizer reads are
+derived from the multisets on first use after a change and cached until
+the next one, so they are a pure function of the table's contents: a
+store recovered from its log, loaded from a snapshot or fed by
+replication reports what the primary does.
+
+:meth:`Catalog.register`, :meth:`Catalog.replace` and
+:meth:`Catalog.analyze` (re)build the multisets from the rows — the one
+full computation, :meth:`TableStats.compute` — and are what an
+out-of-protocol ``table.append`` needs before the planner sees it.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping
 
 from repro.errors import CatalogError
 from repro.storage.index import Index, make_index
@@ -29,20 +45,34 @@ class Histogram:
 
     @classmethod
     def build(cls, values: list, buckets: int = 20) -> "Histogram | None":
-        numeric = [v for v in values if isinstance(v, (int, float)) and not isinstance(v, bool)]
-        if len(numeric) < 2:
+        return cls.from_counts(Counter(values), buckets)
+
+    @classmethod
+    def from_counts(cls, counts: Mapping, buckets: int = 20) -> "Histogram | None":
+        """The histogram of a value → multiplicity mapping.
+
+        Values equal under ``==`` are one entry of such a mapping, so a
+        column mixing ``1``, ``1.0`` and ``True`` is binned by whichever
+        of them the mapping holds as the key.
+        """
+        numeric = {
+            v: n
+            for v, n in counts.items()
+            if isinstance(v, (int, float)) and not isinstance(v, bool)
+        }
+        total = sum(numeric.values())
+        if total < 2:
             return None
         low, high = min(numeric), max(numeric)
         if high <= low:
             return None
-        buckets = min(buckets, max(len(numeric) // 2, 1))
+        buckets = min(buckets, max(total // 2, 1))
         width = (high - low) / buckets
-        counts = [0] * buckets
-        for v in numeric:
-            index = min(int((v - low) / width), buckets - 1)
-            counts[index] += 1
+        bins = [0] * buckets
+        for v, n in numeric.items():
+            bins[min(int((v - low) / width), buckets - 1)] += n
         edges = [low + i * width for i in range(buckets)] + [float(high)]
-        return cls(edges, counts)
+        return cls(edges, bins)
 
     @property
     def total(self) -> int:
@@ -82,28 +112,107 @@ class ColumnStats:
     histogram: "Histogram | None" = None
 
 
-@dataclass
-class TableStats:
-    """Statistics for one table."""
+class _ColumnCounts:
+    """One column's contents as a multiset: value → count, NULLs apart."""
 
-    row_count: int = 0
-    columns: dict[str, ColumnStats] = field(default_factory=dict)
+    __slots__ = ("counts", "nulls")
+
+    def __init__(self, values: Iterable = ()):
+        self.counts: Counter = Counter()
+        self.nulls = 0
+        self.add(values)
+
+    def add(self, values: Iterable) -> None:
+        fresh = Counter(values)
+        self.nulls += fresh.pop(None, 0)
+        self.counts.update(fresh)
+
+    def remove(self, values: Iterable) -> None:
+        gone = Counter(values)
+        self.nulls -= gone.pop(None, 0)
+        counts = self.counts
+        for value, n in gone.items():
+            left = counts[value] - n
+            if left:
+                counts[value] = left
+            else:
+                del counts[value]
+
+    def summary(self, histogram_buckets: int) -> ColumnStats:
+        counts = self.counts
+        try:
+            low, high = (min(counts), max(counts)) if counts else (None, None)
+        except TypeError:
+            # Values without a shared order (a string in an int column):
+            # no range to estimate from, the other figures still hold.
+            low = high = None
+        return ColumnStats(
+            distinct=len(counts),
+            min_value=low,
+            max_value=high,
+            null_count=self.nulls,
+            histogram=Histogram.from_counts(counts, histogram_buckets),
+        )
+
+
+class TableStats:
+    """Statistics for one table.
+
+    ``row_count`` and the per-column multisets are the state;
+    :attr:`columns` (name → :class:`ColumnStats`) is derived from it on
+    first use after a change.  A table registered with ``analyze=False``
+    tracks only its row count and has no columns.
+
+    Planner threads read while a writer applies a delta, so both the
+    derivation and :meth:`apply_delta` hold the object's lock; the
+    ``ColumnStats`` handed out are never mutated afterwards.
+    """
+
+    def __init__(self, row_count: int = 0, histogram_buckets: int = 20):
+        self.row_count = row_count
+        self._histogram_buckets = histogram_buckets
+        self._counts: dict[str, _ColumnCounts] = {}
+        self._columns: dict[str, ColumnStats] | None = None
+        self._lock = threading.Lock()
 
     @classmethod
     def compute(cls, table: Table, histogram_buckets: int = 20) -> "TableStats":
-        stats = cls(row_count=len(table))
-        for column in table.schema:
-            values = table.column_values(column.name)
-            non_null = [v for v in values if v is not None]
-            col = ColumnStats(
-                distinct=len(set(non_null)),
-                min_value=min(non_null) if non_null else None,
-                max_value=max(non_null) if non_null else None,
-                null_count=len(values) - len(non_null),
-                histogram=Histogram.build(non_null, histogram_buckets),
-            )
-            stats.columns[column.name] = col
+        stats = cls(len(table), histogram_buckets)
+        columns = zip(*table.rows) if table.rows else [()] * len(table.schema)
+        for column, values in zip(table.schema, columns):
+            stats._counts[column.name] = _ColumnCounts(values)
         return stats
+
+    @property
+    def columns(self) -> dict[str, ColumnStats]:
+        derived = self._columns
+        if derived is None:
+            with self._lock:
+                derived = self._columns
+                if derived is None:
+                    derived = {
+                        name: counts.summary(self._histogram_buckets)
+                        for name, counts in self._counts.items()
+                    }
+                    self._columns = derived
+        return derived
+
+    def apply_delta(self, added: list, removed: list) -> None:
+        """Account for rows that entered and left the table."""
+        with self._lock:
+            self.row_count += len(added) - len(removed)
+            for position, counts in enumerate(self._counts.values()):
+                counts.remove(row[position] for row in removed)
+                counts.add(row[position] for row in added)
+            self._columns = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TableStats):
+            return NotImplemented
+        return self.row_count == other.row_count and self.columns == other.columns
+
+    def __repr__(self) -> str:
+        return f"TableStats(row_count={self.row_count}, columns={self.columns})"
 
 
 class Catalog:
@@ -177,6 +286,11 @@ class Catalog:
         for key in names:
             self._stats[key] = TableStats.compute(self.table(key))
 
+    def apply_delta(self, name: str, added: list, removed: list) -> None:
+        """Move ``name``'s statistics by the rows a statement added and
+        removed (what :mod:`repro.dml` calls instead of :meth:`analyze`)."""
+        self.stats(name).apply_delta(added, removed)
+
     def __contains__(self, name: str) -> bool:
         return name.lower() in self._tables
 
@@ -249,15 +363,12 @@ class Catalog:
     def index_info(self) -> list[dict]:
         return [self._indexes[key].info() for key in sorted(self._indexes)]
 
-    def refresh_indexes(self, table_name: str) -> None:
-        """Eagerly rebuild the indexes of one table (after DELETE/UPDATE)."""
+    def note_appends(self, table_name: str, start: int, base_version: int) -> None:
+        """Fold rows appended at positions ``>= start`` into the indexes
+        that were current at ``base_version``, the table's version just
+        before the appends."""
         for index in self.indexes_on(table_name):
-            index.refresh()
-
-    def note_appends(self, table_name: str, start: int) -> None:
-        """Incrementally index rows appended at positions ``>= start``."""
-        for index in self.indexes_on(table_name):
-            index.note_appends(start)
+            index.note_appends(start, base_version)
 
     def _purge_indexes(self, table_key: str) -> None:
         stale = [key for key, index in self._indexes.items() if index.table_name == table_key]

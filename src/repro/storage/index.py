@@ -16,9 +16,9 @@ Two index kinds back the optimizer's access-path selection
 
 Indexes are *self-maintaining*: every structure is stamped with the
 owning table's ``version`` and rebuilt lazily on first use after a
-mutation.  :mod:`repro.dml` additionally refreshes eagerly — INSERT uses
-the incremental append path, DELETE/UPDATE trigger full rebuilds — so
-interactive workloads never pay the rebuild inside a query.
+mutation.  Nothing is rebuilt at DML time; an INSERT folds its appended
+tail into the indexes that were current just before it (see
+:meth:`Index.note_appends`), DELETE and UPDATE leave them stale.
 """
 
 from __future__ import annotations
@@ -81,16 +81,19 @@ class Index:
             self._rebuild()
             self.version = self.table.version
 
-    def note_appends(self, start: int) -> None:
+    def note_appends(self, start: int, base_version: int) -> None:
         """Fold rows appended at positions ``>= start`` into the index.
 
-        The INSERT fast path: the caller guarantees rows below ``start``
-        are unchanged, so only the tail is (re)indexed.
+        The INSERT fast path: the caller guarantees that rows below
+        ``start`` are what they were at ``base_version``, the table's
+        version just before the appends.  Only an index that was current
+        then can take the tail alone; one already stale (an
+        out-of-protocol ``table.append``, an earlier DELETE/UPDATE) is
+        missing more than the tail, so it is left stale for the next
+        probe's :meth:`refresh` to rebuild.
         """
-        if self.version == self.table.version:
-            return
         with self._lock:
-            if self.version == self.table.version:
+            if self.version != base_version:
                 return
             self._extend(start)
             self.version = self.table.version

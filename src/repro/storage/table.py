@@ -41,10 +41,11 @@ class Table:
         #: key it on this counter.  Code that mutates ``rows`` directly must
         #: call :meth:`invalidate`.
         self.version = 0
-        #: ``(version, Batch)`` set by the vectorized engine; ignored here.
-        #: Read with a single attribute load (the tuple is an atomic
-        #: snapshot) and published under ``batch_lock`` so concurrent
-        #: server queries pivot each table at most once per version.
+        #: ``(version, Batch)`` set by the vectorized engine and carried
+        #: forward by writers (:meth:`carry_batch`).  Read with a single
+        #: attribute load (the tuple is an atomic snapshot) and published
+        #: under ``batch_lock`` so concurrent server queries pivot each
+        #: table at most once per version.
         self.batch_cache = None
         self.batch_lock = threading.Lock()
         arity = len(schema)
@@ -81,6 +82,22 @@ class Table:
     def invalidate(self) -> None:
         """Mark cached derived views stale after an in-place ``rows`` edit."""
         self.version += 1
+
+    def carry_batch(self, base_version: int, derive) -> None:
+        """Writer-side upkeep of ``batch_cache`` after a statement.
+
+        A batch cached at ``base_version`` (the version just before the
+        statement) is replaced by ``derive(batch)`` at the current
+        version.  When ``derive`` returns ``None`` — the change does not
+        fit the cached column layout — or the cache holds some other
+        past version, it is dropped and the next scan pivots the rows.
+        """
+        with self.batch_lock:
+            cached = self.batch_cache
+            if cached is None or cached[0] == self.version:
+                return
+            batch = derive(cached[1]) if cached[0] == base_version else None
+            self.batch_cache = None if batch is None else (self.version, batch)
 
     # -- bag/set comparisons --------------------------------------------------
 

@@ -15,6 +15,7 @@ import pytest
 
 from repro import Database, EvalOptions
 from repro.errors import CatalogError, ParseError
+from repro.optimizer import execute_sql
 from repro.optimizer.access import choose_access_paths
 from repro.sql import ast
 from repro.sql.parser import parse_any
@@ -125,8 +126,9 @@ class TestHashIndex:
     def test_incremental_extend_on_append(self):
         catalog, table = one_column_table([1, 2])
         index = catalog.create_index("idx", "u", "K", "hash")
+        base_version = table.version
         table.extend([(1,), (None,)])
-        catalog.note_appends("u", 2)
+        catalog.note_appends("u", 2, base_version)
         assert index.version == table.version
         assert index.eq_positions(1) == (0, 2)
 
@@ -171,9 +173,9 @@ class TestSortedIndex:
         values = list(range(ZONE_BLOCK_ROWS + 5))
         catalog, table = one_column_table(values)
         index = catalog.create_index("idx", "u", "K", "sorted")
-        start = len(table.rows)
+        start, base_version = len(table.rows), table.version
         table.extend([(x,) for x in range(1000, 1000 + ZONE_BLOCK_ROWS)])
-        catalog.note_appends("u", start)
+        catalog.note_appends("u", start, base_version)
         lookup = probe_bounds(index, ((">=", 1000),))
         assert len(lookup.positions) == ZONE_BLOCK_ROWS
         assert lookup.positions[0] == start
@@ -204,6 +206,22 @@ class TestMaintenance:
         assert index.version == db.table("s").version  # maintained eagerly
         after = db.execute("SELECT * FROM s WHERE B2 = 5")
         assert len(after.rows) == baseline + 1
+
+    def test_insert_leaves_an_already_stale_index_stale(self):
+        """The INSERT fast path may only extend an index that was current
+        just before the statement: one that an out-of-protocol append had
+        already left behind is missing more than the statement's tail."""
+        db = Database()
+        db.create_table("t", ["a", "b"], [(1, 10), (2, 20)])
+        db.execute("CREATE INDEX t_a ON t (a)")
+        index = db.catalog.index("t_a")
+        db.table("t").append((3, 30))  # out of protocol: nobody tells the index
+        db.execute("INSERT INTO t VALUES (4, 40)")
+        assert index.version != db.table("t").version  # not stamped current
+        assert execute_sql("SELECT b FROM t WHERE a = 3", db.catalog).rows == [(30,)]
+        assert execute_sql("SELECT b FROM t WHERE a = 4", db.catalog).rows == [(40,)]
+        assert index.eq_positions(3) == (2,)  # the probe rebuilt it
+        assert index.eq_positions(4) == (3,)
 
     def test_delete_and_update_rebuild(self):
         db = make_db()

@@ -15,6 +15,7 @@ from repro import Database
 from repro.errors import InjectedFault
 from repro.faults import FaultConfig, FaultInjector
 from repro.optimizer.planner import PlannedQuery
+from repro.storage.catalog import TableStats
 from repro.storage.wal import DurabilityConfig
 
 
@@ -180,18 +181,50 @@ def test_plan_cache_epochs_after_recovery(data_dir):
 
 
 def test_recovered_dml_updates_statistics_and_versions(data_dir):
+    """Statistics are a function of the table's contents and versions of
+    the statements applied, whichever way the store got there: kept by
+    deltas on the live primary, replayed from the log alone, or loaded
+    from a mid-stream checkpoint (one full computation) and replayed on."""
     db = seeded(data_dir)
+    db.execute("INSERT INTO r VALUES (4, NULL), (NULL, 50), (4, 40)")
+    db.execute("UPDATE r SET b = b + 1 WHERE a >= 2")
+    db.execute("DELETE FROM r WHERE a = 1")
     live_version = db.table("r").version
-    live_stats = db.catalog.stats("r").row_count
+    live_stats = db.catalog.stats("r")
+    assert live_stats == TableStats.compute(db.table("r"))
     db.close()
 
     recovered = open_db(data_dir)
-    assert recovered.catalog.stats("r").row_count == live_stats == 3
+    assert recovered.durability_info()["recovery"]["snapshot_lsn"] == 0
+    assert recovered.catalog.stats("r") == live_stats
+    assert recovered.catalog.stats("r").row_count == 5
     # Replay advances the table version the same way the live path did.
     assert recovered.table("r").version == live_version
-    recovered.execute("INSERT INTO r VALUES (9, 90)")
-    assert recovered.catalog.stats("r").row_count == 4
+
+    recovered.checkpoint()
+    recovered.execute("UPDATE r SET a = b, b = a WHERE a = 4")
+    recovered.execute("INSERT INTO r SELECT b, a FROM r WHERE a IS NULL")
+    recovered.execute("DELETE FROM r WHERE b = (SELECT MAX(b) FROM r)")
+    recovered.execute("UPDATE r SET b = 2.5 WHERE a = 2")
+    since_checkpoint = recovered.table("r").version - live_version
+    live_stats = recovered.catalog.stats("r")
+    assert live_stats == TableStats.compute(recovered.table("r"))
     recovered.close()
+
+    again = open_db(data_dir)
+    recovery = again.durability_info()["recovery"]
+    assert recovery["snapshot_lsn"] > 0 and recovery["records_replayed"] == 4
+    stats = again.catalog.stats("r")
+    assert stats == live_stats
+    for name, column in stats.columns.items():
+        assert column == live_stats.columns[name], name  # histograms included
+    # The snapshot loads the table at version 0; the tail moves it as it
+    # moved the live table.
+    assert again.table("r").version == since_checkpoint
+    again.execute("INSERT INTO r VALUES (9, 90)")
+    assert again.catalog.stats("r").row_count == stats.row_count
+    assert again.catalog.stats("r") == TableStats.compute(again.table("r"))
+    again.close()
 
 
 # ---------------------------------------------------------------------------

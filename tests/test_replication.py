@@ -39,6 +39,7 @@ from repro.replication.routing import ReplicaSetClient
 from repro.replication.stream import decode_frames, frames_from_wire
 from repro.service.client import ServiceClient
 from repro.service.server import QueryServer, QueryService, ServerConfig
+from repro.storage.catalog import TableStats
 from repro.storage.wal import DurabilityConfig, list_snapshots
 
 #: The query used as a state digest when comparing primary and replica.
@@ -156,18 +157,39 @@ class TestFollower:
 
     def test_streams_dml_and_ddl_and_stays_aligned(self, primary, tmp_path):
         server, db = primary
+        db.execute("DELETE FROM r WHERE A1 = 0")
+        db.checkpoint()  # mid-stream: what a restart of the primary starts from
         follower = make_follower(server.url, tmp_path)
         replica_db = follower.bootstrap()
-        db.execute("INSERT INTO r VALUES (50, 1, 2, 300)")
+        version_at_bootstrap = db.table("r").version
+        db.execute("INSERT INTO r VALUES (50, 1, 2, 300), (51, NULL, 2, NULL)")
         db.execute("UPDATE r SET A4 = 0 WHERE A1 = 50")
         db.create_view("v", "SELECT A1 FROM r WHERE A4 > 100")
         db.create_index("idx_a1", "r", "A1")
+        db.execute("DELETE FROM r WHERE A4 = (SELECT MAX(A4) FROM r)")
+        db.execute("UPDATE r SET A2 = A3, A3 = A2 WHERE A1 > 3")
         drain(follower)
         assert follower.applied_lsn == db.wal_lsn
-        assert sorted(replica_db.table("r").rows) == sorted(db.table("r").rows)
+        assert replica_db.table("r").rows == db.table("r").rows
         assert replica_db.view_names() == ["v"]
         assert replica_db.index_names() == ["idx_a1"]
         assert replica_db.execute("SELECT A1 FROM v").rows == db.execute("SELECT A1 FROM v").rows
+        # Statistics kept by deltas on the primary, by deltas on top of a
+        # snapshot load on the follower, and by the same on a recovery
+        # from the checkpoint are one function of the table's contents.
+        live_stats = db.catalog.stats("r")
+        assert live_stats == TableStats.compute(db.table("r"))
+        db.close()
+        recovered = Database.open(str(tmp_path / "primary"))
+        assert recovered.durability_info()["recovery"]["snapshot_lsn"] > 0
+        for store in (replica_db, recovered):
+            stats = store.catalog.stats("r")
+            assert stats == live_stats
+            for name, column in stats.columns.items():
+                assert column == live_stats.columns[name], name  # histograms included
+            # Both loaded the table at version 0 and applied the same tail.
+            assert store.table("r").version == db.table("r").version - version_at_bootstrap
+        recovered.close()
         follower.close()
         replica_db.close()
 
