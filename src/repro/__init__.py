@@ -31,7 +31,6 @@ Figure-7 harness).
 
 from __future__ import annotations
 
-import os as _os
 import threading
 from typing import Iterable, Sequence
 
@@ -129,7 +128,7 @@ class Database:
         # appends per-table versions at a fresh commit LSN; read queries
         # pin the current LSN and execute against frozen snapshots, so
         # they never take ``_commit_lock``.  See repro.storage.mvcc and
-        # docs/parallel.md.
+        # docs/mvcc.md.
         self._snapshots = SnapshotManager()
         self._views: dict[str, object] = {}
         self._plan_cache = PlanCache(plan_cache_capacity)
@@ -151,15 +150,6 @@ class Database:
             "rows_read": 0,
             "rows_skipped": 0,
             "blocks_skipped": 0,
-        }
-        # Cumulative shard-parallel counters (see ExecContext.parallel),
-        # surfaced through parallel_info() and the service /metrics body.
-        self._parallel_totals = {
-            "shard_tasks": 0,
-            "parallel_filters": 0,
-            "parallel_group_bys": 0,
-            "parallel_joins": 0,
-            "inline_fallbacks": 0,
         }
         # Durability (None = pure in-memory).  The original SQL of each
         # view is kept alongside the parsed form so snapshots can store
@@ -888,10 +878,6 @@ class Database:
             limits = ResourceLimits.from_env()
             if limits is not None:
                 updates["resources"] = limits
-        if base.parallel_workers == 0:
-            env_workers = _os.environ.get("REPRO_PARALLEL_WORKERS", "").strip()
-            if env_workers.isdigit() and int(env_workers) >= 2:
-                updates["parallel_workers"] = int(env_workers)
         return _dc_replace(base, **updates) if updates else base
 
     def resilience_info(self) -> dict:
@@ -914,32 +900,11 @@ class Database:
             totals = self._access_totals
             for key, value in counters.items():
                 totals[key] = totals.get(key, 0) + value
-        shard_counters = getattr(ctx, "parallel", None)
-        if shard_counters:
-            totals = self._parallel_totals
-            for key, value in shard_counters.items():
-                totals[key] = totals.get(key, 0) + value
 
     def access_info(self) -> dict:
         """Cumulative access-path counters plus the index inventory."""
         info = dict(self._access_totals)
         info["indexes"] = self.catalog.index_info()
-        return info
-
-    def parallel_info(self) -> dict:
-        """Shard-parallel counters for this database plus pool state.
-
-        Per-database counters come from absorbed execution contexts;
-        the ``pool`` sub-dict reports the process-wide worker pool (see
-        :func:`repro.engine.parallel.parallel_totals`).
-        """
-        info = dict(self._parallel_totals)
-        try:
-            from repro.engine.parallel import parallel_totals
-
-            info["pool"] = parallel_totals()
-        except ImportError:  # numpy missing: the row engine never shards
-            info["pool"] = None
         return info
 
     # -- snapshots (MVCC) ---------------------------------------------------
@@ -970,7 +935,7 @@ class Database:
         self._snapshots.unpin(handle)
 
     def mvcc_info(self) -> dict:
-        """Version-chain and pin counters (see docs/parallel.md)."""
+        """Version-chain and pin counters (see docs/mvcc.md)."""
         return self._snapshots.info()
 
     def prepare(self, sql: str, strategy: str = "auto") -> PreparedStatement:

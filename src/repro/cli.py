@@ -1084,8 +1084,8 @@ def _compare_bench(baseline_path: str, current_path: str, tolerance, out) -> int
     """The CI regression gate: nonzero exit when counters drift.
 
     Timing leaves are excluded (CI runners are too noisy to gate on
-    wall-clock); what remains — row counts, result checksums, access and
-    shard-task counters — is bit-stable under the seeded benchmarks, so a
+    wall-clock); what remains — row counts, result checksums, access-path
+    counters — is bit-stable under the seeded benchmarks, so a
     drift past ``tolerance`` means the code changed behaviour, not the
     machine changed speed.  Counters with an obvious direction (failure
     counts, skip counts) only fail when they move the *bad* way.

@@ -31,18 +31,13 @@ from repro.storage.schema import Schema
 
 
 def compile_plan(
-    plan: L.Operator, catalog: Catalog, vectorized: bool = False, options=None
+    plan: L.Operator, catalog: Catalog, vectorized: bool = False
 ) -> P.PhysicalOperator:
     """Compile a logical plan DAG into a physical plan DAG.
 
     With ``vectorized=True`` the batch compiler is used: operators the
     columnar runtime covers become batch operators, everything else
     falls back per-node to the row interpreter.  Requires numpy.
-
-    ``options`` (an :class:`~repro.engine.context.EvalOptions` or None)
-    lets the compiler make cost-based physical choices — currently the
-    shard-parallel operator selection driven by ``parallel_workers``
-    and the cardinality model.
     """
     if vectorized:
         try:
@@ -52,17 +47,16 @@ def compile_plan(
                 f"the vectorized engine requires numpy ({exc}); "
                 "re-run without vectorized mode"
             ) from exc
-        compiler: _Compiler = VectorCompiler(catalog, options)
+        compiler: _Compiler = VectorCompiler(catalog)
     else:
-        compiler = _Compiler(catalog, options)
+        compiler = _Compiler(catalog)
     compiler.count_references(plan)
     return compiler.compile(plan)
 
 
 class _Compiler:
-    def __init__(self, catalog: Catalog, options=None):
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.options = options
         self.memo: dict[int, P.PhysicalOperator] = {}
         self.refcount: dict[int, int] = {}
         #: id(BypassJoin) -> fused negative-stream filter (logical Select)

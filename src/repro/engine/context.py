@@ -75,15 +75,6 @@ class EvalOptions:
         injection points of both engines and the storage scan path;
         ``None`` (the default) makes every fault check a single
         attribute test.
-    ``parallel_workers``
-        Shard scans, hash joins and decomposable group-bys across this
-        many ``multiprocessing`` workers (see :mod:`repro.engine.parallel`).
-        ``0``/``1`` (the default) keeps everything single-process.  Only
-        meaningful with ``vectorized=True`` — batches are the wire unit.
-    ``parallel_min_rows``
-        Estimated-row threshold below which the optimizer keeps an
-        operator serial even when workers are configured; ``None`` uses
-        ``REPRO_PARALLEL_MIN_ROWS`` or the built-in default.
     """
 
     subquery_memo: bool = False
@@ -94,8 +85,6 @@ class EvalOptions:
     cancel_event: object | None = None
     resources: ResourceLimits | None = None
     faults: object | None = None
-    parallel_workers: int = 0
-    parallel_min_rows: int | None = None
 
 
 @dataclass
@@ -133,7 +122,6 @@ class ExecContext:
         "memory_bytes",
         "subquery_depth",
         "access",
-        "parallel",
         "_cancel",
         "_deadline",
         "_max_rows",
@@ -174,15 +162,6 @@ class ExecContext:
             "rows_read": 0,
             "rows_skipped": 0,
             "blocks_skipped": 0,
-        }
-        #: Shard-parallel counters, filled by the operators in
-        #: :mod:`repro.engine.parallel` (absorbed into Database totals).
-        self.parallel = {
-            "shard_tasks": 0,
-            "parallel_filters": 0,
-            "parallel_group_bys": 0,
-            "parallel_joins": 0,
-            "inline_fallbacks": 0,
         }
         self._row_bytes = 0  # lazily sampled from the first materialised row
         self._tick_granularity = (

@@ -38,7 +38,7 @@ def execute_plan(
         :class:`~repro.engine.context.ExecStats`.
     """
     opts = options or EvalOptions()
-    physical = compile_plan(plan, catalog, vectorized=opts.vectorized, options=opts)
+    physical = compile_plan(plan, catalog, vectorized=opts.vectorized)
     ctx = ExecContext(opts)
     try:
         rows = physical.execute(ctx, {})
@@ -76,7 +76,7 @@ def explain_analyze(
 
     base = options or EvalOptions()
     run_options = dc_replace(base, collect_stats=True)
-    physical = compile_plan(plan, catalog, vectorized=base.vectorized, options=base)
+    physical = compile_plan(plan, catalog, vectorized=base.vectorized)
     ctx = ExecContext(run_options)
     start = time.perf_counter()
     rows = physical.execute(ctx, {})

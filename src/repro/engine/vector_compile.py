@@ -24,7 +24,6 @@ from __future__ import annotations
 from repro.algebra import ops as L
 from repro.algebra.aggregates import STAR, AggSpec
 from repro.engine import operators as P
-from repro.engine import parallel as Par
 from repro.engine import vector_ops as V
 from repro.engine.compile import _Compiler
 from repro.engine.vector_kernels import (
@@ -32,7 +31,6 @@ from repro.engine.vector_kernels import (
     compile_predicate,
     compile_value,
 )
-from repro.optimizer.parallel import choose_workers
 from repro.storage.schema import Schema
 
 
@@ -44,12 +42,6 @@ class VectorCompiler(_Compiler):
         if isinstance(child, V.VecOperator):
             return child
         return V.VFromRows(child)
-
-    def _parallel_workers(self, node: L.Operator) -> int:
-        """Shard count for ``node`` per the cost model, or 0 for serial."""
-        if self.options is None or getattr(self.options, "parallel_workers", 0) < 2:
-            return 0
-        return choose_workers(node, self.catalog, self.options)
 
     # -- leaves -------------------------------------------------------------
 
@@ -90,11 +82,6 @@ class VectorCompiler(_Compiler):
             kernel = compile_predicate(node.predicate, node.child.schema)
         except VectorizeError:
             return super()._compile_Select(node)
-        workers = self._parallel_workers(node)
-        if workers >= 2:
-            return Par.VParallelFilter(
-                self._vec(child), kernel, (), node.predicate, node.child.schema, workers
-            )
         return V.VFilter(self._vec(child), kernel, ())
 
     def _compile_BypassSelect(self, node: L.BypassSelect) -> P.PhysicalOperator:
@@ -162,11 +149,6 @@ class VectorCompiler(_Compiler):
         except VectorizeError:
             return super()._compile_GroupBy(node)
         key_positions = node.child.schema.positions(node.keys)
-        workers = self._parallel_workers(node)
-        if workers >= 2 and all(spec.is_decomposable for _, spec in node.aggregates):
-            return Par.VParallelHashGroupBy(
-                self._vec(child), node.schema, key_positions, columns, (), workers
-            )
         return V.VHashGroupBy(self._vec(child), node.schema, key_positions, columns, ())
 
     def _compile_ScalarAggregate(self, node: L.ScalarAggregate) -> P.PhysicalOperator:
@@ -178,11 +160,6 @@ class VectorCompiler(_Compiler):
             ]
         except VectorizeError:
             return super()._compile_ScalarAggregate(node)
-        workers = self._parallel_workers(node)
-        if workers >= 2 and all(spec.is_decomposable for _, spec in node.aggregates):
-            return Par.VParallelScalarAgg(
-                self._vec(child), node.schema, columns, (), workers
-            )
         return V.VScalarAgg(self._vec(child), node.schema, columns, ())
 
     # BinaryGroupBy and BypassJoin stay on the row implementations
@@ -211,20 +188,6 @@ class VectorCompiler(_Compiler):
         if kind == "left_outer":
             default_row = tuple(
                 (defaults or {}).get(col.name) for col in node.right.schema
-            )
-        workers = self._parallel_workers(node)
-        if workers >= 2:
-            return Par.VParallelHashJoin(
-                self._vec(left),
-                self._vec(right),
-                node.schema,
-                lkeys,
-                rkeys,
-                residual_kernel,
-                kind,
-                (),
-                default_row,
-                workers=workers,
             )
         return V.VHashJoin(
             self._vec(left),

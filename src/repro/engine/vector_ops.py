@@ -577,10 +577,6 @@ class VHashJoin(VecOperator):
         self.kind = kind
         self.default_row = default_row
 
-    def _match(self, ctx, lcodes, rcodes, l_ok, r_ok):
-        """Matching step, overridable by the shard-parallel subclass."""
-        return _match_pairs(lcodes, rcodes, l_ok, r_ok)
-
     def _run_batch(self, ctx, env):
         left = self.left.execute_batch(ctx, env).compact()
         right = self.right.execute_batch(ctx, env).compact()
@@ -592,7 +588,7 @@ class VHashJoin(VecOperator):
             n_left,
             n_right,
         )
-        left_idx, right_idx = self._match(ctx, lcodes, rcodes, l_ok, r_ok)
+        left_idx, right_idx = _match_pairs(lcodes, rcodes, l_ok, r_ok)
         ctx.tick(len(left_idx))
 
         joined = None

@@ -415,9 +415,6 @@ class QueryService:
         mvcc = getattr(database, "mvcc_info", None)
         if mvcc is not None:
             body["mvcc"] = mvcc()
-        parallel = getattr(database, "parallel_info", None)
-        if parallel is not None:
-            body["parallel"] = parallel()
         with self._repl_lock:
             replication = dict(self._repl_counters)
         replication["role"] = self._role()

@@ -207,6 +207,12 @@ class TestHttpProtocol:
         cache = metrics["plan_cache"]
         assert set(cache) >= {"hits", "misses", "hit_rate", "size", "capacity"}
         assert "queued" in metrics["admission"]
+        # The section names are API: adding or dropping one is deliberate.
+        assert set(metrics) == {
+            "server", "admission", "sessions", "sessions_expired", "draining",
+            "ready", "plan_cache", "tables", "resilience", "access_paths",
+            "durability", "mvcc", "replication",
+        }
 
 
 class TestTimeoutsAndAdmission:

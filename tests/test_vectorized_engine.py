@@ -216,17 +216,37 @@ class TestCompilerRouting:
         )
         assert "VHashGroupBy" in report and len(table) > 0
 
+    def test_one_physical_class_per_operator(self):
+        """Every compiled node is a base ``vector_ops`` / ``operators``
+        class: no module supplies a second implementation of an operator
+        that some option or estimate swaps in."""
+        from repro.bench.queries import Q1, Q2, Q3, Q4, QUERY_2D
+        from repro.datagen import TpchConfig, tpch_catalog
 
-def _operator_names(physical) -> set:
-    out, stack, seen = set(), [physical], set()
+        rst = make_rst_catalog(seed=3)
+        tpch = tpch_catalog(TpchConfig(scale_factor=0.002))
+        cases = [(sql, rst) for sql in (Q1, Q2, Q3, Q4)] + [(QUERY_2D, tpch)]
+        for sql, catalog in cases:
+            for strategy in ("canonical", "unnested"):
+                planned = plan_query(sql, catalog, strategy)
+                physical = compile_plan(planned.logical, catalog, vectorized=True)
+                modules = {type(node).__module__ for node in _walk(physical)}
+                assert modules <= {"repro.engine.vector_ops", "repro.engine.operators"}
+
+
+def _walk(physical):
+    stack, seen = [physical], set()
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        out.add(type(node).__name__)
+        yield node
         stack.extend(node.children())
-    return out
+
+
+def _operator_names(physical) -> set:
+    return {type(node).__name__ for node in _walk(physical)}
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,16 @@ CORPUS: dict[str, str] = {
         SELECT DISTINCT * FROM r
         WHERE A1 = (SELECT COUNT(DISTINCT B1) FROM s
                     WHERE A2 = B2 OR B4 > 1500)""",
+    # Flat shapes (no subquery): the serial VFilter, VHashGroupBy with
+    # every decomposable aggregate, and VHashJoin under a filter.
+    "flat_arithmetic_filter": """
+        SELECT A2, A4 FROM r
+        WHERE A4 * 3 + A2 * 2 - A4 / 4 > 500 AND A4 < 900""",
+    "flat_group_by_decomposable": """
+        SELECT A2, COUNT(*), SUM(A4), MIN(A4), MAX(A4), AVG(A4)
+        FROM r GROUP BY A2""",
+    "flat_equi_join_filter": """
+        SELECT r.A2, s.B1 FROM r, s WHERE r.A2 = s.B2 AND r.A4 < 1500""",
 }
 for agg in AGG_LINKING:
     CORPUS[f"linking_{agg}"] = f"""
