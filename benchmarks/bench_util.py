@@ -9,10 +9,8 @@ from repro.engine import EvalOptions
 from repro.optimizer import plan_query
 
 #: Every benchmark that generates its own data derives its RNG from this
-#: seed, so counters and result checksums in the ``BENCH_*.json``
-#: artifacts are bit-stable across runs — a prerequisite for the CI
-#: regression gate, which diffs those artifacts against committed
-#: baselines (see ``repro bench-report --compare``).
+#: seed, so the counts and query answers the suites assert are the same
+#: on every run.
 BENCH_SEED = 20260809
 
 

@@ -15,19 +15,17 @@ live :class:`~repro.replication.failover.ClusterCoordinator`:
    its divergent suffix is truncated (exactly one resync) and all three
    stores converge to the same digest on both engines.
 
-``BENCH_failover.json`` (cwd, like the other BENCH artifacts) records
-the recovery-time window — kill-to-promotion and kill-to-first-acked-
-write — as timing keys the CI gate excludes, plus the deterministic
-protocol counters (promotions, era, truncations, acked-write accounting,
-result checksum) it diffs against the committed baseline.
-
-Wall-clock bounds live under the ``timing`` marker, excluded from the
-CI smoke run like every other timing assertion in this suite.
+The script asserts the deterministic protocol counters where they
+happen (one promotion, era 1, one truncation, no new-primary ack lost,
+no divergent row left, the digest the data dictates on every node) and
+returns the recovery-time window — kill-to-promotion and kill-to-first-
+acked-write — whose wall-clock bounds live under the ``timing`` marker,
+excluded from the CI smoke run like every other timing assertion in
+this suite.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -52,12 +50,8 @@ RESUME_RECORDS = 10
 FAILOVER_DEADLINE = 60.0
 
 #: Rows with A1 past this never enter the digest, so retried probe
-#: writes during the outage window cannot perturb the gated checksum.
+#: writes during the outage window cannot perturb it.
 DIGEST_SQL = "SELECT COUNT(*), SUM(A1), SUM(A4) FROM r WHERE A1 < 80000"
-
-
-def _checksum(rows) -> int:
-    return sum(hash(row) for row in rows) & 0xFFFFFFFF
 
 
 def _digest(db: Database) -> dict:
@@ -77,14 +71,15 @@ def _wait(predicate, deadline: float, message: str) -> float:
     raise AssertionError(message)
 
 
-def test_failover_emits_bench_json(tmp_path):
+def run_scripted_failover(tmp_path) -> tuple[float, float]:
+    """Run the script above; returns (kill-to-promotion, kill-to-first-
+    acked-write) seconds."""
     rng = seeded_rng("failover")
+    seed_rows = [
+        (i, rng.randrange(5), rng.randrange(3), rng.randrange(10_000)) for i in range(ROWS)
+    ]
     db = Database.open(str(tmp_path / "primary"))
-    db.create_table(
-        "r",
-        ["A1", "A2", "A3", "A4"],
-        [(i, rng.randrange(5), rng.randrange(3), rng.randrange(10_000)) for i in range(ROWS)],
-    )
+    db.create_table("r", ["A1", "A2", "A3", "A4"], seed_rows)
     primary = QueryServer(db, ServerConfig(port=0)).start()
     replicas = [
         ReplicaServer(
@@ -111,7 +106,7 @@ def test_failover_emits_bench_json(tmp_path):
         client = ReplicaSetClient(primary.url, [r.url for r in replicas], lsn_wait=10.0)
         for i in range(BURST_RECORDS):
             client.execute(f"INSERT INTO r VALUES ({30_000 + i}, 0, 0, {i})")
-        acked_before = client.info()["writes"]
+        assert client.info()["writes"] == BURST_RECORDS
         burst_lsn = client.last_commit_lsn
         _wait(
             lambda: all(r.follower.applied_lsn >= burst_lsn for r in replicas),
@@ -135,7 +130,7 @@ def test_failover_emits_bench_json(tmp_path):
         time.sleep(2 * 0.5)
         for i in range(DIVERGENT_RECORDS):
             db.execute(f"INSERT INTO r VALUES ({60_000 + i}, 9, 9, 9)")
-        divergent_lsn = db.wal_lsn
+        assert db.wal_lsn == burst_lsn + DIVERGENT_RECORDS
         db.close()
 
         # Phase 3: detection + promotion, then writes resume.
@@ -159,6 +154,7 @@ def test_failover_emits_bench_json(tmp_path):
             break
         assert unavailability_seconds is not None, "writes never resumed after the failover"
 
+        assert coordinator.counters["promotions"] == 1
         winner = next(r for r in replicas if r.url == coordinator.leader_url)
         loser = next(r for r in replicas if r is not winner)
         new_db = winner.follower.db
@@ -182,12 +178,11 @@ def test_failover_emits_bench_json(tmp_path):
                 primary_url=winner.url, data_dir=str(tmp_path / "primary"), poll_wait=0.2
             )
         )
-        rejoin_start = time.perf_counter()
         target = new_db.wal_lsn
         while rejoiner.applied_lsn < target:
             rejoiner.step(wait=0.0)
-        rejoin_seconds = time.perf_counter() - rejoin_start
         assert rejoiner.counters["truncations"] == 1
+        assert rejoiner.counters["resyncs"] == 1
         assert rejoiner.db.era == 1
         divergent_left = rejoiner.db.execute(
             "SELECT COUNT(*) FROM r WHERE A1 >= 60000 AND A1 < 70000"
@@ -195,50 +190,25 @@ def test_failover_emits_bench_json(tmp_path):
         assert divergent_left == [(0,)]
 
         # Convergence: the loser replica was repointed by the coordinator
-        # and all three stores agree on the digest, on both engines.
+        # and all three stores hold the seed rows, the burst and the
+        # resumed writes — nothing else below the digest cut-off — on
+        # both engines.
         _wait(
             lambda: loser.follower.applied_lsn >= target,
             30.0,
             "surviving replica never converged on the new timeline",
         )
-        digest = _digest(new_db)
-        assert _digest(rejoiner.db) == digest
-        assert _digest(loser.follower.db) == digest
-        assert digest["row"] == digest["vectorized"]
-
-        payload = {
-            "workload": (
-                "scripted failover on a 3-node in-process cluster: "
-                f"{BURST_RECORDS}-write burst, primary killed with "
-                f"{DIVERGENT_RECORDS} acked-but-unreplicated writes, "
-                "coordinator-driven promotion, write failover, rejoin"
-            ),
-            "rows": ROWS,
-            "burst_records": BURST_RECORDS,
-            "divergent_records": DIVERGENT_RECORDS,
-            "divergent_lsn": divergent_lsn,
-            "resume_records": RESUME_RECORDS,
-            "acked_before_failover": acked_before,
-            "failover": {
-                "promotions": coordinator.counters["promotions"],
-                "demotions_observed": coordinator.counters["demotions"],
-                "era": new_db.era,
-                "detection_promotion_seconds": round(detection_seconds, 6),
-                "write_unavailability_seconds": round(unavailability_seconds, 6),
-                "new_primary_acked_writes_lost": RESUME_RECORDS - resumed_rows[0][0],
-            },
-            "rejoin": {
-                "truncations": rejoiner.counters["truncations"],
-                "resyncs": rejoiner.counters["resyncs"],
-                "divergent_rows_left": divergent_left[0][0],
-                "catch_up_seconds": round(rejoin_seconds, 6),
-            },
-            "digest_checksum": _checksum(digest["row"]),
-            "converged_nodes": 3,
-        }
-        with open("BENCH_failover.json", "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        survivors = (
+            seed_rows
+            + [(30_000 + i, 0, 0, i) for i in range(BURST_RECORDS)]
+            + [(70_000 + i, 0, 0, i) for i in range(RESUME_RECORDS)]
+        )
+        expected = [
+            (len(survivors), sum(row[0] for row in survivors), sum(row[3] for row in survivors))
+        ]
+        for node_db in (new_db, rejoiner.db, loser.follower.db):
+            assert _digest(node_db) == {"row": expected, "vectorized": expected}
+        return detection_seconds, unavailability_seconds
     finally:
         coordinator_stop.set()
         if coordinator_thread.is_alive():
@@ -252,19 +222,16 @@ def test_failover_emits_bench_json(tmp_path):
         primary.stop()
 
 
-@pytest.mark.timing
-class TestShape:
-    """The ISSUE acceptance bound, asserted at the default scale."""
+def test_scripted_failover_loses_no_acked_write_and_converges(tmp_path):
+    run_scripted_failover(tmp_path)  # every protocol assertion is inline
 
-    def test_detection_and_promotion_window_is_bounded(self):
-        if not os.path.exists("BENCH_failover.json"):
-            pytest.skip("run test_failover_emits_bench_json first")
-        with open("BENCH_failover.json") as handle:
-            payload = json.load(handle)
-        failover = payload["failover"]
-        # Threshold 3 at a 50ms probe interval detects in ~150ms; the
-        # promotion RPC and era fsync ride on top.  10s is a generous
-        # ceiling that still catches a coordinator stuck in a retry loop.
-        assert failover["detection_promotion_seconds"] < 10.0
-        assert failover["write_unavailability_seconds"] < 30.0
-        assert failover["new_primary_acked_writes_lost"] == 0
+
+@pytest.mark.timing
+def test_detection_and_promotion_window_is_bounded(tmp_path):
+    """The ISSUE acceptance bound, asserted at the default scale."""
+    detection_seconds, unavailability_seconds = run_scripted_failover(tmp_path)
+    # Threshold 3 at a 50ms probe interval detects in ~150ms; the
+    # promotion RPC and era fsync ride on top.  10s is a generous
+    # ceiling that still catches a coordinator stuck in a retry loop.
+    assert detection_seconds < 10.0
+    assert unavailability_seconds < 30.0

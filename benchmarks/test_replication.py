@@ -1,42 +1,30 @@
-"""Replication benchmarks: read scaling, staleness, and catch-up time.
+"""Replication benchmarks: read scaling, staleness, and catch-up.
 
-Everything lands in ``BENCH_replication.json`` (cwd, like the other
-BENCH artifacts; uploaded and gated by CI):
-
-* **read-throughput scaling** — the same read workload at a fixed
+* **reads under a write burst** — the same read workload at a fixed
   offered load (``CLIENT_THREADS`` aggressive clients) while the
   primary sustains a saturating write burst, against the primary alone
-  and against clusters of 1, 2, and 3 replicas.  Every server runs
-  admission-limited (``max_in_flight=1``, no queue): on the primary the
-  write stream occupies that slot, so co-located reads are rejected
-  into the client's backoff — the production overload behaviour — while
-  replicas serve the same reads from their own slots, isolated from the
-  write path.  The headline ``scaling_ratio_3_replicas`` compares the
-  3-replica cluster against primary-only; the host core count is
-  recorded alongside so the numbers stay honest on small CI runners.
-* **replica staleness under a write burst** — commit-to-visible lag
-  sampled per marker write while a background writer streams commits;
-  reported as p50/p99 seconds.
+  and against the replica set.  Every server runs admission-limited
+  (``max_in_flight=1``, no queue): on the primary the write stream
+  occupies that slot, so co-located reads are rejected into the
+  client's backoff — the production overload behaviour — while replicas
+  serve the same reads from their own slots, isolated from the write
+  path.  The smoke run asserts only that reads get through, and that
+  every replica ends on the primary's answer; the ``timing``-marked
+  test asserts the scaling ratio at the default scale.
+* **replica staleness under a write burst** — every marker write
+  committed while a background writer streams becomes visible on the
+  replica.
 * **catch-up after rejoin** — a replica stops while the primary commits
-  ``CATCH_UP_RECORDS`` more records, then rejoins: the artifact records
-  the (deterministic) backlog and replay counters plus the wall-clock
-  catch-up time.
+  ``CATCH_UP_RECORDS`` more records, then rejoins: it must apply exactly
+  the backlog from the log, without a resync.
 
-Row values derive from :func:`benchmarks.bench_util.seeded_rng`, so the
-non-timing keys (row counts, result checksum, backlog sizes, resync
-counters) are bit-stable across runs — that is what the CI regression
-gate diffs against the committed baseline; rates, ratios, and seconds
-are excluded by key name.
-
-Wall-clock assertions live under the ``timing`` marker (excluded from
-CI smoke, like every other timing test in this suite).
+Row values derive from :func:`benchmarks.bench_util.seeded_rng`, so
+every count asserted here is the same on every run.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import statistics
 import threading
 import time
 
@@ -59,7 +47,7 @@ CLIENT_THREADS = 4
 WRITER_THREADS = 2
 MEASURE_SECONDS = 1.2
 RETRY_BACKOFF = 0.02
-REPLICA_COUNTS = (1, 2, 3)
+REPLICAS = 3
 STALENESS_SAMPLES = 20
 CATCH_UP_RECORDS = 40
 
@@ -69,25 +57,24 @@ CATCH_UP_RECORDS = 40
 SERVER_LIMITS = dict(max_in_flight=1, max_queue=0, queue_timeout=0.01)
 
 
-def _checksum(table) -> int:
-    return sum(hash(row) for row in table.rows) & 0xFFFFFFFF
-
-
 class Cluster:
     """One primary plus three replica servers, all in-process."""
 
     def __init__(self, root):
         rng = seeded_rng("replication")
+        rows = [
+            (i, rng.randrange(5), rng.randrange(3), rng.randrange(10_000))
+            for i in range(ROWS)
+        ]
+        # READ_SQL's answer, from the data: no write below touches A2 = 1.
+        matching = [row[3] for row in rows if row[1] == 1]
+        self.read_answer = [(len(matching), sum(matching))]
         self.db = Database.open(str(root / "primary"))
-        self.db.create_table(
-            "r",
-            ["A1", "A2", "A3", "A4"],
-            [(i, rng.randrange(5), rng.randrange(3), rng.randrange(10_000)) for i in range(ROWS)],
-        )
+        self.db.create_table("r", ["A1", "A2", "A3", "A4"], rows)
         self.primary = QueryServer(self.db, ServerConfig(port=0, **SERVER_LIMITS)).start()
         self.replicas = []
         self.replica_dirs = []
-        for i in range(max(REPLICA_COUNTS)):
+        for i in range(REPLICAS):
             data_dir = root / f"replica{i}"
             self.replica_dirs.append(data_dir)
             self.replicas.append(
@@ -178,8 +165,20 @@ def _measure_reads_per_sec(primary_url: str, replica_urls: list[str]) -> float:
     return sum(counts) / elapsed
 
 
-def _measure_staleness(cluster: Cluster) -> dict:
-    """Commit-to-visible lag on one replica while a writer streams."""
+def test_reads_get_through_a_write_burst(cluster):
+    assert cluster.db.execute(READ_SQL).rows == cluster.read_answer
+    replica_urls = [replica.url for replica in cluster.replicas]
+    assert _measure_reads_per_sec(cluster.primary.url, []) > 0
+    assert _measure_reads_per_sec(cluster.primary.url, replica_urls) > 0
+    # The burst's rows all replicate, and none of them moved the answer.
+    cluster.wait_applied(cluster.db.wal_lsn)
+    for replica in cluster.replicas:
+        assert replica.follower.applied_lsn == cluster.db.wal_lsn
+        assert replica.follower.db.execute(READ_SQL).rows == cluster.read_answer
+
+
+def test_every_marker_write_becomes_visible_on_the_replica(cluster):
+    """Marker commits reach one replica while a background writer streams."""
     follower = cluster.replicas[0].follower
     client = ServiceClient(cluster.primary.url)
     stop = threading.Event()
@@ -198,7 +197,6 @@ def _measure_staleness(cluster: Cluster) -> dict:
     noise = threading.Thread(target=burst, daemon=True)
     noise.start()
     marker_client = ServiceClient(cluster.primary.url)
-    lags = []
     try:
         for i in range(STALENESS_SAMPLES):
             while True:
@@ -211,22 +209,14 @@ def _measure_staleness(cluster: Cluster) -> dict:
                     if not error.retryable:
                         raise
                     time.sleep(RETRY_BACKOFF)
-            start = time.perf_counter()
-            follower.wait_for_lsn(token, timeout=30.0)
-            lags.append(time.perf_counter() - start)
+            assert follower.wait_for_lsn(token, timeout=30.0) >= token
     finally:
         stop.set()
         noise.join(timeout=10)
-    lags.sort()
-    return {
-        "samples": len(lags),
-        "p50_seconds": round(statistics.median(lags), 6),
-        "p99_seconds": round(lags[min(len(lags) - 1, int(len(lags) * 0.99))], 6),
-    }
 
 
-def _measure_catch_up(cluster: Cluster) -> dict:
-    """Stop the last replica, build a backlog, time its rejoin."""
+def test_rejoin_applies_exactly_the_backlog_without_resync(cluster):
+    """Stop the last replica, build a backlog, rejoin it from the log."""
     victim = cluster.replicas.pop()
     data_dir = cluster.replica_dirs[-1]
     victim.follower.wait_for_lsn(cluster.db.wal_lsn, timeout=30.0)
@@ -235,88 +225,22 @@ def _measure_catch_up(cluster: Cluster) -> dict:
     victim.stop()
     for i in range(CATCH_UP_RECORDS):
         cluster.db.execute(f"INSERT INTO r VALUES ({30_000 + i}, 0, 0, 1)")
-    backlog = cluster.db.wal_lsn - stopped_at
+    assert cluster.db.wal_lsn - stopped_at == CATCH_UP_RECORDS
 
     rejoined = ReplicationFollower(
         ReplicaConfig(primary_url=cluster.primary.url, data_dir=str(data_dir), poll_wait=0.2)
     )
-    start = time.perf_counter()
-    rejoined.bootstrap()
-    while rejoined.applied_lsn < cluster.db.wal_lsn:
-        rejoined.step(wait=0.0)
-    elapsed = time.perf_counter() - start
-    counters = dict(rejoined.counters)
-    applied = rejoined.applied_lsn
-    rejoined.close()
-    rejoined.db.close()
-    return {
-        "records_behind": backlog,
-        "records_applied_on_rejoin": counters["records_applied"],
-        "resyncs": counters["resyncs"],
-        "converged": applied == cluster.db.wal_lsn,
-        "catch_up_seconds": round(elapsed, 6),
-    }
-
-
-def test_replication_emits_bench_json(cluster):
-    """Measure every cluster configuration; write the artifact.
-
-    The JSON is the deliverable — CI uploads it and runs the regression
-    gate on its non-timing keys.  Assertions here are sanity bounds
-    only, so the smoke run stays timing-agnostic.
-    """
-    baseline_read = cluster.db.execute(READ_SQL)
-    read_result = {
-        "rows": len(baseline_read.rows),
-        "checksum": _checksum(baseline_read),
-    }
-
-    replica_urls = [replica.url for replica in cluster.replicas]
-    throughput = {
-        "primary_only_reads_per_sec": round(_measure_reads_per_sec(cluster.primary.url, []), 2)
-    }
-    for count in REPLICA_COUNTS:
-        throughput[f"replicas_{count}_reads_per_sec"] = round(
-            _measure_reads_per_sec(cluster.primary.url, replica_urls[:count]), 2
-        )
-    throughput["scaling_ratio_3_replicas"] = round(
-        throughput["replicas_3_reads_per_sec"]
-        / max(throughput["primary_only_reads_per_sec"], 1e-9),
-        2,
-    )
-    assert throughput["primary_only_reads_per_sec"] > 0
-    assert throughput["replicas_3_reads_per_sec"] > 0
-
-    staleness = _measure_staleness(cluster)
-    assert staleness["samples"] == STALENESS_SAMPLES
-
-    catch_up = _measure_catch_up(cluster)
-    assert catch_up["records_behind"] == CATCH_UP_RECORDS
-    assert catch_up["records_applied_on_rejoin"] == CATCH_UP_RECORDS
-    assert catch_up["resyncs"] == 0
-    assert catch_up["converged"] is True
-
-    payload = {
-        "workload": (
-            "admission-limited read scaling (one query slot per server) "
-            f"under a sustained primary write burst, {CLIENT_THREADS} "
-            f"aggressive read clients over {ROWS} seeded rows; staleness "
-            "and catch-up under live WAL streaming"
-        ),
-        "rows": ROWS,
-        "client_threads": CLIENT_THREADS,
-        "writer_threads": WRITER_THREADS,
-        "max_in_flight_per_server": SERVER_LIMITS["max_in_flight"],
-        "replica_counts": list(REPLICA_COUNTS),
-        "cores": os.cpu_count(),
-        "read_result": read_result,
-        "throughput": throughput,
-        "staleness": staleness,
-        "catch_up": catch_up,
-    }
-    with open("BENCH_replication.json", "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    try:
+        rejoined.bootstrap()
+        while rejoined.applied_lsn < cluster.db.wal_lsn:
+            rejoined.step(wait=0.0)
+        assert rejoined.applied_lsn == cluster.db.wal_lsn
+        assert rejoined.counters["records_applied"] == CATCH_UP_RECORDS
+        assert rejoined.counters["resyncs"] == 0
+        assert rejoined.db.execute(READ_SQL).rows == cluster.read_answer
+    finally:
+        rejoined.close()
+        rejoined.db.close()
 
 
 @pytest.mark.timing

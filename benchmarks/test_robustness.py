@@ -2,12 +2,12 @@
 
 The governor piggybacks on the engines' existing cooperative tick
 points, so its overhead should be one ``is not None`` check when
-disarmed and a counter compare when armed.  Two measurements on the
-paper's Q1/Q4 templates:
+disarmed and a counter compare when armed.  On the paper's Q1/Q4
+templates:
 
-* ``BENCH_robustness.json`` (always written, CI artifact) — per-query
-  wall time with the governor off, armed-but-generous, and the
-  degradation counters from a seeded chaos run;
+* a seeded chaos run whose degradation counters must add up — every
+  injected fault degrades exactly one execution, and every degradation
+  lands on the canonical answer;
 * a ``timing``-marked assertion that the armed governor stays within
   10% of the ungoverned run at smoke scale (excluded from CI smoke,
   like every other timing test in this suite).
@@ -15,8 +15,6 @@ paper's Q1/Q4 templates:
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import pytest
@@ -84,30 +82,11 @@ def test_governed_results_match_ungoverned(governor_db):
         assert_bag_equal(governed, plain, "governor changed the answer")
 
 
-def test_governor_overhead_emits_bench_robustness_json(governor_db):
-    """Measure tick overhead and chaos-recovery counters; write the artifact.
-
-    The JSON itself is the deliverable (CI uploads it); the assertions
-    here are sanity bounds only, so the smoke run stays timing-agnostic.
-    """
-    db = governor_db
-    measurements = {}
-    for name, sql in QUERIES.items():
-        db.plan(sql, strategy="canonical")  # warm the plan cache
-        off = _best_seconds(db, sql, EvalOptions())
-        armed = _best_seconds(db, sql, EvalOptions(resources=GENEROUS))
-        measurements[name] = {
-            "ungoverned_seconds": round(off, 6),
-            "governed_seconds": round(armed, 6),
-            "overhead_ratio": round(armed / max(off, 1e-9), 4),
-        }
-        assert off > 0 and armed > 0
-
-    # A seeded chaos pass: every fallback must land on the right answer.
+def test_every_injected_fault_degrades_once_and_heals(governor_db):
+    """A seeded chaos pass: every fallback must land on the right answer."""
     chaos_db = Database()
-    for name in db.catalog.table_names():
-        chaos_db.register(db.catalog.table(name))
-    recovered = 0
+    for name in governor_db.catalog.table_names():
+        chaos_db.register(governor_db.catalog.table(name))
     for name, sql in QUERIES.items():
         baseline = chaos_db.execute(sql, strategy="canonical")
         injector = FaultInjector(
@@ -117,25 +96,10 @@ def test_governor_overhead_emits_bench_robustness_json(governor_db):
             sql, strategy="unnested", options=EvalOptions(faults=injector)
         )
         assert_bag_equal(healed, baseline, f"{name} chaos fallback diverged")
-        recovered += injector.fired
+        assert injector.fired == 1, f"{name}: one fault, on the first bypass"
     resilience = chaos_db.resilience_info()
-    assert resilience["fallback_successes"] == resilience["degradations"]
-
-    payload = {
-        "workload": "governor tick overhead on Q1/Q4 (canonical, row engine)",
-        "rows_per_sf": int(os.environ.get("REPRO_BENCH_ROWS", "250")),
-        "repeats": REPEATS,
-        "rounds": ROUNDS,
-        "queries": measurements,
-        "chaos": {
-            "faults_injected": recovered,
-            "degradations": resilience["degradations"],
-            "fallback_successes": resilience["fallback_successes"],
-        },
-    }
-    with open("BENCH_robustness.json", "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    assert resilience["degradations"] == len(QUERIES)  # one per fault
+    assert resilience["fallback_successes"] == len(QUERIES)
 
 
 @pytest.mark.timing

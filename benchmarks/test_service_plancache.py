@@ -6,15 +6,14 @@ Two measurements:
   re-derives the plan every time (parse → translate → unnest → cost),
   cache **on** pays one derivation and then only binds + executes; the
   timing test asserts the ≥5x win the service layer exists for;
-* a short burst against the HTTP server, whose latency percentiles and
-  plan-cache hit rate land in ``BENCH_service.json`` for the CI smoke
-  job (the write itself is a plain functional test, safe at smoke scale).
+* a short burst against the HTTP server, asserting the counters that
+  do not depend on the clock: one plan derivation and then only hits,
+  every query answered, none failed (a plain functional test, safe at
+  smoke scale; served latency is ``python3 -m benchmarks.e2e``'s job).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import pytest
@@ -115,11 +114,11 @@ def test_cached_and_uncached_agree(point_db):
         assert_bag_equal(db.execute(template, params=[2000]), uncached)
 
 
-def test_server_burst_emits_bench_service_json(service_db, tmp_path_factory):
-    """Run a burst through the HTTP server and record its percentiles.
+def test_server_burst_derives_one_plan_and_fails_no_query(service_db):
+    """Run a burst through the HTTP server and check its tallies.
 
-    Writes ``BENCH_service.json`` (cwd, like the other BENCH artifacts)
-    with p50/p95 latency and the plan-cache hit rate; asserts only sanity
+    The five distinct thresholds share one template, so the plan cache
+    derives once and hits ever after; wall-clock leaves get only sanity
     bounds so the smoke run stays timing-agnostic.
     """
     server = QueryServer(
@@ -134,23 +133,15 @@ def test_server_burst_emits_bench_service_json(service_db, tmp_path_factory):
     finally:
         server.stop()
 
-    latency = metrics["server"]["latency"]
+    tallies = metrics["server"]
+    latency = tallies["latency"]
     cache = metrics["plan_cache"]
-    assert latency["count"] >= REPEATS
+    assert latency["count"] == REPEATS
     assert latency["p50"] <= latency["p95"]
-    assert cache["hits"] >= REPEATS - 1  # one derivation, then all hits
-    assert cache["hit_rate"] > 0.5
-
-    payload = {
-        "workload": "Q1 parameterized burst over HTTP",
-        "requests": REPEATS,
-        "rows_per_sf": int(os.environ.get("REPRO_BENCH_ROWS", "250")),
-        "latency_p50_seconds": latency["p50"],
-        "latency_p95_seconds": latency["p95"],
-        "plan_cache_hit_rate": cache["hit_rate"],
-        "plan_cache": cache,
-        "server": metrics["server"],
-    }
-    with open("BENCH_service.json", "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    assert (cache["misses"], cache["hits"]) == (1, REPEATS - 1)
+    assert (cache["size"], cache["evictions"], cache["invalidations"]) == (1, 0, 0)
+    assert cache["quarantined"] == 0
+    assert tallies["queries_ok"] == REPEATS
+    for tally in ("queries_failed", "queries_timeout", "queries_cancelled",
+                  "rejected_overload", "in_flight"):
+        assert tallies[tally] == 0, tally

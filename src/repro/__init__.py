@@ -149,7 +149,6 @@ class Database:
             "index_nl_probes": 0,
             "rows_read": 0,
             "rows_skipped": 0,
-            "blocks_skipped": 0,
         }
         # Durability (None = pure in-memory).  The original SQL of each
         # view is kept alongside the parsed form so snapshots can store

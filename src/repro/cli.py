@@ -9,9 +9,6 @@ Commands
 ``generate``     write an RST or TPC-H dataset as CSV files
 ``shell``        a minimal interactive loop
 ``recover``      open a durable --data-dir, report recovery, optionally checkpoint
-``bench-report`` summarize BENCH_*.json artifacts; ``--compare BASELINE
-CURRENT`` gates CI on non-timing counter regressions and
-``--update-baseline`` copies CURRENT over BASELINE instead of gating
 ``serve``        run the JSON-over-HTTP SQL server (the primary)
 ``replica``      run a read-only replica streaming a primary's WAL
 ``coordinator``  health-check a replica set and drive automatic failover
@@ -21,8 +18,8 @@ CURRENT`` gates CI on non-timing counter regressions and
 ``run``/``explain``/``shell`` accept repeated ``--index
 name:table:column[:kind]`` options to build secondary indexes before
 planning, and ``run``/``explain`` take ``--explain-access`` to report
-the chosen access paths (index scans, index nested-loop joins, zone-map
-skip counters).  The shell's ``\\indexes`` command lists live indexes.
+the chosen access paths (index scans, index nested-loop joins, skipped-row
+counters).  The shell's ``\\indexes`` command lists live indexes.
 
 Datasets are specified either with ``--csv DIR`` (every ``*.csv`` file
 becomes a table named after the file, types inferred from the first data
@@ -92,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         if explain_access:
             p.add_argument(
                 "--explain-access", action="store_true",
-                help="report chosen access paths and zone-map skip counters",
+                help="report chosen access paths and skipped-row counters",
             )
 
     run = sub.add_parser("run", help="execute a query")
@@ -147,31 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     recover.add_argument(
         "--checkpoint", action="store_true",
         help="write a fresh checkpoint after recovery (truncates the WAL)",
-    )
-
-    report = sub.add_parser(
-        "bench-report", help="summarize BENCH_*.json benchmark artifacts"
-    )
-    report.add_argument(
-        "files", nargs="*", default=[], metavar="FILE",
-        help="artifact files (default: BENCH_*.json in the current directory)",
-    )
-    report.add_argument(
-        "--compare", nargs=2, metavar=("BASELINE", "CURRENT"),
-        help="regression gate: diff two artifacts' non-timing numeric "
-             "counters and exit nonzero when CURRENT regresses",
-    )
-    report.add_argument(
-        "--tolerance", type=float, default=0.3,
-        help="relative drift allowed before a counter counts as a "
-             "regression (default 0.3; exact-match counters like result "
-             "checksums always fail on any change)",
-    )
-    report.add_argument(
-        "--update-baseline", action="store_true",
-        help="with --compare: copy CURRENT over BASELINE (after printing "
-             "the diff) instead of failing on regressions — the blessed "
-             "way to refresh benchmarks/baselines/ intentionally",
     )
 
     serve = sub.add_parser("serve", help="run the JSON-over-HTTP SQL server")
@@ -485,8 +457,7 @@ def access_counters(db: Database) -> str:
         f"index_scans={info['index_scans']} "
         f"index_nl_probes={info['index_nl_probes']} "
         f"rows_read={info['rows_read']} "
-        f"rows_skipped={info['rows_skipped']} "
-        f"blocks_skipped={info['blocks_skipped']}\n"
+        f"rows_skipped={info['rows_skipped']}\n"
     )
 
 
@@ -990,172 +961,6 @@ def cmd_recover(args, out) -> int:
     return 0
 
 
-def cmd_bench_report(args, out) -> int:
-    import glob
-
-    if getattr(args, "compare", None):
-        baseline, current = args.compare
-        if getattr(args, "update_baseline", False):
-            return _update_baseline(baseline, current, args.tolerance, out)
-        return _compare_bench(baseline, current, args.tolerance, out)
-    if getattr(args, "update_baseline", False):
-        raise ReproError("--update-baseline requires --compare BASELINE CURRENT")
-    files = list(args.files) or sorted(glob.glob("BENCH_*.json"))
-    if not files:
-        raise ReproError("no benchmark artifacts (pass files or run the benchmarks)")
-    for path in files:
-        payload = _load_bench(path)
-        out.write(f"{path}\n")
-        for line in _flatten_bench(payload):
-            out.write(f"  {line}\n")
-    return 0
-
-
-def _load_bench(path: str):
-    import json
-
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, ValueError) as error:
-        raise ReproError(f"cannot read benchmark artifact {path!r}: {error}")
-
-
-# Numeric leaves whose names match this pattern are wall-clock (or derived
-# from wall-clock) and vary run to run; the regression gate never compares
-# them.  Everything else in a BENCH artifact is a structural counter —
-# rows, checksums, operator/task counts — and is deterministic because the
-# benchmarks seed their data (see benchmarks/bench_util.BENCH_SEED).
-_TIMING_KEY = None
-
-
-def _is_timing_key(key: str) -> bool:
-    global _TIMING_KEY
-    if _TIMING_KEY is None:
-        import re
-
-        _TIMING_KEY = re.compile(
-            r"(?i)(seconds|latency|elapsed|duration|p50|p9[059]"
-            r"|ratio|speedup|overhead|per_sec|cores|qps)"
-        )
-    return _TIMING_KEY.search(key) is not None
-
-
-def _counter_leaves(payload, prefix="") -> dict:
-    """Flatten to ``dotted.key -> number``, keeping only gated counters."""
-    leaves = {}
-    if isinstance(payload, dict):
-        for key, value in payload.items():
-            leaves.update(_counter_leaves(value, f"{prefix}{key}."))
-        return leaves
-    key = prefix[:-1]
-    # bool is an int subclass; flags like inprocess_mode are environment
-    # descriptors, not counters.
-    if isinstance(payload, bool) or not isinstance(payload, (int, float)):
-        return leaves
-    if not _is_timing_key(key):
-        leaves[key] = float(payload)
-    return leaves
-
-
-def _regression(key: str, base: float, cur: float, tolerance: float) -> str | None:
-    """Return a human-readable reason when ``cur`` regresses, else None."""
-    if "checksum" in key:
-        # Result digests are exact: any drift means the query returned
-        # different rows, which no tolerance excuses.
-        if cur != base:
-            return f"{key}: checksum changed {base:.0f} -> {cur:.0f}"
-        return None
-    drift = (cur - base) / max(abs(base), 1.0)
-    if abs(drift) <= tolerance:
-        return None
-    worse_high = ("fallback", "error", "failure", "retries", "torn", "dropped",
-                  "miss", "rejected", "cancelled")
-    worse_low = ("skipped", "hit")
-    name = key.lower()
-    if any(h in name for h in worse_high) and drift < 0:
-        return None  # fewer failures than baseline: an improvement
-    if any(h in name for h in worse_low) and drift > 0:
-        return None  # e.g. more rows skipped by zone maps: an improvement
-    return f"{key}: {base:g} -> {cur:g} ({drift:+.0%}, tolerance {tolerance:.0%})"
-
-
-def _compare_bench(baseline_path: str, current_path: str, tolerance, out) -> int:
-    """The CI regression gate: nonzero exit when counters drift.
-
-    Timing leaves are excluded (CI runners are too noisy to gate on
-    wall-clock); what remains — row counts, result checksums, access-path
-    counters — is bit-stable under the seeded benchmarks, so a
-    drift past ``tolerance`` means the code changed behaviour, not the
-    machine changed speed.  Counters with an obvious direction (failure
-    counts, skip counts) only fail when they move the *bad* way.
-    """
-    base = _counter_leaves(_load_bench(baseline_path))
-    cur = _counter_leaves(_load_bench(current_path))
-    problems = []
-    for key in sorted(base):
-        if key not in cur:
-            problems.append(f"{key}: tracked counter missing from {current_path}")
-            continue
-        reason = _regression(key, base[key], cur[key], tolerance)
-        if reason is not None:
-            problems.append(reason)
-    new_keys = sorted(set(cur) - set(base))
-    out.write(
-        f"bench-compare: {current_path} vs baseline {baseline_path} "
-        f"({len(base)} counters, tolerance {tolerance:.0%})\n"
-    )
-    for key in new_keys:
-        out.write(f"  note: new counter {key} = {cur[key]:g} (not in baseline)\n")
-    if problems:
-        for reason in problems:
-            out.write(f"  REGRESSION {reason}\n")
-        out.write(
-            f"{len(problems)} regression(s); if intentional, regenerate the "
-            "baseline (see benchmarks/baselines/README.md)\n"
-        )
-        return 1
-    out.write("no regressions\n")
-    return 0
-
-
-def _update_baseline(baseline_path: str, current_path: str, tolerance, out) -> int:
-    """Bless CURRENT as the new baseline (prints the diff first).
-
-    Validates CURRENT parses as JSON before overwriting, and writes it
-    re-serialized (sorted keys, trailing newline) so committed baselines
-    diff cleanly regardless of how the benchmark emitted them.
-    """
-    import json
-    import os
-
-    payload = _load_bench(current_path)
-    if os.path.exists(baseline_path):
-        # Informational only: show what the update changes.
-        _compare_bench(baseline_path, current_path, tolerance, out)
-    os.makedirs(os.path.dirname(baseline_path) or ".", exist_ok=True)
-    with open(baseline_path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    out.write(f"baseline updated: {baseline_path} <- {current_path}\n")
-    return 0
-
-
-def _flatten_bench(payload, prefix="") -> list[str]:
-    """Flatten a benchmark JSON payload into sorted ``key = value`` lines."""
-    if isinstance(payload, dict):
-        lines = []
-        for key in sorted(payload):
-            lines.extend(_flatten_bench(payload[key], f"{prefix}{key}."))
-        return lines
-    label = prefix[:-1] or "value"
-    if isinstance(payload, list):
-        return [f"{label} = [{len(payload)} entries]"]
-    if isinstance(payload, float):
-        return [f"{label} = {payload:.6g}"]
-    return [f"{label} = {payload}"]
-
-
 COMMANDS = {
     "run": cmd_run,
     "explain": cmd_explain,
@@ -1170,7 +975,6 @@ COMMANDS = {
     "scrub": cmd_scrub,
     "sim": cmd_sim,
     "recover": cmd_recover,
-    "bench-report": cmd_bench_report,
 }
 
 

@@ -31,10 +31,10 @@ TICK_GRANULARITY = 65536
 #: cheap (one perf_counter / is_set per few thousand rows).
 ARMED_TICK_GRANULARITY = 4096
 
-#: Rows skipped via index/zone-map pruning are charged against the
-#: governor's row budget at 1/16th of a processed row.  Skipping is not
-#: free (the query still addressed those rows), but charging full price
-#: would erase the benefit of pruning; charging nothing would let an
+#: Rows skipped via index pruning are charged against the governor's
+#: row budget at 1/16th of a processed row.  Skipping is not free (the
+#: query still addressed those rows), but charging full price would
+#: erase the benefit of pruning; charging nothing would let an
 #: index-assisted query dodge ``max_rows`` entirely.
 SKIPPED_ROW_DISCOUNT = 16
 
@@ -161,7 +161,6 @@ class ExecContext:
             "index_nl_probes": 0,
             "rows_read": 0,
             "rows_skipped": 0,
-            "blocks_skipped": 0,
         }
         self._row_bytes = 0  # lazily sampled from the first materialised row
         self._tick_granularity = (

@@ -179,7 +179,6 @@ class PIndexScan(PhysicalOperator):
         evaluated = tuple((op, fn(ctx, env)(())) for op, fn in self.bounds)
         lookup = probe_bounds(index, evaluated)
         ctx.access["index_scans"] += 1
-        ctx.access["blocks_skipped"] += lookup.blocks_skipped
         ctx.tick(max(lookup.rows_examined, 1))
         ctx.tick_skipped(lookup.rows_skipped)
         return lookup

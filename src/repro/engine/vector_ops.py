@@ -188,7 +188,6 @@ class VIndexScan(VecOperator):
         evaluated = tuple((op, fn(ctx, env)(())) for op, fn in self.bounds)
         lookup = probe_bounds(index, evaluated)
         ctx.access["index_scans"] += 1
-        ctx.access["blocks_skipped"] += lookup.blocks_skipped
         ctx.tick(max(lookup.rows_examined, 1))
         ctx.tick_skipped(lookup.rows_skipped)
         base = table_batch(self.table)

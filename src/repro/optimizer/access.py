@@ -225,7 +225,7 @@ class _Rewriter:
         residual_list = [c for i, c in enumerate(conjunct_list) if i != chosen]
         if op in _RANGE_MIRROR:
             # Merge a complementary bound on the same key (the shape a SQL
-            # BETWEEN lowers to) so the zone maps prune from both sides.
+            # BETWEEN lowers to) so the probe bisects both ends of the range.
             wanted_direction = "<" if op.startswith(">") else ">"
             for position, conjunct in enumerate(residual_list):
                 candidate = self._key_candidate(conjunct, scan_attrs)

@@ -1,4 +1,4 @@
-"""Secondary indexes: hash buckets and zone-mapped sorted access paths.
+"""Secondary indexes: hash buckets and key-sorted positions.
 
 Two index kinds back the optimizer's access-path selection
 (:mod:`repro.optimizer.access`):
@@ -7,12 +7,11 @@ Two index kinds back the optimizer's access-path selection
   NULL keys are **excluded** from the buckets: under SQL's three-valued
   logic ``col = anything`` is UNKNOWN for a NULL ``col``, so an equality
   probe must never return a NULL-keyed row.
-* :class:`SortedIndex` — per-block zone maps (min/max over fixed-size
-  runs of the physical row order) for orderable columns.  A range probe
-  skips every block whose ``[min, max]`` envelope cannot intersect the
-  requested interval and scans only the survivors, reporting how many
-  blocks and rows it never touched (the resource governor charges
-  skipped rows at a discount; see ``ExecContext.tick_skipped``).
+* :class:`SortedIndex` — the non-NULL ``(key, position)`` pairs of an
+  orderable column, sorted by key.  A probe bisects once per bound and
+  touches only the matching entries; every other row counts as skipped
+  (the resource governor charges skipped rows at a discount; see
+  ``ExecContext.tick_skipped``).
 
 Indexes are *self-maintaining*: every structure is stamped with the
 owning table's ``version`` and rebuilt lazily on first use after a
@@ -24,16 +23,11 @@ tail into the indexes that were current just before it (see
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from repro.errors import CatalogError
 from repro.storage.table import Table
-
-#: Rows per zone-map block.  Small enough that selective ranges skip
-#: most of a mid-size table, large enough that the per-block min/max
-#: bookkeeping stays negligible next to the row data.
-ZONE_BLOCK_ROWS = 256
 
 INDEX_KINDS = ("hash", "sorted")
 
@@ -43,14 +37,13 @@ class IndexLookup(NamedTuple):
 
     ``positions`` are row positions in physical table order (ascending),
     ``rows_examined`` counts candidate rows the probe actually touched,
-    ``blocks_skipped`` / ``rows_skipped`` count what the index pruned
-    without reading.  (A NamedTuple, not a dataclass: correlated scans
-    construct one per outer row, so creation cost is on the hot path.)
+    ``rows_skipped`` the rows the index pruned without reading.  (A
+    NamedTuple, not a dataclass: correlated scans construct one per
+    outer row, so creation cost is on the hot path.)
     """
 
     positions: tuple[int, ...]
     rows_examined: int
-    blocks_skipped: int
     rows_skipped: int
 
 
@@ -171,152 +164,88 @@ class HashIndex(Index):
         return len(self.buckets)
 
 
-class _Incomparable:
-    """Envelope marker for blocks whose keys share no total order.
-
-    Such blocks can never be pruned; their rows are compared one by one
-    at probe time (where a genuine mixed-type range comparison raises,
-    exactly as it would in a full scan).
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<incomparable>"
-
-
-_INCOMPARABLE = _Incomparable()
-
-
-@dataclass
-class _Zone:
-    """Min/max envelope over one block of physical row positions."""
-
-    start: int
-    stop: int
-    min_value: object
-    max_value: object
-
-
 class SortedIndex(Index):
-    """Zone-mapped index: per-block min/max over the physical row order.
+    """Range index: non-NULL keys in sorted order beside their positions.
 
-    Range and equality probes first prune whole blocks through the
-    envelopes, then scan only the surviving blocks row by row.  Rows
-    with NULL keys live in no envelope's value range and are skipped
-    during the block scan — a NULL never satisfies a comparison.
+    ``_entries`` is one ``(keys, positions, ordered)`` triple — two
+    parallel lists and a flag — replaced as a whole, so a concurrent
+    reader never sees its parts disagree.  Equal keys keep ascending
+    physical positions (the sort is stable, and appended positions are
+    the largest).  Keys without a shared total order leave the index
+    *unordered*, its pairs in physical order: that still serves equality
+    (``==`` is total) but no range.
     """
 
     kind = "sorted"
 
     def _rebuild(self) -> None:
-        self.zones = [
-            self._build_zone(start)
-            for start in range(0, len(self.table.rows), ZONE_BLOCK_ROWS)
-        ]
+        rows = self.table.rows
+        column = self.position
+        positions = [pos for pos, row in enumerate(rows) if row[column] is not None]
+        ordered = True
+        try:
+            positions = sorted(positions, key=lambda pos: rows[pos][column])
+        except TypeError:
+            ordered = False
+        self._entries = ([rows[pos][column] for pos in positions], positions, ordered)
 
     def _extend(self, start: int) -> None:
-        # Blocks are fixed multiples of ZONE_BLOCK_ROWS, so appending only
-        # dirties the block containing ``start`` and everything after it.
-        first_dirty = start // ZONE_BLOCK_ROWS
-        del self.zones[first_dirty:]
-        for block_start in range(
-            first_dirty * ZONE_BLOCK_ROWS, len(self.table.rows), ZONE_BLOCK_ROWS
-        ):
-            self.zones.append(self._build_zone(block_start))
-
-    def _build_zone(self, start: int) -> _Zone:
         rows = self.table.rows
-        position = self.position
-        stop = min(start + ZONE_BLOCK_ROWS, len(rows))
-        lo = hi = None
-        try:
-            for row_pos in range(start, stop):
-                value = rows[row_pos][position]
-                if value is None:
-                    continue
-                if lo is None:
-                    lo = hi = value
-                else:
-                    if value < lo:
-                        lo = value
-                    if value > hi:
-                        hi = value
-        except TypeError:
-            # Keys without a shared total order: the block gets an
-            # unprunable envelope instead of failing index creation.
-            return _Zone(start, stop, _INCOMPARABLE, _INCOMPARABLE)
-        return _Zone(start, stop, lo, hi)
+        column = self.position
+        keys, positions, ordered = self._entries
+        tail = range(start, len(rows))
+        if not ordered or len(tail) > len(keys):
+            return self._rebuild()
+        keys, positions = list(keys), list(positions)
+        for pos in tail:
+            key = rows[pos][column]
+            if key is None:
+                continue
+            try:
+                at = bisect_right(keys, key)
+            except TypeError:  # the new key broke the total order
+                return self._rebuild()
+            keys.insert(at, key)
+            positions.insert(at, pos)
+        self._entries = (keys, positions, True)
 
     def range_positions(
         self, lo, lo_inclusive: bool, hi, hi_inclusive: bool
     ) -> IndexLookup:
-        """Positions of rows with ``lo <(=) key <(=) hi``; None = unbounded."""
-        rows = self.table.rows
-        position = self.position
-        positions: list[int] = []
-        blocks_skipped = 0
-        rows_examined = 0
-        # An equality probe arrives as the degenerate range [v, v]; its
-        # row check must use only ``==`` (total, never raises) so mixed
-        # type columns behave exactly like a full scan would.
-        is_point = (
-            lo is not None and hi is not None
-            and lo_inclusive and hi_inclusive and lo == hi
-        )
-        for zone in self.zones:
-            if zone.min_value is None or self._zone_disjoint(zone, lo, hi):
-                # All-NULL block, or envelope outside the interval.
-                blocks_skipped += 1
-                continue
-            rows_examined += zone.stop - zone.start
-            for row_pos in range(zone.start, zone.stop):
-                value = rows[row_pos][position]
-                if value is None:
-                    continue
-                try:
-                    if lo is not None:
-                        if value < lo or (not lo_inclusive and value == lo):
-                            continue
-                    if hi is not None:
-                        if value > hi or (not hi_inclusive and value == hi):
-                            continue
-                except TypeError:
-                    if is_point:
-                        if value == lo:
-                            positions.append(row_pos)
-                        continue
-                    raise  # a mixed-type *range* errors like a full scan
-                positions.append(row_pos)
-        return IndexLookup(
-            tuple(positions),
-            rows_examined,
-            blocks_skipped,
-            len(rows) - rows_examined,
-        )
+        """Positions of rows with ``lo <(=) key <(=) hi``; None = unbounded.
 
-    @staticmethod
-    def _zone_disjoint(zone: _Zone, lo, hi) -> bool:
-        if zone.min_value is _INCOMPARABLE:
-            return False  # unprunable mixed-type block
-        try:
-            if lo is not None and zone.max_value < lo:
-                return True
-            if hi is not None and zone.min_value > hi:
-                return True
-        except TypeError:
-            # Envelope incomparable with the probe value: cannot prune,
-            # scan the block (per-row checks decide, or raise, there).
-            return False
-        return False
+        A bound the keys cannot be ordered against raises ``TypeError``
+        out of the bisection, exactly as the comparison would in a scan.
+        """
+        keys, positions, ordered = self._entries
+        if not ordered:
+            raise TypeError(
+                f"keys of {self.table_name}.{self.column} share no total "
+                f"order; index {self.name!r} cannot serve a range"
+            )
+        start = 0
+        if lo is not None:
+            start = (bisect_left if lo_inclusive else bisect_right)(keys, lo)
+        stop = len(keys)
+        if hi is not None:
+            stop = (bisect_right if hi_inclusive else bisect_left)(keys, hi)
+        hits = sorted(positions[start:stop])  # back to physical order
+        return IndexLookup(tuple(hits), len(hits), len(self.table.rows) - len(hits))
 
     def eq_positions(self, value) -> tuple[int, ...]:
         if value is None:
             return ()
-        return self.range_positions(value, True, value, True).positions
+        keys, positions, ordered = self._entries
+        if ordered:
+            try:
+                start = bisect_left(keys, value)
+                return tuple(positions[start:bisect_right(keys, value, start)])
+            except TypeError:
+                pass  # unorderable probe value: only ``==`` can decide
+        return tuple(pos for key, pos in zip(keys, positions) if key == value)
 
     def _entry_count(self) -> int:
-        return len(self.zones)
+        return len(self._entries[0])
 
 
 def make_index(name: str, table: Table, table_name: str, column: str, kind: str) -> Index:
@@ -330,62 +259,28 @@ def make_index(name: str, table: Table, table_name: str, column: str, kind: str)
     )
 
 
-def probe(index: Index, op: str, values: tuple) -> IndexLookup:
+def probe_bounds(index: Index, bounds: tuple) -> IndexLookup:
     """Evaluate one index probe; shared by the row and vectorized engines.
 
-    ``op`` is ``=``, ``<``, ``<=``, ``>``, ``>=`` or ``between`` (with
-    ``values = (lo, hi)``, both inclusive).  A NULL probe value makes the
-    comparison UNKNOWN for every row, so the result is empty and the
-    whole table counts as skipped.
+    ``bounds`` is ``(op, value)`` pairs: one ``=``, or one or two of
+    ``<``, ``<=``, ``>``, ``>=`` (a two-sided range with per-side
+    inclusiveness).  A NULL probe value makes the comparison UNKNOWN for
+    every row, so the result is empty and the whole table counts as
+    skipped.
     """
     total = len(index.table.rows)
-    if any(value is None for value in values):
-        blocks = len(getattr(index, "zones", ()))
-        return IndexLookup((), 0, blocks, total)
-    if op == "=":
-        if isinstance(index, HashIndex):
-            positions = index.eq_positions(values[0])
-            return IndexLookup(positions, len(positions), 0, total - len(positions))
-        return index.range_positions(values[0], True, values[0], True)
-    if not isinstance(index, SortedIndex):
-        raise CatalogError(
-            f"index {index.name!r} ({index.kind}) does not support {op!r} probes"
-        )
-    if op == "between":
-        return index.range_positions(values[0], True, values[1], True)
-    if op == "<":
-        return index.range_positions(None, True, values[0], False)
-    if op == "<=":
-        return index.range_positions(None, True, values[0], True)
-    if op == ">":
-        return index.range_positions(values[0], False, None, True)
-    if op == ">=":
-        return index.range_positions(values[0], True, None, True)
-    raise CatalogError(f"unknown index probe operator {op!r}")
-
-
-def probe_bounds(index: Index, bounds: tuple) -> IndexLookup:
-    """Probe with a compound key predicate: ``bounds`` is ``(op, value)``
-    pairs (one for equality / single-sided ranges, two for a two-sided
-    range with per-side inclusiveness).  This is the entry point both
-    engines use; :func:`probe` is the single-operator primitive.
-    """
-    if len(bounds) == 1 and bounds[0][0] == "=" and type(index) is HashIndex:
-        # Hot path: correlated equality probes hit this once per outer
-        # row, so skip the generic bound normalisation entirely.
+    if len(bounds) == 1 and bounds[0][0] == "=":
+        # Correlated equality probes hit this once per outer row.
         # eq_positions already maps a NULL (or unhashable) key to ().
         positions = index.eq_positions(bounds[0][1])
-        total = len(index.table.rows)
-        return IndexLookup(positions, len(positions), 0, total - len(positions))
-    total = len(index.table.rows)
-    if any(value is None for _, value in bounds):
-        blocks = len(getattr(index, "zones", ()))
-        return IndexLookup((), 0, blocks, total)
-    if len(bounds) == 1:
-        return probe(index, bounds[0][0], (bounds[0][1],))
+        return IndexLookup(positions, len(positions), total - len(positions))
+    if not isinstance(index, SortedIndex):
+        raise CatalogError(f"index {index.name!r} ({index.kind}) cannot serve ranges")
     lo = hi = None
     lo_inclusive = hi_inclusive = True
     for op, value in bounds:
+        if value is None:
+            return IndexLookup((), 0, total)
         if op == ">":
             lo, lo_inclusive = value, False
         elif op == ">=":
@@ -395,7 +290,5 @@ def probe_bounds(index: Index, bounds: tuple) -> IndexLookup:
         elif op == "<=":
             hi, hi_inclusive = value, True
         else:
-            raise CatalogError(f"operator {op!r} cannot appear in a compound range")
-    if not isinstance(index, SortedIndex):
-        raise CatalogError(f"index {index.name!r} ({index.kind}) cannot serve ranges")
+            raise CatalogError(f"operator {op!r} cannot appear in a range probe")
     return index.range_positions(lo, lo_inclusive, hi, hi_inclusive)

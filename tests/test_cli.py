@@ -164,112 +164,3 @@ class TestShell:
         code, text = run_cli(["shell", "--csv", csv_dir])
         assert code == 0
         assert "error:" in text
-
-
-class TestBenchCompare:
-    """The CI regression gate: ``bench-report --compare BASELINE CURRENT``."""
-
-    BASELINE = {
-        "rows": 3200,
-        "scan_seconds": 0.5,
-        "results": {"filter": {"rows": 2340, "checksum": 228321398}},
-        "parallel_counters": {"shard_tasks": 16, "inline_fallbacks": 4},
-        "access": {"rows_skipped": 3193},
-        "inprocess_mode": True,
-        "workload": "a label, not a counter",
-    }
-
-    def _write(self, tmp_path, name, payload):
-        import json
-
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def _compare(self, tmp_path, current, tolerance=None):
-        base = self._write(tmp_path, "base.json", self.BASELINE)
-        cur = self._write(tmp_path, "cur.json", current)
-        argv = ["bench-report", "--compare", base, cur]
-        if tolerance is not None:
-            argv += ["--tolerance", str(tolerance)]
-        return run_cli(argv)
-
-    def _mutated(self, **changes):
-        import copy
-
-        payload = copy.deepcopy(self.BASELINE)
-        for dotted, value in changes.items():
-            node = payload
-            *parents, leaf = dotted.split(".")
-            for key in parents:
-                node = node[key]
-            node[leaf] = value
-        return payload
-
-    def test_identical_artifacts_pass(self, tmp_path):
-        code, text = self._compare(tmp_path, self._mutated())
-        assert code == 0
-        assert "no regressions" in text
-
-    def test_injected_counter_regression_fails(self, tmp_path):
-        # The demonstration required by the acceptance criteria: halving
-        # a tracked counter makes the gate exit nonzero.
-        current = self._mutated(**{"parallel_counters.shard_tasks": 8})
-        code, text = self._compare(tmp_path, current)
-        assert code == 1
-        assert "REGRESSION" in text and "shard_tasks" in text
-
-    def test_drift_within_tolerance_passes(self, tmp_path):
-        current = self._mutated(**{"parallel_counters.shard_tasks": 18})
-        code, _ = self._compare(tmp_path, current, tolerance=0.3)
-        assert code == 0
-
-    def test_checksum_change_fails_regardless_of_tolerance(self, tmp_path):
-        current = self._mutated(**{"results.filter.checksum": 228321399})
-        code, text = self._compare(tmp_path, current, tolerance=0.9)
-        assert code == 1
-        assert "checksum" in text
-
-    def test_timing_drift_is_ignored(self, tmp_path):
-        current = self._mutated(scan_seconds=50.0)
-        code, _ = self._compare(tmp_path, current)
-        assert code == 0
-
-    def test_fewer_fallbacks_is_an_improvement(self, tmp_path):
-        current = self._mutated(**{"parallel_counters.inline_fallbacks": 0})
-        code, _ = self._compare(tmp_path, current)
-        assert code == 0
-
-    def test_fewer_rows_skipped_is_a_regression(self, tmp_path):
-        # Zone maps skipping fewer rows means the access path degraded.
-        current = self._mutated(**{"access.rows_skipped": 100})
-        code, text = self._compare(tmp_path, current)
-        assert code == 1
-        assert "rows_skipped" in text
-
-    def test_missing_tracked_counter_fails(self, tmp_path):
-        current = self._mutated()
-        del current["parallel_counters"]["shard_tasks"]
-        code, text = self._compare(tmp_path, current)
-        assert code == 1
-        assert "missing" in text
-
-    def test_new_counter_is_noted_not_failed(self, tmp_path):
-        current = self._mutated(new_counter=7)
-        code, text = self._compare(tmp_path, current)
-        assert code == 0
-        assert "new counter" in text
-
-    def test_unreadable_artifact_errors(self, tmp_path):
-        base = self._write(tmp_path, "base.json", self.BASELINE)
-        code, _ = run_cli(["bench-report", "--compare", base, str(tmp_path / "nope.json")])
-        assert code == 1
-
-    def test_committed_baselines_compare_clean_against_themselves(self):
-        import glob
-
-        baselines = sorted(glob.glob("benchmarks/baselines/BENCH_*.json"))
-        assert len(baselines) >= 5
-        for path in baselines:
-            code, text = run_cli(["bench-report", "--compare", path, path])
-            assert code == 0, text

@@ -132,14 +132,14 @@ class TestDepthBudget:
 
 
 class TestSkippedRowDiscount:
-    """Zone-map pruning must not dodge the row budget entirely.
+    """Index pruning must not dodge the row budget entirely.
 
     Rows an index never reads are charged at 1/SKIPPED_ROW_DISCOUNT of a
     scanned row: cheap enough that pruning still pays, expensive enough
     that a pruned scan over a huge table cannot slip under ``max_rows``.
     """
 
-    ROWS = 16 * 256  # 16 zone blocks; a selective probe examines one
+    ROWS = 4096  # a selective probe examines 10 of them
 
     def make_indexed_db(self) -> Database:
         db = Database()
@@ -154,16 +154,17 @@ class TestSkippedRowDiscount:
 
     def test_pruned_scan_still_charges_the_governor(self):
         db = self.make_indexed_db()
-        # One block (256 rows) is examined; the other 15 blocks (3840
-        # rows) are skipped and charged at the discount (3840/16 = 240
-        # ticks).  A budget below examined+discount must still trip,
-        # even though only ~10 rows are returned.
+        # The 10 matching rows are examined; the other 4086 are skipped
+        # and charged at the discount (ceil(4086/16) = 256 ticks).  A
+        # budget below examined+discount must still trip, even though
+        # only 10 rows are returned.
         with pytest.raises(ResourceExhausted) as excinfo:
             db.execute(
                 self.SQL,
-                options=EvalOptions(resources=ResourceLimits(max_rows=300)),
+                options=EvalOptions(resources=ResourceLimits(max_rows=260)),
             )
         assert excinfo.value.resource == "rows"
+        assert excinfo.value.used == 10 + 256
 
     def test_discount_keeps_pruning_cheaper_than_scanning(self):
         db = self.make_indexed_db()
@@ -171,12 +172,10 @@ class TestSkippedRowDiscount:
         # charge — far below the full table size a seed scan would tick.
         result = db.execute(
             self.SQL,
-            options=EvalOptions(resources=ResourceLimits(max_rows=600)),
+            options=EvalOptions(resources=ResourceLimits(max_rows=300)),
         )
         assert len(result.rows) == 10
-        info = db.access_info()
-        assert info["blocks_skipped"] > 0
-        assert info["rows_skipped"] > 0
+        assert db.access_info()["rows_skipped"] == self.ROWS - 10
 
     def test_vectorized_path_charges_identically(self):
         db = self.make_indexed_db()
@@ -184,7 +183,7 @@ class TestSkippedRowDiscount:
             db.execute(
                 self.SQL,
                 options=EvalOptions(
-                    vectorized=True, resources=ResourceLimits(max_rows=300)
+                    vectorized=True, resources=ResourceLimits(max_rows=260)
                 ),
             )
 

@@ -3,8 +3,8 @@
 The access-path subsystem must be *transparent*: for any query, any
 strategy, and either engine, an indexed database returns exactly the
 same bag of rows as an index-free one — including when index key
-columns contain NULLs (hash buckets exclude NULL keys, zone scans skip
-NULL rows, and a NULL probe value matches nothing).
+columns contain NULLs (neither index kind holds a NULL key, and a NULL probe
+value matches nothing).
 
 Covers Q1–Q4 over the RST schema (the §3 running examples, as run by
 EXPERIMENTS.md) plus Query 2d on generated TPC-H data.
@@ -107,3 +107,26 @@ def test_null_key_probe_rows_never_leak():
         options = EvalOptions(vectorized=engine == "vectorized")
         matched = db.execute("SELECT B1 FROM s WHERE B2 = 2", options=options)
         assert sorted(matched.rows) == [(1,), (3,)]
+
+
+@pytest.mark.parametrize(
+    "predicate",
+    ["K < 3", "K <= 3", "K > 3", "K >= 3", "K > 1 AND K <= 4", "K >= 2 AND K < 2", "K = 3"],
+)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_sorted_index_bounds_match_the_scan_row_for_row(predicate, engine):
+    """Duplicate-heavy, NULL-bearing key: every bound shape returns the
+    no-index scan's rows in the scan's (physical) order."""
+    rows = [(i, None if i % 5 == 0 else (i * 7) % 6) for i in range(120)]
+    sql = f"SELECT ID, K FROM d WHERE {predicate}"
+    options = EvalOptions(vectorized=engine == "vectorized")
+    results = []
+    for indexed in (True, False):
+        db = Database()
+        db.create_table("d", ["ID", "K"], rows)
+        db.analyze()
+        if indexed:
+            db.create_index("idx_k", "d", "K", "sorted")
+        results.append(db.execute(sql, options=options).rows)
+        assert db.access_info()["index_scans"] == int(indexed)
+    assert results[0] == results[1]

@@ -1,7 +1,7 @@
 """Secondary indexes: DDL, structures, maintenance, planning, execution.
 
 Covers the access-path subsystem end to end — the storage structures
-(hash buckets, zone-mapped sorted blocks) with their 3VL NULL handling,
+(hash buckets, key-sorted positions) with their 3VL NULL handling,
 CREATE/DROP INDEX through the SQL front end, DML maintenance (the
 incremental INSERT path and the rebuild path), the optimizer's
 access-path selection, both engines' index operators, and the plan-cache
@@ -20,7 +20,7 @@ from repro.optimizer.access import choose_access_paths
 from repro.sql import ast
 from repro.sql.parser import parse_any
 from repro.storage import Catalog, HashIndex, Schema, SortedIndex, Table
-from repro.storage.index import ZONE_BLOCK_ROWS, probe_bounds
+from repro.storage.index import probe_bounds
 
 from .conftest import make_rst_catalog
 
@@ -142,25 +142,27 @@ class TestSortedIndex:
         assert probe_bounds(index, ((">=", 3), ("<", 6))).positions == (3, 4, 5)
         assert probe_bounds(index, (("=", 4),)).positions == (4,)
 
-    def test_zone_pruning_skips_blocks(self):
-        values = list(range(4 * ZONE_BLOCK_ROWS))
+    def test_range_probe_examines_only_its_matches(self):
+        values = [(7 * i) % 1024 for i in range(1024)]  # unclustered
         catalog, _ = one_column_table(values)
         index = catalog.create_index("idx", "u", "K", "sorted")
         lookup = probe_bounds(index, ((">=", 0), ("<", 5)))
-        assert lookup.positions == (0, 1, 2, 3, 4)
-        assert lookup.blocks_skipped == 3
-        assert lookup.rows_skipped == 3 * ZONE_BLOCK_ROWS
-        assert lookup.rows_examined == ZONE_BLOCK_ROWS
+        # exactly the scan's answer, in physical (not key) order
+        assert lookup.positions == tuple(p for p, v in enumerate(values) if 0 <= v < 5)
+        assert [values[p] for p in lookup.positions] == [0, 3, 1, 4, 2]
+        assert lookup.rows_examined == len(lookup.positions) == 5
+        assert lookup.rows_skipped == 1024 - 5
 
-    def test_null_rows_and_all_null_zones_are_skipped(self):
-        values = [None] * ZONE_BLOCK_ROWS + [1, None, 2, None, 3]
-        catalog, _ = one_column_table(values)
+    def test_null_keys_are_never_indexed(self):
+        values = [None] * 300 + [1, None, 2, None, 3]
+        catalog, table = one_column_table(values)
         index = catalog.create_index("idx", "u", "K", "sorted")
-        lookup = probe_bounds(index, ((">=", 1),))
-        assert lookup.positions == (
-            ZONE_BLOCK_ROWS, ZONE_BLOCK_ROWS + 2, ZONE_BLOCK_ROWS + 4
-        )
-        assert lookup.blocks_skipped == 1  # the all-NULL block
+        assert index.info()["entries"] == 3
+        for bounds in (((">=", 1),), (("<", 99),), ((">", 0), ("<=", 3))):
+            lookup = probe_bounds(index, bounds)
+            assert lookup.positions == (300, 302, 304)
+            assert lookup.rows_examined == 3
+            assert lookup.rows_skipped == len(table.rows) - 3
 
     def test_null_probe_value_returns_empty(self):
         catalog, table = one_column_table(list(range(20)))
@@ -170,15 +172,29 @@ class TestSortedIndex:
         assert lookup.rows_skipped == len(table.rows)
 
     def test_extend_rebuilds_only_the_tail(self):
-        values = list(range(ZONE_BLOCK_ROWS + 5))
-        catalog, table = one_column_table(values)
+        """An INSERT's tail is merged into the sorted entries, no rebuild."""
+        catalog, table = one_column_table(list(range(0, 40, 2)))
         index = catalog.create_index("idx", "u", "K", "sorted")
         start, base_version = len(table.rows), table.version
-        table.extend([(x,) for x in range(1000, 1000 + ZONE_BLOCK_ROWS)])
+        table.extend([(7,), (None,), (4,), (100,)])
         catalog.note_appends("u", start, base_version)
-        lookup = probe_bounds(index, ((">=", 1000),))
-        assert len(lookup.positions) == ZONE_BLOCK_ROWS
-        assert lookup.positions[0] == start
+        assert index.version == table.version
+        assert probe_bounds(index, ((">=", 4), ("<=", 8))).positions == (
+            2, 3, 4, start, start + 2
+        )
+        assert index.eq_positions(4) == (2, start + 2)  # ties in physical order
+        assert probe_bounds(index, ((">", 38),)).positions == (start + 3,)
+
+    def test_extend_with_an_unorderable_key_degrades_to_equality_only(self):
+        catalog, table = one_column_table([3, 1, 2])
+        index = catalog.create_index("idx", "u", "K", "sorted")
+        base_version = table.version
+        table.append(("b",))
+        catalog.note_appends("u", 3, base_version)
+        assert index.eq_positions("b") == (3,)
+        assert index.eq_positions(1) == (1,)
+        with pytest.raises(TypeError):
+            probe_bounds(index, ((">=", 1),))
 
     def test_mixed_type_column_matches_full_scan_semantics(self):
         catalog, _ = one_column_table([1, "b", 2])
@@ -189,6 +205,13 @@ class TestSortedIndex:
         # A mixed-type *range* raises, exactly like a full scan.
         with pytest.raises(TypeError):
             index.range_positions("a", True, None, True)
+        # ...and so does a bound the (orderable) keys cannot be compared to,
+        # while equality on it simply matches nothing.
+        catalog, _ = one_column_table([1, 2, 3], name="v")
+        ints = catalog.create_index("idx_v", "v", "K", "sorted")
+        assert ints.eq_positions("b") == ()
+        with pytest.raises(TypeError):
+            probe_bounds(ints, ((">=", "a"),))
 
 
 # ---------------------------------------------------------------------------
