@@ -38,20 +38,24 @@ from dataclasses import replace as _dc_replace
 
 from repro.algebra.explain import explain as explain_plan
 from repro.engine import EvalOptions
+from repro.engine.context import ACCESS_COUNTERS
 from repro.engine.governor import ResourceLimits
 from repro.errors import (
     DurabilityError,
     InjectedFault,
+    ParameterError,
     ReplicationError,
     ReproError,
     ResourceExhausted,
 )
 from repro.faults import FaultConfig, FaultInjector, injector_from_env
-from repro.optimizer import plan_query, execute_sql, PlannedQuery, Strategy
+from repro.optimizer import plan_query, PlannedQuery, Strategy
 from repro.optimizer.planner import STRATEGIES
 from repro.rewrite import UnnestOptions
 from repro.service.plancache import CacheInfo, PlanCache
 from repro.service.prepared import PreparedStatement
+from repro.sql import ast as sql_ast
+from repro.sql.parser import parse_any, statement_kind
 from repro.sql.classify import QueryClass
 from repro.storage import Catalog, Column, ColumnType, Schema, Table
 from repro.storage.mvcc import SnapshotCatalog, SnapshotHandle, SnapshotManager
@@ -144,12 +148,7 @@ class Database:
         self._last_degradation: dict | None = None
         # Cumulative access-path counters (see ExecContext.access),
         # surfaced through access_info() and the service /metrics body.
-        self._access_totals = {
-            "index_scans": 0,
-            "index_nl_probes": 0,
-            "rows_read": 0,
-            "rows_skipped": 0,
-        }
+        self._access_totals = dict.fromkeys(ACCESS_COUNTERS, 0)
         # Durability (None = pure in-memory).  The original SQL of each
         # view is kept alongside the parsed form so snapshots can store
         # a replayable definition.
@@ -216,8 +215,8 @@ class Database:
         if recovery.snapshot_state is not None:
             self._load_snapshot_state(recovery.snapshot_state)
         for record in recovery.records:
-            self._apply_log_record(record)
-        # Attach only after replay: the mutation hooks below log iff the
+            self.apply_record(record)
+        # Attach only after replay: the mutation paths log iff the
         # manager is attached, so replay never re-logs its own records.
         self._durability = manager
         self._recovery = {
@@ -230,14 +229,10 @@ class Database:
 
     def _snapshot_state(self) -> dict:
         """The full catalog as a JSON-serializable checkpoint payload."""
-        tables = {}
-        for name in self.catalog.table_names():
-            table = self.catalog.table(name)
-            tables[name] = {
-                "table_name": table.name or name,
-                "columns": [[col.name, col.type.value] for col in table.schema],
-                "rows": [list(row) for row in table.rows],
-            }
+        tables = {
+            name: self.catalog.table(name).to_payload(name)
+            for name in self.catalog.table_names()
+        }
         # The definitions only: ``Index.info()`` would also count entries,
         # which rebuilds an index that DELETE/UPDATE left stale.
         indexes = [
@@ -261,11 +256,7 @@ class Database:
     def _load_snapshot_state(self, state: dict) -> None:
         loaded: dict[str, Table] = {}
         for name, payload in state.get("tables", {}).items():
-            schema = Schema(
-                [Column(col, ColumnType(kind)) for col, kind in payload["columns"]]
-            )
-            rows = [tuple(row) for row in payload["rows"]]
-            table = Table(schema, rows, name=payload.get("table_name") or name)
+            table = Table.from_payload(payload, name)
             self.catalog.register(table, name)
             loaded[name.lower()] = table
         if loaded:
@@ -280,27 +271,28 @@ class Database:
                 index["name"], index["table"], index["column"], index["kind"]
             )
         # Old snapshots predate the fencing era and default to era 0.
-        self._era = max(self._era, int(state.get("era", 0)))
-        self._era_lsn = max(self._era_lsn, int(state.get("era_lsn", 0)))
-        for era, lsn in state.get("era_history", []):
-            entry = (int(era), int(lsn))
-            if entry not in self._era_history:
-                self._era_history.append(entry)
-        self._era_history.sort()
+        # (Recovery loads one snapshot into a fresh database, so there
+        # is no earlier belief to merge with.)
+        self._era = int(state.get("era", 0))
+        self._era_lsn = int(state.get("era_lsn", 0))
+        self._era_history = sorted(
+            (int(era), int(lsn)) for era, lsn in state.get("era_history", [])
+        )
 
-    def _apply_log_record(self, record: LogRecord) -> None:
-        """Redo one WAL record through the ordinary mutation paths."""
+    def apply_record(self, record: LogRecord) -> None:
+        """Redo one log record through the ordinary, *logging* mutation paths.
+
+        The one replay path.  Crash recovery calls it before the
+        durability manager is attached, so nothing is re-logged; a
+        replication follower calls it on its live store, where every
+        branch logs exactly one local record — which is what keeps the
+        follower's WAL record-for-record aligned with the primary's.
+        """
         kind, data = record.kind, record.data
         if kind == "dml":
             self.execute(data["sql"])
         elif kind == "create_table":
-            schema = Schema(
-                [Column(col, ColumnType(t)) for col, t in data["columns"]]
-            )
-            rows = [tuple(row) for row in data["rows"]]
-            table = Table(schema, rows, name=data.get("table_name") or data["name"])
-            self.catalog.register(table, data["name"])
-            self._snapshots.commit({data["name"].lower(): table})
+            self.register(Table.from_payload(data, data["name"]), data["name"])
         elif kind == "drop_table":
             self.drop_table(data["name"])
         elif kind == "create_view":
@@ -311,19 +303,16 @@ class Database:
             self.create_index(data["name"], data["table"], data["column"], data["kind"])
         elif kind == "drop_index":
             self.drop_index(data["name"])
-        elif kind == "era":
-            # A fencing-era control record (replication failover).  The
-            # era LSN is the record's own: the first LSN of that era's
-            # primary reign.  Replay runs before the manager attaches,
-            # so this never re-logs.
-            self._era = max(self._era, int(data["era"]))
-            self._era_lsn = record.lsn
-            entry = (int(data["era"]), record.lsn)
-            if entry not in self._era_history:
-                self._era_history.append(entry)
-                self._era_history.sort()
-        # Unknown kinds are skipped, not fatal: a newer writer may have
-        # logged record types this reader predates.
+        else:
+            # Control records and kinds a newer writer logged that this
+            # reader predates: logged verbatim, so the LSN advances even
+            # when nothing else does.  An ``era`` record installs its
+            # fencing era at its own LSN — the first of that reign —
+            # unless this node already holds that era or a newer one.
+            with self._commit_lock:
+                self._log_durable(kind, data)
+                if kind == "era" and int(data["era"]) > self._era:
+                    self._install_era(int(data["era"]), record.lsn)
 
     def _log_durable(self, kind: str, data: dict, injector=None) -> None:
         """Append one record for a mutation that just committed in memory.
@@ -472,10 +461,13 @@ class Database:
                     f" {self._era} to {era}"
                 )
             self._log_durable("era", {"era": era})
-            self._era = era
-            self._era_lsn = self.wal_lsn
-            self._era_history.append((era, self._era_lsn))
+            self._install_era(era, self.wal_lsn)
             return self._era
+
+    def _install_era(self, era: int, lsn: int) -> None:
+        self._era = era
+        self._era_lsn = lsn
+        self._era_history.append((era, lsn))
 
     def replication_snapshot(self) -> dict:
         """A consistent ``{"lsn", "state"}`` bootstrap payload.
@@ -550,32 +542,17 @@ class Database:
         call :meth:`checkpoint` after a bulk load.
         """
         table = Table(Schema(columns), rows, name=name)
-        with self._commit_lock:
-            self.catalog.register(table)
-            self._log_table_registration(table, name)
-            self._snapshots.commit({name.lower(): table})
+        self.register(table)
         return table
 
     def register(self, table: Table, name: str | None = None) -> None:
         """Register an existing :class:`Table` (e.g. from a generator)."""
+        key = (name or table.name).lower()
         with self._commit_lock:
             self.catalog.register(table, name)
-            self._log_table_registration(table, name)
-            self._snapshots.commit({(name or table.name).lower(): table})
-
-    def _log_table_registration(self, table: Table, name: str | None) -> None:
-        if self._durability is None:
-            return
-        key = (name or table.name).lower()
-        self._log_durable(
-            "create_table",
-            {
-                "name": key,
-                "table_name": table.name or key,
-                "columns": [[col.name, col.type.value] for col in table.schema],
-                "rows": [list(row) for row in table.rows],
-            },
-        )
+            if self._durability is not None:  # do not encode rows for nothing
+                self._log_durable("create_table", {"name": key, **table.to_payload(key)})
+            self._snapshots.commit({key: table})
 
     def drop_table(self, name: str) -> None:
         """Drop a table (and, implicitly, its indexes)."""
@@ -672,28 +649,14 @@ class Database:
         """Metadata for every registered index (name/table/column/kind/…)."""
         return self.catalog.index_info()
 
-    def _execute_ddl(self, sql: str, params) -> Table:
+    def _execute_ddl(self, statement) -> Table:
         """``CREATE INDEX`` / ``DROP INDEX`` through the SQL front end."""
-        from repro.errors import ParameterError
-        from repro.sql import ast as sql_ast
-        from repro.sql.parser import parse_any
-        from repro.storage.schema import Schema
-
-        if params is not None:
-            raise ParameterError("parameters are not supported in DDL statements")
-        statement = parse_any(sql)
         if isinstance(statement, sql_ast.CreateIndexStmt):
             self.create_index(
                 statement.name, statement.table, statement.column, statement.method
             )
-        elif isinstance(statement, sql_ast.DropIndexStmt):
+        else:  # the parser's only other DDL form
             self.drop_index(statement.name)
-        else:  # pragma: no cover - parser only produces the two DDL forms
-            from repro.errors import TranslationError
-
-            raise TranslationError(
-                f"unsupported DDL statement: {type(statement).__name__}"
-            )
         return Table(Schema(["rows_affected"]), [(0,)])
 
     # -- querying -----------------------------------------------------------------
@@ -732,103 +695,116 @@ class Database:
         :meth:`pin_snapshot`, e.g. a server session); it is ignored for
         DML and DDL, which always act on the live state.
         """
-        stripped = sql.lstrip().lower()
-        if stripped.startswith(("insert", "delete", "update")):
-            if params is not None:
-                from repro.errors import ParameterError
+        kind = statement_kind(sql)
+        if kind == "query":
+            return self._run_read(sql, strategy, options, params, at_lsn, unnest_options)[0]
+        if params is not None:
+            raise ParameterError(
+                f"parameters are not supported in {kind.upper()} statements"
+            )
+        statement = parse_any(sql)
+        if kind == "ddl":
+            return self._execute_ddl(statement)
+        return self._execute_dml(sql, statement, options)
 
-                raise ParameterError(
-                    "parameters are not supported in DML statements"
-                )
-            from repro.dml import execute_dml
-            from repro.sql.parser import parse_any
+    def _execute_dml(self, sql: str, statement, options: EvalOptions | None) -> Table:
+        from repro.dml import execute_dml
 
-            statement = parse_any(sql)
-            # No eager plan-cache invalidation here: plans stay *correct*
-            # across DML (indexes refresh lazily, batch caches key on the
-            # table version); the cache's own drift threshold re-costs
-            # plans once the table's cardinality moves far enough.
-            with self._commit_lock:
-                key = statement.table.lower()
-                # Capture the pre-statement state: a reader resolving the
-                # newest LSN mid-apply is served this capture instead of
-                # the half-mutated live table.
-                if key in self.catalog:
-                    self._snapshots.begin(key, self.catalog.table(key))
-                try:
-                    result = execute_dml(statement, self.catalog, self._views)
-                    # The statement commits (is acknowledged) only once its
-                    # WAL record is synced; durability fault sites arm from
-                    # the same options/env plumbing as the engine sites.
-                    injector = None
-                    if self._durability is not None:
-                        injector = self._armed_options(
-                            options or EvalOptions()
-                        ).faults
-                    self._log_durable("dml", {"sql": sql}, injector=injector)
-                except BaseException:
-                    self._snapshots.abort(key)
-                    raise
-                # Applied and logged: publish the statement as a new
-                # readable version at the next commit LSN.
-                self._snapshots.commit({key: self.catalog.table(key)})
-            return result.as_table()
-        if stripped.startswith(("create", "drop")):
-            return self._execute_ddl(sql, params)
-        handle = None
-        if at_lsn is None:
-            handle = self._snapshots.pin()
-            lsn = handle.lsn
-        else:
-            lsn = at_lsn
+        # No eager plan-cache invalidation here: plans stay *correct*
+        # across DML (indexes refresh lazily, batch caches key on the
+        # table version); the cache's own drift threshold re-costs
+        # plans once the table's cardinality moves far enough.
+        with self._commit_lock:
+            key = statement.table.lower()
+            # Capture the pre-statement state: a reader resolving the
+            # newest LSN mid-apply is served this capture instead of
+            # the half-mutated live table.
+            if key in self.catalog:
+                self._snapshots.begin(key, self.catalog.table(key))
+            try:
+                result = execute_dml(statement, self.catalog, self._views)
+                # The statement commits (is acknowledged) only once its
+                # WAL record is synced; durability fault sites arm from
+                # the same options/env plumbing as the engine sites.
+                injector = None
+                if self._durability is not None:
+                    injector = self._armed_options(options or EvalOptions()).faults
+                self._log_durable("dml", {"sql": sql}, injector=injector)
+            except BaseException:
+                self._snapshots.abort(key)
+                raise
+            # Applied and logged: publish the statement as a new
+            # readable version at the next commit LSN.
+            self._snapshots.commit({key: self.catalog.table(key)})
+        return result.as_table()
+
+    def _run_read(
+        self,
+        sql: str,
+        strategy: str,
+        options: EvalOptions | None,
+        params,
+        at_lsn: int | None,
+        unnest_options: UnnestOptions | None = None,
+        statement=None,
+    ) -> tuple[Table, object, PlannedQuery]:
+        """The one read pipeline: plan, arm, pin, run, heal, count, unpin.
+
+        Every reader goes through here — ad hoc :meth:`execute`,
+        :class:`PreparedStatement` (which passes its parsed
+        ``statement``), custom ``unnest_options`` (planned from scratch:
+        those knobs are not part of the cache key) and
+        :meth:`explain_analyze` — so every one of them is governed,
+        fault-armed, healed and counted alike.  Returns the result, the
+        execution context, and the plan that produced it (the canonical
+        fallback when the execution healed).
+        """
+        base = self._armed_options(options or EvalOptions())
+        engine = "vectorized" if base.vectorized else "row"
+        planned = self.plan(sql, strategy, unnest_options, engine, statement)
+        handle = self._snapshots.pin() if at_lsn is None else None
+        lsn = at_lsn if handle is None else handle.lsn
         read_catalog = SnapshotCatalog(self.catalog, self._snapshots, lsn)
         try:
-            if unnest_options is not None:
-                return execute_sql(
-                    sql, read_catalog, strategy, options, unnest_options,
-                    views=self._views, params=params,
-                )
-            base = self._armed_options(options or EvalOptions())
-            engine = "vectorized" if base.vectorized else "row"
-            planned = self._cached_plan(sql, strategy, engine=engine)
             try:
                 result, ctx = planned.execute(
                     read_catalog, base, with_context=True, params=params
                 )
-                self._absorb_access(ctx)
-                return result
             except ReproError as error:
                 if not getattr(error, "retryable", False):
                     raise
                 if engine == "row" and planned.chosen_alternative == "canonical":
                     # Nothing simpler to fall back to.
                     raise
-                return self._heal_execution(
-                    sql, strategy, engine, planned, base, params, error,
-                    read_catalog,
+                self._note_degradation(
+                    sql, strategy, engine, planned, error, statement,
+                    cached=unnest_options is None,
                 )
+                # The healing path must not be re-injected, and runs on
+                # the row engine.  A failure of the fallback itself
+                # propagates — there is nothing simpler left.
+                planned = self.plan(sql, "canonical", statement=statement)
+                result, ctx = planned.execute(
+                    read_catalog,
+                    _dc_replace(base, vectorized=False, faults=None),
+                    with_context=True,
+                    params=params,
+                )
+                self._fallback_successes += 1
+            totals = self._access_totals
+            for key, value in ctx.access.items():
+                totals[key] += value
+            return result, ctx, planned
         finally:
             if handle is not None:
                 self._snapshots.unpin(handle)
 
-    def _heal_execution(
-        self,
-        sql: str,
-        strategy: str,
-        engine: str,
-        planned: PlannedQuery,
-        base: EvalOptions,
-        params,
-        error: ReproError,
-        read_catalog=None,
-    ) -> Table:
-        """Degrade a failed execution to the canonical row-engine plan.
-
-        The failing key is quarantined so the poisoned plan stops
-        serving cache hits; the fallback runs with fault injection
-        stripped (the healing path must not be re-injected) and the
-        vectorized engine off.  A failure of the fallback itself
-        propagates — there is nothing simpler left.
+    def _note_degradation(
+        self, sql, strategy, engine, planned, error, statement, cached
+    ) -> None:
+        """Record a failed execution about to degrade to the canonical
+        row-engine plan, and quarantine the failing cache key so the
+        poisoned plan stops serving hits.
 
         Faults on the durability path are exempt from quarantine: a
         failed WAL write or checkpoint says nothing about the plan that
@@ -838,9 +814,9 @@ class Database:
         site = getattr(error, "site", "") or ""
         if site.startswith(DURABILITY_FAULT_PREFIXES):
             self._durability_exemptions += 1
-        else:
+        elif cached:
             self._plan_cache.quarantine(
-                sql, strategy, engine=engine, extra_token=self._epoch_token()
+                sql, strategy, engine, self._epoch_token(), statement
             )
         self._degradations += 1
         self._last_degradation = {
@@ -849,17 +825,6 @@ class Database:
             "engine": engine,
             "error_code": getattr(error, "code", type(error).__name__),
         }
-        healed_options = _dc_replace(base, vectorized=False, faults=None)
-        fallback = self._cached_plan(sql, "canonical", engine="row")
-        result, ctx = fallback.execute(
-            read_catalog if read_catalog is not None else self.catalog,
-            healed_options,
-            with_context=True,
-            params=params,
-        )
-        self._absorb_access(ctx)
-        self._fallback_successes += 1
-        return result
 
     @staticmethod
     def _armed_options(base: EvalOptions) -> EvalOptions:
@@ -891,14 +856,6 @@ class Database:
             "durability_exemptions": self._durability_exemptions,
             "wal_commit_failures": self._wal_commit_failures,
         }
-
-    def _absorb_access(self, ctx) -> None:
-        """Fold one execution's access-path counters into the totals."""
-        counters = getattr(ctx, "access", None)
-        if counters:
-            totals = self._access_totals
-            for key, value in counters.items():
-                totals[key] = totals.get(key, 0) + value
 
     def access_info(self) -> dict:
         """Cumulative access-path counters plus the index inventory."""
@@ -954,9 +911,25 @@ class Database:
         """
         return (self._views_epoch, self.catalog.index_epoch)
 
-    def _cached_plan(
-        self, sql: str, strategy: str = "auto", engine: str = "row", statement=None
+    def plan(
+        self,
+        sql: str,
+        strategy: str = "auto",
+        unnest_options: UnnestOptions | None = None,
+        engine: str | None = "row",
+        statement=None,
     ) -> PlannedQuery:
+        """Plan without executing — the one planning step of every reader.
+
+        With default ``unnest_options`` the plan comes from (and warms)
+        the plan cache, under ``engine``'s key; custom options are not
+        part of that key and always plan from scratch.  ``statement``
+        passes an already-parsed tree.
+        """
+        if unnest_options is not None:
+            return plan_query(
+                sql, self.catalog, strategy, unnest_options, self._views, statement
+            )
         return self._plan_cache.get_or_plan(
             sql,
             self.catalog,
@@ -966,23 +939,6 @@ class Database:
             extra_token=self._epoch_token(),
             statement=statement,
         )
-
-    def plan(
-        self,
-        sql: str,
-        strategy: str = "auto",
-        unnest_options: UnnestOptions | None = None,
-    ) -> PlannedQuery:
-        """Plan without executing (repeated benchmark runs reuse this).
-
-        With default ``unnest_options`` the plan comes from (and warms)
-        the plan cache; custom options always plan from scratch.
-        """
-        if unnest_options is not None:
-            return plan_query(
-                sql, self.catalog, strategy, unnest_options, views=self._views
-            )
-        return self._cached_plan(sql, strategy)
 
     def explain(
         self,
@@ -1011,20 +967,21 @@ class Database:
         options: EvalOptions | None = None,
         unnest_options: UnnestOptions | None = None,
     ) -> str:
-        """Execute and render the physical plan with actual row counts."""
-        from dataclasses import replace as dc_replace
+        """Execute and render the physical plan with actual row counts.
 
-        from repro.engine.executor import explain_analyze as run_analyze
+        Runs through the same pipeline as :meth:`execute` — a pinned
+        snapshot, armed options, healing — so the counts are those of
+        one consistent commit LSN and the report shows the plan that
+        actually produced the rows.
+        """
+        from repro.engine.executor import render_analyze
 
-        planned = self.plan(sql, strategy, unnest_options)
-        base = options or EvalOptions()
-        merged = dc_replace(
-            base,
-            subquery_memo=base.subquery_memo or planned.strategy.subquery_memo,
+        base = _dc_replace(options or EvalOptions(), collect_stats=True)
+        result, ctx, planned = self._run_read(
+            sql, strategy, base, None, None, unnest_options
         )
         header = (
             f"-- strategy: {planned.strategy.name}"
             f" (chose {planned.chosen_alternative})\n"
         )
-        report, _ = run_analyze(planned.logical, self.catalog, merged)
-        return header + report
+        return header + render_analyze(ctx, len(result))

@@ -515,7 +515,7 @@ def cmd_compare(args, out) -> int:
         cell = run_cell(
             sql, db.catalog, strategy, args.budget,
             vectorized=args.engine == "vectorized",
-            planner=lambda sql, _catalog, strategy: db._cached_plan(sql, strategy),
+            planner=lambda sql, _catalog, strategy: db.plan(sql, strategy),
         )
         rows = "-" if cell.rows is None else cell.rows
         out.write(f"{strategy:<12} {cell.display:>10} {rows:>8}\n")
@@ -773,82 +773,51 @@ def cmd_promote(args, out) -> int:
 
 
 def cmd_scrub(args, out) -> int:
-    """Offline integrity walk: CRC-check the WAL and every snapshot.
+    """Print :func:`repro.storage.wal.scrub`'s report on a data directory.
 
-    Reuses the recovery validators (``_scan_frames``/``load_snapshot``)
-    without opening a :class:`Database` — no replay, no table rebuild,
-    no lock on the directory.  Reports torn WAL tails, corrupt frames,
-    damaged snapshots, and recovery gaps (a WAL that bases past the
-    newest loadable snapshot); exits 1 when any anomaly is found.
+    Reports torn WAL tails, corrupt frames, damaged snapshots, and
+    recovery gaps (a WAL that bases past the newest loadable snapshot);
+    exits 1 when any anomaly is found.
     """
-    from repro.errors import DurabilityError
-    from repro.storage.wal import (
-        WAL_HEADER_SIZE,
-        WAL_MAGIC,
-        WAL_NAME,
-        _BASE,
-        _scan_frames,
-        list_snapshots,
-        load_snapshot,
-    )
+    from repro.storage.wal import WAL_NAME, scrub
 
     directory = args.data_dir
     if not os.path.isdir(directory):
         raise ReproError(f"scrub: {directory!r} is not a directory")
-    anomalies = 0
-    wal_path = os.path.join(directory, WAL_NAME)
-    have_wal = os.path.exists(wal_path)
-    base_lsn = 0
-    if have_wal:
-        with open(wal_path, "rb") as handle:
-            raw = handle.read()
-        if len(raw) < WAL_HEADER_SIZE or not raw.startswith(WAL_MAGIC):
-            anomalies += 1
-            out.write(f"wal {WAL_NAME}: ANOMALY — bad magic header ({len(raw)} bytes)\n")
-        else:
-            (base_lsn,) = _BASE.unpack_from(raw, len(WAL_MAGIC))
-            records, good_end = _scan_frames(raw, WAL_HEADER_SIZE, base_lsn + 1)
-            last_lsn = records[-1].lsn if records else base_lsn
-            torn = len(raw) - good_end
-            out.write(
-                f"wal {WAL_NAME}: base lsn {base_lsn}, {len(records)} clean "
-                f"records through lsn {last_lsn}\n"
-            )
-            if torn:
-                anomalies += 1
-                out.write(
-                    f"  ANOMALY: {torn} torn/corrupt trailing bytes past byte "
-                    f"{good_end} (recovery would truncate them)\n"
-                )
-    else:
+    report = scrub(directory)
+    wal = report.wal
+    if wal.raw is None:
         out.write("wal: missing\n")
-    snapshots = list_snapshots(directory)
-    newest_ok = None
-    for _, path in snapshots:
-        name = os.path.basename(path)
-        try:
-            snap_lsn, state = load_snapshot(path)
-        except DurabilityError as error:
-            anomalies += 1
-            out.write(f"snapshot {name}: ANOMALY — {error}\n")
-            continue
+    elif not wal.header_ok:
+        out.write(f"wal {WAL_NAME}: ANOMALY — bad magic header ({wal.torn_bytes} bytes)\n")
+    else:
         out.write(
-            f"snapshot {name}: ok (lsn {snap_lsn}, {len(state.get('tables', {}))} tables)\n"
+            f"wal {WAL_NAME}: base lsn {wal.base_lsn}, {len(wal.records)} clean "
+            f"records through lsn {wal.last_lsn}\n"
         )
-        if newest_ok is None or snap_lsn > newest_ok:
-            newest_ok = snap_lsn
-    if have_wal and base_lsn > 0 and (newest_ok is None or newest_ok < base_lsn):
-        anomalies += 1
-        where = "missing" if newest_ok is None else f"at lsn {newest_ok}"
+        if wal.torn_bytes:
+            out.write(
+                f"  ANOMALY: {wal.torn_bytes} torn/corrupt trailing bytes past byte "
+                f"{wal.good_end} (recovery would truncate them)\n"
+            )
+    for path, lsn, tables, error in report.snapshots:
+        name = os.path.basename(path)
+        if error is not None:
+            out.write(f"snapshot {name}: ANOMALY — {error}\n")
+        else:
+            out.write(f"snapshot {name}: ok (lsn {lsn}, {tables} tables)\n")
+    if report.recovery_gap:
+        loadable = [lsn for _, lsn, _, error in report.snapshots if error is None]
+        where = f"at lsn {max(loadable)}" if loadable else "missing"
         out.write(
-            f"  ANOMALY: recovery gap — the WAL bases at lsn {base_lsn} but "
+            f"  ANOMALY: recovery gap — the WAL bases at lsn {wal.base_lsn} but "
             f"the newest loadable snapshot is {where}; records up to the "
             f"base are unrecoverable\n"
         )
-    if not have_wal and not snapshots:
+    if wal.raw is None and not report.snapshots:
         out.write("no durable state found\n")
-    if anomalies:
-        out.write(f"scrub: FAILED ({anomalies} anomalies)\n")
+    if report.anomalies:
+        out.write(f"scrub: FAILED ({report.anomalies} anomalies)\n")
         return 1
     out.write("scrub: clean\n")
     return 0

@@ -38,7 +38,6 @@ from repro.algebra import expr as E
 from repro.algebra import ops as L
 from repro.engine import execute_plan
 from repro.errors import TranslationError
-from repro.optimizer import execute_sql
 from repro.optimizer.simplify import simplify_expr
 from repro.sql import ast
 from repro.sql.translate import _Scope, _Translator

@@ -38,6 +38,10 @@ ARMED_TICK_GRANULARITY = 4096
 #: index-assisted query dodge ``max_rows`` entirely.
 SKIPPED_ROW_DISCOUNT = 16
 
+#: The access-path counters one execution fills (:attr:`ExecContext.access`)
+#: and ``Database.access_info()`` accumulates.
+ACCESS_COUNTERS = ("index_scans", "index_nl_probes", "rows_read", "rows_skipped")
+
 
 @dataclass(frozen=True)
 class EvalOptions:
@@ -122,6 +126,8 @@ class ExecContext:
         "memory_bytes",
         "subquery_depth",
         "access",
+        "root",
+        "elapsed",
         "_cancel",
         "_deadline",
         "_max_rows",
@@ -156,12 +162,11 @@ class ExecContext:
         self.memory_bytes = 0
         self.subquery_depth = 0
         #: Access-path counters, filled by Index{Scan,NLJoin} operators.
-        self.access = {
-            "index_scans": 0,
-            "index_nl_probes": 0,
-            "rows_read": 0,
-            "rows_skipped": 0,
-        }
+        self.access = dict.fromkeys(ACCESS_COUNTERS, 0)
+        #: Set by execute_plan: the compiled physical root and the seconds
+        #: its run took — what EXPLAIN ANALYZE renders afterwards.
+        self.root = None
+        self.elapsed = 0.0
         self._row_bytes = 0  # lazily sampled from the first materialised row
         self._tick_granularity = (
             TICK_GRANULARITY

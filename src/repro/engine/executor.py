@@ -9,6 +9,9 @@ tests and benchmarks that inspect evaluation behaviour.
 
 from __future__ import annotations
 
+import time
+from dataclasses import replace as dc_replace
+
 from repro.algebra.ops import Operator
 from repro.engine.compile import compile_plan
 from repro.engine.context import EvalOptions, ExecContext
@@ -40,6 +43,8 @@ def execute_plan(
     opts = options or EvalOptions()
     physical = compile_plan(plan, catalog, vectorized=opts.vectorized)
     ctx = ExecContext(opts)
+    ctx.root = physical
+    start = time.perf_counter()
     try:
         rows = physical.execute(ctx, {})
     except ReproError:
@@ -52,6 +57,7 @@ def execute_plan(
         raise ExecutionError(
             f"plan execution failed: {type(error).__name__}: {error}"
         ) from error
+    ctx.elapsed = time.perf_counter() - start
     table = Table(plan.schema, rows)
     if with_context:
         return table, ctx
@@ -65,23 +71,23 @@ def explain_analyze(
 ) -> tuple[str, Table]:
     """Execute ``plan`` and render the physical tree with actual rows.
 
-    Returns ``(report, result_table)``.  Shared (memoised) nodes appear
-    once with a ``[shared]`` marker; correlated-subquery plans (compiled
-    into expression closures) are summarised by the eval/cache counters
-    in the footer rather than inlined.
+    Returns ``(report, result_table)`` — :func:`execute_plan` with
+    per-node statistics on, then :func:`render_analyze`.
     """
-    import time
+    run_options = dc_replace(options or EvalOptions(), collect_stats=True)
+    table, ctx = execute_plan(plan, catalog, run_options, with_context=True)
+    return render_analyze(ctx, len(table)), table
 
-    from dataclasses import replace as dc_replace
 
-    base = options or EvalOptions()
-    run_options = dc_replace(base, collect_stats=True)
-    physical = compile_plan(plan, catalog, vectorized=base.vectorized)
-    ctx = ExecContext(run_options)
-    start = time.perf_counter()
-    rows = physical.execute(ctx, {})
-    elapsed = time.perf_counter() - start
+def render_analyze(ctx: ExecContext, result_rows: int) -> str:
+    """Render the physical tree ``ctx`` just ran, with actual row counts.
 
+    ``ctx`` must come from an execution with ``collect_stats`` on.
+    Shared (memoised) nodes appear once with a ``[shared]`` marker;
+    correlated-subquery plans (compiled into expression closures) are
+    summarised by the eval/cache counters in the footer rather than
+    inlined.
+    """
     lines: list[str] = []
     seen: set[int] = set()
 
@@ -105,11 +111,10 @@ def explain_analyze(
             last = index == len(children) - 1
             visit(child, child_prefix, "`- " if last else "|- ", last)
 
-    visit(physical, "", "", True)
+    visit(ctx.root, "", "", True)
     footer = (
-        f"-- {len(rows)} result rows in {elapsed:.4f}s; "
+        f"-- {result_rows} result rows in {ctx.elapsed:.4f}s; "
         f"{ctx.stats.subquery_evals} nested-subquery evaluations, "
         f"{ctx.stats.subquery_cache_hits} cache hits"
     )
-    report = "\n".join(lines) + "\n" + footer + "\n"
-    return report, Table(plan.schema, rows)
+    return "\n".join(lines) + "\n" + footer + "\n"

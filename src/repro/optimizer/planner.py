@@ -228,14 +228,12 @@ def execute_sql(
     catalog: Catalog,
     strategy: str | Strategy = "auto",
     options: EvalOptions | None = None,
-    unnest_options: UnnestOptions | None = None,
-    with_context: bool = False,
-    views: dict | None = None,
     params=None,
 ):
-    """One-shot convenience: plan and execute."""
-    planned = plan_query(sql, catalog, strategy, unnest_options, views)
-    return planned.execute(catalog, options, with_context=with_context, params=params)
+    """One-shot convenience for tests and benchmarks: plan and execute
+    on a bare catalog — no cache, snapshot, healing or counters (that
+    pipeline is :meth:`repro.Database.execute`, which never calls this)."""
+    return plan_query(sql, catalog, strategy).execute(catalog, options, params=params)
 
 
 def _present(table: Table, output_names: tuple[str, ...]) -> Table:

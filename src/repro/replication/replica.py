@@ -2,10 +2,10 @@
 
 A :class:`ReplicationFollower` bootstraps from the primary's state
 snapshot, then tails its WAL (long-polling ``POST /replication/wal``)
-and replays every record through the **same public mutation paths crash
-recovery uses** — ``execute`` for DML, ``register``/``create_view``/
-``create_index`` for DDL — so index epochs, view epochs, and MVCC
-versions advance on the replica exactly as they did live on the primary.
+and replays every record through the **same function crash recovery
+uses** — :meth:`repro.Database.apply_record` — so index epochs, view
+epochs, and MVCC versions advance on the replica exactly as they did
+live on the primary.
 
 The follower's local store is itself a durable :class:`~repro.Database`,
 and the two logs stay **record-for-record aligned** by construction: the
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 from repro import Database
 from repro.errors import (
-    BadRequestError,
     InjectedFault,
     NotPrimary,
     ReadOnlyReplica,
@@ -49,15 +48,13 @@ from repro.service.client import ServiceClient
 from repro.service.resilience import CircuitBreaker, RetryPolicy
 from repro.sim.clock import SYSTEM_CLOCK
 from repro.service.server import (
-    WRITE_PREFIXES,
     QueryServer,
     QueryService,
     ServerConfig,
-    _budget_of,
     _era_of,
+    _number_field,
     _required_str,
 )
-from repro.storage import Column, ColumnType, Schema, Table
 from repro.storage.wal import (
     WAL_NAME,
     DurabilityConfig,
@@ -131,14 +128,7 @@ class ReplicationFollower:
         # that dark window is one more acked write a failover can lose.
         # reset_timeout=0 keeps the fail-fast bookkeeping but always
         # admits the next (already rate-limited) poll.
-        self.client = client or ServiceClient(
-            config.primary_url,
-            timeout=config.http_timeout,
-            retry_policy=RetryPolicy(max_attempts=1),
-            breaker=CircuitBreaker(reset_timeout=0.0, clock=self._clock.monotonic),
-            clock=self._clock,
-            transport=transport,
-        )
+        self.client = client or self._make_client(config.primary_url)
         self.on_install = on_install
         self._db: Database | None = None
         self._cond = threading.Condition()
@@ -165,6 +155,16 @@ class ReplicationFollower:
             "stale_stream_rejected": 0,
             "truncations": 0,
         }
+
+    def _make_client(self, primary_url: str) -> ServiceClient:
+        return ServiceClient(
+            primary_url,
+            timeout=self.config.http_timeout,
+            retry_policy=RetryPolicy(max_attempts=1),
+            breaker=CircuitBreaker(reset_timeout=0.0, clock=self._clock.monotonic),
+            clock=self._clock,
+            transport=self._transport,
+        )
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -258,7 +258,7 @@ class ReplicationFollower:
         self._db = db
         # A recovered (or freshly bootstrapped) store may carry era
         # records from before the kill; never move backwards.
-        self.era = max(self.era, getattr(db, "era", 0))
+        self.era = max(self.era, db.era)
         if self.on_install is not None:
             self.on_install(db)
         with self._cond:
@@ -273,14 +273,7 @@ class ReplicationFollower:
         before the new primary's era record arrives in-stream.
         """
         self.config = dataclasses.replace(self.config, primary_url=primary_url)
-        self.client = ServiceClient(
-            primary_url,
-            timeout=self.config.http_timeout,
-            retry_policy=RetryPolicy(max_attempts=1),
-            breaker=CircuitBreaker(reset_timeout=0.0, clock=self._clock.monotonic),
-            clock=self._clock,
-            transport=self._transport,
-        )
+        self.client = self._make_client(primary_url)
         if era is not None:
             self.era = max(self.era, era)
 
@@ -319,8 +312,7 @@ class ReplicationFollower:
         boundaries = [(int(era), int(lsn)) for era, lsn in body.get("era_history", [])]
         if not boundaries and stream_era:
             boundaries = [(stream_era, stream_era_lsn)]
-        db_era = getattr(db, "era", 0)
-        if any(lsn and lsn <= db.wal_lsn and era > db_era for era, lsn in boundaries):
+        if any(lsn and lsn <= db.wal_lsn and era > db.era for era, lsn in boundaries):
             # Rejoin-with-truncation: some reign's era record sits at an
             # LSN our log already reached, yet we never applied it — our
             # suffix past that point came from the old timeline (writes
@@ -360,15 +352,12 @@ class ReplicationFollower:
         return len(records)
 
     def _apply_record(self, db: Database, record: LogRecord, injector=None) -> None:
-        """Replay one primary record through the public mutation paths.
+        """Apply one primary record (:meth:`repro.Database.apply_record`).
 
-        Every branch below *logs* — that is the invariant that keeps the
-        local WAL aligned with the primary's.  (``_apply_log_record``'s
-        ``create_table`` branch deliberately skips logging for recovery;
-        using it here would silently desynchronize the LSNs, which is
-        why ``register`` is called instead.)  Unknown kinds from a newer
-        primary are logged verbatim so the LSN advances even though this
-        replica cannot interpret them.
+        That call logs exactly one local record whatever the kind — the
+        invariant that keeps the local WAL aligned with the primary's;
+        what is left here is the stall fault, the counters and the
+        drift check that asserts the alignment.
         """
         if injector is not None:
             try:
@@ -378,43 +367,8 @@ class ReplicationFollower:
                 # min_lsn read gates feel it, and then we proceed.
                 self.counters["apply_stalls"] += 1
                 self._clock.sleep(self.config.stall_seconds)
-        kind, data = record.kind, record.data
-        if kind == "dml":
-            db.execute(data["sql"])
-        elif kind == "create_table":
-            schema = Schema([Column(col, ColumnType(t)) for col, t in data["columns"]])
-            table = Table(
-                schema,
-                [tuple(row) for row in data["rows"]],
-                name=data.get("table_name") or data["name"],
-            )
-            db.register(table, data["name"])
-        elif kind == "drop_table":
-            db.drop_table(data["name"])
-        elif kind == "create_view":
-            db.create_view(data["name"], data["sql"])
-        elif kind == "drop_view":
-            db.drop_view(data["name"])
-        elif kind == "create_index":
-            db.create_index(data["name"], data["table"], data["column"], data["kind"])
-        elif kind == "drop_index":
-            db.drop_index(data["name"])
-        elif kind == "era":
-            # A reign boundary arriving in-stream: install it through
-            # bump_era so it logs exactly one local record (keeping the
-            # LSN alignment) and updates era/era_lsn/history.  A replay
-            # of an era we already hold logs verbatim instead — the LSN
-            # must advance either way.
-            new_era = int(data["era"])
-            with db._commit_lock:
-                if new_era > db.era:
-                    db.bump_era(new_era)
-                else:
-                    db._log_durable(kind, data)
-            self.era = max(self.era, new_era)
-        else:
-            with db._commit_lock:
-                db._log_durable(kind, data)
+        db.apply_record(record)
+        self.era = max(self.era, db.era)
         self.counters["records_applied"] += 1
         if db.wal_lsn != record.lsn:
             self.broken = (
@@ -448,22 +402,15 @@ class ReplicationFollower:
         while not self._closed and not (stop_event is not None and stop_event.is_set()):
             try:
                 self.step()
-            except NotPrimary:
-                # The node we are tailing is a deposed primary; nothing
-                # was applied.  Wait for a repoint rather than dying —
-                # NotPrimary must be handled before its ReplicationError
-                # base class, which is fatal here.
-                delay = self._backoff_delay(backoff)
-                if stop_event is not None:
-                    self._clock.wait(stop_event, delay)
-                else:
-                    self._clock.sleep(delay)
-                backoff = min(backoff * 2, self.config.retry_backoff_max)
-                continue
-            except ReplicationError:
-                raise
-            except ReproError:
-                self.counters["fetch_errors"] += 1
+            except ReproError as error:
+                # NotPrimary: the node we are tailing is a deposed
+                # primary and nothing was applied — wait for a repoint
+                # rather than dying like its ReplicationError base
+                # class (apply drift), which is fatal here.
+                if not isinstance(error, NotPrimary):
+                    if isinstance(error, ReplicationError):
+                        raise
+                    self.counters["fetch_errors"] += 1
                 delay = self._backoff_delay(backoff)
                 if stop_event is not None:
                     self._clock.wait(stop_event, delay)
@@ -526,8 +473,9 @@ class ReplicaService(QueryService):
         #: once the thread is provably stopped.
         self.on_promote = None
 
-    def _read_gate(self, payload: dict) -> None:
-        """Honor ``min_lsn``/``era`` causal reads: wait, then serve or 503.
+    def _causality_gate(self, payload: dict) -> None:
+        """Honor ``min_lsn``/``era`` causal reads: wait, then serve or 503
+        (once promoted, the primary-side fail-fast gate applies instead).
 
         The era check guards the timeline, not the position: a replica
         still tailing a deposed primary can hold *old-timeline* LSNs far
@@ -539,15 +487,13 @@ class ReplicaService(QueryService):
         ``db.era`` and truncates any divergent suffix first), the local
         log is still unproven.
         """
-        min_lsn = payload.get("min_lsn")
-        era = payload.get("era")
-        if era is not None and (
-            isinstance(era, bool) or not isinstance(era, int) or era < 0
-        ):
-            raise BadRequestError("'era' must be a non-negative integer")
+        if self.promoted:
+            return super()._causality_gate(payload)
+        min_lsn = _number_field(payload, "min_lsn")
+        era = _number_field(payload, "era")
         follower = self.follower
         if era:
-            db_era = getattr(self._db, "era", 0) if self._db is not None else 0
+            db_era = self._db_era()
             if era > max(db_era, follower.era):
                 raise ReplicaLagging(
                     min_lsn or 0,
@@ -571,13 +517,9 @@ class ReplicaService(QueryService):
                 )
         if min_lsn is None:
             return
-        if isinstance(min_lsn, bool) or not isinstance(min_lsn, int) or min_lsn < 0:
-            raise BadRequestError("'min_lsn' must be a non-negative integer")
-        wait = payload.get("lsn_wait", 1.0)
-        if isinstance(wait, bool) or not isinstance(wait, (int, float)) or wait < 0:
-            raise BadRequestError("'lsn_wait' must be a non-negative number of seconds")
+        wait = _number_field(payload, "lsn_wait", default=1.0, seconds=True)
         wait = min(float(wait), self.config.max_wait_seconds)
-        budget = _budget_of(payload)
+        budget = _number_field(payload, "budget", seconds=True)
         if budget is not None:
             # Deadline propagation: parking the gate longer than the
             # caller's remaining budget only manufactures a timeout the
@@ -592,6 +534,10 @@ class ReplicaService(QueryService):
     def _role(self) -> str:
         return "primary" if self.promoted else "replica"
 
+    def _db_era(self) -> int:
+        """The served store's era; 0 until the bootstrap installs one."""
+        return 0 if self._db is None else self._db.era
+
     def _write_gate(self, payload: dict) -> None:
         """Writes are refused outright until promotion; afterwards the
         inherited fencing-era gate takes over (split-brain guard)."""
@@ -601,31 +547,13 @@ class ReplicaService(QueryService):
             )
         super()._write_gate(payload)
 
-    def _causality_gate(self, payload: dict) -> None:
-        """A replica's ``min_lsn`` gate *waits* for replication before
-        giving up; the primary-side fail-fast gate applies once promoted."""
-        if self.promoted:
-            super()._causality_gate(payload)
-        else:
-            self._read_gate(payload)
-
-    def _query(self, payload: dict) -> dict:
-        sql = payload.get("sql")
-        if (
-            not self.promoted
-            and isinstance(sql, str)
-            and sql.lstrip().lower().startswith(WRITE_PREFIXES)
-        ):
-            raise ReadOnlyReplica("this server is a read-only replica; send writes to the primary")
-        return super()._query(payload)
-
     def _annotate(self, body: dict) -> dict:
         if self.promoted:
             return super()._annotate(body)
         # A replica's causality stamp is how far it has applied, not a
         # commit it performed (it performs none).
         body["applied_lsn"] = self.follower.applied_lsn
-        era = max(getattr(self._db, "era", 0) if self._db is not None else 0, self.follower.era)
+        era = max(self._db_era(), self.follower.era)
         if era:
             body["era"] = era
         return body
@@ -640,8 +568,8 @@ class ReplicaService(QueryService):
             "role": self._role(),
             "fenced": False,
             "fenced_era": 0,
-            "era": max(getattr(database, "era", 0) if database is not None else 0, follower.era),
-            "era_lsn": getattr(database, "era_lsn", 0) if database is not None else 0,
+            "era": max(self._db_era(), follower.era),
+            "era_lsn": 0 if database is None else database.era_lsn,
             "wal_lsn": applied,
             "applied_lsn": applied,
             "leader_url": follower.config.primary_url,
@@ -665,7 +593,7 @@ class ReplicaService(QueryService):
             raise ReplicationError(
                 f"cannot promote a broken follower: {follower.broken}"
             )
-        current = max(getattr(self.db, "era", 0), follower.era)
+        current = max(self.db.era, follower.era)
         if era <= current:
             raise ReplicationError(
                 f"stale promotion: era {era} is not newer than this node's era {current}"
@@ -676,20 +604,9 @@ class ReplicaService(QueryService):
             )
         follower.close()
         follower.era = max(follower.era, era)
-        database = self.db
-        database.bump_era(era)
+        self.db.bump_era(era)
         self.promoted = True
-        with self._cluster_lock:
-            self._fenced = False
-            self._fenced_era = 0
-            self._leader_url = self.config.advertise_url
-        return {
-            "promoted": True,
-            "role": self._role(),
-            "era": database.era,
-            "era_lsn": database.era_lsn,
-            "applied_lsn": database.wal_lsn,
-        }
+        return self._begin_reign(self.db)
 
     def _repoint(self, payload: dict) -> dict:
         """Follow a different primary (the coordinator heals topology)."""

@@ -4,7 +4,7 @@ There is deliberately no new framing here.  The primary streams the raw
 bytes of its write-ahead log — the same length-prefixed, CRC32-checksummed
 records recovery scans — base64-armored inside a JSON body.  The follower
 decodes them with the *same* validation scan the crash-recovery path uses
-(:func:`repro.storage.wal._scan_frames`), so a batch damaged in flight, a
+(:func:`repro.storage.wal.scan_frames`), so a batch damaged in flight, a
 torn tail served mid-append, or an injected cut all degrade identically:
 the clean prefix applies, the damaged suffix is discarded and refetched.
 
@@ -34,7 +34,7 @@ import base64
 
 # The scan is the recovery validator; replication reuses it on purpose —
 # the wire format *is* the log format, torn data included.
-from repro.storage.wal import LogRecord, _scan_frames
+from repro.storage.wal import LogRecord, scan_frames
 
 SITE_STREAM_SERVE = "replication.stream.serve"
 SITE_STREAM_TORN = "replication.stream.torn"
@@ -50,8 +50,8 @@ def decode_frames(frames: bytes, from_lsn: int) -> tuple[list[LogRecord], bool]:
     ``clean`` is False when trailing bytes failed validation — the
     follower applies the prefix and refetches the rest.
     """
-    records, good_end = _scan_frames(frames, 0, from_lsn + 1)
-    return records, good_end == len(frames)
+    records, ends = scan_frames(frames, 0, from_lsn + 1)
+    return records, (ends[-1] if ends else 0) == len(frames)
 
 
 def frames_to_wire(frames: bytes) -> str:

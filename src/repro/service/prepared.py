@@ -35,9 +35,10 @@ class PreparedStatement:
         # Parse once and keep the tree: every execution passes it to the
         # plan cache, making the hot path a pure hash lookup + bind.
         # Planning eagerly also surfaces bind/planning errors at prepare
-        # time and warms the cache for the first execution.
+        # time and warms the cache for the first row-engine execution.
         self._statement = parse(sql)
-        planned = database._cached_plan(sql, strategy, statement=self._statement)
+        planned = database.plan(sql, strategy, engine=None, statement=self._statement)
+        # A function of the parsed tree alone, so it never goes stale.
         self._spec: ParamSpec = planned.param_spec
 
     @property
@@ -56,34 +57,17 @@ class PreparedStatement:
     ) -> Table:
         """Bind ``params`` (sequence or mapping) and run the template.
 
-        The plan is fetched from the database's cache on every call, so
-        executions after DDL or heavy DML on a dependency see a freshly
-        costed plan instead of a stale one.
-
-        Execution reads through an MVCC snapshot like
-        :meth:`repro.Database.execute`: the current commit LSN is pinned
-        for the duration (or ``at_lsn`` is used — the caller must hold
-        that pin, e.g. a pinned server session).
+        This is :meth:`repro.Database.execute` minus the parse: the
+        statement runs through the database's one read pipeline, so the
+        plan is fetched from the cache on every call (executions after
+        DDL or heavy DML on a dependency see a freshly costed plan), it
+        reads an MVCC snapshot (pinned for the duration, or ``at_lsn`` —
+        the caller must hold that pin, e.g. a pinned server session),
+        and it is governed, healed and counted like any other query.
         """
-        planned = self._db._cached_plan(
-            self.sql, self.strategy, statement=self._statement
-        )
-        self._spec = planned.param_spec
-        from repro.storage.mvcc import SnapshotCatalog
-
-        database = self._db
-        handle = None
-        if at_lsn is None:
-            handle = database._snapshots.pin()
-            lsn = handle.lsn
-        else:
-            lsn = at_lsn
-        read_catalog = SnapshotCatalog(database.catalog, database._snapshots, lsn)
-        try:
-            return planned.execute(read_catalog, options, params=params)
-        finally:
-            if handle is not None:
-                database._snapshots.unpin(handle)
+        return self._db._run_read(
+            self.sql, self.strategy, options, params, at_lsn, statement=self._statement
+        )[0]
 
     def explain(self) -> str:
         """Render the current plan for this template."""

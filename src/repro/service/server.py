@@ -69,7 +69,6 @@ Every error body is ``{"error": {"code": ..., "message": ...}}`` — the
 
 from __future__ import annotations
 
-import base64
 import json
 import threading
 import time
@@ -92,9 +91,10 @@ from repro.errors import (
     SessionError,
 )
 from repro.faults import injector_from_env
-from repro.replication.stream import SITE_STREAM_SERVE, SITE_STREAM_TORN
+from repro.replication.stream import SITE_STREAM_SERVE, SITE_STREAM_TORN, frames_to_wire
 from repro.service.metrics import ServerMetrics
 from repro.sim.clock import SYSTEM_CLOCK
+from repro.sql import statement_kind
 
 #: repro.errors code -> HTTP status.  Anything not listed is a client
 #: error (400); unexpected exceptions map to INTERNAL_ERROR / 500.
@@ -115,12 +115,6 @@ _STATUS_BY_CODE = {
 
 #: Refuse request bodies beyond this (a query text, not a bulk loader).
 MAX_BODY_BYTES = 1 << 20
-
-#: Statement prefixes that mutate (DML plus table/view/index DDL — the
-#: same split Database.execute makes).  Used by the primary's fencing
-#: write gate and by replicas to refuse writes outright.
-WRITE_PREFIXES = ("insert", "delete", "update", "create", "drop")
-
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -403,24 +397,16 @@ class QueryService:
             return body
         body["plan_cache"] = database.cache_info().as_dict()
         body["tables"] = database.catalog.table_names()
-        resilience = getattr(database, "resilience_info", None)
-        if resilience is not None:
-            body["resilience"] = resilience()
-        access = getattr(database, "access_info", None)
-        if access is not None:
-            body["access_paths"] = access()
-        durability = getattr(database, "durability_info", None)
-        if durability is not None:
-            body["durability"] = durability()
-        mvcc = getattr(database, "mvcc_info", None)
-        if mvcc is not None:
-            body["mvcc"] = mvcc()
+        body["resilience"] = database.resilience_info()
+        body["access_paths"] = database.access_info()
+        body["durability"] = database.durability_info()
+        body["mvcc"] = database.mvcc_info()
         with self._repl_lock:
             replication = dict(self._repl_counters)
         replication["role"] = self._role()
-        replication["commit_lsn"] = getattr(database, "wal_lsn", 0)
-        replication["era"] = getattr(database, "era", 0)
-        replication["era_lsn"] = getattr(database, "era_lsn", 0)
+        replication["commit_lsn"] = database.wal_lsn
+        replication["era"] = database.era
+        replication["era_lsn"] = database.era_lsn
         with self._cluster_lock:
             replication["fenced"] = self._fenced
             replication["leader_url"] = self._leader_url
@@ -529,11 +515,9 @@ class QueryService:
             statement = session.statements.get(statement_id)
         if statement is None:
             raise BadRequestError(f"unknown statement {statement_id!r} in session")
-        template = getattr(statement, "sql", "")
-        if template.lstrip().lower().startswith(WRITE_PREFIXES):
-            self._write_gate(payload)
-        else:
-            self._causality_gate(payload)
+        # A prepared statement is always a read: ``prepare`` parses with
+        # the SELECT-only grammar, so DML never gets this far.
+        self._causality_gate(payload)
         params = _params_of(payload)
         at_lsn = self._session_lsn(session)
         return self._annotate(
@@ -545,7 +529,7 @@ class QueryService:
 
     def _query(self, payload: dict) -> dict:
         sql = _required_str(payload, "sql")
-        if sql.lstrip().lower().startswith(WRITE_PREFIXES):
+        if statement_kind(sql) != "query":
             self._write_gate(payload)
         else:
             self._causality_gate(payload)
@@ -574,10 +558,10 @@ class QueryService:
         """
         database = self._db
         if database is not None:
-            lsn = getattr(database, "wal_lsn", 0)
+            lsn = database.wal_lsn
             if lsn:
                 body["commit_lsn"] = lsn
-            era = getattr(database, "era", 0)
+            era = database.era
             if era:
                 body["era"] = era
         return body
@@ -602,9 +586,9 @@ class QueryService:
             "lsn": snapshot["lsn"],
             "state": snapshot["state"],
             "commit_lsn": snapshot["lsn"],
-            "era": getattr(database, "era", 0),
-            "era_lsn": getattr(database, "era_lsn", 0),
-            "era_history": _shippable_era_history(database),
+            "era": database.era,
+            "era_lsn": database.era_lsn,
+            "era_history": [list(entry) for entry in database.pruned_era_history()],
         }
 
     def _replication_wal(self, payload: dict) -> dict:
@@ -615,19 +599,10 @@ class QueryService:
         validates them with the same checksum scan recovery uses and a
         torn tail (injected or real) degrades to a clean shorter batch.
         """
-        from_lsn = payload.get("from_lsn")
-        if isinstance(from_lsn, bool) or not isinstance(from_lsn, int) or from_lsn < 0:
-            raise BadRequestError("'from_lsn' must be a non-negative integer")
-        max_records = payload.get("max_records", 512)
-        if (
-            isinstance(max_records, bool)
-            or not isinstance(max_records, int)
-            or not 1 <= max_records <= 4096
-        ):
-            raise BadRequestError("'max_records' must be an integer in [1, 4096]")
-        wait = payload.get("wait", 0.0)
-        if isinstance(wait, bool) or not isinstance(wait, (int, float)) or wait < 0:
-            raise BadRequestError("'wait' must be a non-negative number of seconds")
+        # Required: a missing ``from_lsn`` reads as -1 and is refused.
+        from_lsn = _number_field(payload, "from_lsn", default=-1)
+        max_records = _number_field(payload, "max_records", default=512, bounds=(1, 4096))
+        wait = _number_field(payload, "wait", default=0.0, seconds=True)
         wait = min(float(wait), self.config.max_wait_seconds)
         injector = injector_from_env()
         if injector is not None:
@@ -652,7 +627,7 @@ class QueryService:
             "last_lsn": tail.last_lsn,
             "records": tail.records,
             "snapshot_required": tail.snapshot_required,
-            "frames": base64.b64encode(frames).decode("ascii"),
+            "frames": frames_to_wire(frames),
             "commit_lsn": tail.last_lsn,
             # The era this stream speaks for: a follower on a newer era
             # rejects the batch; one whose log already reaches a reign
@@ -660,9 +635,9 @@ class QueryService:
             # (era, era_lsn) history rides along so even a node that
             # slept through several failovers can spot the first reign
             # record its own log missed.
-            "era": getattr(database, "era", 0),
-            "era_lsn": getattr(database, "era_lsn", 0),
-            "era_history": _shippable_era_history(database),
+            "era": database.era,
+            "era_lsn": database.era_lsn,
+            "era_history": [list(entry) for entry in database.pruned_era_history()],
         }
 
     # -- cluster role (fencing-era failover) ---------------------------------
@@ -679,13 +654,8 @@ class QueryService:
         else while we were isolated; we fence in place and answer this
         and every later write with ``NOT_PRIMARY``.
         """
-        era = payload.get("era")
-        if era is not None and (
-            isinstance(era, bool) or not isinstance(era, int) or era < 0
-        ):
-            raise BadRequestError("'era' must be a non-negative integer")
-        database = self.db
-        own_era = getattr(database, "era", 0)
+        era = _number_field(payload, "era")
+        own_era = self.db.era
         with self._cluster_lock:
             if self._fenced:
                 self._not_primary_rejections += 1
@@ -719,20 +689,12 @@ class QueryService:
         All refusals are retryable ``REPLICA_LAGGING`` — the replica-set
         client moves on to a node that can actually honor the read.
         """
-        min_lsn = payload.get("min_lsn")
-        if min_lsn is not None and (
-            isinstance(min_lsn, bool) or not isinstance(min_lsn, int) or min_lsn < 0
-        ):
-            raise BadRequestError("'min_lsn' must be a non-negative integer")
-        era = payload.get("era")
-        if era is not None and (
-            isinstance(era, bool) or not isinstance(era, int) or era < 0
-        ):
-            raise BadRequestError("'era' must be a non-negative integer")
+        min_lsn = _number_field(payload, "min_lsn")
+        era = _number_field(payload, "era")
         if min_lsn is None and not era:
             return
-        applied = getattr(self.db, "wal_lsn", 0)
-        own_era = getattr(self.db, "era", 0)
+        applied = self.db.wal_lsn
+        own_era = self.db.era
         with self._cluster_lock:
             if self._fenced:
                 raise ReplicaLagging(
@@ -767,13 +729,13 @@ class QueryService:
             leader = self._leader_url
         if not fenced and leader is None:
             leader = self.config.advertise_url
-        wal_lsn = getattr(database, "wal_lsn", 0)
+        wal_lsn = database.wal_lsn
         return {
             "role": self._role(),
             "fenced": fenced,
             "fenced_era": fenced_era,
-            "era": getattr(database, "era", 0),
-            "era_lsn": getattr(database, "era_lsn", 0),
+            "era": database.era,
+            "era_lsn": database.era_lsn,
             "wal_lsn": wal_lsn,
             "applied_lsn": wal_lsn,
             "leader_url": leader,
@@ -789,13 +751,16 @@ class QueryService:
         """
         era = _era_of(payload)
         database = self.db
-        own_era = getattr(database, "era", 0)
-        if era < own_era:
+        if era < database.era:
             raise ReplicationError(
-                f"stale promotion: era {era} is behind this node's era {own_era}"
+                f"stale promotion: era {era} is behind this node's era {database.era}"
             )
-        if era > own_era:
+        if era > database.era:
             database.bump_era(era)
+        return self._begin_reign(database)
+
+    def _begin_reign(self, database) -> dict:
+        """Unfence and advertise this node as the leader; the promote reply."""
         with self._cluster_lock:
             self._fenced = False
             self._fenced_era = 0
@@ -803,9 +768,9 @@ class QueryService:
         return {
             "promoted": True,
             "role": self._role(),
-            "era": getattr(database, "era", 0),
-            "era_lsn": getattr(database, "era_lsn", 0),
-            "applied_lsn": getattr(database, "wal_lsn", 0),
+            "era": database.era,
+            "era_lsn": database.era_lsn,
+            "applied_lsn": database.wal_lsn,
         }
 
     def _demote(self, payload: dict) -> dict:
@@ -831,7 +796,7 @@ class QueryService:
         leader = payload.get("leader_url")
         if leader is not None and not isinstance(leader, str):
             raise BadRequestError("'leader_url' must be a string")
-        own_era = getattr(self.db, "era", 0)
+        own_era = self.db.era
         with self._cluster_lock:
             if era < own_era:
                 raise ReplicationError(
@@ -874,10 +839,10 @@ class QueryService:
         timeout = payload.get("timeout", self.config.default_timeout)
         if timeout is not None and not isinstance(timeout, (int, float)):
             raise BadRequestError("'timeout' must be a number (seconds) or null")
-        budget = _budget_of(payload)
+        budget = _number_field(payload, "budget", seconds=True)
         if budget is not None:
             # Deadline propagation: the client sent how much of *its*
-            # time budget is left; running the query longer than that is
+            # time budget (seconds) is left; running the query longer than that is
             # pure waste (the caller has already given up on us), so the
             # per-query timeout is clamped to it.
             timeout = budget if timeout is None else min(timeout, budget)
@@ -946,30 +911,37 @@ class QueryService:
         self._shutdown_callback = callback
 
 
-def _budget_of(payload: dict) -> float | None:
-    """The caller's remaining time budget in seconds (None = unbounded)."""
-    budget = payload.get("budget")
-    if budget is None:
-        return None
-    if isinstance(budget, bool) or not isinstance(budget, (int, float)) or budget < 0:
-        raise BadRequestError("'budget' must be a non-negative number of seconds")
-    return float(budget)
-
-
-def _shippable_era_history(database) -> list:
-    """The era history a replication response should carry — pruned when
-    the database can prove old reign boundaries are unreachable (see
-    Database.pruned_era_history)."""
-    pruner = getattr(database, "pruned_era_history", None)
-    history = pruner() if callable(pruner) else getattr(database, "era_history", ())
-    return [list(entry) for entry in history]
-
-
 def _era_of(payload: dict) -> int:
     era = payload.get("era")
     if isinstance(era, bool) or not isinstance(era, int) or era < 1:
         raise BadRequestError("'era' must be a positive integer")
     return era
+
+
+def _number_field(payload: dict, key: str, default=None, seconds=False, bounds=None):
+    """A numeric request field (``bool`` is not a number).
+
+    A non-negative integer by default; non-negative seconds (int or
+    float) with ``seconds``; an integer within inclusive ``bounds`` when
+    given.  A missing key reads as ``default``, and only a ``None``
+    default admits a null.
+    """
+    value = payload.get(key, default)
+    if value is None and default is None:
+        return None
+    low, high = bounds or (0, None)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float) if seconds else int)
+        or value < low
+        or (high is not None and value > high)
+    ):
+        if bounds:
+            expected = f"an integer in [{low}, {high}]"
+        else:
+            expected = "a non-negative " + ("number of seconds" if seconds else "integer")
+        raise BadRequestError(f"{key!r} must be {expected}")
+    return value
 
 
 def _required_str(payload: dict, key: str) -> str:
@@ -1071,11 +1043,10 @@ class QueryServer:
         snapshot and an empty WAL tail (fast next startup).  Failures are
         tolerable: the WAL already holds everything a restart needs."""
         database = self.service._db
-        checkpoint = getattr(database, "checkpoint", None)
-        if checkpoint is None:
+        if database is None:
             return
         try:
-            checkpoint()
+            database.checkpoint()
         except Exception:
             pass
 

@@ -459,7 +459,7 @@ class SimCluster:
             alive = [n for n in self.nodes.values() if n.db is not None]
             if not alive:
                 return set(), ()
-            leader = max(alive, key=lambda n: (getattr(n.db, "era", 0), n.db.wal_lsn))
+            leader = max(alive, key=lambda n: (n.db.era, n.db.wal_lsn))
         rows = leader.db.execute("SELECT C, S FROM kv").rows
         state = {(int(c), int(s)) for c, s in rows if int(c) >= 0}
         return state, leader.db.era_history

@@ -142,20 +142,20 @@ def run_sim(
 
 def _scrub_all(directories: list, scratch: str) -> list:
     """Post-run invariant: every node's durable directory passes the
-    offline integrity walk (``repro scrub``), run in-process."""
-    import argparse
-    import io
-
-    from repro.cli import cmd_scrub
+    offline integrity walk (what ``repro scrub`` prints)."""
+    from repro.storage.wal import scrub
 
     violations = []
     for directory in directories:
-        out = io.StringIO()
-        status = cmd_scrub(argparse.Namespace(data_dir=directory), out)
-        if status != 0:
+        report = scrub(directory)
+        if report.anomalies:
             name = directory[len(scratch) :].strip("/")
-            report = out.getvalue().strip().replace("\n", "; ")
-            violations.append(f"scrub anomalies on {name}: {report}")
+            damaged = [path for path, *_, error in report.snapshots if error is not None]
+            violations.append(
+                f"scrub anomalies on {name}: wal header ok {report.wal.header_ok},"
+                f" {report.wal.torn_bytes} torn bytes, damaged snapshots {damaged},"
+                f" recovery gap {report.recovery_gap}"
+            )
     return violations
 
 

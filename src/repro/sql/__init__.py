@@ -16,12 +16,13 @@ logical plan per query block; subqueries appear as nested algebraic
 expressions inside selection subscripts.
 """
 
-from repro.sql.parser import parse
+from repro.sql.parser import parse, statement_kind
 from repro.sql.translate import translate, TranslationResult
 from repro.sql.classify import classify, QueryClass, KimType, NestingStructure
 
 __all__ = [
     "parse",
+    "statement_kind",
     "translate",
     "TranslationResult",
     "classify",

@@ -14,6 +14,7 @@ positional (the token value is the 0-based occurrence index) and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.errors import LexError
 
@@ -60,7 +61,16 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     """Lex ``text`` into a token list ending with an ``eof`` token."""
-    tokens: list[Token] = []
+    return list(iter_tokens(text))
+
+
+def iter_tokens(text: str) -> Iterator[Token]:
+    """Lex ``text`` lazily: one token per step, ``eof`` last.
+
+    A caller that needs only the leading keyword (statement
+    classification) stops after the first token and never pays for, or
+    trips over, the rest of the text.
+    """
     position = 0
     line = 1
     line_start = 0
@@ -119,7 +129,7 @@ def tokenize(text: str) -> list[Token]:
                     line_start = position + 1
                 pieces.append(current)
                 position += 1
-            tokens.append(Token("string", "".join(pieces), start_line, start_col))
+            yield Token("string", "".join(pieces), start_line, start_col)
             continue
 
         # Numbers.
@@ -137,7 +147,7 @@ def tokenize(text: str) -> list[Token]:
                 position += 1
             literal = text[start:position]
             value: object = float(literal) if "." in literal else int(literal)
-            tokens.append(Token("number", value, line, start_col))
+            yield Token("number", value, line, start_col)
             continue
 
         # Identifiers and keywords.
@@ -148,12 +158,12 @@ def tokenize(text: str) -> list[Token]:
                 position += 1
             word = text[start:position].lower()
             kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, start_col))
+            yield Token(kind, word, line, start_col)
             continue
 
         # Parameter placeholders: ``?`` (positional) and ``:name`` (named).
         if char == "?":
-            tokens.append(Token("param", positional_count, line, column()))
+            yield Token("param", positional_count, line, column())
             positional_count += 1
             position += 1
             continue
@@ -166,7 +176,7 @@ def tokenize(text: str) -> list[Token]:
             name = text[start:position]
             if not name or name[0].isdigit():
                 raise LexError("expected parameter name after ':'", line, start_col)
-            tokens.append(Token("param", name.lower(), line, start_col))
+            yield Token("param", name.lower(), line, start_col)
             continue
 
         # Quoted identifiers ("name") — kept verbatim, case preserved.
@@ -175,7 +185,7 @@ def tokenize(text: str) -> list[Token]:
             end = text.find('"', position + 1)
             if end == -1:
                 raise LexError("unterminated quoted identifier", start_line, start_col)
-            tokens.append(Token("ident", text[position + 1 : end], start_line, start_col))
+            yield Token("ident", text[position + 1 : end], start_line, start_col)
             position = end + 1
             continue
 
@@ -183,11 +193,10 @@ def tokenize(text: str) -> list[Token]:
         for op in OPERATORS:
             if text.startswith(op, position):
                 spelling = "<>" if op == "!=" else op
-                tokens.append(Token("op", spelling, line, column()))
+                yield Token("op", spelling, line, column())
                 position += len(op)
                 break
         else:
             raise LexError(f"unexpected character {char!r}", line, column())
 
-    tokens.append(Token("eof", None, line, column()))
-    return tokens
+    yield Token("eof", None, line, column())

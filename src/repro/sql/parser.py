@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from repro.errors import ParseError
 from repro.sql import ast
-from repro.sql.lexer import Token, tokenize
+from repro.sql.lexer import Token, iter_tokens, tokenize
 
 COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
 
@@ -50,27 +50,41 @@ def parse(text: str):
     """Parse a query: SELECT or a UNION/INTERSECT/EXCEPT chain."""
     parser = _Parser(tokenize(text))
     stmt = parser.parse_statement()
-    parser.skip_semicolon()
     parser.expect_eof()
     return stmt
+
+
+#: Leading keyword -> (statement kind, the parser method that reads it).
+_LEADING_KEYWORDS = {
+    "insert": ("dml", "parse_insert"),
+    "delete": ("dml", "parse_delete"),
+    "update": ("dml", "parse_update"),
+    "create": ("ddl", "parse_create_index"),
+    "drop": ("ddl", "parse_drop_index"),
+}
+_QUERY = ("query", "parse_statement")
+
+
+def _leading(token: Token) -> tuple[str, str]:
+    return _LEADING_KEYWORDS.get(token.value, _QUERY) if token.kind == "keyword" else _QUERY
+
+
+def statement_kind(text: str) -> str:
+    """``"dml"``, ``"ddl"`` or ``"query"``, from the first significant token.
+
+    The one place a statement text is classified: the lexer skips
+    leading whitespace and comments, so ``-- note\nINSERT ...`` is DML
+    here exactly as it is for :func:`parse_any`.  Only that token is
+    lexed — ``Database.execute`` and the server's gate choice both call
+    this before the statement's one full parse.
+    """
+    return _leading(next(iter_tokens(text)))[0]
 
 
 def parse_any(text: str):
     """Parse any supported statement, including INSERT/DELETE/UPDATE."""
     parser = _Parser(tokenize(text))
-    token = parser.current
-    if token.is_keyword("insert"):
-        stmt = parser.parse_insert()
-    elif token.is_keyword("delete"):
-        stmt = parser.parse_delete()
-    elif token.is_keyword("update"):
-        stmt = parser.parse_update()
-    elif token.is_keyword("create"):
-        stmt = parser.parse_create_index()
-    elif token.is_keyword("drop"):
-        stmt = parser.parse_drop_index()
-    else:
-        stmt = parser.parse_statement()
+    stmt = getattr(parser, _leading(parser.current)[1])()
     parser.expect_eof()
     return stmt
 
@@ -119,11 +133,6 @@ class _Parser:
         if self.current.kind != "ident":
             raise self.error("expected identifier")
         return self.advance().value
-
-    def skip_semicolon(self) -> None:
-        # Lexer has no ';' token; accept trailing whitespace only.  Kept
-        # for interface symmetry if a ';' operator is ever added.
-        return
 
     def expect_eof(self) -> None:
         if self.current.kind != "eof":

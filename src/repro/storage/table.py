@@ -162,6 +162,28 @@ class Table:
                 )
         return cls(schema, rows, name=name)
 
+    # -- durable payload (snapshot files, create_table log records) ---------
+
+    def to_payload(self, key: str) -> dict:
+        """The JSON shape a table has on disk and on the replication wire.
+
+        ``key`` is the catalog name it is registered under — the fallback
+        for a table that carries no name of its own.  The key order is
+        part of the format: checkpoints and log records are compared
+        byte for byte across nodes.
+        """
+        return {
+            "table_name": self.name or key,
+            "columns": [[col.name, col.type.value] for col in self.schema],
+            "rows": [list(row) for row in self.rows],
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict, key: str) -> "Table":
+        """Rebuild a table from :meth:`to_payload` output."""
+        schema = Schema([Column(col, ColumnType(kind)) for col, kind in payload["columns"]])
+        return cls(schema, payload["rows"], name=payload.get("table_name") or key)
+
     # -- pretty printing -----------------------------------------------------
 
     def pretty(self, limit: int = 20) -> str:

@@ -58,7 +58,7 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from repro.errors import DurabilityError
 
@@ -166,13 +166,17 @@ def _frame(lsn: int, payload: bytes) -> bytes:
     return _FRAME.pack(lsn, len(payload), crc) + payload
 
 
-def _scan_frames(raw: bytes, offset: int, expected_lsn: int):
+def scan_frames(raw: bytes, offset: int, expected_lsn: int):
     """Decode consecutive records until the data stops making sense.
 
-    Returns ``(records, good_end)`` — ``good_end`` is the byte offset of
-    the first torn/corrupt record (or the end of the clean data).
+    Returns ``(records, ends)`` — ``ends[i]`` is the byte offset just
+    past ``records[i]``, so the clean data stops at ``ends[-1]`` (at
+    ``offset`` when not even one record survives) and whatever follows
+    is torn or corrupt.  Recovery, the replication tail, the follower's
+    batch decoder and the scrubber all validate bytes with this scan.
     """
     records: list[LogRecord] = []
+    ends: list[int] = []
     while True:
         if offset + _FRAME.size > len(raw):
             break  # torn header (or clean EOF)
@@ -195,9 +199,60 @@ def _scan_frames(raw: bytes, offset: int, expected_lsn: int):
         records.append(
             LogRecord(lsn, str(decoded.get("kind", "")), decoded.get("data") or {})
         )
+        ends.append(end)
         offset = end
         expected_lsn += 1
-    return records, offset
+    return records, ends
+
+
+class WalScan(NamedTuple):
+    """One validating pass over a ``wal.log`` file (:func:`scan_wal`)."""
+
+    #: False when the magic/base header is short or mangled: no offset
+    #: in the file can be trusted and every byte counts as torn.
+    header_ok: bool
+    base_lsn: int
+    records: list[LogRecord]
+    #: ``ends[i]``: byte offset just past ``records[i]`` (see scan_frames).
+    ends: list[int]
+    #: Where the clean prefix stops (recovery truncates here), and how
+    #: many torn/corrupt bytes follow it.
+    good_end: int
+    torn_bytes: int
+    last_lsn: int
+    #: The file's bytes; None when the directory has no ``wal.log``.
+    raw: bytes | None
+
+
+def scan_wal(data_dir: str) -> WalScan:
+    """Read and validate ``data_dir``'s log, once.
+
+    The single reader of ``wal.log``: crash recovery replays its
+    records, :func:`read_wal_tail` slices its bytes for followers, and
+    :func:`scrub` reports on it — none of them parses the file itself.
+    """
+    try:
+        with open(os.path.join(data_dir, WAL_NAME), "rb") as handle:
+            raw = handle.read()
+    except OSError:
+        return WalScan(False, 0, [], [], 0, 0, 0, None)
+    header_ok = len(raw) >= WAL_HEADER_SIZE and raw.startswith(WAL_MAGIC)
+    base_lsn, records, ends, good_end = 0, [], [], 0
+    if header_ok:
+        (base_lsn,) = _BASE.unpack_from(raw, len(WAL_MAGIC))
+        records, ends = scan_frames(raw, WAL_HEADER_SIZE, base_lsn + 1)
+        good_end = ends[-1] if ends else WAL_HEADER_SIZE
+    return WalScan(
+        header_ok, base_lsn, records, ends, good_end, len(raw) - good_end,
+        base_lsn + len(records), raw,
+    )
+
+
+def _recovery_gap(scan: WalScan, snapshot_lsn: int) -> bool:
+    """True when the log bases past the newest loadable snapshot: a tail
+    based at LSN ``b`` presumes state through ``b``, and if the snapshot
+    that had it is missing or corrupt those records exist nowhere."""
+    return scan.header_ok and scan.base_lsn > snapshot_lsn
 
 
 def _fsync_file(handle) -> None:
@@ -274,8 +329,8 @@ def read_wal_tail(
     """Read the clean WAL frames with LSN > ``from_lsn`` (replication).
 
     Returns the raw, still-framed bytes so a follower can re-validate
-    every CRC itself — the wire format *is* the log format.  The scan
-    reuses the recovery validation (:func:`_scan_frames`), so a torn or
+    every CRC itself — the wire format *is* the log format.  The bytes
+    come from the recovery validation (:func:`scan_wal`), so a torn or
     corrupt tail simply ends the readable range; it is never served.
 
     ``snapshot_required`` is set when ``from_lsn`` predates the log's
@@ -283,40 +338,22 @@ def read_wal_tail(
     so it must re-bootstrap from a state snapshot instead.  At least one
     record is returned even when it alone exceeds ``max_bytes``.
     """
-    path = os.path.join(data_dir, WAL_NAME)
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except OSError:
+    scan = scan_wal(data_dir)
+    if not scan.header_ok:
         return WalTail(0, 0, b"", 0, False)
-    if len(raw) < WAL_HEADER_SIZE or not raw.startswith(WAL_MAGIC):
-        return WalTail(0, 0, b"", 0, False)
-    (base_lsn,) = _BASE.unpack_from(raw, len(WAL_MAGIC))
-    records, good_end = _scan_frames(raw, WAL_HEADER_SIZE, base_lsn + 1)
-    last_lsn = records[-1].lsn if records else base_lsn
+    base_lsn, ends = scan.base_lsn, scan.ends
     if from_lsn < base_lsn:
-        return WalTail(base_lsn, last_lsn, b"", 0, True)
-    # Within the validated prefix the frame headers are trusted: walk
-    # them cheaply to find the byte range covering (from_lsn, stop].
-    offset = WAL_HEADER_SIZE
-    start = None
-    end = offset
+        return WalTail(base_lsn, scan.last_lsn, b"", 0, True)
+    # LSNs are dense, so record ``first`` is the one carrying from_lsn + 1.
+    first = from_lsn - base_lsn
+    start = ends[first - 1] if 0 < first <= len(ends) else WAL_HEADER_SIZE
     count = 0
-    while offset + _FRAME.size <= good_end:
-        lsn, length, _ = _FRAME.unpack_from(raw, offset)
-        next_offset = offset + _FRAME.size + length
-        if next_offset > good_end:
+    for end in ends[first : first + max_records]:
+        if count and end - start > max_bytes:
             break
-        if lsn > from_lsn:
-            if start is None:
-                start = offset
-            if count >= max_records or (count > 0 and next_offset - start > max_bytes):
-                break
-            count += 1
-            end = next_offset
-        offset = next_offset
-    frames = raw[start:end] if start is not None and count else b""
-    return WalTail(base_lsn, last_lsn, frames, count, False)
+        count += 1
+    frames = scan.raw[start : ends[first + count - 1]] if count else b""
+    return WalTail(base_lsn, scan.last_lsn, frames, count, False)
 
 
 class WalTail(NamedTuple):
@@ -348,6 +385,40 @@ def list_snapshots(data_dir: str) -> list[tuple[int, str]]:
             continue
         found.append((int(suffix), os.path.join(data_dir, entry)))
     return sorted(found)
+
+
+class ScrubReport(NamedTuple):
+    """What :func:`scrub` found in one data directory."""
+
+    wal: WalScan
+    #: Per snapshot file, oldest first: ``(path, lsn, tables, error)`` —
+    #: ``error`` is None when it verified, else why not (``lsn`` is None).
+    snapshots: list[tuple]
+    #: See :func:`_recovery_gap` — the rule recovery itself refuses on.
+    recovery_gap: bool
+    anomalies: int
+
+
+def scrub(data_dir: str) -> ScrubReport:
+    """Offline integrity walk: CRC-check the WAL and every snapshot.
+
+    Runs the recovery validators (:func:`scan_wal`, :func:`load_snapshot`)
+    without opening a database — no replay, no table rebuild, no lock on
+    the directory, nothing modified.
+    """
+    wal = scan_wal(data_dir)
+    snapshots = []
+    for _, path in list_snapshots(data_dir):
+        try:
+            lsn, state = load_snapshot(path)
+            snapshots.append((path, lsn, len(state.get("tables", {})), None))
+        except DurabilityError as error:
+            snapshots.append((path, None, 0, str(error)))
+    damaged = sum(error is not None for *_, error in snapshots)
+    newest = max((lsn for _, lsn, _, error in snapshots if error is None), default=0)
+    gap = _recovery_gap(wal, newest)
+    wal_damaged = wal.raw is not None and (not wal.header_ok or wal.torn_bytes > 0)
+    return ScrubReport(wal, snapshots, gap, wal_damaged + damaged + gap)
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +570,10 @@ class DurabilityManager:
             result.snapshot_state = state
             break
 
-        header_ok, base_lsn, records, good_end, dropped = self._scan_wal()
-        if header_ok and base_lsn > result.snapshot_lsn:
-            # The tail (base_lsn, ...] presumes state through base_lsn,
-            # which only the missing/corrupt newer snapshot had.
+        scan = scan_wal(self.config.data_dir)
+        if _recovery_gap(scan, result.snapshot_lsn):
             raise DurabilityError(
-                f"recovery gap: the log starts at LSN {base_lsn} but the newest"
+                f"recovery gap: the log starts at LSN {scan.base_lsn} but the newest"
                 f" loadable snapshot covers only LSN {result.snapshot_lsn}"
                 + (
                     " (a newer snapshot failed verification)"
@@ -513,36 +582,19 @@ class DurabilityManager:
                 )
                 + "; the records in between are unrecoverable"
             )
-        if records:
-            self._last_lsn = records[-1].lsn
-        else:
-            self._last_lsn = base_lsn
-        self._last_lsn = max(self._last_lsn, result.snapshot_lsn)
+        self._last_lsn = max(scan.last_lsn, result.snapshot_lsn)
         self._last_checkpoint_lsn = result.snapshot_lsn
-        result.records = [r for r in records if r.lsn > result.snapshot_lsn]
-        result.torn_bytes_dropped = dropped
+        result.records = [r for r in scan.records if r.lsn > result.snapshot_lsn]
+        result.torn_bytes_dropped = scan.torn_bytes
         self._records_since_checkpoint = len(result.records)
 
-        if header_ok:
-            self._open_for_append(good_end, dropped)
+        if scan.header_ok:
+            self._open_for_append(scan.good_end, scan.torn_bytes)
         else:
             # Missing file, or a mangled header that makes every offset
             # unreliable: start a fresh log (the snapshot carries state).
             self._write_fresh_wal(self._last_lsn)
         return result
-
-    def _scan_wal(self) -> tuple[bool, int, list[LogRecord], int, int]:
-        """``(header_ok, base_lsn, records, good_end, torn_bytes)``."""
-        try:
-            with open(self.wal_path, "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            return False, 0, [], 0, 0
-        if len(raw) < WAL_HEADER_SIZE or not raw.startswith(WAL_MAGIC):
-            return False, 0, [], 0, len(raw)
-        (base_lsn,) = _BASE.unpack_from(raw, len(WAL_MAGIC))
-        records, good_end = _scan_frames(raw, WAL_HEADER_SIZE, base_lsn + 1)
-        return True, base_lsn, records, good_end, len(raw) - good_end
 
     def _open_for_append(self, good_end: int, dropped: int) -> None:
         self._file = open(self.wal_path, "r+b")
@@ -743,9 +795,3 @@ class DurabilityManager:
                     self._file = None
             self._append_cond.notify_all()  # wake long-poll waiters
 
-
-def replay(records: list[LogRecord], apply: Callable[[LogRecord], None]) -> int:
-    """Apply ``records`` in LSN order; returns how many were applied."""
-    for record in records:
-        apply(record)
-    return len(records)

@@ -125,3 +125,40 @@ class TestUpdate:
     def test_unknown_where_not_updated(self, db):
         db.execute("UPDATE t SET c = 'hit' WHERE b > 5")
         assert db.table("t").rows[2] == (3, None, "z")  # UNKNOWN → untouched
+
+
+COMMENT_LED = [
+    pytest.param("-- c\nINSERT INTO t VALUES (4, 40, 'w')", 4, id="insert"),
+    pytest.param("/* c */ DELETE FROM t WHERE a = 1", 2, id="delete"),
+    pytest.param("  -- one\n  /* two */ UPDATE t SET b = 0 WHERE a = 1", 3, id="update"),
+]
+
+
+class TestLeadingComments:
+    """Statements are classified by their first significant token, so a
+    comment in front of DML neither hides it from ``execute`` nor from
+    the server's write gate."""
+
+    @pytest.mark.parametrize("sql, rows_after", COMMENT_LED)
+    def test_executes_as_dml(self, db, sql, rows_after):
+        assert db.execute(sql).rows == [(1,)]
+        assert len(db.table("t")) == rows_after
+
+    @pytest.mark.parametrize("sql, _rows", COMMENT_LED)
+    def test_fenced_primary_refuses_it_as_a_write(self, db, sql, _rows):
+        from repro.service.server import QueryService, ServerConfig
+
+        service = QueryService(db, ServerConfig(fenced=True))
+        status, body = service.handle("POST", "/query", {"sql": sql})
+        assert (status, body["error"]["code"]) == (409, "NOT_PRIMARY")
+        assert len(db.table("t")) == 3
+
+    @pytest.mark.parametrize("sql, _rows", COMMENT_LED)
+    def test_replica_refuses_it_as_a_write(self, db, sql, _rows, tmp_path):
+        from repro.replication.replica import ReplicaConfig, ReplicaService, ReplicationFollower
+
+        follower = ReplicationFollower(ReplicaConfig("http://127.0.0.1:1", str(tmp_path)))
+        service = ReplicaService(db, None, follower)
+        status, body = service.handle("POST", "/query", {"sql": sql})
+        assert (status, body["error"]["code"]) == (403, "READ_ONLY_REPLICA")
+        assert len(db.table("t")) == 3

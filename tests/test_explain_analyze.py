@@ -58,3 +58,34 @@ class TestExplainAnalyze:
         plan = translate(parse(SQL), catalog).plan
         report, _ = explain_analyze(plan, catalog, EvalOptions(subquery_memo=True))
         assert "cache hits" in report
+
+
+class _WriterAtFirstScan:
+    """A concurrent writer, made deterministic: it commits one INSERT the
+    moment the reader reaches its first table scan (it sits where a fault
+    injector would, and the engines ask it before every scan)."""
+
+    def __init__(self, database):
+        self.database = database
+        self.committed = False
+
+    def maybe_fail(self, site):
+        if site == "storage.scan" and not self.committed:
+            self.committed = True
+            self.database.execute("INSERT INTO r VALUES (9999, 0, 0, 9999)")
+
+
+def test_concurrent_writer_does_not_move_the_reported_counts():
+    """EXPLAIN ANALYZE reads the snapshot it pinned, like any other query."""
+    database = Database()
+    source = make_rst_catalog(n_r=40, n_s=35, seed=8)
+    for name in source.table_names():
+        database.register(source.table(name))
+    sql = "SELECT * FROM r WHERE A4 > 1500"
+    before = len(database.execute(sql))
+    writer = _WriterAtFirstScan(database)
+    report = database.explain_analyze(sql, "canonical", EvalOptions(faults=writer))
+    assert writer.committed and len(database.table("r")) == 41
+    assert "rows=40" in report  # the scan saw the pinned 40 rows, not 41
+    assert f"-- {before} result rows" in report
+    assert len(database.execute(sql)) == before + 1

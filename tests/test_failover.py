@@ -336,14 +336,11 @@ class TestFollowerEraChecks:
 
 def p_db_wal_lsn_guess(tmp_path) -> int:
     """The sleeper's log end, read offline (its db object is closed)."""
-    from repro.storage.wal import WAL_HEADER_SIZE, WAL_MAGIC, WAL_NAME, _BASE, _scan_frames
+    from repro.storage.wal import scan_wal
 
-    with open(str(tmp_path / "p" / WAL_NAME), "rb") as handle:
-        raw = handle.read()
-    assert raw.startswith(WAL_MAGIC)
-    (base_lsn,) = _BASE.unpack_from(raw, len(WAL_MAGIC))
-    records, _ = _scan_frames(raw, WAL_HEADER_SIZE, base_lsn + 1)
-    return records[-1].lsn if records else base_lsn
+    scan = scan_wal(str(tmp_path / "p"))
+    assert scan.header_ok
+    return scan.last_lsn
 
 
 @pytest.fixture()

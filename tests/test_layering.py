@@ -1,0 +1,62 @@
+"""Import layering of ``src/repro``, checked on the syntax trees.
+
+No module is imported or executed: every ``import``/``from`` statement
+(module level or nested in a function) is read with :mod:`ast`.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def _imports():
+    """``(importer, imported module, imported name or None)`` for every
+    import statement under ``src/repro``, relative imports resolved."""
+    for path in sorted(SRC.rglob("*.py")):
+        package = ["repro", *path.relative_to(SRC).parent.parts]
+        stem = [] if path.name == "__init__.py" else [path.stem]
+        importer = ".".join(package + stem)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield importer, alias.name, None
+            elif isinstance(node, ast.ImportFrom):
+                base = package[: len(package) - node.level + 1] if node.level else []
+                module = ".".join(base + ([node.module] if node.module else []))
+                for alias in node.names:
+                    yield importer, module, alias.name
+
+
+def _within(module: str, name: str | None, layer: str) -> bool:
+    """True when ``from module import name`` reaches ``layer`` or inside it."""
+    return f"{module}.{name or ''}.".startswith(layer + ".")
+
+
+def test_only_the_entry_point_imports_the_cli():
+    assert not [
+        (importer, module, name)
+        for importer, module, name in _imports()
+        if _within(module, name, "repro.cli") and importer not in ("repro.__main__", "repro.cli")
+    ]
+
+
+def test_storage_imports_nothing_above_it():
+    assert not [
+        (importer, module, name)
+        for importer, module, name in _imports()
+        if importer.startswith("repro.storage")
+        and any(_within(module, name, f"repro.{layer}") for layer in ("service", "replication", "sim"))
+    ]
+
+
+def test_no_module_reaches_into_the_wal_modules_private_names():
+    assert not [
+        (importer, name)
+        for importer, module, name in _imports()
+        if module == "repro.storage.wal"
+        and (name or "").startswith("_")
+        and importer != "repro.storage.wal"
+    ]

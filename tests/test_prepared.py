@@ -191,3 +191,55 @@ class TestPreparedStatements:
         for value in (100, 200, 300):
             statement.execute([value])
         assert db.cache_info().hits >= baseline + 3
+
+
+class TestPreparedRunsTheOnePipeline:
+    """A prepared execution is ``Database.execute`` minus the parse: it
+    heals, is governed, is counted, and shares ``execute``'s cache
+    entries (each of these diverged before the read paths were merged)."""
+
+    SQL = "SELECT A1 FROM r WHERE A2 = ?"
+
+    def test_heals_onto_the_canonical_row_plan(self, db):
+        pytest.importorskip("numpy")
+        from repro import FaultConfig, FaultInjector
+
+        expected = db.execute("SELECT A1 FROM r WHERE A2 = 3", strategy="canonical")
+        chaos = FaultInjector(FaultConfig(sites=("engine.vector",)))
+        healed = db.prepare(self.SQL).execute(
+            [3], options=EvalOptions(vectorized=True, faults=chaos)
+        )
+        assert_bag_equal(healed, expected)
+        info = db.resilience_info()
+        assert (info["degradations"], info["fallback_successes"]) == (1, 1)
+        assert info["last_degradation"]["engine"] == "vectorized"
+
+    def test_env_governor_stops_it(self, db, monkeypatch):
+        from repro.errors import ResourceExhausted
+
+        statement = db.prepare(self.SQL)
+        monkeypatch.setenv("REPRO_GOVERNOR_MAX_ROWS", "10")
+        with pytest.raises(ResourceExhausted):
+            statement.execute([3])
+
+    def test_access_paths_are_counted(self, db):
+        db.create_index("r_a2", "r", "A2")
+        assert len(db.prepare(self.SQL).execute([3])) == 6
+        info = db.access_info()
+        assert (info["index_scans"], info["rows_read"], info["rows_skipped"]) == (1, 6, 24)
+
+    @pytest.mark.parametrize("executions", [1, 4])
+    def test_prepare_and_executions_share_one_entry(self, db, executions):
+        statement = db.prepare(self.SQL)
+        for value in range(executions):
+            statement.execute([value])
+        info = db.cache_info()
+        assert (info.misses, info.hits, info.size) == (1, executions, 1)
+
+    def test_shares_the_entry_ad_hoc_execution_made(self, db):
+        pytest.importorskip("numpy")
+        vectorized = EvalOptions(vectorized=True)
+        db.execute(self.SQL, options=vectorized, params=[3])
+        db.prepare(self.SQL).execute([3], options=vectorized)
+        info = db.cache_info()
+        assert (info.misses, info.hits, info.size) == (1, 2, 1)

@@ -247,6 +247,55 @@ class TestFollower:
         follower.close()
         replica_db.close()
 
+    def test_recovery_and_follower_replay_the_same_records_alike(self, tmp_path):
+        """One record list — all eight kinds, a kind from the future and
+        a replayed older era — through ``Database.apply_record`` twice:
+        by crash recovery and by a follower.  Same catalog, same eras,
+        and the follower's log ends where the primary's does."""
+        from repro.storage.wal import scan_wal
+
+        db = make_db(tmp_path)  # create_table
+        db.create_table("gone", ["x"], [(1,), (2,)])
+        db.execute("INSERT INTO r VALUES (50, 1, 2, 300), (51, NULL, 2, NULL)")  # dml
+        db.execute("/* led by a comment */ DELETE FROM r WHERE A1 = 0")
+        db.create_view("v", "SELECT A1 FROM r WHERE A4 > 100")
+        db.create_view("v_gone", "SELECT x FROM gone")
+        db.create_index("idx_a1", "r", "A1")
+        db.create_index("idx_gone", "r", "A2", "sorted")
+        db.bump_era(1)
+        db.drop_index("idx_gone")
+        db.drop_view("v_gone")
+        db.drop_table("gone")
+        db.bump_era(3)
+        with db._commit_lock:
+            db._log_durable("future_feature", {"x": 1})
+            db._log_durable("era", {"era": 2})  # replayed, older than ours
+        db.execute("UPDATE r SET A4 = 0 WHERE A1 = 50")
+        records = scan_wal(str(tmp_path / "primary")).records
+        assert {record.kind for record in records} == {
+            "create_table", "drop_table", "create_view", "drop_view",
+            "create_index", "drop_index", "dml", "era", "future_feature",
+        }
+        follower = make_follower("http://127.0.0.1:1", tmp_path)
+        replica_db = Database.open(follower.config.data_dir, durability=follower._durability_config())
+        for record in records:
+            follower._apply_record(replica_db, record)
+        assert replica_db.wal_lsn == records[-1].lsn == db.wal_lsn
+        assert follower.era == 3 and follower.counters["records_applied"] == len(records)
+        db.close()
+        recovered = Database.open(str(tmp_path / "primary"))
+        assert recovered.durability_info()["recovery"]["records_replayed"] == len(records)
+        for store in (recovered, replica_db):
+            assert store.catalog.table_names() == db.catalog.table_names() == ["r"]
+            assert store.table("r").rows == db.table("r").rows
+            assert store.table("r").version == db.table("r").version
+            assert store.catalog.stats("r") == db.catalog.stats("r")
+            assert store.view_names() == ["v"]
+            assert store.indexes() == db.indexes()
+            assert (store.era, store.era_lsn) == (db.era, db.era_lsn) == (3, records[-4].lsn)
+            assert store.era_history == db.era_history
+            store.close()
+
     def test_injected_torn_batch_still_converges(self, primary, tmp_path, monkeypatch):
         server, db = primary
         follower = make_follower(server.url, tmp_path)
