@@ -271,13 +271,13 @@ class Database:
                 index["name"], index["table"], index["column"], index["kind"]
             )
         # Old snapshots predate the fencing era and default to era 0.
-        # (Recovery loads one snapshot into a fresh database, so there
-        # is no earlier belief to merge with.)
-        self._era = int(state.get("era", 0))
-        self._era_lsn = int(state.get("era_lsn", 0))
-        self._era_history = sorted(
-            (int(era), int(lsn)) for era, lsn in state.get("era_history", [])
-        )
+        self._era = max(self._era, int(state.get("era", 0)))
+        self._era_lsn = max(self._era_lsn, int(state.get("era_lsn", 0)))
+        for era, lsn in state.get("era_history", []):
+            entry = (int(era), int(lsn))
+            if entry not in self._era_history:
+                self._era_history.append(entry)
+        self._era_history.sort()
 
     def apply_record(self, record: LogRecord) -> None:
         """Redo one log record through the ordinary, *logging* mutation paths.
@@ -916,7 +916,7 @@ class Database:
         sql: str,
         strategy: str = "auto",
         unnest_options: UnnestOptions | None = None,
-        engine: str | None = "row",
+        engine: str = "row",
         statement=None,
     ) -> PlannedQuery:
         """Plan without executing — the one planning step of every reader.

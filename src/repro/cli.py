@@ -779,48 +779,13 @@ def cmd_scrub(args, out) -> int:
     recovery gaps (a WAL that bases past the newest loadable snapshot);
     exits 1 when any anomaly is found.
     """
-    from repro.storage.wal import WAL_NAME, scrub
+    from repro.storage.wal import scrub
 
-    directory = args.data_dir
-    if not os.path.isdir(directory):
-        raise ReproError(f"scrub: {directory!r} is not a directory")
-    report = scrub(directory)
-    wal = report.wal
-    if wal.raw is None:
-        out.write("wal: missing\n")
-    elif not wal.header_ok:
-        out.write(f"wal {WAL_NAME}: ANOMALY — bad magic header ({wal.torn_bytes} bytes)\n")
-    else:
-        out.write(
-            f"wal {WAL_NAME}: base lsn {wal.base_lsn}, {len(wal.records)} clean "
-            f"records through lsn {wal.last_lsn}\n"
-        )
-        if wal.torn_bytes:
-            out.write(
-                f"  ANOMALY: {wal.torn_bytes} torn/corrupt trailing bytes past byte "
-                f"{wal.good_end} (recovery would truncate them)\n"
-            )
-    for path, lsn, tables, error in report.snapshots:
-        name = os.path.basename(path)
-        if error is not None:
-            out.write(f"snapshot {name}: ANOMALY — {error}\n")
-        else:
-            out.write(f"snapshot {name}: ok (lsn {lsn}, {tables} tables)\n")
-    if report.recovery_gap:
-        loadable = [lsn for _, lsn, _, error in report.snapshots if error is None]
-        where = f"at lsn {max(loadable)}" if loadable else "missing"
-        out.write(
-            f"  ANOMALY: recovery gap — the WAL bases at lsn {wal.base_lsn} but "
-            f"the newest loadable snapshot is {where}; records up to the "
-            f"base are unrecoverable\n"
-        )
-    if wal.raw is None and not report.snapshots:
-        out.write("no durable state found\n")
-    if report.anomalies:
-        out.write(f"scrub: FAILED ({report.anomalies} anomalies)\n")
-        return 1
-    out.write("scrub: clean\n")
-    return 0
+    if not os.path.isdir(args.data_dir):
+        raise ReproError(f"scrub: {args.data_dir!r} is not a directory")
+    report = scrub(args.data_dir)
+    out.write(report.render())
+    return 1 if report.anomalies else 0
 
 
 def cmd_sim(args, out) -> int:

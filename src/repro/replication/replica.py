@@ -128,7 +128,14 @@ class ReplicationFollower:
         # that dark window is one more acked write a failover can lose.
         # reset_timeout=0 keeps the fail-fast bookkeeping but always
         # admits the next (already rate-limited) poll.
-        self.client = client or self._make_client(config.primary_url)
+        self.client = client or ServiceClient(
+            config.primary_url,
+            timeout=config.http_timeout,
+            retry_policy=RetryPolicy(max_attempts=1),
+            breaker=CircuitBreaker(reset_timeout=0.0, clock=self._clock.monotonic),
+            clock=self._clock,
+            transport=transport,
+        )
         self.on_install = on_install
         self._db: Database | None = None
         self._cond = threading.Condition()
@@ -155,16 +162,6 @@ class ReplicationFollower:
             "stale_stream_rejected": 0,
             "truncations": 0,
         }
-
-    def _make_client(self, primary_url: str) -> ServiceClient:
-        return ServiceClient(
-            primary_url,
-            timeout=self.config.http_timeout,
-            retry_policy=RetryPolicy(max_attempts=1),
-            breaker=CircuitBreaker(reset_timeout=0.0, clock=self._clock.monotonic),
-            clock=self._clock,
-            transport=self._transport,
-        )
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -273,7 +270,14 @@ class ReplicationFollower:
         before the new primary's era record arrives in-stream.
         """
         self.config = dataclasses.replace(self.config, primary_url=primary_url)
-        self.client = self._make_client(primary_url)
+        self.client = ServiceClient(
+            primary_url,
+            timeout=self.config.http_timeout,
+            retry_policy=RetryPolicy(max_attempts=1),
+            breaker=CircuitBreaker(reset_timeout=0.0, clock=self._clock.monotonic),
+            clock=self._clock,
+            transport=self._transport,
+        )
         if era is not None:
             self.era = max(self.era, era)
 
@@ -402,15 +406,22 @@ class ReplicationFollower:
         while not self._closed and not (stop_event is not None and stop_event.is_set()):
             try:
                 self.step()
-            except ReproError as error:
-                # NotPrimary: the node we are tailing is a deposed
-                # primary and nothing was applied — wait for a repoint
-                # rather than dying like its ReplicationError base
-                # class (apply drift), which is fatal here.
-                if not isinstance(error, NotPrimary):
-                    if isinstance(error, ReplicationError):
-                        raise
-                    self.counters["fetch_errors"] += 1
+            except NotPrimary:
+                # The node we are tailing is a deposed primary; nothing
+                # was applied.  Wait for a repoint rather than dying —
+                # NotPrimary must be handled before its ReplicationError
+                # base class, which is fatal here.
+                delay = self._backoff_delay(backoff)
+                if stop_event is not None:
+                    self._clock.wait(stop_event, delay)
+                else:
+                    self._clock.sleep(delay)
+                backoff = min(backoff * 2, self.config.retry_backoff_max)
+                continue
+            except ReplicationError:
+                raise
+            except ReproError:
+                self.counters["fetch_errors"] += 1
                 delay = self._backoff_delay(backoff)
                 if stop_event is not None:
                     self._clock.wait(stop_event, delay)
@@ -604,9 +615,20 @@ class ReplicaService(QueryService):
             )
         follower.close()
         follower.era = max(follower.era, era)
-        self.db.bump_era(era)
+        database = self.db
+        database.bump_era(era)
         self.promoted = True
-        return self._begin_reign(self.db)
+        with self._cluster_lock:
+            self._fenced = False
+            self._fenced_era = 0
+            self._leader_url = self.config.advertise_url
+        return {
+            "promoted": True,
+            "role": self._role(),
+            "era": database.era,
+            "era_lsn": database.era_lsn,
+            "applied_lsn": database.wal_lsn,
+        }
 
     def _repoint(self, payload: dict) -> dict:
         """Follow a different primary (the coordinator heals topology)."""

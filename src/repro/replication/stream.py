@@ -50,8 +50,8 @@ def decode_frames(frames: bytes, from_lsn: int) -> tuple[list[LogRecord], bool]:
     ``clean`` is False when trailing bytes failed validation — the
     follower applies the prefix and refetches the rest.
     """
-    records, ends = scan_frames(frames, 0, from_lsn + 1)
-    return records, (ends[-1] if ends else 0) == len(frames)
+    records, offsets = scan_frames(frames, 0, from_lsn + 1)
+    return records, offsets[-1] == len(frames)
 
 
 def frames_to_wire(frames: bytes) -> str:

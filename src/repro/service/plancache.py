@@ -141,7 +141,7 @@ class PlanCache:
         sql: str,
         catalog: Catalog,
         strategy: "str | Strategy" = "auto",
-        engine: str | None = "row",
+        engine: str = "row",
         views: dict | None = None,
         extra_token: object = None,
         statement=None,
@@ -154,18 +154,12 @@ class PlanCache:
         ``statement`` and skip even the parse.  Callers with non-default
         :class:`~repro.rewrite.UnnestOptions` must plan directly — those
         knobs are not part of the key.
-
-        ``engine=None`` is a prepare, which cannot know the engine yet:
-        it shares the vectorized entry when executions already made one
-        instead of planning the statement a second time under ``"row"``.
         """
         if statement is None:
             statement = parse(sql)
+        key = self._key(statement, strategy, engine, extra_token)
+
         with self._lock:
-            if engine is None:
-                vectorized = self._key(statement, strategy, "vectorized", extra_token)
-                engine = "vectorized" if vectorized in self._entries else "row"
-            key = self._key(statement, strategy, engine, extra_token)
             quarantined = key in self._quarantined
             entry = self._entries.get(key)
             if entry is not None:

@@ -35,9 +35,11 @@ class PreparedStatement:
         # Parse once and keep the tree: every execution passes it to the
         # plan cache, making the hot path a pure hash lookup + bind.
         # Planning eagerly also surfaces bind/planning errors at prepare
-        # time and warms the cache for the first row-engine execution.
+        # time and warms the cache for the first row-engine execution
+        # (a prepare cannot know the engine; a vectorized execution
+        # plans once more, under its own key).
         self._statement = parse(sql)
-        planned = database.plan(sql, strategy, engine=None, statement=self._statement)
+        planned = database.plan(sql, strategy, statement=self._statement)
         # A function of the parsed tree alone, so it never goes stale.
         self._spec: ParamSpec = planned.param_spec
 

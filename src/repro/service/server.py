@@ -69,6 +69,7 @@ Every error body is ``{"error": {"code": ..., "message": ...}}`` — the
 
 from __future__ import annotations
 
+import base64
 import json
 import threading
 import time
@@ -91,7 +92,7 @@ from repro.errors import (
     SessionError,
 )
 from repro.faults import injector_from_env
-from repro.replication.stream import SITE_STREAM_SERVE, SITE_STREAM_TORN, frames_to_wire
+from repro.replication.stream import SITE_STREAM_SERVE, SITE_STREAM_TORN
 from repro.service.metrics import ServerMetrics
 from repro.sim.clock import SYSTEM_CLOCK
 from repro.sql import statement_kind
@@ -627,7 +628,7 @@ class QueryService:
             "last_lsn": tail.last_lsn,
             "records": tail.records,
             "snapshot_required": tail.snapshot_required,
-            "frames": frames_to_wire(frames),
+            "frames": base64.b64encode(frames).decode("ascii"),
             "commit_lsn": tail.last_lsn,
             # The era this stream speaks for: a follower on a newer era
             # rejects the batch; one whose log already reaches a reign
@@ -751,16 +752,13 @@ class QueryService:
         """
         era = _era_of(payload)
         database = self.db
-        if era < database.era:
+        own_era = database.era
+        if era < own_era:
             raise ReplicationError(
-                f"stale promotion: era {era} is behind this node's era {database.era}"
+                f"stale promotion: era {era} is behind this node's era {own_era}"
             )
-        if era > database.era:
+        if era > own_era:
             database.bump_era(era)
-        return self._begin_reign(database)
-
-    def _begin_reign(self, database) -> dict:
-        """Unfence and advertise this node as the leader; the promote reply."""
         with self._cluster_lock:
             self._fenced = False
             self._fenced_era = 0
@@ -842,7 +840,7 @@ class QueryService:
         budget = _number_field(payload, "budget", seconds=True)
         if budget is not None:
             # Deadline propagation: the client sent how much of *its*
-            # time budget (seconds) is left; running the query longer than that is
+            # time budget is left; running the query longer than that is
             # pure waste (the caller has already given up on us), so the
             # per-query timeout is clamped to it.
             timeout = budget if timeout is None else min(timeout, budget)

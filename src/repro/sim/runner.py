@@ -150,12 +150,8 @@ def _scrub_all(directories: list, scratch: str) -> list:
         report = scrub(directory)
         if report.anomalies:
             name = directory[len(scratch) :].strip("/")
-            damaged = [path for path, *_, error in report.snapshots if error is not None]
-            violations.append(
-                f"scrub anomalies on {name}: wal header ok {report.wal.header_ok},"
-                f" {report.wal.torn_bytes} torn bytes, damaged snapshots {damaged},"
-                f" recovery gap {report.recovery_gap}"
-            )
+            text = report.render().strip().replace("\n", "; ")
+            violations.append(f"scrub anomalies on {name}: {text}")
     return violations
 
 

@@ -169,14 +169,14 @@ def _frame(lsn: int, payload: bytes) -> bytes:
 def scan_frames(raw: bytes, offset: int, expected_lsn: int):
     """Decode consecutive records until the data stops making sense.
 
-    Returns ``(records, ends)`` — ``ends[i]`` is the byte offset just
-    past ``records[i]``, so the clean data stops at ``ends[-1]`` (at
-    ``offset`` when not even one record survives) and whatever follows
-    is torn or corrupt.  Recovery, the replication tail, the follower's
-    batch decoder and the scrubber all validate bytes with this scan.
+    Returns ``(records, offsets)`` — ``records[i]`` occupies
+    ``raw[offsets[i]:offsets[i + 1]]``, so the clean data stops at
+    ``offsets[-1]`` and whatever follows is torn or corrupt.  Recovery,
+    the replication tail, the follower's batch decoder and the scrubber
+    all validate bytes with this scan.
     """
     records: list[LogRecord] = []
-    ends: list[int] = []
+    offsets = [offset]
     while True:
         if offset + _FRAME.size > len(raw):
             break  # torn header (or clean EOF)
@@ -199,29 +199,33 @@ def scan_frames(raw: bytes, offset: int, expected_lsn: int):
         records.append(
             LogRecord(lsn, str(decoded.get("kind", "")), decoded.get("data") or {})
         )
-        ends.append(end)
+        offsets.append(end)
         offset = end
         expected_lsn += 1
-    return records, ends
+    return records, offsets
 
 
 class WalScan(NamedTuple):
     """One validating pass over a ``wal.log`` file (:func:`scan_wal`)."""
 
+    #: The file's bytes; None when the directory has no ``wal.log``.
+    raw: bytes | None
     #: False when the magic/base header is short or mangled: no offset
     #: in the file can be trusted and every byte counts as torn.
     header_ok: bool
     base_lsn: int
     records: list[LogRecord]
-    #: ``ends[i]``: byte offset just past ``records[i]`` (see scan_frames).
-    ends: list[int]
-    #: Where the clean prefix stops (recovery truncates here), and how
-    #: many torn/corrupt bytes follow it.
-    good_end: int
-    torn_bytes: int
-    last_lsn: int
-    #: The file's bytes; None when the directory has no ``wal.log``.
-    raw: bytes | None
+    #: See :func:`scan_frames`; ``offsets[-1]`` is where the clean prefix
+    #: stops and recovery truncates.
+    offsets: list[int]
+
+    @property
+    def torn_bytes(self) -> int:
+        return len(self.raw or b"") - self.offsets[-1]
+
+    @property
+    def last_lsn(self) -> int:
+        return self.base_lsn + len(self.records)
 
 
 def scan_wal(data_dir: str) -> WalScan:
@@ -230,22 +234,19 @@ def scan_wal(data_dir: str) -> WalScan:
     The single reader of ``wal.log``: crash recovery replays its
     records, :func:`read_wal_tail` slices its bytes for followers, and
     :func:`scrub` reports on it — none of them parses the file itself.
+    Only a missing file reads as "no log"; any other ``OSError``
+    propagates, so an unreadable log is never mistaken for an absent one
+    (recovery would start a fresh log over it).
     """
     try:
         with open(os.path.join(data_dir, WAL_NAME), "rb") as handle:
             raw = handle.read()
-    except OSError:
-        return WalScan(False, 0, [], [], 0, 0, 0, None)
-    header_ok = len(raw) >= WAL_HEADER_SIZE and raw.startswith(WAL_MAGIC)
-    base_lsn, records, ends, good_end = 0, [], [], 0
-    if header_ok:
-        (base_lsn,) = _BASE.unpack_from(raw, len(WAL_MAGIC))
-        records, ends = scan_frames(raw, WAL_HEADER_SIZE, base_lsn + 1)
-        good_end = ends[-1] if ends else WAL_HEADER_SIZE
-    return WalScan(
-        header_ok, base_lsn, records, ends, good_end, len(raw) - good_end,
-        base_lsn + len(records), raw,
-    )
+    except FileNotFoundError:
+        return WalScan(None, False, 0, [], [0])
+    if len(raw) < WAL_HEADER_SIZE or not raw.startswith(WAL_MAGIC):
+        return WalScan(raw, False, 0, [], [0])
+    (base_lsn,) = _BASE.unpack_from(raw, len(WAL_MAGIC))
+    return WalScan(raw, True, base_lsn, *scan_frames(raw, WAL_HEADER_SIZE, base_lsn + 1))
 
 
 def _recovery_gap(scan: WalScan, snapshot_lsn: int) -> bool:
@@ -338,21 +339,23 @@ def read_wal_tail(
     so it must re-bootstrap from a state snapshot instead.  At least one
     record is returned even when it alone exceeds ``max_bytes``.
     """
-    scan = scan_wal(data_dir)
+    try:
+        scan = scan_wal(data_dir)
+    except OSError:
+        return WalTail(0, 0, b"", 0, False)  # unreadable: serve nothing
     if not scan.header_ok:
         return WalTail(0, 0, b"", 0, False)
-    base_lsn, ends = scan.base_lsn, scan.ends
+    base_lsn, offsets = scan.base_lsn, scan.offsets
     if from_lsn < base_lsn:
         return WalTail(base_lsn, scan.last_lsn, b"", 0, True)
     # LSNs are dense, so record ``first`` is the one carrying from_lsn + 1.
-    first = from_lsn - base_lsn
-    start = ends[first - 1] if 0 < first <= len(ends) else WAL_HEADER_SIZE
+    first = min(from_lsn - base_lsn, len(scan.records))
     count = 0
-    for end in ends[first : first + max_records]:
-        if count and end - start > max_bytes:
+    for end in offsets[first + 1 : first + 1 + max_records]:
+        if count and end - offsets[first] > max_bytes:
             break
         count += 1
-    frames = scan.raw[start : ends[first + count - 1]] if count else b""
+    frames = scan.raw[offsets[first] : offsets[first + count]]
     return WalTail(base_lsn, scan.last_lsn, frames, count, False)
 
 
@@ -391,12 +394,49 @@ class ScrubReport(NamedTuple):
     """What :func:`scrub` found in one data directory."""
 
     wal: WalScan
-    #: Per snapshot file, oldest first: ``(path, lsn, tables, error)`` —
+    #: ``(path, lsn, tables, error)`` per snapshot file, oldest first;
     #: ``error`` is None when it verified, else why not (``lsn`` is None).
-    snapshots: list[tuple]
+    snapshots: list[tuple[str, int | None, int, str | None]]
+    #: LSN of the newest snapshot that verified; None when none did.
+    newest_lsn: int | None
     #: See :func:`_recovery_gap` — the rule recovery itself refuses on.
     recovery_gap: bool
     anomalies: int
+
+    def render(self) -> str:
+        """The report as text — what ``repro scrub`` prints."""
+        wal = self.wal
+        if wal.raw is None:
+            lines = ["wal: missing"]
+        elif not wal.header_ok:
+            lines = [f"wal {WAL_NAME}: ANOMALY — bad magic header ({len(wal.raw)} bytes)"]
+        else:
+            lines = [
+                f"wal {WAL_NAME}: base lsn {wal.base_lsn}, {len(wal.records)} clean "
+                f"records through lsn {wal.last_lsn}"
+            ]
+            if wal.torn_bytes:
+                lines.append(
+                    f"  ANOMALY: {wal.torn_bytes} torn/corrupt trailing bytes past byte "
+                    f"{wal.offsets[-1]} (recovery would truncate them)"
+                )
+        for path, lsn, tables, error in self.snapshots:
+            verdict = f"ok (lsn {lsn}, {tables} tables)"
+            if error is not None:
+                verdict = f"ANOMALY — {error}"
+            lines.append(f"snapshot {os.path.basename(path)}: {verdict}")
+        if self.recovery_gap:
+            where = "missing" if self.newest_lsn is None else f"at lsn {self.newest_lsn}"
+            lines.append(
+                f"  ANOMALY: recovery gap — the WAL bases at lsn {wal.base_lsn} but "
+                f"the newest loadable snapshot is {where}; records up to the "
+                f"base are unrecoverable"
+            )
+        if wal.raw is None and not self.snapshots:
+            lines.append("no durable state found")
+        verdict = f"FAILED ({self.anomalies} anomalies)" if self.anomalies else "clean"
+        lines.append(f"scrub: {verdict}")
+        return "\n".join(lines) + "\n"
 
 
 def scrub(data_dir: str) -> ScrubReport:
@@ -414,11 +454,11 @@ def scrub(data_dir: str) -> ScrubReport:
             snapshots.append((path, lsn, len(state.get("tables", {})), None))
         except DurabilityError as error:
             snapshots.append((path, None, 0, str(error)))
-    damaged = sum(error is not None for *_, error in snapshots)
-    newest = max((lsn for _, lsn, _, error in snapshots if error is None), default=0)
-    gap = _recovery_gap(wal, newest)
+    newest = max((lsn for _, lsn, _, error in snapshots if error is None), default=None)
+    gap = _recovery_gap(wal, newest or 0)
     wal_damaged = wal.raw is not None and (not wal.header_ok or wal.torn_bytes > 0)
-    return ScrubReport(wal, snapshots, gap, wal_damaged + damaged + gap)
+    damaged = sum(error is not None for *_, error in snapshots)
+    return ScrubReport(wal, snapshots, newest, gap, wal_damaged + damaged + gap)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +629,7 @@ class DurabilityManager:
         self._records_since_checkpoint = len(result.records)
 
         if scan.header_ok:
-            self._open_for_append(scan.good_end, scan.torn_bytes)
+            self._open_for_append(scan.offsets[-1], scan.torn_bytes)
         else:
             # Missing file, or a mangled header that makes every offset
             # unreliable: start a fresh log (the snapshot carries state).

@@ -229,17 +229,25 @@ class TestPreparedRunsTheOnePipeline:
         assert (info["index_scans"], info["rows_read"], info["rows_skipped"]) == (1, 6, 24)
 
     @pytest.mark.parametrize("executions", [1, 4])
-    def test_prepare_and_executions_share_one_entry(self, db, executions):
+    def test_prepare_and_row_executions_share_one_entry(self, db, executions):
         statement = db.prepare(self.SQL)
         for value in range(executions):
             statement.execute([value])
         info = db.cache_info()
         assert (info.misses, info.hits, info.size) == (1, executions, 1)
 
-    def test_shares_the_entry_ad_hoc_execution_made(self, db):
+    @pytest.mark.parametrize("executions", [1, 4])
+    def test_vectorized_executions_use_the_vectorized_entry(self, db, executions):
+        """The order the e2e benchmark runs: prepare, then N vectorized
+        executions.  The engine is part of the cache key and a prepare
+        cannot know it, so it files under ``row`` and the executions
+        share the entry ``execute(vectorized)`` uses: one more miss and
+        one more entry than the row order, once per statement."""
         pytest.importorskip("numpy")
         vectorized = EvalOptions(vectorized=True)
+        statement = db.prepare(self.SQL)
+        for value in range(executions):
+            statement.execute([value], options=vectorized)
         db.execute(self.SQL, options=vectorized, params=[3])
-        db.prepare(self.SQL).execute([3], options=vectorized)
         info = db.cache_info()
-        assert (info.misses, info.hits, info.size) == (1, 2, 1)
+        assert (info.misses, info.hits, info.size) == (2, executions, 2)

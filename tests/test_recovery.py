@@ -16,7 +16,7 @@ from repro.errors import InjectedFault
 from repro.faults import FaultConfig, FaultInjector
 from repro.optimizer.planner import PlannedQuery
 from repro.storage.catalog import TableStats
-from repro.storage.wal import DurabilityConfig
+from repro.storage.wal import DurabilityConfig, scrub
 
 
 @pytest.fixture
@@ -141,6 +141,36 @@ def test_checkpoint_after_recovery_compacts(data_dir):
     assert again.durability_info()["recovery"]["records_replayed"] == 0
     assert rows(again, "SELECT * FROM r") == [(1, 10), (2, 20), (3, 30)]
     again.close()
+
+
+def test_unreadable_log_fails_the_open_and_is_left_alone(data_dir, monkeypatch):
+    """Only a *missing* wal.log may be replaced by a fresh one: an open
+    that fails for any other reason (EACCES, EMFILE, EIO) must surface,
+    not read as "no log" and have an empty log renamed over the real one."""
+    import builtins
+    import os
+
+    seeded(data_dir).close()
+    wal_path = os.path.join(data_dir, "wal.log")
+    with open(wal_path, "rb") as handle:
+        before = handle.read()
+
+    def denied(path, mode="r", *args, **kwargs):
+        if path == wal_path and mode == "rb":
+            raise PermissionError(13, "Permission denied", path)
+        return builtins.open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr("repro.storage.wal.open", denied, raising=False)
+    with pytest.raises(PermissionError):
+        open_db(data_dir)
+    with pytest.raises(PermissionError):  # nor does scrub call it "missing"
+        scrub(data_dir)
+    monkeypatch.undo()
+    with open(wal_path, "rb") as handle:
+        assert handle.read() == before
+    recovered = open_db(data_dir)
+    assert rows(recovered, "SELECT * FROM r") == [(1, 10), (2, 20), (3, 30)]
+    recovered.close()
 
 
 # ---------------------------------------------------------------------------
