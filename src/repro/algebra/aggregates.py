@@ -280,11 +280,6 @@ class AggSpec:
             return frozenset()
         return self.arg.free_attrs()
 
-    def rename_attrs(self, mapping: dict[str, str]) -> "AggSpec":
-        if self.arg is STAR:
-            return self
-        return AggSpec(self.func, self.arg.rename_attrs(mapping), self.distinct, self.as_partial)
-
     def with_partial(self, as_partial: bool = True) -> "AggSpec":
         return AggSpec(self.func, self.arg, self.distinct, as_partial)
 

@@ -11,6 +11,7 @@ Figures 2(a), 3(a), 5(a), 6(a) and the unnested DAGs of 2(c), 3(b), 5(b),
 from __future__ import annotations
 
 import io
+from collections import Counter
 
 from repro.algebra.ops import BypassJoin, BypassSelect, Operator, StreamTap
 
@@ -107,19 +108,4 @@ def count_operators(plan: Operator) -> dict[str, int]:
 
     Includes operators inside nested subquery plans.
     """
-    counts: dict[str, int] = {}
-    seen: set[int] = set()
-
-    def visit(node: Operator) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        name = type(node).__name__
-        counts[name] = counts.get(name, 0) + 1
-        for subplan in node.subquery_plans():
-            visit(subplan)
-        for child in node.children():
-            visit(child)
-
-    visit(plan)
-    return counts
+    return dict(Counter(type(node).__name__ for node in plan.iter_dag(nested=True)))

@@ -8,9 +8,11 @@ canonical translation of a nested query block, an :class:`Exists` /
 subquery (the technical-report extension).
 
 Expression trees are immutable; structural transformation goes through
-:meth:`Expr.replace_children`.  Attribute identity is purely name-based:
-the SQL binder guarantees globally unique attribute names via qualifiers,
-so ``free_attrs`` / ``rename_attrs`` need no scoping machinery.
+:meth:`Expr.transform` (bottom-up, unchanged subtrees shared) and
+:meth:`Expr.map_subplans` (the one place a nested plan is swapped).
+Attribute identity is purely name-based: the SQL binder guarantees globally
+unique attribute names via qualifiers, so ``free_attrs`` needs no scoping
+machinery.
 """
 
 from __future__ import annotations
@@ -78,23 +80,30 @@ class Expr:
 
     # -- transformation ----------------------------------------------------
 
-    def rename_attrs(self, mapping: dict[str, str]) -> "Expr":
-        """Return a copy with every :class:`ColumnRef` renamed via ``mapping``.
+    def transform(self, fn: Callable[["Expr"], "Expr"]) -> "Expr":
+        """Rebuild bottom-up: ``fn`` maps each node after its children.
 
-        Names absent from ``mapping`` are left untouched.  Subquery plans
-        are *not* rewritten (binder-issued names never collide across
-        blocks, so renaming outer attributes cannot capture inner ones);
-        free attributes inside subquery plans are renamed through the
-        plan's own rename hook.
+        Unchanged subtrees are shared, so an identity ``fn`` returns
+        ``self``.  Subquery plans are not entered — that is
+        :meth:`map_subplans`.
         """
-        if isinstance(self, ColumnRef):
-            return ColumnRef(mapping.get(self.name, self.name))
-        if isinstance(self, SubqueryExpr):
-            return self.rename_free_attrs(mapping)
         kids = self.children()
-        if not kids:
-            return self
-        return self.replace_children([kid.rename_attrs(mapping) for kid in kids])
+        new_kids = [kid.transform(fn) for kid in kids]
+        if all(new is old for new, old in zip(new_kids, kids)):
+            return fn(self)
+        return fn(self.replace_children(new_kids))
+
+    def map_subplans(self, fn: Callable[["Operator"], "Operator"]) -> "Expr":
+        """Apply ``fn`` to the plan of every subquery expression in this tree."""
+
+        def enter(node: "Expr") -> "Expr":
+            if isinstance(node, SubqueryExpr):
+                plan = fn(node.plan)
+                if plan is not node.plan:
+                    return replace(node, plan=plan)
+            return node
+
+        return self.transform(enter)
 
     # -- misc ----------------------------------------------------------------
 
@@ -395,11 +404,6 @@ class SubqueryExpr(Expr):
     def plan_free_attrs(self) -> frozenset[str]:
         """Free (correlation) attributes of the embedded plan."""
         return self.plan.free_attrs()
-
-    def rename_free_attrs(self, mapping: dict[str, str]) -> "SubqueryExpr":
-        """Rename the plan's free attributes (outer-side renaming)."""
-        new_plan = self.plan.rename_free_attrs(mapping)
-        return replace(self, plan=new_plan)
 
 
 @dataclass(frozen=True)

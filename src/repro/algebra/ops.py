@@ -22,7 +22,8 @@ difference.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from dataclasses import replace
+from typing import Callable, Iterator, Sequence
 
 from repro.algebra.aggregates import AggSpec
 from repro.algebra.expr import Expr, SubqueryExpr
@@ -59,8 +60,12 @@ class Operator:
         """Aggregate specifications in this operator's subscript."""
         return ()
 
-    def iter_dag(self) -> Iterator["Operator"]:
-        """All nodes of the plan DAG, each visited once (pre-order)."""
+    def iter_dag(self, nested: bool = False) -> Iterator["Operator"]:
+        """All nodes of the plan DAG, each visited once (pre-order).
+
+        With ``nested`` the walk continues into the plans embedded in
+        subscripts, so it covers the whole query, not one block's DAG.
+        """
         seen: set[int] = set()
         stack = [self]
         while stack:
@@ -69,6 +74,8 @@ class Operator:
                 continue
             seen.add(id(node))
             yield node
+            if nested:
+                stack.extend(node.subquery_plans())
             stack.extend(reversed(node.children()))
 
     def subquery_plans(self) -> Iterator["Operator"]:
@@ -108,36 +115,39 @@ class Operator:
         return result
 
     # -- transformation -------------------------------------------------------
+    # Every plan pass is these four plus its own rules: each node once (the
+    # pass's memo), sharing kept, nested plans entered.
 
-    def rename_free_attrs(self, mapping: dict[str, str]) -> "Operator":
-        """Rewrite free attribute references according to ``mapping``.
-
-        Binder-issued qualifiers make attribute names globally unique, so
-        the mapping can be applied to subscripts without capture checks.
-        Nodes that reference none of the mapped names are shared, not
-        copied, and DAG sharing (bypass streams) is preserved via a memo.
-        """
-        return self._rename_free_attrs(mapping, {})
-
-    def _rename_free_attrs(self, mapping: dict[str, str], memo: dict[int, "Operator"]) -> "Operator":
-        cached = memo.get(id(self))
-        if cached is not None:
-            return cached
-        relevant = self.free_attrs() & set(mapping)
-        if not relevant:
-            memo[id(self)] = self
-            return self
-        new_children = [
-            child._rename_free_attrs(mapping, memo) for child in self.children()
-        ]
-        clone = self.replace_children(new_children)
-        clone = clone._rename_subscripts(mapping)
-        memo[id(self)] = clone
-        return clone
-
-    def _rename_subscripts(self, mapping: dict[str, str]) -> "Operator":
-        """Hook for nodes with expressions in their subscript."""
+    def with_exprs(self, exprs: Sequence[Expr]) -> "Operator":
+        """This node with its subscript replaced — the inverse of :meth:`exprs`."""
+        if exprs:
+            raise ValueError(f"{type(self).__name__} has no subscript expressions")
         return self
+
+    def map_children(self, fn: Callable[["Operator"], "Operator"]) -> "Operator":
+        """Rebuild over ``fn(child)``; ``self`` when no child changed.
+
+        A pass whose ``fn`` is memoised by node identity keeps DAG sharing
+        by construction: both taps of a bypass operator get the one
+        rewritten bypass node back (:meth:`StreamTap.replace_children`).
+        """
+        children = self.children()
+        new_children = [fn(child) for child in children]
+        if all(new is old for new, old in zip(new_children, children)):
+            return self
+        return self.replace_children(new_children)
+
+    def map_exprs(self, fn: Callable[[Expr], Expr]) -> "Operator":
+        """Rebuild over ``fn(expr)`` per subscript expression; ``self`` if unchanged."""
+        exprs = self.exprs()
+        new_exprs = [fn(expression) for expression in exprs]
+        if all(new is old for new, old in zip(new_exprs, exprs)):
+            return self
+        return self.with_exprs(new_exprs)
+
+    def map_subplans(self, fn: Callable[["Operator"], "Operator"]) -> "Operator":
+        """Apply ``fn`` to every plan nested in this node's subscript."""
+        return self.map_exprs(lambda expression: expression.map_subplans(fn))
 
     # -- misc -------------------------------------------------------------------
 
@@ -228,9 +238,9 @@ class IndexScan(Scan):
             expressions.append(self.residual)
         return tuple(expressions)
 
-    def _rename_subscripts(self, mapping):
-        bounds = tuple((op, expr.rename_attrs(mapping)) for op, expr in self.bounds)
-        residual = self.residual.rename_attrs(mapping) if self.residual is not None else None
+    def with_exprs(self, exprs):
+        bounds = tuple((op, expr) for (op, _), expr in zip(self.bounds, exprs))
+        residual = exprs[len(bounds)] if self.residual is not None else None
         return IndexScan(
             self.table_name,
             self.schema,
@@ -298,8 +308,9 @@ class Select(UnaryOperator):
     def exprs(self):
         return (self.predicate,)
 
-    def _rename_subscripts(self, mapping):
-        return Select(self.child, self.predicate.rename_attrs(mapping))
+    def with_exprs(self, exprs):
+        (predicate,) = exprs
+        return Select(self.child, predicate)
 
     def label(self):
         return f"Select[{self.predicate.sql()}]"
@@ -341,8 +352,9 @@ class BypassSelect(UnaryOperator):
     def exprs(self):
         return (self.predicate,)
 
-    def _rename_subscripts(self, mapping):
-        return BypassSelect(self.child, self.predicate.rename_attrs(mapping))
+    def with_exprs(self, exprs):
+        (predicate,) = exprs
+        return BypassSelect(self.child, predicate)
 
     def label(self):
         return f"BypassSelect±[{self.predicate.sql()}]"
@@ -439,8 +451,9 @@ class Map(UnaryOperator):
     def exprs(self):
         return (self.expression,)
 
-    def _rename_subscripts(self, mapping):
-        return Map(self.child, self.name, self.expression.rename_attrs(mapping))
+    def with_exprs(self, exprs):
+        (expression,) = exprs
+        return Map(self.child, self.name, expression)
 
     def label(self):
         return f"Map[{self.name} := {self.expression.sql()}]"
@@ -466,6 +479,15 @@ class Numbering(UnaryOperator):
 
     def label(self):
         return f"Numbering[{self.name}]"
+
+
+def _with_agg_args(aggregates, exprs: Sequence[Expr]) -> list[tuple[str, AggSpec]]:
+    """Put ``exprs`` back into the non-``*`` argument slots of ``aggregates``."""
+    args = iter(exprs)
+    return [
+        (name, replace(spec, arg=next(args)) if isinstance(spec.arg, Expr) else spec)
+        for name, spec in aggregates
+    ]
 
 
 class GroupBy(UnaryOperator):
@@ -500,6 +522,9 @@ class GroupBy(UnaryOperator):
             spec.arg for _, spec in self.aggregates if isinstance(spec.arg, Expr)
         )
 
+    def with_exprs(self, exprs):
+        return GroupBy(self.child, self.keys, _with_agg_args(self.aggregates, exprs))
+
     def label(self):
         aggs = ", ".join(f"{name}:{spec.sql()}" for name, spec in self.aggregates)
         return f"GroupBy[{', '.join(self.keys)}; {aggs}]"
@@ -531,6 +556,9 @@ class ScalarAggregate(UnaryOperator):
         return tuple(
             spec.arg for _, spec in self.aggregates if isinstance(spec.arg, Expr)
         )
+
+    def with_exprs(self, exprs):
+        return ScalarAggregate(self.child, _with_agg_args(self.aggregates, exprs))
 
     def label(self):
         aggs = ", ".join(f"{name}:{spec.sql()}" for name, spec in self.aggregates)
@@ -623,8 +651,9 @@ class Join(BinaryOperator):
     def exprs(self):
         return (self.predicate,)
 
-    def _rename_subscripts(self, mapping):
-        return Join(self.left, self.right, self.predicate.rename_attrs(mapping))
+    def with_exprs(self, exprs):
+        (predicate,) = exprs
+        return Join(self.left, self.right, predicate)
 
     def label(self):
         return f"Join[{self.predicate.sql()}]"
@@ -683,16 +712,17 @@ class IndexNLJoin(Join):
             return (self.predicate, self.residual)
         return (self.predicate,)
 
-    def _rename_subscripts(self, mapping):
+    def with_exprs(self, exprs):
+        predicate, *residual = exprs
         return IndexNLJoin(
             self.left,
             self.right,
-            self.predicate.rename_attrs(mapping),
+            predicate,
             self.index_name,
             self.index_kind,
-            mapping.get(self.left_key, self.left_key),
-            mapping.get(self.right_key, self.right_key),
-            self.residual.rename_attrs(mapping) if self.residual is not None else None,
+            self.left_key,
+            self.right_key,
+            residual[0] if residual else None,
         )
 
     def label(self):
@@ -729,8 +759,9 @@ class LeftOuterJoin(BinaryOperator):
     def exprs(self):
         return (self.predicate,)
 
-    def _rename_subscripts(self, mapping):
-        return LeftOuterJoin(self.left, self.right, self.predicate.rename_attrs(mapping), self.defaults)
+    def with_exprs(self, exprs):
+        (predicate,) = exprs
+        return LeftOuterJoin(self.left, self.right, predicate, self.defaults)
 
     def label(self):
         if self.defaults:
@@ -755,8 +786,9 @@ class SemiJoin(BinaryOperator):
     def exprs(self):
         return (self.predicate,)
 
-    def _rename_subscripts(self, mapping):
-        return SemiJoin(self.left, self.right, self.predicate.rename_attrs(mapping))
+    def with_exprs(self, exprs):
+        (predicate,) = exprs
+        return SemiJoin(self.left, self.right, predicate)
 
     def label(self):
         return f"SemiJoin[{self.predicate.sql()}]"
@@ -778,8 +810,9 @@ class AntiJoin(BinaryOperator):
     def exprs(self):
         return (self.predicate,)
 
-    def _rename_subscripts(self, mapping):
-        return AntiJoin(self.left, self.right, self.predicate.rename_attrs(mapping))
+    def with_exprs(self, exprs):
+        (predicate,) = exprs
+        return AntiJoin(self.left, self.right, predicate)
 
     def label(self):
         return f"AntiJoin[{self.predicate.sql()}]"
@@ -820,8 +853,9 @@ class BypassJoin(BinaryOperator):
     def exprs(self):
         return (self.predicate,)
 
-    def _rename_subscripts(self, mapping):
-        return BypassJoin(self.left, self.right, self.predicate.rename_attrs(mapping))
+    def with_exprs(self, exprs):
+        (predicate,) = exprs
+        return BypassJoin(self.left, self.right, predicate)
 
     def label(self):
         return f"BypassJoin±[{self.predicate.sql()}]"
@@ -878,6 +912,13 @@ class BinaryGroupBy(BinaryOperator):
         if isinstance(self.spec.arg, Expr):
             return (self.spec.arg,)
         return ()
+
+    def with_exprs(self, exprs):
+        ((_, spec),) = _with_agg_args([(self.name, self.spec)], exprs)
+        return BinaryGroupBy(
+            self.left, self.right, self.name, self.left_key, self.right_key,
+            spec, self.op, self.star_names,
+        )
 
     def label(self):
         return (

@@ -38,50 +38,20 @@ def reorder_disjuncts_cheap_first(plan: L.Operator, estimator: Estimator | None 
     estimator = estimator or Estimator()
     memo: dict[int, L.Operator] = {}
 
-    def rewrite_plan(node: L.Operator) -> L.Operator:
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached
-        children = [rewrite_plan(child) for child in node.children()]
-        if all(new is old for new, old in zip(children, node.children())):
-            result = node
-        else:
-            result = node.replace_children(children)
-        result = _rewrite_node_exprs(result)
-        memo[id(node)] = result
-        return result
-
-    def _rewrite_node_exprs(node: L.Operator) -> L.Operator:
-        if isinstance(node, L.Select):
-            predicate = rewrite_expr(node.predicate)
-            if predicate is not node.predicate:
-                return L.Select(node.child, predicate)
-        elif isinstance(node, L.BypassSelect):
-            predicate = rewrite_expr(node.predicate)
-            if predicate is not node.predicate:
-                return L.BypassSelect(node.child, predicate)
-        elif isinstance(node, L.Join):
-            predicate = rewrite_expr(node.predicate)
-            if predicate is not node.predicate:
-                return L.Join(node.left, node.right, predicate)
-        return node
-
-    def rewrite_expr(expression: E.Expr) -> E.Expr:
-        if isinstance(expression, E.SubqueryExpr):
-            from dataclasses import replace
-
-            new_plan = rewrite_plan(expression.plan)
-            if new_plan is expression.plan:
-                return expression
-            return replace(expression, plan=new_plan)
-        kids = expression.children()
-        new_kids = [rewrite_expr(kid) for kid in kids]
-        if kids and not all(new is old for new, old in zip(new_kids, kids)):
-            expression = expression.replace_children(new_kids)
+    def reorder_or(expression: E.Expr) -> E.Expr:
         if isinstance(expression, E.Or):
             ordered = tuple(sorted(expression.items, key=lambda d: rank_of(d, estimator)))
             if ordered != expression.items:
-                expression = E.Or(ordered)
+                return E.Or(ordered)
         return expression
 
-    return rewrite_plan(plan)
+    def rewrite(node: L.Operator) -> L.Operator:
+        cached = memo.get(id(node))
+        if cached is not None:
+            return cached
+        result = node.map_children(rewrite).map_subplans(rewrite)
+        result = result.map_exprs(lambda expression: expression.transform(reorder_or))
+        memo[id(node)] = result
+        return result
+
+    return rewrite(plan)

@@ -433,18 +433,11 @@ def access_report(planned) -> str:
     """List the index access paths chosen anywhere in a logical plan."""
     from repro.algebra import ops as L
 
-    lines = []
-    stack = [planned.logical]
-    seen: set[int] = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, (L.IndexScan, L.IndexNLJoin)):
-            lines.append(f"  {node.label()}")
-        stack.extend(node.children())
-        stack.extend(node.subquery_plans())
+    lines = [
+        f"  {node.label()}"
+        for node in planned.logical.iter_dag(nested=True)
+        if isinstance(node, (L.IndexScan, L.IndexNLJoin))
+    ]
     if not lines:
         lines.append("  (no index access paths; full scans only)")
     return "-- access paths:\n" + "\n".join(sorted(set(lines))) + "\n"

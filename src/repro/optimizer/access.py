@@ -24,8 +24,6 @@ seed planner's output unless the user actually created indexes.
 
 from __future__ import annotations
 
-from dataclasses import replace as dataclass_replace
-
 from repro.algebra import expr as E
 from repro.algebra import ops as L
 from repro.algebra.aggregates import STAR
@@ -56,22 +54,14 @@ def choose_access_paths(plan: L.Operator, catalog: Catalog) -> L.Operator:
         return plan
     cards = CardinalityModel(catalog)
     cards._harvest_stats(plan)
-    return _Rewriter(catalog, cards).rewrite(plan, None)
+    return _Rewriter(catalog, cards).rewrite(plan)
 
 
 def _plan_touches_indexes(plan: L.Operator, catalog: Catalog) -> bool:
-    stack = [plan]
-    seen: set[int] = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, L.Scan) and catalog.indexes_on(node.table_name):
-            return True
-        stack.extend(node.children())
-        stack.extend(node.subquery_plans())
-    return False
+    return any(
+        isinstance(node, L.Scan) and catalog.indexes_on(node.table_name)
+        for node in plan.iter_dag(nested=True)
+    )
 
 
 class _Rewriter:
@@ -84,49 +74,29 @@ class _Rewriter:
 
     # -- driver ------------------------------------------------------------
 
-    def rewrite(self, node: L.Operator, required: frozenset[str] | None) -> L.Operator:
+    def rewrite(self, node: L.Operator, required: frozenset[str] | None = None) -> L.Operator:
+        """``required`` names the columns the parent consumes (None: all)."""
         key = (id(node), required)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        result = self._rewrite(node, required)
+        if isinstance(node, L.Select):
+            result = self._rewrite_select(node, required)
+        elif type(node) is L.Join:
+            result = self._rewrite_join(node)
+        elif isinstance(node, L.Project):
+            result = self._rewrite_generic(node, frozenset(node.names))
+        elif isinstance(node, (L.GroupBy, L.ScalarAggregate)):
+            result = self._rewrite_generic(node, self._aggregate_required(node))
+        else:
+            result = self._rewrite_generic(node)
         self._memo[key] = result
         return result
 
-    def _rewrite(self, node: L.Operator, required: frozenset[str] | None) -> L.Operator:
-        if isinstance(node, L.StreamTap):
-            bypass = self.rewrite(node.child, None)
-            if bypass is node.child:
-                return node
-            return bypass.positive if node.positive_stream else bypass.negative
-        if isinstance(node, L.Select):
-            return self._rewrite_select(node, required)
-        if type(node) is L.Join:
-            return self._rewrite_join(node)
-        if isinstance(node, L.Project):
-            child = self.rewrite(node.child, frozenset(node.names))
-            if child is node.child:
-                return node
-            return L.Project(child, node.names)
-        if isinstance(node, (L.GroupBy, L.ScalarAggregate)):
-            return self._rewrite_aggregate(node)
-        return self._rewrite_generic(node)
-
-    # -- generic rebuilds --------------------------------------------------
-
-    def _rewrite_generic(self, node: L.Operator) -> L.Operator:
-        children = node.children()
-        new_children = [self.rewrite(child, None) for child in children]
-        if any(new is not old for new, old in zip(new_children, children)):
-            node = node.replace_children(new_children)
-        return self._rewrite_node_exprs(node)
-
-    def _rewrite_aggregate(self, node: L.Operator) -> L.Operator:
-        required = self._aggregate_required(node)
-        child = self.rewrite(node.children()[0], required)
-        if child is node.children()[0]:
-            return node
-        return node.replace_children([child])
+    def _rewrite_generic(self, node: L.Operator, consumed: frozenset[str] | None = None):
+        """Rewrite below a node that consumes only ``consumed`` of its input."""
+        rebuilt = node.map_children(lambda child: self.rewrite(child, consumed))
+        return rebuilt.map_subplans(self.rewrite)
 
     @staticmethod
     def _aggregate_required(node: L.Operator) -> frozenset[str] | None:
@@ -139,52 +109,16 @@ class _Rewriter:
             needed.update(spec.free_attrs())
         return frozenset(needed)
 
-    # -- subquery plans ----------------------------------------------------
-
-    def _rewrite_node_exprs(self, node: L.Operator) -> L.Operator:
-        """Rewrite plans nested in subquery expressions of the subscript."""
-        if isinstance(node, (L.Select, L.BypassSelect)):
-            predicate = self._rewrite_expr(node.predicate)
-            if predicate is not node.predicate:
-                return type(node)(node.child, predicate)
-        elif isinstance(node, L.Map):
-            expression = self._rewrite_expr(node.expression)
-            if expression is not node.expression:
-                return L.Map(node.child, node.name, expression)
-        elif type(node) in (L.Join, L.LeftOuterJoin, L.SemiJoin, L.AntiJoin, L.BypassJoin):
-            predicate = self._rewrite_expr(node.predicate)
-            if predicate is not node.predicate:
-                if type(node) is L.LeftOuterJoin:
-                    return L.LeftOuterJoin(node.left, node.right, predicate, node.defaults)
-                return type(node)(node.left, node.right, predicate)
-        return node
-
-    def _rewrite_expr(self, expression: E.Expr) -> E.Expr:
-        rewritten = expression
-        if isinstance(expression, E.SubqueryExpr):
-            plan = self.rewrite(expression.plan, None)
-            if plan is not expression.plan:
-                rewritten = dataclass_replace(rewritten, plan=plan)
-        children = rewritten.children()
-        if children:
-            new_children = [self._rewrite_expr(child) for child in children]
-            if any(new is not old for new, old in zip(new_children, children)):
-                rewritten = rewritten.replace_children(tuple(new_children))
-        return rewritten
-
     # -- Select(Scan) → IndexScan -----------------------------------------
 
     def _rewrite_select(self, node: L.Select, required: frozenset[str] | None) -> L.Operator:
-        predicate = self._rewrite_expr(node.predicate)
         child = node.child
         if type(child) is L.Scan and child.table_name in self.catalog:
+            predicate = node.predicate.map_subplans(self.rewrite)
             index_scan = self._try_index_scan(child, predicate, required)
             if index_scan is not None:
                 return index_scan
-        new_child = self.rewrite(child, None)
-        if new_child is child and predicate is node.predicate:
-            return node
-        return L.Select(new_child, predicate)
+        return self._rewrite_generic(node)
 
     def _try_index_scan(
         self,
@@ -295,17 +229,13 @@ class _Rewriter:
     # -- Join(left, Scan) → IndexNLJoin ------------------------------------
 
     def _rewrite_join(self, node: L.Join) -> L.Operator:
-        predicate = self._rewrite_expr(node.predicate)
-        left = self.rewrite(node.left, None)
         right = node.right
         if type(right) is L.Scan and right.table_name in self.catalog:
-            probe = self._try_index_nl_join(node, left, right, predicate)
+            predicate = node.predicate.map_subplans(self.rewrite)
+            probe = self._try_index_nl_join(node, self.rewrite(node.left), right, predicate)
             if probe is not None:
                 return probe
-        new_right = self.rewrite(right, None)
-        if left is node.left and new_right is right and predicate is node.predicate:
-            return node
-        return L.Join(left, new_right, predicate)
+        return self._rewrite_generic(node)
 
     def _try_index_nl_join(
         self,

@@ -45,7 +45,7 @@ class CardinalityModel:
 
     def _harvest_stats(self, plan: L.Operator) -> None:
         """Map qualified scan attributes to base-column statistics."""
-        for node in plan.iter_dag():
+        for node in plan.iter_dag(nested=True):
             if isinstance(node, L.Scan) and node.table_name in self.catalog:
                 table_stats = self.catalog.stats(node.table_name)
                 base_names = self.catalog.table(node.table_name).schema.names
@@ -58,8 +58,6 @@ class CardinalityModel:
                     stats = table_stats.columns.get(base)
                     if stats is not None:
                         self._column_stats[qualified] = stats
-            for subplan in node.subquery_plans():
-                self._harvest_stats(subplan)
 
     # -- cardinalities ---------------------------------------------------------
 

@@ -19,8 +19,6 @@ four-way join inside Query 2d's subquery) get join trees too.
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
-
 from repro.algebra import expr as E
 from repro.algebra import ops as L
 from repro.optimizer.cardinality import CardinalityModel
@@ -46,12 +44,7 @@ class _JoinOptimizer:
         if isinstance(node, L.Select) and self._leaves_of(node.child):
             result = self._rewrite_block(node)
         else:
-            children = [self.rewrite(child) for child in node.children()]
-            if all(new is old for new, old in zip(children, node.children())):
-                result = node
-            else:
-                result = node.replace_children(children)
-            result = self._rewrite_subplans(result)
+            result = node.map_children(self.rewrite).map_subplans(self.rewrite)
         self._memo[id(node)] = result
         return result
 
@@ -110,7 +103,7 @@ class _JoinOptimizer:
         ]
         joined = self._greedy_join(filtered, edges, residual)
         if residual:
-            result = L.Select(joined, self._rewrite_expr(E.conjunction(residual)))
+            result = L.Select(joined, E.conjunction(residual).map_subplans(self.rewrite))
         else:
             result = joined
         if result.schema != select.schema:
@@ -167,41 +160,6 @@ class _JoinOptimizer:
         for _, _, pred in pending:
             residual.append(pred)
         return current
-
-    # -- recursion into subscripts ---------------------------------------------------
-
-    def _rewrite_subplans(self, node: L.Operator) -> L.Operator:
-        """Optimise plans embedded in this node's subquery expressions."""
-        if not any(True for _ in node.subquery_plans()):
-            return node
-        if isinstance(node, L.Select):
-            return L.Select(node.child, self._rewrite_expr(node.predicate))
-        if isinstance(node, L.BypassSelect):
-            return L.BypassSelect(node.child, self._rewrite_expr(node.predicate))
-        if isinstance(node, L.Map):
-            return L.Map(node.child, node.name, self._rewrite_expr(node.expression))
-        if isinstance(node, (L.Join, L.LeftOuterJoin, L.SemiJoin, L.AntiJoin, L.BypassJoin)):
-            new_pred = self._rewrite_expr(node.predicate)
-            if new_pred is node.predicate:
-                return node
-            if isinstance(node, L.LeftOuterJoin):
-                return L.LeftOuterJoin(node.left, node.right, new_pred, node.defaults)
-            return type(node)(node.left, node.right, new_pred)
-        return node
-
-    def _rewrite_expr(self, expression: E.Expr) -> E.Expr:
-        if isinstance(expression, E.SubqueryExpr):
-            new_plan = self.rewrite(expression.plan)
-            if new_plan is expression.plan:
-                return expression
-            return dc_replace(expression, plan=new_plan)
-        kids = expression.children()
-        if not kids:
-            return expression
-        new_kids = [self._rewrite_expr(kid) for kid in kids]
-        if all(new is old for new, old in zip(new_kids, kids)):
-            return expression
-        return expression.replace_children(new_kids)
 
 
 def _is_equi(conjunct: E.Expr) -> bool:

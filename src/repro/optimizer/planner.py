@@ -169,6 +169,7 @@ def plan_query(
     chosen = "canonical"
     logical = indexed_canonical
     planner_fallback = False
+    cost = None
     if strategy.reorder_disjuncts:
         logical = reorder_disjuncts_cheap_first(canonical)
         logical = choose_access_paths(logical, catalog)
@@ -184,14 +185,13 @@ def plan_query(
             planner_fallback = True
         else:
             rewritten = choose_access_paths(rewritten, catalog)
-            canonical_cost = CostModel(catalog).cost(indexed_canonical)
+            cost = CostModel(catalog).cost(indexed_canonical)
             rewritten_cost = CostModel(catalog).cost(rewritten)
-            if rewritten_cost < canonical_cost:
-                logical, chosen = rewritten, "unnested"
-            else:
-                logical, chosen = indexed_canonical, "canonical"
+            if rewritten_cost < cost:
+                logical, chosen, cost = rewritten, "unnested", rewritten_cost
 
-    cost = CostModel(catalog).cost(logical)
+    if cost is None:  # only the cost-based choice has costed its plan already
+        cost = CostModel(catalog).cost(logical)
     return PlannedQuery(
         sql=sql,
         strategy=strategy,

@@ -11,14 +11,11 @@ A classic optimizer pass run before join ordering:
   ``Limit 0`` (the empty relation with the same schema);
 * CASE with a constant TRUE first branch folds to that branch.
 
-Folding never descends *into* subquery plans through expressions — the
-plan walker visits those plans itself — and never reorders anything, so
-it composes with the rank-based disjunct ordering downstream.
+Folding never reorders anything, so it composes with the rank-based
+disjunct ordering downstream.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace as dc_replace
 
 from repro.algebra import expr as E
 from repro.algebra import ops as L
@@ -42,18 +39,11 @@ _ARITH = {
 
 def simplify_expr(expression: E.Expr) -> E.Expr:
     """Fold constants and apply boolean identities (3VL-exact)."""
-    kids = expression.children()
-    if kids:
-        new_kids = [simplify_expr(kid) for kid in kids]
-        if not all(new is old for new, old in zip(new_kids, kids)):
-            expression = expression.replace_children(new_kids)
+    return expression.map_subplans(simplify_plan).transform(_fold)
 
-    if isinstance(expression, E.SubqueryExpr):
-        new_plan = simplify_plan(expression.plan)
-        if new_plan is not expression.plan:
-            expression = dc_replace(expression, plan=new_plan)
-        return expression
 
+def _fold(expression: E.Expr) -> E.Expr:
+    """One node's folding rule; its children are already folded."""
     if isinstance(expression, E.Comparison):
         left, right = expression.left, expression.right
         if isinstance(left, E.Literal) and isinstance(right, E.Literal):
@@ -181,40 +171,22 @@ def simplify_plan(plan: L.Operator) -> L.Operator:
         cached = memo.get(id(node))
         if cached is not None:
             return cached
-        children = [visit(child) for child in node.children()]
-        if not all(new is old for new, old in zip(children, node.children())):
-            node = node.replace_children(children)
-        node = _simplify_node(node)
-        memo[id(node)] = node
-        return node
+        # simplify_expr, but nested plans share this walk's memo.
+        result = node.map_children(visit).map_exprs(
+            lambda expression: expression.map_subplans(visit).transform(_fold)
+        )
+        result = _simplify_node(result)
+        memo[id(node)] = result
+        return result
 
     def _simplify_node(node: L.Operator) -> L.Operator:
         if isinstance(node, L.Select):
-            predicate = simplify_expr(node.predicate)
-            if predicate == E.TRUE:
+            if node.predicate == E.TRUE:
                 return node.child
-            if isinstance(predicate, E.Literal) and predicate.value is not True:
+            if isinstance(node.predicate, E.Literal):
                 return L.Limit(node.child, 0)  # FALSE/UNKNOWN: empty
-            if predicate is not node.predicate:
-                return L.Select(node.child, predicate)
-            return node
-        if isinstance(node, L.Map):
-            expression = simplify_expr(node.expression)
-            if expression is not node.expression:
-                return L.Map(node.child, node.name, expression)
-            return node
-        if isinstance(node, L.Join):
-            predicate = simplify_expr(node.predicate)
-            if predicate == E.TRUE:
-                return L.CrossProduct(node.left, node.right)
-            if predicate is not node.predicate:
-                return L.Join(node.left, node.right, predicate)
-            return node
-        if isinstance(node, L.BypassSelect):
-            predicate = simplify_expr(node.predicate)
-            if predicate is not node.predicate:
-                return L.BypassSelect(node.child, predicate)
-            return node
+        if type(node) is L.Join and node.predicate == E.TRUE:
+            return L.CrossProduct(node.left, node.right)
         return node
 
     return visit(plan)

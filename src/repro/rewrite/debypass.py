@@ -13,7 +13,10 @@ and each stream tap becomes a selection on the tag plus a projection
 back to the original schema.  A bypass join is tagged over the cross
 product.  The tagged node is shared by both stream replacements, so the
 result is still a DAG — but one made only of standard operators, which
-is what an engine without native bypass support needs.
+is what an engine without native bypass support needs.  The rewrite
+reaches every subscript that can nest a plan — selection, map and bypass
+predicates, the whole join family, aggregate arguments — so no σ±/⋈±
+survives inside a nested block either.
 
 The ablation benchmark ``benchmarks/test_ablations.py`` measures what
 the tag-based encoding costs compared to native bypass operators.
@@ -33,13 +36,7 @@ def remove_bypass(plan: L.Operator) -> L.Operator:
 class _Debypasser:
     def __init__(self):
         self._memo: dict[int, L.Operator] = {}
-        #: id(bypass node) -> (tagged plan, tag attribute name)
-        self._tagged: dict[int, tuple[L.Operator, str]] = {}
         self._counter = 0
-
-    def _fresh_tag(self) -> str:
-        self._counter += 1
-        return f"bp{self._counter}.tag"
 
     def rewrite(self, node: L.Operator) -> L.Operator:
         cached = self._memo.get(id(node))
@@ -47,23 +44,18 @@ class _Debypasser:
             return cached
         if isinstance(node, L.StreamTap):
             result = self._rewrite_tap(node)
+        elif isinstance(node, (L.BypassSelect, L.BypassJoin)):
+            result = self._tagged_plan(node)
         else:
-            children = [self.rewrite(child) for child in node.children()]
-            if all(new is old for new, old in zip(children, node.children())):
-                result = node
-            else:
-                result = node.replace_children(children)
-            result = self._rewrite_subplans(result)
+            result = node.map_children(self.rewrite).map_subplans(self.rewrite)
         self._memo[id(node)] = result
         return result
 
-    def _tagged_plan(self, bypass: L.Operator) -> tuple[L.Operator, str]:
-        """Build (once) the tagged replacement for a bypass operator."""
-        cached = self._tagged.get(id(bypass))
-        if cached is not None:
-            return cached
-        tag = self._fresh_tag()
-        predicate = bypass.predicate
+    def _tagged_plan(self, bypass: L.Operator) -> L.Map:
+        """The tagged replacement for a bypass operator (memoised: built once)."""
+        self._counter += 1
+        tag = f"bp{self._counter}.tag"
+        predicate = bypass.predicate.map_subplans(self.rewrite)
         two_valued = E.Case(((predicate, E.Literal(True)),), E.Literal(False))
         if isinstance(bypass, L.BypassSelect):
             source = self.rewrite(bypass.child)
@@ -71,66 +63,17 @@ class _Debypasser:
             source = L.CrossProduct(
                 self.rewrite(bypass.left), self.rewrite(bypass.right)
             )
-        tagged = L.Map(source, tag, two_valued)
-        self._tagged[id(bypass)] = (tagged, tag)
-        return tagged, tag
+        return L.Map(source, tag, two_valued)
 
     def _rewrite_tap(self, tap: L.StreamTap) -> L.Operator:
-        bypass = tap.child
-        tagged, tag = self._tagged_plan(bypass)
+        tagged = self.rewrite(tap.child)
         wanted = E.Literal(True) if tap.positive_stream else E.Literal(False)
-        selected = L.Select(tagged, E.Comparison("=", E.ColumnRef(tag), wanted))
+        selected = L.Select(tagged, E.Comparison("=", E.ColumnRef(tagged.name), wanted))
         return L.Project(selected, tap.schema.names)
-
-    def _rewrite_subplans(self, node: L.Operator) -> L.Operator:
-        """Recurse into subquery plans inside the node's expressions."""
-        if not any(True for _ in node.subquery_plans()):
-            return node
-
-        def rewrite_expr(expression: E.Expr) -> E.Expr:
-            if isinstance(expression, E.SubqueryExpr):
-                from dataclasses import replace
-
-                new_plan = self.rewrite(expression.plan)
-                if new_plan is expression.plan:
-                    return expression
-                return replace(expression, plan=new_plan)
-            kids = expression.children()
-            if not kids:
-                return expression
-            new_kids = [rewrite_expr(kid) for kid in kids]
-            if all(new is old for new, old in zip(new_kids, kids)):
-                return expression
-            return expression.replace_children(new_kids)
-
-        if isinstance(node, L.Select):
-            predicate = rewrite_expr(node.predicate)
-            if predicate is not node.predicate:
-                return L.Select(node.child, predicate)
-        elif isinstance(node, L.Map):
-            expression = rewrite_expr(node.expression)
-            if expression is not node.expression:
-                return L.Map(node.child, node.name, expression)
-        elif isinstance(node, L.BypassSelect):
-            predicate = rewrite_expr(node.predicate)
-            if predicate is not node.predicate:
-                return L.BypassSelect(node.child, predicate)
-        return node
 
 
 def contains_bypass(plan: L.Operator) -> bool:
     """True if any bypass operator remains anywhere in the plan DAG."""
-    seen: set[int] = set()
-
-    def visit(node: L.Operator) -> bool:
-        if id(node) in seen:
-            return False
-        seen.add(id(node))
-        if isinstance(node, (L.BypassSelect, L.BypassJoin)):
-            return True
-        for sub in node.subquery_plans():
-            if visit(sub):
-                return True
-        return any(visit(child) for child in node.children())
-
-    return visit(plan)
+    return any(
+        isinstance(node, (L.BypassSelect, L.BypassJoin)) for node in plan.iter_dag(nested=True)
+    )

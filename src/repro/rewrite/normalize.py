@@ -162,15 +162,7 @@ def apply_local_filter(source: L.Operator, local: list[E.Expr]) -> L.Operator:
 
 def replace_expr_node(root: E.Expr, target: E.Expr, replacement: E.Expr) -> E.Expr:
     """Replace one node (by identity) in an expression tree."""
-    if root is target:
-        return replacement
-    kids = root.children()
-    if not kids:
-        return root
-    new_kids = [replace_expr_node(kid, target, replacement) for kid in kids]
-    if all(new is old for new, old in zip(new_kids, kids)):
-        return root
-    return root.replace_children(new_kids)
+    return root.transform(lambda node: replacement if node is target else node)
 
 
 def find_subquery_exprs(expression: E.Expr) -> list[E.SubqueryExpr]:

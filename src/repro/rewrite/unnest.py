@@ -109,11 +109,7 @@ class _Rewriter:
         elif isinstance(node, L.Map) and node.expression.contains_subquery():
             result = self._apply_map(node)
         else:
-            children = [self.rewrite_plan(child) for child in node.children()]
-            if all(new is old for new, old in zip(children, node.children())):
-                result = node
-            else:
-                result = node.replace_children(children)
+            result = node.map_children(self.rewrite_plan)
         self._memo[id(node)] = result
         return result
 
@@ -235,21 +231,9 @@ class _Rewriter:
                     replacement = E.ColumnRef(g_name)
             if replacement is None:
                 # Leave nested, but unnest inside the block.
-                inner = self.rewrite_plan(target.plan)
-                if inner is not target.plan:
-                    replacement = self._with_plan(target, inner)
-                    done.add(id(replacement))
-                    expression = N.replace_expr_node(expression, target, replacement)
-                else:
-                    done.add(id(target))
-                continue
+                replacement = target.map_subplans(self.rewrite_plan)
+                done.add(id(replacement))
             expression = N.replace_expr_node(expression, target, replacement)
-
-    @staticmethod
-    def _with_plan(sub: E.SubqueryExpr, plan: L.Operator) -> E.SubqueryExpr:
-        from dataclasses import replace
-
-        return replace(sub, plan=plan)
 
     def _attach_scalar(self, input_plan: L.Operator, plan: L.Operator):
         """Attach one scalar-aggregate block; returns (new_input, g) or None."""
@@ -425,23 +409,10 @@ class _Rewriter:
 
 def _assert_unnested(plan: L.Operator) -> None:
     """Strict mode: no correlated subquery expression may survive."""
-    seen: set[int] = set()
-
-    def visit(node: L.Operator) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
+    for node in plan.iter_dag(nested=True):
         for expression in node.exprs():
             for sub in N.find_subquery_exprs(expression):
-                if isinstance(sub, E.AggCombine):
-                    continue
                 if sub.plan.free_attrs():
                     raise NotUnnestableError(
-                        f"correlated subquery survived the rewrite in "
-                        f"{node.label()}"
+                        f"correlated subquery survived the rewrite in {node.label()}"
                     )
-                visit(sub.plan)
-        for child in node.children():
-            visit(child)
-
-    visit(plan)

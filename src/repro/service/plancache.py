@@ -101,19 +101,9 @@ class _Entry:
 
 def plan_table_names(plan: L.Operator) -> set[str]:
     """All base tables a plan scans, including nested subquery plans."""
-    names: set[str] = set()
-    stack = [plan]
-    seen: set[int] = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, L.Scan):
-            names.add(node.table_name.lower())
-        stack.extend(node.children())
-        stack.extend(node.subquery_plans())
-    return names
+    return {
+        node.table_name.lower() for node in plan.iter_dag(nested=True) if isinstance(node, L.Scan)
+    }
 
 
 class PlanCache:

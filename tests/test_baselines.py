@@ -50,6 +50,27 @@ class TestDisjunctReordering:
         # Results are unchanged either way.
         assert_bag_equal(execute_plan(plan, rst), execute_plan(reordered, rst))
 
+    @pytest.mark.parametrize(
+        "sql",
+        ["SELECT A1 FROM r WHERE A2 = {block}", "SELECT A1, {block} FROM r"],
+        ids=["where_nested", "select_clause"],
+    )
+    def test_s3_orders_a_nested_block_cheap_first_wherever_it_is_nested(self, rst, sql):
+        sql = sql.format(
+            block="(SELECT COUNT(*) FROM s WHERE B2 = "
+            "(SELECT COUNT(*) FROM t WHERE t.C1 = s.B1) OR B3 > 5)"
+        )
+        planned = plan_query(sql, rst, "s3")
+        (inner_or,) = [
+            part
+            for node in planned.logical.iter_dag(nested=True)
+            for expression in node.exprs()
+            for part in expression.walk()
+            if isinstance(part, E.Or)
+        ]
+        assert [item.contains_subquery() for item in inner_or.items] == [False, True]
+        assert_bag_equal(planned.execute(rst), plan_query(sql, rst, "canonical").execute(rst))
+
     def test_untouched_plan_shared(self, rst):
         plan = translate(parse("SELECT * FROM r WHERE A4 > 1500"), rst).plan
         assert reorder_disjuncts_cheap_first(plan) is plan

@@ -4,6 +4,8 @@ import pytest
 
 from repro.algebra import expr as E
 from repro.algebra import ops as L
+from repro.algebra.aggregates import STAR, AggSpec
+from repro.algebra.check import validate_plan
 from repro.algebra.explain import count_operators
 from repro.bench.queries import Q1, Q2, Q3, Q4
 from repro.engine import EvalOptions, execute_plan
@@ -77,6 +79,20 @@ class TestRemoveBypass:
         plan = unnested_plan(Q2, rst)  # Eqv. 4: bypass shared via subplan
         assert contains_bypass(plan)
         assert not contains_bypass(remove_bypass(plan))
+
+    @pytest.mark.parametrize("join", [L.Join, L.SemiJoin, L.AntiJoin, L.LeftOuterJoin])
+    def test_bypass_nested_in_a_join_family_predicate_is_removed(self, rst, join):
+        r = L.Scan("r", Schema(["A1", "A2", "A3", "A4"]))
+        s = L.Scan("s", Schema(["B1", "B2", "B3", "B4"]))
+        t = L.Scan("t", Schema(["C1", "C2", "C3", "C4"]))
+        bypass = L.BypassSelect(t, E.Comparison(">", E.col("C4"), E.lit(1500)))
+        streams = L.UnionAll(bypass.positive, L.Select(bypass.negative, E.eq("C1", "A1")))
+        count = E.ScalarSubquery(L.ScalarAggregate(streams, [("g", AggSpec("count", STAR))]))
+        plan = join(r, s, E.And((E.eq("A1", "B1"), E.Comparison("<", E.col("A2"), count))))
+        tagged = remove_bypass(plan)
+        assert not contains_bypass(tagged)
+        validate_plan(tagged)
+        assert_bag_equal(execute_plan(plan, rst), execute_plan(tagged, rst))
 
     def test_operator_inventory(self, rst):
         tagged = remove_bypass(unnested_plan(Q1, rst))

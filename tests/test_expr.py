@@ -90,20 +90,37 @@ class TestAnalysis:
         names = [type(n).__name__ for n in expr.walk()]
         assert names == ["And", "Comparison", "ColumnRef", "ColumnRef", "Not", "ColumnRef"]
 
-    def test_rename_attrs(self):
-        expr = E.And((E.eq("a", "b"), E.Like(E.col("a"), "%x%")))
-        renamed = expr.rename_attrs({"a": "z"})
-        assert renamed.free_attrs() == {"z", "b"}
+    def test_transform_with_identity_returns_self(self):
+        expr = E.And((E.eq("a", "b"), E.Not(E.Like(E.col("a"), "%x%"))))
+        assert expr.transform(lambda node: node) is expr
 
-    def test_rename_attrs_preserves_unmapped(self):
-        expr = E.col("a")
-        assert expr.rename_attrs({"b": "c"}) == E.col("a")
+    def test_transform_is_bottom_up_and_shares_untouched_subtrees(self):
+        untouched = E.eq("c", "d")
+        expr = E.And((E.Not(E.eq("a", "b")), untouched))
+        seen = []
 
-    def test_rename_through_subquery_free_attrs(self):
-        inner = L.Select(scan(["b"]), E.eq("outer_a", "b"))
-        sub = E.ScalarSubquery(L.ScalarAggregate(inner, [("g", AggSpec("count", STAR))]))
-        renamed = sub.rename_attrs({"outer_a": "renamed_a"})
-        assert renamed.plan_free_attrs() == {"renamed_a"}
+        def rename_a(node):
+            seen.append(type(node).__name__)
+            return E.col("z") if node == E.col("a") else node
+
+        renamed = expr.transform(rename_a)
+        assert renamed == E.And((E.Not(E.eq("z", "b")), untouched))
+        assert renamed.items[1] is untouched
+        assert seen.index("Comparison") < seen.index("Not") < seen.index("And")
+
+    def test_map_subplans_swaps_every_nested_plan(self):
+        inner = L.ScalarAggregate(scan(["b"]), [("g", AggSpec("count", STAR))])
+        operand = E.Arithmetic("+", E.col("a"), E.ScalarSubquery(inner))
+        in_sub = E.InSubquery(operand, scan(["c"]), True)
+        expr = E.Or((in_sub, E.eq("a", "b")))
+        assert expr.map_subplans(lambda plan: plan) is expr
+
+        limited = expr.map_subplans(lambda plan: L.Limit(plan, 1))
+        swapped = limited.items[0]
+        assert isinstance(swapped, E.InSubquery) and swapped.negated
+        assert isinstance(swapped.plan, L.Limit) and swapped.plan.child is in_sub.plan
+        assert swapped.operand.right.plan.child is inner
+        assert limited.items[1] is expr.items[1]
 
     def test_replace_children_roundtrip(self):
         expr = E.Case(((E.col("c"), E.lit(1)),), E.lit(0))

@@ -60,3 +60,59 @@ def test_no_module_reaches_into_the_wal_modules_private_names():
         and (name or "").startswith("_")
         and importer != "repro.storage.wal"
     ]
+
+
+def _calls_outside(*allowed: str):
+    """``(path under src/repro, module tree, call node)`` for every call in a
+    module whose path starts with none of ``allowed``."""
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        if not relative.startswith(allowed):
+            tree = ast.parse(path.read_text(), str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    yield relative, tree, node
+
+
+def _is_dataclasses_replace(tree: ast.Module, func: ast.expr) -> bool:
+    """Does ``func`` name ``dataclasses.replace`` under any alias ``tree`` imports?"""
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    if isinstance(func, ast.Name):
+        return any(
+            (alias.asname or alias.name) == func.id
+            for node in imports
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+            for alias in node.names
+            if alias.name == "replace"
+        )
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "replace"
+        and isinstance(func.value, ast.Name)
+        and any(
+            (alias.asname or alias.name) == func.value.id
+            for node in imports
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "dataclasses"
+        )
+    )
+
+
+def test_only_the_algebra_swaps_the_plan_of_a_subquery_expression():
+    """``Expr.map_subplans`` is the one ``replace(sub, plan=...)``."""
+    assert not [
+        (relative, call.lineno)
+        for relative, tree, call in _calls_outside("algebra/")
+        if any(keyword.arg == "plan" for keyword in call.keywords)
+        and _is_dataclasses_replace(tree, call.func)
+    ]
+
+
+def test_only_the_algebra_and_the_compiler_enumerate_nested_plans():
+    """Passes enter nested blocks through ``map_subplans`` / ``iter_dag(nested=True)``."""
+    assert not [
+        (relative, call.lineno)
+        for relative, _, call in _calls_outside("algebra/", "engine/compile.py")
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "subquery_plans"
+    ]

@@ -10,7 +10,7 @@ from repro.optimizer import plan_query
 from repro.optimizer.cardinality import CardinalityModel
 from repro.optimizer.cost import CostModel
 from repro.optimizer.joins import optimize_joins
-from repro.bench.queries import Q1, QUERY_2D
+from repro.bench.queries import Q1, QUERY_2D, RST_QUERIES
 from repro.datagen import TpchConfig, tpch_catalog
 from repro.errors import PlanningError
 from repro.sql import parse, translate
@@ -162,6 +162,31 @@ class TestPlanner:
     def test_auto_keeps_canonical_for_flat_query(self, rst):
         planned = plan_query("SELECT * FROM r WHERE A4 > 1500", rst, "auto")
         assert planned.chosen_alternative == "canonical"
+
+    # estimated_cost as PR 18 reported it (rst seed 5, TPC-H SF 0.002), when the
+    # winner was costed a third time: (canonical, unnested); auto picks unnested.
+    ESTIMATED_COSTS = {
+        "Q1": (999.7807183364839, 177.61474480151224),
+        "Q2": (1070.1860465116279, 188.19302325581396),
+        "Q3": (1749.3333333333333, 288.99999999999994),
+        "Q4": (19881.833333333336, 2012.5),
+        "2d": (11645.65303417078, 10187.085113442125),
+    }
+
+    @pytest.mark.parametrize("name", list(ESTIMATED_COSTS))
+    def test_estimated_costs_unchanged(self, rst, tpch, name):
+        sql, catalog = (QUERY_2D, tpch) if name == "2d" else (RST_QUERIES[name], rst)
+        canonical, unnested = (pytest.approx(cost, rel=1e-12) for cost in self.ESTIMATED_COSTS[name])
+        assert plan_query(sql, catalog, "canonical").estimated_cost == canonical
+        assert plan_query(sql, catalog, "unnested").estimated_cost == unnested
+        auto = plan_query(sql, catalog, "auto")
+        assert auto.chosen_alternative == "unnested"
+        assert auto.estimated_cost == unnested
+
+    def test_auto_reports_the_cost_of_the_plan_it_kept(self, rst):
+        for sql in (Q1, "SELECT * FROM r WHERE A4 > 1500"):
+            planned = plan_query(sql, rst, "auto")
+            assert planned.estimated_cost == CostModel(rst).cost(planned.logical)
 
     def test_unknown_strategy(self, rst):
         with pytest.raises(PlanningError, match="unknown strategy"):

@@ -105,6 +105,21 @@ class TestPlanSimplification:
         plan = L.Join(self.scan(catalog), L.Rename(self.scan(catalog), {"a": "b"}), E.TRUE)
         assert isinstance(simplify_plan(plan), L.CrossProduct)
 
+    @pytest.mark.parametrize(
+        "operator", [L.Select, L.Join, L.SemiJoin, L.AntiJoin, L.LeftOuterJoin, L.BypassJoin]
+    )
+    def test_constant_conjunct_folds_in_every_predicate_subscript(self, catalog, operator):
+        p = E.eq("a", "b")
+        predicate = E.And((E.Comparison("=", lit(1), lit(1)), p))
+        right = L.Rename(self.scan(catalog), {"a": "b"})
+        if operator is L.Select:
+            plan = L.Select(L.CrossProduct(self.scan(catalog), right), predicate)
+        else:
+            plan = operator(self.scan(catalog), right, predicate)
+        simplified = simplify_plan(plan)
+        assert type(simplified) is operator
+        assert simplified.predicate == p
+
     def test_subquery_plans_simplified(self, catalog):
         from repro.algebra.aggregates import STAR, AggSpec
 
