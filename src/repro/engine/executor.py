@@ -15,6 +15,7 @@ from dataclasses import replace as dc_replace
 from repro.algebra.ops import Operator
 from repro.engine.compile import compile_plan
 from repro.engine.context import EvalOptions, ExecContext
+from repro.engine.operators import PhysicalOperator
 from repro.errors import ExecutionError, ReproError
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
@@ -58,7 +59,9 @@ def execute_plan(
             f"plan execution failed: {type(error).__name__}: {error}"
         ) from error
     ctx.elapsed = time.perf_counter() - start
-    table = Table(plan.schema, rows)
+    # The engine's rows are tuples of the plan's arity already; the one
+    # (shallow) copy is because a bare scan hands out the stored list.
+    table = Table.adopt(plan.schema, list(rows))
     if with_context:
         return table, ctx
     return table
@@ -86,10 +89,12 @@ def render_analyze(ctx: ExecContext, result_rows: int) -> str:
     Shared (memoised) nodes appear once with a ``[shared]`` marker;
     correlated-subquery plans (compiled into expression closures) are
     summarised by the eval/cache counters in the footer rather than
-    inlined.
+    inlined.  A vectorized run ends with how many of the tree's operators
+    stayed on the row interpreter, and which.
     """
     lines: list[str] = []
     seen: set[int] = set()
+    on_rows: list[str] = []
 
     def visit(node, prefix: str, connector: str, is_last: bool) -> None:
         stats = ctx.stats.node_rows.get(id(node))
@@ -105,6 +110,8 @@ def render_analyze(ctx: ExecContext, result_rows: int) -> str:
         if id(node) in seen:
             return
         seen.add(id(node))
+        if node.FAULT_DOMAIN == PhysicalOperator.FAULT_DOMAIN:
+            on_rows.append(type(node).__name__)
         children = node.children()
         child_prefix = prefix + ("" if connector == "" else ("   " if is_last else "|  "))
         for index, child in enumerate(children):
@@ -117,4 +124,10 @@ def render_analyze(ctx: ExecContext, result_rows: int) -> str:
         f"{ctx.stats.subquery_evals} nested-subquery evaluations, "
         f"{ctx.stats.subquery_cache_hits} cache hits"
     )
+    if ctx.options.vectorized:
+        names = f" ({', '.join(sorted(set(on_rows)))})" if on_rows else ""
+        footer += (
+            f"\n-- engine: vectorized; {len(on_rows)} of {len(seen)} operators "
+            f"on the row interpreter{names}"
+        )
     return "\n".join(lines) + "\n" + footer + "\n"

@@ -2,8 +2,10 @@
 
 :class:`VectorCompiler` subclasses the row compiler and overrides each
 ``_compile_<Node>`` hook to *try* the vectorized implementation first.
-Anything the batch runtime cannot express — subquery expressions,
-function calls, bypass joins, binary grouping, non-equi joins — raises
+Anything the batch runtime cannot express — subqueries correlated with
+the operator's input rows, subqueries in predicates, function calls,
+AVG partial combination, bypass joins, binary grouping, non-equi joins —
+raises
 :class:`~repro.engine.vector_kernels.VectorizeError` at compile time, and
 the hook delegates to ``super()`` so the row interpreter picks up that
 one operator.  Mixed plans work in both directions:
@@ -112,7 +114,11 @@ class VectorCompiler(_Compiler):
     def _compile_Map(self, node: L.Map) -> P.PhysicalOperator:
         child = self.compile(node.child)
         try:
-            kernel = compile_value(node.expression, node.child.schema)
+            # χ evaluates its expression for every input row, so a scalar
+            # subquery that does not depend on the row (Eqv. 4's g2) can
+            # be one evaluation; a predicate may short-circuit past its
+            # subquery, so the filters do not pass the subplan compiler.
+            kernel = compile_value(node.expression, node.child.schema, self.compile_subplan)
         except VectorizeError:
             return super()._compile_Map(node)
         return V.VMap(self._vec(child), node.schema, kernel, ())

@@ -18,20 +18,28 @@ row engine's 3VL does.
 Kernels exist only for the expression forms that vectorise profitably;
 :class:`VectorizeError` signals "compile this operator with the row
 interpreter instead" and is raised at *compile* time, so runtime batches
-never hit an unsupported expression.  Subqueries in particular are never
-vectorised — plans containing them fall back per-operator.
+never hit an unsupported expression.  A scalar subquery has a kernel
+when no free attribute of its plan is a column of the operator's input
+(Eqv. 4's ``g2``): it is one value per operator invocation, evaluated by
+the row expression compiler's subquery machinery and broadcast.
+Subqueries correlated with the input rows, EXISTS/IN/quantified
+subqueries and ``avgO`` (pair partials) have none — the operator holding
+them falls back.
 """
 
 from __future__ import annotations
 
 import re
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 
 from repro.algebra import expr as E
-from repro.engine.evaluate import _like_to_regex
+from repro.algebra.aggregates import get_aggregate
+from repro.engine.evaluate import _like_to_regex, compile_expr
 from repro.errors import ExecutionError
+from repro.storage.batch import build_column, column_to_pylist
 
 #: bind(ctx, env) -> fn(batch) -> (data, valid) or (is_true, is_false).
 Compiled = Callable
@@ -45,8 +53,11 @@ class VectorizeError(Exception):
     """
 
 
-def compile_value(expression: E.Expr, schema) -> Compiled:
-    return _KernelCompiler(schema).value(expression)
+def compile_value(expression: E.Expr, schema, subplan_compiler: Callable | None = None) -> Compiled:
+    """Value kernel for ``expression``; with a ``subplan_compiler`` (see
+    :func:`repro.engine.evaluate.compile_expr`) scalar subqueries that do
+    not depend on the input rows compile too."""
+    return _KernelCompiler(schema, subplan_compiler).value(expression)
 
 
 def compile_predicate(expression: E.Expr, schema) -> Compiled:
@@ -76,7 +87,7 @@ def _const_column(value, n: int) -> tuple[np.ndarray, np.ndarray | None]:
         return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         data = np.empty(n, dtype=object)
-        data[:] = value
+        data.fill(value)  # not ``data[:] = value``: a tuple would be spread
         return data, None
     dtype = np.int64 if isinstance(value, int) else np.float64
     return np.full(n, value, dtype=dtype), None
@@ -136,8 +147,9 @@ def _elementwise_compare(op: str, ld, rd, valid: np.ndarray | None, n: int) -> n
 
 
 class _KernelCompiler:
-    def __init__(self, schema):
+    def __init__(self, schema, subplan_compiler: Callable | None = None):
         self.schema = schema
+        self.subplan_compiler = subplan_compiler
 
     # -- dispatch ---------------------------------------------------------
 
@@ -294,6 +306,71 @@ class _KernelCompiler:
                     out[mask] = data[mask]
                     out_valid[mask] = True if valid is None else valid[mask]
                 return out, out_valid
+
+            return fn
+
+        return bind
+
+    def _value_ScalarSubquery(self, node: E.ScalarSubquery) -> Compiled:
+        if self.subplan_compiler is None or any(
+            name in self.schema for name in node.plan.free_attrs()
+        ):
+            raise VectorizeError("scalar subquery correlated with the input rows")
+        # The row compiler's closure *is* the implementation (subquery
+        # cache, depth budget, eval counter, the one-row check); with no
+        # row-bound attribute it ignores the row it is handed.
+        scalar = compile_expr(node, self.schema, self.subplan_compiler)
+
+        def bind(ctx, env):
+            of = scalar(ctx, env)
+
+            def fn(batch):
+                n = len(batch)
+                # As in the row engine, no input row means no evaluation.
+                return _const_column(of(()) if n else None, n)
+
+            return fn
+
+        return bind
+
+    def _value_AggCombine(self, node: E.AggCombine) -> Compiled:
+        name = node.agg_name.lower()
+        if name not in ("count", "count_star", "sum", "min", "max"):
+            raise VectorizeError(f"no kernel for {name}O: its partials are not scalars")
+        aggregate = get_aggregate(name)
+        items = [self.value(item) for item in node.items]
+        merge = {"min": np.minimum, "max": np.maximum}.get(name, np.add)
+        is_count = name in ("count", "count_star")
+
+        def bind(ctx, env):
+            fns = [item(ctx, env) for item in items]
+
+            def fn(batch):
+                n = len(batch)
+                columns = [item(batch) for item in fns]
+                if any(data.dtype == object for data, _ in columns):
+                    # Strings, mixed types or an empty upstream batch
+                    # (zero-length object columns): the row engine's fold.
+                    empty = aggregate.partial_empty()
+                    return build_column(
+                        [
+                            aggregate.finalize_partial(reduce(aggregate.combine, partials, empty))
+                            for partials in zip(*(column_to_pylist(*c) for c in columns))
+                        ]
+                    )
+                # Aggregate.combine's NULL rule: a NULL partial is the
+                # identity, the result is NULL only when every partial is.
+                data, valid = columns[0]
+                valid = _valid_array(valid, n)
+                for other, other_valid in columns[1:]:
+                    other_valid = _valid_array(other_valid, n)
+                    data = np.where(
+                        valid & other_valid, merge(data, other), np.where(valid, data, other)
+                    )
+                    valid = valid | other_valid
+                if is_count:
+                    return np.where(valid, data, 0), None
+                return data, None if valid.all() else valid
 
             return fn
 

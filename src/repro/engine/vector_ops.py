@@ -19,9 +19,13 @@ Joins and grouping are hash-style but expressed with numpy: keys are
 factorised into dense integer codes (NULL keys get a reserved code and
 never match), matches are found by sorting/searching the code space, and
 the Eqv. 1–5 pre-aggregations (COUNT/SUM/MIN/MAX/AVG) have closed-form
-``bincount``/``ufunc.at`` fast paths with a per-group fallback to
-:func:`~repro.algebra.aggregates.evaluate_spec` for DISTINCT, partial
-mode, and non-numeric layouts.
+``bincount``/``ufunc.at`` fast paths.  DISTINCT is a kernel too — the
+batch is reduced to the first row of every (group, value) code pair and
+the same closed forms run on the survivors — and so is duplicate
+elimination (:func:`_dedupe`).  The per-group fallback to
+:func:`~repro.algebra.aggregates.evaluate_spec` remains for what has no
+closed form: AVG's ``(sum, count)`` partials and non-count aggregates
+over object-layout columns.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import numpy as np
 
 from repro.algebra.aggregates import AggSpec, evaluate_spec
 from repro.engine import operators as P
+from repro.engine.vector_kernels import _const_column
 from repro.storage.batch import Batch, build_column, column_to_pylist
 from repro.storage.index import probe_bounds
 from repro.storage.mvcc import resolve_index
@@ -455,15 +460,24 @@ class VUnion(VecOperator):
 
 
 def _dedupe(batch: Batch) -> Batch:
-    seen: set = set()
-    keep: list[int] = []
-    for index, row in enumerate(batch.to_rows()):
-        if row not in seen:
-            seen.add(row)
-            keep.append(index)
-    if len(keep) == len(batch):
+    """First occurrence of every distinct row, in input order.
+
+    Rows are equal when their codes are: NULL is a value of its own
+    here (two NULLs are duplicates, NULL and 0 are not).
+    """
+    n = len(batch)
+    codes, _ = _factorize([batch.column(p) for p in range(len(batch.schema))], n)
+    keep = _first_occurrences(codes)
+    if len(keep) == n:
         return batch
-    return batch.take(np.asarray(keep, dtype=np.int64))
+    return batch.take(keep)
+
+
+def _first_occurrences(codes: np.ndarray) -> np.ndarray:
+    """Ascending index of the first row carrying each distinct code."""
+    first = np.unique(codes, return_index=True)[1]
+    first.sort()
+    return first
 
 
 # ---------------------------------------------------------------------------
@@ -471,49 +485,59 @@ def _dedupe(batch: Batch) -> Batch:
 # ---------------------------------------------------------------------------
 
 
-def _factorize(columns: Sequence[tuple[np.ndarray, np.ndarray | None]], n: int):
+def _factorize(
+    columns: Sequence[tuple[np.ndarray, np.ndarray | None]],
+    n: int,
+    seed: tuple[np.ndarray, int] | None = None,
+):
     """Combine key columns into dense int codes; NULL keys get ``ok=False``.
 
     Returns ``(codes, ok)``: ``codes`` is an int64 array where equal rows
     have equal codes, and ``ok`` marks the rows with no NULL key field.
+    ``seed`` is ``(codes, bound)`` of a factorisation to extend, every
+    code below ``bound`` (grouping passes its group ids to code
+    (group, value) pairs).
     """
-    codes = np.zeros(n, dtype=np.int64)
+    codes, bound = (np.zeros(n, dtype=np.int64), 1) if seed is None else seed
     ok = np.ones(n, dtype=bool)
     for data, valid in columns:
         col_codes, cardinality = _factorize_one(data, valid, n)
         ok &= col_codes > 0
+        if bound * (cardinality + 1) > _CODE_LIMIT:
+            # int64 arithmetic wraps silently: renumber the running codes
+            # 0..k-1 (k <= n) before the next multiply can pass 2**63.
+            _, codes = np.unique(codes, return_inverse=True)
+            bound = int(codes.max(initial=-1)) + 1
         codes = codes * np.int64(cardinality + 1) + col_codes
+        bound *= cardinality + 1
     return codes, ok
+
+
+_CODE_LIMIT = 1 << 62
 
 
 def _factorize_one(data: np.ndarray, valid: np.ndarray | None, n: int):
     """Codes for one column: 0 = NULL, 1..k = distinct non-NULL values."""
-    try:
-        if valid is None:
-            _, inverse = np.unique(data, return_inverse=True)
-            return inverse.astype(np.int64) + 1, int(inverse.max(initial=-1)) + 1
-        codes = np.zeros(n, dtype=np.int64)
-        subset = data[valid]
-        if len(subset):
-            _, inverse = np.unique(subset, return_inverse=True)
-            codes[valid] = inverse.astype(np.int64) + 1
-            return codes, int(inverse.max()) + 1
-        return codes, 0
-    except TypeError:
-        # Mixed un-orderable types in an object column: dict factorisation.
+    live = data if valid is None else data[valid]
+    if data.dtype == object:
+        # Hashing, as the row engine's sets and dicts do: sorting Python
+        # objects costs several times as much and cannot order mixed types.
         mapping: dict = {}
-        codes = np.zeros(n, dtype=np.int64)
-        values = data.tolist()
-        valid_list = [True] * n if valid is None else valid.tolist()
-        for index, (value, is_valid) in enumerate(zip(values, valid_list)):
-            if not is_valid:
-                continue
-            code = mapping.get(value)
-            if code is None:
-                code = len(mapping) + 1
-                mapping[value] = code
-            codes[index] = code
-        return codes, len(mapping)
+        live_codes = np.fromiter(
+            (mapping.setdefault(value, len(mapping) + 1) for value in live.tolist()),
+            dtype=np.int64,
+            count=len(live),
+        )
+        cardinality = len(mapping)
+    else:
+        _, inverse = np.unique(live, return_inverse=True)
+        live_codes = inverse.astype(np.int64) + 1
+        cardinality = int(inverse.max(initial=-1)) + 1
+    if valid is None:
+        return live_codes, cardinality
+    codes = np.zeros(n, dtype=np.int64)
+    codes[valid] = live_codes
+    return codes, cardinality
 
 
 def _shared_codes(
@@ -690,7 +714,7 @@ def _pad_with_defaults(
     data = list(left.data)
     valid = list(left.valid)
     for value in defaults:
-        column, mask = build_column([value] * n if n else [])
+        column, mask = _const_column(value, n)
         data.append(column)
         valid.append(mask)
     return Batch(schema, data, valid, n)
@@ -706,7 +730,7 @@ class VAggColumn:
 
     ``kernel`` is a compiled value kernel (``bind → fn(batch)``) or
     ``None`` for STAR arguments, in which case the aggregated values are
-    whole row tuples (optionally projected onto ``star_positions``).
+    whole rows (optionally projected onto ``star_positions``).
     """
 
     __slots__ = ("spec", "kernel", "star_positions")
@@ -716,44 +740,50 @@ class VAggColumn:
         self.kernel = kernel
         self.star_positions = tuple(star_positions) if star_positions is not None else None
 
-    def values(self, ctx, env, batch: Batch):
-        """``(data, valid)`` arrays, or a Python list for STAR arguments."""
+    def columns(self, ctx, env, batch: Batch) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        """The argument as ``(data, valid)`` columns: one for an
+        expression, the row's own columns for STAR."""
         if self.kernel is not None:
-            return self.kernel(ctx, env)(batch)
-        rows = batch.to_rows()
-        if self.star_positions is not None:
-            positions = self.star_positions
-            rows = [tuple(row[p] for p in positions) for row in rows]
-        return rows
+            return [self.kernel(ctx, env)(batch)]
+        positions = self.star_positions
+        if positions is None:
+            positions = range(len(batch.schema))
+        return [batch.column(p) for p in positions]
+
+    def pylist(self, columns) -> list:
+        """``columns`` as the Python values :func:`evaluate_spec` takes:
+        scalars (NULL → ``None``), or row tuples for STAR."""
+        if self.kernel is not None:
+            return column_to_pylist(*columns[0])
+        return list(zip(*(column_to_pylist(data, valid) for data, valid in columns)))
 
 
 def _group_fast_path(spec: AggSpec, data, valid, inverse, n_groups: int):
-    """Closed-form per-group aggregates; ``None`` → use the generic path."""
-    if spec.distinct or data.dtype == object:
-        return None
+    """Closed-form per-group aggregates; ``None`` → use the generic path.
+
+    Blind to ``spec.distinct``: the caller passes the deduplicated rows.
+    """
     name = spec.resolved_name()
-    # Partial mode: count/sum/min/max have identity finalize, so the
-    # partial state *is* the value below.  AVG's partial is a
-    # (sum, count) pair — only the generic path builds that.
-    if spec.as_partial and name == "avg":
-        return None
-    valid_arr = None if valid is None else valid
     if name == "count":
-        if valid_arr is None:
-            counts = np.bincount(inverse, minlength=n_groups)
-        else:
-            counts = np.bincount(inverse[valid_arr], minlength=n_groups)
+        counts = np.bincount(inverse if valid is None else inverse[valid], minlength=n_groups)
         return counts.astype(np.int64), None
-    if name not in ("sum", "avg", "min", "max"):
+    # Partial mode: sum/min/max have identity finalize, so the partial
+    # state *is* the value below.  AVG's partial is a (sum, count) pair —
+    # only the generic path builds that.
+    if (
+        data.dtype == object
+        or name not in ("sum", "avg", "min", "max")
+        or (spec.as_partial and name == "avg")
+    ):
         return None
-    if valid_arr is None:
+    if valid is None:
         counts = np.bincount(inverse, minlength=n_groups)
     else:
-        counts = np.bincount(inverse[valid_arr], minlength=n_groups)
+        counts = np.bincount(inverse[valid], minlength=n_groups)
     non_empty = counts > 0
     group_valid = None if non_empty.all() else non_empty
     if name in ("sum", "avg"):
-        weights = data if valid_arr is None else np.where(valid_arr, data, 0)
+        weights = data if valid is None else np.where(valid, data, 0)
         sums = np.bincount(inverse, weights=weights.astype(np.float64), minlength=n_groups)
         if name == "avg":
             return np.true_divide(sums, np.maximum(counts, 1)), group_valid
@@ -767,10 +797,10 @@ def _group_fast_path(spec: AggSpec, data, valid, inverse, n_groups: int):
     else:
         out = np.full(n_groups, np.inf if name == "min" else -np.inf, dtype=np.float64)
     reducer = np.minimum if name == "min" else np.maximum
-    if valid_arr is None:
+    if valid is None:
         reducer.at(out, inverse, data)
     else:
-        reducer.at(out, inverse[valid_arr], data[valid_arr])
+        reducer.at(out, inverse[valid], data[valid])
     return out, group_valid
 
 
@@ -822,27 +852,43 @@ class VHashGroupBy(VecOperator):
 
         slices: list[np.ndarray] | None = None
         for column in self.agg_columns:
+            spec = column.spec
+            name = spec.resolved_name()
             # COUNT(*) (partial or final — both are the plain count) never
             # needs the argument values, only the group sizes.
-            if column.spec.resolved_name() == "count_star":
+            if name == "count_star":
                 counts = np.bincount(inverse, minlength=n_groups)
                 data.append(counts.astype(np.int64))
                 valid.append(None)
                 continue
-            extracted = column.values(ctx, env, batch)
-            if isinstance(extracted, list):  # STAR: Python row tuples
-                result = None
-            else:
-                result = _group_fast_path(column.spec, *extracted, inverse, n_groups)
-                if result is None:
-                    extracted = column_to_pylist(*extracted)
+            columns = column.columns(ctx, env, batch)
+            star = column.kernel is None
+            arg_data, arg_valid = (None, None) if star else columns[0]
+            groups = inverse
+            if spec.distinct:
+                # Keep the first row of every (group, value) pair.  A NULL
+                # argument is no value; in a STAR row NULL is a value of
+                # its own.
+                codes, ok = _factorize(columns, n, (inverse, n_groups))
+                if star or ok.all():
+                    rows = _first_occurrences(codes)
+                else:
+                    live = np.flatnonzero(ok)
+                    rows = live[_first_occurrences(codes[live])]
+                groups = inverse[rows]
+                if not star:
+                    arg_data, arg_valid = arg_data[rows], None
+            result = None
+            if not star or name == "count":
+                result = _group_fast_path(spec, arg_data, arg_valid, groups, n_groups)
             if result is None:
+                # No closed form (AVG pair partials, non-count aggregates
+                # over an object layout): one evaluate_spec per group.
+                extracted = column.pylist(columns)
                 if slices is None:
                     slices = _group_slices(inverse, n_groups)
                 per_group = [
-                    evaluate_spec(
-                        column.spec, [extracted[i] for i in group.tolist()]
-                    )
+                    evaluate_spec(spec, [extracted[i] for i in group.tolist()])
                     for group in slices
                 ]
                 result = build_column(per_group)
@@ -875,8 +921,6 @@ class VScalarAgg(VecOperator):
             if column.spec.resolved_name() == "count_star":
                 row.append(len(batch))
                 continue
-            extracted = column.values(ctx, env, batch)
-            if not isinstance(extracted, list):
-                extracted = column_to_pylist(*extracted)
+            extracted = column.pylist(column.columns(ctx, env, batch))
             row.append(evaluate_spec(column.spec, extracted))
         return Batch.from_rows(self.schema, [tuple(row)])

@@ -242,4 +242,4 @@ def _present(table: Table, output_names: tuple[str, ...]) -> Table:
 
     if len(output_names) != len(table.schema):
         return table
-    return Table(Schema(output_names), table.rows)
+    return Table.adopt(Schema(output_names), table.rows)

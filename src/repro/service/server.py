@@ -869,13 +869,13 @@ class QueryService:
                 raise
             elapsed = time.perf_counter() - start
             self.metrics.query_finished(elapsed, "ok")
-        rows = list(table.rows)
+        rows = table.rows
         truncated = len(rows) > self.config.max_rows
         if truncated:
             rows = rows[: self.config.max_rows]
         return {
             "columns": list(table.schema.names),
-            "rows": [list(row) for row in rows],
+            "rows": rows,  # tuples: json encodes them as arrays
             "row_count": len(table),
             "truncated": truncated,
             "elapsed": round(elapsed, 6),

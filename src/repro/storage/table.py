@@ -55,6 +55,18 @@ class Table:
                     f"row arity {len(row)} does not match schema arity {arity}"
                 )
 
+    @classmethod
+    def adopt(cls, schema: Schema, rows: list[Row]) -> "Table":
+        """A table over ``rows`` as they are — no copy, no check.
+
+        For the engine's own output (a list of tuples of the plan's
+        arity, owned by the caller from here on); rows from anywhere
+        else go through the constructor, which validates them.
+        """
+        table = cls(schema)
+        table.rows = rows
+        return table
+
     # -- container protocol -------------------------------------------------
 
     def __len__(self) -> int:

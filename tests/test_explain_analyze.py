@@ -1,5 +1,7 @@
 """EXPLAIN ANALYZE: physical plans annotated with actual row counts."""
 
+import re
+
 import pytest
 
 from repro import Database
@@ -36,8 +38,6 @@ class TestExplainAnalyze:
 
     def test_s2_report_shows_cache_hits(self, db):
         report = db.explain_analyze(SQL, "s2")
-        import re
-
         hits = int(re.search(r"(\d+) cache hits", report).group(1))
         assert hits > 0
 
@@ -58,6 +58,43 @@ class TestExplainAnalyze:
         plan = translate(parse(SQL), catalog).plan
         report, _ = explain_analyze(plan, catalog, EvalOptions(subquery_memo=True))
         assert "cache hits" in report
+
+
+class TestRowInterpreterBoundary:
+    """A vectorized report ends by saying how much of the plan stayed on
+    the row interpreter — the first answer to "why is this statement slow
+    on the batch engine"."""
+
+    VECTORIZED = EvalOptions(vectorized=True)
+
+    def test_q2_auto_runs_wholly_on_the_batch_engine(self, db):
+        from repro.bench.queries import Q2
+
+        report = db.explain_analyze(Q2, "auto", self.VECTORIZED)
+        last = report.rstrip("\n").splitlines()[-1]
+        assert re.fullmatch(
+            r"-- engine: vectorized; 0 of \d+ operators on the row interpreter", last
+        ), last
+        assert "VMap" in report and "PMap" not in report
+        # Eqv. 4's g2 is one evaluation broadcast over the batch, not one
+        # evaluation and a cache hit for every further row.
+        assert "1 nested-subquery evaluations, 0 cache hits" in report
+
+    def test_q4_auto_names_what_stays_on_the_row_interpreter(self, db):
+        from repro.bench.queries import Q4
+
+        report = db.explain_analyze(Q4, "auto", self.VECTORIZED)
+        last = report.rstrip("\n").splitlines()[-1]
+        match = re.fullmatch(
+            r"-- engine: vectorized; (\d+) of (\d+) operators on the row interpreter \((.*)\)",
+            last,
+        )
+        assert match, last
+        assert 0 < int(match.group(1)) < int(match.group(2))
+        assert match.group(3).split(", ") == ["PBinaryGroup", "PBypassNLJoin", "PStreamTap"]
+
+    def test_row_engine_reports_carry_no_engine_line(self, db):
+        assert "-- engine:" not in db.explain_analyze(SQL, "unnested")
 
 
 class _WriterAtFirstScan:

@@ -291,7 +291,7 @@ class TestDeadlinePropagation:
             "POST", "/query", {"sql": "SELECT COUNT(*) FROM r", "budget": 30.0}
         )
         assert status == 200
-        assert body["rows"] == [[20]]
+        assert body["rows"] == [(20,)]  # in process: tuples; JSON arrays on the wire
 
 
 class TestConcurrentClients:

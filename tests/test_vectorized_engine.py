@@ -170,6 +170,73 @@ class TestKernels3VL:
 
 
 # ---------------------------------------------------------------------------
+# Eqv. 4's χ g := fO(g1, g2): the partial-combine kernel
+# ---------------------------------------------------------------------------
+
+#: layout of the two partial columns -> rows of (g1, g2)
+PARTIALS = {
+    "int64": [(3, 5), (None, 2), (7, None), (None, None), (4, 4)],
+    "float64": [(0.5, 2), (None, 2.5), (7.0, None), (None, None)],
+    "int64 beside float64": [(3, 0.5), (None, 2.5), (7, None), (None, None)],
+    "object (strings)": [("b", "a"), (None, "c"), ("d", None), (None, None)],
+    "object (int beyond 64 bits)": [(2**70, 1), (None, 2), (3, None), (None, None)],
+    "empty upstream batch": [],
+    "no NULL at all": [(1, 2), (4, 3)],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(PARTIALS))
+@pytest.mark.parametrize("name", ["count", "count_star", "sum", "min", "max"])
+def test_agg_combine_kernel_follows_aggregate_combine(name, layout):
+    from repro.engine.evaluate import compile_expr
+    from repro.engine.vector_kernels import compile_value
+    from repro.storage.batch import column_to_pylist
+
+    rows = PARTIALS[layout]
+    if name.startswith("count"):  # a count partial is never NULL
+        rows = [row for row in rows if None not in row]
+    if name != "min" and name != "max" and "strings" in layout:
+        pytest.skip("only MIN/MAX aggregate strings")
+    schema = Schema(["g1", "g2"])
+    node = E.AggCombine(name, (E.ColumnRef("g1"), E.ColumnRef("g2")))
+    ctx = ExecContext(EvalOptions(vectorized=True))
+    by_row = compile_expr(node, schema, None)(ctx, {})
+    data, valid = compile_value(node, schema)(ctx, {})(Batch.from_rows(schema, rows))
+    assert column_to_pylist(data, valid) == [by_row(row) for row in rows]
+
+
+def test_avg_partials_and_row_correlated_subqueries_have_no_kernel():
+    from repro.engine.vector_kernels import VectorizeError, compile_value
+
+    schema = Schema(["g1", "g2"])
+    with pytest.raises(VectorizeError):
+        compile_value(E.AggCombine("avg", (E.ColumnRef("g1"), E.ColumnRef("g2"))), schema)
+    catalog = make_rst_catalog(seed=3)
+    correlated = "SELECT A1, (SELECT COUNT(*) FROM s WHERE A2 = B2) FROM r"
+    closed = "SELECT A1, (SELECT COUNT(*) FROM s WHERE B4 > 1500) FROM r"
+    for sql, expected in ((correlated, "PMap"), (closed, "VMap")):
+        planned = plan_query(sql, catalog, "canonical")
+        physical = compile_plan(planned.logical, catalog, vectorized=True)
+        assert expected in _operator_names(physical), sql
+
+
+@pytest.mark.parametrize("n_r", [30, 0])
+def test_broadcast_scalar_subquery_is_evaluated_once_or_never(n_r):
+    """χ over a subquery that does not depend on the row: one evaluation
+    when rows reach it, none when the batch is empty — the row engine's
+    count with its cache hits taken out."""
+    catalog = make_rst_catalog(n_r=n_r, seed=3)
+    sql = "SELECT A1, (SELECT COUNT(*) FROM s WHERE B4 > 1500) FROM r"
+    planned = plan_query(sql, catalog, "canonical")
+    row, row_ctx = planned.execute(catalog, EvalOptions(), with_context=True)
+    vec, vec_ctx = planned.execute(catalog, EvalOptions(vectorized=True), with_context=True)
+    assert_bag_equal(row, vec)
+    assert row_ctx.stats.subquery_evals == vec_ctx.stats.subquery_evals == min(n_r, 1)
+    assert row_ctx.stats.subquery_cache_hits == max(n_r - 1, 0)
+    assert vec_ctx.stats.subquery_cache_hits == 0
+
+
+# ---------------------------------------------------------------------------
 # Compiler: vectorized lowering and fallback routing
 # ---------------------------------------------------------------------------
 
@@ -232,6 +299,53 @@ class TestCompilerRouting:
                 physical = compile_plan(planned.logical, catalog, vectorized=True)
                 modules = {type(node).__module__ for node in _walk(physical)}
                 assert modules <= {"repro.engine.vector_ops", "repro.engine.operators"}
+
+    def test_fig7_unnested_plans_stay_on_the_batch_engine(self):
+        """Q1-Q3 under ``auto`` (Eqv. 1-4) have a batch form for every
+        operator, the scalar ``g2`` of Eqv. 4 included; what still runs on
+        the row interpreter is ⋈± and binary Γ (Q4, Eqv. 5) and the
+        row-correlated filter of every canonical plan."""
+        from collections import Counter
+
+        from repro.bench.queries import Q1, Q2, Q3, Q4
+
+        catalog = make_rst_catalog(seed=3)
+        for sql in (Q1, Q2, Q3):
+            root, nodes = _compile_all(sql, catalog, "auto")
+            assert {type(node).__module__ for node in nodes} == {"repro.engine.vector_ops"}
+            assert "VFromRows" not in _operator_names(root)
+        _, nodes = _compile_all(Q2, catalog, "auto")
+        assert "VMap" in {type(node).__name__ for node in nodes}
+
+        root, nodes = _compile_all(Q4, catalog, "auto")
+        on_rows = {type(n).__name__ for n in nodes if n.FAULT_DOMAIN == "engine.row."}
+        assert on_rows == {"PBypassNLJoin", "PStreamTap", "PBinaryGroup"}
+        assert "VFromRows" in _operator_names(root)
+
+        canonical = {
+            Q1: "PFilter VDistinct VFilter VProject*2 VScalarAgg VScan*2",
+            Q2: "PFilter VDistinct VFilter VProject*2 VScalarAgg VScan*2",
+            Q3: "PFilter VDistinct VFilter*2 VProject*3 VScalarAgg*2 VScan*3",
+            Q4: "PFilter*2 VDistinct VFilter VProject*3 VScalarAgg*2 VScan*3",
+        }
+        for sql, expected in canonical.items():
+            _, nodes = _compile_all(sql, catalog, "canonical")
+            counts = Counter(type(node).__name__ for node in nodes)
+            shape = " ".join(
+                name if count == 1 else f"{name}*{count}" for name, count in sorted(counts.items())
+            )
+            assert shape == expected
+
+
+def _compile_all(sql, catalog, strategy):
+    """``(root, every physical node)`` — subquery plans included, which
+    live in expression closures where ``children()`` does not reach."""
+    from repro.engine.vector_compile import VectorCompiler
+
+    planned = plan_query(sql, catalog, strategy)
+    compiler = VectorCompiler(catalog)
+    compiler.count_references(planned.logical)
+    return compiler.compile(planned.logical), list(compiler.memo.values())
 
 
 def _walk(physical):
@@ -301,3 +415,40 @@ def test_division_by_zero_raises_in_both_engines():
     for options in (EvalOptions(), EvalOptions(vectorized=True)):
         with pytest.raises((ZeroDivisionError, ReproError)):
             execute_sql(sql, catalog, "auto", options=options)
+
+
+def test_factorize_survives_a_key_space_beyond_int64():
+    """Five keys of 8 192 distinct values each: the mixed-radix code of a
+    row passes 2**63, where int64 arithmetic wraps without raising.
+    Rows 0 and 1 differ by the base-8193 digits of 2**64, so a
+    factorisation that does not renumber gives them one code: GROUP BY
+    loses a group, the five-key equi-join gains pairs and DISTINCT drops
+    a row."""
+    from repro import Database
+    from repro.storage.table import make_table
+    from repro.storage.schema import ColumnType
+
+    n = 8192
+    columns = []
+    for target in (4094, 4, 8188, 2, 4096):
+        values = list(range(n))
+        values[1], values[target] = target, 1
+        columns.append(values)
+    rows = list(zip(*columns))
+    assert rows[0] == (0, 0, 0, 0, 0) and rows[1] == (4094, 4, 8188, 2, 4096)
+    keys = [f"K{i}" for i in range(1, 6)]
+    database = Database()
+    database.register(make_table("w", [(k, ColumnType.INT) for k in keys], rows))
+
+    key_list = ", ".join(keys)
+    join_on = " AND ".join(f"a.{k} = b.{k}" for k in keys)
+    for sql in (
+        f"SELECT {key_list}, COUNT(*) FROM w GROUP BY {key_list}",
+        f"SELECT a.K1, b.K5 FROM w a, w b WHERE {join_on}",
+        "SELECT DISTINCT * FROM w",
+    ):
+        row = database.execute(sql)
+        vec = database.execute(sql, options=EvalOptions(vectorized=True))
+        assert len(vec) == n, sql
+        assert_bag_equal(row, vec, sql)
+    assert database.resilience_info()["degradations"] == 0

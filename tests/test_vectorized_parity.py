@@ -138,3 +138,171 @@ def test_parity_tpch_2d():
         catalog.register(table)
     for strategy in ("canonical", "unnested"):
         both_engines(QUERY_2D, catalog, strategy)
+
+
+# ---------------------------------------------------------------------------
+# DISTINCT as a kernel: aggregates, SELECT DISTINCT, UNION
+# ---------------------------------------------------------------------------
+#
+# DISTINCT is where bag and set semantics meet inside one plan, and where
+# NULLs are equal to each other (duplicate elimination) although ``=``
+# never says so.  The kernels work on factorised codes with a reserved
+# NULL code; these properties hold them to the row engine and to
+# ``evaluate_spec`` on tables that are NULL-heavy, duplicate-heavy and
+# mixed-layout — small value pools make every example all three.
+
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro import Database  # noqa: E402
+from repro.algebra.aggregates import STAR, AggSpec, evaluate_spec  # noqa: E402
+from repro.storage.table import Table  # noqa: E402
+
+#: column -> value pool.  ``k1``/``m`` mix ints, floats and strings (object
+#: layout, unorderable), ``f`` mixes ints and floats (float64 layout),
+#: ``g`` holds an int beyond 64 bits (object layout of numbers).
+POOLS = {
+    "k1": [None, None, 0, 1, "x"],
+    "k2": [None, 0, 1],
+    "v": [None, None, 0, 1, 2, 3],
+    "f": [None, 0, 1, 1.0, 0.5, 2.5],
+    "m": [None, None, 0, 1, 1.0, "a", "1"],
+    "g": [None, 1, 2, 2**70],
+}
+COLUMNS = list(POOLS)
+table_rows = st.lists(st.tuples(*(st.sampled_from(pool) for pool in POOLS.values())), max_size=12)
+
+
+def _plus(a, b):
+    return None if a is None or b is None else a + b
+
+
+#: SQL argument -> the value evaluate_spec sees for one row (a dict).
+ARGUMENTS = {
+    "v": lambda r: r["v"],
+    "f": lambda r: r["f"],
+    "v + f": lambda r: _plus(r["v"], r["f"]),
+    "v * 2": lambda r: _plus(r["v"], r["v"]),
+}
+AGGREGATES = [
+    (func, arg, distinct)
+    for distinct in (False, True)
+    for func, args in (
+        ("COUNT", [*ARGUMENTS, "g", "m", "*"]),
+        ("SUM", [*ARGUMENTS, "g"]),
+        ("AVG", [*ARGUMENTS]),
+        ("MIN", [*ARGUMENTS, "g"]),
+        ("MAX", [*ARGUMENTS, "g"]),
+    )
+    for arg in args
+]
+
+
+def _reference(rows, keys):
+    """The answer from first principles: Python grouping, then
+    ``evaluate_spec`` over each group's argument values."""
+    groups: dict = {}
+    for row in rows:
+        record = dict(zip(COLUMNS, row))
+        groups.setdefault(tuple(record[k] for k in keys), []).append((row, record))
+    if not keys and not groups:
+        groups[()] = []  # a scalar aggregate answers over the empty table too
+    out = []
+    for key, members in groups.items():
+        values = []
+        for func, arg, distinct in AGGREGATES:
+            spec = AggSpec(func.lower(), STAR if arg == "*" else None, distinct)
+            extract = ARGUMENTS.get(arg, lambda r, arg=arg: r[arg])
+            values.append(
+                evaluate_spec(
+                    spec, [row if arg == "*" else extract(record) for row, record in members]
+                )
+            )
+        out.append(key + tuple(values))
+    return out
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=table_rows)
+@example(rows=[])
+@example(rows=[(None, None, None, None, None, None)])
+@example(rows=[(0, 0, None, None, None, None)] * 3 + [(0, 1, 1, 1.0, 1.0, 1)])  # an all-NULL group
+@example(rows=[(1, 0, 0, 0, 0, 1), (1, 0, None, None, None, None)] * 2)  # NULL beside 0
+def test_distinct_aggregates_agree_with_the_row_engine_and_evaluate_spec(rows):
+    database = Database()
+    database.create_table("t", COLUMNS, rows)
+    select = ", ".join(
+        f"{func}({'DISTINCT ' if distinct else ''}{arg})" for func, arg, distinct in AGGREGATES
+    )
+    for keys in ((), ("k2",), ("k1", "k2")):
+        key_list = ", ".join(keys)
+        sql = f"SELECT {key_list + ', ' if keys else ''}{select} FROM t"
+        if keys:
+            sql += f" GROUP BY {key_list}"
+        row = execute_sql(sql, database.catalog, "canonical", options=EvalOptions())
+        vec = execute_sql(sql, database.catalog, "canonical", options=EvalOptions(vectorized=True))
+        assert_bag_equal(row, vec, f"engines diverge for GROUP BY {keys} over {rows}")
+        reference = Table(row.schema, _reference(rows, keys))
+        assert_bag_equal(row, reference, f"row engine vs evaluate_spec, GROUP BY {keys}")
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(left=table_rows, right=table_rows)
+@example(left=[(None, 0, 0, 0, 0, 1), (None, 0, None, 0, 0, 1)] * 2, right=[])  # NULL vs 0
+@example(left=[(0, 0, 0, 1, 1, 1), (0, 0, 0, 1.0, 1.0, 1)], right=[(0, 0, 0, 1.0, 1, 1)])  # 1 vs 1.0
+def test_duplicate_elimination_keeps_first_occurrences_in_row_engine_order(left, right):
+    database = Database()
+    database.create_table("t", COLUMNS, left)
+    database.create_table("u", COLUMNS, right)
+    for sql in (
+        "SELECT DISTINCT * FROM t",
+        "SELECT DISTINCT m, v FROM t",
+        "SELECT DISTINCT f FROM t",
+        "SELECT k1, m, f FROM t UNION SELECT k1, m, f FROM u",
+        "SELECT v FROM t UNION SELECT k2 FROM u",
+    ):
+        row = execute_sql(sql, database.catalog, "canonical", options=EvalOptions())
+        vec = execute_sql(sql, database.catalog, "canonical", options=EvalOptions(vectorized=True))
+        assert row.rows == vec.rows, f"{sql} over {left} / {right}"
+
+
+# ---------------------------------------------------------------------------
+# The adhoc_cold pool: no kernel raises, nothing is healed
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def adhoc_pool():
+    """The texts and data of the benchmark's ``adhoc_cold`` workload."""
+    from repro.datagen import RstConfig, rst_catalog
+    from repro.datagen.queries import QueryGenConfig, QueryGenerator
+
+    generator = QueryGenerator(QueryGenConfig(seed=2007, p_linear=0.0))
+    texts: dict = {}
+    while len(texts) < 256:
+        texts.setdefault(generator.query())
+    return list(texts), rst_catalog(1, 1, 1, RstConfig(rows_per_sf=100))
+
+
+def test_adhoc_pool_runs_vectorized_without_healing(adhoc_pool):
+    """``plan_query(...).execute`` has no self-healing: a kernel that
+    raises on one of these plans (an empty upstream batch, an object
+    layout) fails here instead of becoming a slower correct answer."""
+    from repro.optimizer import plan_query
+
+    texts, catalog = adhoc_pool
+    for sql in texts:
+        expected = plan_query(sql, catalog, "canonical").execute(catalog)
+        for strategy in ("auto", "unnested"):
+            got = plan_query(sql, catalog, strategy).execute(catalog, EvalOptions(vectorized=True))
+            assert_bag_equal(expected, got, f"({strategy}, vectorized) for {sql!r}")
+
+
+def test_adhoc_pool_is_never_degraded_by_the_database(adhoc_pool):
+    texts, catalog = adhoc_pool
+    database = Database()
+    for name in catalog.table_names():
+        database.register(catalog.table(name))
+    for sql in texts:
+        database.execute(sql, options=EvalOptions(vectorized=True))
+    assert database.resilience_info()["degradations"] == 0
