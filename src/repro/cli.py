@@ -608,10 +608,29 @@ def cmd_shell(args, out) -> int:
     return 0
 
 
-def cmd_serve(args, out) -> int:
+def _serve_until_signal(out, message: str, on_signal, run) -> None:
+    """Run ``run()`` on this thread; on SIGTERM/SIGINT print ``message``
+    and call ``on_signal`` — on a helper thread, because the handler
+    interrupts the very thread ``run()`` serves on and a graceful
+    ``on_signal`` (``QueryServer.drain``) waits for that loop to exit."""
     import signal
     import threading
 
+    def handler(signum, frame):
+        out.write(f"{message}\n")
+        if hasattr(out, "flush"):
+            out.flush()
+        threading.Thread(target=on_signal, daemon=True).start()
+
+    try:
+        signal.signal(signal.SIGTERM, handler)
+        signal.signal(signal.SIGINT, handler)
+    except ValueError:
+        pass  # not on the main thread (embedded use); signals stay default
+    run()
+
+
+def cmd_serve(args, out) -> int:
     from repro.service.server import QueryServer, ServerConfig
 
     config = ServerConfig(
@@ -639,30 +658,13 @@ def cmd_serve(args, out) -> int:
     if hasattr(out, "flush"):
         out.flush()  # scripts parse the port line before the first request
 
-    def _graceful(signum, frame):
-        # Drain on a separate thread: the handler runs on the main
-        # (serving) thread, and QueryServer.drain joins the HTTP loop.
-        out.write("draining (signal received)...\n")
-        if hasattr(out, "flush"):
-            out.flush()
-        threading.Thread(target=server.drain, daemon=True).start()
-
-    try:
-        signal.signal(signal.SIGTERM, _graceful)
-        signal.signal(signal.SIGINT, _graceful)
-    except ValueError:
-        pass  # not on the main thread (embedded use); signals stay default
-
-    server.serve_forever()
+    _serve_until_signal(out, "draining (signal received)...", server.drain, server.serve_forever)
     out.write("server stopped\n")
     return 0
 
 
 def cmd_replica(args, out) -> int:
     """Run a read-only replica: bootstrap from the primary, tail its WAL."""
-    import signal
-    import threading
-
     from repro.replication.replica import ReplicaConfig, ReplicaServer
     from repro.service.server import ServerConfig
 
@@ -685,26 +687,15 @@ def cmd_replica(args, out) -> int:
     if hasattr(out, "flush"):
         out.flush()  # scripts parse the port line before the first request
 
-    def _graceful(signum, frame):
-        out.write("replica stopping (signal received)...\n")
-        if hasattr(out, "flush"):
-            out.flush()
-        threading.Thread(target=replica.stop, daemon=True).start()
-
-    try:
-        signal.signal(signal.SIGTERM, _graceful)
-        signal.signal(signal.SIGINT, _graceful)
-    except ValueError:
-        pass  # not on the main thread (embedded use); signals stay default
-
-    replica.serve_forever()
+    _serve_until_signal(
+        out, "replica draining (signal received)...", replica.drain, replica.serve_forever
+    )
     out.write("replica stopped\n")
     return 0
 
 
 def cmd_coordinator(args, out) -> int:
     """Health-check a replica set; elect and promote on primary failure."""
-    import signal
     import threading
 
     from repro.replication.failover import ClusterCoordinator, CoordinatorConfig
@@ -727,17 +718,9 @@ def cmd_coordinator(args, out) -> int:
     emit(f"coordinating {len(config.nodes)} nodes: {', '.join(config.nodes)}")
     stop = threading.Event()
 
-    def _graceful(signum, frame):
-        emit("coordinator stopping (signal received)...")
-        stop.set()
-
-    try:
-        signal.signal(signal.SIGTERM, _graceful)
-        signal.signal(signal.SIGINT, _graceful)
-    except ValueError:
-        pass  # not on the main thread (embedded use); signals stay default
-
-    coordinator.run(stop)
+    _serve_until_signal(
+        out, "coordinator stopping (signal received)...", stop.set, lambda: coordinator.run(stop)
+    )
     info = coordinator.info()
     out.write(
         f"coordinator stopped after {info['rounds']} rounds "

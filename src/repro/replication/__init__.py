@@ -18,7 +18,7 @@ a rejoining one truncate its divergent WAL suffix.  See
 the failover protocol.
 
 This package initializer stays import-light on purpose:
-``repro.service.server`` imports :mod:`repro.replication.stream` at
+``repro.service.server`` imports :mod:`repro.replication.role` at
 module level, while :mod:`repro.replication.replica` imports the server
 back — eager re-exports here would close that cycle.
 """

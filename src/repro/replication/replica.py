@@ -17,11 +17,11 @@ from whatever its own recovery reports, torn tail discarded and all.
 After every record the follower asserts the alignment; drift is fatal
 (:class:`~repro.errors.ReplicationError`), never papered over.
 
-:class:`ReplicaServer` wraps the follower and a :class:`QueryServer`
-whose service subclass rejects writes (``READ_ONLY_REPLICA``) and
-honors ``min_lsn`` read gates: wait up to ``lsn_wait`` for replication
-to catch up, then answer — or fail with a retryable ``REPLICA_LAGGING``
-the replica-set client uses to redirect.  See ``docs/replication.md``.
+:class:`ReplicaServer` is a :class:`QueryServer` whose service mounts
+the follower plus the one thread that runs it; what a node with a
+follower answers (``READ_ONLY_REPLICA`` to writes, wait-then-
+``REPLICA_LAGGING`` to ``min_lsn`` reads) is decided in
+:mod:`repro.replication.role`.  See ``docs/replication.md``.
 """
 
 from __future__ import annotations
@@ -33,28 +33,13 @@ import threading
 from dataclasses import dataclass
 
 from repro import Database
-from repro.errors import (
-    InjectedFault,
-    NotPrimary,
-    ReadOnlyReplica,
-    ReplicaLagging,
-    ReplicationError,
-    ReproError,
-    ServiceUnavailable,
-)
+from repro.errors import InjectedFault, NotPrimary, ReplicationError, ReproError
 from repro.faults import injector_from_env
 from repro.replication.stream import SITE_STREAM_APPLY, decode_frames, frames_from_wire
 from repro.service.client import ServiceClient
 from repro.service.resilience import CircuitBreaker, RetryPolicy
 from repro.sim.clock import SYSTEM_CLOCK
-from repro.service.server import (
-    QueryServer,
-    QueryService,
-    ServerConfig,
-    _era_of,
-    _number_field,
-    _required_str,
-)
+from repro.service.server import QueryServer, QueryService, ServerConfig
 from repro.storage.wal import (
     WAL_NAME,
     DurabilityConfig,
@@ -104,7 +89,8 @@ class ReplicationFollower:
 
     ``on_install`` (optional callable) is invoked with the database
     object whenever one is (re)built — at bootstrap and after a full
-    resync — so an embedding server can swap what it serves from.
+    resync — so an embedding server can swap what it serves from
+    (a :class:`QueryService` given this follower points it at ``attach``).
     """
 
     def __init__(
@@ -119,27 +105,15 @@ class ReplicationFollower:
         self.config = config
         self._clock = clock or SYSTEM_CLOCK
         self._transport = transport
-        # max_attempts=1: the follower loop is its own retry policy —
-        # a fetch that fails backs off and refetches from applied_lsn,
-        # which is always correct, so inner retries only hide lag.  The
-        # same goes for the circuit breaker: a resting breaker would
-        # keep the replication pipeline dark for its full reset timeout
-        # after a partition heals, and every LSN the primary acks in
-        # that dark window is one more acked write a failover can lose.
-        # reset_timeout=0 keeps the fail-fast bookkeeping but always
-        # admits the next (already rate-limited) poll.
-        self.client = client or ServiceClient(
-            config.primary_url,
-            timeout=config.http_timeout,
-            retry_policy=RetryPolicy(max_attempts=1),
-            breaker=CircuitBreaker(reset_timeout=0.0, clock=self._clock.monotonic),
-            clock=self._clock,
-            transport=transport,
-        )
+        self.client = client or self._client_for(config.primary_url)
         self.on_install = on_install
         self._db: Database | None = None
         self._cond = threading.Condition()
-        self._closed = False
+        #: Set by :meth:`close`; the streaming loop's stop signal.
+        self.closed = threading.Event()
+        #: The thread driving :meth:`run`, when one does (the simulator
+        #: and hand-stepping tests have none); :meth:`halt` joins it.
+        self.thread: threading.Thread | None = None
         self._rng = rng or random.Random()
         #: Set (with a reason) when apply detected drift; the follower
         #: refuses further work rather than serve divergent state.
@@ -162,6 +136,25 @@ class ReplicationFollower:
             "stale_stream_rejected": 0,
             "truncations": 0,
         }
+
+    def _client_for(self, primary_url: str) -> ServiceClient:
+        # max_attempts=1: the follower loop is its own retry policy —
+        # a fetch that fails backs off and refetches from applied_lsn,
+        # which is always correct, so inner retries only hide lag.  The
+        # same goes for the circuit breaker: a resting breaker would
+        # keep the replication pipeline dark for its full reset timeout
+        # after a partition heals, and every LSN the primary acks in
+        # that dark window is one more acked write a failover can lose.
+        # reset_timeout=0 keeps the fail-fast bookkeeping but always
+        # admits the next (already rate-limited) poll.
+        return ServiceClient(
+            primary_url,
+            timeout=self.config.http_timeout,
+            retry_policy=RetryPolicy(max_attempts=1),
+            breaker=CircuitBreaker(reset_timeout=0.0, clock=self._clock.monotonic),
+            clock=self._clock,
+            transport=self._transport,
+        )
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -270,14 +263,7 @@ class ReplicationFollower:
         before the new primary's era record arrives in-stream.
         """
         self.config = dataclasses.replace(self.config, primary_url=primary_url)
-        self.client = ServiceClient(
-            primary_url,
-            timeout=self.config.http_timeout,
-            retry_policy=RetryPolicy(max_attempts=1),
-            breaker=CircuitBreaker(reset_timeout=0.0, clock=self._clock.monotonic),
-            clock=self._clock,
-            transport=self._transport,
-        )
+        self.client = self._client_for(primary_url)
         if era is not None:
             self.era = max(self.era, era)
 
@@ -345,7 +331,7 @@ class ReplicationFollower:
             self.counters["torn_batches"] += 1
         if not records:
             return 0
-        if self._closed:
+        if self.closed.is_set():
             # Closed between fetch and apply (promotion in flight): the
             # batch must not land on what is about to be a new timeline.
             return 0
@@ -397,46 +383,37 @@ class ReplicationFollower:
         return backoff * (1.0 + self._rng.uniform(-jitter, jitter))
 
     def run(self, stop_event: threading.Event | None = None) -> None:
-        """Stream until stopped.  Fetch errors back off and refetch
-        (refetching from ``applied_lsn`` is always correct); a stale
-        stream (``NOT_PRIMARY``) backs off too — the coordinator will
-        repoint us at the new leader; apply drift propagates after
-        marking the follower broken."""
+        """Stream until closed (or ``stop_event`` is set).  Fetch errors
+        back off and refetch (refetching from ``applied_lsn`` is always
+        correct); a stale stream (``NOT_PRIMARY``) backs off too — the
+        coordinator will repoint us at the new leader; apply drift
+        propagates after marking the follower broken."""
+        stop = stop_event or self.closed
         backoff = self.config.retry_backoff
-        while not self._closed and not (stop_event is not None and stop_event.is_set()):
+        while not (self.closed.is_set() or stop.is_set()):
             try:
                 self.step()
+                backoff = self.config.retry_backoff
+                continue
             except NotPrimary:
                 # The node we are tailing is a deposed primary; nothing
                 # was applied.  Wait for a repoint rather than dying —
                 # NotPrimary must be handled before its ReplicationError
                 # base class, which is fatal here.
-                delay = self._backoff_delay(backoff)
-                if stop_event is not None:
-                    self._clock.wait(stop_event, delay)
-                else:
-                    self._clock.sleep(delay)
-                backoff = min(backoff * 2, self.config.retry_backoff_max)
-                continue
+                pass
             except ReplicationError:
                 raise
             except ReproError:
                 self.counters["fetch_errors"] += 1
-                delay = self._backoff_delay(backoff)
-                if stop_event is not None:
-                    self._clock.wait(stop_event, delay)
-                else:
-                    self._clock.sleep(delay)
-                backoff = min(backoff * 2, self.config.retry_backoff_max)
-                continue
-            backoff = self.config.retry_backoff
+            self._clock.wait(stop, self._backoff_delay(backoff))
+            backoff = min(backoff * 2, self.config.retry_backoff_max)
 
     def wait_for_lsn(self, lsn: int, timeout: float) -> int:
         """Block until ``applied_lsn >= lsn`` or ``timeout``; returns
         the applied LSN either way (the ``min_lsn`` read-gate wait)."""
         with self._cond:
             self._cond.wait_for(
-                lambda: self.applied_lsn >= lsn or self._closed or self.broken,
+                lambda: self.applied_lsn >= lsn or self.closed.is_set() or self.broken,
                 timeout=timeout,
             )
             return self.applied_lsn
@@ -459,229 +436,43 @@ class ReplicationFollower:
 
     def close(self) -> None:
         """Stop the loop and wake every read-gate waiter (idempotent)."""
-        self._closed = True
+        self.closed.set()
         with self._cond:
             self._cond.notify_all()
 
+    def halt(self, timeout: float = 10.0) -> bool:
+        """Stop the streaming loop for good; True once provably stopped.
 
-class ReplicaService(QueryService):
-    """A read-only :class:`QueryService` gated on replication progress.
-
-    Until promoted it refuses writes (``READ_ONLY_REPLICA``) and gates
-    reads on the follower's applied LSN.  ``POST /replication/promote``
-    flips it to a full primary: the follower is halted, the fencing era
-    is bumped durably, and from then on every inherited primary code
-    path (write gate, causality gate, stream serving) applies as-is.
-    """
-
-    def __init__(self, database, config: ServerConfig | None, follower: ReplicationFollower):
-        super().__init__(database, config)
-        self.follower = follower
-        #: Flips exactly once, on a successful /replication/promote.
-        self.promoted = False
-        #: Callable invoked *before* the era bump to halt the follower
-        #: thread (wired by :class:`ReplicaServer`); must return True
-        #: once the thread is provably stopped.
-        self.on_promote = None
-
-    def _causality_gate(self, payload: dict) -> None:
-        """Honor ``min_lsn``/``era`` causal reads: wait, then serve or 503
-        (once promoted, the primary-side fail-fast gate applies instead).
-
-        The era check guards the timeline, not the position: a replica
-        still tailing a deposed primary can hold *old-timeline* LSNs far
-        past a new-timeline token, so an LSN-only gate would serve it
-        stale-history data.  A read stamped with era N is refused
-        (retryably) until this replica has both heard of era N *and*
-        applied its boundary record — between a repoint (which arms
-        ``follower.era``) and the in-stream era record (which advances
-        ``db.era`` and truncates any divergent suffix first), the local
-        log is still unproven.
+        The promotion prerequisite: the loop's thread may be mid-way
+        through a long poll against the (dead) old primary, and a batch
+        it fetched before the era bump must never land on the new
+        timeline.  ``close()`` makes the loop exit after its current
+        step; the join bounds how long the caller waits for it.
         """
-        if self.promoted:
-            return super()._causality_gate(payload)
-        min_lsn = _number_field(payload, "min_lsn")
-        era = _number_field(payload, "era")
-        follower = self.follower
-        if era:
-            db_era = self._db_era()
-            if era > max(db_era, follower.era):
-                raise ReplicaLagging(
-                    min_lsn or 0,
-                    follower.applied_lsn,
-                    message=(
-                        f"read is stamped with era {era} but this replica only"
-                        f" reached era {max(db_era, follower.era)}; it may still"
-                        " be tailing a deposed primary"
-                    ),
-                )
-            if follower.era > db_era:
-                raise ReplicaLagging(
-                    min_lsn or 0,
-                    follower.applied_lsn,
-                    message=(
-                        f"replica is armed with era {follower.era} but has not"
-                        f" applied its boundary record yet (local era {db_era});"
-                        " the local log is unproven until the stream truncates"
-                        " or confirms it"
-                    ),
-                )
-        if min_lsn is None:
-            return
-        wait = _number_field(payload, "lsn_wait", default=1.0, seconds=True)
-        wait = min(float(wait), self.config.max_wait_seconds)
-        budget = _number_field(payload, "budget", seconds=True)
-        if budget is not None:
-            # Deadline propagation: parking the gate longer than the
-            # caller's remaining budget only manufactures a timeout the
-            # client has already stopped waiting for.
-            wait = min(wait, budget)
-        applied = self.follower.applied_lsn
-        if applied < min_lsn:
-            applied = self.follower.wait_for_lsn(min_lsn, wait)
-        if applied < min_lsn:
-            raise ReplicaLagging(min_lsn, applied)
-
-    def _role(self) -> str:
-        return "primary" if self.promoted else "replica"
-
-    def _db_era(self) -> int:
-        """The served store's era; 0 until the bootstrap installs one."""
-        return 0 if self._db is None else self._db.era
-
-    def _write_gate(self, payload: dict) -> None:
-        """Writes are refused outright until promotion; afterwards the
-        inherited fencing-era gate takes over (split-brain guard)."""
-        if not self.promoted:
-            raise ReadOnlyReplica(
-                "this server is a read-only replica; send writes to the primary"
-            )
-        super()._write_gate(payload)
-
-    def _annotate(self, body: dict) -> dict:
-        if self.promoted:
-            return super()._annotate(body)
-        # A replica's causality stamp is how far it has applied, not a
-        # commit it performed (it performs none).
-        body["applied_lsn"] = self.follower.applied_lsn
-        era = max(self._db_era(), self.follower.era)
-        if era:
-            body["era"] = era
-        return body
-
-    def _topology(self) -> dict:
-        if self.promoted:
-            return super()._topology()
-        follower = self.follower
-        database = self._db
-        applied = follower.applied_lsn
-        return {
-            "role": self._role(),
-            "fenced": False,
-            "fenced_era": 0,
-            "era": max(self._db_era(), follower.era),
-            "era_lsn": 0 if database is None else database.era_lsn,
-            "wal_lsn": applied,
-            "applied_lsn": applied,
-            "leader_url": follower.config.primary_url,
-            "broken": follower.broken,
-        }
-
-    def _promote(self, payload: dict) -> dict:
-        """Become the primary: halt the follower, bump the era durably.
-
-        The era bump is the commit point — a promotion that fails before
-        it leaves the node a plain replica.  The follower thread must be
-        provably stopped first so no stale in-flight batch can land on
-        the new timeline; if it is still draining a long poll the
-        promotion fails retryably and the coordinator tries again.
-        """
-        if self.promoted:
-            return super()._promote(payload)
-        era = _era_of(payload)
-        follower = self.follower
-        if follower.broken is not None:
-            raise ReplicationError(
-                f"cannot promote a broken follower: {follower.broken}"
-            )
-        current = max(self.db.era, follower.era)
-        if era <= current:
-            raise ReplicationError(
-                f"stale promotion: era {era} is not newer than this node's era {current}"
-            )
-        if self.on_promote is not None and not self.on_promote():
-            raise ServiceUnavailable(
-                "follower thread is still draining its last poll; retry promotion"
-            )
-        follower.close()
-        follower.era = max(follower.era, era)
-        database = self.db
-        database.bump_era(era)
-        self.promoted = True
-        with self._cluster_lock:
-            self._fenced = False
-            self._fenced_era = 0
-            self._leader_url = self.config.advertise_url
-        return {
-            "promoted": True,
-            "role": self._role(),
-            "era": database.era,
-            "era_lsn": database.era_lsn,
-            "applied_lsn": database.wal_lsn,
-        }
-
-    def _repoint(self, payload: dict) -> dict:
-        """Follow a different primary (the coordinator heals topology)."""
-        if self.promoted:
-            return super()._repoint(payload)
-        leader_url = _required_str(payload, "leader_url")
-        era = _era_of(payload)
-        follower = self.follower
-        if era < follower.era:
-            raise ReplicationError(
-                f"stale repoint: era {era} is behind this follower's era {follower.era}"
-            )
-        follower.repoint(leader_url, era)
-        return {"repointed": True, "leader_url": leader_url, "era": follower.era}
-
-    def _metrics_body(self) -> dict:
-        body = super()._metrics_body()
-        if not self.promoted:
-            body["replication"] = self.follower.info()
-        return body
+        self.close()
+        thread = self.thread
+        if thread is None or thread is threading.current_thread():
+            return True
+        thread.join(timeout)
+        return not thread.is_alive()
 
 
 class ReplicaServer:
-    """One process's worth of replica: follower thread + HTTP server.
+    """One process's worth of replica: a :class:`QueryServer` whose
+    service mounts the follower, plus the one thread that runs it.
 
     The server starts immediately and reports ``ready: false`` while the
     bootstrap (snapshot fetch or local recovery) runs on the startup
     thread — the same deferred-database machinery the primary uses for
-    WAL replay.  After a resync the follower swaps the served database
-    through ``on_install``.
+    WAL replay.
     """
 
     def __init__(self, config: ReplicaConfig, server_config: ServerConfig | None = None):
         self.config = config
-        self.follower = ReplicationFollower(config, on_install=self._install)
+        self.follower = ReplicationFollower(config)
         self.server = QueryServer(
-            self._startup,
-            server_config or ServerConfig(),
-            service_factory=self._make_service,
+            QueryService(lambda: self.follower.bootstrap(), server_config, self.follower)
         )
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def _make_service(self, database, config: ServerConfig) -> ReplicaService:
-        service = ReplicaService(database, config, self.follower)
-        service.on_promote = self._halt_follower
-        return service
-
-    def _startup(self) -> Database:
-        return self.follower.bootstrap()
-
-    def _install(self, db: Database) -> None:
-        self.server.service._db = db
 
     @property
     def url(self) -> str:
@@ -691,64 +482,56 @@ class ReplicaServer:
     def address(self) -> tuple[str, int]:
         return self.server.address
 
-    def start(self) -> "ReplicaServer":
-        self.server.start()
-        self._thread = threading.Thread(target=self._follow, name="repro-replication", daemon=True)
-        self._thread.start()
-        return self
-
-    def _halt_follower(self) -> bool:
-        """Stop the streaming loop for good; True once provably stopped.
-
-        The promotion prerequisite: the follower thread may be mid-way
-        through a long poll against the (dead) old primary, and a batch
-        it fetched before the era bump must never land on the new
-        timeline.  ``close()`` makes the loop exit after its current
-        step; the join bounds how long a promotion request waits for it.
-        """
-        self._stop.set()
-        self.follower.close()
-        thread = self._thread
-        if thread is None or thread is threading.current_thread():
-            return True
-        thread.join(timeout=10.0)
-        return not thread.is_alive()
+    def _spawn_follower(self) -> None:
+        self.follower.thread = threading.Thread(
+            target=self._follow, name="repro-replication", daemon=True
+        )
+        self.follower.thread.start()
 
     def _follow(self) -> None:
         service = self.server.service
         # Event-driven hand-off: park on startup_finished (set on
-        # success, failure, and stop()) instead of polling ``ready`` at
+        # success, failure, and shutdown) instead of polling ``ready`` at
         # 50 Hz — a parked replica burns no CPU while the primary-side
         # bootstrap or local recovery runs.
         service.startup_finished.wait()
-        if (
-            self._stop.is_set()
-            or service.startup_error is not None
-            or not service.ready.is_set()
-        ):
+        if service.startup_error is not None or not service.ready.is_set():
             return
         try:
-            self.follower.run(self._stop)
+            self.follower.run()
         except ReplicationError:
             # Recorded in follower.broken and surfaced via /metrics; the
             # server keeps answering reads at its last consistent LSN.
             pass
 
+    def start(self) -> "ReplicaServer":
+        self.server.start()
+        self._spawn_follower()
+        return self
+
     def serve_forever(self) -> None:
         """Follower on a daemon thread, HTTP on the calling thread (CLI)."""
-        self._thread = threading.Thread(target=self._follow, name="repro-replication", daemon=True)
-        self._thread.start()
+        self._spawn_follower()
         self.server.serve_forever()
 
+    def drain(self, grace: float | None = None) -> bool:
+        """Graceful shutdown, the same one a primary gets (a promoted
+        replica *is* one): finish in-flight queries, checkpoint at the
+        applied LSN, release the socket (see :meth:`QueryServer.drain`)."""
+        return self._shut_down(lambda: self.server.drain(grace))
+
     def stop(self) -> None:
-        self._stop.set()
-        self.follower.close()
+        self._shut_down(self.server.stop)
+
+    def _shut_down(self, stop_server):
+        """Halt the follower, stop the server, close the store — in that
+        order, so nothing is applied under a checkpoint or a closed log."""
         # Wake a _follow thread still parked on the startup hand-off
-        # (stop before bootstrap finished, e.g. an unreachable primary).
+        # (shutdown before bootstrap finished, e.g. an unreachable primary).
         self.server.service.startup_finished.set()
-        if self._thread is not None and self._thread is not threading.current_thread():
-            self._thread.join(timeout=5)
-        self.server.stop()
+        self.follower.halt(timeout=5)
+        result = stop_server()
         database = self.follower._db
         if database is not None:
             database.close()
+        return result

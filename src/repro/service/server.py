@@ -69,7 +69,6 @@ Every error body is ``{"error": {"code": ..., "message": ...}}`` — the
 
 from __future__ import annotations
 
-import base64
 import json
 import threading
 import time
@@ -82,17 +81,13 @@ from repro.errors import (
     AdmissionRejected,
     BadRequestError,
     BudgetExceeded,
-    InjectedFault,
-    NotPrimary,
     QueryCancelled,
-    ReplicaLagging,
-    ReplicationError,
     ReproError,
     ServiceUnavailable,
     SessionError,
 )
 from repro.faults import injector_from_env
-from repro.replication.stream import SITE_STREAM_SERVE, SITE_STREAM_TORN
+from repro.replication.role import NodeRole
 from repro.service.metrics import ServerMetrics
 from repro.sim.clock import SYSTEM_CLOCK
 from repro.sql import statement_kind
@@ -220,15 +215,17 @@ class QueryService:
     thread while HTTP is already answering: ``/health`` reports
     ``ready: false`` (503) and queries are refused with a retryable
     ``SERVICE_UNAVAILABLE`` until recovery finishes.
+
+    ``follower`` makes the node a replica: the
+    :class:`~repro.replication.replica.ReplicationFollower` feeding
+    ``database``.  Whatever differs between a primary, a fenced primary
+    and a replica is decided by :attr:`role`; a follower that rebuilds
+    its store (resync) swaps the served one through :meth:`attach`.
     """
 
-    def __init__(self, database, config: ServerConfig | None = None):
-        if callable(database):
-            self._db: object | None = None
-            self._db_factory = database
-        else:
-            self._db = database
-            self._db_factory = None
+    def __init__(self, database, config: ServerConfig | None = None, follower=None):
+        self._db: object | None = None
+        self._db_factory = database if callable(database) else None
         self.config = config or ServerConfig()
         self.clock = self.config.clock or SYSTEM_CLOCK
         self.metrics = ServerMetrics()
@@ -241,9 +238,6 @@ class QueryService:
         #: waiters that must not spin-poll (the replica's follower
         #: thread parks on this instead of sleeping in a loop).
         self.startup_finished = threading.Event()
-        if self._db is not None:
-            self.ready.set()
-            self.startup_finished.set()
         self.startup_error: str | None = None
         #: Set while the server drains: new queries are refused with
         #: SERVICE_UNAVAILABLE (503) but in-flight ones run to completion
@@ -256,23 +250,15 @@ class QueryService:
         self._sessions_lock = threading.Lock()
         self._sessions_expired = 0
         self._last_session_sweep = self.clock.monotonic()
-        self._repl_lock = threading.Lock()
-        self._repl_counters = {
-            "snapshots_served": 0,
-            "tails_served": 0,
-            "records_streamed": 0,
-            "torn_frames_injected": 0,
-        }
-        self._shutdown_callback = None
-        # Cluster-role state (fencing-era failover).  ``_fenced`` starts
-        # from config; ``_fenced_era`` remembers the era that fenced us
-        # (0 when fenced at startup before hearing one); ``_leader_url``
-        # is the best-known leader to redirect writers to.
-        self._cluster_lock = threading.Lock()
-        self._fenced = self.config.fenced
-        self._fenced_era = 0
-        self._leader_url: str | None = None
-        self._not_primary_rejections = 0
+        #: What ``POST /shutdown`` runs off-thread (the server's HTTP loop stop).
+        self.shutdown_callback = None
+        self.role = NodeRole(
+            lambda: self.db, follower, self.config.advertise_url, self.config.fenced
+        )
+        if follower is not None:
+            follower.on_install = self.attach
+        if self._db_factory is None:
+            self.attach(database)
 
     @property
     def db(self):
@@ -286,6 +272,13 @@ class QueryService:
             raise ServiceUnavailable(message)
         return database
 
+    def attach(self, database) -> None:
+        """Serve from ``database`` and admit queries: the end of startup,
+        and a follower's re-bootstrap swapping the store underneath."""
+        self._db = database
+        self.ready.set()
+        self.startup_finished.set()
+
     def startup(self) -> None:
         """Resolve a deferred database factory (the recovery phase).
 
@@ -293,18 +286,15 @@ class QueryService:
         failure — so event-driven waiters wake exactly once instead of
         polling ``ready``/``startup_error``.
         """
-        if self._db_factory is None or self._db is not None:
-            self.ready.set()
-            self.startup_finished.set()
+        if self._db is not None:
             return
         try:
-            self._db = self._db_factory()
+            database = self._db_factory()
         except Exception as error:  # surfaced via /health, never swallowed silently
             self.startup_error = f"{type(error).__name__}: {error}"
             self.startup_finished.set()
             return
-        self.ready.set()
-        self.startup_finished.set()
+        self.attach(database)
 
     # -- dispatch -----------------------------------------------------------
 
@@ -313,41 +303,12 @@ class QueryService:
         self.metrics.record_request()
         self._expire_sessions()
         try:
-            if method == "GET" and path == "/healthz":
-                return 200, {"status": "ok", "in_flight": self.metrics.snapshot()["in_flight"]}
             if method == "GET" and path == "/health":
                 return self._health()
-            if method == "GET" and path == "/metrics":
-                return 200, self._metrics_body()
-            if method == "POST" and path == "/session":
-                return 200, self._create_session(payload)
-            if method == "POST" and path == "/session/close":
-                return 200, self._close_session(payload)
-            if method == "POST" and path == "/session/pin":
-                return 200, self._pin_session(payload)
-            if method == "POST" and path == "/session/unpin":
-                return 200, self._unpin_session(payload)
-            if method == "POST" and path == "/prepare":
-                return 200, self._prepare(payload)
-            if method == "POST" and path == "/execute":
-                return 200, self._execute(payload)
-            if method == "POST" and path == "/query":
-                return 200, self._query(payload)
-            if method == "POST" and path == "/replication/snapshot":
-                return 200, self._replication_snapshot(payload)
-            if method == "POST" and path == "/replication/wal":
-                return 200, self._replication_wal(payload)
-            if method in ("GET", "POST") and path == "/replication/topology":
-                return 200, self._topology()
-            if method == "POST" and path == "/replication/promote":
-                return 200, self._promote(payload)
-            if method == "POST" and path == "/replication/demote":
-                return 200, self._demote(payload)
-            if method == "POST" and path == "/replication/repoint":
-                return 200, self._repoint(payload)
-            if method == "POST" and path == "/shutdown":
-                return 200, self._shutdown()
-            raise BadRequestError(f"no such endpoint: {method} {path}")
+            route = _ROUTES.get((method, path))
+            if route is None:
+                raise BadRequestError(f"no such endpoint: {method} {path}")
+            return 200, route(self, payload)
         except AdmissionRejected as error:
             self.metrics.record_rejection()
             return _STATUS_BY_CODE[error.code], {"error": error.as_dict()}
@@ -394,25 +355,16 @@ class QueryService:
             "ready": self.ready.is_set(),
         }
         database = self._db
-        if database is None:
-            return body
-        body["plan_cache"] = database.cache_info().as_dict()
-        body["tables"] = database.catalog.table_names()
-        body["resilience"] = database.resilience_info()
-        body["access_paths"] = database.access_info()
-        body["durability"] = database.durability_info()
-        body["mvcc"] = database.mvcc_info()
-        with self._repl_lock:
-            replication = dict(self._repl_counters)
-        replication["role"] = self._role()
-        replication["commit_lsn"] = database.wal_lsn
-        replication["era"] = database.era
-        replication["era_lsn"] = database.era_lsn
-        with self._cluster_lock:
-            replication["fenced"] = self._fenced
-            replication["leader_url"] = self._leader_url
-            replication["not_primary_rejections"] = self._not_primary_rejections
-        body["replication"] = replication
+        if database is not None:
+            body["plan_cache"] = database.cache_info().as_dict()
+            body["tables"] = database.catalog.table_names()
+            body["resilience"] = database.resilience_info()
+            body["access_paths"] = database.access_info()
+            body["durability"] = database.durability_info()
+            body["mvcc"] = database.mvcc_info()
+        # A replica reports its follower even while the bootstrap runs.
+        if database is not None or self.role.follower is not None:
+            body["replication"] = self.role.metrics()
         return body
 
     def _create_session(self, payload: dict) -> dict:
@@ -518,10 +470,10 @@ class QueryService:
             raise BadRequestError(f"unknown statement {statement_id!r} in session")
         # A prepared statement is always a read: ``prepare`` parses with
         # the SELECT-only grammar, so DML never gets this far.
-        self._causality_gate(payload)
+        self._read_gate(payload)
         params = _params_of(payload)
         at_lsn = self._session_lsn(session)
-        return self._annotate(
+        return self.role.annotate(
             self._run(
                 lambda options: statement.execute(params, options=options, at_lsn=at_lsn),
                 payload,
@@ -531,9 +483,9 @@ class QueryService:
     def _query(self, payload: dict) -> dict:
         sql = _required_str(payload, "sql")
         if statement_kind(sql) != "query":
-            self._write_gate(payload)
+            self.role.check_write(_number_field(payload, "era"))
         else:
-            self._causality_gate(payload)
+            self._read_gate(payload)
         strategy = _optional_str(payload, "strategy", "auto")
         params = _params_of(payload)
         # An optional pinned session makes ad-hoc queries read the
@@ -541,7 +493,7 @@ class QueryService:
         at_lsn = None
         if isinstance(payload.get("session"), str):
             at_lsn = self._session_lsn(self._session(payload))
-        return self._annotate(
+        return self.role.annotate(
             self._run(
                 lambda options: self.db.execute(
                     sql, strategy, options=options, params=params, at_lsn=at_lsn
@@ -550,268 +502,25 @@ class QueryService:
             )
         )
 
-    def _annotate(self, body: dict) -> dict:
-        """Stamp the causality token: the WAL LSN after this statement.
-
-        A client that just wrote holds ``commit_lsn`` and can demand
-        ``min_lsn=commit_lsn`` from any replica — read-your-writes
-        without waiting for replication on the write path itself.
-        """
-        database = self._db
-        if database is not None:
-            lsn = database.wal_lsn
-            if lsn:
-                body["commit_lsn"] = lsn
-            era = database.era
-            if era:
-                body["era"] = era
-        return body
-
-    # -- replication stream (primary side) ----------------------------------
-
-    def _replication_snapshot(self, payload: dict) -> dict:
-        """Full-state bootstrap for a new (or resyncing) replica.
-
-        Returns the snapshot-file state shape at a consistent LSN; the
-        follower writes it as a *local* snapshot so its own WAL bases at
-        the same LSN and stays record-for-record aligned with ours.
-        """
-        injector = injector_from_env()
-        if injector is not None:
-            injector.maybe_fail(SITE_STREAM_SERVE)
-        database = self.db
-        snapshot = database.replication_snapshot()
-        with self._repl_lock:
-            self._repl_counters["snapshots_served"] += 1
-        return {
-            "lsn": snapshot["lsn"],
-            "state": snapshot["state"],
-            "commit_lsn": snapshot["lsn"],
-            "era": database.era,
-            "era_lsn": database.era_lsn,
-            "era_history": [list(entry) for entry in database.pruned_era_history()],
-        }
-
-    def _replication_wal(self, payload: dict) -> dict:
-        """Stream WAL frames after ``from_lsn`` (long-polls via ``wait``).
-
-        The response reuses the on-disk record framing verbatim — raw
-        CRC-framed bytes, base64-armored for JSON — so the follower
-        validates them with the same checksum scan recovery uses and a
-        torn tail (injected or real) degrades to a clean shorter batch.
-        """
-        # Required: a missing ``from_lsn`` reads as -1 and is refused.
-        from_lsn = _number_field(payload, "from_lsn", default=-1)
-        max_records = _number_field(payload, "max_records", default=512, bounds=(1, 4096))
-        wait = _number_field(payload, "wait", default=0.0, seconds=True)
-        wait = min(float(wait), self.config.max_wait_seconds)
-        injector = injector_from_env()
-        if injector is not None:
-            injector.maybe_fail(SITE_STREAM_SERVE)
-        database = self.db
-        tail = database.replication_wal_tail(from_lsn, max_records=max_records, wait=wait)
-        frames = tail.frames
-        if injector is not None and frames:
-            try:
-                injector.maybe_fail(SITE_STREAM_TORN)
-            except InjectedFault:
-                # Serve a deliberately torn batch: cut mid-frame so the
-                # follower's CRC scan must discard the damaged suffix.
-                frames = frames[: max(1, len(frames) // 2)]
-                with self._repl_lock:
-                    self._repl_counters["torn_frames_injected"] += 1
-        with self._repl_lock:
-            self._repl_counters["tails_served"] += 1
-            self._repl_counters["records_streamed"] += tail.records
-        return {
-            "base_lsn": tail.base_lsn,
-            "last_lsn": tail.last_lsn,
-            "records": tail.records,
-            "snapshot_required": tail.snapshot_required,
-            "frames": base64.b64encode(frames).decode("ascii"),
-            "commit_lsn": tail.last_lsn,
-            # The era this stream speaks for: a follower on a newer era
-            # rejects the batch; one whose log already reaches a reign
-            # boundary it never applied knows it diverged.  The full
-            # (era, era_lsn) history rides along so even a node that
-            # slept through several failovers can spot the first reign
-            # record its own log missed.
-            "era": database.era,
-            "era_lsn": database.era_lsn,
-            "era_history": [list(entry) for entry in database.pruned_era_history()],
-        }
-
-    # -- cluster role (fencing-era failover) ---------------------------------
-
-    def _role(self) -> str:
-        return "primary"
-
-    def _write_gate(self, payload: dict) -> None:
-        """Refuse writes once this node's reign is over (split-brain guard).
-
-        Two triggers: the node is *fenced* (demoted by the coordinator,
-        or started fenced after a crash), or the request itself carries
-        an ``era`` newer than ours — proof the cluster promoted someone
-        else while we were isolated; we fence in place and answer this
-        and every later write with ``NOT_PRIMARY``.
-        """
-        era = _number_field(payload, "era")
-        own_era = self.db.era
-        with self._cluster_lock:
-            if self._fenced:
-                self._not_primary_rejections += 1
-                raise NotPrimary(max(self._fenced_era, own_era), self._leader_url)
-            if era is not None and era > own_era:
-                self._fenced = True
-                self._fenced_era = era
-                self._not_primary_rejections += 1
-                raise NotPrimary(era, self._leader_url)
-
-    def _causality_gate(self, payload: dict) -> None:
-        """Honor ``min_lsn`` and ``era`` on the primary's read path.
-
-        On a healthy primary every commit is already visible, so this
-        never fires for tokens the node itself issued.  It exists for
-        the failover window, and LSNs alone are not enough there: a
-        deposed primary's log keeps the divergent suffix it acknowledged
-        while isolated, so its ``wal_lsn`` can *pass* a token the new
-        timeline issued while the data behind it is a different history.
-        The era closes that hole — a read stamped with era N may only be
-        served by a node that has proven era N's timeline:
-
-        * a **fenced** node refuses every causal read (era- or
-          token-stamped): it froze with a possibly-divergent suffix and
-          cannot tell which of its records the cluster kept;
-        * an unfenced node seeing ``era`` newer than its own is deposed
-          and just found out — it fences in place (same as the write
-          gate) and refuses;
-        * otherwise the plain LSN gate applies.
-
-        All refusals are retryable ``REPLICA_LAGGING`` — the replica-set
-        client moves on to a node that can actually honor the read.
-        """
+    def _read_gate(self, payload: dict) -> None:
+        """Hand a read's causality fields (``min_lsn``, ``era``) to the role."""
         min_lsn = _number_field(payload, "min_lsn")
         era = _number_field(payload, "era")
-        if min_lsn is None and not era:
-            return
-        applied = self.db.wal_lsn
-        own_era = self.db.era
-        with self._cluster_lock:
-            if self._fenced:
-                raise ReplicaLagging(
-                    min_lsn or 0,
-                    applied,
-                    message=(
-                        f"this node is fenced (era {max(self._fenced_era, own_era)});"
-                        " its log may diverge from the surviving timeline —"
-                        " retry on the current primary or a repointed replica"
-                    ),
-                )
-            if era and era > own_era:
-                self._fenced = True
-                self._fenced_era = era
-                raise ReplicaLagging(
-                    min_lsn or 0,
-                    applied,
-                    message=(
-                        f"read is stamped with era {era} but this node only"
-                        f" reached era {own_era}; it is deposed and now fenced"
-                    ),
-                )
-        if min_lsn is not None and applied < min_lsn:
-            raise ReplicaLagging(min_lsn, applied)
-
-    def _topology(self) -> dict:
-        """The node's own view of the cluster: role, era, log position."""
-        database = self.db
-        with self._cluster_lock:
-            fenced = self._fenced
-            fenced_era = self._fenced_era
-            leader = self._leader_url
-        if not fenced and leader is None:
-            leader = self.config.advertise_url
-        wal_lsn = database.wal_lsn
-        return {
-            "role": self._role(),
-            "fenced": fenced,
-            "fenced_era": fenced_era,
-            "era": database.era,
-            "era_lsn": database.era_lsn,
-            "wal_lsn": wal_lsn,
-            "applied_lsn": wal_lsn,
-            "leader_url": leader,
-        }
-
-    def _promote(self, payload: dict) -> dict:
-        """Install (or confirm) a reign: bump the era durably, unfence.
-
-        ``era`` equal to ours confirms an existing reign (unfencing a
-        ``fenced=True`` startup); a newer one is written as an ``era``
-        WAL control record — the first record of the new reign, whose
-        LSN is what rejoining nodes use to detect divergent suffixes.
-        """
-        era = _era_of(payload)
-        database = self.db
-        own_era = database.era
-        if era < own_era:
-            raise ReplicationError(
-                f"stale promotion: era {era} is behind this node's era {own_era}"
-            )
-        if era > own_era:
-            database.bump_era(era)
-        with self._cluster_lock:
-            self._fenced = False
-            self._fenced_era = 0
-            self._leader_url = self.config.advertise_url
-        return {
-            "promoted": True,
-            "role": self._role(),
-            "era": database.era,
-            "era_lsn": database.era_lsn,
-            "applied_lsn": database.wal_lsn,
-        }
-
-    def _demote(self, payload: dict) -> dict:
-        """Fence this node: a newer era reigns elsewhere — or the *same*
-        era does, on a different node.
-
-        Same-era demotion is how a concurrent-promotion race converges:
-        when two coordinators (or an operator's ``repro promote`` racing
-        the coordinator) install the same era on two nodes, exactly one
-        of them — the lowest-URL primary at the newest era, the same
-        deterministic rule every coordinator applies — keeps the reign,
-        and the loser is fenced *at* that era.  Only an era strictly
-        older than ours is refused.
-
-        Deliberately does NOT write an era record — the new era's WAL
-        record belongs to the new primary's timeline, and logging it
-        here would defeat the divergence detection a rejoin relies on.
-        The fence is in-memory; a restarted ex-primary must come back
-        ``fenced=True`` (the CLI's ``--fenced``) or will fence itself on
-        the first era-carrying write it sees.
-        """
-        era = _era_of(payload)
-        leader = payload.get("leader_url")
-        if leader is not None and not isinstance(leader, str):
-            raise BadRequestError("'leader_url' must be a string")
-        own_era = self.db.era
-        with self._cluster_lock:
-            if era < own_era:
-                raise ReplicationError(
-                    f"demotion era {era} is behind this node's era {own_era}"
-                )
-            self._fenced = True
-            self._fenced_era = max(self._fenced_era, era)
-            if leader:
-                self._leader_url = leader
-            return {"fenced": True, "era": self._fenced_era, "leader_url": self._leader_url}
-
-    def _repoint(self, payload: dict) -> dict:
-        raise ReplicationError("only replicas can be repointed at a new primary")
+        wait = 0.0
+        if min_lsn is not None:
+            wait = _number_field(payload, "lsn_wait", default=1.0, seconds=True)
+            wait = min(float(wait), self.config.max_wait_seconds)
+            budget = _number_field(payload, "budget", seconds=True)
+            if budget is not None:
+                # Deadline propagation: parking the gate longer than the
+                # caller's remaining budget only manufactures a timeout the
+                # client has already stopped waiting for.
+                wait = min(wait, budget)
+        self.role.check_read(min_lsn, era, wait)
 
     def _shutdown(self) -> dict:
         self.cancel_event.set()
-        callback = self._shutdown_callback
+        callback = self.shutdown_callback
         if callback is not None:
             threading.Thread(target=callback, daemon=True).start()
         return {"shutting_down": True}
@@ -904,10 +613,6 @@ class QueryService:
             self.cancel_event.set()
         return clean
 
-    # wiring used by QueryServer
-    def set_shutdown_callback(self, callback) -> None:
-        self._shutdown_callback = callback
-
 
 def _era_of(payload: dict) -> int:
     era = payload.get("era")
@@ -965,6 +670,52 @@ def _params_of(payload: dict):
     return params
 
 
+def _wal_route(service: QueryService, payload: dict) -> dict:
+    # Required: a missing ``from_lsn`` reads as -1 and is refused.
+    from_lsn = _number_field(payload, "from_lsn", default=-1)
+    max_records = _number_field(payload, "max_records", default=512, bounds=(1, 4096))
+    wait = _number_field(payload, "wait", default=0.0, seconds=True)
+    wait = min(float(wait), service.config.max_wait_seconds)
+    return service.role.wal_tail(from_lsn, max_records, wait)
+
+
+def _demote_route(service: QueryService, payload: dict) -> dict:
+    leader = payload.get("leader_url")
+    if leader is not None and not isinstance(leader, str):
+        raise BadRequestError("'leader_url' must be a string")
+    return service.role.demote(_era_of(payload), leader)
+
+
+#: ``(method, path) -> handler(service, payload)``.  For ``/replication/*``
+#: the handler only parses the payload; what the node does with it is
+#: :class:`~repro.replication.role.NodeRole`'s decision (the state ×
+#: method table is in ``docs/replication.md``).
+_ROUTES = {
+    ("GET", "/healthz"): lambda s, p: {
+        "status": "ok",
+        "in_flight": s.metrics.snapshot()["in_flight"],
+    },
+    ("GET", "/metrics"): lambda s, p: s._metrics_body(),
+    ("POST", "/session"): QueryService._create_session,
+    ("POST", "/session/close"): QueryService._close_session,
+    ("POST", "/session/pin"): QueryService._pin_session,
+    ("POST", "/session/unpin"): QueryService._unpin_session,
+    ("POST", "/prepare"): QueryService._prepare,
+    ("POST", "/execute"): QueryService._execute,
+    ("POST", "/query"): QueryService._query,
+    ("POST", "/shutdown"): lambda s, p: s._shutdown(),
+    ("POST", "/replication/snapshot"): lambda s, p: s.role.snapshot(),
+    ("POST", "/replication/wal"): _wal_route,
+    ("GET", "/replication/topology"): lambda s, p: s.role.topology(),
+    ("POST", "/replication/topology"): lambda s, p: s.role.topology(),
+    ("POST", "/replication/promote"): lambda s, p: s.role.promote(_era_of(p)),
+    ("POST", "/replication/demote"): _demote_route,
+    ("POST", "/replication/repoint"): lambda s, p: s.role.repoint(
+        _required_str(p, "leader_url"), _era_of(p)
+    ),
+}
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     service: QueryService  # injected by QueryServer
@@ -987,42 +738,56 @@ class _Handler(BaseHTTPRequestHandler):
         self._respond(status, body)
 
     def do_POST(self):  # noqa: N802 - stdlib naming
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            error = BadRequestError(f"request body exceeds {MAX_BODY_BYTES} bytes")
+        try:
+            payload = self._read_payload()
+        except BadRequestError as error:
+            # The body (if any) was not consumed; the connection cannot
+            # carry another request.
+            self.close_connection = True
             self._respond(400, {"error": error.as_dict()})
             return
-        raw = self.rfile.read(length) if length else b""
-        if raw:
-            try:
-                payload = json.loads(raw)
-            except ValueError:
-                error = BadRequestError("request body is not valid JSON")
-                self._respond(400, {"error": error.as_dict()})
-                return
-            if not isinstance(payload, dict):
-                error = BadRequestError("request body must be a JSON object")
-                self._respond(400, {"error": error.as_dict()})
-                return
-        else:
-            payload = {}
         status, body = self.service.handle("POST", self.path, payload)
         self._respond(status, body)
 
+    def _read_payload(self) -> dict:
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Checked before reading: read(-1) would park this thread
+            # until the client hangs up.
+            raise BadRequestError("'Content-Length' must be a non-negative integer")
+        if length > MAX_BODY_BYTES:
+            raise BadRequestError(f"request body exceeds {MAX_BODY_BYTES} bytes")
+        if not length:
+            return {}
+        try:
+            payload = json.loads(self.rfile.read(length))
+        except ValueError:
+            raise BadRequestError("request body is not valid JSON") from None
+        if not isinstance(payload, dict):
+            raise BadRequestError("request body must be a JSON object")
+        return payload
+
 
 class QueryServer:
-    """Owns the listening socket and the service; start/stop lifecycle."""
+    """Owns the listening socket and the service; start/stop lifecycle.
 
-    def __init__(self, database, config: ServerConfig | None = None, service_factory=None):
-        self.config = config or ServerConfig()
-        factory = service_factory or QueryService
-        self.service = factory(database, self.config)
+    ``database`` is what :class:`QueryService` takes, or a ready
+    ``QueryService`` to serve as is (how a replica mounts its follower).
+    """
+
+    def __init__(self, database, config: ServerConfig | None = None):
+        if isinstance(database, QueryService):
+            self.service = database
+        else:
+            self.service = QueryService(database, config)
+        self.config = self.service.config
         handler = type("BoundHandler", (_Handler,), {"service": self.service})
-        self._httpd = ThreadingHTTPServer(
-            (self.config.host, self.config.port), handler
-        )
+        self._httpd = ThreadingHTTPServer((self.config.host, self.config.port), handler)
         self._httpd.daemon_threads = True
-        self.service.set_shutdown_callback(self._httpd.shutdown)
+        self.service.shutdown_callback = self._httpd.shutdown
         self._thread: threading.Thread | None = None
         self._startup_thread: threading.Thread | None = None
 
@@ -1085,10 +850,7 @@ class QueryServer:
         never dropped queries or a long WAL replay on the next boot."""
         clean = self.service.drain(grace)
         self._checkpoint_on_exit()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None and self._thread is not threading.current_thread():
-            self._thread.join(timeout=5)
+        self.stop()
         return clean
 
     def stop(self) -> None:

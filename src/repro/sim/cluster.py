@@ -1,8 +1,9 @@
 """A whole replica set in one process, on virtual time.
 
 :class:`SimCluster` builds the same objects the CLI deploys as separate
-processes — a primary :class:`~repro.service.server.QueryService`, N-1
-:class:`~repro.replication.replica.ReplicaService` followers, one
+processes — N :class:`~repro.service.server.QueryService` nodes (one
+primary, the rest mounting a
+:class:`~repro.replication.replica.ReplicationFollower`), one
 :class:`~repro.replication.failover.ClusterCoordinator`, and a handful
 of :class:`~repro.replication.routing.ReplicaSetClient` workload clients
 — and wires them together through the two seams: every component gets
@@ -32,7 +33,7 @@ import random
 from repro import Database
 from repro.errors import NotPrimary, ReproError, ServiceUnavailable
 from repro.replication.failover import ClusterCoordinator, CoordinatorConfig
-from repro.replication.replica import ReplicaConfig, ReplicaService, ReplicationFollower
+from repro.replication.replica import ReplicaConfig, ReplicationFollower
 from repro.replication.routing import ReplicaSetClient
 from repro.service.server import QueryService, ServerConfig
 from repro.sim.clock import SkewedClock, VirtualClock
@@ -46,17 +47,15 @@ COORDINATOR_ORIGIN = "coordinator"
 
 
 class SimNode:
-    """One simulated node's mutable state."""
+    """One simulated node's mutable state.  What the node *is* — its
+    store, its follower, its role — hangs off ``service``."""
 
     def __init__(self, name: str, url: str, data_dir: str, clock: SkewedClock):
         self.name = name
         self.url = url
         self.data_dir = data_dir
         self.clock = clock
-        self.role = "replica"
-        self.db: Database | None = None
         self.service: QueryService | None = None
-        self.follower: ReplicationFollower | None = None
         self.step_handle = None
         self.crashed = False
         self.just_restarted = False
@@ -131,13 +130,10 @@ class SimCluster:
     def build(self) -> None:
         """Create the primary with the workload table, bootstrap followers."""
         primary = self.nodes[self.primary_name]
-        primary.role = "primary"
         name, columns, rows = WORKLOAD_TABLE
         db = Database.open(primary.data_dir)
         db.create_table(name, columns, rows)
-        primary.db = db
-        primary.service = QueryService(db, self._server_config(primary))
-        self._maybe_break(primary.service)
+        self._start(primary, db)
         for node in self.nodes.values():
             if node.name == self.primary_name:
                 continue
@@ -156,8 +152,11 @@ class SimCluster:
             clock=node.clock,
         )
 
+    def _start(self, node: SimNode, db: Database, follower=None) -> None:
+        node.service = QueryService(db, self._server_config(node), follower)
+        self._maybe_break(node.service)
+
     def _start_replica(self, node: SimNode, primary_url: str) -> None:
-        node.role = "replica"
         follower = ReplicationFollower(
             ReplicaConfig(
                 primary_url=primary_url,
@@ -166,17 +165,11 @@ class SimCluster:
                 http_timeout=1.0,
                 retry_jitter=0.0,
             ),
-            on_install=lambda db, node=node: self._on_install(node, db),
             rng=random.Random(self.rng.randrange(2**63)),
             clock=node.clock,
             transport=self.net.transport(node.url),
         )
-        node.follower = follower
-        node.db = follower.bootstrap()
-        service = ReplicaService(node.db, self._server_config(node), follower)
-        service.on_promote = lambda node=node: self._halt_steps(node)
-        self._maybe_break(service)
-        node.service = service
+        self._start(node, follower.bootstrap(), follower)
         self._schedule_step(node, 0.0)
 
     def _handler(self, node: SimNode):
@@ -187,11 +180,6 @@ class SimCluster:
             return service.handle(method, path, payload)
 
         return handle
-
-    def _on_install(self, node: SimNode, db: Database) -> None:
-        node.db = db
-        if node.service is not None:
-            node.service._db = db
 
     def _maybe_break(self, service: QueryService) -> None:
         """Disable one protocol rule (the checker self-test's seeded bug).
@@ -204,15 +192,15 @@ class SimCluster:
         """
         if self.break_rule != "ignore-fencing":
             return
-        original = service._write_gate
+        original = service.role.check_write
 
-        def leaky_gate(payload: dict) -> None:
+        def leaky_gate(era) -> None:
             try:
-                original(payload)
+                original(era)
             except NotPrimary:
                 pass
 
-        service._write_gate = leaky_gate
+        service.role.check_write = leaky_gate
 
     # -- scheduled actors ----------------------------------------------------
 
@@ -221,18 +209,10 @@ class SimCluster:
             delay, lambda: self._follower_tick(node), f"{node.name}.step"
         )
 
-    def _halt_steps(self, node: SimNode) -> bool:
-        if node.step_handle is not None:
-            node.step_handle.cancel()
-            node.step_handle = None
-        return True
-
     def _follower_tick(self, node: SimNode) -> None:
-        follower = node.follower
-        service = node.service
-        if node.crashed or follower is None or service is None:
-            return
-        if getattr(service, "promoted", False) or follower.broken is not None:
+        # A promoted node has dropped its follower: the tick dies here.
+        follower = None if node.service is None else node.service.role.follower
+        if node.crashed or follower is None or follower.broken is not None:
             return
         try:
             follower.step(wait=0.0)
@@ -311,25 +291,29 @@ class SimCluster:
         self.sample()
         self.clock.call_later(0.1, self._sampler_tick, "sample")
 
+    def _status(self, node: SimNode) -> dict:
+        """One node's status as the history checker reads it."""
+        if node.crashed or node.service is None:
+            return {"alive": False}
+        topology = node.service.role.topology()
+        return {
+            "alive": True,
+            "role": topology.get("role"),
+            "era": topology.get("era", 0),
+            "fenced": bool(topology.get("fenced")),
+            "fenced_era": topology.get("fenced_era", 0),
+            "applied_lsn": topology.get("applied_lsn", 0),
+            "broken": topology.get("broken"),
+        }
+
     def sample(self) -> dict:
         """One status observation of every node, appended to the history."""
         nodes = {}
         for node in self.nodes.values():
-            if node.crashed or node.service is None:
-                nodes[node.name] = {"alive": False}
-                continue
-            topology = node.service._topology()
-            nodes[node.name] = {
-                "alive": True,
-                "role": topology.get("role"),
-                "era": topology.get("era", 0),
-                "fenced": bool(topology.get("fenced")),
-                "fenced_era": topology.get("fenced_era", 0),
-                "applied_lsn": topology.get("applied_lsn", 0),
-                "broken": topology.get("broken"),
-                "restarted": node.just_restarted,
-            }
-            node.just_restarted = False
+            nodes[node.name] = status = self._status(node)
+            if status["alive"]:
+                status["restarted"] = node.just_restarted
+                node.just_restarted = False
         self.recorder.status(self.clock.now(), nodes)
         return nodes
 
@@ -340,18 +324,12 @@ class SimCluster:
         if node.crashed:
             return
         self._note(f"cluster crash {name}")
-        if node.service is not None and getattr(node.service, "promoted", False):
-            node.role = "primary"
         node.crashed = True
         self.net.set_down(node.url, True)
-        self._halt_steps(node)
-        if node.follower is not None:
-            node.follower.close()
-        if node.db is not None:
-            node.db.close()
-        node.service = None
-        node.follower = None
-        node.db = None
+        if node.step_handle is not None:
+            node.step_handle.cancel()
+            node.step_handle = None
+        self._close_node(node)
 
     def restart(self, name: str) -> None:
         node = self.nodes[name]
@@ -370,11 +348,7 @@ class SimCluster:
         else:
             # Nothing moved on (or this node *is* the leader): resume
             # the reign from the durable directory.
-            node.role = "primary"
-            db = Database.open(node.data_dir)
-            node.db = db
-            node.service = QueryService(db, self._server_config(node))
-            self._maybe_break(node.service)
+            self._start(node, Database.open(node.data_dir))
 
     def pause_coordinator(self, paused: bool) -> None:
         self._note(f"cluster coordinator {'paused' if paused else 'resumed'}")
@@ -401,34 +375,18 @@ class SimCluster:
 
     def settled(self) -> bool:
         """Converged per the checker's rule, with every follower caught up."""
-        nodes = {}
-        for node in self.nodes.values():
-            if node.crashed or node.service is None:
-                return False
-            topology = node.service._topology()
-            nodes[node.name] = {
-                "alive": True,
-                "role": topology.get("role"),
-                "era": topology.get("era", 0),
-                "fenced": bool(topology.get("fenced")),
-                "fenced_era": topology.get("fenced_era", 0),
-                "broken": topology.get("broken"),
-            }
-        if not converged(nodes):
+        nodes = {node.name: self._status(node) for node in self.nodes.values()}
+        if not all(status["alive"] for status in nodes.values()) or not converged(nodes):
             return False
         leader = self._leader_node()
-        if leader is None or leader.db is None:
+        if leader is None:
             return False
-        target = leader.db.wal_lsn
-        for node in self.nodes.values():
-            follower = node.follower
-            if node is leader or follower is None:
-                continue
-            if getattr(node.service, "promoted", False):
-                continue
-            if follower.applied_lsn < target:
-                return False
-        return True
+        target = leader.service.db.wal_lsn
+        return all(
+            node.service.role.follower is None
+            or node.service.role.follower.applied_lsn >= target
+            for node in self.nodes.values()
+        )
 
     def _leader_node(self) -> SimNode | None:
         """The unfenced primary at the newest era (lowest URL on a tie —
@@ -436,13 +394,10 @@ class SimCluster:
         best = None
         best_key = None
         for node in self.nodes.values():
-            service = node.service
-            if node.crashed or service is None:
+            status = self._status(node)
+            if not status["alive"] or status["role"] != "primary" or status["fenced"]:
                 continue
-            topology = service._topology()
-            if topology.get("role") != "primary" or topology.get("fenced"):
-                continue
-            key = (-int(topology.get("era", 0)), node.url)
+            key = (-status["era"], node.url)
             if best_key is None or key < best_key:
                 best, best_key = node, key
         return best
@@ -456,23 +411,26 @@ class SimCluster:
         """
         leader = self._leader_node()
         if leader is None:
-            alive = [n for n in self.nodes.values() if n.db is not None]
+            alive = [n for n in self.nodes.values() if n.service is not None]
             if not alive:
                 return set(), ()
-            leader = max(alive, key=lambda n: (n.db.era, n.db.wal_lsn))
-        rows = leader.db.execute("SELECT C, S FROM kv").rows
+            leader = max(alive, key=lambda n: (n.service.db.era, n.service.db.wal_lsn))
+        db = leader.service.db
+        rows = db.execute("SELECT C, S FROM kv").rows
         state = {(int(c), int(s)) for c, s in rows if int(c) >= 0}
-        return state, leader.db.era_history
+        return state, db.era_history
+
+    def _close_node(self, node: SimNode) -> None:
+        """Drop the node's service: follower closed, store closed (the
+        durable directory keeps whatever the WAL held)."""
+        service, node.service = node.service, None
+        if service is not None:
+            if service.role.follower is not None:
+                service.role.follower.close()
+            service.db.close()
 
     def close(self) -> list[str]:
         """Close every database; returns the data dirs for scrubbing."""
-        directories = []
         for node in self.nodes.values():
-            if node.follower is not None:
-                node.follower.close()
-            if node.db is not None:
-                node.db.close()
-                node.db = None
-            node.service = None
-            directories.append(node.data_dir)
-        return directories
+            self._close_node(node)
+        return [node.data_dir for node in self.nodes.values()]

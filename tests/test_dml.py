@@ -155,10 +155,11 @@ class TestLeadingComments:
 
     @pytest.mark.parametrize("sql, _rows", COMMENT_LED)
     def test_replica_refuses_it_as_a_write(self, db, sql, _rows, tmp_path):
-        from repro.replication.replica import ReplicaConfig, ReplicaService, ReplicationFollower
+        from repro.replication.replica import ReplicaConfig, ReplicationFollower
+        from repro.service.server import QueryService
 
         follower = ReplicationFollower(ReplicaConfig("http://127.0.0.1:1", str(tmp_path)))
-        service = ReplicaService(db, None, follower)
+        service = QueryService(db, None, follower=follower)
         status, body = service.handle("POST", "/query", {"sql": sql})
         assert (status, body["error"]["code"]) == (403, "READ_ONLY_REPLICA")
         assert len(db.table("t")) == 3

@@ -7,6 +7,9 @@ Layers, mirroring the protocol:
 * **endpoints** — ``/replication/topology``, ``promote``, ``demote``,
   ``repoint``, and the write gate's ``NOT_PRIMARY`` refusals (HTTP-free
   where possible, via ``QueryService.handle``);
+* **the role object** — ``NodeRole`` alone, no HTTP: the state × method
+  table of ``docs/replication.md`` row by row, and the transitions
+  between its rows;
 * **follower semantics** — stale-stream rejection, the in-stream era
   record, and rejoin-with-truncation of a divergent WAL suffix;
 * **coordinator** — detection, election of the most-caught-up replica,
@@ -46,6 +49,7 @@ from repro.replication.replica import (
     ReplicaServer,
     ReplicationFollower,
 )
+from repro.replication.role import NodeRole
 from repro.replication.routing import ReplicaSetClient
 from repro.service.client import ServiceClient
 from repro.service.server import QueryServer, QueryService, ServerConfig
@@ -217,6 +221,132 @@ def primary(tmp_path):
     yield server, db
     server.stop()
     db.close()
+
+
+class TestNodeRole:
+    """``NodeRole`` without HTTP.  ``TABLE`` is docs/replication.md's
+    state × method table: what each node state answers to a write, to a
+    causal read, and to the coordinator's topology probe."""
+
+    #: state, check_write, check_read(min_lsn, era), annotate's stamp, role, fenced
+    LAGGING, READ_ONLY = "REPLICA_LAGGING", "READ_ONLY_REPLICA"
+    TABLE = [
+        ("primary", None, (1, None), None, "commit_lsn", "primary", False),
+        ("fenced primary", "NOT_PRIMARY", (1, None), LAGGING, "commit_lsn", "primary", True),
+        ("replica", READ_ONLY, (1, None), None, "applied_lsn", "replica", False),
+        ("armed replica", READ_ONLY, (1, 5), LAGGING, "applied_lsn", "replica", False),
+        ("promoted replica", None, (1, None), None, "commit_lsn", "primary", False),
+    ]
+
+    @pytest.fixture()
+    def node(self, primary, tmp_path):
+        """``node(state) -> (role, store)``: a role in that row of the table."""
+        server, _ = primary
+        stores = []
+
+        def build(state):
+            if state.endswith("primary"):
+                follower = None
+                store = make_db(tmp_path, name="node")
+            else:
+                follower = make_follower(server.url, tmp_path, name="node")
+                store = follower.bootstrap()
+            stores.append(store)
+            role = NodeRole(lambda: store, follower, advertise_url="http://self")
+            if state == "fenced primary":
+                role.demote(store.era, "http://leader")
+            elif state == "armed replica":
+                role.repoint("http://leader", 5)
+            elif state == "promoted replica":
+                role.promote(1)
+            return role, store
+
+        yield build
+        for store in stores:
+            store.close()
+
+    @staticmethod
+    def code_of(call, *args):
+        try:
+            call(*args)
+        except ReplicationError as error:
+            return error.code
+        return None
+
+    @pytest.mark.parametrize("state, write, read, read_code, stamp, role_name, fenced", TABLE)
+    def test_table(self, node, state, write, read, read_code, stamp, role_name, fenced):
+        role, store = node(state)
+        assert self.code_of(role.check_write, None) == write
+        assert self.code_of(role.check_read, *read) == read_code
+        assert stamp in role.annotate({})
+        topology = role.topology()
+        assert (topology["role"], topology["fenced"]) == (role_name, fenced)
+        assert role.metrics()["role"] == role_name
+
+    def test_primary_demote_then_same_era_promote_confirms_and_unfences(self, node):
+        role, store = node("primary")
+        store.bump_era(2)
+        lsn = store.wal_lsn
+        with pytest.raises(ReplicationError):
+            role.demote(1)  # an era behind ours fences nothing
+        assert role.demote(2, "http://rival") == {
+            "fenced": True, "era": 2, "leader_url": "http://rival",
+        }
+        with pytest.raises(NotPrimary) as refused:
+            role.check_write(None)
+        assert (refused.value.era, refused.value.leader_url) == (2, "http://rival")
+        with pytest.raises(ReplicaLagging):
+            role.check_read(1, None)
+        with pytest.raises(ReplicaLagging):
+            role.check_read(None, 2)
+        assert role.check_read(None, None) is None  # non-causal reads still served
+        with pytest.raises(ReplicationError):
+            role.promote(1)
+        body = role.promote(2)
+        assert body["promoted"] and body["era"] == 2
+        assert store.wal_lsn == lsn, "confirming a reign writes no era record"
+        role.check_write(2)
+        role.check_read(1, 2)
+        assert role.topology()["leader_url"] == "http://self"
+        assert role.metrics()["not_primary_rejections"] == 1
+
+    def test_a_newer_era_on_a_request_fences_in_place(self, node):
+        role, store = node("primary")
+        with pytest.raises(NotPrimary):
+            role.check_write(store.era + 1)
+        assert role.topology()["fenced_era"] == store.era + 1
+        with pytest.raises(ReplicationError):
+            role.repoint("http://leader", 1)  # primaries are demoted, not repointed
+
+    def test_replica_promotion_halts_the_follower_before_the_era_bump(self, node):
+        role, store = node("replica")
+        follower = role.follower
+        role.repoint("http://leader", 3)
+        for stale in (1, 3):
+            with pytest.raises(ReplicationError):
+                role.promote(stale)
+        assert role.topology()["role"] == "replica" and not follower.closed.is_set()
+        halted_at_bump = []
+        real_bump = store.bump_era
+        store.bump_era = lambda era: (
+            halted_at_bump.append(follower.closed.is_set()),
+            real_bump(era),
+        )
+        body = role.promote(4)
+        assert halted_at_bump == [True]
+        assert body == {
+            "promoted": True, "role": "primary", "era": 4,
+            "era_lsn": store.era_lsn, "applied_lsn": store.wal_lsn,
+        }
+        assert role.follower is None and role.topology()["role"] == "primary"
+        assert role.promote(4)["promoted"]  # now confirmable like any primary's reign
+
+    def test_a_follower_that_cannot_stop_fails_the_promotion_retryably(self, node):
+        role, store = node("replica")
+        role.follower.halt = lambda: False
+        with pytest.raises(ServiceUnavailable):
+            role.promote(1)
+        assert store.era == 0 and role.topology()["role"] == "replica"
 
 
 class TestFollowerEraChecks:
@@ -562,8 +692,8 @@ class TestReplicaSetWriteFailover:
         server, db, (r1, r2) = cluster
         # Halt replication so no node can ever satisfy the token, and
         # ask for an LSN beyond even the primary's log.
-        r1._halt_follower()
-        r2._halt_follower()
+        r1.follower.halt()
+        r2.follower.halt()
         client = ReplicaSetClient(server.url, [r1.url, r2.url], lsn_wait=0.1)
         impossible = db.wal_lsn + 100
         start = time.monotonic()
@@ -643,12 +773,12 @@ class TestEventDrivenStartup:
             # The old implementation polled ready.is_set() at 50 Hz and
             # would have racked up ~20 calls by now.
             assert len(calls) <= 3
-            assert server._thread.is_alive()
+            assert server.follower.thread.is_alive()
         finally:
             server.stop()  # wakes the parked thread via startup_finished
             gate.set()
-        server._thread.join(timeout=5)
-        assert not server._thread.is_alive()
+        server.follower.thread.join(timeout=5)
+        assert not server.follower.thread.is_alive()
 
     def test_stop_before_bootstrap_finishes_joins_promptly(self, tmp_path):
         server = ReplicaServer(
@@ -666,7 +796,7 @@ class TestEventDrivenStartup:
         server.stop()
         gate.set()
         assert time.monotonic() - start < 10.0
-        assert not server._thread.is_alive()
+        assert not server.follower.thread.is_alive()
 
 
 class TestSubprocessFailover:

@@ -116,3 +116,70 @@ def test_only_the_algebra_and_the_compiler_enumerate_nested_plans():
         for relative, _, call in _calls_outside("algebra/", "engine/compile.py")
         if isinstance(call.func, ast.Attribute) and call.func.attr == "subquery_plans"
     ]
+
+
+def test_no_module_reaches_into_the_servers_private_names():
+    """The WAL rule, for ``service/server.py``: payload parsers stay in
+    the file that parses payloads."""
+    assert not [
+        (importer, name)
+        for importer, module, name in _imports()
+        if module == "repro.service.server"
+        and (name or "").startswith("_")
+        and importer != "repro.service.server"
+    ]
+
+
+def test_nothing_subclasses_the_query_service():
+    """Primary / replica / fenced is state behind ``QueryService.role``,
+    not a subclass overriding the gates."""
+    assert not [
+        (path.relative_to(SRC).as_posix(), node.name)
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            (base.id if isinstance(base, ast.Name) else getattr(base, "attr", None))
+            == "QueryService"
+            for base in node.bases
+        )
+    ]
+
+
+def test_replication_paths_appear_only_in_the_servers_route_table():
+    tree = ast.parse((SRC / "service" / "server.py").read_text())
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "_ROUTES" for target in node.targets)
+    ]
+    mounted = {id(node) for node in ast.walk(table)}
+    paths = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.startswith("/replication")
+    ]
+    assert paths
+    assert not [(node.value, node.lineno) for node in paths if id(node) not in mounted]
+
+
+def test_the_role_module_imports_nothing_from_the_service():
+    """docs/architecture.md's diagram: the node side of replication
+    (``stream``, ``role``) sits *below* ``service/``, which mounts it
+    through ``role`` alone; followers, routing and failover sit above."""
+    below = ("repro.replication.role", "repro.replication.stream")
+    assert not [
+        (importer, module, name)
+        for importer, module, name in _imports()
+        if importer in below and _within(module, name, "repro.service")
+    ]
+    assert not [
+        (importer, module, name)
+        for importer, module, name in _imports()
+        if importer.startswith("repro.service")
+        and _within(module, name, "repro.replication")
+        and module != "repro.replication.role"
+    ]

@@ -1,7 +1,9 @@
 """Server-side robustness: status mapping, request faults, SIGTERM drain."""
 
+import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -11,7 +13,8 @@ import pytest
 
 from repro import Database, ResourceLimits
 from repro.faults import ENV_COUNT, ENV_SEED, ENV_SITES
-from repro.service import QueryService, ServerConfig
+from repro.service import QueryServer, QueryService, ServerConfig
+from repro.storage.wal import list_snapshots
 
 
 def make_db(rows: int = 20) -> Database:
@@ -90,6 +93,42 @@ class TestStatusMapping:
         }
 
 
+class TestMalformedContentLength:
+    """A bad ``Content-Length`` is a structured 400 like every other
+    client error, not a traceback and a dropped connection."""
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "-1"])
+    def test_structured_400_and_the_server_lives(self, value):
+        server = QueryServer(make_db(), ServerConfig(port=0)).start()
+        try:
+            with socket.create_connection(server.address, timeout=2) as conn:
+                conn.sendall(
+                    f"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {value}\r\n\r\n".encode()
+                )
+                raw = b""
+                while chunk := conn.recv(65536):  # the server closes: the body is unread
+                    raw += chunk
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 ")
+            assert json.loads(body)["error"]["code"] == "BAD_REQUEST"
+            with urllib.request.urlopen(server.url + "/healthz", timeout=2) as resp:
+                assert resp.status == 200
+        finally:
+            server.stop()
+
+
+def _spawn(args):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONUNBUFFERED="1"),
+        cwd=root,
+    )
+
+
 @pytest.mark.skipif(os.name != "posix", reason="POSIX signals required")
 class TestSigtermDrain:
     def test_serve_process_drains_on_sigterm(self):
@@ -139,3 +178,68 @@ class TestSigtermDrain:
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=5)
+
+    def test_replica_process_drains_on_sigterm(self, tmp_path):
+        """A replica (possibly a promoted one — the cluster's primary)
+        gets the same shutdown as ``serve``: drain, then checkpoint."""
+        primary = _spawn(
+            ["serve", "--dataset", "rst:0.2", "--port", "0", "--data-dir", str(tmp_path / "p")]
+        )
+        replica = None
+        try:
+            url = primary.stdout.readline().split()[-1].strip()
+            replica = _spawn(
+                ["replica", "--primary", url, "--port", "0", "--poll-wait", "0.2",
+                 "--data-dir", str(tmp_path / "r")]
+            )
+            line = replica.stdout.readline()
+            assert line.startswith("replica serving on http://"), line
+            replica_url = line.split()[-1].strip()
+
+            def post(base, path, payload):
+                request = urllib.request.Request(
+                    base + path, json.dumps(payload).encode(), {"Content-Type": "application/json"}
+                )
+                with urllib.request.urlopen(request, timeout=10) as resp:
+                    return json.loads(resp.read())
+
+            deadline = time.time() + 30
+            while True:  # the primary recovers off-thread; wait for ready
+                try:
+                    token = post(url, "/query", {"sql": "INSERT INTO r VALUES (900, 1, 1, 1)"})
+                    break
+                except OSError:
+                    assert time.time() < deadline, "primary never became ready"
+                    time.sleep(0.2)
+            while True:
+                try:
+                    body = post(
+                        replica_url,
+                        "/query",
+                        {"sql": "SELECT COUNT(*) FROM r WHERE A1 = 900",
+                         "min_lsn": token["commit_lsn"], "lsn_wait": 5},
+                    )
+                    break
+                except OSError:
+                    assert time.time() < deadline, "replica never caught up"
+                    time.sleep(0.2)
+            assert body["rows"] == [[1]]
+            applied = body["applied_lsn"]
+
+            replica.send_signal(signal.SIGTERM)
+            code = replica.wait(timeout=20)
+            output = replica.stdout.read()
+            assert code == 0, output
+            assert list_snapshots(str(tmp_path / "r"))[-1][0] == applied
+            store = Database.open(str(tmp_path / "r"))
+            try:
+                assert store.durability_info()["recovery"]["records_replayed"] == 0
+                assert store.wal_lsn == applied
+            finally:
+                store.close()
+            assert "draining" in output and "replica stopped" in output
+        finally:
+            for process in (replica, primary):
+                if process is not None and process.poll() is None:
+                    process.kill()
+                    process.wait(timeout=5)

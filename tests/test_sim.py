@@ -47,6 +47,10 @@ from repro.sim.transport import SimNet
 DIRECTED = [NemesisEvent("isolate_primary", "n1", 1.0, 3.0)]
 
 
+def topology(service):
+    return service.handle("GET", "/replication/topology", {})[1]
+
+
 def make_cluster(tmp_path, seed=0, **kwargs):
     """A built (but not yet started) SimCluster on a fresh virtual clock."""
     master = random.Random(seed)
@@ -165,7 +169,7 @@ class TestEraStampedReads:
         # even when the stamp is at or below the armed era.
         _, _, cluster = make_cluster(tmp_path)
         node = cluster.nodes["n2"]
-        node.follower.repoint(cluster.nodes["n3"].url, era=2)
+        node.service.role.follower.repoint(cluster.nodes["n3"].url, era=2)
         status, body = node.service.handle(
             "POST",
             "/query",
@@ -182,7 +186,7 @@ class TestEraStampedReads:
         )
         assert status != 200
         assert body["error"]["code"] == "REPLICA_LAGGING"
-        assert primary._topology()["fenced"] is True
+        assert topology(primary)["fenced"] is True
         # Once fenced, even un-stamped causal reads bounce: the local
         # log may diverge from the surviving timeline.
         status, body = primary.handle(
@@ -224,8 +228,8 @@ class TestLostPromotionAck:
         # primary — and n2's unacked era-1 reign stays behind the new
         # boundary instead of sharing its number.
         n3 = cluster.nodes["n3"]
-        assert n3.service._topology()["role"] == "primary"
-        assert n3.db.era == 2
+        assert topology(n3.service)["role"] == "primary"
+        assert n3.service.db.era == 2
         assert coordinator.leader_url == "http://n3"
 
 
@@ -241,12 +245,13 @@ class TestBreakersNeverRest:
         primary = cluster.nodes["n1"]
         net.partition("http://n2", "http://n1")
         for i in range(8):
-            primary.db.execute(f"INSERT INTO kv VALUES (9, {i}, {i})")
+            primary.service.db.execute(f"INSERT INTO kv VALUES (9, {i}, {i})")
         clock.run_until(2.0)  # plenty of failed polls to trip a breaker
-        assert cluster.nodes["n2"].follower.applied_lsn < primary.db.wal_lsn
+        follower = cluster.nodes["n2"].service.role.follower
+        assert follower.applied_lsn < primary.service.db.wal_lsn
         net.heal("http://n2", "http://n1")
         clock.run_until(2.5)  # one poll interval, not a breaker timeout
-        assert cluster.nodes["n2"].follower.applied_lsn == primary.db.wal_lsn
+        assert follower.applied_lsn == primary.service.db.wal_lsn
 
     def test_coordinator_polices_promptly_after_heal(self, tmp_path):
         clock, net, cluster = make_cluster(tmp_path)
@@ -257,10 +262,10 @@ class TestBreakersNeverRest:
             net.partition(a, b)
         clock.run_until(4.0)
         assert cluster.coordinator.era == 1  # failed over behind the cut
-        assert cluster.nodes["n1"].service._topology()["fenced"] is False
+        assert topology(cluster.nodes["n1"].service)["fenced"] is False
         net.heal_all()
         clock.run_until(5.5)  # a few rounds, not a breaker reset timeout
-        assert cluster.nodes["n1"].service._topology()["fenced"] is True
+        assert topology(cluster.nodes["n1"].service)["fenced"] is True
 
 
 class TestConcurrentPromotion:
@@ -294,16 +299,16 @@ class TestConcurrentPromotion:
         clock.call_later(0.12, rival_tick, "coord-b.step")
         clock.run_until(3.0)
         primaries = {
-            name: node.service._topology()
+            name: topology(node.service)
             for name, node in cluster.nodes.items()
-            if node.service is not None and node.service._topology()["role"] == "primary"
+            if node.service is not None and topology(node.service)["role"] == "primary"
         }
         assert set(primaries) == {"n2", "n3"}  # the race really happened
         assert all(t["era"] == 1 for t in primaries.values())
         net.heal_all()
         clock.run_until(6.0)
-        topo2 = cluster.nodes["n2"].service._topology()
-        topo3 = cluster.nodes["n3"].service._topology()
+        topo2 = topology(cluster.nodes["n2"].service)
+        topo3 = topology(cluster.nodes["n3"].service)
         # Same-era tie-break: the lowest URL keeps the reign, the loser
         # is fenced, and both coordinators agree.
         assert topo2["role"] == "primary" and topo2["fenced"] is False
