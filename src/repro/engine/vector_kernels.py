@@ -93,6 +93,25 @@ def _const_column(value, n: int) -> tuple[np.ndarray, np.ndarray | None]:
     return np.full(n, value, dtype=dtype), None
 
 
+_INT64_MAX = (1 << 63) - 1
+
+
+def _int_magnitude(data: np.ndarray) -> int:
+    """Largest ``|value|`` of an int64 array as a Python int (``abs`` of
+    the array would wrap at the minimum)."""
+    return max(-int(data.min(initial=0)), int(data.max(initial=0)))
+
+
+def _may_wrap(op: str, ld: np.ndarray, rd: np.ndarray) -> bool:
+    """Whether ``ld op rd`` can leave int64, where numpy wraps silently
+    and the row engine's ints do not: judged by the operands' magnitudes,
+    so the object layout is taken for the whole column or not at all."""
+    if op == "/" or ld.dtype != np.int64 or rd.dtype != np.int64:
+        return False
+    lm, rm = _int_magnitude(ld), _int_magnitude(rd)
+    return (lm * rm if op == "*" else lm + rm) > _INT64_MAX
+
+
 _NUMPY_CMP = {
     "=": np.equal,
     "<>": np.not_equal,
@@ -229,7 +248,7 @@ class _KernelCompiler:
                 rd, rv = rf(batch)
                 valid = _valid_and(lv, rv)
                 n = len(batch)
-                if ld.dtype == object or rd.dtype == object:
+                if ld.dtype == object or rd.dtype == object or _may_wrap(op, ld, rd):
                     func = _PY_ARITH[op]
                     out = np.empty(n, dtype=object)
                     indices = np.arange(n) if valid is None else np.nonzero(valid)[0]
@@ -348,9 +367,13 @@ class _KernelCompiler:
             def fn(batch):
                 n = len(batch)
                 columns = [item(batch) for item in fns]
-                if any(data.dtype == object for data, _ in columns):
-                    # Strings, mixed types or an empty upstream batch
-                    # (zero-length object columns): the row engine's fold.
+                wraps = merge is np.add and (
+                    sum(_int_magnitude(d) for d, _ in columns if d.dtype == np.int64) > _INT64_MAX
+                )
+                if wraps or any(data.dtype == object for data, _ in columns):
+                    # Strings, mixed types, an empty upstream batch
+                    # (zero-length object columns) or int64 partials whose
+                    # sum may leave int64: the row engine's fold.
                     empty = aggregate.partial_empty()
                     return build_column(
                         [

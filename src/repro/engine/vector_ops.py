@@ -16,8 +16,10 @@ stream and its complement (FALSE ∪ UNKNOWN) — two selection vectors over
 one set of shared column arrays, no row copying.
 
 Joins and grouping are hash-style but expressed with numpy: keys are
-factorised into dense integer codes (NULL keys get a reserved code and
-never match), matches are found by sorting/searching the code space, and
+factorised into integer codes (NULL keys get a reserved code and never
+match); groups, first occurrences and join matches are found by counting
+into a table over the code range while that range is O(batch length),
+by sorting it otherwise (:func:`_small_range` is the one rule), and
 the Eqv. 1–5 pre-aggregations (COUNT/SUM/MIN/MAX/AVG) have closed-form
 ``bincount``/``ufunc.at`` fast paths.  DISTINCT is a kernel too — the
 batch is reduced to the first row of every (group, value) code pair and
@@ -36,7 +38,7 @@ import numpy as np
 
 from repro.algebra.aggregates import AggSpec, evaluate_spec
 from repro.engine import operators as P
-from repro.engine.vector_kernels import _const_column
+from repro.engine.vector_kernels import _INT64_MAX, _const_column, _int_magnitude
 from repro.storage.batch import Batch, build_column, column_to_pylist
 from repro.storage.index import probe_bounds
 from repro.storage.mvcc import resolve_index
@@ -475,9 +477,9 @@ def _dedupe(batch: Batch) -> Batch:
 
 def _first_occurrences(codes: np.ndarray) -> np.ndarray:
     """Ascending index of the first row carrying each distinct code."""
-    first = np.unique(codes, return_index=True)[1]
-    first.sort()
-    return first
+    keep = np.zeros(len(codes), dtype=bool)
+    keep[_densify(codes, want_inverse=False)[0]] = True
+    return np.flatnonzero(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +487,65 @@ def _first_occurrences(codes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+#: Counting beats sorting while its table stays O(n): a code range of at
+#: most this many slots per row (of the batch plus 64, so a tiny batch
+#: still counts) is coded, grouped and probed through a table that size.
+_SLOTS_PER_ROW = 4
+
+
+def _small_range(values: np.ndarray, n: int) -> tuple[int, int] | None:
+    """``(min, max - min + 1)`` of an int array when a table with a slot
+    per value in that range is O(``n``) — ``(0, 0)`` for no values — and
+    ``None`` when it is not.  Python ints: ``max - min`` can pass 2**63."""
+    if not len(values):
+        return 0, 0
+    lo = int(values.min())
+    span = int(values.max()) - lo + 1
+    return (lo, span) if span <= _SLOTS_PER_ROW * (n + 64) else None
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values begins in a sorted, non-empty array."""
+    return np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+
+
+def _densify(codes: np.ndarray, want_inverse: bool = True):
+    """``(first_index, group_ids)`` of ``codes``, groups in ascending code
+    order: the row each distinct code first occurs in, and every row's
+    group number (``None`` unless wanted).
+
+    A small code range is counted — first occurrences by one reversed
+    scatter into a range-sized table (the last write to a slot wins),
+    group ids by a running count of the occupied slots.  A wide one is
+    sorted: an unstable ``argsort`` (several times faster than the stable
+    one behind ``np.unique(return_index=True)``), then the first row of
+    a run of equal codes is the least row number in it.
+    """
+    n = len(codes)
+    small = _small_range(codes, n)
+    if small is None:
+        order = np.argsort(codes)
+        starts = _run_starts(codes[order])
+        group_ids = None
+        if want_inverse:
+            group_ids = np.empty(n, dtype=np.int64)
+            group_ids[order] = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, n)))
+        return np.minimum.reduceat(order, starts), group_ids
+    lo, span = small
+    offsets = codes - lo
+    first = np.full(span, -1, dtype=np.int64)
+    first[offsets[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
+    present = first >= 0
+    group_ids = (np.cumsum(present) - 1)[offsets] if want_inverse else None
+    return first[present], group_ids
+
+
 def _factorize(
     columns: Sequence[tuple[np.ndarray, np.ndarray | None]],
     n: int,
     seed: tuple[np.ndarray, int] | None = None,
 ):
-    """Combine key columns into dense int codes; NULL keys get ``ok=False``.
+    """Combine key columns into int codes; NULL keys get ``ok=False``.
 
     Returns ``(codes, ok)``: ``codes`` is an int64 array where equal rows
     have equal codes, and ``ok`` marks the rows with no NULL key field.
@@ -506,8 +561,8 @@ def _factorize(
         if bound * (cardinality + 1) > _CODE_LIMIT:
             # int64 arithmetic wraps silently: renumber the running codes
             # 0..k-1 (k <= n) before the next multiply can pass 2**63.
-            _, codes = np.unique(codes, return_inverse=True)
-            bound = int(codes.max(initial=-1)) + 1
+            first_index, codes = _densify(codes)
+            bound = len(first_index)
         codes = codes * np.int64(cardinality + 1) + col_codes
         bound *= cardinality + 1
     return codes, ok
@@ -517,7 +572,9 @@ _CODE_LIMIT = 1 << 62
 
 
 def _factorize_one(data: np.ndarray, valid: np.ndarray | None, n: int):
-    """Codes for one column: 0 = NULL, 1..k = distinct non-NULL values."""
+    """Codes for one column: 0 = NULL, 1..k for the non-NULL values —
+    dense, or ``value - min + 1`` for ints in a small range (``k`` is
+    then the range: order-preserving, not dense)."""
     live = data if valid is None else data[valid]
     if data.dtype == object:
         # Hashing, as the row engine's sets and dicts do: sorting Python
@@ -530,9 +587,13 @@ def _factorize_one(data: np.ndarray, valid: np.ndarray | None, n: int):
         )
         cardinality = len(mapping)
     else:
-        _, inverse = np.unique(live, return_inverse=True)
-        live_codes = inverse.astype(np.int64) + 1
-        cardinality = int(inverse.max(initial=-1)) + 1
+        small = _small_range(live, n) if data.dtype == np.int64 else None
+        if small is not None:
+            live_codes, cardinality = live - small[0] + 1, small[1]
+        else:
+            _, inverse = np.unique(live, return_inverse=True)
+            live_codes = inverse.astype(np.int64) + 1
+            cardinality = int(inverse.max(initial=-1)) + 1
     if valid is None:
         return live_codes, cardinality
     codes = np.zeros(n, dtype=np.int64)
@@ -571,10 +632,11 @@ def _shared_codes(
 class VHashJoin(VecOperator):
     """Equi-join on factorised key codes; ``kind`` ∈ inner/semi/anti/left_outer.
 
-    Matching is sort-and-search over the code space: right codes are
-    sorted once, left codes probe with ``searchsorted``, and the match
-    pairs materialise as two index vectors (``np.repeat`` over per-probe
-    match counts).  NULL keys never match.
+    Right codes are sorted once into runs of equal code; left codes
+    find their run through a code → run table when the code range is
+    small (``searchsorted`` when it is wide), and the match pairs
+    materialise as two index vectors (``np.repeat`` over per-probe match
+    counts).  NULL keys never match.
     """
 
     __slots__ = ("left", "right", "left_keys", "right_keys", "residual", "kind", "default_row")
@@ -627,22 +689,20 @@ class VHashJoin(VecOperator):
             if joined is not None:
                 return joined
             return _paired_batch(self.schema, left, right, left_idx, right_idx)
-        matched = np.unique(left_idx)
+        unmatched = np.ones(n_left, dtype=bool)
+        unmatched[left_idx] = False
         if kind == "semi":
-            return left.take(matched).rename(self.schema)
+            return left.filter(~unmatched).rename(self.schema)
         if kind == "anti":
-            keep_mask = np.ones(n_left, dtype=bool)
-            keep_mask[matched] = False
-            return left.filter(keep_mask).rename(self.schema)
+            return left.filter(unmatched).rename(self.schema)
         # left_outer: matched pairs plus unmatched left rows padded with
         # the f(∅) defaults (the count-bug fix).
         inner = joined
         if inner is None:
             inner = _paired_batch(self.schema, left, right, left_idx, right_idx)
-        unmatched_mask = np.ones(n_left, dtype=bool)
-        unmatched_mask[matched] = False
-        unmatched = left.filter(unmatched_mask).compact()
-        padded = _pad_with_defaults(self.schema, unmatched, self.default_row, len(right.schema))
+        padded = _pad_with_defaults(
+            self.schema, left.filter(unmatched).compact(), self.default_row, len(right.schema)
+        )
         return Batch.concat(self.schema, [inner, padded])
 
 
@@ -675,12 +735,21 @@ def _match_pairs(lcodes, rcodes, l_ok, r_ok) -> tuple[np.ndarray, np.ndarray]:
     r_subset = rcodes[r_indices]
     order = np.argsort(r_subset, kind="stable")
     r_sorted = r_subset[order]
-    unique_codes, starts = np.unique(r_sorted, return_index=True)
+    starts = _run_starts(r_sorted)
+    unique_codes = r_sorted[starts]
     counts = np.diff(np.append(starts, len(r_sorted)))
-    pos = np.searchsorted(unique_codes, lcodes)
-    pos_clipped = np.minimum(pos, len(unique_codes) - 1)
-    found = l_ok & (pos < len(unique_codes)) & (unique_codes[pos_clipped] == lcodes)
-    match_counts = np.where(found, counts[pos_clipped], 0)
+    small = _small_range(unique_codes, len(lcodes) + len(rcodes))
+    if small is None:
+        pos = np.minimum(np.searchsorted(unique_codes, lcodes), len(unique_codes) - 1)
+    else:
+        # A code -> run table; a left code outside it is clipped onto it
+        # and, like one that lands on an empty slot, fails the equality.
+        lo, span = small
+        run_of = np.zeros(span, dtype=np.int64)
+        run_of[unique_codes - lo] = np.arange(len(unique_codes), dtype=np.int64)
+        pos = run_of[np.clip(lcodes, lo, lo + span - 1) - lo]
+    found = l_ok & (unique_codes[pos] == lcodes)
+    match_counts = np.where(found, counts[pos], 0)
     total = int(match_counts.sum())
     if total == 0:
         return empty, empty
@@ -689,7 +758,7 @@ def _match_pairs(lcodes, rcodes, l_ok, r_ok) -> tuple[np.ndarray, np.ndarray]:
     within = np.arange(total, dtype=np.int64) - np.repeat(
         cumulative - match_counts, match_counts
     )
-    start_per_pair = np.repeat(np.where(found, starts[pos_clipped], 0), match_counts)
+    start_per_pair = np.repeat(starts[pos], match_counts)
     right_idx = r_indices[order[start_per_pair + within]]
     return left_idx, right_idx
 
@@ -784,11 +853,17 @@ def _group_fast_path(spec: AggSpec, data, valid, inverse, n_groups: int):
     group_valid = None if non_empty.all() else non_empty
     if name in ("sum", "avg"):
         weights = data if valid is None else np.where(valid, data, 0)
-        sums = np.bincount(inverse, weights=weights.astype(np.float64), minlength=n_groups)
+        if data.dtype != np.int64:
+            sums = np.bincount(inverse, weights=weights, minlength=n_groups)
+        elif _int_magnitude(weights) * int(counts.max()) <= _INT64_MAX:
+            # Ints sum exactly, as the row engine's do (``bincount``
+            # accumulates in float64: rounded past 2**53).
+            sums = np.zeros(n_groups, dtype=np.int64)
+            np.add.at(sums, inverse, weights)
+        else:
+            return None  # a total may leave int64: Python ints, per group
         if name == "avg":
             return np.true_divide(sums, np.maximum(counts, 1)), group_valid
-        if data.dtype == np.int64:
-            return np.round(sums).astype(np.int64), group_valid
         return sums, group_valid
     if data.dtype == np.int64:
         info = np.iinfo(np.int64)
@@ -841,7 +916,7 @@ class VHashGroupBy(VecOperator):
             return Batch.empty(self.schema)
         key_cols = [batch.column(p) for p in self.key_positions]
         codes, _ = _factorize(key_cols, n)
-        _, first_index, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        first_index, inverse = _densify(codes)
         n_groups = len(first_index)
 
         data = []

@@ -8,6 +8,7 @@ fallback routing — at the component level.
 
 import pytest
 
+from repro import Database
 from repro.algebra import expr as E
 from repro.engine import EvalOptions
 from repro.engine.compile import compile_plan
@@ -424,7 +425,6 @@ def test_factorize_survives_a_key_space_beyond_int64():
     factorisation that does not renumber gives them one code: GROUP BY
     loses a group, the five-key equi-join gains pairs and DISTINCT drops
     a row."""
-    from repro import Database
     from repro.storage.table import make_table
     from repro.storage.schema import ColumnType
 
@@ -452,3 +452,54 @@ def test_factorize_survives_a_key_space_beyond_int64():
         assert len(vec) == n, sql
         assert_bag_equal(row, vec, sql)
     assert database.resilience_info()["degradations"] == 0
+
+
+class TestInt64Exactness:
+    """Python ints do not wrap and do not round; neither may a kernel.
+    Every statement runs on both engines and must neither differ nor heal."""
+
+    @staticmethod
+    def both_engines(database, sql, strategy="auto"):
+        row = database.execute(sql, strategy)
+        vec = database.execute(sql, strategy, options=EvalOptions(vectorized=True))
+        assert_bag_equal(row, vec, sql)
+        assert database.resilience_info()["degradations"] == 0
+        return vec.rows
+
+    @pytest.mark.parametrize(
+        "values, total",
+        [([2**53, 1, 1], 2**53 + 2), ([2**62] * 3, 3 * 2**62), ([-(2**63), -1], -(2**63) - 1)],
+        ids=["past_2**53", "past_2**63", "below_int64_min"],
+    )
+    def test_grouped_sum_of_ints_is_exact(self, values, total):
+        database = Database()
+        database.create_table("t", ["k", "v"], [(1, v) for v in values] + [(2, 7), (2, None)])
+        rows = self.both_engines(database, "SELECT k, SUM(v) FROM t GROUP BY k")
+        assert sorted(rows) == [(1, total), (2, 7)]
+        rows = self.both_engines(database, "SELECT k, SUM(DISTINCT v) FROM t GROUP BY k")
+        assert sorted(rows) == [(1, sum(set(values))), (2, 7)]
+
+    def test_arithmetic_does_not_wrap(self):
+        database = Database()
+        database.create_table("t", ["k", "v"], [(1, 2**62), (2, 3), (3, None), (4, -(2**62))])
+        assert sorted(self.both_engines(database, "SELECT k, v * 4 FROM t"), key=repr) == sorted(
+            [(1, 2**64), (2, 12), (3, None), (4, -(2**64))], key=repr
+        )
+        assert sorted(self.both_engines(database, "SELECT k FROM t WHERE v + v > 0")) == [(1,), (2,)]
+        assert sorted(self.both_engines(database, "SELECT k FROM t WHERE 0 - v - v - v > 0")) == [(4,)]
+        # In range, on the int64 kernel.
+        assert sorted(self.both_engines(database, "SELECT v + 1 FROM t WHERE k < 3")) == [
+            (4,),
+            (2**62 + 1,),
+        ]
+
+    def test_combined_partial_sums_do_not_wrap(self):
+        """Eqv. 4's sumO(g1, g2): each partial fits int64, their sum does not."""
+        database = Database()
+        database.create_table("r", ["A1", "A2"], [(1, 1), (2, 2), (3, 3)])
+        big = 2**62 - 1
+        database.create_table("s", ["B2", "B4"], [(1, 5), (2, 7), (7, big), (8, big), (9, 3)])
+        sql = "SELECT A2 FROM r WHERE A1 < (SELECT SUM(B4) FROM s WHERE A2 = B2 OR B4 > 1500)"
+        plan = database.explain_analyze(sql, "unnested", EvalOptions(vectorized=True))
+        assert "VMap" in plan and "0 of" in plan.splitlines()[-1]
+        assert sorted(self.both_engines(database, sql, "unnested")) == [(1,), (2,), (3,)]
