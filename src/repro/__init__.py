@@ -31,6 +31,7 @@ Figure-7 harness).
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Iterable, Sequence
 
@@ -104,6 +105,17 @@ __all__ = [
 #: self-healing fallback still runs, but the plan-cache entry is not
 #: quarantined (the plan did nothing wrong).
 DURABILITY_FAULT_PREFIXES = ("storage.wal", "storage.checkpoint")
+
+
+@functools.cache
+def _replay_options() -> EvalOptions:
+    """Redo logged statements on the batch engine when numpy imports (all
+    that ``vectorized=True`` asks for), else on the row engine."""
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return EvalOptions()
+    return EvalOptions(vectorized=True)
 
 
 class Database:
@@ -290,7 +302,7 @@ class Database:
         """
         kind, data = record.kind, record.data
         if kind == "dml":
-            self.execute(data["sql"])
+            self.execute(data["sql"], options=_replay_options())
         elif kind == "create_table":
             self.register(Table.from_payload(data, data["name"]), data["name"])
         elif kind == "drop_table":
@@ -672,8 +684,10 @@ class Database:
     ) -> Table:
         """Run ``sql`` and return the result table.
 
-        DML statements (INSERT/DELETE/UPDATE) are executed too; they
-        return a one-row ``rows_affected`` table, as does index DDL
+        DML statements (INSERT/DELETE/UPDATE) are executed too — their
+        embedded read planned under ``strategy`` and run with ``options``
+        like a query — and return a one-row ``rows_affected`` table, as
+        does index DDL
         (``CREATE INDEX name ON table (col) [USING hash|sorted]`` and
         ``DROP INDEX name``).  ``params`` supplies
         values for ``?`` / ``:name`` placeholders in queries (a sequence
@@ -705,11 +719,15 @@ class Database:
         statement = parse_any(sql)
         if kind == "ddl":
             return self._execute_ddl(statement)
-        return self._execute_dml(sql, statement, options)
+        return self._execute_dml(sql, statement, strategy, options)
 
-    def _execute_dml(self, sql: str, statement, options: EvalOptions | None) -> Table:
+    def _execute_dml(self, sql: str, statement, strategy, options: EvalOptions | None) -> Table:
         from repro.dml import execute_dml
 
+        # The statement's embedded read is armed, governed and healed like
+        # any read, but on the live catalog under the commit lock: a writer
+        # sees its own state, so there is no pin.
+        base = self._armed_options(options or EvalOptions())
         # No eager plan-cache invalidation here: plans stay *correct*
         # across DML (indexes refresh lazily, batch caches key on the
         # table version); the cache's own drift threshold re-costs
@@ -722,14 +740,14 @@ class Database:
             if key in self.catalog:
                 self._snapshots.begin(key, self.catalog.table(key))
             try:
-                result = execute_dml(statement, self.catalog, self._views)
+                result = execute_dml(
+                    statement, self.catalog, self._views,
+                    lambda plan_for: self._run_healed(plan_for, strategy, base, self.catalog)[0],
+                )
                 # The statement commits (is acknowledged) only once its
                 # WAL record is synced; durability fault sites arm from
                 # the same options/env plumbing as the engine sites.
-                injector = None
-                if self._durability is not None:
-                    injector = self._armed_options(options or EvalOptions()).faults
-                self._log_durable("dml", {"sql": sql}, injector=injector)
+                self._log_durable("dml", {"sql": sql}, injector=base.faults)
             except BaseException:
                 self._snapshots.abort(key)
                 raise
@@ -748,83 +766,86 @@ class Database:
         unnest_options: UnnestOptions | None = None,
         statement=None,
     ) -> tuple[Table, object, PlannedQuery]:
-        """The one read pipeline: plan, arm, pin, run, heal, count, unpin.
+        """The one read pipeline: arm, pin, :meth:`_run_healed`, unpin.
 
         Every reader goes through here — ad hoc :meth:`execute`,
         :class:`PreparedStatement` (which passes its parsed
         ``statement``), custom ``unnest_options`` (planned from scratch:
         those knobs are not part of the cache key) and
         :meth:`explain_analyze` — so every one of them is governed,
-        fault-armed, healed and counted alike.  Returns the result, the
-        execution context, and the plan that produced it (the canonical
-        fallback when the execution healed).
+        fault-armed, healed and counted alike.
         """
         base = self._armed_options(options or EvalOptions())
-        engine = "vectorized" if base.vectorized else "row"
-        planned = self.plan(sql, strategy, unnest_options, engine, statement)
+        quarantine = None
+        if unnest_options is None:  # what was cached is what can be poisoned
+            quarantine = functools.partial(
+                self._plan_cache.quarantine,
+                sql, strategy, extra_token=self._epoch_token(), statement=statement,
+            )
         handle = self._snapshots.pin() if at_lsn is None else None
         lsn = at_lsn if handle is None else handle.lsn
-        read_catalog = SnapshotCatalog(self.catalog, self._snapshots, lsn)
         try:
-            try:
-                result, ctx = planned.execute(
-                    read_catalog, base, with_context=True, params=params
-                )
-            except ReproError as error:
-                if not getattr(error, "retryable", False):
-                    raise
-                if engine == "row" and planned.chosen_alternative == "canonical":
-                    # Nothing simpler to fall back to.
-                    raise
-                self._note_degradation(
-                    sql, strategy, engine, planned, error, statement,
-                    cached=unnest_options is None,
-                )
-                # The healing path must not be re-injected, and runs on
-                # the row engine.  A failure of the fallback itself
-                # propagates — there is nothing simpler left.
-                planned = self.plan(sql, "canonical", statement=statement)
-                result, ctx = planned.execute(
-                    read_catalog,
-                    _dc_replace(base, vectorized=False, faults=None),
-                    with_context=True,
-                    params=params,
-                )
-                self._fallback_successes += 1
-            totals = self._access_totals
-            for key, value in ctx.access.items():
-                totals[key] += value
-            return result, ctx, planned
+            return self._run_healed(
+                lambda chosen, engine: self.plan(sql, chosen, unnest_options, engine, statement),
+                strategy, base, SnapshotCatalog(self.catalog, self._snapshots, lsn),
+                params, quarantine,
+            )
         finally:
             if handle is not None:
                 self._snapshots.unpin(handle)
 
-    def _note_degradation(
-        self, sql, strategy, engine, planned, error, statement, cached
-    ) -> None:
-        """Record a failed execution about to degrade to the canonical
-        row-engine plan, and quarantine the failing cache key so the
-        poisoned plan stops serving hits.
+    def _run_healed(
+        self, plan_for, strategy, base: EvalOptions, catalog, params=None, quarantine=None
+    ) -> tuple[Table, object, PlannedQuery]:
+        """Plan, run, heal, count — the one place a plan is executed.
 
-        Faults on the durability path are exempt from quarantine: a
-        failed WAL write or checkpoint says nothing about the plan that
-        happened to be executing, so poisoning its cache entry would
-        only degrade future queries for no correctness gain.
+        ``plan_for(strategy, engine)`` plans: a read's comes from the plan
+        cache, a DML statement's embedded read from :mod:`repro.dml`.  A
+        retryable failure re-runs once on the canonical row-engine plan.
+        Returns the result, the execution context, and the plan that
+        produced it (the canonical fallback when the execution healed).
         """
-        site = getattr(error, "site", "") or ""
-        if site.startswith(DURABILITY_FAULT_PREFIXES):
-            self._durability_exemptions += 1
-        elif cached:
-            self._plan_cache.quarantine(
-                sql, strategy, engine, self._epoch_token(), statement
+        engine = "vectorized" if base.vectorized else "row"
+        planned = plan_for(strategy, engine)
+        try:
+            result, ctx = planned.execute(catalog, base, with_context=True, params=params)
+        except ReproError as error:
+            if not getattr(error, "retryable", False):
+                raise
+            if engine == "row" and planned.chosen_alternative == "canonical":
+                # Nothing simpler to fall back to.
+                raise
+            # Quarantine the failing cache key so the poisoned plan stops
+            # serving hits.  Faults on the durability path are exempt: a
+            # failed WAL write or checkpoint says nothing about the plan
+            # that happened to be executing.  (Nothing is cached for DML,
+            # so it passes no ``quarantine``.)
+            if (getattr(error, "site", "") or "").startswith(DURABILITY_FAULT_PREFIXES):
+                self._durability_exemptions += 1
+            elif quarantine is not None:
+                quarantine(engine=engine)
+            self._degradations += 1
+            self._last_degradation = {
+                "strategy": planned.strategy.name,
+                "alternative": planned.chosen_alternative,
+                "engine": engine,
+                "error_code": getattr(error, "code", type(error).__name__),
+            }
+            # The healing path must not be re-injected, and runs on
+            # the row engine.  A failure of the fallback itself
+            # propagates — there is nothing simpler left.
+            planned = plan_for("canonical", "row")
+            result, ctx = planned.execute(
+                catalog,
+                _dc_replace(base, vectorized=False, faults=None),
+                with_context=True,
+                params=params,
             )
-        self._degradations += 1
-        self._last_degradation = {
-            "strategy": planned.strategy.name,
-            "alternative": planned.chosen_alternative,
-            "engine": engine,
-            "error_code": getattr(error, "code", type(error).__name__),
-        }
+            self._fallback_successes += 1
+        totals = self._access_totals
+        for key, value in ctx.access.items():
+            totals[key] += value
+        return result, ctx, planned
 
     @staticmethod
     def _armed_options(base: EvalOptions) -> EvalOptions:

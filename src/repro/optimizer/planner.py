@@ -28,10 +28,13 @@ from repro.errors import NotUnnestableError, PlanningError, ReproError
 from repro.optimizer.access import choose_access_paths
 from repro.optimizer.cost import CostModel
 from repro.optimizer.joins import optimize_joins
+from repro.optimizer.rank_estimator import CatalogEstimator
+from repro.optimizer.simplify import simplify_plan
 from repro.rewrite import UnnestOptions, unnest
 from repro.sql import classify, parse, translate
 from repro.sql.classify import QueryClass
 from repro.sql.parameters import ParamSpec
+from repro.sql.translate import TranslationResult
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
@@ -136,6 +139,26 @@ def plan_query(
     ``statement`` may carry an already-parsed AST (the plan cache parses
     once to normalise its key and reuses the tree here).
     """
+    if statement is None:
+        statement = parse(sql)
+    translation = translate(statement, catalog, views)
+    return plan_translation(
+        translation, catalog, strategy, unnest_options, sql, ParamSpec.of(statement)
+    )
+
+
+def plan_translation(
+    translation: TranslationResult,
+    catalog: Catalog,
+    strategy: str | Strategy = "auto",
+    unnest_options: UnnestOptions | None = None,
+    sql: str = "",
+    param_spec: ParamSpec = ParamSpec(),
+) -> PlannedQuery:
+    """What follows translation: simplify → joins → access paths → healed
+    unnest → cost choice.  :mod:`repro.dml` enters here with the ν + σ plan
+    of an UPDATE / DELETE, so a write's embedded read is planned as a read.
+    """
     if isinstance(strategy, str):
         try:
             strategy = STRATEGIES[strategy.lower()]
@@ -144,13 +167,7 @@ def plan_query(
                 f"unknown strategy {strategy!r}; have {sorted(STRATEGIES)}"
             ) from None
 
-    if statement is None:
-        statement = parse(sql)
-    param_spec = ParamSpec.of(statement)
-    translation = translate(statement, catalog, views)
     classification = classify(translation.plan)
-    from repro.optimizer.simplify import simplify_plan
-
     canonical = optimize_joins(simplify_plan(translation.plan), catalog)
     # Access-path selection runs on every alternative, *after* the shape
     # of the plan is settled: the unnesting rewriter always consumes the
@@ -162,8 +179,6 @@ def plan_query(
 
     if unnest_options is None:
         # Ground the Eqv.-2-vs-3 rank decision in catalog statistics.
-        from repro.optimizer.rank_estimator import CatalogEstimator
-
         unnest_options = UnnestOptions(estimator=CatalogEstimator(catalog))
 
     chosen = "canonical"

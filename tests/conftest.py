@@ -46,6 +46,25 @@ def make_rst_catalog(
     return catalog
 
 
+#: Q2's disjunctive correlation and Q1's disjunctive linking as writes over
+#: a lone ``r(A1..A4)`` — what the replication and failover parity tests
+#: add to their streams, so a follower replays on an unnested plan and the
+#: batch engine what the primary ran on the row engine.
+Q1_WHERE = "A1 = (SELECT COUNT(DISTINCT *) FROM r r2 WHERE r2.A2 = r.A2) OR A4 > 450"
+PAPER_SHAPED_WRITES = (
+    # Two distinct rows share A2 = 900, so Q1's count is 2 = A1 in the first.
+    "INSERT INTO r VALUES (2, 900, 0, 0), (50, 900, 0, 0)",
+    "UPDATE r SET A4 = A4 + 1"
+    " WHERE A1 <= (SELECT COUNT(*) FROM r r2 WHERE r2.A2 = r.A2 OR r2.A4 > 400)",
+    "DELETE FROM r WHERE " + Q1_WHERE,
+    # The first row satisfies Q1's subquery disjunct and the second its
+    # simple one, so Eqv. 2's plan (σ⁺ first) delivers them to the INSERT …
+    # SELECT in the opposite order to the canonical plan's scan.
+    "INSERT INTO r VALUES (1, 901, 0, 0), (60, 902, 0, 999)",
+    "INSERT INTO r SELECT * FROM r WHERE " + Q1_WHERE,
+)
+
+
 @pytest.fixture
 def rst_catalog_small() -> Catalog:
     return make_rst_catalog()

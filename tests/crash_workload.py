@@ -25,13 +25,40 @@ import sys
 import time
 
 
+#: The paper's predicates as writes over a table ``{t}(a, b)`` itself: Q1's
+#: disjunctive linking in a DELETE and an INSERT … SELECT, Q2's disjunctive
+#: correlation in an UPDATE.  Their embedded reads are unnested, so the
+#: recovered side of every differential replays Eqv. 2 / 4 plans — on the
+#: batch engine where numpy imports — against an oracle that ran them live
+#: on the row engine.  (The recovery and torn-write suites format the same
+#: templates.)  Every seventh statement of the workload plants rows for
+#: them to hit: ``(2, b), (50, b)`` (two distinct rows share ``b``, so the
+#: DELETE's count is 2 = ``a``) and ``n`` copies of ``(n, b')`` (the
+#: UPDATE's count reaches ``a`` there).
+Q1_WHERE = "a = (SELECT COUNT(DISTINCT *) FROM {t} t2 WHERE t2.b = {t}.b) OR a > {pivot}"
+Q1_DELETE = "DELETE FROM {t} WHERE " + Q1_WHERE
+Q1_INSERT = "INSERT INTO {t} SELECT a, b FROM {t} WHERE " + Q1_WHERE
+Q2_UPDATE = (
+    "UPDATE {t} SET b = b + 1"
+    " WHERE a <= (SELECT COUNT(*) FROM {t} t2 WHERE t2.a = {t}.a OR t2.b > {pivot})"
+)
+
+
 def statements(num_ops: int, seed: int) -> list[str]:
     """The deterministic DML workload (shared with the parent's oracle)."""
     rng = random.Random(seed)
     out = []
     for i in range(num_ops):
         roll = rng.random()
-        if roll < 0.55:
+        if i % 7 == 2:
+            b, n = rng.randrange(1000), i // 7 + 2
+            copies = ", ".join([f"({n}, {rng.randrange(1000)})"] * n)
+            out.append(f"INSERT INTO t VALUES (2, {b}), (50, {b}), {copies}")
+        elif i % 7 == 3:
+            out.append(Q1_DELETE.format(t="t", pivot=rng.randrange(90, 100)))
+        elif i % 7 == 6:
+            out.append(Q2_UPDATE.format(t="t", pivot=rng.randrange(990, 1000)))
+        elif roll < 0.55:
             a, b = rng.randrange(100), rng.randrange(1000)
             out.append(f"INSERT INTO t VALUES ({a}, {b}), ({a + 1}, {b + 1})")
         elif roll < 0.8:

@@ -54,6 +54,8 @@ from repro.replication.routing import ReplicaSetClient
 from repro.service.client import ServiceClient
 from repro.service.server import QueryServer, QueryService, ServerConfig
 
+from .conftest import PAPER_SHAPED_WRITES
+
 CHECKSUM_SQL = "SELECT COUNT(*), SUM(A1), SUM(A4) FROM r"
 
 
@@ -564,6 +566,8 @@ class TestCoordinator:
             message="lagging replica never repointed",
         )
         writer = ServiceClient(r1.url)
+        for sql in PAPER_SHAPED_WRITES:  # replayed unnested, on the batch engine
+            assert writer.query(sql).rows[0][0] > 0, sql
         token = writer.query("INSERT INTO r VALUES (70, 0, 0, 0)").commit_lsn
         wait_until(lambda: r2.follower.applied_lsn >= token)
         assert ServiceClient(r2.url).query(CHECKSUM_SQL, min_lsn=token).rows == writer.query(

@@ -204,3 +204,39 @@ class TestEnvDefaults:
             options=EvalOptions(resources=ResourceLimits(max_rows=10**9)),
         )
         assert len(result.rows) > 0
+
+
+class TestWritesAreGoverned:
+    """A DML statement's embedded read is charged like any other read,
+    and a refused one changes nothing."""
+
+    DELETE = "DELETE FROM r" + NESTED_SQL.partition("FROM r")[2]  # Q1's predicate
+    UPDATE = "UPDATE r SET A3 = (SELECT COUNT(*) FROM t WHERE C2 = A2) WHERE A4 > 1500"
+    INSERT = "INSERT INTO t SELECT A1, A2, A3, A4 FROM r, s WHERE A2 = B2"
+
+    @pytest.mark.parametrize("sql", [DELETE, UPDATE, INSERT])
+    @pytest.mark.parametrize("strategy", ["canonical", "unnested"])
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_row_budget_bounds_every_kind_of_write(self, sql, strategy, vectorized):
+        pytest.importorskip("numpy")
+        db = make_db()
+        before = {name: list(db.table(name).rows) for name in "rst"}
+        versions = {name: db.table(name).version for name in "rst"}
+        lsn = db.commit_lsn
+        options = EvalOptions(vectorized=vectorized, resources=ResourceLimits(max_rows=20))
+        with pytest.raises(ResourceExhausted) as excinfo:
+            db.execute(sql, strategy=strategy, options=options)
+        assert excinfo.value.resource == "rows" and excinfo.value.limit == 20
+        assert {name: db.table(name).rows for name in "rst"} == before
+        assert {name: db.table(name).version for name in "rst"} == versions
+        assert db.commit_lsn == lsn
+        generous = EvalOptions(vectorized=vectorized, resources=ResourceLimits(max_rows=10**9))
+        assert db.execute(sql, strategy=strategy, options=generous).rows[0][0] > 0
+        assert db.commit_lsn == lsn + 1
+
+    def test_env_budget_reaches_writes(self, monkeypatch):
+        db = make_db()
+        monkeypatch.setenv(ENV_MAX_ROWS, "20")
+        with pytest.raises(ResourceExhausted):
+            db.execute(self.DELETE)
+        assert len(db.table("r")) == 30

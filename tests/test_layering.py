@@ -183,3 +183,31 @@ def test_the_role_module_imports_nothing_from_the_service():
         and _within(module, name, "repro.replication")
         and module != "repro.replication.role"
     ]
+
+
+def test_only_the_planner_runs_plans_outside_the_engine():
+    """``PlannedQuery.execute`` is the one caller of ``execute_plan`` (and
+    nothing outside the engine compiles a plan itself): reads, prepared
+    statements, EXPLAIN ANALYZE and the read inside every DML statement
+    all get there through ``Database._run_healed``."""
+    runners = ("execute_plan", "compile_plan")
+    named = {
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if not path.relative_to(SRC).as_posix().startswith("engine/")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Name) and node.id in runners)
+        or (isinstance(node, ast.Attribute) and node.attr in runners)
+        or (isinstance(node, ast.alias) and node.name in runners)
+    }
+    assert named == {"optimizer/planner.py"}
+
+
+def test_dml_imports_nothing_from_the_engine():
+    """``repro.dml`` builds a plan and splices rows; planning is the
+    planner's and running is the caller's."""
+    assert not [
+        (module, name)
+        for importer, module, name in _imports()
+        if importer == "repro.dml" and _within(module, name, "repro.engine")
+    ]

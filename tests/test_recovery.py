@@ -18,6 +18,8 @@ from repro.optimizer.planner import PlannedQuery
 from repro.storage.catalog import TableStats
 from repro.storage.wal import DurabilityConfig, scrub
 
+from .crash_workload import Q1_DELETE, Q1_INSERT, Q2_UPDATE
+
 
 @pytest.fixture
 def data_dir(tmp_path):
@@ -389,4 +391,76 @@ def test_concurrent_dml_commits_in_apply_order(data_dir):
 
     recovered = open_db(data_dir)
     assert rows(recovered, "SELECT * FROM r") == expected
+    recovered.close()
+
+
+# ---------------------------------------------------------------------------
+# Replay reads like a reader: the batch engine when numpy imports
+# ---------------------------------------------------------------------------
+
+PAPER_SHAPED = (
+    "INSERT INTO r VALUES (2, 30), (50, 30)",
+    Q2_UPDATE.format(t="r", pivot=25),
+    Q1_DELETE.format(t="r", pivot=45),
+    # Eqv. 2's plan delivers (4, 8) (σ⁺) before (1, 7); the canonical
+    # plan's scan delivers them the other way round.
+    "INSERT INTO r VALUES (1, 7), (4, 8)",
+    Q1_INSERT.format(t="r", pivot=2),
+)
+
+
+def _logged_paper_shaped_writes(data_dir):
+    """Run on the canonical plan and the row engine, so that a replay
+    (``auto``, the batch engine) redoes every statement on another plan."""
+    db = seeded(data_dir)
+    for sql in PAPER_SHAPED:
+        assert db.execute(sql, strategy="canonical").rows[0][0] > 0, sql
+    expected = list(db.table("r").rows)
+    assert expected == [(2, 21), (3, 31), (1, 7), (4, 8), (1, 7), (3, 31), (4, 8)]
+    db.close()
+    return expected
+
+
+def test_replay_on_another_plan_and_engine_rebuilds_the_same_row_list(data_dir):
+    expected = _logged_paper_shaped_writes(data_dir)
+    recovered = open_db(data_dir)  # unnested; the batch engine where numpy imports
+    assert recovered.table("r").rows == expected
+    assert recovered.resilience_info()["degradations"] == 0
+    assert recovered.catalog.stats("r") == TableStats.compute(recovered.table("r"))
+    recovered.close()
+
+
+def test_replay_runs_on_the_batch_engine_and_a_failing_kernel_heals(data_dir, monkeypatch):
+    pytest.importorskip("numpy")
+    expected = _logged_paper_shaped_writes(data_dir)
+    # Only the batch engine has these sites: a degradation per statement
+    # with an embedded read says which engine replayed it, and the state
+    # says the heal (canonical plan, row engine) redid it right.
+    monkeypatch.setenv("REPRO_FAULT_SITES", "engine.vector")
+    recovered = open_db(data_dir)
+    monkeypatch.delenv("REPRO_FAULT_SITES")
+    assert recovered.table("r").rows == expected
+    info = recovered.resilience_info()
+    assert (info["degradations"], info["fallback_successes"]) == (3, 3)
+    assert info["last_degradation"]["engine"] == "vectorized"
+    recovered.close()
+
+
+def test_replay_falls_back_to_the_row_engine_without_numpy(data_dir, monkeypatch):
+    import sys
+
+    import repro
+
+    expected = _logged_paper_shaped_writes(data_dir)
+    monkeypatch.setitem(sys.modules, "numpy", None)  # ``import numpy`` now raises
+    repro._replay_options.cache_clear()
+    try:
+        assert repro._replay_options().vectorized is False
+        monkeypatch.setenv("REPRO_FAULT_SITES", "engine.vector")
+        recovered = open_db(data_dir)
+    finally:
+        monkeypatch.undo()
+        repro._replay_options.cache_clear()
+    assert recovered.table("r").rows == expected
+    assert recovered.resilience_info()["degradations"] == 0
     recovered.close()

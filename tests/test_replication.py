@@ -42,6 +42,8 @@ from repro.service.server import QueryServer, QueryService, ServerConfig
 from repro.storage.catalog import TableStats
 from repro.storage.wal import DurabilityConfig, list_snapshots
 
+from .conftest import PAPER_SHAPED_WRITES
+
 #: The query used as a state digest when comparing primary and replica.
 CHECKSUM_SQL = "SELECT COUNT(*), SUM(A1), SUM(A4) FROM r"
 
@@ -168,6 +170,13 @@ class TestFollower:
         db.create_index("idx_a1", "r", "A1")
         db.execute("DELETE FROM r WHERE A4 = (SELECT MAX(A4) FROM r)")
         db.execute("UPDATE r SET A2 = A3, A3 = A2 WHERE A1 > 3")
+        # The paper's predicates in writes (Q1: disjunctive linking, Q2:
+        # disjunctive correlation): the primary runs them on the canonical
+        # plan and the row engine, the follower and the recovery below
+        # replay them unnested on the batch engine — same rows, same order
+        # (of an INSERT … SELECT's appends too), same statistics.
+        for sql in PAPER_SHAPED_WRITES:
+            assert db.execute(sql, strategy="canonical").rows[0][0] > 0, sql
         drain(follower)
         assert follower.applied_lsn == db.wal_lsn
         assert replica_db.table("r").rows == db.table("r").rows

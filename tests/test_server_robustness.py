@@ -7,6 +7,7 @@ import socket
 import subprocess
 import sys
 import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -113,6 +114,89 @@ class TestMalformedContentLength:
             assert json.loads(body)["error"]["code"] == "BAD_REQUEST"
             with urllib.request.urlopen(server.url + "/healthz", timeout=2) as resp:
                 assert resp.status == 200
+        finally:
+            server.stop()
+
+
+Q1_DELETE = """DELETE FROM r
+    WHERE A1 = (SELECT COUNT(DISTINCT *) FROM s WHERE A2 = B2) OR A4 > 1500"""
+
+
+def _post(url: str, payload: dict) -> tuple[int, dict]:
+    request = urllib.request.Request(
+        url, json.dumps(payload).encode(), {"Content-Type": "application/json"}
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
+class TestWritesHonourTheRequest:
+    """The ``timeout`` and the drain's cancel event reach a DML
+    statement's embedded read; a stopped write changed nothing."""
+
+    def _state(self, db):
+        table = db.table("r")
+        return (
+            list(table.rows), table.version, db.commit_lsn, db.wal_lsn,
+            db.mvcc_info(), dict(db._snapshots._in_progress),
+        )
+
+    def test_a_write_past_its_timeout_is_a_408_and_changes_nothing(self, tmp_path):
+        db = make_db(rows=300)
+        durable = Database(data_dir=str(tmp_path))
+        for name in ("r", "s"):
+            durable.create_table(name, db.table(name).schema.names, db.table(name).rows)
+        server = QueryServer(durable, ServerConfig(port=0)).start()
+        try:
+            before = self._state(durable)
+            for engine in ("row", "vectorized"):
+                status, body = _post(
+                    server.url + "/query",
+                    {"sql": Q1_DELETE, "strategy": "canonical", "engine": engine, "timeout": 0},
+                )
+                assert (status, body["error"]["code"]) == (408, "QUERY_TIMEOUT")
+                assert self._state(durable) == before
+            status, body = _post(
+                server.url + "/query", {"sql": Q1_DELETE, "engine": "vectorized", "timeout": 30}
+            )
+            assert status == 200 and body["rows"][0][0] > 0
+            assert durable.wal_lsn == before[3] + 1
+            status, metrics = _post(server.url + "/query", {"sql": "SELECT COUNT(*) FROM r"})
+            assert metrics["rows"] == [[300 - body["rows"][0][0]]]
+        finally:
+            server.stop()
+            durable.close()
+
+    def test_a_drain_cancels_a_write_in_flight(self):
+        import threading
+
+        db = make_db(rows=1500)  # canonical: 1 500 x 1 500 inner rows, seconds
+        server = QueryServer(db, ServerConfig(port=0)).start()
+        answer = {}
+        try:
+            before = self._state(db)
+            writer = threading.Thread(
+                target=lambda: answer.update(
+                    zip(
+                        ("status", "body"),
+                        _post(server.url + "/query", {"sql": Q1_DELETE, "strategy": "canonical"}),
+                    )
+                )
+            )
+            writer.start()
+            deadline = time.time() + 10
+            while server.service.metrics.snapshot()["in_flight"] == 0 and time.time() < deadline:
+                time.sleep(0.005)
+            assert server.service.drain(grace=0.05) is False  # cancelled, not finished
+            writer.join(timeout=30)
+            assert (answer["status"], answer["body"]["error"]["code"]) == (503, "QUERY_CANCELLED")
+            assert self._state(db) == before
+            assert db._commit_lock.acquire(blocking=False)
+            db._commit_lock.release()
+            assert db.execute("DELETE FROM r WHERE A4 > 1500").rows[0][0] > 0
         finally:
             server.stop()
 

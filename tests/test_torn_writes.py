@@ -17,9 +17,13 @@ from __future__ import annotations
 
 import os
 
+import pytest
+
 from repro import Database
 from repro.storage import wal
 from repro.storage.wal import DurabilityConfig, DurabilityManager
+
+from .crash_workload import Q1_DELETE, Q2_UPDATE
 
 
 def build_log(tmp_path, statements):
@@ -63,19 +67,34 @@ STATEMENTS = [
     "INSERT INTO t VALUES (4, 40)",
 ]
 
-#: Table contents after replaying the first N statements (N = 0..3)
+#: Table contents after replaying the first N statements (N = 0..4)
 #: on top of the create_table record.
-PREFIX_ROWS = [
+STATES = [
     [],
     [(1, 10), (2, 20)],
     [(1, 10), (2, 20), (3, 30)],
     [(1, 11), (2, 20), (3, 30)],
+    [(1, 11), (2, 20), (3, 30), (4, 40)],
 ]
-FULL_ROWS = [(1, 11), (2, 20), (3, 30), (4, 40)]
 
+#: The same log with the paper's predicates in it — Q2's disjunctive
+#: correlation in an UPDATE that survives every tear, Q1's disjunctive
+#: linking in the DELETE that is torn — so that recovery replays and
+#: drops statements whose embedded read is unnested (on the batch engine
+#: where numpy imports).  Both of the DELETE's streams contribute a row.
+PAPER_STATEMENTS = STATEMENTS[:3] + [
+    Q2_UPDATE.format(t="t", pivot=25),
+    Q1_DELETE.format(t="t", pivot=2),
+]
+PAPER_STATES = STATES[:4] + [
+    [(1, 12), (2, 21), (3, 30)],
+    [(2, 21)],
+]
 
-def test_truncation_at_every_byte_of_the_final_record(tmp_path):
-    data_dir = build_log(tmp_path, STATEMENTS)
+def test_truncation_at_every_byte_of_the_final_record(
+    tmp_path, statements=STATEMENTS, states=STATES
+):
+    data_dir = build_log(tmp_path, statements)
     path = os.path.join(data_dir, wal.WAL_NAME)
     pristine = open(path, "rb").read()
     start = last_record_offset(pristine)
@@ -84,9 +103,9 @@ def test_truncation_at_every_byte_of_the_final_record(tmp_path):
     for cut in range(start, len(pristine)):
         open(path, "wb").write(pristine[:cut])
         rows, replayed, dropped = recovered_state(data_dir)
-        assert rows == PREFIX_ROWS[3], f"cut at byte {cut} changed the prefix"
-        # create_table + 3 surviving DML records.
-        assert replayed == 4, f"cut at byte {cut} replayed {replayed} records"
+        assert rows == states[-2], f"cut at byte {cut} changed the prefix"
+        # create_table + the surviving DML records.
+        assert replayed == len(statements), f"cut at byte {cut} replayed {replayed} records"
         assert dropped == cut - start, f"cut at byte {cut} reported {dropped} dropped"
         # Recovery truncated the tail: the file is clean again.
         assert len(open(path, "rb").read()) == start
@@ -94,11 +113,13 @@ def test_truncation_at_every_byte_of_the_final_record(tmp_path):
     # Control: the untouched log replays everything.
     open(path, "wb").write(pristine)
     rows, replayed, dropped = recovered_state(data_dir)
-    assert rows == FULL_ROWS and replayed == 5 and dropped == 0
+    assert rows == states[-1] and replayed == len(statements) + 1 and dropped == 0
 
 
-def test_corruption_at_every_byte_of_the_final_record(tmp_path):
-    data_dir = build_log(tmp_path, STATEMENTS)
+def test_corruption_at_every_byte_of_the_final_record(
+    tmp_path, statements=STATEMENTS, states=STATES
+):
+    data_dir = build_log(tmp_path, statements)
     path = os.path.join(data_dir, wal.WAL_NAME)
     pristine = open(path, "rb").read()
     start = last_record_offset(pristine)
@@ -112,22 +133,24 @@ def test_corruption_at_every_byte_of_the_final_record(tmp_path):
         # record; the committed prefix always survives.  (A flip in the
         # length field can make the frame claim to end early or late —
         # either way the CRC or the LSN chain catches it.)
-        assert rows == PREFIX_ROWS[3], f"flip at byte {position} changed the prefix"
-        assert replayed == 4, f"flip at byte {position} replayed {replayed}"
+        assert rows == states[-2], f"flip at byte {position} changed the prefix"
+        assert replayed == len(statements), f"flip at byte {position} replayed {replayed}"
 
     open(path, "wb").write(pristine)
     rows, replayed, _ = recovered_state(data_dir)
-    assert rows == FULL_ROWS and replayed == 5
+    assert rows == states[-1] and replayed == len(statements) + 1
 
 
-def test_truncation_inside_earlier_records_keeps_shorter_prefixes(tmp_path):
+def test_truncation_inside_earlier_records_keeps_shorter_prefixes(
+    tmp_path, statements=STATEMENTS, states=STATES
+):
     """Coarser sweep over the whole file: a cut anywhere yields some
     clean statement prefix, never an exception or a mixed state."""
-    data_dir = build_log(tmp_path, STATEMENTS)
+    data_dir = build_log(tmp_path, statements)
     path = os.path.join(data_dir, wal.WAL_NAME)
     pristine = open(path, "rb").read()
 
-    valid_states = [sorted(rows) for rows in PREFIX_ROWS] + [sorted(FULL_ROWS)]
+    valid_states = [sorted(rows) for rows in states]
     # Sample every 3rd byte for speed; the final record already has
     # byte-exact coverage above.
     for cut in range(wal.WAL_HEADER_SIZE, len(pristine), 3):
@@ -141,6 +164,19 @@ def test_truncation_inside_earlier_records_keeps_shorter_prefixes(tmp_path):
         db.close()
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        test_truncation_at_every_byte_of_the_final_record,
+        test_corruption_at_every_byte_of_the_final_record,
+        test_truncation_inside_earlier_records_keeps_shorter_prefixes,
+    ],
+    ids=lambda check: check.__name__,
+)
+def test_the_paper_shaped_log_tears_like_the_plain_one(tmp_path, check):
+    check(tmp_path, PAPER_STATEMENTS, PAPER_STATES)
+
+
 def test_manager_scan_is_idempotent_after_truncation(tmp_path):
     """Opening a damaged log twice gives identical results — the first
     open's truncation must itself be clean."""
@@ -152,7 +188,7 @@ def test_manager_scan_is_idempotent_after_truncation(tmp_path):
 
     first = recovered_state(data_dir)
     second = recovered_state(data_dir)
-    assert first[0] == second[0] == PREFIX_ROWS[3]
+    assert first[0] == second[0] == STATES[3]
     assert second[2] == 0  # the torn bytes were physically removed
 
 
