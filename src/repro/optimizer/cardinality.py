@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.algebra import expr as E
 from repro.algebra import ops as L
-from repro.storage.catalog import Catalog, ColumnStats
+from repro.storage.catalog import Catalog, ColumnStats, TableStats
 
 DEFAULT_EQ_SELECTIVITY = 0.1
 DEFAULT_RANGE_SELECTIVITY = 1.0 / 3.0
@@ -23,8 +23,11 @@ class CardinalityModel:
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        #: qualified attribute name -> ColumnStats, filled during walks
-        self._column_stats: dict[str, ColumnStats] = {}
+        #: qualified attribute name -> (table statistics, base column),
+        #: filled during walks, and -> the ColumnStats derived the first
+        #: time a formula asked: one model (one plan) sees one figure.
+        self._sources: dict[str, tuple[TableStats, str]] = {}
+        self._column_stats: dict[str, ColumnStats | None] = {}
 
     # -- public API ------------------------------------------------------------
 
@@ -36,10 +39,17 @@ class CardinalityModel:
         return self._sel(predicate)
 
     def distinct_of(self, attribute: str) -> float | None:
-        stats = self._column_stats.get(attribute)
+        stats = self._stats_of(attribute)
         if stats is None or stats.distinct == 0:
             return None
         return float(stats.distinct)
+
+    def _stats_of(self, attribute: str) -> ColumnStats | None:
+        """The statistics of a harvested attribute, derived on first ask."""
+        if attribute not in self._column_stats and attribute in self._sources:
+            table_stats, base = self._sources[attribute]
+            self._column_stats[attribute] = table_stats.columns.get(base)
+        return self._column_stats.get(attribute)
 
     # -- statistics harvest ---------------------------------------------------
 
@@ -55,9 +65,7 @@ class CardinalityModel:
                     # subset of the base columns, at these positions.
                     base_names = [base_names[position] for position in projection]
                 for qualified, base in zip(node.schema.names, base_names):
-                    stats = table_stats.columns.get(base)
-                    if stats is not None:
-                        self._column_stats[qualified] = stats
+                    self._sources[qualified] = (table_stats, base)
 
     # -- cardinalities ---------------------------------------------------------
 
@@ -199,7 +207,7 @@ class CardinalityModel:
         return DEFAULT_RANGE_SELECTIVITY
 
     def _range_fraction(self, attribute: str, value, op: str) -> float | None:
-        stats = self._column_stats.get(attribute)
+        stats = self._stats_of(attribute)
         if stats is None or stats.min_value is None or stats.max_value is None:
             return None
         try:

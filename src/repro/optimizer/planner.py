@@ -194,7 +194,9 @@ def plan_translation(
             logical, chosen = choose_access_paths(rewritten, catalog), "unnested"
         else:
             planner_fallback = True
-    elif strategy.cost_based:
+    elif strategy.cost_based and classification.blocks:
+        # (A statement without a nested block has nothing to unnest: one
+        # alternative, the canonical plan above, costed once below.)
         rewritten = _heal_unnest(canonical, unnest_options)
         if rewritten is None:
             planner_fallback = True

@@ -1,7 +1,9 @@
 """A small stdlib client for the repro SQL server.
 
 :class:`ServiceClient` speaks the JSON protocol of
-:mod:`repro.service.server` over ``urllib``; structured error bodies are
+:mod:`repro.service.server` over persistent ``http.client`` connections
+(:class:`~repro.sim.transport.HttpTransport`: checked before each send,
+never re-sent on); structured error bodies are
 re-raised as the matching :mod:`repro.errors` exception class, so client
 code handles server-side failures exactly like embedded-library ones::
 

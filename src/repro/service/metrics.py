@@ -67,6 +67,21 @@ class ServerMetrics:
         self.queries_cancelled = 0
         self.rejected_overload = 0
         self.in_flight = 0
+        self.connections_accepted = 0
+        self._connections: set = set()  # accepted and not yet closed
+
+    def connection_opened(self, connection) -> None:
+        with self._lock:
+            self.connections_accepted += 1
+            self._connections.add(connection)
+
+    def connection_closed(self, connection) -> None:
+        with self._lock:
+            self._connections.discard(connection)
+
+    def open_connections(self) -> list:
+        with self._lock:
+            return list(self._connections)
 
     def record_request(self) -> None:
         with self._lock:
@@ -105,5 +120,7 @@ class ServerMetrics:
                 "queries_cancelled": self.queries_cancelled,
                 "rejected_overload": self.rejected_overload,
                 "in_flight": self.in_flight,
+                "connections_accepted": self.connections_accepted,
+                "connections_open": len(self._connections),
                 "latency": self._latency.snapshot(),
             }

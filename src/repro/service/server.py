@@ -1,7 +1,9 @@
 """A concurrent SQL server: JSON over HTTP on stdlib machinery.
 
-``ThreadingHTTPServer`` gives one thread per connection; the interesting
-parts live above it:
+``ThreadingHTTPServer`` gives one thread per connection, and connections
+persist: an idle one is closed after ``max_wait_seconds``, an answer
+given while draining says ``Connection: close``, ``stop()`` hangs up on
+all that are open.  The interesting parts live above it:
 
 * **admission control** — at most ``max_in_flight`` queries execute
   concurrently; up to ``max_queue`` more may wait ``queue_timeout``
@@ -69,7 +71,10 @@ Every error body is ``{"error": {"code": ..., "message": ...}}`` — the
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import socket
 import threading
 import time
 import uuid
@@ -717,21 +722,33 @@ _ROUTES = {
 
 
 class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    service: QueryService  # injected by QueryServer
+    protocol_version = "HTTP/1.1"  # connections persist: one thread each
+    # With Nagle on, a second write on a kept connection stalls behind
+    # the client's delayed ACK (40 ms a request).
+    disable_nagle_algorithm = True
+    # Injected by QueryServer, with ``timeout`` = max_wait_seconds: an idle
+    # connection parks its thread no longer than any wait a client can ask for.
+    service: QueryService
 
     # ThreadingHTTPServer logs every request to stderr by default; the
     # server's metrics endpoint replaces that.
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
 
-    def _respond(self, status: int, body: dict) -> None:
+    def _respond(self, status: int, body: dict, close: bool = False) -> None:
         data = json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if close or self.service.draining.is_set():
+            # A pooling client must not come back on this connection (and
+            # send_header makes this answer the connection's last).
+            self.send_header("Connection", "close")
+        # Headers and body leave in one write (one segment when small).
+        wire, self.wfile = self.wfile, io.BytesIO()
         self.end_headers()
-        self.wfile.write(data)
+        head, self.wfile = self.wfile.getvalue(), wire
+        wire.write(head + data)
 
     def do_GET(self):  # noqa: N802 - stdlib naming
         status, body = self.service.handle("GET", self.path, {})
@@ -743,8 +760,7 @@ class _Handler(BaseHTTPRequestHandler):
         except BadRequestError as error:
             # The body (if any) was not consumed; the connection cannot
             # carry another request.
-            self.close_connection = True
-            self._respond(400, {"error": error.as_dict()})
+            self._respond(400, {"error": error.as_dict()}, close=True)
             return
         status, body = self.service.handle("POST", self.path, payload)
         self._respond(status, body)
@@ -771,6 +787,18 @@ class _Handler(BaseHTTPRequestHandler):
         return payload
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """Tells ``metrics`` (set by :class:`QueryServer`) which connections are open."""
+
+    def process_request(self, request, client_address):
+        self.metrics.connection_opened(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        self.metrics.connection_closed(request)
+        super().shutdown_request(request)
+
+
 class QueryServer:
     """Owns the listening socket and the service; start/stop lifecycle.
 
@@ -784,9 +812,12 @@ class QueryServer:
         else:
             self.service = QueryService(database, config)
         self.config = self.service.config
-        handler = type("BoundHandler", (_Handler,), {"service": self.service})
-        self._httpd = ThreadingHTTPServer((self.config.host, self.config.port), handler)
+        # (``or None``: 0 tells the gates never to wait; a socket has to.)
+        bound = {"service": self.service, "timeout": self.config.max_wait_seconds or None}
+        handler = type("BoundHandler", (_Handler,), bound)
+        self._httpd = _HTTPServer((self.config.host, self.config.port), handler)
         self._httpd.daemon_threads = True
+        self._httpd.metrics = self.service.metrics
         self.service.shutdown_callback = self._httpd.shutdown
         self._thread: threading.Thread | None = None
         self._startup_thread: threading.Thread | None = None
@@ -854,10 +885,15 @@ class QueryServer:
         return clean
 
     def stop(self) -> None:
-        """Cancel in-flight queries, stop accepting, release the socket."""
+        """Cancel in-flight queries, stop accepting, release the socket
+        and hang up on every open connection, idle or busy: a client that
+        kept one sees EOF, never an answer from a stopped server."""
         self.service.cancel_event.set()
         self.service.draining.set()
         self._httpd.shutdown()
         self._httpd.server_close()
+        for connection in self.service.metrics.open_connections():
+            with contextlib.suppress(OSError):  # already gone
+                connection.shutdown(socket.SHUT_RDWR)  # its thread closes it
         if self._thread is not None and self._thread is not threading.current_thread():
             self._thread.join(timeout=5)

@@ -9,8 +9,8 @@ exception stays in the client).  It raises
 failures: the node is unreachable, the connection dropped, or the server
 answered 503 with no body.
 
-:class:`HttpTransport` is the production implementation (the ``urllib``
-code that used to live inline in the client).  :class:`SimTransport`
+:class:`HttpTransport` is the production implementation, on persistent
+``http.client`` connections.  :class:`SimTransport`
 delivers the same dicts in-memory to in-process
 :class:`~repro.service.server.QueryService` handlers, under a seeded
 fault model (:class:`SimNet`) that can delay, drop, duplicate and
@@ -23,8 +23,9 @@ from __future__ import annotations
 import http.client
 import json
 import random
-import urllib.error
-import urllib.request
+import socket
+import threading
+from urllib.parse import urlsplit
 
 from repro.errors import ServiceError, ServiceUnavailable
 from repro.sim.clock import VirtualClock
@@ -45,7 +46,26 @@ class Transport:
 
 
 class HttpTransport(Transport):
-    """JSON-over-HTTP via ``urllib``; stateless, shared by default."""
+    """JSON-over-HTTP on persistent ``http.client`` connections.
+
+    One request owns a connection at a time; it goes back to the idle
+    list once the body was read in full, unless the response said
+    ``close``; any error closes it.  One taken from the list is first
+    checked for readability: EOF means the server hung up while it sat
+    idle, so a fresh one is opened.  Once a byte of a request was written
+    nothing is sent again — a write is not idempotent; that ambiguity is
+    a ``ServiceUnavailable`` for the caller's ``RetryPolicy``.
+    """
+
+    #: Idle connections kept per (host, port) and in total; past either the
+    #: oldest is closed (a test suite meets hundreds of short-lived servers).
+    IDLE_PER_HOST = 4
+    IDLE_TOTAL = 16
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        #: ((host, port), connection), oldest first; owned by no request.
+        self._idle: list[tuple[tuple, http.client.HTTPConnection]] = []
 
     def request(
         self,
@@ -55,38 +75,74 @@ class HttpTransport(Transport):
         payload: dict | None,
         timeout: float,
     ) -> dict:
-        url = base_url + path
+        url = urlsplit(base_url + path)
+        host = (url.hostname, url.port)
         data = None
         headers = {"Accept": "application/json"}
         if method == "POST":
             data = json.dumps(payload or {}).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(url, data=data, headers=headers, method=method)
+        connection = self._take(host, timeout)
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                body = json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as http_error:
-            # Must precede the OSError branch: HTTPError ⊂ URLError ⊂
-            # OSError, and an HTTP error response *is* a server answer.
-            try:
-                body = json.loads(http_error.read().decode("utf-8"))
-            except ValueError:
-                body = None
-            if isinstance(body, dict) and "error" in body:
-                return body
-            if http_error.code == 503:
-                # No structured error but the status says it all: the
-                # server is up yet not serving (draining /health probe).
-                raise ServiceUnavailable("server is not ready (HTTP 503)") from None
-            raise ServiceError(f"server returned HTTP {http_error.code}") from None
-        except (OSError, http.client.HTTPException) as transport_error:
+            connection.request(method, url.path, body=data, headers=headers)
+            response = connection.getresponse()
+            status, raw = response.status, response.read()
+        except (OSError, http.client.HTTPException) as error:
             # Connection refused/reset, DNS failure, socket timeout,
             # malformed response: the server is unreachable right now.
+            connection.close()
             raise ServiceUnavailable(
-                f"server unreachable: {type(transport_error).__name__}: "
-                f"{transport_error}"
-            ) from transport_error
-        return body
+                f"server unreachable: {type(error).__name__}: {error}"
+            ) from error
+        try:
+            body = json.loads(raw)
+        except ValueError:
+            body = None  # not from our server: do not keep its connection
+        if body is None or response.will_close:
+            connection.close()
+        else:
+            self._give_back(host, connection)
+        if 200 <= status < 300:
+            if body is None:
+                raise ServiceUnavailable("server unreachable: malformed response")
+            return body
+        if isinstance(body, dict) and "error" in body:
+            return body  # an HTTP error response *is* a server answer
+        if status == 503:
+            # No structured error but the status says it all: the
+            # server is up yet not serving (draining /health probe).
+            raise ServiceUnavailable("server is not ready (HTTP 503)")
+        raise ServiceError(f"server returned HTTP {status}")
+
+    def _take(self, host: tuple, timeout: float) -> http.client.HTTPConnection:
+        """The newest idle connection the server has not hung up on, or a new one."""
+        while True:
+            with self._lock:
+                idle = self._idle
+                at = next((i for i in reversed(range(len(idle))) if idle[i][0] == host), None)
+                if at is None:
+                    return http.client.HTTPConnection(*host, timeout=timeout)
+                connection = idle.pop(at)[1]
+            try:
+                connection.sock.settimeout(0)
+                connection.sock.recv(1, socket.MSG_PEEK)  # EOF, or bytes nobody asked for
+            except BlockingIOError:  # nothing to read: still ours to write on
+                connection.sock.settimeout(timeout)
+                return connection
+            except OSError:
+                pass
+            connection.close()
+
+    def _give_back(self, host: tuple, connection: http.client.HTTPConnection) -> None:
+        with self._lock:
+            idle = self._idle
+            idle.append((host, connection))
+            mine = [i for i, entry in enumerate(idle) if entry[0] == host]
+            evicted = [idle.pop(mine[0])] if len(mine) > self.IDLE_PER_HOST else []
+            if len(idle) > self.IDLE_TOTAL:
+                evicted.append(idle.pop(0))
+        for _, old in evicted:
+            old.close()
 
 
 #: Shared default — clients do ``transport or HTTP_TRANSPORT``.

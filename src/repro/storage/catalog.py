@@ -9,10 +9,12 @@ They are kept current at the cost of what a statement changes.  A
 (value → count) and its NULL count; :mod:`repro.dml` hands
 :meth:`Catalog.apply_delta` the rows each statement added and removed,
 which moves only those counts.  The figures the optimizer reads are
-derived from the multisets on first use after a change and cached until
-the next one, so they are a pure function of the table's contents: a
-store recovered from its log, loaded from a snapshot or fed by
-replication reports what the primary does.
+derived one column at a time (:meth:`TableStats.column`), under the lock
+a delta takes, the first time a planner asks after a change, and cached
+until the next one: a point write pays for the columns its predicate
+names.  They are a pure function of the table's contents: a store
+recovered from its log, loaded from a snapshot or fed by replication
+reports what the primary does.
 
 :meth:`Catalog.register`, :meth:`Catalog.replace` and
 :meth:`Catalog.analyze` (re)build the multisets from the rows — the one
@@ -155,13 +157,31 @@ class _ColumnCounts:
         )
 
 
+class _ColumnsView(Mapping):
+    """:attr:`TableStats.columns`: name → :class:`ColumnStats`, each
+    derived by :meth:`TableStats.column` when it is asked for."""
+
+    def __init__(self, stats: "TableStats"):
+        self._stats = stats
+
+    def __getitem__(self, name: str) -> ColumnStats:
+        return self._stats.column(name)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._stats._counts)
+
+    def __len__(self) -> int:
+        return len(self._stats._counts)
+
+
 class TableStats:
     """Statistics for one table.
 
-    ``row_count`` and the per-column multisets are the state;
-    :attr:`columns` (name → :class:`ColumnStats`) is derived from it on
-    first use after a change.  A table registered with ``analyze=False``
-    tracks only its row count and has no columns.
+    ``row_count`` and the per-column multisets are the state; a column's
+    :class:`ColumnStats` is derived from its multiset alone, by
+    :meth:`column`, the first time it is asked for after a change.  A
+    table registered with ``analyze=False`` tracks only its row count
+    and has no columns.
 
     Planner threads read while a writer applies a delta, so both the
     derivation and :meth:`apply_delta` hold the object's lock; the
@@ -172,7 +192,8 @@ class TableStats:
         self.row_count = row_count
         self._histogram_buckets = histogram_buckets
         self._counts: dict[str, _ColumnCounts] = {}
-        self._columns: dict[str, ColumnStats] | None = None
+        #: What :meth:`column` derived at this version of the table.
+        self._derived: dict[str, ColumnStats] = {}
         self._lock = threading.Lock()
 
     @classmethod
@@ -183,19 +204,21 @@ class TableStats:
             stats._counts[column.name] = _ColumnCounts(values)
         return stats
 
-    @property
-    def columns(self) -> dict[str, ColumnStats]:
-        derived = self._columns
+    def column(self, name: str) -> ColumnStats:
+        """The figures of one column (``KeyError``: not a tracked one)."""
+        derived = self._derived.get(name)
         if derived is None:
             with self._lock:
-                derived = self._columns
+                # Read again under the lock: a delta swaps the cache.
+                derived = self._derived.get(name)
                 if derived is None:
-                    derived = {
-                        name: counts.summary(self._histogram_buckets)
-                        for name, counts in self._counts.items()
-                    }
-                    self._columns = derived
+                    derived = self._counts[name].summary(self._histogram_buckets)
+                    self._derived[name] = derived
         return derived
+
+    @property
+    def columns(self) -> Mapping[str, ColumnStats]:
+        return _ColumnsView(self)
 
     def apply_delta(self, added: list, removed: list) -> None:
         """Account for rows that entered and left the table."""
@@ -204,7 +227,7 @@ class TableStats:
             for position, counts in enumerate(self._counts.values()):
                 counts.remove(row[position] for row in removed)
                 counts.add(row[position] for row in added)
-            self._columns = None
+            self._derived = {}  # swapped, not cleared: the old version's stay whole
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TableStats):
@@ -212,7 +235,7 @@ class TableStats:
         return self.row_count == other.row_count and self.columns == other.columns
 
     def __repr__(self) -> str:
-        return f"TableStats(row_count={self.row_count}, columns={self.columns})"
+        return f"TableStats(row_count={self.row_count}, columns={dict(self.columns)})"
 
 
 class Catalog:

@@ -12,6 +12,10 @@ the old rows through both engines.
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -19,7 +23,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import Database, EvalOptions
 from repro.engine.vector_ops import table_batch
 from repro.storage.batch import Batch
-from repro.storage.catalog import TableStats
+from repro.optimizer.planner import plan_query
+from repro.storage.catalog import TableStats, _ColumnCounts
 from repro.storage.index import make_index
 from repro.storage.mvcc import resolve_index
 
@@ -188,14 +193,97 @@ def test_a_value_outside_the_layout_drops_the_batch_for_one_full_pivot(sql):
     assert table_batch(table).to_rows() == table.rows
 
 
-def test_statistics_cost_nothing_until_the_planner_reads_them():
+@pytest.fixture
+def derivations(monkeypatch):
+    """The multisets ``_ColumnCounts.summary`` was called on, in order."""
+    calls = []
+    real = _ColumnCounts.summary
+
+    def counted(self, buckets):
+        calls.append(self)
+        return real(self, buckets)
+
+    monkeypatch.setattr(_ColumnCounts, "summary", counted)
+    return calls
+
+
+def test_statistics_cost_nothing_until_the_planner_reads_them(derivations):
     db = Database()
-    db.create_table("t", ["a"], [(1,), (2,), (None,)])
+    db.create_table("t", ["a", "b"], [(1, 10), (2, 20), (None, 30)])
     stats = db.catalog.stats("t")
-    first = stats.columns
-    assert stats.columns is first  # derived once per table version
-    db.execute("INSERT INTO t VALUES (9)")
+    a, b = stats._counts["a"], stats._counts["b"]
+    before = stats.column("a")
+    assert stats.column("b").max_value == 30 and derivations == [a, b]
+    db.execute("INSERT INTO t VALUES (9, 40)")
     assert db.catalog.stats("t") is stats  # moved in place by the delta
-    assert stats.row_count == 4 and stats.columns is not first
-    assert stats.columns["a"].max_value == 9
-    assert first["a"].max_value == 2  # what an earlier reader holds is not touched
+    assert stats.row_count == 4 and derivations == [a, b]  # nothing derived yet
+    after = stats.column("a")
+    assert derivations == [a, b, a]  # a was asked for: a, and not b, is derived
+    assert stats.column("a") is after and stats.columns["a"] is after
+    assert derivations == [a, b, a]  # once per column and table version
+    assert after.max_value == 9 and after.distinct == 3
+    assert before.max_value == 2  # what an earlier reader holds is not touched
+    assert stats.columns.get("nope") is None and "nope" not in stats.columns
+    with pytest.raises(KeyError):
+        stats.column("nope")
+    assert dict(stats.columns) == {"a": after, "b": stats.column("b")}
+
+
+def test_a_point_write_derives_the_columns_its_predicate_names(derivations):
+    from repro.datagen import RstConfig, generate_rst
+
+    db = Database()
+    for table in generate_rst(1, 1, 1, RstConfig(rows_per_sf=300)).values():
+        db.register(table)
+    stats = db.catalog.stats("s")
+    db.execute("INSERT INTO s VALUES (1, 2, 3, 4)")  # a delta: nothing is cached
+    del derivations[:]
+    db.execute("UPDATE s SET B3 = B3 + 1 WHERE B2 = 7")
+    assert derivations == [stats._counts["B2"]]
+    assert TableStats.compute(db.catalog.table("s")) == stats
+
+
+@pytest.mark.parametrize("switch_interval", [None, 1e-6])
+def test_statistics_readers_never_see_a_multiset_mid_delta(switch_interval):
+    """Two readers derive and plan while a writer applies deltas: the race
+    a lock-free derivation loses (``dictionary changed size during
+    iteration``, or figures of no committed version)."""
+    rounds = int(os.environ.get("REPRO_STATS_RACE_ROUNDS", "300"))
+    db = Database()
+    base = [(i % 1500, i) for i in range(2000)]  # a derivation worth interrupting
+    table = db.create_table("t", ["a", "b"], base)
+    stats = db.catalog.stats("t")
+    extra = [(5000 + i, -i) for i in range(40)]
+    # Every committed version: the base rows, with or without ``extra``.
+    committed = [
+        _ColumnCounts(row[0] for row in rows).summary(20) for rows in (base, base + extra)
+    ]
+    seen, errors, done = [], [], threading.Event()
+
+    def reader():
+        try:
+            while not done.is_set():
+                seen.append(stats.column("a"))
+                plan_query("SELECT b FROM t WHERE a = 3", db.catalog)
+        except Exception as error:  # reported below, from the main thread
+            errors.append(error)
+
+    previous = sys.getswitchinterval()
+    if switch_interval is not None:
+        sys.setswitchinterval(switch_interval)
+    try:
+        readers = [threading.Thread(target=reader) for _ in range(2)]
+        for thread in readers:
+            thread.start()
+        for _ in range(rounds):
+            stats.apply_delta(extra, [])
+            stats.apply_delta([], extra)
+        done.set()
+        for thread in readers:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in readers)
+    assert errors == []
+    assert seen and all(column in committed for column in seen)
+    assert TableStats.compute(table) == stats

@@ -6,7 +6,16 @@ from repro.algebra import expr as E
 from repro.algebra import ops as L
 from repro.algebra.explain import count_operators
 from repro.engine import execute_plan
+from repro import dml as dml_module
+from repro.datagen.queries import INNER_SIMPLE, OUTER_SIMPLE, THIRD_SIMPLE
+from repro.dml import execute_dml
 from repro.optimizer import plan_query
+from repro.optimizer import planner as planner_module
+from repro.optimizer.access import choose_access_paths
+from repro.optimizer.planner import plan_translation
+from repro.optimizer.rank_estimator import CatalogEstimator
+from repro.optimizer.simplify import simplify_plan
+from repro.rewrite import UnnestOptions, unnest
 from repro.optimizer.cardinality import CardinalityModel
 from repro.optimizer.cost import CostModel
 from repro.optimizer.joins import optimize_joins
@@ -14,6 +23,7 @@ from repro.bench.queries import Q1, QUERY_2D, RST_QUERIES
 from repro.datagen import TpchConfig, tpch_catalog
 from repro.errors import PlanningError
 from repro.sql import parse, translate
+from repro.sql.parser import parse_any
 from tests.conftest import assert_bag_equal, make_rst_catalog
 
 
@@ -187,6 +197,73 @@ class TestPlanner:
         for sql in (Q1, "SELECT * FROM r WHERE A4 > 1500"):
             planned = plan_query(sql, rst, "auto")
             assert planned.estimated_cost == CostModel(rst).cost(planned.logical)
+
+    FLAT = (
+        [f"SELECT * FROM r WHERE {p}" for p in OUTER_SIMPLE]
+        + [
+            f"SELECT DISTINCT * FROM s WHERE {p} OR NOT ({q})"
+            for p in INNER_SIMPLE
+            for q in INNER_SIMPLE
+        ]
+        + [
+            f"SELECT A1, C1 FROM r, t WHERE A2 = C2 AND ({p} OR {q})"
+            for p in OUTER_SIMPLE
+            for q in THIRD_SIMPLE
+        ]
+        + ["SELECT COUNT(*), A3 FROM r GROUP BY A3", "SELECT A1 FROM r UNION SELECT B1 FROM s"]
+    )
+    # mixed_rw's five write shapes (benchmarks/e2e/workloads.py).
+    WRITES = [
+        "INSERT INTO r VALUES (1, 9000, 2, 3)",
+        "INSERT INTO s VALUES (1, 9100, 2, 3)",
+        "UPDATE s SET B3 = 4 WHERE B2 = 3",
+        "DELETE FROM r WHERE A2 = 2",
+        "DELETE FROM s WHERE B2 = 3",
+    ]
+
+    @staticmethod
+    def _both_alternatives(translation, catalog):
+        """``auto`` as it ran for every statement before flat ones were
+        planned once: rewrite, second access-path pass, two costings."""
+        canonical = optimize_joins(simplify_plan(translation.plan), catalog)
+        kept = choose_access_paths(canonical, catalog)
+        options = UnnestOptions(estimator=CatalogEstimator(catalog))
+        rewritten = choose_access_paths(unnest(canonical, options), catalog)
+        cost, rewritten_cost = CostModel(catalog).cost(kept), CostModel(catalog).cost(rewritten)
+        if rewritten_cost < cost:
+            return repr(rewritten), rewritten_cost, "unnested"
+        return repr(kept), cost, "canonical"
+
+    def test_a_flat_statement_is_planned_once_to_the_same_plan(self, monkeypatch):
+        catalog = make_rst_catalog(seed=5)
+        catalog.create_index("r_a2", "r", "A2")  # an access path to choose
+        unnest_calls = []  # by the planner; the reference below calls the real one
+        monkeypatch.setattr(
+            planner_module, "unnest", lambda *args: unnest_calls.append(args) or unnest(*args)
+        )
+        planned = []  # (PlannedQuery, what both alternatives come to), before the write lands
+
+        def recording(translation, catalog, strategy="auto"):
+            query = plan_translation(translation, catalog, strategy)
+            assert unnest_calls == []
+            planned.append((query, self._both_alternatives(translation, catalog)))
+            return query
+
+        monkeypatch.setattr(dml_module, "plan_translation", recording)
+        for sql in self.WRITES:
+            execute_dml(parse_any(sql), catalog)
+        assert len(planned) == 3  # the UPDATE's and the DELETEs' embedded reads
+        for sql in self.FLAT:
+            recording(translate(parse(sql), catalog), catalog)
+        for query, reference in planned:
+            assert query.classification.nested_block_count == 0
+            assert not query.planner_fallback
+            assert (
+                repr(query.logical), query.estimated_cost, query.chosen_alternative
+            ) == reference
+        # A nested statement still has two alternatives.
+        assert plan_query(Q1, catalog, "auto").chosen_alternative == "unnested"
+        assert len(unnest_calls) == 1
 
     def test_unknown_strategy(self, rst):
         with pytest.raises(PlanningError, match="unknown strategy"):

@@ -1,5 +1,6 @@
 """Server-side robustness: status mapping, request faults, SIGTERM drain."""
 
+import http.client
 import json
 import os
 import signal
@@ -13,8 +14,11 @@ import urllib.request
 import pytest
 
 from repro import Database, ResourceLimits
+from repro.errors import ServiceUnavailable
 from repro.faults import ENV_COUNT, ENV_SEED, ENV_SITES
 from repro.service import QueryServer, QueryService, ServerConfig
+from repro.service.client import ServiceClient
+from repro.service.resilience import RetryPolicy
 from repro.storage.wal import list_snapshots
 
 
@@ -102,6 +106,9 @@ class TestMalformedContentLength:
     def test_structured_400_and_the_server_lives(self, value):
         server = QueryServer(make_db(), ServerConfig(port=0)).start()
         try:
+            bystander = http.client.HTTPConnection(*server.address, timeout=2)
+            bystander.request("GET", "/healthz")
+            assert bystander.getresponse().read()
             with socket.create_connection(server.address, timeout=2) as conn:
                 conn.sendall(
                     f"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {value}\r\n\r\n".encode()
@@ -111,11 +118,87 @@ class TestMalformedContentLength:
                     raw += chunk
             head, _, body = raw.partition(b"\r\n\r\n")
             assert head.startswith(b"HTTP/1.1 400 ")
+            assert b"\r\nConnection: close" in head  # a pooling client must not keep it
             assert json.loads(body)["error"]["code"] == "BAD_REQUEST"
             with urllib.request.urlopen(server.url + "/healthz", timeout=2) as resp:
                 assert resp.status == 200
+            # Only that connection was closed: another one open meanwhile lives.
+            bystander.request("GET", "/healthz")
+            assert bystander.getresponse().status == 200
+            bystander.close()
         finally:
             server.stop()
+
+
+SLOW_SQL = "SELECT COUNT(*) FROM r, s, r r2, s s2, r r3"
+
+
+class TestStopHangsUp:
+    """A stopped server is never heard from again on a kept connection."""
+
+    @pytest.mark.parametrize("how", ["stop", "drain"])
+    def test_idle_and_busy_connections_are_closed(self, how):
+        server = QueryServer(make_db(), ServerConfig(port=0, drain_grace=0.1)).start()
+        idle = http.client.HTTPConnection(*server.address, timeout=10)
+        busy = http.client.HTTPConnection(*server.address, timeout=10)
+        try:
+            idle.request("GET", "/healthz")
+            assert idle.getresponse().read()
+            headers = {"Content-Type": "application/json"}
+            busy.request("POST", "/query", json.dumps({"sql": SLOW_SQL}), headers)
+            deadline = time.monotonic() + 5
+            while server.service.metrics.snapshot()["in_flight"] == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert server.service.metrics.snapshot()["connections_open"] == 2
+            getattr(server, how)()
+            assert idle.sock.recv(1) == b""  # EOF, not a parked thread's answer
+            # The query was cancelled; its answer, if it beat the hang-up,
+            # is the connection's last.
+            try:
+                response = busy.getresponse()
+            except (OSError, http.client.HTTPException):
+                pass
+            else:
+                assert response.status == 503 and response.will_close
+            deadline = time.monotonic() + 5
+            while server.service.metrics.snapshot()["connections_open"]:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            idle.close()
+            busy.close()
+
+    def test_a_pooling_client_does_not_reach_a_stopped_server(self):
+        server = QueryServer(make_db(), ServerConfig(port=0)).start()
+        client = ServiceClient(server.url, retry_policy=RetryPolicy(max_attempts=1))
+        assert client.query("SELECT COUNT(*) FROM r").rows == [(20,)]  # pooled now
+        served = server.service.metrics.snapshot()["requests_total"]
+        server.stop()
+        with pytest.raises(ServiceUnavailable):
+            client.query("SELECT COUNT(*) FROM r")
+        assert server.service.metrics.snapshot()["requests_total"] == served
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX signals required")
+    def test_a_killed_server_process_is_unavailable_not_a_hang(self):
+        process = _spawn(["serve", "--dataset", "rst:0.2", "--port", "0"])
+        try:
+            line = process.stdout.readline()
+            assert line.startswith("serving on http://"), line
+            client = ServiceClient(
+                line.split()[-1].strip(), timeout=5.0, retry_policy=RetryPolicy(max_attempts=1)
+            )
+            assert client.healthz()["status"] == "ok"  # pooled now
+            process.kill()
+            process.wait(timeout=10)
+            begin = time.monotonic()
+            with pytest.raises(ServiceUnavailable):
+                client.healthz()
+            assert time.monotonic() - begin < 2.0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=5)
 
 
 Q1_DELETE = """DELETE FROM r

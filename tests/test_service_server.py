@@ -1,7 +1,9 @@
 """The concurrent SQL server: protocol, admission, timeouts, threading."""
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -213,6 +215,85 @@ class TestHttpProtocol:
             "ready", "plan_cache", "tables", "resilience", "access_paths",
             "durability", "mvcc", "replication",
         }
+
+
+class TestPersistentConnections:
+    """One connection carries many requests, at the price of one."""
+
+    @staticmethod
+    def _ask(connection, sql="SELECT A1 FROM r WHERE A4 > 1500"):
+        connection.request(
+            "POST", "/query", json.dumps({"sql": sql}), {"Content-Type": "application/json"}
+        )
+        response = connection.getresponse()
+        return response, json.loads(response.read())
+
+    def test_fifty_requests_on_one_connection_do_not_stall(self, server):
+        before = server.service.metrics.snapshot()
+        connection = http.client.HTTPConnection(*server.address, timeout=5)
+        try:
+            self._ask(connection)  # connects, plans
+            took = []
+            for _ in range(50):
+                begin = time.perf_counter()
+                response, body = self._ask(connection)
+                took.append(time.perf_counter() - begin)
+                assert response.status == 200 and body["row_count"] == 4
+                assert not response.will_close
+            after = server.service.metrics.snapshot()
+            assert after["connections_accepted"] - before["connections_accepted"] == 1
+            assert after["connections_open"] == before["connections_open"] + 1
+            assert after["requests_total"] - before["requests_total"] == 51
+        finally:
+            connection.close()
+        # Headers and body in two writes with Nagle on cost every one of
+        # them a delayed ACK (40 ms); a busy runner may cost a few.
+        assert sum(seconds < 0.020 for seconds in took) >= 45, sorted(took)
+
+    def test_the_client_reuses_its_connection(self, server):
+        client = ServiceClient(server.url)
+        client.healthz()
+        before = server.service.metrics.snapshot()
+        for _ in range(100):
+            client.query("SELECT A1 FROM r WHERE A4 > 1500")
+        after = server.service.metrics.snapshot()
+        # The reuse ratio, as /metrics tells it: requests per connection.
+        assert after["requests_total"] - before["requests_total"] == 100
+        assert after["connections_accepted"] == before["connections_accepted"]
+
+    def test_an_idle_connection_is_closed_after_max_wait_seconds(self):
+        query_server = QueryServer(make_db(), ServerConfig(port=0, max_wait_seconds=0.2)).start()
+        try:
+            used = http.client.HTTPConnection(*query_server.address, timeout=5)
+            fresh = http.client.HTTPConnection(*query_server.address, timeout=5)
+            fresh.connect()  # never sends a byte
+            assert self._ask(used)[0].status == 200
+            assert used.sock.recv(1) == b"" and fresh.sock.recv(1) == b""  # EOF, within 5 s
+            deadline = time.monotonic() + 5
+            while query_server.service.metrics.snapshot()["connections_open"]:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            used.close(), fresh.close()
+            # Not a failure for a pooling client: it checks before it sends.
+            client = ServiceClient(query_server.url)
+            client.healthz()
+            time.sleep(0.5)
+            assert client.healthz()["status"] == "ok"
+        finally:
+            query_server.stop()
+
+    def test_an_answer_given_while_draining_says_close(self):
+        query_server = QueryServer(make_db(), ServerConfig(port=0)).start()
+        try:
+            connection = http.client.HTTPConnection(*query_server.address, timeout=5)
+            assert not self._ask(connection)[0].will_close
+            query_server.service.draining.set()
+            response, body = self._ask(connection)
+            assert response.status == 503 and body["error"]["code"] == "SERVICE_UNAVAILABLE"
+            assert response.getheader("Connection") == "close"
+            connection.close()
+        finally:
+            query_server.stop()
 
 
 class TestTimeoutsAndAdmission:
