@@ -15,7 +15,10 @@ Implementation choices mirror a textbook main-memory engine: hash joins
 and hash grouping wherever an equality key exists, nested loops as the
 general fallback — plus the paper's specials: the leftouterjoin with
 ``f(∅)`` defaults, the numbering operator, and the binary grouping
-operator (hash implementation per May & Moerkotte, XSym 2005).
+operator (hash implementation per May & Moerkotte, XSym 2005).  The batch
+engine has its own forms of ⋈±, ``=``-keyed binary Γ and the nested-loop
+join (:mod:`repro.engine.vector_ops`); the ones here are their reference
+semantics and what a healed request falls back to.
 """
 
 from __future__ import annotations

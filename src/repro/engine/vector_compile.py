@@ -4,10 +4,9 @@
 ``_compile_<Node>`` hook to *try* the vectorized implementation first.
 Anything the batch runtime cannot express — subqueries correlated with
 the operator's input rows, subqueries in predicates, function calls,
-AVG partial combination, bypass joins, binary grouping, non-equi joins —
-raises
-:class:`~repro.engine.vector_kernels.VectorizeError` at compile time, and
-the hook delegates to ``super()`` so the row interpreter picks up that
+θ-binary grouping, index nested-loop joins — raises
+:class:`~repro.engine.vector_kernels.VectorizeError` at compile time (or
+is routed straight to ``super()``), and the row interpreter picks up that
 one operator.  Mixed plans work in both directions:
 
 * a row parent over a vectorized child: :class:`VecOperator.execute`
@@ -18,7 +17,10 @@ one operator.  Mixed plans work in both directions:
 All of the row compiler's analysis machinery (reference counting for
 DAG-sharing memoisation, the Eqv. 5 negative-stream filter fusion) is
 inherited unchanged, so vectorized plans keep the same sharing and
-fusion structure as row plans.
+fusion structure as row plans.  Eqv. 5's operators lower onto batch
+forms: ⋈± and joins without an equality key onto the blocked pair
+kernel of :mod:`~repro.engine.vector_ops`, ``=``-keyed binary Γ onto
+Γ + left outer join + π.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ class VectorCompiler(_Compiler):
 
     def _compile_StreamTap(self, node: L.StreamTap) -> P.PhysicalOperator:
         source = self.compile(node.child)
-        if isinstance(source, V.VBypassFilter):
+        if isinstance(source, V.VBypassBase):
             return V.VStreamTap(source, node.positive_stream)
         return super()._compile_StreamTap(node)
 
@@ -168,8 +170,30 @@ class VectorCompiler(_Compiler):
             return super()._compile_ScalarAggregate(node)
         return V.VScalarAgg(self._vec(child), node.schema, columns, ())
 
-    # BinaryGroupBy and BypassJoin stay on the row implementations
-    # (inherited hooks).
+    def _compile_BinaryGroupBy(self, node: L.BinaryGroupBy) -> P.PhysicalOperator:
+        """``left Γ g; t = t'; f right`` (the only form the rewriter emits)
+        as Γ t'; f over the right input, a left outer join from ``t`` with
+        default row ``(NULL, f(∅))`` and the key projected away: NULL keys
+        never match and every left row gets exactly one row.  θ-Γ stays on
+        the row implementation."""
+        if node.op != "=" or node.right_key in node.left.schema:
+            return super()._compile_BinaryGroupBy(node)
+        left = self.compile(node.left)
+        right = self.compile(node.right)
+        try:
+            column = self._vec_agg_column(node.spec, node.right.schema, node.star_names)
+        except VectorizeError:
+            return super()._compile_BinaryGroupBy(node)
+        key = node.right.schema.position(node.right_key)
+        grouped_schema = Schema([node.right.schema[key], node.schema[-1]])
+        grouped = V.VHashGroupBy(self._vec(right), grouped_schema, [key], [column], ())
+        joined = V.VHashJoin(
+            self._vec(left), grouped, node.left.schema.concat(grouped_schema),
+            [node.left.schema.position(node.left_key)], [0], None, "left_outer", (),
+            (None, node.spec.empty_result()),
+        )
+        arity = len(node.left.schema)
+        return V.VProject(joined, node.schema, [*range(arity), arity + 1])
 
     # -- joins --------------------------------------------------------------
 
@@ -179,8 +203,6 @@ class VectorCompiler(_Compiler):
         lkeys, rkeys, residual = self._split_equi_keys(
             node.predicate, node.left.schema, node.right.schema
         )
-        if not lkeys:
-            return super()._compile_join_family(node, kind, defaults)
         combined = node.left.schema.concat(node.right.schema)
         residual_kernel = None
         if residual is not None:
@@ -194,6 +216,11 @@ class VectorCompiler(_Compiler):
         if kind == "left_outer":
             default_row = tuple(
                 (defaults or {}).get(col.name) for col in node.right.schema
+            )
+        if not lkeys:
+            return V.VNLJoin(
+                self._vec(left), self._vec(right), node.schema, residual_kernel, kind, (),
+                default_row,
             )
         return V.VHashJoin(
             self._vec(left),
@@ -210,7 +237,19 @@ class VectorCompiler(_Compiler):
     def _compile_CrossProduct(self, node: L.CrossProduct) -> P.PhysicalOperator:
         left = self.compile(node.left)
         right = self.compile(node.right)
-        return V.VCrossJoin(self._vec(left), self._vec(right), node.schema)
+        return V.VNLJoin(self._vec(left), self._vec(right), node.schema, None, "inner", ())
+
+    def _compile_BypassJoin(self, node: L.BypassJoin) -> P.PhysicalOperator:
+        combined = node.left.schema.concat(node.right.schema)
+        fused = self.fused_negative.get(id(node))
+        try:
+            kernel = compile_predicate(node.predicate, combined)
+            negative = compile_predicate(fused, combined) if fused is not None else None
+        except VectorizeError:
+            return super()._compile_BypassJoin(node)
+        left = self.compile(node.left)
+        right = self.compile(node.right)
+        return V.VBypassJoin(self._vec(left), self._vec(right), node.schema, kernel, negative)
 
     # -- set operations -----------------------------------------------------
 

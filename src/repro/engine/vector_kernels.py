@@ -22,9 +22,9 @@ never hit an unsupported expression.  A scalar subquery has a kernel
 when no free attribute of its plan is a column of the operator's input
 (Eqv. 4's ``g2``): it is one value per operator invocation, evaluated by
 the row expression compiler's subquery machinery and broadcast.
-Subqueries correlated with the input rows, EXISTS/IN/quantified
-subqueries and ``avgO`` (pair partials) have none — the operator holding
-them falls back.
+Subqueries correlated with the input rows and EXISTS/IN/quantified
+subqueries have none — the operator holding them falls back.  ``avgO``
+combines its (sum, count) pair partials with the row engine's fold.
 """
 
 from __future__ import annotations
@@ -354,8 +354,7 @@ class _KernelCompiler:
 
     def _value_AggCombine(self, node: E.AggCombine) -> Compiled:
         name = node.agg_name.lower()
-        if name not in ("count", "count_star", "sum", "min", "max"):
-            raise VectorizeError(f"no kernel for {name}O: its partials are not scalars")
+        pair_partials = name == "avg"  # (sum, count): only the fold combines them
         aggregate = get_aggregate(name)
         items = [self.value(item) for item in node.items]
         merge = {"min": np.minimum, "max": np.maximum}.get(name, np.add)
@@ -370,10 +369,10 @@ class _KernelCompiler:
                 wraps = merge is np.add and (
                     sum(_int_magnitude(d) for d, _ in columns if d.dtype == np.int64) > _INT64_MAX
                 )
-                if wraps or any(data.dtype == object for data, _ in columns):
-                    # Strings, mixed types, an empty upstream batch
-                    # (zero-length object columns) or int64 partials whose
-                    # sum may leave int64: the row engine's fold.
+                if pair_partials or wraps or any(data.dtype == object for data, _ in columns):
+                    # AVG's pairs, strings, mixed types, an empty upstream
+                    # batch (zero-length object columns) or int64 partials
+                    # whose sum may leave int64: the row engine's fold.
                     empty = aggregate.partial_empty()
                     return build_column(
                         [

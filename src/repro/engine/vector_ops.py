@@ -21,10 +21,13 @@ match); groups, first occurrences and join matches are found by counting
 into a table over the code range while that range is O(batch length),
 by sorting it otherwise (:func:`_small_range` is the one rule), and
 the Eqv. 1–5 pre-aggregations (COUNT/SUM/MIN/MAX/AVG) have closed-form
-``bincount``/``ufunc.at`` fast paths.  DISTINCT is a kernel too — the
-batch is reduced to the first row of every (group, value) code pair and
-the same closed forms run on the survivors — and so is duplicate
-elimination (:func:`_dedupe`).  The per-group fallback to
+``bincount``/``ufunc.at`` fast paths.  A join with no equality key — a
+θ-correlation, the bypass join ⋈±, a cross product — runs its predicate
+kernel over ``left × right`` in blocks of at most :data:`_BLOCK_PAIRS`
+pairs, the governor ticked before each block is built.  DISTINCT is a
+kernel too — the batch is reduced to the first row of every (group,
+value) code pair and the same closed forms run on the survivors — and so
+is duplicate elimination (:func:`_dedupe`).  The per-group fallback to
 :func:`~repro.algebra.aggregates.evaluate_spec` remains for what has no
 closed form: AVG's ``(sum, count)`` partials and non-count aggregates
 over object-layout columns.
@@ -245,7 +248,38 @@ class VFilter(VecOperator):
         return batch.filter(is_true)
 
 
-class VBypassFilter(P.PBypassBase):
+class VBypassBase(P.PBypassBase):
+    """Base for batch bypass operators: one memoised (positive, negative)
+    pair of batches per environment."""
+
+    __slots__ = ()
+
+    FAULT_DOMAIN = "engine.vector."
+
+    def pair_batches(self, ctx, env) -> tuple[Batch, Batch]:
+        if ctx.faults is not None:
+            ctx.faults.maybe_fail(self.FAULT_DOMAIN + type(self).__name__)
+        key = (id(self), self.env_signature(env), "vpair")
+        hit = ctx.memo.get(key)
+        if hit is not None:
+            return hit
+        result = self._split(ctx, env)
+        ctx.memo[key] = result
+        if ctx.options.collect_stats:
+            produced = len(result[0]) + len(result[1])
+            ctx.stats.record_rows(type(self).__name__, produced)
+            ctx.stats.record_node(id(self), produced)
+        return result
+
+    def _split(self, ctx, env) -> tuple[Batch, Batch]:
+        raise NotImplementedError
+
+    def _run_pair(self, ctx, env):
+        positive, negative = self.pair_batches(ctx, env)
+        return positive.to_rows(), negative.to_rows()
+
+
+class VBypassFilter(VBypassBase):
     """Bypass selection σ±: one predicate evaluation, two selection vectors.
 
     The positive stream is the TRUE mask, the negative stream is its
@@ -255,33 +289,16 @@ class VBypassFilter(P.PBypassBase):
 
     __slots__ = ("child", "kernel")
 
-    FAULT_DOMAIN = "engine.vector."
-
     def __init__(self, child: VecOperator, kernel: Callable, free_names):
         super().__init__(child.schema, free_names)
         self.child = child
         self.kernel = kernel
 
-    def pair_batches(self, ctx, env) -> tuple[Batch, Batch]:
-        if ctx.faults is not None:
-            ctx.faults.maybe_fail(self.FAULT_DOMAIN + type(self).__name__)
-        key = (id(self), self.env_signature(env), "vpair")
-        hit = ctx.memo.get(key)
-        if hit is not None:
-            return hit
+    def _split(self, ctx, env):
         batch = self.child.execute_batch(ctx, env)
         ctx.tick(len(batch))
         is_true, _ = self.kernel(ctx, env)(batch)
-        result = batch.split(is_true)
-        ctx.memo[key] = result
-        if ctx.options.collect_stats:
-            ctx.stats.record_rows(type(self).__name__, len(batch))
-            ctx.stats.record_node(id(self), len(batch))
-        return result
-
-    def _run_pair(self, ctx, env):
-        positive, negative = self.pair_batches(ctx, env)
-        return positive.to_rows(), negative.to_rows()
+        return batch.split(is_true)
 
 
 class VStreamTap(VecOperator):
@@ -289,7 +306,7 @@ class VStreamTap(VecOperator):
 
     __slots__ = ("source", "positive")
 
-    def __init__(self, source: VBypassFilter, positive: bool):
+    def __init__(self, source: VBypassBase, positive: bool):
         super().__init__(source.schema, source.free_names)
         self.source = source
         self.positive = positive
@@ -683,13 +700,16 @@ class VHashJoin(VecOperator):
             keep = np.nonzero(is_true)[0]
             left_idx, right_idx = left_idx[keep], right_idx[keep]
             joined = joined.take(keep)
+        return self._result(left, right, left_idx, right_idx, joined)
 
+    def _result(self, left: Batch, right: Batch, left_idx, right_idx, joined=None) -> Batch:
+        """The join of ``kind`` from its matching (left, right) pairs."""
         kind = self.kind
         if kind == "inner":
             if joined is not None:
                 return joined
             return _paired_batch(self.schema, left, right, left_idx, right_idx)
-        unmatched = np.ones(n_left, dtype=bool)
+        unmatched = np.ones(len(left), dtype=bool)
         unmatched[left_idx] = False
         if kind == "semi":
             return left.filter(~unmatched).rename(self.schema)
@@ -706,24 +726,101 @@ class VHashJoin(VecOperator):
         return Batch.concat(self.schema, [inner, padded])
 
 
-class VCrossJoin(VecOperator):
-    """Cross product via index repetition."""
+class VNLJoin(VHashJoin):
+    """Join without an equality key (a θ-correlation; a cross product when
+    ``residual`` is ``None``): the predicate runs over the blocked pair
+    kernel, and the kinds come out of the matches as for :class:`VHashJoin`."""
 
-    __slots__ = ("left", "right")
+    __slots__ = ()
 
-    def __init__(self, left: VecOperator, right: VecOperator, schema: Schema):
-        super().__init__(schema, ())
-        self.left = left
-        self.right = right
+    def __init__(self, left, right, schema, predicate, kind, free_names, default_row=None):
+        super().__init__(left, right, schema, (), (), predicate, kind, free_names, default_row)
 
     def _run_batch(self, ctx, env):
         left = self.left.execute_batch(ctx, env).compact()
         right = self.right.execute_batch(ctx, env).compact()
-        n_left, n_right = len(left), len(right)
-        ctx.tick(n_left * n_right)
-        left_idx = np.repeat(np.arange(n_left, dtype=np.int64), n_right)
-        right_idx = np.tile(np.arange(n_right, dtype=np.int64), n_left)
-        return _paired_batch(self.schema, left, right, left_idx, right_idx)
+        ctx.tick(len(left) + len(right))
+        if self.residual is None:
+            split = None
+        else:
+            predicate = self.residual(ctx, env)
+
+            def split(pairs):
+                return predicate(pairs)[:1]  # the TRUE mask
+
+        ((left_idx, right_idx),) = _blocked_pairs(ctx, self.schema, left, right, split, 1)
+        return self._result(left, right, left_idx, right_idx)
+
+
+class VBypassJoin(VBypassBase):
+    """Bypass join ⋈± over the blocked pair kernel: the TRUE pairs are the
+    positive stream, the rest the negative — through Eqv. 5's σp when
+    the compiler fused it here (``negative_kernel``), so the complement
+    of the match set is filtered block by block, never held whole."""
+
+    __slots__ = ("left", "right", "kernel", "negative_kernel")
+
+    def __init__(self, left, right, schema: Schema, kernel: Callable, negative_kernel):
+        super().__init__(schema, ())
+        self.left = left
+        self.right = right
+        self.kernel = kernel
+        self.negative_kernel = negative_kernel
+
+    def _split(self, ctx, env):
+        left = self.left.execute_batch(ctx, env).compact()
+        right = self.right.execute_batch(ctx, env).compact()
+        ctx.tick(len(left) + len(right))
+        predicate = self.kernel(ctx, env)
+        fused = self.negative_kernel(ctx, env) if self.negative_kernel is not None else None
+
+        def split(pairs):
+            is_true, _ = predicate(pairs)
+            rest = ~is_true
+            if fused is not None:
+                rest[rest] = fused(pairs.filter(rest))[0]
+            return is_true, rest
+
+        streams = _blocked_pairs(ctx, self.schema, left, right, split, 2)
+        positive, negative = (_paired_batch(self.schema, left, right, *s) for s in streams)
+        ctx.account_memory(len(positive) + len(negative))
+        return positive, negative
+
+
+#: The most (left, right) pairs a join without an equality key holds at
+#: once: its predicate kernel runs over ``left × right`` in blocks of this
+#: many pairs (⌊B / |right|⌋ left rows' worth), each charged to the
+#: governor before it is built.
+_BLOCK_PAIRS = 1 << 16
+
+
+def _pair_blocks(ctx, n_left: int, n_right: int):
+    """``left × right`` as (left, right) index arrays, left-major, at most
+    :data:`_BLOCK_PAIRS` pairs per block, ticked before each is built."""
+    total = n_left * n_right
+    for start in range(0, total, _BLOCK_PAIRS):
+        stop = min(start + _BLOCK_PAIRS, total)
+        ctx.tick(stop - start)
+        yield np.divmod(np.arange(start, stop, dtype=np.int64), n_right)
+
+
+def _blocked_pairs(ctx, schema: Schema, left: Batch, right: Batch, split, streams: int):
+    """The pairs of ``left × right`` each stream keeps, as (left, right)
+    index arrays per stream: ``split`` maps a block's paired batch to one
+    keep-mask per stream (``None``: one stream that keeps every pair)."""
+    kept: list[list] = [[] for _ in range(streams)]
+    for left_idx, right_idx in _pair_blocks(ctx, len(left), len(right)):
+        if split is None:
+            kept[0].append((left_idx, right_idx))
+            continue
+        masks = split(_paired_batch(schema, left, right, left_idx, right_idx))
+        for parts, mask in zip(kept, masks):
+            parts.append((left_idx[mask], right_idx[mask]))
+    empty = np.empty(0, dtype=np.int64)
+    return [
+        tuple(np.concatenate(side) for side in zip(*parts)) if parts else (empty, empty)
+        for parts in kept
+    ]
 
 
 def _match_pairs(lcodes, rcodes, l_ok, r_ok) -> tuple[np.ndarray, np.ndarray]:

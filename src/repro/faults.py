@@ -13,6 +13,9 @@ Sites form a dotted hierarchy and configuration matches by prefix::
     engine.row.<OperatorClass>      every row-engine operator invocation
     engine.row.PBypass              ...prefix: only bypass operators
     engine.vector.<OperatorClass>   every vectorized operator invocation
+                                    (VBypassJoin / VNLJoin: Eqv. 5's ⋈± and
+                                    joins without an equality key)
+    engine.vector.VBypass           ...prefix: only batch bypass operators
     storage.scan                    base-table scans (both engines)
     storage.wal.append              WAL record writes (durability commit)
     storage.wal.fsync               WAL fsync before acknowledgement

@@ -46,6 +46,19 @@ def make_rst_catalog(
     return catalog
 
 
+def generated_texts(config, count: int) -> list[str]:
+    """The first ``count`` distinct texts of a
+    :class:`~repro.datagen.queries.QueryGenerator` — with
+    ``QueryGenConfig(seed=2007, p_linear=0.0)`` and 256, the
+    ``adhoc_cold`` benchmark's pool."""
+    from repro.datagen.queries import QueryGenerator
+
+    generator, texts = QueryGenerator(config), {}
+    while len(texts) < count:
+        texts.setdefault(generator.query())
+    return list(texts)
+
+
 #: Q2's disjunctive correlation and Q1's disjunctive linking as writes over
 #: a lone ``r(A1..A4)`` — what the replication and failover parity tests
 #: add to their streams, so a follower replays on an unnested plan and the

@@ -13,9 +13,9 @@ being modified) runs on both, and after **every** statement the three
 tables are compared as bags and ``rows_affected`` against SQLite's
 ``rowcount`` — under {row, vectorized} × {auto, canonical, unnested}.
 
-The dialect shim lives here, not in ``src/``: SQLite has no
-``COUNT(DISTINCT *)``, which is spelled as a count over a ``SELECT
-DISTINCT *`` derived table (SQLite resolves the correlation through it).
+The instance, the loader and the dialect shim (SQLite has no
+``COUNT(DISTINCT *)``) are shared with the read oracle:
+``tests/sqlite_oracle.py``.
 
 The second half needs no second system: predicates drawn from
 ``datagen/queries.py``'s generator (the whole problem class, quantified
@@ -26,8 +26,6 @@ forms included) used as ``DELETE`` / ``UPDATE`` predicates must leave a
 
 from __future__ import annotations
 
-import random
-import sqlite3
 from collections import Counter
 
 import pytest
@@ -38,31 +36,9 @@ from repro.datagen.queries import QueryGenConfig, QueryGenerator
 from repro.storage.catalog import TableStats
 
 from .conftest import make_rst_catalog
+from .sqlite_oracle import SCHEMAS, instance, load, to_sqlite
 
 pytest.importorskip("numpy")
-
-SCHEMAS = {
-    "r": ["A1", "A2", "A3", "A4"],
-    "s": ["B1", "B2", "B3", "B4"],
-    "t": ["C1", "C2", "C3", "C4"],
-}
-
-
-def instance() -> dict[str, list[tuple]]:
-    """Small domains in columns 1–3 (the counts of the groups collide
-    with the linking attributes), a wide one in column 4, one value in
-    eight NULL, and every fifth row stored twice."""
-    rng = random.Random(2007)
-    tables = {}
-    for name, count in (("r", 26), ("s", 20), ("t", 16)):
-        rows = []
-        for index in range(count):
-            values = [rng.randrange(7), rng.randrange(5), rng.randrange(3), rng.randrange(3000)]
-            row = tuple(None if rng.random() < 0.125 else value for value in values)
-            rows += [row, row] if index % 5 == 0 else [row]
-        tables[name] = rows
-    return tables
-
 
 def count_distinct_star(fr: str) -> str:
     return f"(SELECT COUNT(DISTINCT *) FROM {fr})"
@@ -122,36 +98,6 @@ POOL = [
 ]
 
 
-def to_sqlite(sql: str) -> str:
-    """``(SELECT COUNT(DISTINCT *) FROM x WHERE p)`` →
-    ``(SELECT COUNT(*) FROM (SELECT DISTINCT * FROM x WHERE p))``."""
-    ours, theirs = "COUNT(DISTINCT *) FROM ", "COUNT(*) FROM (SELECT DISTINCT * FROM "
-    while ours in sql:
-        start = sql.index(ours)
-        sql = sql[:start] + theirs + sql[start + len(ours) :]
-        depth, position = 0, start + len(theirs)
-        while depth or sql[position] != ")":  # the parenthesis closing this block
-            depth += {"(": 1, ")": -1}.get(sql[position], 0)
-            position += 1
-        sql = sql[:position] + ")" + sql[position:]
-    return sql
-
-
-def sqlite_oracle() -> sqlite3.Connection:
-    connection = sqlite3.connect(":memory:")
-    for name, rows in instance().items():
-        connection.execute(f"CREATE TABLE {name} ({', '.join(SCHEMAS[name])})")
-        connection.executemany(f"INSERT INTO {name} VALUES (?, ?, ?, ?)", rows)
-    return connection
-
-
-def ours() -> Database:
-    database = Database()
-    for name, rows in instance().items():
-        database.create_table(name, SCHEMAS[name], rows)
-    return database
-
-
 def test_the_shim_rewrites_nested_count_distinct_star():
     assert to_sqlite(POOL[11]) == (
         "DELETE FROM r WHERE A1 = (SELECT COUNT(*) FROM (SELECT DISTINCT * FROM s"
@@ -162,7 +108,7 @@ def test_the_shim_rewrites_nested_count_distinct_star():
 
 def test_the_pool_is_not_vacuous():
     """NULLs and duplicates are present and every statement changes rows."""
-    connection = sqlite_oracle()
+    connection, _ = load(instance())
     rows = [row for name in SCHEMAS for row in connection.execute(f"SELECT * FROM {name}")]
     assert any(None in row for row in rows) and len(set(rows)) < len(rows)
     changed = [connection.execute(to_sqlite(sql)).rowcount for sql in POOL]
@@ -172,7 +118,7 @@ def test_the_pool_is_not_vacuous():
 @pytest.mark.parametrize("strategy", ["auto", "canonical", "unnested"])
 @pytest.mark.parametrize("vectorized", [False, True], ids=["row", "vectorized"])
 def test_sqlite_agrees_after_every_statement(strategy, vectorized):
-    connection, database = sqlite_oracle(), ours()
+    connection, database = load(instance())
     options = EvalOptions(vectorized=vectorized)
     for number, sql in enumerate(POOL):
         expected = connection.execute(to_sqlite(sql)).rowcount

@@ -11,8 +11,13 @@ relations, against a direct transcription of its definition:
     χ[a:e2](e1)           := {x ∘ [a: e2(x)]}
     σ+[p](e) = {x | p(x)};  σ−[p](e) = e \\ σ+
     ⋈+[p] = {x∘y | p};      ⋈−[p] = (e1 × e2) \\ ⋈+
+
+Binary grouping, the bypass join and the semi / anti joins are checked on
+both engines: the batch forms (Γ + ⟕ + π, the blocked pair kernel) must
+meet the same definitions as the row forms.
 """
 
+import importlib.util
 from collections import Counter
 
 import pytest
@@ -21,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro.algebra import expr as E
 from repro.algebra import ops as L
 from repro.algebra.aggregates import STAR, AggSpec, get_aggregate
-from repro.engine import execute_plan
+from repro.engine import EvalOptions, execute_plan
 from repro.storage import Catalog, Schema, Table
 
 value = st.integers(min_value=0, max_value=4)
@@ -30,31 +35,34 @@ left_rows = st.lists(st.tuples(nullable, value), max_size=10)
 right_rows = st.lists(st.tuples(nullable, value), max_size=10)
 
 SETTINGS = settings(max_examples=80, deadline=None)
+VECTORIZED = (False, True) if importlib.util.find_spec("numpy") else (False,)
 
 
-def run(plan, left, right):
+def run(plan, left, right, vectorized=False):
     catalog = Catalog()
     catalog.register(Table(Schema(["A1", "A2"]), left, name="e1"))
     catalog.register(Table(Schema(["B1", "B2"]), right, name="e2"))
     scan1 = L.Scan("e1", Schema(["A1", "A2"]))
     scan2 = L.Scan("e2", Schema(["B1", "B2"]))
-    return execute_plan(plan(scan1, scan2), catalog).rows
+    options = EvalOptions(vectorized=vectorized)
+    return execute_plan(plan(scan1, scan2), catalog, options).rows
 
 
 @SETTINGS
 @given(left=left_rows, right=right_rows)
 def test_binary_grouping_definition(left, right):
     """e1 Γ[g; A1 = B1; count(*)] e2 per Fig. 1."""
-    result = run(
-        lambda s1, s2: L.BinaryGroupBy(s1, s2, "g", "A1", "B1", AggSpec("count", STAR)),
-        left, right,
-    )
     agg = get_aggregate("count_star")
     expected = [
         x + (agg.over([y for y in right if x[0] is not None and y[0] == x[0]]),)
         for x in left
     ]
-    assert Counter(result) == Counter(expected)
+    for vectorized in VECTORIZED:
+        result = run(
+            lambda s1, s2: L.BinaryGroupBy(s1, s2, "g", "A1", "B1", AggSpec("count", STAR)),
+            left, right, vectorized,
+        )
+        assert Counter(result) == Counter(expected)
 
 
 @SETTINGS
@@ -142,34 +150,39 @@ def test_bypass_selection_definition(rows, threshold):
 @SETTINGS
 @given(left=left_rows, right=right_rows)
 def test_bypass_join_definition(left, right):
-    predicate = E.eq("A1", "B1")
+    for op, holds in (("=", lambda a, b: a == b), ("<", lambda a, b: a < b)):
+        predicate = E.Comparison(op, E.col("A1"), E.col("B1"))
 
-    def plan_positive(s1, s2):
-        return L.BypassJoin(s1, s2, predicate).positive
+        def plan_positive(s1, s2):
+            return L.BypassJoin(s1, s2, predicate).positive
 
-    def plan_negative(s1, s2):
-        return L.BypassJoin(s1, s2, predicate).negative
+        def plan_negative(s1, s2):
+            return L.BypassJoin(s1, s2, predicate).negative
 
-    positive = run(plan_positive, left, right)
-    negative = run(plan_negative, left, right)
-    cross = [x + y for x in left for y in right]
-    expected_positive = [
-        x + y for x in left for y in right
-        if x[0] is not None and y[0] is not None and x[0] == y[0]
-    ]
-    assert Counter(positive) == Counter(expected_positive)
-    assert Counter(negative) == Counter(cross) - Counter(expected_positive)
+        cross = [x + y for x in left for y in right]
+        expected_positive = [
+            x + y for x in left for y in right
+            if x[0] is not None and y[0] is not None and holds(x[0], y[0])
+        ]
+        for vectorized in VECTORIZED:
+            positive = run(plan_positive, left, right, vectorized)
+            negative = run(plan_negative, left, right, vectorized)
+            assert Counter(positive) == Counter(expected_positive)
+            assert Counter(negative) == Counter(cross) - Counter(expected_positive)
 
 
 @SETTINGS
 @given(left=left_rows, right=right_rows)
 def test_semijoin_antijoin_partition_left(left, right):
-    """⋉ and ▷ partition e1 by partner existence."""
-    predicate = E.eq("A1", "B1")
-    semi = run(lambda s1, s2: L.SemiJoin(s1, s2, predicate), left, right)
-    anti = run(lambda s1, s2: L.AntiJoin(s1, s2, predicate), left, right)
-    assert Counter(semi) + Counter(anti) == Counter(left)
-    matched_keys = {y[0] for y in right if y[0] is not None}
-    assert Counter(semi) == Counter(
-        [x for x in left if x[0] is not None and x[0] in matched_keys]
-    )
+    """⋉ and ▷ partition e1 by partner existence (an equality key, and a
+    θ-predicate with none)."""
+    keys = [y[0] for y in right if y[0] is not None]
+    for op, partnered in (("=", lambda a: a in keys), ("<", lambda a: any(a < b for b in keys))):
+        predicate = E.Comparison(op, E.col("A1"), E.col("B1"))
+        for vectorized in VECTORIZED:
+            semi = run(lambda s1, s2: L.SemiJoin(s1, s2, predicate), left, right, vectorized)
+            anti = run(lambda s1, s2: L.AntiJoin(s1, s2, predicate), left, right, vectorized)
+            assert Counter(semi) + Counter(anti) == Counter(left)
+            assert Counter(semi) == Counter(
+                [x for x in left if x[0] is not None and partnered(x[0])]
+            )

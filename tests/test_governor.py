@@ -240,3 +240,103 @@ class TestWritesAreGoverned:
         with pytest.raises(ResourceExhausted):
             db.execute(self.DELETE)
         assert len(db.table("r")) == 30
+
+
+class TestBlockedPairKernel:
+    """Joins without an equality key on the batch engine — a θ semi-join
+    and Eqv. 5's ⋈± with its fused σp — over 2 000 × 2 000 rows: the
+    pairs are built in blocks of at most ``_BLOCK_PAIRS``, and each block
+    is charged to the governor (rows, cancel, wall clock) before it is."""
+
+    PAIRS = 2000 * 2000
+
+    @pytest.fixture(scope="class")
+    def catalog(self):
+        return make_rst_catalog(n_r=2000, n_s=2000, seed=5)
+
+    @staticmethod
+    def plan(catalog, shape):
+        from repro.algebra import expr as E
+        from repro.algebra import ops as L
+
+        r = L.Scan("r", catalog.table("r").schema)
+        s = L.Scan("s", catalog.table("s").schema)
+        theta = E.Comparison("<", E.col("A4"), E.col("B4"))
+        if shape == "theta":
+            return L.SemiJoin(r, s, theta)
+        bypass = L.BypassJoin(r, s, E.And((theta, E.eq("A1", "B1"), E.eq("A2", "B2"))))
+        checked = L.Select(bypass.negative, E.And((E.eq("A3", "B3"), E.eq("A1", "B2"))))
+        return L.UnionAll(bypass.positive, checked)
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Sizes of the pair blocks the kernel builds."""
+        from repro.engine import vector_ops
+
+        sizes = []
+        original = vector_ops._pair_blocks
+
+        def recording(ctx, n_left, n_right):
+            for left_idx, right_idx in original(ctx, n_left, n_right):
+                assert len(left_idx) == len(right_idx)
+                sizes.append(len(left_idx))
+                yield left_idx, right_idx
+
+        monkeypatch.setattr(vector_ops, "_pair_blocks", recording)
+        return sizes
+
+    def run(self, catalog, shape, **options):
+        from repro.engine import execute_plan
+
+        options = EvalOptions(vectorized=True, **options)
+        return execute_plan(self.plan(catalog, shape), catalog, options)
+
+    @pytest.mark.parametrize("shape", ["theta", "bypass"])
+    def test_no_pair_buffer_exceeds_one_block(self, catalog, shape, blocks):
+        from repro.engine.vector_ops import _BLOCK_PAIRS
+
+        self.run(catalog, shape)
+        assert sum(blocks) == self.PAIRS and max(blocks) <= _BLOCK_PAIRS
+        assert len(blocks) == -(-self.PAIRS // _BLOCK_PAIRS)
+
+    @pytest.mark.parametrize("shape", ["theta", "bypass"])
+    def test_row_budget_trips_within_one_block(self, catalog, shape, blocks):
+        from repro.engine.vector_ops import _BLOCK_PAIRS
+
+        limit = self.PAIRS // 4
+        with pytest.raises(ResourceExhausted) as excinfo:
+            self.run(catalog, shape, resources=ResourceLimits(max_rows=limit))
+        assert excinfo.value.resource == "rows"
+        assert limit < excinfo.value.used <= limit + _BLOCK_PAIRS
+        assert sum(blocks) <= limit  # the block that tripped was never built
+
+    @pytest.mark.parametrize("shape", ["theta", "bypass"])
+    def test_cancel_is_seen_between_blocks(self, catalog, shape, blocks):
+        from repro.errors import QueryCancelled
+
+        class SetAfterThreePolls:
+            polls = 0
+
+            def is_set(self):
+                self.polls += 1
+                return self.polls > 3
+
+        with pytest.raises(QueryCancelled):
+            self.run(catalog, shape, cancel_event=SetAfterThreePolls())
+        assert 0 < len(blocks) < 4
+
+    @pytest.mark.parametrize("shape", ["theta", "bypass"])
+    def test_wall_clock_budget_is_seen_between_blocks(self, catalog, shape, blocks, monkeypatch):
+        """A clock that advances 10 ms per reading: a 45-ms budget lapses
+        at the fifth check, a few blocks in."""
+        from types import SimpleNamespace
+
+        from repro.engine import context
+        from repro.errors import BudgetExceeded
+
+        readings = iter(range(10**6))
+        clock = SimpleNamespace(perf_counter=lambda: next(readings) / 100)
+        monkeypatch.setattr(context, "time", clock)
+        with pytest.raises(BudgetExceeded):
+            self.run(catalog, shape, budget_seconds=0.045)
+        assert 0 < len(blocks) < 8

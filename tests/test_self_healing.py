@@ -164,3 +164,39 @@ class TestPlannerHealing:
         planned = db.plan(NESTED_SQL, strategy="unnested")
         assert planned.planner_fallback is False
         assert planned.chosen_alternative == "unnested"
+
+
+class TestBatchFormsOfEqv5Heal:
+    """A fault at one of the batch forms of Eqv. 5's operators — ⋈±
+    (``engine.vector.VBypassJoin``) and the join without an equality key
+    (``engine.vector.VNLJoin``) — heals onto the canonical row plan, whose
+    bag SQLite agrees with."""
+
+    CASES = [
+        ("engine.vector.VBypassJoin", "Q4"),
+        ("engine.vector.VBypassJoin", "SELECT * FROM r WHERE A1 < (SELECT MAX(B1) FROM s"
+         " WHERE B4 < 500 OR A2 < B2) AND A2 > 3"),
+        ("engine.vector.VNLJoin", "SELECT DISTINCT * FROM r WHERE A2 > 3"
+         " OR A1 >= (SELECT COUNT(B1) FROM s WHERE A2 < B2)"),
+    ]
+
+    @pytest.mark.parametrize("site, sql", CASES, ids=["Q4", "theta-bypass", "theta-join"])
+    def test_injected_fault_heals_onto_the_canonical_row_plan(self, site, sql):
+        from collections import Counter
+
+        from repro.bench.queries import RST_QUERIES
+
+        from .sqlite_oracle import instance, load, to_sqlite
+
+        pytest.importorskip("numpy")
+        sql = RST_QUERIES.get(sql, sql)
+        connection, db = load(instance())
+        expected = Counter(connection.execute(to_sqlite(sql)).fetchall())
+        injector = FaultInjector(FaultConfig(sites=(site,)))
+        healed = db.execute(sql, "auto", EvalOptions(vectorized=True, faults=injector))
+        assert injector.fired_sites() == (site,)  # the site is on the plan and fired
+        assert Counter(healed.rows) == expected
+        info = db.resilience_info()
+        assert info["degradations"] == 1 and info["fallback_successes"] == 1
+        assert info["last_degradation"]["engine"] == "vectorized"
+        assert info["last_degradation"]["alternative"] == "unnested"

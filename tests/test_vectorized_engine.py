@@ -206,12 +206,21 @@ def test_agg_combine_kernel_follows_aggregate_combine(name, layout):
     assert column_to_pylist(data, valid) == [by_row(row) for row in rows]
 
 
-def test_avg_partials_and_row_correlated_subqueries_have_no_kernel():
-    from repro.engine.vector_kernels import VectorizeError, compile_value
+def test_avg_partials_fold_in_a_batch_and_row_correlated_subqueries_have_no_kernel():
+    """Eqv. 4's ``avgO`` combines (sum, count) pairs with the row engine's
+    fold inside a batch operator; a subquery correlated with the input
+    rows still sends its χ to the row interpreter."""
+    from repro.engine.evaluate import compile_expr
+    from repro.engine.vector_kernels import compile_value
+    from repro.storage.batch import column_to_pylist
 
     schema = Schema(["g1", "g2"])
-    with pytest.raises(VectorizeError):
-        compile_value(E.AggCombine("avg", (E.ColumnRef("g1"), E.ColumnRef("g2"))), schema)
+    combine = E.AggCombine("avg", (E.ColumnRef("g1"), E.ColumnRef("g2")))
+    rows = [((4, 2), (2, 1)), ((0, 0), (6, 3)), ((0, 0), (0, 0)), ((5, 1), (0, 0))]
+    batch = Batch.from_rows(schema, rows)
+    data, valid = compile_value(combine, schema)(ExecContext(), {})(batch)
+    by_row = compile_expr(combine, schema, None)(ExecContext(), {})
+    assert column_to_pylist(data, valid) == [by_row(row) for row in rows] == [2.0, 2.0, None, 5.0]
     catalog = make_rst_catalog(seed=3)
     correlated = "SELECT A1, (SELECT COUNT(*) FROM s WHERE A2 = B2) FROM r"
     closed = "SELECT A1, (SELECT COUNT(*) FROM s WHERE B4 > 1500) FROM r"
@@ -302,26 +311,24 @@ class TestCompilerRouting:
                 assert modules <= {"repro.engine.vector_ops", "repro.engine.operators"}
 
     def test_fig7_unnested_plans_stay_on_the_batch_engine(self):
-        """Q1-Q3 under ``auto`` (Eqv. 1-4) have a batch form for every
-        operator, the scalar ``g2`` of Eqv. 4 included; what still runs on
-        the row interpreter is ⋈± and binary Γ (Q4, Eqv. 5) and the
+        """Q1-Q4 under ``auto`` (Eqv. 1-5) have a batch form for every
+        operator — the scalar ``g2`` of Eqv. 4, Eqv. 5's ⋈± and binary Γ
+        included; what still runs on the row interpreter is the
         row-correlated filter of every canonical plan."""
         from collections import Counter
 
         from repro.bench.queries import Q1, Q2, Q3, Q4
 
         catalog = make_rst_catalog(seed=3)
-        for sql in (Q1, Q2, Q3):
+        for sql in (Q1, Q2, Q3, Q4):
             root, nodes = _compile_all(sql, catalog, "auto")
             assert {type(node).__module__ for node in nodes} == {"repro.engine.vector_ops"}
             assert "VFromRows" not in _operator_names(root)
         _, nodes = _compile_all(Q2, catalog, "auto")
         assert "VMap" in {type(node).__name__ for node in nodes}
 
-        root, nodes = _compile_all(Q4, catalog, "auto")
-        on_rows = {type(n).__name__ for n in nodes if n.FAULT_DOMAIN == "engine.row."}
-        assert on_rows == {"PBypassNLJoin", "PStreamTap", "PBinaryGroup"}
-        assert "VFromRows" in _operator_names(root)
+        _, nodes = _compile_all(Q4, catalog, "auto")
+        assert {"VBypassJoin", "VStreamTap", "VHashGroupBy"} <= {type(n).__name__ for n in nodes}
 
         canonical = {
             Q1: "PFilter VDistinct VFilter VProject*2 VScalarAgg VScan*2",
@@ -336,6 +343,31 @@ class TestCompilerRouting:
                 name if count == 1 else f"{name}*{count}" for name, count in sorted(counts.items())
             )
             assert shape == expected
+
+    def test_adhoc_pool_keeps_row_operators_only_on_canonical_plans(self):
+        """The ``adhoc_cold`` benchmark's 256 texts on its data: a text
+        ``auto`` unnests compiles to batch operators only (θ-correlations,
+        ``[NOT] EXISTS`` / ``[NOT] IN`` / ``ANY`` / ``ALL`` included); what
+        stays on the row interpreter is the correlated subquery filter of
+        the texts it sends to the canonical plan."""
+        from collections import Counter
+
+        from repro.datagen import RstConfig, rst_catalog
+        from repro.datagen.queries import QueryGenConfig
+        from tests.conftest import generated_texts
+
+        catalog = rst_catalog(1, 1, 1, RstConfig(rows_per_sf=100))
+        chosen = Counter()
+        for sql in generated_texts(QueryGenConfig(seed=2007, p_linear=0.0), 256):
+            alternative = plan_query(sql, catalog, "auto").chosen_alternative
+            _, nodes = _compile_all(sql, catalog, "auto")
+            on_rows = {type(n).__name__ for n in nodes if n.FAULT_DOMAIN == "engine.row."}
+            chosen[alternative] += 1
+            if alternative == "canonical":
+                assert on_rows <= {"PFilter", "PMap"}, sql
+            else:
+                assert on_rows == set(), sql
+        assert chosen["unnested"] > 200
 
 
 def _compile_all(sql, catalog, strategy):
