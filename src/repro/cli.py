@@ -41,7 +41,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import csv as csv_module
 import os
 import sys
 import time
@@ -50,7 +49,6 @@ from repro import Database
 from repro.bench.queries import QUERY_2D, RST_QUERIES
 from repro.datagen import RstConfig, TpchConfig, generate_rst, generate_tpch
 from repro.errors import ReproError
-from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.table import Table
 
 PAPER_QUERIES = dict(RST_QUERIES, **{"2D": QUERY_2D})
@@ -352,50 +350,9 @@ def _load_csv_dir(db: Database, directory: str) -> None:
         found = True
         path = os.path.join(directory, entry)
         name = entry[: -len(".csv")]
-        db.register(_read_csv(path, name))
+        db.register(Table.from_csv(path, name=name))
     if not found:
         raise ReproError(f"no *.csv files in {directory!r}")
-
-
-def _read_csv(path: str, name: str) -> Table:
-    """Load a CSV with header, inferring column types from the data."""
-    with open(path, newline="") as handle:
-        reader = csv_module.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ReproError(f"{path}: empty file")
-        records = list(reader)
-    types = [_infer_type(records, position) for position in range(len(header))]
-    schema = Schema([Column(col, t) for col, t in zip(header, types)])
-    rows = [
-        tuple(t.parse(field) for t, field in zip(types, record))
-        for record in records
-    ]
-    return Table(schema, rows, name=name)
-
-
-def _infer_type(records, position) -> ColumnType:
-    saw_float = False
-    saw_value = False
-    for record in records:
-        field = record[position] if position < len(record) else ""
-        if field == "":
-            continue
-        saw_value = True
-        try:
-            int(field)
-            continue
-        except ValueError:
-            pass
-        try:
-            float(field)
-            saw_float = True
-            continue
-        except ValueError:
-            return ColumnType.STRING
-    if not saw_value:
-        return ColumnType.STRING
-    return ColumnType.FLOAT if saw_float else ColumnType.INT
 
 
 def resolve_sql(args) -> str:

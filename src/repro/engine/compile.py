@@ -123,7 +123,7 @@ class _Compiler:
             raise PlanningError(f"no physical implementation for {type(node).__name__}")
         physical = method(node)
         physical.free_names = tuple(sorted(node.free_attrs()))
-        if self.refcount.get(id(node), 0) > 1 and not isinstance(physical, P.PBypassBase):
+        if self.refcount.get(id(node), 0) > 1:
             physical.memoize = True
         self.memo[id(node)] = physical
         return physical
@@ -152,17 +152,22 @@ class _Compiler:
             )
         return P.PScan(node.schema, table.rows)
 
-    def _compile_IndexScan(self, node: L.IndexScan) -> P.PhysicalOperator:
-        table = self.catalog.table(node.table_name)
-        index = self.catalog.index(node.index_name)
-        # An MVCC snapshot view reports the live table it froze; the
-        # ownership check runs against that base (the operators swap in
-        # a per-snapshot transient index at probe time).
+    def _indexed_table(self, table_name: str, index_name: str):
+        """``(table, index)``, raising when the index no longer belongs to
+        the table.  An MVCC snapshot view reports the live table it froze;
+        the check runs against that base (the operators swap in a
+        per-snapshot transient index at probe time)."""
+        table = self.catalog.table(table_name)
+        index = self.catalog.index(index_name)
         if index.table is not getattr(table, "base_table", table):
             raise PlanningError(
-                f"index {node.index_name!r} no longer belongs to table "
-                f"{node.table_name!r}; re-plan the query"
+                f"index {index_name!r} no longer belongs to table "
+                f"{table_name!r}; re-plan the query"
             )
+        return table, index
+
+    def _compile_IndexScan(self, node: L.IndexScan) -> P.PhysicalOperator:
+        table, index = self._indexed_table(node.table_name, node.index_name)
         # Bound expressions reference no scan column (the access pass
         # guarantees it), so the schema only matters for arity.
         bounds = tuple((op, self._expr(expr, node.schema)) for op, expr in node.bounds)
@@ -172,13 +177,7 @@ class _Compiler:
         return P.PIndexScan(node.schema, table, index, bounds, residual, node.projection)
 
     def _compile_IndexNLJoin(self, node: L.IndexNLJoin) -> P.PhysicalOperator:
-        table = self.catalog.table(node.right.table_name)
-        index = self.catalog.index(node.index_name)
-        if index.table is not getattr(table, "base_table", table):
-            raise PlanningError(
-                f"index {node.index_name!r} no longer belongs to table "
-                f"{node.right.table_name!r}; re-plan the query"
-            )
+        table, index = self._indexed_table(node.right.table_name, node.index_name)
         if len(table.schema) != len(node.right.schema):
             raise PlanningError(
                 f"index scan of {node.right.table_name!r}: catalog arity "
@@ -345,7 +344,7 @@ class _Compiler:
     def _compile_CrossProduct(self, node: L.CrossProduct) -> P.PhysicalOperator:
         left = self.compile(node.left)
         right = self.compile(node.right)
-        return P.PNLJoin(left, right, node.schema, None, "cross", ())
+        return P.PNLJoin(left, right, node.schema, None, "inner", ())
 
     def _compile_BypassJoin(self, node: L.BypassJoin) -> P.PhysicalOperator:
         left = self.compile(node.left)

@@ -108,9 +108,6 @@ class ExecStats:
         rows, calls = self.node_rows.get(node_id, (0, 0))
         self.node_rows[node_id] = (rows + count, calls + 1)
 
-    def total_rows(self) -> int:
-        return sum(self.rows_produced.values())
-
 
 class ExecContext:
     """State shared by all operators of one plan execution."""
@@ -203,20 +200,21 @@ class ExecContext:
         self.access["rows_skipped"] += rows
         self.tick((rows + SKIPPED_ROW_DISCOUNT - 1) // SKIPPED_ROW_DISCOUNT)
 
-    def account_memory(self, count: int, sample_row: tuple | None = None) -> None:
+    def account_memory(self, count: int, rows=None) -> None:
         """Charge ``count`` materialised rows against the memory budget.
 
-        Called by both engines after an operator materialises its result.
-        The per-row footprint is sampled once from the first real row seen
-        (:func:`~repro.engine.governor.estimate_row_bytes`); batch results
-        pass no sample and are charged the denser columnar default.  A
-        no-op unless ``max_memory_bytes`` is armed, so the unarmed cost is
-        one attribute test per operator invocation.
+        Called by the operator contract after every operator run, of
+        both engines, with the result (``rows``).  The per-row footprint
+        is sampled once from the first row of the first row list charged
+        (:func:`~repro.engine.governor.estimate_row_bytes`); a batch gives
+        no sample, and until one is taken the denser columnar default
+        applies.  A no-op unless ``max_memory_bytes`` is armed, so the
+        unarmed cost is one attribute test per operator invocation.
         """
         if self._max_memory is None or count == 0:
             return
-        if self._row_bytes == 0 and sample_row is not None:
-            self._row_bytes = estimate_row_bytes(sample_row)
+        if self._row_bytes == 0 and type(rows) is list and rows:
+            self._row_bytes = estimate_row_bytes(rows[0])
         per_row = self._row_bytes or DEFAULT_ROW_BYTES
         self.memory_bytes += count * per_row
         if self.memory_bytes > self._max_memory:

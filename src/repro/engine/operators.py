@@ -1,15 +1,22 @@
 """Physical operators: the materialising runtime algebra.
 
-Every operator exposes ``execute(ctx, env) -> list[row]``; bypass
-operators additionally expose ``pair(ctx, env) -> (positive, negative)``.
-``env`` maps correlation attribute names to values (nested plans are
-re-executed per outer binding).
+Every operator of both engines runs through one method,
+:meth:`PhysicalOperator.invoke` — the per-invocation contract, in this
+order: the fault site ``FAULT_DOMAIN + class name``, the memo lookup, the
+operator's own ``_run``, the memo store, the governor's memory charge and
+the EXPLAIN ANALYZE statistics.  ``_run`` returns the operator's one
+result kind: a row list here, a :class:`~repro.storage.batch.Batch` for a
+batch operator, a ``(positive, negative)`` split for a bypass operator of
+either engine.  ``execute(ctx, env) -> list[row]`` is what a row parent
+calls (``invoke`` itself for a row operator); ``env`` maps correlation
+attribute names to values (nested plans are re-executed per outer
+binding).
 
-Memoisation: operators flagged ``memoize`` (shared DAG nodes, bypass
-operators, subquery roots under the S2 strategy) cache their result in
-``ctx.memo`` keyed by ``(id(self), correlation values)``, so a bypass
-operator consumed through both taps is evaluated exactly once per
-environment.
+Memoisation: operators flagged ``memoize`` (shared DAG nodes and every
+bypass operator) cache their result in ``ctx.memo`` keyed by
+``(id(self), correlation values)`` — the node fixes the result kind — so
+a bypass operator consumed through both taps is evaluated exactly once
+per environment.
 
 Implementation choices mirror a textbook main-memory engine: hash joins
 and hash grouping wherever an equality key exists, nested loops as the
@@ -33,13 +40,16 @@ from repro.storage.schema import Schema
 
 
 class PhysicalOperator:
-    """Base class: memo handling, stats, environment signatures."""
+    """Base class: the invocation contract, environment signatures."""
 
     __slots__ = ("schema", "free_names", "memoize")
 
     #: Fault-injection site prefix; the vectorized subclasses override it
     #: so chaos configs can target one engine without naming every class.
     FAULT_DOMAIN = "engine.row."
+
+    #: Whether ``_run`` returns a bypass split, ``(positive, negative)``.
+    SPLIT = False
 
     def __init__(self, schema: Schema, free_names: Sequence[str] = ()):
         self.schema = schema
@@ -49,24 +59,35 @@ class PhysicalOperator:
     def env_signature(self, env: dict) -> tuple:
         return tuple(env.get(name) for name in self.free_names)
 
-    def execute(self, ctx, env: dict) -> list:
+    def invoke(self, ctx, env: dict):
+        """This operator's result for ``env``: the one contract of both
+        engines.  The fault site fires on every invocation, memo hits
+        included; a memo hit is neither charged nor counted again."""
         if ctx.faults is not None:
             ctx.faults.maybe_fail(self.FAULT_DOMAIN + type(self).__name__)
         if self.memoize:
             key = (id(self), self.env_signature(env))
-            hit = ctx.memo.get(key)
-            if hit is not None:
-                return hit
-            rows = self._run(ctx, env)
-            ctx.memo[key] = rows
-            ctx.account_memory(len(rows), rows[0] if rows else None)
+            result = ctx.memo.get(key)
+            if result is not None:
+                return result
+            result = self._run(ctx, env)
+            ctx.memo[key] = result
         else:
-            rows = self._run(ctx, env)
-            ctx.account_memory(len(rows), rows[0] if rows else None)
+            result = self._run(ctx, env)
+        if self.SPLIT:
+            positive, negative = result
+            produced = len(positive) + len(negative)
+            ctx.account_memory(produced, positive or negative)
+        else:
+            produced = len(result)
+            ctx.account_memory(produced, result)
         if ctx.options.collect_stats:
-            ctx.stats.record_rows(type(self).__name__, len(rows))
-            ctx.stats.record_node(id(self), len(rows))
-        return rows
+            ctx.stats.record_rows(type(self).__name__, produced)
+            ctx.stats.record_node(id(self), produced)
+        return result
+
+    #: A row parent's read: the rows themselves for a row operator.
+    execute = invoke
 
     def children(self) -> tuple["PhysicalOperator", ...]:
         """Physical inputs (for EXPLAIN ANALYZE rendering)."""
@@ -81,46 +102,34 @@ class PhysicalOperator:
         """Short label for EXPLAIN ANALYZE output."""
         name = type(self).__name__
         extras = []
-        if self.memoize:
+        if self.memoize and not self.SPLIT:  # a split is always memoised
             extras.append("memo")
         if isinstance(self, PStreamTap):
             extras.append("+" if self.positive else "−")
         return name + (f" [{', '.join(extras)}]" if extras else "")
 
-    def _run(self, ctx, env: dict) -> list:
+    def _run(self, ctx, env: dict):
         raise NotImplementedError
 
 
 class PBypassBase(PhysicalOperator):
-    """Base for bypass operators: memoised (positive, negative) pairs."""
+    """Base for bypass operators: ``_run`` returns the (positive,
+    negative) split, memoised so both taps read one evaluation."""
 
     __slots__ = ()
 
-    def pair(self, ctx, env: dict) -> tuple[list, list]:
-        if ctx.faults is not None:
-            ctx.faults.maybe_fail(self.FAULT_DOMAIN + type(self).__name__)
-        key = (id(self), self.env_signature(env))
-        hit = ctx.memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._run_pair(ctx, env)
-        ctx.memo[key] = result
-        sample = result[0][0] if result[0] else (result[1][0] if result[1] else None)
-        ctx.account_memory(len(result[0]) + len(result[1]), sample)
-        if ctx.options.collect_stats:
-            ctx.stats.record_rows(type(self).__name__, len(result[0]) + len(result[1]))
-            ctx.stats.record_node(id(self), len(result[0]) + len(result[1]))
-        return result
+    SPLIT = True
 
-    def _run(self, ctx, env: dict) -> list:
+    def __init__(self, schema: Schema, free_names: Sequence[str] = ()):
+        super().__init__(schema, free_names)
+        self.memoize = True
+
+    def execute(self, ctx, env: dict) -> list:
         raise ExecutionError("bypass operators must be consumed through a stream tap")
-
-    def _run_pair(self, ctx, env: dict) -> tuple[list, list]:
-        raise NotImplementedError
 
 
 class PStreamTap(PhysicalOperator):
-    """One stream of a bypass operator."""
+    """One stream of a bypass operator (of either engine)."""
 
     __slots__ = ("source", "positive")
 
@@ -130,8 +139,8 @@ class PStreamTap(PhysicalOperator):
         self.positive = positive
 
     def _run(self, ctx, env):
-        pos, neg = self.source.pair(ctx, env)
-        return pos if self.positive else neg
+        positive, negative = self.source.invoke(ctx, env)
+        return positive if self.positive else negative
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +185,14 @@ class PIndexScan(PhysicalOperator):
         self.projection = tuple(projection) if projection is not None else None
 
     def _probe(self, ctx, env):
-        # Live table: the shared, lazily refreshed index.  MVCC snapshot:
-        # a per-version transient index over exactly the frozen rows.
+        """The probe of both engines' index scans: the ``storage.scan``
+        site, the bounds bound for ``env``, the lookup, its access
+        counters and governor ticks."""
+        if ctx.faults is not None:
+            ctx.faults.maybe_fail("storage.scan")
+        # Live table: the shared, lazily refreshed index.  MVCC snapshot: a
+        # per-version transient index over exactly the frozen rows (never
+        # the shared one, which a concurrent writer may be rebuilding).
         index = resolve_index(self.index, self.table)
         evaluated = tuple((op, fn(ctx, env)(())) for op, fn in self.bounds)
         lookup = probe_bounds(index, evaluated)
@@ -187,8 +202,6 @@ class PIndexScan(PhysicalOperator):
         return lookup
 
     def _run(self, ctx, env):
-        if ctx.faults is not None:
-            ctx.faults.maybe_fail("storage.scan")
         lookup = self._probe(ctx, env)
         rows = self.table.rows
         if self.projection is None:
@@ -279,7 +292,7 @@ class PBypassFilter(PBypassBase):
         self.child = child
         self.predicate = predicate
 
-    def _run_pair(self, ctx, env):
+    def _run(self, ctx, env):
         rows = self.child.execute(ctx, env)
         ctx.tick(len(rows))
         fn = self.predicate(ctx, env)
@@ -590,53 +603,6 @@ _CMP_FUNCS = {
 # ---------------------------------------------------------------------------
 
 
-class PNLJoin(PhysicalOperator):
-    """Nested-loop join; ``kind`` ∈ inner/cross/semi/anti/left_outer."""
-
-    __slots__ = ("left", "right", "predicate", "kind", "default_row")
-
-    def __init__(self, left, right, schema: Schema, predicate: Callable | None, kind: str, free_names, default_row: tuple | None = None):
-        super().__init__(schema, free_names)
-        self.left = left
-        self.right = right
-        self.predicate = predicate
-        self.kind = kind
-        self.default_row = default_row
-
-    def _run(self, ctx, env):
-        left_rows = self.left.execute(ctx, env)
-        right_rows = self.right.execute(ctx, env)
-        fn = self.predicate(ctx, env) if self.predicate is not None else None
-        kind = self.kind
-        out = []
-        if kind == "cross":
-            for x in left_rows:
-                ctx.tick(len(right_rows))
-                for y in right_rows:
-                    out.append(x + y)
-            return out
-        for x in left_rows:
-            ctx.tick(len(right_rows) or 1)
-            matched = False
-            for y in right_rows:
-                if fn(x + y) is True:
-                    if kind == "semi":
-                        matched = True
-                        break
-                    if kind == "anti":
-                        matched = True
-                        break
-                    matched = True
-                    out.append(x + y)
-            if kind == "semi" and matched:
-                out.append(x)
-            elif kind == "anti" and not matched:
-                out.append(x)
-            elif kind == "left_outer" and not matched:
-                out.append(x + self.default_row)
-        return out
-
-
 class PHashJoin(PhysicalOperator):
     """Hash join on equality keys with optional residual predicate.
 
@@ -660,7 +626,6 @@ class PHashJoin(PhysicalOperator):
         left_rows = self.left.execute(ctx, env)
         right_rows = self.right.execute(ctx, env)
         ctx.tick(len(left_rows) + len(right_rows))
-        residual = self.residual(ctx, env) if self.residual is not None else None
         right_keys = self.right_keys
         buckets: dict[tuple, list] = {}
         for y in right_rows:
@@ -668,14 +633,23 @@ class PHashJoin(PhysicalOperator):
             if any(v is None for v in key):
                 continue
             buckets.setdefault(key, []).append(y)
-        out = []
         left_keys = self.left_keys
-        kind = self.kind
-        for x in left_rows:
+
+        def candidates(x):
             key = tuple(x[p] for p in left_keys)
-            candidates = () if any(v is None for v in key) else buckets.get(key, ())
+            return () if any(v is None for v in key) else buckets.get(key, ())
+
+        return self._emit(ctx, env, left_rows, candidates)
+
+    def _emit(self, ctx, env, left_rows, candidates) -> list:
+        """The join of ``kind``: each left row ``x`` matches the rows
+        ``y`` of ``candidates(x)`` whose ``x + y`` passes the residual."""
+        residual = self.residual(ctx, env) if self.residual is not None else None
+        kind = self.kind
+        out = []
+        for x in left_rows:
             matched = False
-            for y in candidates:
+            for y in candidates(x):
                 row = x + y
                 if residual is None or residual(row) is True:
                     matched = True
@@ -690,6 +664,28 @@ class PHashJoin(PhysicalOperator):
             elif kind == "left_outer" and not matched:
                 out.append(x + self.default_row)
         return out
+
+
+class PNLJoin(PHashJoin):
+    """Join without an equality key (a cross product when ``residual`` is
+    ``None``): every right row is a candidate for every left row."""
+
+    __slots__ = ()
+
+    def __init__(self, left, right, schema: Schema, predicate: Callable | None, kind: str, free_names, default_row: tuple | None = None):
+        super().__init__(left, right, schema, (), (), predicate, kind, free_names, default_row)
+
+    def _run(self, ctx, env):
+        left_rows = self.left.execute(ctx, env)
+        right_rows = self.right.execute(ctx, env)
+        # Ticked per left row; a predicate join at least one per row.
+        per_left = len(right_rows) if self.residual is None else len(right_rows) or 1
+
+        def candidates(x):
+            ctx.tick(per_left)
+            return right_rows
+
+        return self._emit(ctx, env, left_rows, candidates)
 
 
 class PBypassNLJoin(PBypassBase):
@@ -709,7 +705,7 @@ class PBypassNLJoin(PBypassBase):
         self.predicate = predicate
         self.negative_filter = negative_filter
 
-    def _run_pair(self, ctx, env):
+    def _run(self, ctx, env):
         left_rows = self.left.execute(ctx, env)
         right_rows = self.right.execute(ctx, env)
         fn = self.predicate(ctx, env)

@@ -65,10 +65,7 @@ class VectorCompiler(_Compiler):
                 # whole scan falls back to the row implementation, which
                 # still probes the index.
                 return super()._compile_IndexScan(node)
-        table = self.catalog.table(node.table_name)
-        index = self.catalog.index(node.index_name)
-        if index.table is not getattr(table, "base_table", table):
-            return super()._compile_IndexScan(node)  # let the row path raise
+        table, index = self._indexed_table(node.table_name, node.index_name)
         bounds = tuple((op, self._expr(expr, node.schema)) for op, expr in node.bounds)
         return V.VIndexScan(node.schema, table, index, bounds, kernel, node.projection)
 

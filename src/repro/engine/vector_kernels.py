@@ -283,7 +283,10 @@ class _KernelCompiler:
 
             def fn(batch):
                 data, valid = of(batch)
-                if data.dtype == object:
+                # -(-2**63) leaves int64, where numpy wraps it back.
+                if data.dtype == object or (
+                    data.dtype == np.int64 and _int_magnitude(data) > _INT64_MAX
+                ):
                     n = len(batch)
                     out = np.empty(n, dtype=object)
                     indices = np.arange(n) if valid is None else np.nonzero(valid)[0]

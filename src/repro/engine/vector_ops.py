@@ -3,8 +3,9 @@
 Every operator here is a :class:`~repro.engine.operators.PhysicalOperator`
 whose native unit of work is a :class:`~repro.storage.batch.Batch`
 (column arrays + validity masks + selection vector) instead of a Python
-row list.  ``execute_batch(ctx, env)`` is the batched entry point;
-``execute`` materialises the batch, so a row operator can consume a
+row list: its ``_run`` returns a batch, and a batch parent reads it
+through the operator contract, ``invoke(ctx, env)``; ``execute``
+materialises the same result, so a row operator can consume a
 vectorized child transparently.  The reverse boundary is
 :class:`VFromRows`, which pivots a row child's output into a batch —
 together the two directions give the per-operator fallback the compiler
@@ -43,53 +44,18 @@ from repro.algebra.aggregates import AggSpec, evaluate_spec
 from repro.engine import operators as P
 from repro.engine.vector_kernels import _INT64_MAX, _const_column, _int_magnitude
 from repro.storage.batch import Batch, build_column, column_to_pylist
-from repro.storage.index import probe_bounds
-from repro.storage.mvcc import resolve_index
 from repro.storage.schema import Schema
 
 
 class VecOperator(P.PhysicalOperator):
-    """Base class: batch execution, batch memoisation, row materialisation."""
+    """Base class: ``_run`` returns a batch; a row parent reads its rows."""
 
     __slots__ = ()
 
     FAULT_DOMAIN = "engine.vector."
 
     def execute(self, ctx, env: dict) -> list:
-        if not self.memoize:
-            return self.execute_batch(ctx, env).to_rows()
-        key = (id(self), self.env_signature(env), "rows")
-        hit = ctx.memo.get(key)
-        if hit is not None:
-            return hit
-        rows = self.execute_batch(ctx, env).to_rows()
-        ctx.memo[key] = rows
-        return rows
-
-    def execute_batch(self, ctx, env: dict) -> Batch:
-        if ctx.faults is not None:
-            ctx.faults.maybe_fail(self.FAULT_DOMAIN + type(self).__name__)
-        if self.memoize:
-            key = (id(self), self.env_signature(env), "batch")
-            hit = ctx.memo.get(key)
-            if hit is not None:
-                return hit
-            batch = self._run_batch(ctx, env)
-            ctx.memo[key] = batch
-            ctx.account_memory(len(batch))
-        else:
-            batch = self._run_batch(ctx, env)
-            ctx.account_memory(len(batch))
-        if ctx.options.collect_stats:
-            ctx.stats.record_rows(type(self).__name__, len(batch))
-            ctx.stats.record_node(id(self), len(batch))
-        return batch
-
-    def _run_batch(self, ctx, env: dict) -> Batch:
-        raise NotImplementedError
-
-    def _run(self, ctx, env: dict) -> list:  # pragma: no cover - execute() bypasses
-        return self.execute_batch(ctx, env).to_rows()
+        return self.invoke(ctx, env).to_rows()
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +122,7 @@ class VScan(VecOperator):
         self._batch: Batch | None = None
         self._version: int = -1
 
-    def _run_batch(self, ctx, env):
+    def _run(self, ctx, env):
         table = self.table
         if ctx.faults is not None:
             ctx.faults.maybe_fail("storage.scan")
@@ -169,45 +135,27 @@ class VScan(VecOperator):
         return self._batch
 
 
-class VIndexScan(VecOperator):
+class VIndexScan(VecOperator, P.PIndexScan):
     """Index-backed scan: build the batch from index-selected positions.
 
-    The probe runs on the row store (indexes address physical row
-    positions); the surviving positions become a selection vector over
-    the table's cached column arrays, so no row is ever pivoted twice.
-    A residual predicate, when vectorizable, is applied as a kernel over
-    the already-narrowed batch.
+    The probe is the row scan's (indexes address physical row positions);
+    the surviving positions become a selection vector over the table's
+    cached column arrays, so no row is ever pivoted twice.  The residual
+    is a predicate kernel over the already-narrowed batch.
     """
 
-    __slots__ = ("table", "index", "bounds", "kernel", "projection")
+    __slots__ = ()
 
-    def __init__(self, schema: Schema, table, index, bounds, kernel, projection, free_names=()):
-        super().__init__(schema, free_names)
-        self.table = table
-        self.index = index
-        self.bounds = tuple(bounds)
-        self.kernel = kernel
-        self.projection = tuple(projection) if projection is not None else None
-
-    def _run_batch(self, ctx, env):
-        if ctx.faults is not None:
-            ctx.faults.maybe_fail("storage.scan")
-        # Snapshot tables probe a per-version transient index (never the
-        # shared one, which a concurrent writer may be rebuilding).
-        index = resolve_index(self.index, self.table)
-        evaluated = tuple((op, fn(ctx, env)(())) for op, fn in self.bounds)
-        lookup = probe_bounds(index, evaluated)
-        ctx.access["index_scans"] += 1
-        ctx.tick(max(lookup.rows_examined, 1))
-        ctx.tick_skipped(lookup.rows_skipped)
+    def _run(self, ctx, env):
+        lookup = self._probe(ctx, env)
         base = table_batch(self.table)
         taken = base.take(np.asarray(lookup.positions, dtype=np.int64))
         if self.projection is not None:
             batch = taken.project(self.projection, self.schema)
         else:
             batch = Batch(self.schema, taken.data, taken.valid, taken.base_length, taken.sel)
-        if self.kernel is not None:
-            is_true, _ = self.kernel(ctx, env)(batch)
+        if self.residual is not None:
+            is_true, _ = self.residual(ctx, env)(batch)
             batch = batch.filter(is_true)
         ctx.access["rows_read"] += len(batch)
         return batch
@@ -222,7 +170,7 @@ class VFromRows(VecOperator):
         super().__init__(child.schema, child.free_names)
         self.child = child
 
-    def _run_batch(self, ctx, env):
+    def _run(self, ctx, env):
         return Batch.from_rows(self.schema, self.child.execute(ctx, env))
 
 
@@ -241,42 +189,20 @@ class VFilter(VecOperator):
         self.child = child
         self.kernel = kernel
 
-    def _run_batch(self, ctx, env):
-        batch = self.child.execute_batch(ctx, env)
+    def _run(self, ctx, env):
+        batch = self.child.invoke(ctx, env)
         ctx.tick(len(batch))
         is_true, _ = self.kernel(ctx, env)(batch)
         return batch.filter(is_true)
 
 
 class VBypassBase(P.PBypassBase):
-    """Base for batch bypass operators: one memoised (positive, negative)
-    pair of batches per environment."""
+    """Base for batch bypass operators: ``_run`` splits into a (positive,
+    negative) pair of batches, memoised and charged like the row split."""
 
     __slots__ = ()
 
     FAULT_DOMAIN = "engine.vector."
-
-    def pair_batches(self, ctx, env) -> tuple[Batch, Batch]:
-        if ctx.faults is not None:
-            ctx.faults.maybe_fail(self.FAULT_DOMAIN + type(self).__name__)
-        key = (id(self), self.env_signature(env), "vpair")
-        hit = ctx.memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._split(ctx, env)
-        ctx.memo[key] = result
-        if ctx.options.collect_stats:
-            produced = len(result[0]) + len(result[1])
-            ctx.stats.record_rows(type(self).__name__, produced)
-            ctx.stats.record_node(id(self), produced)
-        return result
-
-    def _split(self, ctx, env) -> tuple[Batch, Batch]:
-        raise NotImplementedError
-
-    def _run_pair(self, ctx, env):
-        positive, negative = self.pair_batches(ctx, env)
-        return positive.to_rows(), negative.to_rows()
 
 
 class VBypassFilter(VBypassBase):
@@ -294,29 +220,20 @@ class VBypassFilter(VBypassBase):
         self.child = child
         self.kernel = kernel
 
-    def _split(self, ctx, env):
-        batch = self.child.execute_batch(ctx, env)
+    def _run(self, ctx, env):
+        batch = self.child.invoke(ctx, env)
         ctx.tick(len(batch))
         is_true, _ = self.kernel(ctx, env)(batch)
         return batch.split(is_true)
 
 
-class VStreamTap(VecOperator):
+class VStreamTap(VecOperator, P.PStreamTap):
     """One stream of a vectorized bypass operator."""
 
-    __slots__ = ("source", "positive")
-
-    def __init__(self, source: VBypassBase, positive: bool):
-        super().__init__(source.schema, source.free_names)
-        self.source = source
-        self.positive = positive
+    __slots__ = ()
 
     def describe(self) -> str:
         return type(self).__name__ + (" [+]" if self.positive else " [−]")
-
-    def _run_batch(self, ctx, env):
-        positive, negative = self.source.pair_batches(ctx, env)
-        return positive if self.positive else negative
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +251,8 @@ class VProject(VecOperator):
         self.child = child
         self.positions = tuple(positions)
 
-    def _run_batch(self, ctx, env):
-        batch = self.child.execute_batch(ctx, env)
+    def _run(self, ctx, env):
+        batch = self.child.invoke(ctx, env)
         ctx.tick(len(batch))
         return batch.project(self.positions, self.schema)
 
@@ -349,8 +266,8 @@ class VRename(VecOperator):
         super().__init__(schema, ())
         self.child = child
 
-    def _run_batch(self, ctx, env):
-        return self.child.execute_batch(ctx, env).rename(self.schema)
+    def _run(self, ctx, env):
+        return self.child.invoke(ctx, env).rename(self.schema)
 
 
 class VMap(VecOperator):
@@ -363,8 +280,8 @@ class VMap(VecOperator):
         self.child = child
         self.kernel = kernel
 
-    def _run_batch(self, ctx, env):
-        batch = self.child.execute_batch(ctx, env)
+    def _run(self, ctx, env):
+        batch = self.child.invoke(ctx, env)
         ctx.tick(len(batch))
         data, valid = self.kernel(ctx, env)(batch)
         return batch.with_column(self.schema, data, valid)
@@ -379,8 +296,8 @@ class VNumber(VecOperator):
         super().__init__(schema, ())
         self.child = child
 
-    def _run_batch(self, ctx, env):
-        batch = self.child.execute_batch(ctx, env)
+    def _run(self, ctx, env):
+        batch = self.child.invoke(ctx, env)
         ctx.tick(len(batch))
         numbers = np.arange(1, len(batch) + 1, dtype=np.int64)
         return batch.with_column(self.schema, numbers, None)
@@ -395,8 +312,8 @@ class VDistinct(VecOperator):
         super().__init__(child.schema, ())
         self.child = child
 
-    def _run_batch(self, ctx, env):
-        batch = self.child.execute_batch(ctx, env)
+    def _run(self, ctx, env):
+        batch = self.child.invoke(ctx, env)
         ctx.tick(len(batch))
         return _dedupe(batch)
 
@@ -411,8 +328,8 @@ class VLimit(VecOperator):
         self.child = child
         self.count = count
 
-    def _run_batch(self, ctx, env):
-        return self.child.execute_batch(ctx, env).head(self.count)
+    def _run(self, ctx, env):
+        return self.child.invoke(ctx, env).head(self.count)
 
 
 class VSort(VecOperator):
@@ -426,8 +343,8 @@ class VSort(VecOperator):
         self.child = child
         self.keys = tuple(keys)
 
-    def _run_batch(self, ctx, env):
-        batch = self.child.execute_batch(ctx, env)
+    def _run(self, ctx, env):
+        batch = self.child.invoke(ctx, env)
         ctx.tick(len(batch))
         indices = list(range(len(batch)))
         for position, ascending in reversed(self.keys):
@@ -454,9 +371,9 @@ class VUnionAll(VecOperator):
         self.left = left
         self.right = right
 
-    def _run_batch(self, ctx, env):
-        left = self.left.execute_batch(ctx, env)
-        right = self.right.execute_batch(ctx, env)
+    def _run(self, ctx, env):
+        left = self.left.invoke(ctx, env)
+        right = self.right.invoke(ctx, env)
         ctx.tick(len(left) + len(right))
         return Batch.concat(self.schema, [left, right])
 
@@ -471,9 +388,9 @@ class VUnion(VecOperator):
         self.left = left
         self.right = right
 
-    def _run_batch(self, ctx, env):
-        left = self.left.execute_batch(ctx, env)
-        right = self.right.execute_batch(ctx, env)
+    def _run(self, ctx, env):
+        left = self.left.invoke(ctx, env)
+        right = self.right.invoke(ctx, env)
         ctx.tick(len(left) + len(right))
         return _dedupe(Batch.concat(self.schema, [left, right]))
 
@@ -679,9 +596,9 @@ class VHashJoin(VecOperator):
         self.kind = kind
         self.default_row = default_row
 
-    def _run_batch(self, ctx, env):
-        left = self.left.execute_batch(ctx, env).compact()
-        right = self.right.execute_batch(ctx, env).compact()
+    def _run(self, ctx, env):
+        left = self.left.invoke(ctx, env).compact()
+        right = self.right.invoke(ctx, env).compact()
         n_left, n_right = len(left), len(right)
         ctx.tick(n_left + n_right)
         lcodes, rcodes, l_ok, r_ok = _shared_codes(
@@ -736,9 +653,9 @@ class VNLJoin(VHashJoin):
     def __init__(self, left, right, schema, predicate, kind, free_names, default_row=None):
         super().__init__(left, right, schema, (), (), predicate, kind, free_names, default_row)
 
-    def _run_batch(self, ctx, env):
-        left = self.left.execute_batch(ctx, env).compact()
-        right = self.right.execute_batch(ctx, env).compact()
+    def _run(self, ctx, env):
+        left = self.left.invoke(ctx, env).compact()
+        right = self.right.invoke(ctx, env).compact()
         ctx.tick(len(left) + len(right))
         if self.residual is None:
             split = None
@@ -767,9 +684,9 @@ class VBypassJoin(VBypassBase):
         self.kernel = kernel
         self.negative_kernel = negative_kernel
 
-    def _split(self, ctx, env):
-        left = self.left.execute_batch(ctx, env).compact()
-        right = self.right.execute_batch(ctx, env).compact()
+    def _run(self, ctx, env):
+        left = self.left.invoke(ctx, env).compact()
+        right = self.right.invoke(ctx, env).compact()
         ctx.tick(len(left) + len(right))
         predicate = self.kernel(ctx, env)
         fused = self.negative_kernel(ctx, env) if self.negative_kernel is not None else None
@@ -782,9 +699,7 @@ class VBypassJoin(VBypassBase):
             return is_true, rest
 
         streams = _blocked_pairs(ctx, self.schema, left, right, split, 2)
-        positive, negative = (_paired_batch(self.schema, left, right, *s) for s in streams)
-        ctx.account_memory(len(positive) + len(negative))
-        return positive, negative
+        return tuple(_paired_batch(self.schema, left, right, *s) for s in streams)
 
 
 #: The most (left, right) pairs a join without an equality key holds at
@@ -1005,8 +920,8 @@ class VHashGroupBy(VecOperator):
         self.key_positions = tuple(key_positions)
         self.agg_columns = tuple(agg_columns)
 
-    def _run_batch(self, ctx, env):
-        batch = self.child.execute_batch(ctx, env)
+    def _run(self, ctx, env):
+        batch = self.child.invoke(ctx, env)
         n = len(batch)
         ctx.tick(n)
         if n == 0:
@@ -1085,8 +1000,8 @@ class VScalarAgg(VecOperator):
         self.child = child
         self.agg_columns = tuple(agg_columns)
 
-    def _run_batch(self, ctx, env):
-        batch = self.child.execute_batch(ctx, env)
+    def _run(self, ctx, env):
+        batch = self.child.invoke(ctx, env)
         ctx.tick(len(batch))
         row = []
         for column in self.agg_columns:

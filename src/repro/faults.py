@@ -8,7 +8,8 @@ scan path, and the server request path; a seeded
 :class:`FaultInjector` decides — reproducibly — which of those points
 raise :class:`~repro.errors.InjectedFault`.
 
-Sites form a dotted hierarchy and configuration matches by prefix::
+Sites form a dotted hierarchy and configuration matches by prefix
+(:func:`site_matches`, shared with the WAL's crash points)::
 
     engine.row.<OperatorClass>      every row-engine operator invocation
     engine.row.PBypass              ...prefix: only bypass operators
@@ -28,7 +29,9 @@ Sites form a dotted hierarchy and configuration matches by prefix::
     replication.failover.promote    coordinator promotion RPC fails
     replication.failover.demote     coordinator demote/repoint RPC fails
 
-The ``storage.wal.*`` / ``storage.checkpoint.*`` sites model disk
+An operator site fires on every invocation, memo hits included, on both
+engines: one method, ``PhysicalOperator.invoke``, fires it for all of
+them.  The ``storage.wal.*`` / ``storage.checkpoint.*`` sites model disk
 faults, not plan bugs: the self-healing layer retries them without
 quarantining the plan-cache entry (see ``docs/durability.md``), and the
 harder process-kill crash points live in :mod:`repro.storage.wal`
@@ -65,6 +68,13 @@ ENV_SITES = "REPRO_FAULT_SITES"
 ENV_SEED = "REPRO_FAULT_SEED"
 ENV_PROB = "REPRO_FAULT_PROB"
 ENV_COUNT = "REPRO_FAULT_COUNT"
+
+
+def site_matches(site: str, prefix: str) -> bool:
+    """The one site rule, for fault sites and crash points alike: ``*``
+    names every site, any other prefix the site it spells and every site
+    below it."""
+    return prefix == "*" or site.startswith(prefix)
 
 
 @dataclass(frozen=True)
@@ -111,10 +121,7 @@ class FaultInjector:
 
     def matches(self, site: str) -> bool:
         """True when ``site`` falls under any configured prefix."""
-        for prefix in self.config.sites:
-            if prefix == "*" or site == prefix or site.startswith(prefix):
-                return True
-        return False
+        return any(site_matches(site, prefix) for prefix in self.config.sites)
 
     def maybe_fail(self, site: str) -> None:
         """Raise :class:`~repro.errors.InjectedFault` if ``site`` fires."""

@@ -33,7 +33,6 @@ from repro.algebra.aggregates import STAR, AggSpec
 from repro.errors import BindError, TranslationError
 from repro.sql import ast
 from repro.storage.catalog import Catalog
-from repro.storage.schema import Schema
 
 AGGREGATE_NAMES = frozenset(["count", "sum", "avg", "min", "max"])
 
@@ -48,9 +47,6 @@ class TranslationResult:
 
     plan: L.Operator
     output_names: tuple[str, ...]
-
-    def presentation_schema(self) -> Schema:
-        return Schema(self.output_names)
 
 
 def translate(

@@ -153,25 +153,27 @@ class Table:
                 writer.writerow(["" if v is None else v for v in row])
 
     @classmethod
-    def from_csv(cls, path: str, schema: Schema, name: str = "") -> "Table":
-        """Load a table from a CSV file written by :meth:`to_csv`.
+    def from_csv(cls, path: str, schema: Schema | None = None, name: str = "") -> "Table":
+        """Load a CSV file with a header line (what :meth:`to_csv` writes).
 
-        Values are parsed according to the schema's column types; empty
-        fields become NULL.
+        Values are parsed by the schema's column types — with no schema,
+        by the types :func:`infer_type` reads off the data; empty fields
+        become NULL.
         """
-        types = [col.type for col in schema]
-        rows = []
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
-            if header is not None and tuple(header) != schema.names:
-                raise SchemaError(
-                    f"CSV header {header} does not match schema {list(schema.names)}"
-                )
-            for record in reader:
-                rows.append(
-                    tuple(col_type.parse(field) for col_type, field in zip(types, record))
-                )
+            records = list(reader)
+        if schema is None:
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            schema = Schema(
+                [Column(col, infer_type(records, i)) for i, col in enumerate(header)]
+            )
+        elif header is not None and tuple(header) != schema.names:
+            raise SchemaError(f"CSV header {header} does not match schema {list(schema.names)}")
+        types = [col.type for col in schema]
+        rows = [tuple(t.parse(field) for t, field in zip(types, record)) for record in records]
         return cls(schema, rows, name=name)
 
     # -- durable payload (snapshot files, create_table log records) ---------
@@ -220,6 +222,32 @@ class Table:
     def __repr__(self) -> str:
         label = self.name or "<anonymous>"
         return f"Table({label}, {len(self.rows)} rows, {list(self.schema.names)})"
+
+
+def infer_type(records: list, position: int) -> ColumnType:
+    """The narrowest type holding every non-empty CSV field at
+    ``position``: INT, else FLOAT, else STRING (also for no value)."""
+    saw_float = False
+    saw_value = False
+    for record in records:
+        field = record[position] if position < len(record) else ""
+        if field == "":
+            continue
+        saw_value = True
+        try:
+            int(field)
+            continue
+        except ValueError:
+            pass
+        try:
+            float(field)
+            saw_float = True
+            continue
+        except ValueError:
+            return ColumnType.STRING
+    if not saw_value:
+        return ColumnType.STRING
+    return ColumnType.FLOAT if saw_float else ColumnType.INT
 
 
 def make_table(name: str, columns: Sequence[tuple[str, ColumnType]], rows: Iterable[Row]) -> Table:

@@ -61,6 +61,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.errors import DurabilityError
+from repro.faults import site_matches
 
 WAL_MAGIC = b"RPWAL1\x00\n"
 SNAPSHOT_MAGIC = b"RPSNAP1\n"
@@ -121,7 +122,7 @@ def _crash_due(site: str) -> bool:
     target = os.environ.get(ENV_CRASH_SITE, "")
     if not target:
         return False
-    if not (target == "*" or site == target or site.startswith(target)):
+    if not site_matches(site, target):
         return False
     _crash_hits += 1
     return _crash_hits >= int(os.environ.get(ENV_CRASH_AFTER, "1"))

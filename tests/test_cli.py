@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from repro.cli import main, parse_dataset_spec, _infer_type
+from repro.cli import main, parse_dataset_spec
 from repro.storage.schema import ColumnType
+from repro.storage.table import infer_type as _infer_type
 
 
 @pytest.fixture

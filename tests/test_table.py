@@ -74,6 +74,22 @@ class TestTable:
         # Empty strings and NULLs both round-trip to NULL in CSV.
         assert loaded.rows == [(1, "x"), (None, None), (3, None)]
 
+    def test_csv_roundtrip_infers_the_schema(self, tmp_path):
+        table = Table(Schema(["a", "f", "s"]), [(1, 0.5, "x"), (None, 2, None)], name="t")
+        path = str(tmp_path / "t.csv")
+        table.to_csv(path)
+        loaded = Table.from_csv(path, name="t")
+        assert [col.type for col in loaded.schema] == [
+            ColumnType.INT, ColumnType.FLOAT, ColumnType.STRING,
+        ]
+        assert loaded.rows == [(1, 0.5, "x"), (None, 2.0, None)]
+
+    def test_csv_without_header_and_schema_is_an_error(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(SchemaError):
+            Table.from_csv(str(path))
+
     def test_csv_header_mismatch(self, tmp_path):
         schema = Schema(["a"])
         table = Table(schema, [(1,)])

@@ -306,3 +306,53 @@ def test_adhoc_pool_is_never_degraded_by_the_database(adhoc_pool):
     for sql in texts:
         database.execute(sql, options=EvalOptions(vectorized=True))
     assert database.resilience_info()["degradations"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Unary minus and literal predicates: every operand layout, both engines
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [-(2**63), 2**63 - 1, None],
+        [-(2**63) + 1, -7, None],
+        [1.5, -2.0, None],
+        [2**70, -1, None],
+        [None, None],
+    ],
+    ids=["int64_min", "int64", "float", "object", "all_null"],
+)
+def test_unary_minus_agrees_with_python_numbers(values):
+    """-(-2**63) is 2**63 as a Python int; an int64 kernel wraps it back."""
+    database = Database()
+    database.create_table("t", ["A", "B"], [(v, i) for i, v in enumerate(values)])
+    negated = [(None if v is None else -v, i) for i, v in enumerate(values)]
+    for sql, expected in (
+        ("SELECT -A, B FROM t", negated),
+        ("SELECT -A, B FROM t WHERE -A > 0", [(v, i) for v, i in negated if v is not None and v > 0]),
+    ):
+        for options in (EvalOptions(), EvalOptions(vectorized=True)):
+            got = database.execute(sql, options=options).rows
+            assert sorted(got, key=repr) == sorted(expected, key=repr), (sql, options)
+    assert database.resilience_info()["degradations"] == 0
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT A FROM t WHERE A > 0 OR NULL = 1",
+        "SELECT A FROM t WHERE A > 0 AND NULL = 1",
+        "SELECT A, CASE WHEN A > 0 THEN 1 WHEN 1 = 1 THEN 2 ELSE 3 END FROM t",
+    ],
+    ids=["or_unknown", "and_unknown", "case_true_branch"],
+)
+def test_literal_predicates_that_folding_keeps(sql):
+    """Folding keeps an UNKNOWN beside a column predicate and a TRUE
+    branch behind a first one: the batch engine evaluates those literals."""
+    database = Database()
+    database.create_table("t", ["A"], [(-1,), (0,), (2,), (None,)])
+    row = database.execute(sql)
+    assert_bag_equal(row, database.execute(sql, options=EvalOptions(vectorized=True)), sql)
+    assert database.resilience_info()["degradations"] == 0
