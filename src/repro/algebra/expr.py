@@ -17,8 +17,10 @@ machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from dataclasses import dataclass, field
+from itertools import islice
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Container, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.algebra.ops import Operator
@@ -33,17 +35,82 @@ MIRRORED_OP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 NEGATED_OP = {"=": "<>", "<>": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
+#: Field annotations that hold children: one expression, or a run of them.
+_ONE_CHILD = "Expr"
+_CHILD_RUN = "tuple[Expr, ...]"
+
+
+def _children_reader(child_fields) -> Callable[[Expr], tuple[Expr, ...]]:
+    """The ``children`` method of a class with these child fields.
+
+    Picked once per class: every walk calls it on every node.  Where the
+    fields already read as the tuple (one run, or several single children)
+    it is one ``attrgetter`` call, as fast as a hand-written method.
+    """
+    runs = [run for _, run in child_fields]
+    read = attrgetter(*(name for name, _ in child_fields))
+    if runs == [True] or (len(runs) > 1 and not any(runs)):
+        return lambda self: read(self)
+    if runs == [False]:
+        return lambda self: (read(self),)
+
+    def read_fields(self):
+        kids: tuple = ()
+        for name, run in child_fields:
+            kids += getattr(self, name) if run else (getattr(self, name),)
+        return kids
+
+    return read_fields
+
+
 @dataclass(frozen=True)
 class Expr:
-    """Base class for scalar expressions."""
+    """Base class for scalar expressions.
+
+    A subclass's dataclass fields are its declaration: the constructor
+    arguments in order, where a field annotated ``Expr`` is one child and
+    ``tuple[Expr, ...]`` a run of children.  :meth:`children` and
+    :meth:`replace_children` are derived from it.
+    """
+
+    # Read once per class from the class body, before @dataclass runs.
+    _FIELDS = ()
+    _CHILD_FIELDS = ()  # (name, is a run) per child field
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        annotations = cls.__dict__.get("__annotations__", {})
+        cls._FIELDS = tuple(annotations)
+        cls._CHILD_FIELDS = tuple(
+            (name, kind == _CHILD_RUN)
+            for name, kind in annotations.items()
+            if kind in (_ONE_CHILD, _CHILD_RUN)
+        )
+        if cls._CHILD_FIELDS and "children" not in cls.__dict__:
+            cls.children = _children_reader(cls._CHILD_FIELDS)
 
     def children(self) -> tuple["Expr", ...]:
         return ()
 
     def replace_children(self, children: Sequence["Expr"]) -> "Expr":
-        if children:
-            raise ValueError(f"{type(self).__name__} takes no children")
-        return self
+        """This node over ``children`` — the inverse of :meth:`children`."""
+        if len(children) != len(self.children()):
+            raise ValueError(f"{type(self).__name__} takes {len(self.children())} children")
+        kids = iter(children)
+        return self._rebuild(
+            {
+                name: tuple(islice(kids, len(getattr(self, name)))) if run else next(kids)
+                for name, run in self._CHILD_FIELDS
+            }
+        )
+
+    def _rebuild(self, parts: dict) -> "Expr":
+        """The same node with the fields in ``parts`` replaced."""
+        if not parts:
+            return self
+        return type(self)(
+            *[parts[name] if name in parts else getattr(self, name) for name in self._FIELDS]
+        )
 
     def walk(self) -> Iterator["Expr"]:
         """Pre-order traversal of the expression tree.
@@ -75,9 +142,6 @@ class Expr:
     def contains_subquery(self) -> bool:
         return any(isinstance(node, SubqueryExpr) for node in self.walk())
 
-    def is_comparison(self) -> bool:
-        return isinstance(self, Comparison)
-
     # -- transformation ----------------------------------------------------
 
     def transform(self, fn: Callable[["Expr"], "Expr"]) -> "Expr":
@@ -100,7 +164,7 @@ class Expr:
             if isinstance(node, SubqueryExpr):
                 plan = fn(node.plan)
                 if plan is not node.plan:
-                    return replace(node, plan=plan)
+                    return node._rebuild({"plan": plan})
             return node
 
         return self.transform(enter)
@@ -169,13 +233,6 @@ class Comparison(Expr):
         if self.op not in COMPARISON_OPS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
-    def children(self):
-        return (self.left, self.right)
-
-    def replace_children(self, children):
-        left, right = children
-        return Comparison(self.op, left, right)
-
     def mirrored(self) -> "Comparison":
         """``b mirror(op) a`` — used to normalise subqueries to the right."""
         return Comparison(MIRRORED_OP[self.op], self.right, self.left)
@@ -190,12 +247,6 @@ class And(Expr):
 
     items: tuple[Expr, ...]
 
-    def children(self):
-        return self.items
-
-    def replace_children(self, children):
-        return And(tuple(children))
-
     def sql(self) -> str:
         return "(" + " AND ".join(item.sql() for item in self.items) + ")"
 
@@ -206,12 +257,6 @@ class Or(Expr):
 
     items: tuple[Expr, ...]
 
-    def children(self):
-        return self.items
-
-    def replace_children(self, children):
-        return Or(tuple(children))
-
     def sql(self) -> str:
         return "(" + " OR ".join(item.sql() for item in self.items) + ")"
 
@@ -221,13 +266,6 @@ class Not(Expr):
     """Logical negation (3-valued: NOT UNKNOWN = UNKNOWN)."""
 
     operand: Expr
-
-    def children(self):
-        return (self.operand,)
-
-    def replace_children(self, children):
-        (operand,) = children
-        return Not(operand)
 
     def sql(self) -> str:
         return f"NOT ({self.operand.sql()})"
@@ -245,13 +283,6 @@ class Arithmetic(Expr):
         if self.op not in ("+", "-", "*", "/"):
             raise ValueError(f"unknown arithmetic operator {self.op!r}")
 
-    def children(self):
-        return (self.left, self.right)
-
-    def replace_children(self, children):
-        left, right = children
-        return Arithmetic(self.op, left, right)
-
     def sql(self) -> str:
         return f"({self.left.sql()} {self.op} {self.right.sql()})"
 
@@ -261,13 +292,6 @@ class Negate(Expr):
     """Unary minus; NULL-propagating."""
 
     operand: Expr
-
-    def children(self):
-        return (self.operand,)
-
-    def replace_children(self, children):
-        (operand,) = children
-        return Negate(operand)
 
     def sql(self) -> str:
         return f"-({self.operand.sql()})"
@@ -281,13 +305,6 @@ class Like(Expr):
     pattern: str
     negated: bool = False
 
-    def children(self):
-        return (self.operand,)
-
-    def replace_children(self, children):
-        (operand,) = children
-        return Like(operand, self.pattern, self.negated)
-
     def sql(self) -> str:
         keyword = "NOT LIKE" if self.negated else "LIKE"
         return f"{self.operand.sql()} {keyword} '{self.pattern}'"
@@ -299,13 +316,6 @@ class IsNull(Expr):
 
     operand: Expr
     negated: bool = False
-
-    def children(self):
-        return (self.operand,)
-
-    def replace_children(self, children):
-        (operand,) = children
-        return IsNull(operand, self.negated)
 
     def sql(self) -> str:
         keyword = "IS NOT NULL" if self.negated else "IS NULL"
@@ -319,13 +329,6 @@ class InList(Expr):
     operand: Expr
     items: tuple[Expr, ...]
     negated: bool = False
-
-    def children(self):
-        return (self.operand,) + self.items
-
-    def replace_children(self, children):
-        operand, *items = children
-        return InList(operand, tuple(items), self.negated)
 
     def sql(self) -> str:
         keyword = "NOT IN" if self.negated else "IN"
@@ -381,12 +384,6 @@ class FunctionCall(Expr):
         if self.name not in SCALAR_FUNCTIONS:
             raise ValueError(f"unknown scalar function {self.name!r}")
 
-    def children(self):
-        return self.args
-
-    def replace_children(self, children):
-        return FunctionCall(self.name, tuple(children))
-
     def sql(self) -> str:
         return f"{self.name}(" + ", ".join(a.sql() for a in self.args) + ")"
 
@@ -417,9 +414,6 @@ class ScalarSubquery(SubqueryExpr):
 
     plan: "Operator"
 
-    def children(self):
-        return ()
-
     def sql(self) -> str:
         return "(<scalar subquery>)"
 
@@ -430,9 +424,6 @@ class Exists(SubqueryExpr):
 
     plan: "Operator"
     negated: bool = False
-
-    def children(self):
-        return ()
 
     def sql(self) -> str:
         keyword = "NOT EXISTS" if self.negated else "EXISTS"
@@ -446,13 +437,6 @@ class InSubquery(SubqueryExpr):
     operand: Expr
     plan: "Operator"
     negated: bool = False
-
-    def children(self):
-        return (self.operand,)
-
-    def replace_children(self, children):
-        (operand,) = children
-        return InSubquery(operand, self.plan, self.negated)
 
     def sql(self) -> str:
         keyword = "NOT IN" if self.negated else "IN"
@@ -474,13 +458,6 @@ class QuantifiedComparison(SubqueryExpr):
         if self.quantifier not in ("any", "all"):
             raise ValueError(f"quantifier must be any/all, got {self.quantifier!r}")
 
-    def children(self):
-        return (self.operand,)
-
-    def replace_children(self, children):
-        (operand,) = children
-        return QuantifiedComparison(operand, self.op, self.quantifier, self.plan)
-
     def sql(self) -> str:
         return f"{self.operand.sql()} {self.op} {self.quantifier.upper()} (<subquery>)"
 
@@ -496,12 +473,6 @@ class AggCombine(Expr):
 
     agg_name: str
     items: tuple[Expr, ...]
-
-    def children(self):
-        return self.items
-
-    def replace_children(self, children):
-        return AggCombine(self.agg_name, tuple(children))
 
     def sql(self) -> str:
         inner = ", ".join(item.sql() for item in self.items)
@@ -560,6 +531,36 @@ def conjuncts(expr: Expr) -> list[Expr]:
             out.extend(conjuncts(item))
         return out
     return [expr]
+
+
+def equi_keys(
+    predicate: Expr, left: Container[str], right: Container[str]
+) -> tuple[list[tuple[str, str]], list[Expr]]:
+    """Split a join predicate into equality keys across two inputs and the rest.
+
+    A key is a conjunct ``x = y`` of two column references, one naming a
+    ``left`` column and the other a ``right`` one; it is returned as
+    ``(left column, right column)`` whichever side it was written on.  The
+    residual holds every other conjunct, in order.
+    """
+    keys: list[tuple[str, str]] = []
+    residual: list[Expr] = []
+    for conjunct in conjuncts(predicate):
+        if (
+            isinstance(conjunct, Comparison)
+            and conjunct.op == "="
+            and isinstance(conjunct.left, ColumnRef)
+            and isinstance(conjunct.right, ColumnRef)
+        ):
+            first, second = conjunct.left.name, conjunct.right.name
+            if first in left and second in right:
+                keys.append((first, second))
+                continue
+            if second in left and first in right:
+                keys.append((second, first))
+                continue
+        residual.append(conjunct)
+    return keys, residual
 
 
 def disjuncts(expr: Expr) -> list[Expr]:

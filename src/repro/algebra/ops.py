@@ -18,11 +18,19 @@ sharing is significant).  Attribute identity is name-based; the SQL binder
 guarantees global uniqueness of names, which is what lets ``free_attrs``
 — the correlation attributes of a nested plan — be a simple set
 difference.
+
+Each operator declares its parts once: its ``__init__`` parameters are its
+constructor arguments in order, each kept in the attribute of the same
+name, the inputs first (:meth:`Operator.children`), and ``_EXPRS`` names
+the arguments that are subscript expressions.  ``replace_children``,
+``exprs`` and ``with_exprs`` are derived from that declaration.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
+from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
 from repro.algebra.aggregates import AggSpec
@@ -31,12 +39,36 @@ from repro.errors import SchemaError
 from repro.storage.schema import Column, Schema
 
 
+def _exprs_reader(names: tuple[str, ...]) -> Callable[["Operator"], tuple[Expr, ...]]:
+    """The ``exprs`` method of a class whose ``_EXPRS`` is ``names``.
+
+    Picked once per class: every pass asks every node.  One expression is
+    one attribute read, as fast as a hand-written method; several skip the
+    absent (``None``) ones.
+    """
+    read = attrgetter(*names)
+    if len(names) == 1:
+        return lambda self: (read(self),)
+    return lambda self: tuple([expression for expression in read(self) if expression is not None])
+
+
 class Operator:
     """Base class for logical operators."""
 
     __slots__ = ("schema", "_free_cache")
 
     schema: Schema
+
+    #: Constructor arguments in order, read once per class from ``__init__``.
+    _ARGS: tuple[str, ...] = ()
+    #: The arguments that are subscript expressions; ``None`` when absent.
+    _EXPRS: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._ARGS = tuple(inspect.signature(cls.__init__).parameters)[1:]
+        if "_EXPRS" in cls.__dict__ and "exprs" not in cls.__dict__:
+            cls.exprs = _exprs_reader(cls._EXPRS)
 
     def __init__(self, schema: Schema):
         self.schema = schema
@@ -48,9 +80,13 @@ class Operator:
         return ()
 
     def replace_children(self, children: Sequence["Operator"]) -> "Operator":
-        if children:
-            raise ValueError(f"{type(self).__name__} takes no children")
-        return self
+        """This node over ``children`` — the inverse of :meth:`children`."""
+        if len(children) != len(self.children()):
+            raise ValueError(f"{type(self).__name__} takes {len(self.children())} children")
+        if not children:
+            return self
+        rest = [getattr(self, name) for name in self._ARGS[len(children) :]]
+        return type(self)(*children, *rest)
 
     def exprs(self) -> tuple[Expr, ...]:
         """Scalar expressions in this operator's subscript."""
@@ -120,9 +156,18 @@ class Operator:
 
     def with_exprs(self, exprs: Sequence[Expr]) -> "Operator":
         """This node with its subscript replaced — the inverse of :meth:`exprs`."""
-        if exprs:
-            raise ValueError(f"{type(self).__name__} has no subscript expressions")
-        return self
+        names = [name for name in self._EXPRS if getattr(self, name) is not None]
+        if len(exprs) != len(names):
+            raise ValueError(f"{type(self).__name__} takes {len(names)} subscript expressions")
+        return self._rebuild(dict(zip(names, exprs)))
+
+    def _rebuild(self, parts: dict) -> "Operator":
+        """The same node with the constructor arguments in ``parts`` replaced."""
+        if not parts:
+            return self
+        return type(self)(
+            *[parts[name] if name in parts else getattr(self, name) for name in self._ARGS]
+        )
 
     def map_children(self, fn: Callable[["Operator"], "Operator"]) -> "Operator":
         """Rebuild over ``fn(child)``; ``self`` when no child changed.
@@ -241,18 +286,7 @@ class IndexScan(Scan):
     def with_exprs(self, exprs):
         bounds = tuple((op, expr) for (op, _), expr in zip(self.bounds, exprs))
         residual = exprs[len(bounds)] if self.residual is not None else None
-        return IndexScan(
-            self.table_name,
-            self.schema,
-            self.qualifier,
-            self.index_name,
-            self.index_kind,
-            self.key_attr,
-            bounds,
-            residual,
-            self.projection,
-            self.source_names,
-        )
+        return self._rebuild({"bounds": bounds, "residual": residual})
 
     def key_sql(self) -> str:
         return " and ".join(f"{self.key_attr} {op} {expr.sql()}" for op, expr in self.bounds)
@@ -296,42 +330,20 @@ class Select(UnaryOperator):
     """
 
     __slots__ = ("predicate",)
+    _EXPRS = ("predicate",)
 
     def __init__(self, child: Operator, predicate: Expr):
         super().__init__(child, child.schema)
         self.predicate = predicate
-
-    def replace_children(self, children):
-        (child,) = children
-        return Select(child, self.predicate)
-
-    def exprs(self):
-        return (self.predicate,)
-
-    def with_exprs(self, exprs):
-        (predicate,) = exprs
-        return Select(self.child, predicate)
 
     def label(self):
         return f"Select[{self.predicate.sql()}]"
 
 
-class BypassSelect(UnaryOperator):
-    """Bypass selection σ± — partitions the input into two streams.
+class _Bypass:
+    """The two output streams of a bypass operator, one shared tap each."""
 
-    ``positive`` receives rows whose predicate is TRUE; ``negative``
-    receives the complement (FALSE or UNKNOWN), so the two streams always
-    form a disjoint partition of the input bag.  Consume via
-    :attr:`positive` / :attr:`negative`.
-    """
-
-    __slots__ = ("predicate", "_positive", "_negative")
-
-    def __init__(self, child: Operator, predicate: Expr):
-        super().__init__(child, child.schema)
-        self.predicate = predicate
-        self._positive: StreamTap | None = None
-        self._negative: StreamTap | None = None
+    __slots__ = ()
 
     @property
     def positive(self) -> "StreamTap":
@@ -345,16 +357,24 @@ class BypassSelect(UnaryOperator):
             self._negative = StreamTap(self, positive=False)
         return self._negative
 
-    def replace_children(self, children):
-        (child,) = children
-        return BypassSelect(child, self.predicate)
 
-    def exprs(self):
-        return (self.predicate,)
+class BypassSelect(_Bypass, UnaryOperator):
+    """Bypass selection σ± — partitions the input into two streams.
 
-    def with_exprs(self, exprs):
-        (predicate,) = exprs
-        return BypassSelect(self.child, predicate)
+    ``positive`` receives rows whose predicate is TRUE; ``negative``
+    receives the complement (FALSE or UNKNOWN), so the two streams always
+    form a disjoint partition of the input bag.  Consume via
+    :attr:`positive` / :attr:`negative`.
+    """
+
+    __slots__ = ("predicate", "_positive", "_negative")
+    _EXPRS = ("predicate",)
+
+    def __init__(self, child: Operator, predicate: Expr):
+        super().__init__(child, child.schema)
+        self.predicate = predicate
+        self._positive: StreamTap | None = None
+        self._negative: StreamTap | None = None
 
     def label(self):
         return f"BypassSelect±[{self.predicate.sql()}]"
@@ -366,14 +386,15 @@ class StreamTap(UnaryOperator):
     __slots__ = ("positive_stream",)
 
     def __init__(self, bypass: Operator, positive: bool):
-        if not isinstance(bypass, (BypassSelect, BypassJoin)):
+        if not isinstance(bypass, _Bypass):
             raise SchemaError("StreamTap requires a bypass operator input")
         super().__init__(bypass, bypass.schema)
         self.positive_stream = positive
 
     def replace_children(self, children):
+        # Both taps of the rebuilt bypass node are its shared ones: the DAG stays a DAG.
         (bypass,) = children
-        if isinstance(bypass, (BypassSelect, BypassJoin)):
+        if isinstance(bypass, _Bypass):
             return bypass.positive if self.positive_stream else bypass.negative
         raise SchemaError("StreamTap child must remain a bypass operator")
 
@@ -390,10 +411,6 @@ class Project(UnaryOperator):
         super().__init__(child, child.schema.project(names))
         self.names = tuple(names)
 
-    def replace_children(self, children):
-        (child,) = children
-        return Project(child, self.names)
-
     def label(self):
         return f"Project[{', '.join(self.names)}]"
 
@@ -403,10 +420,6 @@ class Distinct(UnaryOperator):
 
     def __init__(self, child: Operator):
         super().__init__(child, child.schema)
-
-    def replace_children(self, children):
-        (child,) = children
-        return Distinct(child)
 
     def label(self):
         return "Distinct"
@@ -421,10 +434,6 @@ class Rename(UnaryOperator):
         super().__init__(child, child.schema.rename(mapping))
         self.mapping = dict(mapping)
 
-    def replace_children(self, children):
-        (child,) = children
-        return Rename(child, self.mapping)
-
     def label(self):
         pairs = ", ".join(f"{new}←{old}" for old, new in self.mapping.items())
         return f"Rename[{pairs}]"
@@ -438,22 +447,12 @@ class Map(UnaryOperator):
     """
 
     __slots__ = ("name", "expression")
+    _EXPRS = ("expression",)
 
     def __init__(self, child: Operator, name: str, expression: Expr):
         super().__init__(child, child.schema.extend(Column(name)))
         self.name = name
         self.expression = expression
-
-    def replace_children(self, children):
-        (child,) = children
-        return Map(child, self.name, self.expression)
-
-    def exprs(self):
-        return (self.expression,)
-
-    def with_exprs(self, exprs):
-        (expression,) = exprs
-        return Map(self.child, self.name, expression)
 
     def label(self):
         return f"Map[{self.name} := {self.expression.sql()}]"
@@ -473,10 +472,6 @@ class Numbering(UnaryOperator):
         super().__init__(child, child.schema.extend(Column(name)))
         self.name = name
 
-    def replace_children(self, children):
-        (child,) = children
-        return Numbering(child, self.name)
-
     def label(self):
         return f"Numbering[{self.name}]"
 
@@ -490,7 +485,25 @@ def _with_agg_args(aggregates, exprs: Sequence[Expr]) -> list[tuple[str, AggSpec
     ]
 
 
-class GroupBy(UnaryOperator):
+class _Aggregation(UnaryOperator):
+    """Base for the unary operators whose subscript is ``(name, AggSpec)`` pairs.
+
+    The subscript expressions are the aggregates' non-``*`` arguments.
+    """
+
+    __slots__ = ("aggregates",)
+
+    def agg_specs(self):
+        return tuple(spec for _, spec in self.aggregates)
+
+    def exprs(self):
+        return tuple(spec.arg for _, spec in self.aggregates if isinstance(spec.arg, Expr))
+
+    def with_exprs(self, exprs):
+        return self._rebuild({"aggregates": _with_agg_args(self.aggregates, exprs)})
+
+
+class GroupBy(_Aggregation):
     """Unary grouping Γ — group on key attributes, evaluate aggregates.
 
     Output schema: the grouping keys followed by one column per aggregate.
@@ -498,7 +511,7 @@ class GroupBy(UnaryOperator):
     runtime uses a hash implementation.
     """
 
-    __slots__ = ("keys", "aggregates")
+    __slots__ = ("keys",)
 
     def __init__(self, child: Operator, keys: Sequence[str], aggregates: Sequence[tuple[str, AggSpec]]):
         for key in keys:
@@ -510,27 +523,12 @@ class GroupBy(UnaryOperator):
         self.keys = tuple(keys)
         self.aggregates = tuple(aggregates)
 
-    def replace_children(self, children):
-        (child,) = children
-        return GroupBy(child, self.keys, self.aggregates)
-
-    def agg_specs(self):
-        return tuple(spec for _, spec in self.aggregates)
-
-    def exprs(self):
-        return tuple(
-            spec.arg for _, spec in self.aggregates if isinstance(spec.arg, Expr)
-        )
-
-    def with_exprs(self, exprs):
-        return GroupBy(self.child, self.keys, _with_agg_args(self.aggregates, exprs))
-
     def label(self):
         aggs = ", ".join(f"{name}:{spec.sql()}" for name, spec in self.aggregates)
         return f"GroupBy[{', '.join(self.keys)}; {aggs}]"
 
 
-class ScalarAggregate(UnaryOperator):
+class ScalarAggregate(_Aggregation):
     """Aggregation without grouping — always produces exactly one row.
 
     This is the top of every translated scalar subquery (type A/JA): a
@@ -538,27 +536,10 @@ class ScalarAggregate(UnaryOperator):
     empty input.
     """
 
-    __slots__ = ("aggregates",)
-
     def __init__(self, child: Operator, aggregates: Sequence[tuple[str, AggSpec]]):
         schema = Schema([Column(name) for name, _ in aggregates])
         super().__init__(child, schema)
         self.aggregates = tuple(aggregates)
-
-    def replace_children(self, children):
-        (child,) = children
-        return ScalarAggregate(child, self.aggregates)
-
-    def agg_specs(self):
-        return tuple(spec for _, spec in self.aggregates)
-
-    def exprs(self):
-        return tuple(
-            spec.arg for _, spec in self.aggregates if isinstance(spec.arg, Expr)
-        )
-
-    def with_exprs(self, exprs):
-        return ScalarAggregate(self.child, _with_agg_args(self.aggregates, exprs))
 
     def label(self):
         aggs = ", ".join(f"{name}:{spec.sql()}" for name, spec in self.aggregates)
@@ -576,10 +557,6 @@ class Sort(UnaryOperator):
         super().__init__(child, child.schema)
         self.keys = tuple(keys)
 
-    def replace_children(self, children):
-        (child,) = children
-        return Sort(child, self.keys)
-
     def label(self):
         parts = ", ".join(f"{n} {'ASC' if asc else 'DESC'}" for n, asc in self.keys)
         return f"Sort[{parts}]"
@@ -593,10 +570,6 @@ class Limit(UnaryOperator):
     def __init__(self, child: Operator, count: int):
         super().__init__(child, child.schema)
         self.count = count
-
-    def replace_children(self, children):
-        (child,) = children
-        return Limit(child, self.count)
 
     def label(self):
         return f"Limit[{self.count}]"
@@ -627,10 +600,6 @@ class CrossProduct(BinaryOperator):
     def __init__(self, left: Operator, right: Operator):
         super().__init__(left, right, left.schema.concat(right.schema))
 
-    def replace_children(self, children):
-        left, right = children
-        return CrossProduct(left, right)
-
     def label(self):
         return "CrossProduct"
 
@@ -639,21 +608,11 @@ class Join(BinaryOperator):
     """Inner θ-join ⋈p."""
 
     __slots__ = ("predicate",)
+    _EXPRS = ("predicate",)
 
     def __init__(self, left: Operator, right: Operator, predicate: Expr):
         super().__init__(left, right, left.schema.concat(right.schema))
         self.predicate = predicate
-
-    def replace_children(self, children):
-        left, right = children
-        return Join(left, right, self.predicate)
-
-    def exprs(self):
-        return (self.predicate,)
-
-    def with_exprs(self, exprs):
-        (predicate,) = exprs
-        return Join(self.left, self.right, predicate)
 
     def label(self):
         return f"Join[{self.predicate.sql()}]"
@@ -671,6 +630,7 @@ class IndexNLJoin(Join):
     """
 
     __slots__ = ("index_name", "index_kind", "left_key", "right_key", "residual")
+    _EXPRS = ("predicate", "residual")
 
     def __init__(
         self,
@@ -696,34 +656,7 @@ class IndexNLJoin(Join):
             # The probe side must stay a plain base-table scan; degrade to
             # an ordinary join if a transformation changed it.
             return Join(left, right, self.predicate)
-        return IndexNLJoin(
-            left,
-            right,
-            self.predicate,
-            self.index_name,
-            self.index_kind,
-            self.left_key,
-            self.right_key,
-            self.residual,
-        )
-
-    def exprs(self):
-        if self.residual is not None:
-            return (self.predicate, self.residual)
-        return (self.predicate,)
-
-    def with_exprs(self, exprs):
-        predicate, *residual = exprs
-        return IndexNLJoin(
-            self.left,
-            self.right,
-            predicate,
-            self.index_name,
-            self.index_kind,
-            self.left_key,
-            self.right_key,
-            residual[0] if residual else None,
-        )
+        return super().replace_children(children)
 
     def label(self):
         parts = [
@@ -744,6 +677,7 @@ class LeftOuterJoin(BinaryOperator):
     """
 
     __slots__ = ("predicate", "defaults")
+    _EXPRS = ("predicate",)
 
     def __init__(self, left: Operator, right: Operator, predicate: Expr, defaults: dict[str, object] | None = None):
         super().__init__(left, right, left.schema.concat(right.schema))
@@ -751,17 +685,6 @@ class LeftOuterJoin(BinaryOperator):
         self.defaults = dict(defaults or {})
         for name in self.defaults:
             right.schema.position(name)  # defaults apply to the right side
-
-    def replace_children(self, children):
-        left, right = children
-        return LeftOuterJoin(left, right, self.predicate, self.defaults)
-
-    def exprs(self):
-        return (self.predicate,)
-
-    def with_exprs(self, exprs):
-        (predicate,) = exprs
-        return LeftOuterJoin(self.left, self.right, predicate, self.defaults)
 
     def label(self):
         if self.defaults:
@@ -774,21 +697,11 @@ class SemiJoin(BinaryOperator):
     """Left semijoin ⋉ — left tuples with at least one partner."""
 
     __slots__ = ("predicate",)
+    _EXPRS = ("predicate",)
 
     def __init__(self, left: Operator, right: Operator, predicate: Expr):
         super().__init__(left, right, left.schema)
         self.predicate = predicate
-
-    def replace_children(self, children):
-        left, right = children
-        return SemiJoin(left, right, self.predicate)
-
-    def exprs(self):
-        return (self.predicate,)
-
-    def with_exprs(self, exprs):
-        (predicate,) = exprs
-        return SemiJoin(self.left, self.right, predicate)
 
     def label(self):
         return f"SemiJoin[{self.predicate.sql()}]"
@@ -798,27 +711,17 @@ class AntiJoin(BinaryOperator):
     """Left antijoin ▷ — left tuples with no partner."""
 
     __slots__ = ("predicate",)
+    _EXPRS = ("predicate",)
 
     def __init__(self, left: Operator, right: Operator, predicate: Expr):
         super().__init__(left, right, left.schema)
         self.predicate = predicate
 
-    def replace_children(self, children):
-        left, right = children
-        return AntiJoin(left, right, self.predicate)
-
-    def exprs(self):
-        return (self.predicate,)
-
-    def with_exprs(self, exprs):
-        (predicate,) = exprs
-        return AntiJoin(self.left, self.right, predicate)
-
     def label(self):
         return f"AntiJoin[{self.predicate.sql()}]"
 
 
-class BypassJoin(BinaryOperator):
+class BypassJoin(_Bypass, BinaryOperator):
     """Bypass join ⋈± (two-valued logic, cf. [17]).
 
     The positive stream holds concatenated pairs satisfying the predicate;
@@ -827,35 +730,13 @@ class BypassJoin(BinaryOperator):
     """
 
     __slots__ = ("predicate", "_positive", "_negative")
+    _EXPRS = ("predicate",)
 
     def __init__(self, left: Operator, right: Operator, predicate: Expr):
         super().__init__(left, right, left.schema.concat(right.schema))
         self.predicate = predicate
         self._positive: StreamTap | None = None
         self._negative: StreamTap | None = None
-
-    @property
-    def positive(self) -> StreamTap:
-        if self._positive is None:
-            self._positive = StreamTap(self, positive=True)
-        return self._positive
-
-    @property
-    def negative(self) -> StreamTap:
-        if self._negative is None:
-            self._negative = StreamTap(self, positive=False)
-        return self._negative
-
-    def replace_children(self, children):
-        left, right = children
-        return BypassJoin(left, right, self.predicate)
-
-    def exprs(self):
-        return (self.predicate,)
-
-    def with_exprs(self, exprs):
-        (predicate,) = exprs
-        return BypassJoin(self.left, self.right, predicate)
 
     def label(self):
         return f"BypassJoin±[{self.predicate.sql()}]"
@@ -898,13 +779,6 @@ class BinaryGroupBy(BinaryOperator):
         self.spec = spec
         self.star_names = tuple(star_names) if star_names else None
 
-    def replace_children(self, children):
-        left, right = children
-        return BinaryGroupBy(
-            left, right, self.name, self.left_key, self.right_key,
-            self.spec, self.op, self.star_names,
-        )
-
     def agg_specs(self):
         return (self.spec,)
 
@@ -915,10 +789,7 @@ class BinaryGroupBy(BinaryOperator):
 
     def with_exprs(self, exprs):
         ((_, spec),) = _with_agg_args([(self.name, self.spec)], exprs)
-        return BinaryGroupBy(
-            self.left, self.right, self.name, self.left_key, self.right_key,
-            spec, self.op, self.star_names,
-        )
+        return self._rebuild({"spec": spec})
 
     def label(self):
         return (
@@ -947,20 +818,12 @@ class UnionAll(_SetOperator):
     preserves duplicates exactly (§3.7).
     """
 
-    def replace_children(self, children):
-        left, right = children
-        return UnionAll(left, right)
-
     def label(self):
         return "UnionAll(∪̇)"
 
 
 class Union(_SetOperator):
     """Set union with duplicate elimination (SQL UNION)."""
-
-    def replace_children(self, children):
-        left, right = children
-        return Union(left, right)
 
     def label(self):
         return "Union"
@@ -969,20 +832,12 @@ class Union(_SetOperator):
 class Intersect(_SetOperator):
     """Set intersection (SQL INTERSECT)."""
 
-    def replace_children(self, children):
-        left, right = children
-        return Intersect(left, right)
-
     def label(self):
         return "Intersect"
 
 
 class Difference(_SetOperator):
     """Set difference (SQL EXCEPT)."""
-
-    def replace_children(self, children):
-        left, right = children
-        return Difference(left, right)
 
     def label(self):
         return "Difference"

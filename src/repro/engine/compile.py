@@ -277,35 +277,18 @@ class _Compiler:
     # -- joins --------------------------------------------------------------------
 
     def _split_equi_keys(self, predicate: E.Expr, left_schema: Schema, right_schema: Schema):
-        """Split a join predicate into hash keys and a residual.
+        """Split a join predicate into hash-key positions and a residual.
 
         Returns ``(left_positions, right_positions, residual_expr_or_None)``;
         empty positions mean no equality key was found.
         """
-        left_positions: list[int] = []
-        right_positions: list[int] = []
-        residual: list[E.Expr] = []
-        for conjunct in E.conjuncts(predicate):
-            if (
-                isinstance(conjunct, E.Comparison)
-                and conjunct.op == "="
-                and isinstance(conjunct.left, E.ColumnRef)
-                and isinstance(conjunct.right, E.ColumnRef)
-            ):
-                lname, rname = conjunct.left.name, conjunct.right.name
-                if lname in left_schema and rname in right_schema:
-                    left_positions.append(left_schema.position(lname))
-                    right_positions.append(right_schema.position(rname))
-                    continue
-                if rname in left_schema and lname in right_schema:
-                    left_positions.append(left_schema.position(rname))
-                    right_positions.append(right_schema.position(lname))
-                    continue
-            residual.append(conjunct)
-        residual_expr = E.conjunction(residual) if residual else None
-        if residual_expr == E.TRUE:
-            residual_expr = None
-        return left_positions, right_positions, residual_expr
+        keys, rest = E.equi_keys(predicate, left_schema, right_schema)
+        residual = E.conjunction(rest)
+        return (
+            [left_schema.position(name) for name, _ in keys],
+            [right_schema.position(name) for _, name in keys],
+            None if residual == E.TRUE else residual,
+        )
 
     def _compile_join_family(
         self, node, kind: str, defaults: dict | None = None

@@ -257,19 +257,12 @@ class _Rewriter:
 
         conjunct_list = E.conjuncts(predicate)
         for position, conjunct in enumerate(conjunct_list):
-            if not (isinstance(conjunct, E.Comparison) and conjunct.op == "="):
-                continue
-            for oriented in (conjunct, conjunct.mirrored()):
-                lexpr, rexpr = oriented.left, oriented.right
-                if not (isinstance(lexpr, E.ColumnRef) and isinstance(rexpr, E.ColumnRef)):
-                    continue
-                if lexpr.name not in left_attrs or rexpr.name not in right_attrs:
-                    continue
-                base_column = base_names[right.schema.position(rexpr.name)]
-                index = hash_columns.get(base_column)
+            keys, _ = E.equi_keys(conjunct, left_attrs, right_attrs)
+            for left_key, right_key in keys:
+                index = hash_columns.get(base_names[right.schema.position(right_key)])
                 if index is None:
                     continue
-                if not self._probe_beats_hash_join(original, right, rexpr.name):
+                if not self._probe_beats_hash_join(original, right, right_key):
                     return None
                 residual_list = [c for i, c in enumerate(conjunct_list) if i != position]
                 residual = E.conjunction(residual_list) if residual_list else None
@@ -281,8 +274,8 @@ class _Rewriter:
                     predicate,
                     index.name,
                     index.kind,
-                    lexpr.name,
-                    rexpr.name,
+                    left_key,
+                    right_key,
                     residual,
                 )
         return None

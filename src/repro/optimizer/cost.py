@@ -132,7 +132,8 @@ class CostModel:
             left = self._card(node.left)
             right = self._card(node.right)
             base = self._cost(node.left) + self._cost(node.right)
-            if _has_equi_key(node.predicate, node.left.schema, node.right.schema):
+            keys, _ = E.equi_keys(node.predicate, node.left.schema, node.right.schema)
+            if keys:
                 return base + C_HASH_BUILD * right + C_HASH_PROBE * left
             return base + C_NL_PAIR * left * right
 
@@ -177,22 +178,6 @@ class CostModel:
 
 def _subquery_exprs(expression: E.Expr):
     return [n for n in expression.walk() if isinstance(n, E.SubqueryExpr)]
-
-
-def _has_equi_key(predicate: E.Expr, left_schema, right_schema) -> bool:
-    for conjunct in E.conjuncts(predicate):
-        if (
-            isinstance(conjunct, E.Comparison)
-            and conjunct.op == "="
-            and isinstance(conjunct.left, E.ColumnRef)
-            and isinstance(conjunct.right, E.ColumnRef)
-        ):
-            names = {conjunct.left.name, conjunct.right.name}
-            in_left = any(name in left_schema for name in names)
-            in_right = any(name in right_schema for name in names)
-            if in_left and in_right:
-                return True
-    return False
 
 
 def _log2(value: float) -> float:

@@ -92,9 +92,12 @@ class _JoinOptimizer:
                 index = touching[0] if touching else 0
                 pushed[index].append(conjunct)
                 continue
-            if len(touching) == 2 and _is_equi(conjunct):
-                edges.append((touching[0], touching[1], conjunct))
-                continue
+            if len(touching) == 2:
+                first, second = touching
+                keys, _ = E.equi_keys(conjunct, leaf_names[first], leaf_names[second])
+                if keys:
+                    edges.append((first, second, conjunct))
+                    continue
             residual.append(conjunct)
 
         filtered = [
@@ -160,12 +163,3 @@ class _JoinOptimizer:
         for _, _, pred in pending:
             residual.append(pred)
         return current
-
-
-def _is_equi(conjunct: E.Expr) -> bool:
-    return (
-        isinstance(conjunct, E.Comparison)
-        and conjunct.op == "="
-        and isinstance(conjunct.left, E.ColumnRef)
-        and isinstance(conjunct.right, E.ColumnRef)
-    )

@@ -26,14 +26,6 @@ class LatencyWindow:
     def record(self, seconds: float) -> None:
         self._samples.append(seconds)
 
-    def percentile(self, fraction: float) -> float | None:
-        """Nearest-rank percentile over the window; None when empty."""
-        if not self._samples:
-            return None
-        ordered = sorted(self._samples)
-        rank = max(1, round(fraction * len(ordered)))
-        return ordered[min(rank, len(ordered)) - 1]
-
     def snapshot(self) -> dict:
         if not self._samples:
             return {"count": 0}

@@ -43,10 +43,6 @@ class PreparedStatement:
         # A function of the parsed tree alone, so it never goes stale.
         self._spec: ParamSpec = planned.param_spec
 
-    @property
-    def param_spec(self) -> ParamSpec:
-        return self._spec
-
     def describe(self) -> dict:
         """Parameter shape: ``{"positional": n, "named": [...]}``."""
         return self._spec.describe()

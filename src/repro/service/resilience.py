@@ -132,6 +132,3 @@ class CircuitBreaker:
         self._failures += 1
         if self._failures >= self.failure_threshold:
             self._opened_at = self._clock()
-
-    def snapshot(self) -> dict:
-        return {"state": self.state, "consecutive_failures": self._failures}

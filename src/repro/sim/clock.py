@@ -139,9 +139,6 @@ class VirtualClock(Clock):
             handle.callback()
         self._now = max(self._now, deadline)
 
-    def pending(self) -> int:
-        return sum(1 for handle in self._heap if not handle.cancelled)
-
 
 class SkewedClock(Clock):
     """A per-node offset over a base clock — the clock-skew nemesis.

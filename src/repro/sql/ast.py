@@ -9,20 +9,15 @@ translation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 
 class Node:
-    """Base class for AST nodes."""
+    """Base class for AST nodes.
 
-    def walk(self) -> Iterator["Node"]:
-        """Pre-order traversal over expression children (not subqueries)."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
-
-    def children(self) -> tuple["Node", ...]:
-        return ()
+    Generic traversal goes through the dataclass fields
+    (:func:`repro.sql.parameters.walk_statement`).
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +77,6 @@ class BinaryOp(Node):
     left: Node
     right: Node
 
-    def children(self):
-        return (self.left, self.right)
-
 
 @dataclass(frozen=True)
 class UnaryOp(Node):
@@ -93,9 +85,6 @@ class UnaryOp(Node):
     op: str  # "-" | "not"
     operand: Node
 
-    def children(self):
-        return (self.operand,)
-
 
 @dataclass(frozen=True)
 class BoolOp(Node):
@@ -103,9 +92,6 @@ class BoolOp(Node):
 
     op: str  # "and" | "or"
     items: tuple[Node, ...]
-
-    def children(self):
-        return self.items
 
 
 @dataclass(frozen=True)
@@ -116,9 +102,6 @@ class LikeOp(Node):
     pattern: str
     negated: bool = False
 
-    def children(self):
-        return (self.operand,)
-
 
 @dataclass(frozen=True)
 class IsNullOp(Node):
@@ -126,9 +109,6 @@ class IsNullOp(Node):
 
     operand: Node
     negated: bool = False
-
-    def children(self):
-        return (self.operand,)
 
 
 @dataclass(frozen=True)
@@ -138,9 +118,6 @@ class InListOp(Node):
     operand: Node
     items: tuple[Node, ...]
     negated: bool = False
-
-    def children(self):
-        return (self.operand,) + self.items
 
 
 @dataclass(frozen=True)
@@ -152,9 +129,6 @@ class BetweenOp(Node):
     high: Node
     negated: bool = False
 
-    def children(self):
-        return (self.operand, self.low, self.high)
-
 
 @dataclass(frozen=True)
 class CaseExpr(Node):
@@ -162,14 +136,6 @@ class CaseExpr(Node):
 
     branches: tuple[tuple[Node, Node], ...]
     default: Optional[Node] = None
-
-    def children(self):
-        flat: list[Node] = []
-        for cond, value in self.branches:
-            flat.extend((cond, value))
-        if self.default is not None:
-            flat.append(self.default)
-        return tuple(flat)
 
 
 @dataclass(frozen=True)
@@ -185,9 +151,6 @@ class FuncCall(Node):
     name: str
     args: tuple[Node, ...]
     distinct: bool = False
-
-    def children(self):
-        return tuple(arg for arg in self.args if not isinstance(arg, Star))
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +181,6 @@ class InSubqueryOp(Node):
     query: "SelectStmt"
     negated: bool = False
 
-    def children(self):
-        return (self.operand,)
-
 
 @dataclass(frozen=True)
 class QuantifiedOp(Node):
@@ -230,9 +190,6 @@ class QuantifiedOp(Node):
     op: str
     quantifier: str  # "any" | "all"
     query: "SelectStmt"
-
-    def children(self):
-        return (self.operand,)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +221,6 @@ class SelectItem(Node):
     expr: Node
     alias: Optional[str] = None
 
-    def children(self):
-        return (self.expr,)
-
 
 @dataclass(frozen=True)
 class OrderItem(Node):
@@ -274,9 +228,6 @@ class OrderItem(Node):
 
     expr: Node
     ascending: bool = True
-
-    def children(self):
-        return (self.expr,)
 
 
 @dataclass(frozen=True)
@@ -299,25 +250,6 @@ class SelectStmt(Node):
     limit: Optional[int] = None
     distinct: bool = False
     ctes: tuple[tuple[str, "SelectStmt"], ...] = ()
-
-    def subqueries(self) -> Iterator["SelectStmt"]:
-        """Directly nested query blocks (WHERE and HAVING and select list)."""
-        roots = [item.expr for item in self.items]
-        if self.where is not None:
-            roots.append(self.where)
-        if self.having is not None:
-            roots.append(self.having)
-        for root in roots:
-            for node in _walk_with_subqueries(root):
-                if isinstance(node, (Subquery, ExistsOp, InSubqueryOp, QuantifiedOp)):
-                    yield node.query
-
-
-def _walk_with_subqueries(node: Node) -> Iterator[Node]:
-    """Walk an expression tree, not descending *into* nested blocks."""
-    yield node
-    for child in node.children():
-        yield from _walk_with_subqueries(child)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ reinterpretations of NULL comparisons are the caller's job, per Libkin's
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -37,14 +36,14 @@ def format_key(key: object) -> str:
 def walk_statement(node: object) -> Iterator[ast.Node]:
     """Deep pre-order walk over *every* AST node of a statement.
 
-    Unlike :meth:`ast.Node.walk`, this descends into nested query blocks
-    (subqueries, EXISTS/IN/quantified operands, derived tables, CTEs,
-    set operations) and DML value lists, so no placeholder is missed.
+    It descends into nested query blocks (subqueries, EXISTS/IN/quantified
+    operands, derived tables, CTEs, set operations) and DML value lists,
+    so no placeholder is missed.
     """
     if isinstance(node, ast.Node):
         yield node
-        for field in dataclasses.fields(node):  # all AST nodes are dataclasses
-            yield from walk_statement(getattr(node, field.name))
+        for name in node.__dataclass_fields__:  # all AST nodes are dataclasses
+            yield from walk_statement(getattr(node, name))
     elif isinstance(node, (tuple, list)):
         for item in node:
             yield from walk_statement(item)

@@ -92,10 +92,6 @@ class Schema:
     # -- basic accessors -------------------------------------------------
 
     @property
-    def columns(self) -> tuple[Column, ...]:
-        return self._columns
-
-    @property
     def names(self) -> tuple[str, ...]:
         return tuple(col.name for col in self._columns)
 

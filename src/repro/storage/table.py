@@ -75,9 +75,6 @@ class Table:
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
 
-    def __bool__(self) -> bool:
-        return bool(self.rows)
-
     def append(self, row: Sequence) -> None:
         row = tuple(row)
         if len(row) != len(self.schema):
@@ -112,13 +109,6 @@ class Table:
             self.batch_cache = None if batch is None else (self.version, batch)
 
     # -- bag/set comparisons --------------------------------------------------
-
-    def as_bag(self) -> Counter:
-        """Multiset view of the rows (order-insensitive comparison)."""
-        return Counter(self.rows)
-
-    def as_set(self) -> frozenset:
-        return frozenset(self.rows)
 
     def bag_equals(self, other: "Table | Iterable[Row]") -> bool:
         other_rows = other.rows if isinstance(other, Table) else list(other)

@@ -647,7 +647,13 @@ class DurabilityManager:
 
     def _write_fresh_wal(self, base_lsn: int) -> None:
         """Replace the log with an empty one whose records start past
-        ``base_lsn`` (checkpoint truncation, first open)."""
+        ``base_lsn`` (checkpoint truncation, first open).
+
+        Until the rename the old handle stays the append handle, so a
+        failure up to there leaves the manager appending to the old log.
+        After it that handle points at an unlinked file: failing to open
+        the fresh log loses the append handle, and the manager latches.
+        """
         tmp = self.wal_path + ".tmp"
         with open(tmp, "wb") as handle:
             handle.write(WAL_MAGIC)
@@ -655,7 +661,14 @@ class DurabilityManager:
             _fsync_file(handle)
         os.replace(tmp, self.wal_path)
         _fsync_dir(self.config.data_dir)
-        self._file = open(self.wal_path, "r+b")
+        old = self._file
+        try:
+            self._file = open(self.wal_path, "r+b")
+        except OSError as error:
+            self._latch(f"could not reopen the log after replacing it: {error}")
+            raise
+        if old is not None:
+            old.close()
         self._file.seek(0, os.SEEK_END)
         self._wal_bytes = self._file.tell()
 
@@ -764,7 +777,8 @@ class DurabilityManager:
         fsynced, renamed into place, and only then is the log replaced
         by a fresh one based at the snapshot LSN.  A crash between any
         two steps recovers cleanly — the LSN filter skips log records a
-        snapshot already covers.
+        snapshot already covers — and so does a failure: the old log
+        keeps taking appends until the fresh one is in place.
         """
         with self._lock:
             self._ensure_usable()
@@ -775,7 +789,6 @@ class DurabilityManager:
             self.flush()  # every logged record must be on disk before dropped
             write_snapshot(snapshot_path(self.config.data_dir, lsn), lsn, state)
             crash_point("storage.checkpoint.truncate.before")
-            self._file.close()
             self._write_fresh_wal(lsn)
             self._last_checkpoint_lsn = lsn
             self._records_since_checkpoint = 0
@@ -802,10 +815,6 @@ class DurabilityManager:
     @property
     def last_lsn(self) -> int:
         return self._last_lsn
-
-    @property
-    def last_checkpoint_lsn(self) -> int:
-        return self._last_checkpoint_lsn
 
     @property
     def wal_bytes(self) -> int:

@@ -82,6 +82,15 @@ class TestRun:
         )
         assert code == 0
 
+    def test_explain_access_reports_the_index_path_and_its_counters(self):
+        code, text = run_cli(
+            ["run", "--dataset", "rst:0.2", "--index", "s_b2:s:B2", "--explain-access",
+             "SELECT COUNT(*) FROM s WHERE B2 = 7"]
+        )
+        assert code == 0
+        assert "-- access paths:\n  IndexScan(s as q1 via s_b2:hash | q1.B2 = 7)\n" in text
+        assert "-- access counters: index_scans=1 index_nl_probes=0" in text
+
     def test_missing_source_errors(self):
         code, _ = run_cli(["run", "SELECT 1 FROM t"])
         assert code == 1
@@ -100,6 +109,11 @@ class TestExplainClassify:
         )
         assert code == 0
         assert "BypassSelect" in text
+
+    def test_explain_access_without_an_index_says_full_scans(self, csv_dir):
+        code, text = run_cli(["explain", "--csv", csv_dir, "--explain-access", "SELECT * FROM r"])
+        assert code == 0
+        assert text.endswith("-- access paths:\n  (no index access paths; full scans only)\n")
 
     def test_classify(self, csv_dir):
         sql = ("SELECT * FROM r WHERE A1 = "

@@ -12,6 +12,26 @@ def scan(names):
     return L.Scan("t", Schema(names))
 
 
+def _one_of_each():
+    """One instance of every concrete expression class."""
+    a, b, plan = E.col("a"), E.col("b"), scan(["c"])
+    return [
+        E.lit(1), a, E.Parameter("x"), E.Comparison("<", a, b), E.And((a, b)), E.Or((a, b, a)),
+        E.Not(a), E.Arithmetic("*", a, b), E.Negate(a), E.Like(a, "%x", True), E.IsNull(a, True),
+        E.InList(a, (E.lit(1), E.lit(2)), True), E.Case(((a, E.lit(1)), (b, E.lit(2))), E.lit(0)),
+        E.FunctionCall("mod", (a, b)), E.ScalarSubquery(plan), E.Exists(plan, True),
+        E.InSubquery(a, plan, True), E.QuantifiedComparison(a, ">=", "all", plan),
+        E.AggCombine("sum", (a, b)),
+    ]
+
+
+def _concrete_expressions(base=E.Expr):
+    for cls in base.__subclasses__():
+        if cls is not E.SubqueryExpr:
+            yield cls
+        yield from _concrete_expressions(cls)
+
+
 class TestConstruction:
     def test_comparison_validates_op(self):
         with pytest.raises(ValueError):
@@ -126,6 +146,22 @@ class TestAnalysis:
         expr = E.Case(((E.col("c"), E.lit(1)),), E.lit(0))
         rebuilt = expr.replace_children(list(expr.children()))
         assert rebuilt == expr
+
+    def test_every_expression_rebuilds_over_new_children(self):
+        """Each child becomes a column named after its rendering, so the
+        rebuilt node renders exactly as the original did."""
+        samples = _one_of_each()
+        assert {type(expr) for expr in samples} == set(_concrete_expressions())
+        for expr in samples:
+            fresh = [E.ColumnRef(child.sql()) for child in expr.children()]
+            rebuilt = expr.replace_children(fresh)
+            assert type(rebuilt) is type(expr)
+            assert rebuilt.children() == tuple(fresh)
+            assert rebuilt.sql() == expr.sql()
+
+    def test_replace_children_rejects_the_wrong_number_of_children(self):
+        with pytest.raises(ValueError):
+            E.eq("a", "b").replace_children([E.col("a")])
 
     def test_in_list_children(self):
         expr = E.InList(E.col("a"), (E.lit(1), E.lit(2)))

@@ -171,9 +171,17 @@ def _one_of_each():
 
 def _concrete_operators(base=L.Operator):
     for cls in base.__subclasses__():
-        if cls not in (L.UnaryOperator, L.BinaryOperator, L._SetOperator):
+        if cls not in (L.UnaryOperator, L.BinaryOperator, L._Aggregation, L._SetOperator):
             yield cls
         yield from _concrete_operators(cls)
+
+
+def _same_schema(child, number):
+    """A new input with ``child``'s schema (a bypass node for a tap)."""
+    fresh = L.Scan(f"fresh{number}", child.schema)
+    if isinstance(child, (L.BypassSelect, L.BypassJoin)):
+        return L.BypassSelect(fresh, E.TRUE)
+    return fresh
 
 
 class TestPlanPrimitives:
@@ -182,15 +190,38 @@ class TestPlanPrimitives:
         samples = _one_of_each()
         assert {type(node) for node in samples} == set(_concrete_operators())
         for node in samples:
-            if "exprs" in vars(type(node)):
-                assert "with_exprs" in vars(type(node)), type(node).__name__
-            rebuilt = node.with_exprs(node.exprs())
+            swapped = tuple(E.ColumnRef(expression.sql()) for expression in node.exprs())
+            rebuilt = node.with_exprs(swapped)
             assert type(rebuilt) is type(node)
+            assert rebuilt.exprs() == swapped
             assert explain(rebuilt, show_schema=True) == explain(node, show_schema=True)
+
+    def test_every_operator_rebuilds_over_new_children_of_the_same_schema(self):
+        for node in _one_of_each():
+            fresh = [_same_schema(child, number) for number, child in enumerate(node.children())]
+            rebuilt = node.replace_children(fresh)
+            assert type(rebuilt) is type(node)
+            assert rebuilt.label() == node.label() and rebuilt.schema == node.schema
+            assert rebuilt.exprs() == node.exprs()
+            if isinstance(node, L.StreamTap):
+                (bypass,) = fresh
+                assert rebuilt is (bypass.positive if node.positive_stream else bypass.negative)
+            else:
+                assert rebuilt.children() == tuple(fresh)
+
+    def test_index_nl_join_degrades_when_its_probe_side_is_no_scan(self):
+        (node,) = [node for node in _one_of_each() if isinstance(node, L.IndexNLJoin)]
+        filtered = L.Select(scan_s(), E.TRUE)
+        rebuilt = node.replace_children([node.left, filtered])
+        assert type(rebuilt) is L.Join and rebuilt.predicate is node.predicate
 
     def test_with_exprs_rejects_a_subscript_on_an_operator_without_one(self):
         with pytest.raises(ValueError):
             scan_r().with_exprs([E.TRUE])
+
+    def test_replace_children_rejects_the_wrong_number_of_inputs(self):
+        with pytest.raises(ValueError):
+            L.Join(scan_r(), scan_s(), E.TRUE).replace_children([scan_r()])
 
     def test_identity_maps_return_self(self):
         for node in _one_of_each():

@@ -142,12 +142,16 @@ class TestSubqueries:
         inner = stmt.where.right.query
         assert isinstance(inner.where.right, ast.Subquery)
 
-    def test_subqueries_iterator(self):
+    def test_two_subqueries_under_a_disjunction(self):
         stmt = parse(
             "SELECT * FROM r WHERE a = (SELECT COUNT(*) FROM s) "
             "OR EXISTS (SELECT * FROM t)"
         )
-        assert len(list(stmt.subqueries())) == 2
+        linking, exists = stmt.where.items
+        assert stmt.where.op == "or"
+        assert [table.table for table in linking.right.query.tables] == ["s"]
+        assert isinstance(exists, ast.ExistsOp) and not exists.negated
+        assert [table.table for table in exists.query.tables] == ["t"]
 
 
 class TestAggregateCalls:

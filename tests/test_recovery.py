@@ -126,6 +126,42 @@ def test_automatic_checkpoint_fires_on_record_threshold(data_dir):
     recovered.close()
 
 
+def test_failed_auto_checkpoint_keeps_appending_to_the_old_log(data_dir, monkeypatch):
+    """A checkpoint whose fresh log cannot be renamed into place (ENOSPC,
+    EIO) costs compaction only: every later write is acknowledged, the
+    next checkpoint succeeds once the disk recovers, and a reopen replays
+    everything."""
+    import errno
+    import os
+
+    real_replace = os.replace
+    disk = {"full": True}
+
+    def replace(source, target, *args, **kwargs):
+        if disk["full"] and os.path.basename(target) == "wal.log":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_replace(source, target, *args, **kwargs)
+
+    db = open_db(data_dir, checkpoint_every_records=3)
+    db.create_table("t", ["x"])
+    monkeypatch.setattr(os, "replace", replace)
+    for value in range(6):
+        db.execute(f"INSERT INTO t VALUES ({value})")
+    info = db.durability_info()
+    assert info["checkpoint_failures"] >= 2 and info["checkpoints"] == 0
+    assert info["failed"] is None
+    disk["full"] = False
+    db.execute("INSERT INTO t VALUES (6)")
+    assert db.durability_info()["checkpoints"] == 1
+    db.execute("INSERT INTO t VALUES (7)")
+    db.close()
+
+    recovered = open_db(data_dir)
+    assert rows(recovered, "SELECT * FROM t") == [(value,) for value in range(8)]
+    assert recovered.durability_info()["recovery"]["records_replayed"] == 1
+    recovered.close()
+
+
 def test_in_memory_database_reports_disabled(data_dir):
     db = Database()
     assert db.durability_info() == {"enabled": False}

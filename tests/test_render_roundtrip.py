@@ -24,6 +24,7 @@ HAND_QUERIES = [
     "SELECT CASE WHEN a = 1 THEN 'one' ELSE 'other' END AS label FROM t",
     "SELECT a + b * c - 2 FROM t WHERE -a < 3",
     "SELECT t.* FROM t",
+    "SELECT a FROM t WHERE NOT EXISTS (SELECT b FROM u WHERE b = a) OR EXISTS (SELECT c FROM v)",
 ]
 
 

@@ -429,6 +429,30 @@ def test_unrollbackable_sync_failure_latches_the_manager(tmp_path, monkeypatch):
     fresh.close()
 
 
+def test_losing_the_append_handle_after_the_log_rename_latches(tmp_path, monkeypatch):
+    m = manager(tmp_path)
+    m.log("dml", {"sql": "covered"})
+
+    def broken_reopen(path, mode="r", *args, **kwargs):
+        if mode == "r+b":
+            raise OSError(5, "Input/output error")
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(wal, "open", broken_reopen, raising=False)
+    with pytest.raises(OSError):
+        m.checkpoint({})
+    monkeypatch.undo()
+    # The old handle now names an unlinked file: appending there would
+    # acknowledge records no recovery reads, so the manager refuses.
+    with pytest.raises(DurabilityError, match="latched"):
+        m.log("dml", {"sql": "refused"})
+    m.close()
+    fresh = DurabilityManager(DurabilityConfig(data_dir=str(tmp_path), sync="none"))
+    result = fresh.start()
+    assert result.snapshot_lsn == 1 and result.records == []
+    fresh.close()
+
+
 def test_checkpoint_fault_keeps_log_intact(tmp_path):
     from repro.errors import InjectedFault
 

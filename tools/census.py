@@ -16,10 +16,16 @@ Some children leave through ``os._exit`` (crash points, killed servers),
 so the hook writes what it has seen every quarter second, not only at
 exit; a child that dies sooner than that is not counted.
 
+With ``--e2e`` it also runs ``pytest benchmarks/e2e`` and the
+end-to-end benchmark's smoke run over every workload, each in its own
+interpreter; the benchmark's server child replaces ``PYTHONPATH``, so only
+the user-site hook counts it.
+
 Advisory: it prints its list and exits 0 whatever the runs did.  Stdlib
 only; from the repository root::
 
     python tools/census.py                                # tier-1 + 20 sim seeds
+    python tools/census.py --e2e                          # ... + the e2e smoke
     python tools/census.py --sim-seeds 0 -- tests/test_cli.py -k csv  # a slice
 """
 
@@ -29,6 +35,7 @@ import argparse
 import ast
 import os
 import pathlib
+import subprocess
 import sys
 import sysconfig
 import tempfile
@@ -100,9 +107,10 @@ def defined_functions(path: pathlib.Path):
     return out
 
 
-def run_everything(pytest_args: list[str], sim_seeds: int) -> set:
-    """``(real path, first line)`` of every function tier-1 and the
-    simulator entered: in this process, and in children through the hook."""
+def run_everything(pytest_args: list[str], sim_seeds: int, e2e: bool) -> set:
+    """``(real path, first line)`` of every function tier-1, the simulator
+    and (``e2e``) the end-to-end smoke entered: in this process, and in
+    children through the hook."""
     seen: set = set()
 
     def profile(frame, event, arg):
@@ -138,6 +146,12 @@ def run_everything(pytest_args: list[str], sim_seeds: int) -> set:
                 from repro.cli import main
 
                 main(["sim", "--seeds", str(sim_seeds)])
+            if e2e:
+                for command in (
+                    ["-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks/e2e"],
+                    ["-m", "benchmarks.e2e", "--smoke"],  # every workload
+                ):
+                    subprocess.run([sys.executable, *command], cwd=ROOT)
         finally:
             sys.setprofile(None)
             threading.setprofile(None)
@@ -182,9 +196,13 @@ def report(reached: set) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sim-seeds", type=int, default=20, help="repro sim --seeds N (0: skip)")
+    parser.add_argument(
+        "--e2e", action="store_true",
+        help="also run pytest benchmarks/e2e and python -m benchmarks.e2e --smoke",
+    )
     parser.add_argument("pytest_args", nargs="*", help="passed to pytest (default: tier-1)")
     args = parser.parse_args(argv)
-    report(run_everything(args.pytest_args, args.sim_seeds))
+    report(run_everything(args.pytest_args, args.sim_seeds, args.e2e))
     return 0
 
 
