@@ -146,12 +146,7 @@ class Database:
         # they never take ``_commit_lock``.  See repro.storage.mvcc and
         # docs/mvcc.md.
         self._snapshots = SnapshotManager()
-        self._views: dict[str, object] = {}
-        self._plan_cache = PlanCache(plan_cache_capacity)
-        # View DDL changes what a cached plan means without touching any
-        # table version, so the epoch participates in every cache key;
-        # bumping it orphans old entries, which then age out of the LRU.
-        self._views_epoch = 0
+        self._plan_cache = PlanCache(self.catalog, plan_cache_capacity)
         # Self-healing counters (see execute): how often a retryable
         # runtime failure degraded an execution to the canonical row
         # plan, and what the last degradation looked like.
@@ -161,10 +156,6 @@ class Database:
         # Cumulative access-path counters (see ExecContext.access),
         # surfaced through access_info() and the service /metrics body.
         self._access_totals = dict.fromkeys(ACCESS_COUNTERS, 0)
-        # Durability (None = pure in-memory).  The original SQL of each
-        # view is kept alongside the parsed form so snapshots can store
-        # a replayable definition.
-        self._view_sql: dict[str, str] = {}
         # Serializes every mutation's apply+log critical section: the
         # query server admits concurrent execute() calls, and the WAL
         # must record mutations in the order they hit the catalog (and
@@ -210,8 +201,8 @@ class Database:
 
         Recovery runs before the constructor returns: the newest valid
         ``snapshot.<lsn>`` is loaded, the WAL tail is replayed through
-        the ordinary execution paths (so index and view epochs advance
-        exactly as they did live), and torn trailing records are
+        the ordinary execution paths (so every catalog change happens
+        exactly as it did live), and torn trailing records are
         detected by checksum and dropped.
         """
         return cls(plan_cache_capacity, data_dir=data_dir, durability=durability)
@@ -258,7 +249,7 @@ class Database:
         ]
         return {
             "tables": tables,
-            "views": [[name, sql] for name, sql in self._view_sql.items()],
+            "views": [[name, sql] for name, sql in self.catalog.view_definitions()],
             "indexes": indexes,
             "era": self._era,
             "era_lsn": self._era_lsn,
@@ -570,21 +561,16 @@ class Database:
         """Drop a table (and, implicitly, its indexes)."""
         with self._commit_lock:
             self.catalog.drop(name)
-            self._plan_cache.invalidate_table(name)
             self._log_durable("drop_table", {"name": name.lower()})
             self._snapshots.note_drop(name)
 
     def analyze(self, name: str | None = None) -> None:
         """Refresh optimizer statistics after bulk loads.
 
-        Cached plans depending on the re-analyzed table(s) are evicted so
-        the next execution re-costs against the fresh statistics.
+        Renews the table(s)' catalog stamps, so cached plans reading them
+        are re-costed against the fresh statistics on their next use.
         """
         self.catalog.analyze(name)
-        if name is None:
-            self._plan_cache.clear()
-        else:
-            self._plan_cache.invalidate_table(name)
 
     def table(self, name: str) -> Table:
         return self.catalog.table(name)
@@ -603,31 +589,21 @@ class Database:
 
         key = name.lower()
         with self._commit_lock:
-            if key in self.catalog or key in self._views:
+            views = self.catalog.views
+            if key in self.catalog or key in views:
                 raise CatalogError(f"name {name!r} is already in use")
             statement = parse_sql(sql)
-            trial = dict(self._views)
-            trial[key] = statement
-            translate_sql(statement, self.catalog, trial)  # validate eagerly
-            self._views[key] = statement
-            self._view_sql[key] = sql
-            self._views_epoch += 1
+            translate_sql(statement, self.catalog, {**views, key: statement})  # validate eagerly
+            self.catalog.create_view(key, sql, statement)
             self._log_durable("create_view", {"name": key, "sql": sql})
 
     def drop_view(self, name: str) -> None:
-        from repro.errors import CatalogError
-
-        key = name.lower()
         with self._commit_lock:
-            if key not in self._views:
-                raise CatalogError(f"unknown view {name!r}")
-            del self._views[key]
-            self._view_sql.pop(key, None)
-            self._views_epoch += 1
-            self._log_durable("drop_view", {"name": key})
+            self.catalog.drop_view(name)
+            self._log_durable("drop_view", {"name": name.lower()})
 
     def view_names(self) -> list[str]:
-        return sorted(self._views)
+        return sorted(self.catalog.views)
 
     # -- indexes ----------------------------------------------------------------
 
@@ -637,7 +613,6 @@ class Database:
         """Create a secondary index (``hash`` or ``sorted``) on a column."""
         with self._commit_lock:
             self.catalog.create_index(name, table, column, kind)
-            self._plan_cache.invalidate_table(table)
             self._log_durable(
                 "create_index",
                 {
@@ -650,8 +625,7 @@ class Database:
 
     def drop_index(self, name: str) -> None:
         with self._commit_lock:
-            index = self.catalog.drop_index(name)
-            self._plan_cache.invalidate_table(index.table_name)
+            self.catalog.drop_index(name)
             self._log_durable("drop_index", {"name": name.lower()})
 
     def index_names(self) -> list[str]:
@@ -728,10 +702,9 @@ class Database:
         # any read, but on the live catalog under the commit lock: a writer
         # sees its own state, so there is no pin.
         base = self._armed_options(options or EvalOptions())
-        # No eager plan-cache invalidation here: plans stay *correct*
-        # across DML (indexes refresh lazily, batch caches key on the
-        # table version); the cache's own drift threshold re-costs
-        # plans once the table's cardinality moves far enough.
+        # Plans stay *correct* across DML (indexes refresh lazily, batch
+        # caches key on the table version); the plan cache re-costs them
+        # once a table's cardinality drifts far enough.
         with self._commit_lock:
             key = statement.table.lower()
             # Capture the pre-statement state: a reader resolving the
@@ -741,7 +714,7 @@ class Database:
                 self._snapshots.begin(key, self.catalog.table(key))
             try:
                 result = execute_dml(
-                    statement, self.catalog, self._views,
+                    statement, self.catalog,
                     lambda plan_for: self._run_healed(plan_for, strategy, base, self.catalog)[0],
                 )
                 # The statement commits (is acknowledged) only once its
@@ -779,14 +752,13 @@ class Database:
         quarantine = None
         if unnest_options is None:  # what was cached is what can be poisoned
             quarantine = functools.partial(
-                self._plan_cache.quarantine,
-                sql, strategy, extra_token=self._epoch_token(), statement=statement,
+                self._plan_cache.quarantine, sql, strategy, statement=statement
             )
         handle = self._snapshots.pin() if at_lsn is None else None
         lsn = at_lsn if handle is None else handle.lsn
         try:
             return self._run_healed(
-                lambda chosen, engine: self.plan(sql, chosen, unnest_options, engine, statement),
+                lambda chosen: self.plan(sql, chosen, unnest_options, statement),
                 strategy, base, SnapshotCatalog(self.catalog, self._snapshots, lsn),
                 params, quarantine,
             )
@@ -799,14 +771,14 @@ class Database:
     ) -> tuple[Table, object, PlannedQuery]:
         """Plan, run, heal, count — the one place a plan is executed.
 
-        ``plan_for(strategy, engine)`` plans: a read's comes from the plan
-        cache, a DML statement's embedded read from :mod:`repro.dml`.  A
+        ``plan_for(strategy)`` plans: a read's comes from the plan cache, a
+        DML statement's embedded read from :mod:`repro.dml`.  A
         retryable failure re-runs once on the canonical row-engine plan.
         Returns the result, the execution context, and the plan that
         produced it (the canonical fallback when the execution healed).
         """
         engine = "vectorized" if base.vectorized else "row"
-        planned = plan_for(strategy, engine)
+        planned = plan_for(strategy)
         try:
             result, ctx = planned.execute(catalog, base, with_context=True, params=params)
         except ReproError as error:
@@ -834,7 +806,7 @@ class Database:
             # The healing path must not be re-injected, and runs on
             # the row engine.  A failure of the fallback itself
             # propagates — there is nothing simpler left.
-            planned = plan_for("canonical", "row")
+            planned = plan_for("canonical")
             result, ctx = planned.execute(
                 catalog,
                 _dc_replace(base, vectorized=False, faults=None),
@@ -923,43 +895,23 @@ class Database:
         """Plan-cache counters (hits/misses/invalidations/evictions)."""
         return self._plan_cache.info()
 
-    def _epoch_token(self) -> tuple:
-        """Cache-key component covering every DDL kind.
-
-        View DDL and index DDL both change what a cached plan means
-        without touching any table version, so both epochs participate
-        in the plan-cache key.
-        """
-        return (self._views_epoch, self.catalog.index_epoch)
-
     def plan(
         self,
         sql: str,
         strategy: str = "auto",
         unnest_options: UnnestOptions | None = None,
-        engine: str = "row",
         statement=None,
     ) -> PlannedQuery:
         """Plan without executing — the one planning step of every reader.
 
         With default ``unnest_options`` the plan comes from (and warms)
-        the plan cache, under ``engine``'s key; custom options are not
-        part of that key and always plan from scratch.  ``statement``
-        passes an already-parsed tree.
+        the plan cache, whichever engine runs it; custom options are not
+        part of the cache key and always plan from scratch.
+        ``statement`` passes an already-parsed tree.
         """
         if unnest_options is not None:
-            return plan_query(
-                sql, self.catalog, strategy, unnest_options, self._views, statement
-            )
-        return self._plan_cache.get_or_plan(
-            sql,
-            self.catalog,
-            strategy,
-            engine=engine,
-            views=self._views,
-            extra_token=self._epoch_token(),
-            statement=statement,
-        )
+            return plan_query(sql, self.catalog, strategy, unnest_options, statement)
+        return self._plan_cache.get_or_plan(sql, strategy, statement)
 
     def explain(
         self,

@@ -69,20 +69,20 @@ class DmlResult:
         return Table(Schema(["rows_affected"]), [(self.rows_affected,)])
 
 
-def execute_dml(stmt, catalog: Catalog, views=None, run=None) -> DmlResult:
+def execute_dml(stmt, catalog: Catalog, run=None) -> DmlResult:
     """Execute a parsed DML statement.
 
     ``run(plan_for)`` executes the statement's embedded read and returns
-    its result table; ``plan_for(strategy, engine)`` plans it.  The
-    default plans ``auto`` and runs bare on the row engine.
+    its result table; ``plan_for(strategy)`` plans it.  Without one the
+    read is planned ``auto`` and runs bare on the row engine.
     """
-    run = run or (lambda plan_for: plan_for("auto", "row").execute(catalog))
+    run = run or (lambda plan_for: plan_for("auto").execute(catalog))
     if isinstance(stmt, ast.InsertStmt):
-        result = _execute_insert(stmt, catalog, views, run)
+        result = _execute_insert(stmt, catalog, run)
     elif isinstance(stmt, ast.DeleteStmt):
-        result = _execute_delete(stmt, catalog, views, run)
+        result = _execute_delete(stmt, catalog, run)
     elif isinstance(stmt, ast.UpdateStmt):
-        result = _execute_update(stmt, catalog, views, run)
+        result = _execute_update(stmt, catalog, run)
     else:
         raise TranslationError(f"not a DML statement: {type(stmt).__name__}")
     # Crash boundary for the recovery tests: the mutation is applied in
@@ -97,16 +97,12 @@ def execute_dml(stmt, catalog: Catalog, views=None, run=None) -> DmlResult:
 # ---------------------------------------------------------------------------
 
 
-def _execute_insert(stmt: ast.InsertStmt, catalog: Catalog, views, run) -> DmlResult:
+def _execute_insert(stmt: ast.InsertStmt, catalog: Catalog, run) -> DmlResult:
     table = catalog.table(stmt.table)
     positions = _column_positions(table, stmt.columns, "INSERT column list")
 
     if stmt.query is not None:
-        result = run(
-            lambda strategy, _engine: plan_query(
-                "", catalog, strategy, views=views, statement=stmt.query
-            )
-        ).rows
+        result = run(lambda strategy: plan_query("", catalog, strategy, statement=stmt.query)).rows
         if result and len(result[0]) != len(positions):
             raise TranslationError(
                 f"INSERT expects {len(positions)} columns, query returns {len(result[0])}"
@@ -183,14 +179,14 @@ def _constant_value(expr_node: ast.Node):
 # ---------------------------------------------------------------------------
 
 
-def _positive_stream(stmt, assignments, catalog: Catalog, views, run):
+def _positive_stream(stmt, assignments, catalog: Catalog, run):
     """``σ_where(ν(stmt.table))``, planned like a query and run once.
 
     Returns ``(positions, values)``: the positions (ascending) of the
     rows ``stmt.where`` is TRUE for and, per such row, the values of the
     ``assignments`` expressions (AST nodes) against the old row.
     """
-    translator = _Translator(catalog, views)
+    translator = _Translator(catalog)
     table = catalog.table(stmt.table)
     scope = _Scope(None)
     qualifier = translator.table_counter.next("q")
@@ -203,7 +199,7 @@ def _positive_stream(stmt, assignments, catalog: Catalog, views, run):
     for index, value_node in enumerate(assignments):
         plan = L.Map(plan, f"dml.new{index}", translator.translate_expr(value_node, scope))
     translation = TranslationResult(plan, tuple(plan.schema.names))
-    hit = run(lambda strategy, _engine: plan_translation(translation, catalog, strategy)).rows
+    hit = run(lambda strategy: plan_translation(translation, catalog, strategy)).rows
     # ν numbers from 1, in scan order; an unnested plan returns its rows
     # stream by stream, and the splices below want ascending positions.
     arity = len(table.schema)
@@ -224,12 +220,12 @@ def _swap_rows(catalog: Catalog, name: str, rows: list, added, removed, derive_b
     table.carry_batch(base_version, derive_batch)
 
 
-def _execute_delete(stmt: ast.DeleteStmt, catalog: Catalog, views, run) -> DmlResult:
+def _execute_delete(stmt: ast.DeleteStmt, catalog: Catalog, run) -> DmlResult:
     old = catalog.table(stmt.table).rows
     if stmt.where is None:  # nothing is read, so nothing to plan or govern
         positions = range(len(old))
     else:
-        positions, _ = _positive_stream(stmt, (), catalog, views, run)
+        positions, _ = _positive_stream(stmt, (), catalog, run)
     kept: list = []
     begin = 0
     for position in positions:
@@ -241,13 +237,13 @@ def _execute_delete(stmt: ast.DeleteStmt, catalog: Catalog, views, run) -> DmlRe
     return DmlResult("delete", stmt.table, len(removed))
 
 
-def _execute_update(stmt: ast.UpdateStmt, catalog: Catalog, views, run) -> DmlResult:
+def _execute_update(stmt: ast.UpdateStmt, catalog: Catalog, run) -> DmlResult:
     table = catalog.table(stmt.table)
     names, value_nodes = zip(*stmt.assignments)
     columns = _column_positions(table, names, "UPDATE SET list")
     # All assignment values come from the *old* row (SQL semantics:
     # SET a = b, b = a swaps).
-    positions, values = _positive_stream(stmt, value_nodes, catalog, views, run)
+    positions, values = _positive_stream(stmt, value_nodes, catalog, run)
     rows = list(table.rows)
     removed, added = [], []
     for position, new_values in zip(positions, values):

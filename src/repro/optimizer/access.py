@@ -13,8 +13,8 @@ plans nested inside subquery expressions — and rewrites
   column requirements collected from enclosing Project/GroupBy nodes
   narrow the scan's output schema;
 * ``Join(left, Scan)`` into :class:`~repro.algebra.ops.IndexNLJoin`
-  when the right table has a hash index on an equi-join key and probing
-  per left row is estimated cheaper than building a fresh hash table.
+  when the right table has a hash index on an equi-join key and the
+  cost model prices probing per left row below the hash join.
 
 The pass is **identity-preserving by construction**: when no referenced
 table carries an index the input plan object is returned unchanged, so
@@ -27,8 +27,7 @@ from __future__ import annotations
 from repro.algebra import expr as E
 from repro.algebra import ops as L
 from repro.algebra.aggregates import STAR
-from repro.optimizer.cardinality import CardinalityModel
-from repro.optimizer.cost import C_HASH_BUILD, C_HASH_PROBE, C_PRED
+from repro.optimizer.cost import CostModel
 from repro.storage.catalog import Catalog
 
 #: Comparison operators an index can serve, by index kind.
@@ -52,9 +51,7 @@ def choose_access_paths(plan: L.Operator, catalog: Catalog) -> L.Operator:
     """
     if not _plan_touches_indexes(plan, catalog):
         return plan
-    cards = CardinalityModel(catalog)
-    cards._harvest_stats(plan)
-    return _Rewriter(catalog, cards).rewrite(plan)
+    return _Rewriter(catalog).rewrite(plan)
 
 
 def _plan_touches_indexes(plan: L.Operator, catalog: Catalog) -> bool:
@@ -67,9 +64,8 @@ def _plan_touches_indexes(plan: L.Operator, catalog: Catalog) -> bool:
 class _Rewriter:
     """One rewrite walk; memoised so DAG sharing (bypass taps) survives."""
 
-    def __init__(self, catalog: Catalog, cards: CardinalityModel):
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.cards = cards
         self._memo: dict[tuple[int, frozenset[str] | None], L.Operator] = {}
 
     # -- driver ------------------------------------------------------------
@@ -262,13 +258,11 @@ class _Rewriter:
                 index = hash_columns.get(base_names[right.schema.position(right_key)])
                 if index is None:
                     continue
-                if not self._probe_beats_hash_join(original, right, right_key):
-                    return None
                 residual_list = [c for i, c in enumerate(conjunct_list) if i != position]
                 residual = E.conjunction(residual_list) if residual_list else None
                 if residual == E.TRUE:
                     residual = None
-                return L.IndexNLJoin(
+                probe = L.IndexNLJoin(
                     left,
                     right,
                     predicate,
@@ -278,15 +272,10 @@ class _Rewriter:
                     right_key,
                     residual,
                 )
+                # Priced against the join it replaces, over the same left
+                # input; one model each, as a model charges a shared node once.
+                hash_join = L.Join(left, right, predicate)
+                if CostModel(self.catalog).cost(probe) >= CostModel(self.catalog).cost(hash_join):
+                    return None
+                return probe
         return None
-
-    def _probe_beats_hash_join(
-        self, original: L.Join, right: L.Scan, right_key: str
-    ) -> bool:
-        left_rows = max(self.cards._card(original.left), 1.0)
-        right_rows = max(self.cards._card(right), 1.0)
-        distinct = self.cards.distinct_of(right_key) or 10.0
-        matches_per_probe = max(right_rows / distinct, 1.0)
-        hash_join = right_rows * C_PRED + C_HASH_BUILD * right_rows + C_HASH_PROBE * left_rows
-        index_probe = left_rows * (C_HASH_PROBE + C_PRED * matches_per_probe)
-        return index_probe < hash_join

@@ -131,17 +131,17 @@ def plan_query(
     catalog: Catalog,
     strategy: str | Strategy = "auto",
     unnest_options: UnnestOptions | None = None,
-    views: dict | None = None,
     statement=None,
 ) -> PlannedQuery:
     """Parse, translate, optimise and (per strategy) unnest ``sql``.
 
     ``statement`` may carry an already-parsed AST (the plan cache parses
-    once to normalise its key and reuses the tree here).
+    once to normalise its key and reuses the tree here).  Views are the
+    catalog's.
     """
     if statement is None:
         statement = parse(sql)
-    translation = translate(statement, catalog, views)
+    translation = translate(statement, catalog)
     return plan_translation(
         translation, catalog, strategy, unnest_options, sql, ParamSpec.of(statement)
     )

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.errors import InjectedFault, ReproError
 from repro.faults import injector_from_env
@@ -112,6 +113,27 @@ class NodeView:
             broken=body.get("broken"),
             raw=body,
         )
+
+
+def reigning_leader(
+    views: Iterable[NodeView | None], known_era: int = 0
+) -> tuple[int, NodeView | None]:
+    """The newest fencing era known anywhere, and the leader reigning at it.
+
+    The one election rule, for the coordinator and the routing client
+    alike.  Eras never move backwards — ``known_era`` is the caller's own
+    belief — and a *fenced* era counts too: a node fenced at era N proves
+    era N exists even if its primary is not reachable.  The leader is the
+    lowest-URL unfenced primary at exactly that era (deterministic, so
+    every coordinator demotes the same loser of a same-era promotion
+    race), or None when no unfenced primary reigns at it.
+    """
+    seen = [view for view in views if view is not None]
+    era = max([known_era, *(max(view.era, view.fenced_era) for view in seen)])
+    reigning = [
+        view for view in seen if view.role == "primary" and not view.fenced and view.era == era
+    ]
+    return era, min(reigning, key=lambda view: view.url, default=None)
 
 
 class ClusterCoordinator:
@@ -215,26 +237,13 @@ class ClusterCoordinator:
         return views
 
     def _adopt(self, views: dict[str, NodeView | None]) -> None:
-        """Learn the cluster's newest era and its reigning leader.
-
-        Eras never move backwards, and a *fenced* era counts too: a node
-        fenced at era N proves era N exists even if its primary is not
-        reachable this round.  This is what makes a restarted
+        """Learn the cluster's newest era and its reigning leader
+        (:func:`reigning_leader`).  This is what makes a restarted
         coordinator (or one whose promote RPC response was lost after
         the promote itself landed) converge instead of re-promoting at a
         stale era.
         """
-        for view in views.values():
-            if view is None:
-                continue
-            self.era = max(self.era, view.era, view.fenced_era)
-        # The reigning leader: an unfenced primary at the newest era.
-        best = None
-        for view in views.values():
-            if view is None or view.fenced or view.role != "primary":
-                continue
-            if view.era == self.era and (best is None or view.url < best.url):
-                best = view
+        self.era, best = reigning_leader(views.values(), self.era)
         if best is not None and best.url != self.leader_url:
             self.leader_url = best.url
             self._misses = 0
@@ -306,8 +315,8 @@ class ClusterCoordinator:
         The primary check is ``era <= self.era``, not ``<``: two nodes
         promoted to the *same* era (a concurrent-promotion race between
         two coordinators, or an operator's ``repro promote`` racing this
-        one) must converge too.  The leader rule in :meth:`_adopt` is
-        deterministic — lowest URL among unfenced primaries at the
+        one) must converge too.  The leader rule (:func:`reigning_leader`)
+        is deterministic — lowest URL among unfenced primaries at the
         newest era — so every coordinator demotes the same loser, and
         the server accepts a same-era demotion as the race's tie-break.
         """

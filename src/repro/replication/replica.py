@@ -74,14 +74,6 @@ class ReplicaConfig:
     #: How long an injected ``replication.stream.apply`` fault stalls
     #: the follower (it then proceeds — a slow follower, not a dead one).
     stall_seconds: float = 0.05
-    #: Fetch-error backoff: start, and cap.
-    retry_backoff: float = 0.05
-    retry_backoff_max: float = 2.0
-    #: Relative jitter applied to each backoff sleep (±50% by default),
-    #: so a fleet of replicas does not reconnect in lockstep when the
-    #: primary restarts.  The *doubling* stays deterministic; only the
-    #: sleep is randomized.  0 disables.
-    retry_jitter: float = 0.5
 
 
 class ReplicationFollower:
@@ -369,31 +361,23 @@ class ReplicationFollower:
         with self._cond:
             self._cond.notify_all()
 
-    def _backoff_delay(self, backoff: float) -> float:
-        """One jittered sleep for the current backoff step.
-
-        The exponential *schedule* (0.05, 0.1, 0.2, …) stays exactly
-        deterministic; only each sleep is smeared by ±``retry_jitter``
-        so a fleet of replicas does not hammer a restarting primary in
-        lockstep.  Seedable via the constructor's ``rng`` for tests.
-        """
-        jitter = self.config.retry_jitter
-        if jitter <= 0:
-            return backoff
-        return backoff * (1.0 + self._rng.uniform(-jitter, jitter))
-
     def run(self, stop_event: threading.Event | None = None) -> None:
         """Stream until closed (or ``stop_event`` is set).  Fetch errors
         back off and refetch (refetching from ``applied_lsn`` is always
         correct); a stale stream (``NOT_PRIMARY``) backs off too — the
         coordinator will repoint us at the new leader; apply drift
-        propagates after marking the follower broken."""
+        propagates after marking the follower broken.
+
+        The backoff is :class:`RetryPolicy`'s, jittered by the
+        constructor's ``rng`` so a fleet of replicas does not hammer a
+        restarting primary in lockstep."""
         stop = stop_event or self.closed
-        backoff = self.config.retry_backoff
+        policy = RetryPolicy()
+        failures = 0
         while not (self.closed.is_set() or stop.is_set()):
             try:
                 self.step()
-                backoff = self.config.retry_backoff
+                failures = 0
                 continue
             except NotPrimary:
                 # The node we are tailing is a deposed primary; nothing
@@ -405,8 +389,10 @@ class ReplicationFollower:
                 raise
             except ReproError:
                 self.counters["fetch_errors"] += 1
-            self._clock.wait(stop, self._backoff_delay(backoff))
-            backoff = min(backoff * 2, self.config.retry_backoff_max)
+            # Bounded: the delay sits at its cap long before, and the
+            # policy's power must stay finite.
+            failures = min(failures + 1, 32)
+            self._clock.wait(stop, policy.delay(failures, self._rng))
 
     def wait_for_lsn(self, lsn: int, timeout: float) -> int:
         """Block until ``applied_lsn >= lsn`` or ``timeout``; returns

@@ -19,8 +19,9 @@ own circuit breaker — into a topology-aware client:
 carries the newest fencing ``era`` this client has seen.  A write that
 answers ``NOT_PRIMARY`` — or cannot reach the primary at all — triggers
 leader re-discovery: adopt the leader the error names, or poll
-``/replication/topology`` on every known endpoint and adopt the unfenced
-primary with the newest ``(era, wal_lsn)``.  The write then retries
+``/replication/topology`` on every known endpoint and adopt the leader
+the failover coordinator would (:func:`~repro.replication.failover.
+reigning_leader`).  The write then retries
 against the new leader, bounded by the endpoint count.  On a leader
 change the causality token is clamped to the new leader's ``wal_lsn``:
 writes the deposed primary acknowledged but never replicated are lost by
@@ -45,6 +46,7 @@ from repro.errors import (
     ReproError,
     ServiceUnavailable,
 )
+from repro.replication.failover import NodeView, reigning_leader
 from repro.service.client import QueryResult, ServiceClient
 from repro.service.resilience import RetryPolicy
 from repro.sim.clock import SYSTEM_CLOCK, Clock
@@ -221,48 +223,45 @@ class ReplicaSetClient:
     def _rediscover(self) -> bool:
         """Poll every known endpoint's topology; adopt the current leader.
 
-        The leader is the unfenced ``role == "primary"`` node with the
-        newest ``(era, wal_lsn)``.  On a leader *change* the causality
-        token is clamped to the new leader's ``wal_lsn`` — see the
-        module docstring for why acked-but-unreplicated writes are lost.
-        Returns True when a leader was found.
+        The leader and the newest era are :func:`~repro.replication.
+        failover.reigning_leader`'s, over every answer and this client's
+        own era.  On a leader *change* the causality token is clamped to
+        the new leader's ``wal_lsn`` — see the module docstring for why
+        acked-but-unreplicated writes are lost.  Returns True when a
+        leader was found.
         """
         with self._lock:
             self.counters["topology_refreshes"] += 1
             clients = list(self._endpoints.values())
-        views: dict[str, dict] = {}
-        best = None
+            known_era = self.era
+        views: dict[str, NodeView] = {}
         for client in clients:
             try:
                 body = client.replication_topology()
             except ReproError:
                 continue
-            views[client.base_url] = body
-            if body.get("fenced") or body.get("role") != "primary":
-                continue
-            key = (int(body.get("era", 0)), int(body.get("wal_lsn", 0)))
-            if best is None or key > best[0]:
-                best = (key, client.base_url)
-        if best is None:
-            return False
-        (era, wal_lsn), url = best
-        changed = url != self.primary.base_url
-        self._adopt_leader(url)
+            views[client.base_url] = NodeView.from_topology(client.base_url, body)
+        era, leader = reigning_leader(views.values(), known_era)
         with self._lock:
             self.era = max(self.era, era)
-            if changed and self.last_commit_lsn > wal_lsn:
-                self.last_commit_lsn = wal_lsn
+        if leader is None:
+            return False
+        changed = leader.url != self.primary.base_url
+        self._adopt_leader(leader.url)
+        with self._lock:
+            # A primary's applied_lsn is its wal_lsn.
+            if changed and self.last_commit_lsn > leader.applied_lsn:
+                self.last_commit_lsn = leader.applied_lsn
             replicas = []
             applied = {}
             for client in clients:
                 view = views.get(client.base_url)
-                if view is None or client.base_url == url:
+                if view is None or view is leader:
                     continue
-                if view.get("role") == "replica" and not view.get("broken"):
+                if view.role == "replica" and not view.broken:
                     replicas.append(client)
                     applied[client.base_url] = max(
-                        self._applied.get(client.base_url, 0),
-                        int(view.get("applied_lsn", 0)),
+                        self._applied.get(client.base_url, 0), view.applied_lsn
                     )
             if replicas or changed:
                 self.replicas = replicas

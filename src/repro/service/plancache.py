@@ -1,44 +1,36 @@
-"""A normalized, bounded, invalidating plan cache.
+"""A normalized, bounded plan cache that re-plans exactly when it must.
 
 Every query pays parse → classify → unnest-rewrite → cost-based planning
 before its first row is produced; for the paper's query templates that
 derivation dwarfs execution at small-to-mid cardinalities.  The cache
 memoises :class:`~repro.optimizer.planner.PlannedQuery` objects keyed on
-the **canonicalized AST** — the parser already case-folds identifiers and
-discards whitespace/comments, so two spellings of one query share an
-entry, and a parameterized template (``A1 = ?``) shares one entry across
-all bindings — together with the strategy, the execution engine, and a
-caller-supplied token for anything else the plan depends on (views).
+the **canonicalized AST** (the parser case-folds identifiers and drops
+whitespace/comments; a ``?`` template is one entry for all bindings) and
+the strategy.  A plan does not depend on the engine: one entry serves both.
 
-Entries are LRU-evicted beyond ``capacity`` and invalidated lazily on
-lookup:
-
-* **DDL** — a dependency table was dropped or replaced (object identity
-  changed);
-* **statistics drift** — the table's :attr:`~repro.storage.table.Table.
-  version` moved *and* its row count drifted past the re-cost threshold
-  (``max(RECOST_MIN_ROWS, RECOST_FRACTION × planned-time rows)``), so a
-  plan picked when a table was tiny is re-costed after a bulk load while
-  single-row DML keeps the entry warm;
-* **explicit** — :meth:`PlanCache.invalidate_table` / :meth:`clear`
-  (wired to ``Database.analyze`` and view DDL).
-
-Hit/miss/invalidation/eviction counters are exposed via :meth:`info`;
-the server's ``/metrics`` republishes them.  All operations are
-thread-safe; a cached plan itself is immutable after planning and shared
-freely across threads.
+A cache serves one :class:`~repro.storage.catalog.Catalog`.  An entry is
+fresh (:meth:`PlanCache._fresh`, the one rule) while the catalog stamps
+it copied **before planning** — of every table the plan reads, and of
+the views — are current, and no table it reads drifted: once a table's
+``version`` moved, its row count must stay within ``max(RECOST_MIN_ROWS,
+RECOST_FRACTION × planned-time rows)``, so a bulk load re-costs a plan
+while single-row DML keeps it warm.  A lookup drops a stale entry
+(an invalidation); beyond ``capacity`` the least recently used one goes.
+:meth:`PlanCache.info` counts both; the server's ``/metrics``
+republishes it.  All operations are thread-safe; a cached plan is
+immutable and shared freely across threads.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.algebra import ops as L
 from repro.optimizer.planner import PlannedQuery, Strategy, plan_query
 from repro.sql.parser import parse
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import VIEWS, Catalog
 
 #: Absolute row-count drift below which a plan is never re-costed.
 RECOST_MIN_ROWS = 16
@@ -71,32 +63,16 @@ class CacheInfo:
         return self.hits / total if total else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "evictions": self.evictions,
-            "quarantined": self.quarantined,
-            "quarantined_keys": self.quarantined_keys,
-            "size": self.size,
-            "capacity": self.capacity,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-
-@dataclass
-class _Dependency:
-    """What an entry assumed about one base table at planning time."""
-
-    table_id: int
-    version: int
-    row_count: int
+        return {**asdict(self), "hit_rate": round(self.hit_rate, 4)}
 
 
 @dataclass
 class _Entry:
     planned: PlannedQuery
-    deps: dict[str, _Dependency]
+    #: The stamps copied before planning: each table read, and the views.
+    stamps: dict[str, int | None]
+    #: Each table read → (version, row count) after planning.
+    sizes: dict[str, tuple[int, int]]
 
 
 def plan_table_names(plan: L.Operator) -> set[str]:
@@ -107,11 +83,12 @@ def plan_table_names(plan: L.Operator) -> set[str]:
 
 
 class PlanCache:
-    """LRU cache of planned queries with lazy staleness validation."""
+    """LRU cache of one catalog's planned queries, validated on lookup."""
 
-    def __init__(self, capacity: int = 128):
+    def __init__(self, catalog: Catalog, capacity: int = 128):
         if capacity < 1:
             raise ValueError("plan cache capacity must be >= 1")
+        self.catalog = catalog
         self.capacity = capacity
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
         self._lock = threading.RLock()
@@ -120,21 +97,15 @@ class PlanCache:
         self._invalidations = 0
         self._evictions = 0
         self._quarantine_events = 0
-        #: Keys whose cached plans failed at runtime; blocked from
-        #: re-caching until DDL/analyze re-admits them (see quarantine).
-        self._quarantined: set[tuple] = set()
+        #: (key, engine) whose plan failed at runtime → the catalog's
+        #: stamps at the report.  Such a key is planned afresh and never
+        #: cached until one of those stamps changes (see quarantine).
+        self._quarantined: dict[tuple, dict[str, int]] = {}
 
     # -- the main entry point ----------------------------------------------
 
     def get_or_plan(
-        self,
-        sql: str,
-        catalog: Catalog,
-        strategy: "str | Strategy" = "auto",
-        engine: str = "row",
-        views: dict | None = None,
-        extra_token: object = None,
-        statement=None,
+        self, sql: str, strategy: "str | Strategy" = "auto", statement=None
     ) -> PlannedQuery:
         """Return a cached plan for ``sql`` or plan-and-insert it.
 
@@ -147,13 +118,13 @@ class PlanCache:
         """
         if statement is None:
             statement = parse(sql)
-        key = self._key(statement, strategy, engine, extra_token)
+        key = self._key(statement, strategy)
 
         with self._lock:
-            quarantined = key in self._quarantined
+            quarantined = self._quarantines(key)
             entry = self._entries.get(key)
             if entry is not None:
-                if self._fresh(entry, catalog):
+                if self._fresh(entry):
                     self._entries.move_to_end(key)
                     self._hits += 1
                     return entry.planned
@@ -162,15 +133,18 @@ class PlanCache:
             self._misses += 1
 
         # Plan outside the lock: planning is the expensive step, and two
-        # concurrent misses on one key are safe (last insert wins).
-        planned = plan_query(sql, catalog, strategy, None, views, statement=statement)
+        # concurrent misses on one key are safe (last insert wins).  The
+        # stamps are copied first, so a change that lands while planning
+        # runs leaves an entry that is already stale.
+        stamps = self.catalog.stamps()
+        planned = plan_query(sql, self.catalog, strategy, statement=statement)
         if quarantined:
             # A plan for this key failed at runtime; keep planning fresh
             # per execution but never re-publish it to other callers.
             return planned
-        entry = _Entry(planned, self._capture_deps(planned, catalog))
+        entry = self._entry(planned, stamps)
         with self._lock:
-            if key in self._quarantined:  # raced with a quarantine report
+            if self._quarantines(key):  # raced with a quarantine report
                 return planned
             self._entries[key] = entry
             self._entries.move_to_end(key)
@@ -180,69 +154,49 @@ class PlanCache:
         return planned
 
     @staticmethod
-    def _key(statement, strategy: "str | Strategy", engine: str, extra_token) -> tuple:
+    def _key(statement, strategy: "str | Strategy") -> tuple:
         strategy_name = strategy if isinstance(strategy, str) else strategy.name
-        return (statement, strategy_name.lower(), engine, extra_token)
+        return (statement, strategy_name.lower())
 
     # -- quarantine ---------------------------------------------------------
 
     def quarantine(
-        self,
-        sql: str,
-        strategy: "str | Strategy" = "auto",
-        engine: str = "row",
-        extra_token: object = None,
-        statement=None,
+        self, sql: str, strategy: "str | Strategy" = "auto", engine: str = "row", statement=None
     ) -> bool:
-        """Report that the cached plan for this key failed at runtime.
+        """Report that the cached plan for this key failed on ``engine``.
 
         The entry is evicted and the key is blocked from re-caching, so a
         poisoned plan cannot keep serving hits while the self-healing
-        layer degrades around it.  Quarantined keys are re-admitted by
-        DDL/analyze (:meth:`invalidate_table` / :meth:`clear`) — the
-        events that change what the plan would be.  Returns True if a
-        live entry was evicted.
+        layer degrades around it.  The report is lifted once any of the
+        catalog's stamps changes (DDL or ANALYZE) — the events that
+        change what the plan would be.  Returns True if a live entry was
+        evicted.
         """
         if statement is None:
             statement = parse(sql)
-        key = self._key(statement, strategy, engine, extra_token)
+        key = self._key(statement, strategy)
         with self._lock:
             evicted = self._entries.pop(key, None) is not None
-            self._quarantined.add(key)
+            self._quarantined[key, engine] = self.catalog.stamps()
             self._quarantine_events += 1
             return evicted
 
-    # -- invalidation -------------------------------------------------------
+    def _quarantines(self, key: tuple) -> bool:
+        """Whether ``key`` is quarantined on any engine (under the lock)."""
+        self._lift_quarantines()
+        return any(reported[0] == key for reported in self._quarantined)
 
-    def invalidate_table(self, name: str) -> int:
-        """Drop every entry depending on ``name``; returns the count.
-
-        Also re-admits all quarantined keys: invalidation means the
-        world the failing plan was built for no longer exists.
-        """
-        key_name = name.lower()
-        with self._lock:
-            stale = [
-                key
-                for key, entry in self._entries.items()
-                if key_name in entry.deps
-            ]
-            for key in stale:
-                del self._entries[key]
-            self._invalidations += len(stale)
-            self._quarantined.clear()
-            return len(stale)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._invalidations += len(self._entries)
-            self._entries.clear()
-            self._quarantined.clear()
+    def _lift_quarantines(self) -> None:
+        """Forget the reports the catalog has changed since (under the lock)."""
+        if self._quarantined:
+            stamps = self.catalog.stamps()
+            self._quarantined = {k: at for k, at in self._quarantined.items() if at == stamps}
 
     # -- introspection ------------------------------------------------------
 
     def info(self) -> CacheInfo:
         with self._lock:
+            self._lift_quarantines()
             return CacheInfo(
                 hits=self._hits,
                 misses=self._misses,
@@ -260,26 +214,25 @@ class PlanCache:
 
     # -- internals ----------------------------------------------------------
 
-    def _capture_deps(
-        self, planned: PlannedQuery, catalog: Catalog
-    ) -> dict[str, _Dependency]:
-        deps: dict[str, _Dependency] = {}
-        for name in plan_table_names(planned.logical):
-            if name in catalog:
-                table = catalog.table(name)
-                deps[name] = _Dependency(id(table), table.version, len(table))
-        return deps
+    def _entry(self, planned: PlannedQuery, stamps: dict[str, int]) -> _Entry:
+        names = plan_table_names(planned.logical)
+        tables = {name: self.catalog.table(name) for name in names if name in self.catalog}
+        return _Entry(
+            planned,
+            {name: stamps.get(name) for name in (*names, VIEWS)},
+            {name: (table.version, len(table)) for name, table in tables.items()},
+        )
 
-    def _fresh(self, entry: _Entry, catalog: Catalog) -> bool:
-        for name, dep in entry.deps.items():
-            if name not in catalog:
-                return False
+    def _fresh(self, entry: _Entry) -> bool:
+        """The one freshness rule: every stamp the entry copied is still
+        current, and no table it reads drifted past the re-cost threshold."""
+        catalog = self.catalog
+        for name, stamp in entry.stamps.items():
+            if stamp is None or catalog.stamp(name) != stamp:
+                return False  # dropped, replaced, ANALYZEd, indexed, or view DDL
+        for name, (version, rows) in entry.sizes.items():
             table = catalog.table(name)
-            if id(table) != dep.table_id:
-                return False  # DDL: dropped and re-created
-            if table.version != dep.version and self._drifted(
-                dep.row_count, len(table)
-            ):
+            if table.version != version and self._drifted(rows, len(table)):
                 return False
         return True
 

@@ -35,9 +35,8 @@ class PreparedStatement:
         # Parse once and keep the tree: every execution passes it to the
         # plan cache, making the hot path a pure hash lookup + bind.
         # Planning eagerly also surfaces bind/planning errors at prepare
-        # time and warms the cache for the first row-engine execution
-        # (a prepare cannot know the engine; a vectorized execution
-        # plans once more, under its own key).
+        # time and warms the cache entry every execution then hits, on
+        # either engine.
         self._statement = parse(sql)
         planned = database.plan(sql, strategy, statement=self._statement)
         # A function of the parsed tree alone, so it never goes stale.

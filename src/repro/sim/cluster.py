@@ -163,7 +163,6 @@ class SimCluster:
                 data_dir=node.data_dir,
                 poll_wait=0.0,
                 http_timeout=1.0,
-                retry_jitter=0.0,
             ),
             rng=random.Random(self.rng.randrange(2**63)),
             clock=node.clock,

@@ -56,8 +56,9 @@ def translate(
 ) -> TranslationResult:
     """Translate a parsed statement into its canonical algebraic form.
 
-    ``views`` maps view names to parsed definitions; a FROM-list
-    reference to a view inlines it like a derived table.
+    ``views`` maps view names to parsed definitions (default: the
+    catalog's); a FROM-list reference to a view inlines it like a
+    derived table.
     """
     translator = _Translator(catalog, views)
     plan, output_names = translator.translate_block(stmt, parent=None, top_level=True)
@@ -147,7 +148,9 @@ class _Scope:
 class _Translator:
     def __init__(self, catalog: Catalog, views: dict[str, ast.SelectStmt] | None = None):
         self.catalog = catalog
-        self.views = {name.lower(): stmt for name, stmt in (views or {}).items()}
+        if views is None:
+            views = catalog.views
+        self.views = {name.lower(): stmt for name, stmt in views.items()}
         self.table_counter = _Counter()
         self.block_counter = _Counter()
         self._view_stack: list[str] = []

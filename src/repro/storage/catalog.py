@@ -20,10 +20,17 @@ reports what the primary does.
 :meth:`Catalog.analyze` (re)build the multisets from the rows — the one
 full computation, :meth:`TableStats.compute` — and are what an
 out-of-protocol ``table.append`` needs before the planner sees it.
+
+The catalog also owns the views, and *stamps* every change a plan can
+depend on: a table's stamp is renewed when it is registered, replaced or
+ANALYZEd or gains or loses an index, the views' by view DDL — each after
+the change is visible, so stamps copied before a look are never newer
+than what it saw (:mod:`repro.service.plancache`).
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
@@ -32,6 +39,10 @@ from typing import Iterable, Iterator, Mapping
 from repro.errors import CatalogError
 from repro.storage.index import Index, make_index
 from repro.storage.table import Table
+
+#: The key :meth:`Catalog.stamps` files the views' stamp under: no table
+#: can be registered without a name.
+VIEWS = ""
 
 
 @dataclass
@@ -239,7 +250,7 @@ class TableStats:
 
 
 class Catalog:
-    """A named collection of tables.
+    """A named collection of tables, their indexes, and views.
 
     Table names are case-insensitive (folded to lower case), matching the
     SQL front-end's identifier folding.
@@ -249,11 +260,11 @@ class Catalog:
         self._tables: dict[str, Table] = {}
         self._stats: dict[str, TableStats] = {}
         self._indexes: dict[str, Index] = {}
-        # Bumped on every index DDL (create/drop, including the implicit
-        # drops when a table is replaced or dropped).  The plan cache keys
-        # on this so cached plans cannot outlive the access paths they
-        # were chosen against.
-        self._index_epoch = 0
+        #: View name → parsed definition, and → its SQL text.
+        self._views: dict[str, object] = {}
+        self._view_sql: dict[str, str] = {}
+        self._clock = itertools.count(1)  # a renewed stamp equals no earlier one
+        self._stamps: dict[str, int] = {VIEWS: next(self._clock)}
 
     def register(self, table: Table, name: str | None = None, analyze: bool = True) -> None:
         """Add ``table`` under ``name`` (default: the table's own name)."""
@@ -264,6 +275,7 @@ class Catalog:
             raise CatalogError(f"table {key!r} is already registered")
         self._tables[key] = table
         self._stats[key] = TableStats.compute(table) if analyze else TableStats(len(table))
+        self._renew(key)
 
     def replace(self, table: Table, name: str | None = None) -> None:
         """Register ``table``, overwriting any existing entry."""
@@ -280,6 +292,7 @@ class Catalog:
         self._purge_indexes(key)
         self._tables[key] = table
         self._stats[key] = stats
+        self._renew(key)
 
     def drop(self, name: str) -> None:
         key = name.lower()
@@ -288,6 +301,7 @@ class Catalog:
         del self._tables[key]
         del self._stats[key]
         self._purge_indexes(key)
+        del self._stamps[key]
 
     def table(self, name: str) -> Table:
         try:
@@ -308,6 +322,7 @@ class Catalog:
         names = [name.lower()] if name else list(self._tables)
         for key in names:
             self._stats[key] = TableStats.compute(self.table(key))
+            self._renew(key)
 
     def apply_delta(self, name: str, added: list, removed: list) -> None:
         """Move ``name``'s statistics by the rows a statement added and
@@ -326,11 +341,46 @@ class Catalog:
     def table_names(self) -> list[str]:
         return sorted(self._tables)
 
-    # -- secondary indexes -------------------------------------------------
+    # -- stamps ---------------------------------------------------------------
+
+    def stamp(self, name: str) -> int | None:
+        """The stamp of table ``name`` (None: none such), or the views' for :data:`VIEWS`."""
+        return self._stamps.get(name.lower())
+
+    def stamps(self) -> dict[str, int]:
+        """A copy of every stamp, the views' under :data:`VIEWS`."""
+        return dict(self._stamps)
+
+    def _renew(self, key: str) -> None:
+        self._stamps[key] = next(self._clock)
+
+    # -- views ------------------------------------------------------------------
 
     @property
-    def index_epoch(self) -> int:
-        return self._index_epoch
+    def views(self) -> Mapping[str, object]:
+        """View name → parsed definition: what a FROM-list reference inlines."""
+        return self._views
+
+    def create_view(self, name: str, sql: str, statement) -> None:
+        """Register ``statement``, parsed from ``sql``, as a checked view."""
+        key = name.lower()
+        self._views[key] = statement
+        self._view_sql[key] = sql
+        self._renew(VIEWS)
+
+    def drop_view(self, name: str) -> None:
+        key = name.lower()
+        if key not in self._views:
+            raise CatalogError(f"unknown view {name!r}")
+        del self._views[key]
+        del self._view_sql[key]
+        self._renew(VIEWS)
+
+    def view_definitions(self) -> list[tuple[str, str]]:
+        """``(name, sql)`` of every view, in creation order."""
+        return list(self._view_sql.items())
+
+    # -- secondary indexes -------------------------------------------------
 
     def create_index(
         self, name: str, table_name: str, column: str, kind: str = "hash"
@@ -357,7 +407,7 @@ class Catalog:
             )
         index = make_index(key, table, table_key, resolved, kind)
         self._indexes[key] = index
-        self._index_epoch += 1
+        self._renew(table_key)
         return index
 
     def drop_index(self, name: str) -> Index:
@@ -365,7 +415,7 @@ class Catalog:
         if key not in self._indexes:
             raise CatalogError(f"unknown index {name!r}")
         index = self._indexes.pop(key)
-        self._index_epoch += 1
+        self._renew(index.table_name)
         return index
 
     def index(self, name: str) -> Index:
@@ -397,5 +447,3 @@ class Catalog:
         stale = [key for key, index in self._indexes.items() if index.table_name == table_key]
         for key in stale:
             del self._indexes[key]
-        if stale:
-            self._index_epoch += 1

@@ -52,7 +52,10 @@ from repro.replication.replica import (
 from repro.replication.role import NodeRole
 from repro.replication.routing import ReplicaSetClient
 from repro.service.client import ServiceClient
+from repro.service.resilience import RetryPolicy
 from repro.service.server import QueryServer, QueryService, ServerConfig
+from repro.sim.clock import Clock
+from repro.sim.transport import Transport
 
 from .conftest import PAPER_SHAPED_WRITES
 
@@ -710,42 +713,106 @@ class TestReplicaSetWriteFailover:
         assert client.info()["lagging_redirects"] <= 2 * 3
 
 
-class TestFollowerBackoffJitter:
-    def test_jitter_stays_in_envelope_and_is_seeded(self, tmp_path):
-        config = ReplicaConfig(
-            primary_url="http://127.0.0.1:9",
-            data_dir=str(tmp_path / "j"),
-            retry_backoff=0.1,
-            retry_backoff_max=0.8,
-            retry_jitter=0.5,
-        )
-        schedule = [0.1, 0.2, 0.4, 0.8, 0.8]
-        a = ReplicationFollower(config, rng=random.Random(42))
-        b = ReplicationFollower(config, rng=random.Random(42))
-        c = ReplicationFollower(config, rng=random.Random(7))
-        delays_a = [a._backoff_delay(step) for step in schedule]
-        delays_b = [b._backoff_delay(step) for step in schedule]
-        delays_c = [c._backoff_delay(step) for step in schedule]
-        for step, delay in zip(schedule, delays_a):
-            assert step * 0.5 <= delay <= step * 1.5
-        assert delays_a == delays_b, "same seed must give the same delays"
-        assert delays_a != delays_c, "different seeds must diverge"
+class TopologyStub(Transport):
+    """Answers ``/replication/topology`` from fixed bodies; every other
+    node, and every other path, is unreachable."""
 
-    def test_zero_jitter_is_exact(self, tmp_path):
-        config = ReplicaConfig(
-            primary_url="http://127.0.0.1:9",
-            data_dir=str(tmp_path / "j"),
-            retry_jitter=0.0,
+    def __init__(self, bodies: dict[str, dict]):
+        self.bodies = bodies
+
+    def request(self, base_url, method, path, payload, timeout):
+        body = self.bodies.get(base_url.rstrip("/"))
+        if body is None or path != "/replication/topology":
+            raise ServiceUnavailable(f"{base_url}{path} unreachable")
+        return body
+
+
+def topology(era: int, wal_lsn: int, fenced_era: int = 0) -> dict:
+    return {
+        "role": "primary",
+        "era": era,
+        "fenced": bool(fenced_era),
+        "fenced_era": fenced_era,
+        "wal_lsn": wal_lsn,
+        "applied_lsn": wal_lsn,
+        "leader_url": None,
+    }
+
+
+class TestOneElectionRule:
+    """The routing client adopts the leader the coordinator would."""
+
+    NODES = ("http://a", "http://b", "http://down")
+
+    def elect(self, bodies: dict[str, dict]):
+        stub = TopologyStub(bodies)
+        coordinator = ClusterCoordinator(CoordinatorConfig(nodes=self.NODES), transport=stub)
+        coordinator.step()
+        client = ReplicaSetClient("http://down", ["http://a", "http://b"], transport=stub)
+        found = client._rediscover()
+        return coordinator, client, found
+
+    def test_same_era_race_goes_to_the_lowest_url(self):
+        # b is further ahead, but a wins the tie; the coordinator demotes b.
+        coordinator, client, found = self.elect(
+            {"http://a": topology(2, 10), "http://b": topology(2, 50)}
         )
-        follower = ReplicationFollower(config)
-        assert follower._backoff_delay(0.25) == 0.25
+        assert coordinator.leader_url == "http://a"
+        assert found and client.primary.base_url == "http://a"
+        assert client.era == coordinator.era == 2
+
+    def test_a_fenced_newer_era_deposes_the_older_primary(self):
+        coordinator, client, found = self.elect(
+            {"http://a": topology(2, 10), "http://b": topology(2, 12, fenced_era=3)}
+        )
+        assert coordinator.leader_url is None
+        assert not found and client.primary.base_url == "http://down"
+        assert client.era == coordinator.era == 3
+
+
+class TestFollowerBackoffJitter:
+    @staticmethod
+    def _sleeps(tmp_path, seed: int, count: int = 8) -> list[float]:
+        """The first ``count`` backoff sleeps of a follower whose fetches
+        all fail, under ``random.Random(seed)``."""
+        sleeps: list[float] = []
+        stop = threading.Event()
+
+        class Recording(Clock):
+            def wait(self, event, timeout):
+                sleeps.append(timeout)
+                if len(sleeps) == count:
+                    stop.set()
+                return stop.is_set()
+
+        config = ReplicaConfig(primary_url="http://127.0.0.1:9", data_dir=str(tmp_path / "j"))
+        follower = ReplicationFollower(config, rng=random.Random(seed), clock=Recording())
+
+        def fail(*args, **kwargs):
+            raise ServiceUnavailable("primary down")
+
+        follower.step = fail
+        follower.run(stop)
+        return sleeps
+
+    def test_jitter_stays_in_envelope_and_is_seeded(self, tmp_path):
+        policy = RetryPolicy()
+        delays_a = self._sleeps(tmp_path, 42)
+        for attempt, delay in enumerate(delays_a, start=1):
+            nominal = min(policy.max_delay, policy.base_delay * policy.multiplier ** (attempt - 1))
+            assert nominal * (1 - policy.jitter) <= delay <= nominal
+        assert delays_a == self._sleeps(tmp_path, 42), "same seed must give the same delays"
+        assert delays_a != self._sleeps(tmp_path, 7), "different seeds must diverge"
+
+    def test_a_long_outage_keeps_backing_off_at_the_cap(self, tmp_path):
+        # 2.0 ** 1024 overflows a float: the attempt count must not grow with the outage.
+        last = self._sleeps(tmp_path, 1, count=1100)[-1]
+        assert RetryPolicy().max_delay / 2 <= last <= RetryPolicy().max_delay
 
     def test_run_backs_off_on_fetch_errors(self, tmp_path):
         config = ReplicaConfig(
             primary_url="http://127.0.0.1:9",
             data_dir=str(tmp_path / "j"),
-            retry_backoff=0.01,
-            retry_backoff_max=0.02,
             http_timeout=0.5,
         )
         follower = ReplicationFollower(config, rng=random.Random(1))

@@ -260,12 +260,12 @@ class TestMaintenance:
     def test_replace_and_drop_table_purge_indexes(self):
         db = make_db()
         db.execute("CREATE INDEX idx_b2 ON s (B2)")
-        epoch = db.catalog.index_epoch
+        stamp = db.catalog.stamp("s")
         # Replacement has drop-and-create semantics: the index described
         # the old table object, so it goes with it.
         db.catalog.replace(Table(Schema(["B1", "B2"]), [(1, 2)], name="s"))
         assert db.indexes() == []
-        assert db.catalog.index_epoch > epoch
+        assert db.catalog.stamp("s") != stamp
 
     def test_dml_then_query_race(self):
         """Stale batch/plan caches must not serve index-backed plans."""
@@ -435,7 +435,7 @@ class TestExecution:
         baseline = db.execute(sql)
         assert db.access_info()["index_scans"] == 0
         db.execute("CREATE INDEX idx_b2 ON s (B2)")
-        indexed = db.execute(sql)  # same SQL, new epoch, new plan
+        indexed = db.execute(sql)  # same SQL, new stamp on s, new plan
         assert db.access_info()["index_scans"] == 1
         assert sorted(indexed.rows) == sorted(baseline.rows)
         db.execute("DROP INDEX idx_b2")

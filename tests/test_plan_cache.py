@@ -1,4 +1,4 @@
-"""The normalized plan cache: keys, LRU bounds, invalidation, parity."""
+"""The normalized plan cache: keys, LRU bounds, freshness, parity."""
 
 import pytest
 
@@ -23,6 +23,13 @@ def db():
         [(i, i % 5, i % 3, i * 90) for i in range(25)],
     )
     return database
+
+
+def replanned(db, sql: str) -> bool:
+    """Run ``sql``; whether the plan cache missed."""
+    before = db.cache_info().misses
+    db.execute(sql)
+    return db.cache_info().misses > before
 
 
 class TestKeying:
@@ -60,13 +67,14 @@ class TestKeying:
         db.execute(sql, strategy="unnested")
         assert db.cache_info().misses == before + 1
 
-    def test_engine_is_part_of_the_key(self, db):
+    def test_both_engines_share_one_entry(self, db):
         pytest.importorskip("numpy")
         sql = "SELECT A1 FROM r WHERE A4 > 100"
         db.execute(sql)
         before = db.cache_info().misses
         db.execute(sql, options=EvalOptions(vectorized=True))
-        assert db.cache_info().misses == before + 1
+        assert db.cache_info().misses == before
+        assert db.cache_info().size == 1
 
     def test_custom_unnest_options_bypass_the_cache(self, db):
         from repro.rewrite import UnnestOptions
@@ -90,18 +98,18 @@ class TestBounds:
     def test_least_recently_used_is_the_victim(self):
         catalog = Catalog()
         catalog.register(Table(Schema(["A1"]), [(1,)], name="r"))
-        cache = PlanCache(capacity=2)
-        cache.get_or_plan("SELECT A1 FROM r WHERE A1 > 0", catalog)
-        cache.get_or_plan("SELECT A1 FROM r WHERE A1 > 1", catalog)
-        cache.get_or_plan("SELECT A1 FROM r WHERE A1 > 0", catalog)  # touch
-        cache.get_or_plan("SELECT A1 FROM r WHERE A1 > 2", catalog)  # evicts >1
-        cache.get_or_plan("SELECT A1 FROM r WHERE A1 > 0", catalog)
+        cache = PlanCache(catalog, capacity=2)
+        cache.get_or_plan("SELECT A1 FROM r WHERE A1 > 0")
+        cache.get_or_plan("SELECT A1 FROM r WHERE A1 > 1")
+        cache.get_or_plan("SELECT A1 FROM r WHERE A1 > 0")  # touch
+        cache.get_or_plan("SELECT A1 FROM r WHERE A1 > 2")  # evicts >1
+        cache.get_or_plan("SELECT A1 FROM r WHERE A1 > 0")
         info = cache.info()
         assert info.hits == 2 and info.evictions == 1
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            PlanCache(capacity=0)
+            PlanCache(Catalog(), capacity=0)
 
 
 class TestInvalidation:
@@ -141,15 +149,17 @@ class TestInvalidation:
     def test_analyze_invalidates_dependents_only(self, db):
         db.execute("SELECT A1 FROM r WHERE A4 > 0")
         db.execute("SELECT B1 FROM s WHERE B4 > 0")
-        size_before = db.cache_info().size
         db.analyze("r")
-        assert db.cache_info().size == size_before - 1
+        assert replanned(db, "SELECT A1 FROM r WHERE A4 > 0")
+        assert not replanned(db, "SELECT B1 FROM s WHERE B4 > 0")
 
     def test_analyze_all_clears_everything(self, db):
         db.execute("SELECT A1 FROM r WHERE A4 > 0")
         db.execute("SELECT B1 FROM s WHERE B4 > 0")
         db.analyze()
-        assert db.cache_info().size == 0
+        assert replanned(db, "SELECT A1 FROM r WHERE A4 > 0")
+        assert replanned(db, "SELECT B1 FROM s WHERE B4 > 0")
+        assert db.cache_info().size == 2
 
     def test_table_replacement_is_detected(self, db):
         sql = "SELECT COUNT(*) FROM r"
@@ -163,7 +173,8 @@ class TestInvalidation:
         sql = """SELECT DISTINCT * FROM r
                  WHERE A1 = (SELECT COUNT(*) FROM s WHERE A2 = B2)"""
         db.execute(sql)
-        assert db._plan_cache.invalidate_table("s") == 1
+        db.analyze("s")
+        assert replanned(db, sql)
 
     def test_view_ddl_changes_the_cache_key(self, db):
         db.create_view("wide", "SELECT A1 FROM r WHERE A4 > 1000")
@@ -207,3 +218,88 @@ class TestCachedParity:
         assert_bag_equal(vec_cold, row_cold, f"{name} cold")
         assert_bag_equal(vec_warm, row_warm, f"{name} warm")
         assert_bag_equal(row_warm, row_cold, f"{name} row warm-vs-cold")
+
+
+T_SQL = "SELECT a FROM t WHERE b > 10"
+U_SQL = "SELECT c FROM u WHERE d > 10"
+T_ROWS = [(i, i * 2) for i in range(30)]
+
+
+def two_table_db() -> Database:
+    """``t`` and ``u``, an index on each and a view, so every kind of
+    change has something to act on."""
+    db = Database()
+    db.create_table("t", ["a", "b"], T_ROWS)
+    db.create_table("u", ["c", "d"], [(i, i * 3) for i in range(30)])
+    db.create_index("t_b", "t", "b", "sorted")
+    db.create_index("u_d", "u", "d", "sorted")
+    db.create_view("old", "SELECT a FROM t")
+    return db
+
+
+FRESHNESS = {
+    "create table w": (lambda db: db.create_table("w", ["x"], [(1,)]), set()),
+    "insert one row into t": (lambda db: db.execute("INSERT INTO t VALUES (99, 99)"), set()),
+    "drop and re-create t": (
+        lambda db: (db.drop_table("t"), db.create_table("t", ["a", "b"], T_ROWS)),
+        {"t"},
+    ),
+    "replace t": (
+        lambda db: db.catalog.replace(Table(Schema(["a", "b"]), T_ROWS, name="t")),
+        {"t"},
+    ),
+    "create index on t": (lambda db: db.execute("CREATE INDEX t_a ON t (a)"), {"t"}),
+    "drop index on t": (lambda db: db.execute("DROP INDEX t_b"), {"t"}),
+    "create index on u": (lambda db: db.execute("CREATE INDEX u_c ON u (c)"), {"u"}),
+    "drop index on u": (lambda db: db.execute("DROP INDEX u_d"), {"u"}),
+    "analyze t": (lambda db: db.analyze("t"), {"t"}),
+    "bulk insert into t": (
+        lambda db: db.execute("INSERT INTO t SELECT a + 1000, b FROM t"),
+        {"t"},
+    ),
+    "create view": (lambda db: db.create_view("new", "SELECT c FROM u"), {"t", "u"}),
+    "drop view": (lambda db: db.drop_view("old"), {"t", "u"}),
+    "analyze": (lambda db: db.analyze(), {"t", "u"}),
+}
+
+
+class TestFreshnessMatrix:
+    """Which change re-plans which cached statement: one rule, the
+    catalog stamps the entry copied plus the row-count drift."""
+
+    @pytest.mark.parametrize("change", FRESHNESS)
+    def test_change_replans_exactly_its_readers(self, change):
+        apply, expected = FRESHNESS[change]
+        db = two_table_db()
+        db.execute(T_SQL)
+        db.execute(U_SQL)
+        apply(db)
+        replans = {name for name, sql in (("t", T_SQL), ("u", U_SQL)) if replanned(db, sql)}
+        assert replans == expected
+        assert db.cache_info().size == 2  # one entry per (statement, strategy)
+
+    def test_analyze_racing_a_miss_leaves_the_entry_stale(self, monkeypatch):
+        import repro.service.plancache as plancache
+
+        db = two_table_db()
+        real = plancache.plan_query
+
+        def analyze_midway(*args, **kwargs):
+            db.analyze("t")  # lands after the miss copied the stamps
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(plancache, "plan_query", analyze_midway)
+        db.execute(T_SQL)
+        monkeypatch.setattr(plancache, "plan_query", real)
+        assert replanned(db, T_SQL)
+        assert not replanned(db, T_SQL)
+
+    def test_prepared_then_batch_engine_plans_once(self):
+        pytest.importorskip("numpy")
+        db = two_table_db()
+        statement = db.prepare("SELECT a FROM t WHERE b > ?")
+        assert db.cache_info().misses == 1
+        statement.execute([10], options=EvalOptions(vectorized=True))
+        statement.execute([10])
+        info = db.cache_info()
+        assert (info.misses, info.size) == (1, 1)

@@ -1,10 +1,10 @@
 """Plan-cache correctness under concurrency: queries raced against DDL.
 
-Regression coverage for the invalidation paths in
+Regression coverage for the freshness rule of
 :mod:`repro.service.plancache` when a cached plan's world changes while
-other threads are executing through the cache: table replacement (DDL
-identity), ``analyze`` invalidation, and quarantine reports all mutate
-shared cache state that the query threads read.  Every execution must
+other threads are executing through the cache: table replacement and
+``analyze`` renew catalog stamps the query threads read, and quarantine
+reports mutate shared cache state.  Every execution must
 either see the old table or the new one — never a crash, a poisoned
 entry, or a stale answer after the writer finishes.
 """
@@ -76,7 +76,7 @@ class TestDdlRaces:
                         [(i, i % 5, i % 3, i * 100) for i in range(51)],
                         name="r",
                     )
-                    db.catalog.replace(replacement)  # DDL: new identity
+                    db.catalog.replace(replacement)  # DDL: a new stamp
             except BaseException as error:  # noqa: BLE001
                 errors.append(error)
 
@@ -195,14 +195,14 @@ class TestQuarantineApi:
         db = make_db()
         db.execute(SQL)
         assert len(db._plan_cache) == 1
-        evicted = db._plan_cache.quarantine(SQL, "auto", "row", db._epoch_token())
+        evicted = db._plan_cache.quarantine(SQL, "auto", "row")
         assert evicted is True
         assert len(db._plan_cache) == 0
 
-    def test_clear_readmits(self):
+    def test_index_ddl_readmits(self):
         db = make_db()
         db._plan_cache.quarantine(SQL)
-        db._plan_cache.clear()
+        db.create_index("r_a4", "r", "A4", "sorted")
         assert db.cache_info().quarantined_keys == 0
 
 

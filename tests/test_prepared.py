@@ -237,12 +237,11 @@ class TestPreparedRunsTheOnePipeline:
         assert (info.misses, info.hits, info.size) == (1, executions, 1)
 
     @pytest.mark.parametrize("executions", [1, 4])
-    def test_vectorized_executions_use_the_vectorized_entry(self, db, executions):
+    def test_vectorized_executions_share_the_prepared_entry(self, db, executions):
         """The order the e2e benchmark runs: prepare, then N vectorized
-        executions.  The engine is part of the cache key and a prepare
-        cannot know it, so it files under ``row`` and the executions
-        share the entry ``execute(vectorized)`` uses: one more miss and
-        one more entry than the row order, once per statement."""
+        executions.  A plan does not depend on the engine, so the entry
+        the prepare planned serves them, and ``execute(vectorized)``
+        too: the same one miss and one entry as the row order."""
         pytest.importorskip("numpy")
         vectorized = EvalOptions(vectorized=True)
         statement = db.prepare(self.SQL)
@@ -250,4 +249,4 @@ class TestPreparedRunsTheOnePipeline:
             statement.execute([value], options=vectorized)
         db.execute(self.SQL, options=vectorized, params=[3])
         info = db.cache_info()
-        assert (info.misses, info.hits, info.size) == (2, executions, 2)
+        assert (info.misses, info.hits, info.size) == (1, executions + 1, 1)

@@ -212,7 +212,7 @@ def test_unreadable_log_fails_the_open_and_is_left_alone(data_dir, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Satellite 1: epochs after recovery behave exactly like the live path
+# Satellite 1: the plan cache after recovery behaves exactly like the live path
 # ---------------------------------------------------------------------------
 
 
@@ -239,7 +239,7 @@ def test_plan_cache_epochs_after_recovery(data_dir):
     recovered.create_view("v", "SELECT a, b FROM r WHERE b < 20")
     assert rows(recovered, "SELECT * FROM v") == [(1, 10)]
 
-    # An index change after recovery must also bump the cache epoch.
+    # An index change after recovery must also re-plan.
     before = recovered.cache_info().misses
     recovered.execute("SELECT * FROM r WHERE a = 2")
     recovered.create_index("idx_a", "r", "a", "hash")
