@@ -28,6 +28,9 @@ class CardinalityModel:
         #: time a formula asked: one model (one plan) sees one figure.
         self._sources: dict[str, tuple[TableStats, str]] = {}
         self._column_stats: dict[str, ColumnStats | None] = {}
+        #: id(node) -> (node, estimate): each node is estimated once per
+        #: harvest (a harvest can add the statistics an estimate reads).
+        self._cards: dict[int, tuple[L.Operator, float]] = {}
 
     # -- public API ------------------------------------------------------------
 
@@ -55,6 +58,7 @@ class CardinalityModel:
 
     def _harvest_stats(self, plan: L.Operator) -> None:
         """Map qualified scan attributes to base-column statistics."""
+        self._cards.clear()
         for node in plan.iter_dag(nested=True):
             if isinstance(node, L.Scan) and node.table_name in self.catalog:
                 table_stats = self.catalog.stats(node.table_name)
@@ -70,6 +74,12 @@ class CardinalityModel:
     # -- cardinalities ---------------------------------------------------------
 
     def _card(self, node: L.Operator) -> float:
+        entry = self._cards.get(id(node))
+        if entry is None:
+            entry = self._cards[id(node)] = (node, self._estimate(node))
+        return entry[1]
+
+    def _estimate(self, node: L.Operator) -> float:
         if isinstance(node, L.IndexScan):
             return self._index_scan_card(node)
         if isinstance(node, L.Scan):

@@ -1,6 +1,6 @@
 """A cost model over logical plans.
 
-Costs are abstract "tuple-touch" units.  The model knows three things the
+Costs are abstract "tuple-touch" units.  The model knows four things the
 paper's argument rests on:
 
 1. a selection whose predicate embeds a *correlated* subquery pays the
@@ -8,7 +8,10 @@ paper's argument rests on:
    an uncorrelated subquery is paid once;
 2. hash-based operators (join, grouping) are linear in their inputs;
 3. bypass streams are produced once even though two consumers read them
-   (the DAG is evaluated with memoisation).
+   (the DAG is evaluated with memoisation);
+4. every operator evaluation pays a fixed start-up, ``C_OP`` (binding,
+   ``PhysicalOperator.invoke``, per-batch setup), so a correlated
+   subquery's inner plan pays its operator count × ``C_OP`` per outer row.
 
 ``auto`` strategy = translate both alternatives, cost them, keep the
 cheaper; this is exactly the cost-based application of the equivalences
@@ -31,6 +34,11 @@ C_NL_PAIR = 0.6
 C_GROUP = 2.0
 C_SORT_FACTOR = 2.0
 C_MATERIALISE = 0.5
+# Per operator evaluation, in the same units: a least-squares fit of the
+# batch engine's times of both alternatives of every adhoc_cold text
+# (tools/plan_regret.py; five runs read 70-100, EXPERIMENTS.md "Operator
+# start-up").
+C_OP = 80.0
 
 
 class CostModel:
@@ -54,7 +62,7 @@ class CostModel:
         cached = self._memo.get(id(node))
         if cached is not None:
             return 0.0  # shared DAG node: already paid for
-        value = self._cost_uncached(node)
+        value = C_OP + self._cost_uncached(node)
         self._memo[id(node)] = value
         return value
 
@@ -76,10 +84,6 @@ class CostModel:
         why pushing a selective equality into the scan pays off."""
         matched = self._card(node)
         cost = C_HASH_PROBE + C_PRED * matched
-        if node.index_kind == "sorted":
-            # Zone-map probes touch whole candidate blocks, not just
-            # matching rows; approximate with a small per-probe overhead.
-            cost += C_PRED * matched
         if node.residual is not None:
             cost += self._predicate_cost(node.residual, matched)
         return cost

@@ -271,7 +271,8 @@ class ReplicationFollower:
         if self.broken is not None:
             raise ReplicationError(f"follower is broken: {self.broken}")
         db = self.bootstrap()
-        body = self.client.replication_wal(
+        client = self.client
+        body = client.replication_wal(
             from_lsn=db.wal_lsn,
             max_records=self.config.max_records,
             wait=self.config.poll_wait if wait is None else wait,
@@ -323,8 +324,9 @@ class ReplicationFollower:
             self.counters["torn_batches"] += 1
         if not records:
             return 0
-        if self.closed.is_set():
-            # Closed between fetch and apply (promotion in flight): the
+        if self.closed.is_set() or client is not self.client:
+            # Closed between fetch and apply (promotion in flight), or
+            # repointed away from the primary that answered (failover): the
             # batch must not land on what is about to be a new timeline.
             return 0
         self.counters["batches"] += 1

@@ -365,6 +365,36 @@ class TestFollowerEraChecks:
         assert follower.counters["stale_stream_rejected"] == 1
         follower.db.close()
 
+    def test_drops_a_batch_from_the_primary_it_was_repointed_away_from(self, primary, tmp_path):
+        server, db = primary
+        follower = make_follower(server.url, tmp_path)
+        drain(follower)
+        before = follower.applied_lsn
+        db.execute("INSERT INTO r VALUES (50, 0, 0, 0)")
+
+        class RepointedMidPoll:
+            """The old primary's long poll returns after a failover has
+            already repointed the follower."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+            def replication_wal(self, **kw):
+                body = self.inner.replication_wal(**kw)
+                follower.repoint(server.url)
+                return body
+
+        follower.client = RepointedMidPoll(follower.client)
+        assert follower.step(wait=0.0) == 0
+        assert follower.applied_lsn == before
+        assert follower.step(wait=0.0) == 1  # the new client's answer applies
+        assert follower.applied_lsn == db.wal_lsn
+        follower.close()
+        follower.db.close()
+
     def test_snapshot_from_lower_era_is_rejected(self, primary, tmp_path):
         server, _ = primary
         follower = make_follower(server.url, tmp_path)

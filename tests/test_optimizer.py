@@ -17,14 +17,16 @@ from repro.optimizer.rank_estimator import CatalogEstimator
 from repro.optimizer.simplify import simplify_plan
 from repro.rewrite import UnnestOptions, unnest
 from repro.optimizer.cardinality import CardinalityModel
+from repro.optimizer import cost as cost_module
 from repro.optimizer.cost import CostModel
 from repro.optimizer.joins import optimize_joins
 from repro.bench.queries import Q1, QUERY_2D, RST_QUERIES
-from repro.datagen import TpchConfig, tpch_catalog
+from repro.datagen import RstConfig, TpchConfig, rst_catalog, tpch_catalog
+from repro.datagen.queries import QueryGenConfig
 from repro.errors import PlanningError
 from repro.sql import parse, translate
 from repro.sql.parser import parse_any
-from tests.conftest import assert_bag_equal, make_rst_catalog
+from tests.conftest import assert_bag_equal, generated_texts, make_rst_catalog
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +157,20 @@ class TestCostModel:
         uncorr_cost = CostModel(rst).cost(translate(parse(sql_uncorr), rst).plan)
         assert corr_cost > uncorr_cost * 3
 
+    def test_operator_start_up_paid_per_evaluation(self, rst, monkeypatch):
+        # The outer operators start once; the correlated inner plan's
+        # operators start once per r row.
+        sql = "SELECT * FROM r WHERE A1 = (SELECT COUNT(*) FROM s WHERE A2 = B2)"
+        plan = translate(parse(sql), rst).plan
+        (inner,) = [sub for node in plan.iter_dag() for sub in node.subquery_plans()]
+
+        def cost_at(c_op):
+            monkeypatch.setattr(cost_module, "C_OP", c_op)
+            return CostModel(rst).cost(plan)
+
+        evaluations = len(list(plan.iter_dag())) + len(list(inner.iter_dag())) * len(rst.table("r"))
+        assert cost_at(1.0) - cost_at(0.0) == pytest.approx(evaluations)
+
     def test_shared_nodes_charged_once(self, rst):
         scan = L.Scan("r", rst.table("r").schema)
         bypass = L.BypassSelect(scan, E.Comparison(">", E.col("A4"), E.lit(1500)))
@@ -173,14 +189,17 @@ class TestPlanner:
         planned = plan_query("SELECT * FROM r WHERE A4 > 1500", rst, "auto")
         assert planned.chosen_alternative == "canonical"
 
-    # estimated_cost as PR 18 reported it (rst seed 5, TPC-H SF 0.002), when the
-    # winner was costed a third time: (canonical, unnested); auto picks unnested.
+    # estimated_cost (rst seed 5, TPC-H SF 0.002): (canonical, unnested); auto
+    # picks unnested.  Each is its value before operator start-up was priced
+    # plus C_OP × the plan's operator evaluations: Q1's canonical plan starts
+    # its four outer operators once and its four inner ones for each of r's
+    # 30 rows (124), its unnested plan 12 operators once.
     ESTIMATED_COSTS = {
-        "Q1": (999.7807183364839, 177.61474480151224),
-        "Q2": (1070.1860465116279, 188.19302325581396),
-        "Q3": (1749.3333333333333, 288.99999999999994),
-        "Q4": (19881.833333333336, 2012.5),
-        "2d": (11645.65303417078, 10187.085113442125),
+        "Q1": (10919.780718336486, 1137.6147448015122),
+        "Q2": (10990.186046511626, 1388.1930232558138),
+        "Q3": (21269.333333333332, 1649.0),
+        "Q4": (269801.8333333333, 3452.5),
+        "2d": (14381.65303417078, 12587.085113442125),
     }
 
     @pytest.mark.parametrize("name", list(ESTIMATED_COSTS))
@@ -192,6 +211,19 @@ class TestPlanner:
         auto = plan_query(sql, catalog, "auto")
         assert auto.chosen_alternative == "unnested"
         assert auto.estimated_cost == unnested
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_auto_unnests_theta_correlated_pool_texts(self, indexed):
+        # Canonical runs their inner plan once per r row: 3.4x slower than
+        # unnested on the batch engine (EXPERIMENTS.md, "Operator start-up").
+        catalog = rst_catalog(1, 1, 1, RstConfig(rows_per_sf=100))
+        if indexed:
+            catalog.create_index("s_b2", "s", "B2")
+        pool = generated_texts(QueryGenConfig(seed=2007, p_linear=0.0), 256)
+        texts = [sql for sql in pool if "A2 < B2" in sql or "A2 > B2" in sql]
+        assert len(texts) == 93
+        kept = [sql for sql in texts if plan_query(sql, catalog, "auto").chosen_alternative != "unnested"]
+        assert kept == []
 
     def test_auto_reports_the_cost_of_the_plan_it_kept(self, rst):
         for sql in (Q1, "SELECT * FROM r WHERE A4 > 1500"):

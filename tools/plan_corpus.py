@@ -23,20 +23,25 @@ STRATEGIES = ("canonical", "unnested", "auto", "s3")
 ADHOC_TEXTS = 256
 
 
-def corpus():
-    """``(label, database, sql)`` for every entry, in a fixed order."""
-    from repro import Database
-    from repro.bench.queries import QUERY_2D, RST_QUERIES
-    from repro.datagen import RstConfig, rst_catalog, tpch_catalog
+def pool_texts() -> list:
+    """``(label, sql)`` for the ``adhoc_cold`` pool, in the benchmark's
+    generation order (before its per-seed shuffle)."""
     from repro.datagen.queries import QueryGenConfig, QueryGenerator
 
     generator = QueryGenerator(QueryGenConfig(seed=2007, p_linear=0.0))
     texts: dict = {}
     while len(texts) < ADHOC_TEXTS:
         texts.setdefault(generator.query())
-    queries = list(RST_QUERIES.items()) + [
-        (f"adhoc{number:03d}", sql) for number, sql in enumerate(texts)
-    ]
+    return [(f"adhoc{number:03d}", sql) for number, sql in enumerate(texts)]
+
+
+def corpus():
+    """``(label, database, sql)`` for every entry, in a fixed order."""
+    from repro import Database
+    from repro.bench.queries import QUERY_2D, RST_QUERIES
+    from repro.datagen import RstConfig, rst_catalog, tpch_catalog
+
+    queries = list(RST_QUERIES.items()) + pool_texts()
     for indexed in (False, True):
         database = Database()
         catalog = rst_catalog(1, 1, 1, RstConfig(rows_per_sf=100))
