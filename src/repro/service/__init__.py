@@ -15,6 +15,8 @@ adds the serving machinery on top of the single-shot
 * :mod:`repro.service.server` — a concurrent JSON-over-HTTP SQL server
   (stdlib ``ThreadingHTTPServer``) with sessions, per-query timeouts,
   and admission control;
+* :mod:`repro.service.frame` — the typed binary columns a result takes
+  to a client that asks for them;
 * :mod:`repro.service.client` — a tiny stdlib client for that server,
   with retry/backoff and a circuit breaker;
 * :mod:`repro.service.resilience` — the retry policy and circuit

@@ -408,9 +408,10 @@ class ClientStatement:
 
 
 def _result(body: dict) -> QueryResult:
+    rows = body["rows"]  # a frame's rows are tuples already, JSON's are lists
     return QueryResult(
         columns=body["columns"],
-        rows=[tuple(row) for row in body["rows"]],
+        rows=list(rows) if rows and type(rows[0]) is tuple else [tuple(row) for row in rows],
         row_count=body["row_count"],
         truncated=body["truncated"],
         elapsed=body["elapsed"],

@@ -93,6 +93,7 @@ from repro.errors import (
 )
 from repro.faults import injector_from_env
 from repro.replication.role import NodeRole
+from repro.service import frame
 from repro.service.metrics import ServerMetrics
 from repro.sim.clock import SYSTEM_CLOCK
 from repro.sql import statement_kind
@@ -736,9 +737,13 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _respond(self, status: int, body: dict, close: bool = False) -> None:
-        data = json.dumps(body).encode("utf-8")
+        media = "application/json"
+        if status == 200 and self.path in ("/query", "/execute") and self._takes_frame():
+            media, data = frame.MEDIA_TYPE, frame.encode(body)
+        else:
+            data = json.dumps(body).encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", media)
         self.send_header("Content-Length", str(len(data)))
         if close or self.service.draining.is_set():
             # A pooling client must not come back on this connection (and
@@ -749,6 +754,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         head, self.wfile = self.wfile.getvalue(), wire
         wire.write(head + data)
+
+    def _takes_frame(self) -> bool:
+        """Whether ``Accept`` names the frame's media type (``*/*`` does not)."""
+        accept = self.headers.get("Accept", "").split(",")
+        return any(kind.split(";")[0].strip().lower() == frame.MEDIA_TYPE for kind in accept)
 
     def do_GET(self):  # noqa: N802 - stdlib naming
         status, body = self.service.handle("GET", self.path, {})

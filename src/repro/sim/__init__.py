@@ -7,9 +7,10 @@ The package has two layers:
   stack (service client, replication follower, failover coordinator,
   server session GC) is written against.  Production code uses the
   system implementations (``SYSTEM_CLOCK``, ``HttpTransport``); they are
-  re-exported here and import nothing outside the standard library and
-  :mod:`repro.errors`, so depending on them from the service layer does
-  not create an import cycle.
+  re-exported here and import nothing outside the standard library,
+  :mod:`repro.errors` and the stdlib-only :mod:`repro.service.frame`,
+  so depending on them from the service layer does not create an
+  import cycle.
 
 * **Harness** — :mod:`repro.sim.cluster`, :mod:`repro.sim.nemesis`,
   :mod:`repro.sim.history` and :mod:`repro.sim.runner` build a whole

@@ -28,6 +28,7 @@ import threading
 from urllib.parse import urlsplit
 
 from repro.errors import ServiceError, ServiceUnavailable
+from repro.service import frame
 from repro.sim.clock import VirtualClock
 
 
@@ -47,6 +48,11 @@ class Transport:
 
 class HttpTransport(Transport):
     """JSON-over-HTTP on persistent ``http.client`` connections.
+
+    Results of ``/query`` and ``/execute`` are asked for as typed binary
+    columns (:mod:`repro.service.frame`).  A 2xx body that does not
+    decode to an object — not JSON, a broken frame, a JSON array — is
+    ``ServiceUnavailable``, never rows, and closes the connection.
 
     One request owns a connection at a time; it goes back to the idle
     list once the body was read in full, unless the response said
@@ -78,7 +84,7 @@ class HttpTransport(Transport):
         url = urlsplit(base_url + path)
         host = (url.hostname, url.port)
         data = None
-        headers = {"Accept": "application/json"}
+        headers = {"Accept": f"{frame.MEDIA_TYPE}, application/json"}
         if method == "POST":
             data = json.dumps(payload or {}).encode("utf-8")
             headers["Content-Type"] = "application/json"
@@ -94,9 +100,12 @@ class HttpTransport(Transport):
             raise ServiceUnavailable(
                 f"server unreachable: {type(error).__name__}: {error}"
             ) from error
+        framed = response.getheader("Content-Type") == frame.MEDIA_TYPE
         try:
-            body = json.loads(raw)
+            body = frame.decode(raw) if framed else json.loads(raw)
         except ValueError:
+            body = None
+        if not isinstance(body, dict):
             body = None  # not from our server: do not keep its connection
         if body is None or response.will_close:
             connection.close()

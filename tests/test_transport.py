@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import ServiceError, ServiceUnavailable
+from repro.service import frame
 from repro.service.client import ServiceClient
-from repro.service.resilience import RetryPolicy
+from repro.service.resilience import CircuitBreaker, RetryPolicy
 from repro.sim.transport import HTTP_TRANSPORT, HttpTransport
 
 
@@ -30,6 +31,7 @@ class Reply:
     hang_up: bool = False  # answer as if keeping the connection, then close it
     drop: bool = False  # read the request, close without a word
     delay: float = 0.0
+    content_type: str | None = None
 
 
 class FakeServer:
@@ -92,6 +94,8 @@ class FakeServer:
                     return
                 payload = (body or b"{}") if reply.body is None else reply.body
                 head = f"HTTP/1.1 {reply.status} X\r\nContent-Length: {len(payload)}\r\n"
+                if reply.content_type:
+                    head += f"Content-Type: {reply.content_type}\r\n"
                 if reply.close_header:
                     head += "Connection: close\r\n"
                 connection.sendall(head.encode() + b"\r\n" + payload)
@@ -203,6 +207,47 @@ def test_a_2xx_body_that_is_not_json_is_a_transport_failure(fake):
     )
     assert client.healthz() == {}
     assert (server.accepted, server.requests) == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        Reply(body=b"[1, 2]"),
+        Reply(body=b'"rows"', content_type="application/json"),
+        # A frame whose header is an array: the decoder refuses it.
+        Reply(body=len(b"[1, 2]").to_bytes(4, "little") + b"[1, 2]", content_type=frame.MEDIA_TYPE),
+        # A well-formed frame of one int column, cut one byte short.
+        Reply(
+            body=frame.encode({"columns": ["a"], "rows": [(1,), (2,)]})[:-1],
+            content_type=frame.MEDIA_TYPE,
+        ),
+    ],
+    ids=["json-array", "json-string", "frame-array-header", "frame-truncated"],
+)
+def test_a_2xx_body_that_is_not_an_object_is_a_transport_failure(fake, reply):
+    server = fake(lambda n, path, body: reply)
+    transport = HttpTransport()
+    client = ServiceClient(
+        server.url,
+        retry_policy=RetryPolicy(max_attempts=1),
+        breaker=CircuitBreaker(failure_threshold=1),
+        transport=transport,
+    )
+    with pytest.raises(ServiceUnavailable, match="malformed response"):
+        client.query("SELECT 1")  # not a TypeError out of the client's result
+    assert client.breaker.state == "open"  # a failure, not a success
+    assert idle(transport) == []  # closed, not pooled
+
+
+def test_a_frame_body_is_decoded_and_the_connection_kept(fake):
+    body = {"columns": ["a", "b"], "rows": [(1, "x"), (2, None)], "row_count": 2,
+            "truncated": False, "elapsed": 0.001, "commit_lsn": 7}
+    server = fake(lambda n, path, _: Reply(body=frame.encode(body), content_type=frame.MEDIA_TYPE))
+    transport = HttpTransport()
+    client = ServiceClient(server.url, transport=transport)
+    result = client.query("SELECT 1")
+    assert (result.rows, result.commit_lsn) == ([(1, "x"), (2, None)], 7)
+    assert len(idle(transport)) == 1
 
 
 def test_an_unreachable_server_is_service_unavailable():

@@ -1,0 +1,116 @@
+"""What a result costs on the wire: JSON against typed binary columns.
+
+Serves RST at SF (1,1,1) × 10 000 rows per SF (the ``fig7_warm`` data)
+from a ``QueryServer`` in this process and prepares Q1 and Q3 (``auto``,
+batch engine).  Per query it prints, as the median of ``--runs`` timings
+taken in alternation on the same body:
+
+* ``encode``: the server's ``json.dumps`` against ``frame.encode``;
+* ``decode``: the client's ``json.loads`` + tupling against
+  ``frame.decode`` + tupling (``repro.service.client._result`` both);
+* ``http``: one ``/execute`` round trip on a kept connection, asking for
+  JSON (``Accept: application/json``) against asking for the frame;
+* the body's bytes each way,
+
+and then what encode + decode saved beside what the round trip saved.
+
+Both sides of ``http`` share one GIL with the server, so its difference
+is what one process sees.  From the repository root::
+
+    PYTHONPATH=src python tools/frame_timing.py            # ≈ 5 s
+    PYTHONPATH=src python tools/frame_timing.py --runs 61
+"""
+
+from __future__ import annotations
+
+import argparse
+import http.client
+import json
+import statistics
+import time
+
+from repro import Database
+from repro.bench.queries import Q1, Q3
+from repro.datagen import RstConfig, generate_rst
+from repro.service import frame
+from repro.service.client import _result
+from repro.service.server import QueryServer, ServerConfig
+
+
+def _alternating(thunks: dict, runs: int) -> dict:
+    """Median ms of each thunk, the thunks taking turns run by run."""
+    times: dict = {name: [] for name in thunks}
+    for _ in range(runs):
+        for name, thunk in thunks.items():
+            start = time.perf_counter()
+            thunk()
+            times[name].append(time.perf_counter() - start)
+    return {name: statistics.median(seconds) * 1e3 for name, seconds in times.items()}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--runs", type=int, default=31)
+    parser.add_argument("--rows", type=int, default=10_000, help="RST rows per SF")
+    args = parser.parse_args()
+
+    db = Database()
+    for table in generate_rst(1, 1, 1, RstConfig(rows_per_sf=args.rows)).values():
+        db.register(table)
+    db.analyze()
+    server = QueryServer(db, ServerConfig(port=0)).start()
+    host, port = server.address
+    connection = http.client.HTTPConnection(host, port)
+
+    def post(path: str, payload: dict, accept: str) -> tuple[str, bytes]:
+        headers = {"Content-Type": "application/json", "Accept": accept}
+        connection.request("POST", path, json.dumps(payload), headers)
+        response = connection.getresponse()
+        return response.getheader("Content-Type"), response.read()
+
+    def fetch(run: dict, accept: str, decode):
+        return _result(decode(post("/execute", run, accept)[1]))
+
+    try:
+        session = json.loads(post("/session", {}, "application/json")[1])["session"]
+        print(f"{'query':6} {'step':8} {'json ms':>9} {'frame ms':>9} {'json B':>9} {'frame B':>9}")
+        for name, sql in (("Q1", Q1), ("Q3", Q3)):
+            prepared = {"session": session, "sql": sql, "strategy": "auto"}
+            statement = json.loads(post("/prepare", prepared, "application/json")[1])
+            run = {"session": session, "statement": statement["statement"], "engine": "vectorized"}
+            media, framed = post("/execute", run, frame.MEDIA_TYPE)
+            assert media == frame.MEDIA_TYPE, media
+            body = frame.decode(framed)
+            raw = json.dumps(body).encode("utf-8")
+            assert _result(json.loads(raw)) == _result(frame.decode(framed))
+            sizes = f"{len(raw):>9} {len(framed):>9}"
+            steps = {
+                "encode": {
+                    "json": lambda: json.dumps(body).encode("utf-8"),
+                    "frame": lambda: frame.encode(body),
+                },
+                "decode": {
+                    "json": lambda: _result(json.loads(raw)),
+                    "frame": lambda: _result(frame.decode(framed)),
+                },
+                "http": {
+                    "json": lambda: fetch(run, "application/json", json.loads),
+                    "frame": lambda: fetch(run, frame.MEDIA_TYPE, frame.decode),
+                },
+            }
+            saved = {}
+            for step, thunks in steps.items():
+                ms = _alternating(thunks, args.runs)
+                saved[step] = ms["json"] - ms["frame"]
+                print(f"{name:6} {step:8} {ms['json']:9.2f} {ms['frame']:9.2f} {sizes}")
+            print(
+                f"{name:6} saved: encode + decode {saved['encode'] + saved['decode']:.2f} ms,"
+                f" http {saved['http']:.2f} ms"
+            )
+    finally:
+        connection.close()
+        server.stop()
+
+
+if __name__ == "__main__":
+    main()
