@@ -47,7 +47,7 @@ def execute_plan(
     ctx.root = physical
     start = time.perf_counter()
     try:
-        rows = physical.execute(ctx, {})
+        result = physical.invoke(ctx, {})
     except ReproError:
         raise
     except Exception as error:
@@ -59,9 +59,11 @@ def execute_plan(
             f"plan execution failed: {type(error).__name__}: {error}"
         ) from error
     ctx.elapsed = time.perf_counter() - start
-    # The engine's rows are tuples of the plan's arity already; the one
-    # (shallow) copy is because a bare scan hands out the stored list.
-    table = Table.adopt(plan.schema, list(rows))
+    # A row root's tuples are copied once (a bare scan hands out the
+    # stored list); a batch root is kept, its rows built if someone reads them.
+    if physical.FAULT_DOMAIN == PhysicalOperator.FAULT_DOMAIN:
+        result = list(result)
+    table = Table.adopt(plan.schema, result)
     if with_context:
         return table, ctx
     return table

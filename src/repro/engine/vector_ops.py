@@ -348,7 +348,7 @@ class VSort(VecOperator):
         ctx.tick(len(batch))
         indices = list(range(len(batch)))
         for position, ascending in reversed(self.keys):
-            values = batch.column_values(position)
+            values = column_to_pylist(*batch.column(position))
             indices.sort(
                 key=lambda i, vs=values: ((vs[i] is None), vs[i] if vs[i] is not None else 0),
                 reverse=not ascending,

@@ -36,7 +36,7 @@ from repro.sql.classify import QueryClass
 from repro.sql.parameters import ParamSpec
 from repro.sql.translate import TranslationResult
 from repro.storage.catalog import Catalog
-from repro.storage.table import Table
+from repro.storage.schema import Schema
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,11 @@ class PlannedQuery:
             subquery_memo=base.subquery_memo or self.strategy.subquery_memo,
             params=bound if bound is not None else base.params,
         )
-        result = execute_plan(self.logical, catalog, merged, with_context=with_context)
-        if with_context:
-            table, ctx = result
-            return _present(table, self.output_names), ctx
-        return _present(result, self.output_names)
+        table, ctx = execute_plan(self.logical, catalog, merged, with_context=True)
+        if len(self.output_names) == len(table.schema):
+            # User-visible names, in place: the rows stay unbuilt if they were.
+            table.schema = Schema(self.output_names)
+        return (table, ctx) if with_context else table
 
 
 def plan_query(
@@ -252,11 +252,3 @@ def execute_sql(
     pipeline is :meth:`repro.Database.execute`, which never calls this)."""
     return plan_query(sql, catalog, strategy).execute(catalog, options, params=params)
 
-
-def _present(table: Table, output_names: tuple[str, ...]) -> Table:
-    """Relabel the result columns with user-visible names."""
-    from repro.storage.schema import Schema
-
-    if len(output_names) != len(table.schema):
-        return table
-    return Table.adopt(Schema(output_names), table.rows)

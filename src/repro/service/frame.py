@@ -6,9 +6,10 @@ without ``rows``, as UTF-8 JSON, plus ``"layout": [[code, nbytes], …]``
 ``int`` (never ``bool``) is ``i`` (int32) or ``q`` (int64), the narrower
 that holds it; all ``float`` is ``d`` (float64, NaN/±inf/−0.0 kept);
 anything else — NULLs, strings, bools, mixed kinds, ints past int64 — is
-``j``, a UTF-8 JSON array.  Binary blocks are little-endian.  ``decode``
-gives back what JSON and the client's tupling give, value and type;
-a frame that fails a check raises ``ValueError``, never wrong rows.
+``j``, a UTF-8 JSON array (a batch result's int64 and float64 arrays
+without NULLs are packed as they are).  Binary blocks are little-endian.
+``decode`` gives back what JSON and the client's tupling give, value and
+type; a frame that fails a check raises ``ValueError``, never wrong rows.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ MEDIA_TYPE = "application/x-repro-columns"
 if [array.array(code).itemsize for code in "iqd"] != [4, 8, 8]:
     raise ImportError("frame: array typecodes i, q, d are not 4, 8, 8 bytes wide here")
 _SWAP = sys.byteorder == "big"
+_LITTLE_ENDIAN = {"i": "<i4", "q": "<i8", "d": "<f8"}  # numpy's names for the codes
 
 
 def encode(body: dict) -> bytes:
-    """The frame of a result body (``columns``, ``rows``, …)."""
-    columns = list(zip(*body["rows"])) or [()] * len(body["columns"])
+    """The frame of a result body (``columns``, ``rows``, …) whose ``rows``
+    is the result ``Table``: the frame reads ``Table.columns()``."""
     layout, blocks = [], []
-    for values in columns:
+    for values in body["rows"].columns():
         code, block = _block(values)
         layout.append([code, len(block)])
         blocks.append(block)
@@ -40,7 +42,11 @@ def encode(body: dict) -> bytes:
     return b"".join([struct.pack("<I", len(head)), head, *blocks])
 
 
-def _block(values: tuple) -> tuple[str, bytes]:
+def _block(values) -> tuple[str, bytes]:
+    if hasattr(values, "dtype"):  # an int64 or float64 array without NULLs
+        small = not len(values) or -(2**31) <= values.min() and values.max() < 2**31
+        code = "d" if values.dtype.kind == "f" else "i" if small else "q"
+        return code, values.astype(_LITTLE_ENDIAN[code], copy=False).tobytes()
     kinds = set(map(type, values))
     for code in "iq" if kinds == {int} else "d" if kinds == {float} else "":
         try:

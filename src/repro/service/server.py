@@ -97,6 +97,7 @@ from repro.service import frame
 from repro.service.metrics import ServerMetrics
 from repro.sim.clock import SYSTEM_CLOCK
 from repro.sql import statement_kind
+from repro.storage.table import Table
 
 #: repro.errors code -> HTTP status.  Anything not listed is a client
 #: error (400); unexpected exceptions map to INTERNAL_ERROR / 500.
@@ -306,6 +307,13 @@ class QueryService:
 
     def handle(self, method: str, path: str, payload: dict) -> tuple[int, dict]:
         """Route one request; returns ``(http_status, response_body)``."""
+        status, body = self._route(method, path, payload)
+        if isinstance(body.get("rows"), Table):  # a result: its rows as tuples
+            body["rows"] = body["rows"].rows
+        return status, body
+
+    def _route(self, method: str, path: str, payload: dict) -> tuple[int, dict]:
+        """:meth:`handle`, a result's ``rows`` left as its Table (a frame reads the columns)."""
         self.metrics.record_request()
         self._expire_sessions()
         try:
@@ -584,13 +592,10 @@ class QueryService:
                 raise
             elapsed = time.perf_counter() - start
             self.metrics.query_finished(elapsed, "ok")
-        rows = table.rows
-        truncated = len(rows) > self.config.max_rows
-        if truncated:
-            rows = rows[: self.config.max_rows]
+        truncated = len(table) > self.config.max_rows
         return {
             "columns": list(table.schema.names),
-            "rows": rows,  # tuples: json encodes them as arrays
+            "rows": table.head(self.config.max_rows) if truncated else table,  # see handle
             "row_count": len(table),
             "truncated": truncated,
             "elapsed": round(elapsed, 6),
@@ -772,7 +777,8 @@ class _Handler(BaseHTTPRequestHandler):
             # carry another request.
             self._respond(400, {"error": error.as_dict()}, close=True)
             return
-        status, body = self.service.handle("POST", self.path, payload)
+        route = self.service._route if self._takes_frame() else self.service.handle
+        status, body = route("POST", self.path, payload)
         self._respond(status, body)
 
     def _read_payload(self) -> dict:

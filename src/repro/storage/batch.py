@@ -9,9 +9,12 @@ bypass operator share one set of column arrays with zero row copying.
 
 Column arrays use the narrowest of three physical layouts:
 
-* ``int64``   — all non-NULL values are Python ints (bools excluded);
-* ``float64`` — all non-NULL values are ints or floats;
-* ``object``  — anything else (strings, mixed types, bools).
+* ``int64``   — every non-NULL value is an ``int`` (its type, so not a bool);
+* ``float64`` — every non-NULL value is a ``float``;
+* ``object``  — anything else (strings, bools, ints beside floats).
+
+An int never widens to a float: ``to_rows`` gives back each value's
+own type, as the row engine does.
 
 NULLs are represented *only* by the validity mask; the data array holds a
 zero fill at invalid positions (numeric layouts) or ``None`` (object
@@ -33,10 +36,8 @@ from repro.storage.schema import Schema
 
 Row = tuple
 
-
-#: The layouts, narrowest first: a value of a narrower layout also fits
-#: every wider one.
-_LAYOUT_WIDTH = {"i": 0, "f": 1, "O": 2}
+#: The numeric layouts, each for exactly one Python type (a bool is not an int).
+_LAYOUTS = {int: np.int64, float: np.float64}
 
 
 def build_column(
@@ -47,26 +48,20 @@ def build_column(
     ``valid`` is ``None`` when every value is non-NULL.  With ``like``
     the column is built in exactly that layout — it is a delta to an
     existing column — and the result is ``None`` when some value does
-    not belong in it (a float or a string for ``int64``, an int beyond
-    64 bits).
+    not belong in it (a float or a string for ``int64``, an int for
+    ``float64``, an int beyond 64 bits).
     """
     n = len(values)
     valid: np.ndarray | None = None
-    has_null = False
-    is_int = True
-    is_float = True
-    for v in values:
-        if v is None:
-            has_null = True
-        elif isinstance(v, bool) or not isinstance(v, (int, float)):
-            is_int = is_float = False
-        elif not isinstance(v, int):
-            is_int = False
-    if has_null:
+    kinds = set(map(type, values))
+    if type(None) in kinds:
+        kinds.discard(type(None))
         valid = np.fromiter((v is not None for v in values), dtype=bool, count=n)
-    dtype = np.dtype(np.int64 if is_int else np.float64 if is_float else object)
+    # One type keeps its own layout, several are object, none (all NULL) is int64.
+    kind = next(iter(kinds)) if len(kinds) == 1 else object if kinds else int
+    dtype = np.dtype(_LAYOUTS.get(kind, object))
     if like is not None:
-        if _LAYOUT_WIDTH[dtype.kind] > _LAYOUT_WIDTH[like.kind]:
+        if like.kind != "O" and kinds and dtype != like:
             return None
         dtype = like
     if dtype.kind != "O":
@@ -172,11 +167,6 @@ class Batch:
         self._gather_cache[position] = (data, valid)
         return data, valid
 
-    def column_values(self, position: int) -> list:
-        """One column as Python values (NULL → ``None``), selection applied."""
-        data, valid = self.column(position)
-        return column_to_pylist(data, valid)
-
     # -- row-subset transforms (share the base arrays) ----------------------
 
     def take(self, indices: np.ndarray) -> "Batch":
@@ -273,8 +263,8 @@ class Batch:
     # for what changed — readers pinned at the old version keep theirs —
     # or ``None`` when a value does not fit its column's layout, which
     # sends the table back to the one full pivot, :meth:`from_rows`.  A
-    # layout never narrows: a ``float64`` column stays ``float64`` after
-    # its last float has left, as it would have had the float stayed.
+    # layout never narrows: an ``object`` column stays ``object`` after
+    # its last string has left, as it would have had the string stayed.
 
     def appended(self, rows: Sequence[Row]) -> "Batch | None":
         """This batch with ``rows`` added at the end."""
@@ -328,7 +318,7 @@ class Batch:
         n = len(self)
         if len(self.schema) == 0:
             return [()] * n
-        columns = [self.column_values(position) for position in range(len(self.data))]
+        columns = [column_to_pylist(*self.column(p)) for p in range(len(self.data))]
         return list(zip(*columns))
 
     def __repr__(self) -> str:

@@ -28,7 +28,7 @@ class Table:
     table only stores data and answers simple statistics queries.
     """
 
-    __slots__ = ("schema", "rows", "name", "version", "batch_cache", "batch_lock")
+    __slots__ = ("schema", "_rows", "name", "version", "batch_cache", "batch_lock")
 
     def __init__(self, schema: Schema | Sequence[Column | str], rows: Iterable[Row] = (), name: str = ""):
         if not isinstance(schema, Schema):
@@ -56,21 +56,52 @@ class Table:
                 )
 
     @classmethod
-    def adopt(cls, schema: Schema, rows: list[Row]) -> "Table":
+    def adopt(cls, schema: Schema, rows) -> "Table":
         """A table over ``rows`` as they are — no copy, no check.
 
-        For the engine's own output (a list of tuples of the plan's
-        arity, owned by the caller from here on); rows from anywhere
-        else go through the constructor, which validates them.
+        For the engine's own output, owned by the caller from here on: a
+        list of tuples of the plan's arity, or a root ``Batch``, whose rows
+        :attr:`rows` builds on first read.  Rows from anywhere else go
+        through the constructor, which validates them.
         """
         table = cls(schema)
-        table.rows = rows
+        if isinstance(rows, list):
+            table.rows = rows
+        else:  # a Batch
+            table._rows, table.batch_cache = None, (0, rows)
         return table
+
+    @property
+    def rows(self) -> list[Row]:
+        if self._rows is None:
+            self._rows = self.batch_cache[1].to_rows()
+        return self._rows
+
+    @rows.setter
+    def rows(self, rows: list[Row]) -> None:
+        self._rows = rows
+
+    def head(self, count: int) -> "Table":
+        """The first ``count`` rows, still unbuilt if they were."""
+        rows = self.batch_cache[1].head(count) if self._rows is None else self._rows[:count]
+        return Table.adopt(self.schema, rows)
+
+    def columns(self) -> list:
+        """Each column: from the batch if it holds this version (int64 and
+        float64 arrays as they are), else the values, from the rows."""
+        cached = self.batch_cache
+        if cached is None or cached[0] != self.version:
+            return list(zip(*self.rows)) or [()] * len(self.schema)
+        from repro.storage.batch import column_to_pylist  # a batch means numpy
+
+        columns = map(cached[1].column, range(len(self.schema)))
+        return [d if v is None and d.dtype.kind in "if" else column_to_pylist(d, v)
+                for d, v in columns]
 
     # -- container protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.batch_cache[1] if self._rows is None else self._rows)
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)

@@ -10,20 +10,33 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import pathlib
 import struct
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Database
+from repro import Database, EvalOptions
+from repro.bench.queries import Q1
 from repro.datagen import RstConfig, rst_catalog
 from repro.replication.replica import ReplicaConfig, ReplicaServer
 from repro.replication.routing import ReplicaSetClient
 from repro.service import frame
 from repro.service.client import ServiceClient, _result
 from repro.service.server import QueryServer, ServerConfig
+from repro.storage.schema import Schema
+from repro.storage.table import Table
+
+try:
+    from repro.storage.batch import Batch
+except ImportError:  # numpy is optional: the batch engine's cases skip
+    Batch = None
 
 #: An AVG float column with NULLs from unmatched scalar subqueries, and a COUNT.
 MIXED_SQL = (
@@ -42,8 +55,13 @@ def _through_json(body: dict):
     return _result(json.loads(json.dumps(body)))
 
 
+def _encode(body: dict) -> bytes:
+    """``frame.encode`` of a body whose rows are a list, as the server's result Table."""
+    return frame.encode({**body, "rows": Table(body["columns"], body["rows"])})
+
+
 def _through_frame(body: dict):
-    return _result(frame.decode(frame.encode(body)))
+    return _result(frame.decode(_encode(body)))
 
 
 def _body(columns: list, rows: list, **extra) -> dict:
@@ -90,6 +108,17 @@ def test_a_frame_gives_back_what_json_gives(body):
     assert via_frame == via_json  # columns, counts and causality fields
 
 
+@pytest.mark.skipif(Batch is None, reason="the batch engine needs numpy")
+@settings(max_examples=300, deadline=None)
+@given(result_bodies())
+def test_a_batch_result_frames_to_the_bytes_its_rows_frame_to(body):
+    """The array path (a min/max check picks ``i`` or ``q``) and the
+    value-sniffing path agree byte for byte, whatever the layouts."""
+    schema = Schema(body["columns"])
+    batch = Batch.from_rows(schema, body["rows"])
+    assert frame.encode({**body, "rows": Table.adopt(schema, batch)}) == _encode(body)
+
+
 def _layout(data: bytes) -> list:
     (size,) = struct.unpack_from("<I", data)
     return json.loads(data[4 : 4 + size])["layout"]
@@ -110,12 +139,12 @@ def _layout(data: bytes) -> list:
     ],
 )
 def test_each_column_takes_the_narrowest_code_that_keeps_its_values(values, code, nbytes):
-    data = frame.encode(_body(["c"], [(value,) for value in values]))
+    data = _encode(_body(["c"], [(value,) for value in values]))
     assert _layout(data) == [[code, nbytes]]
 
 
 def test_a_binary_block_is_little_endian():
-    data = frame.encode(_body(["c"], [(1,), (-2,)]))
+    data = _encode(_body(["c"], [(1,), (-2,)]))
     assert data.endswith(struct.pack("<ii", 1, -2))
 
 
@@ -127,7 +156,7 @@ def _frame(header: dict, *blocks: bytes) -> bytes:
     return struct.pack("<I", len(head)) + head + b"".join(blocks)
 
 
-GOOD = frame.encode(_body(["a", "b", "c"], [(1, 2.5, "x"), (2**40, -0.0, None)]))
+GOOD = _encode(_body(["a", "b", "c"], [(1, 2.5, "x"), (2**40, -0.0, None)]))
 
 
 @pytest.mark.parametrize("cut", range(len(GOOD)))
@@ -264,6 +293,158 @@ def test_an_int_answer_is_smaller_framed_than_as_json(server):
     plain = _post(server, "/query", payload, "application/json")[1]
     assert len(framed) < len(plain)
     assert frame.decode(framed)["rows"] == [tuple(row) for row in json.loads(plain)["rows"]]
+
+
+# -- served cases: both engines, /query and /execute, frame against JSON ----
+
+#: Column edge cases a frame must carry as JSON does, from either engine.
+EDGE_COLUMNS = ["i", "f", "s", "b", "q"]
+EDGE_ROWS = [
+    (1, float("nan"), "a", True, 2**40),
+    (None, -0.0, "né", False, -(2**35)),
+    (3, float("inf"), "", True, 7),
+    (4, -float("inf"), "x", False, 2**63 - 1),
+    (None, 1.5, "y", True, -(2**63)),
+]
+EDGE_SQL = [
+    "SELECT i FROM w",  # int64 with NULLs
+    "SELECT f FROM w",  # float64: NaN, -0.0, ±inf
+    "SELECT s, b FROM w",  # string and bool object columns
+    "SELECT q, i FROM w WHERE i > 1",  # past int32: q
+    "SELECT i, f FROM w WHERE i > 99",  # empty
+]
+
+
+def _edge_server(max_rows: int = 10_000):
+    db = Database()
+    db.create_table("w", EDGE_COLUMNS, EDGE_ROWS)
+    return QueryServer(db, ServerConfig(port=0, max_rows=max_rows)).start()
+
+
+@pytest.fixture(scope="module")
+def edge_server():
+    server = _edge_server()
+    yield server
+    server.stop()
+
+
+def _served(server, path: str, sql: str, engine: str, accept: str) -> tuple[str, bytes]:
+    """One ``/query``, or ``/execute`` of ``sql`` prepared in a new session."""
+    payload = {"sql": sql, "engine": engine}
+    if path == "/execute":
+        session = json.loads(_post(server, "/session", {}, None)[1])["session"]
+        prepared = json.loads(_post(server, "/prepare", {"session": session, "sql": sql}, None)[1])
+        payload = {"session": session, "statement": prepared["statement"], "engine": engine}
+    media, raw, status = _post(server, path, payload, accept)
+    assert status == 200, raw
+    return media, raw
+
+
+def _frame_and_json(server, path: str, sql: str, engine: str):
+    media, framed = _served(server, path, sql, engine, frame.MEDIA_TYPE)
+    assert media == frame.MEDIA_TYPE
+    media, plain = _served(server, path, sql, engine, "application/json")
+    assert media == "application/json"
+    return _result(frame.decode(framed)), _result(json.loads(plain))
+
+
+def _engines():
+    if Batch is None:
+        return ["row", pytest.param("vectorized", marks=pytest.mark.skip("needs numpy"))]
+    return ["row", "vectorized"]
+
+
+@pytest.mark.parametrize("sql", EDGE_SQL)
+@pytest.mark.parametrize("path", ["/query", "/execute"])
+@pytest.mark.parametrize("engine", _engines())
+def test_a_served_frame_gives_back_what_served_json_gives(edge_server, sql, path, engine):
+    via_frame, via_json = _frame_and_json(edge_server, path, sql, engine)
+    assert _typed(via_frame.rows) == _typed(via_json.rows)
+    assert (via_frame.columns, via_frame.row_count) == (via_json.columns, via_json.row_count)
+    expected = Database()
+    expected.create_table("w", EDGE_COLUMNS, EDGE_ROWS)
+    assert _typed(via_frame.rows) == _typed(expected.execute(sql).rows)  # the row engine's
+
+
+@pytest.mark.parametrize("path", ["/query", "/execute"])
+@pytest.mark.parametrize("engine", _engines())
+def test_a_truncated_answer_frames_its_first_rows(path, engine):
+    server = _edge_server(max_rows=2)
+    try:
+        via_frame, via_json = _frame_and_json(server, path, "SELECT q, f, s FROM w", engine)
+    finally:
+        server.stop()
+    assert _typed(via_frame.rows) == _typed(via_json.rows)
+    assert [row[0] for row in via_frame.rows] == [2**40, -(2**35)]
+    assert (via_frame.truncated, via_frame.row_count) == (True, 5)
+    assert (via_json.truncated, via_json.row_count) == (True, 5)
+
+
+def test_a_row_engine_answer_is_framed_without_the_batch_module():
+    """numpy is optional: a server that cannot import ``repro.storage.batch``
+    still frames what the row engine answers."""
+    script = textwrap.dedent(
+        """
+        import sys
+        sys.modules["numpy"] = sys.modules["repro.storage.batch"] = None  # import raises
+        from tests.test_frame import _edge_server, _frame_and_json, _typed
+        server = _edge_server(max_rows=3)
+        try:
+            for path in ("/query", "/execute"):
+                via_frame, via_json = _frame_and_json(server, path, "SELECT * FROM w", "row")
+                assert _typed(via_frame.rows) == _typed(via_json.rows), path
+                assert via_frame.truncated and via_frame.row_count == 5, path
+        finally:
+            server.stop()
+        print("framed")
+        """
+    )
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0 and done.stdout.strip() == "framed", done.stderr
+
+
+# -- the batch engine's root columns go to the wire as they are ------------
+
+
+def test_a_framed_batch_answer_builds_no_python_rows(server, monkeypatch):
+    pytest.importorskip("numpy")
+    from repro.storage import batch as batch_module
+
+    db = server.service.db
+    session = json.loads(_post(server, "/session", {}, None)[1])["session"]
+    prepared = json.loads(_post(server, "/prepare", {"session": session, "sql": Q1}, None)[1])
+    run = {"session": session, "statement": prepared["statement"], "engine": "vectorized"}
+    media, plain, _ = _post(server, "/execute", run, "application/json")
+    assert media == "application/json"
+    # JSON is what the server sent when it built every answer's rows
+    # before encoding: the batch engine's rows, dumped; bar ``elapsed``.
+    built = db.execute(Q1, options=EvalOptions(vectorized=True))
+    elapsed = json.loads(plain)["elapsed"]
+    assert plain == json.dumps(
+        {"columns": list(built.schema.names), "rows": built.rows, "row_count": len(built),
+         "truncated": False, "elapsed": elapsed}
+    ).encode("utf-8")
+    assert sorted(built.rows) == sorted(db.execute(Q1).rows)  # the row engine's bag
+
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a framed batch answer built Python values")
+
+    monkeypatch.setattr(batch_module.Batch, "to_rows", refuse)
+    monkeypatch.setattr(batch_module, "column_to_pylist", refuse)
+    degradations = db.resilience_info()["degradations"]
+    media, framed, status = _post(server, "/execute", run, frame.MEDIA_TYPE)
+    assert (status, media) == (200, frame.MEDIA_TYPE), framed
+    assert not calls and db.resilience_info()["degradations"] == degradations
+    assert [code for code, _ in _layout(framed)] == ["i"] * 4
+    assert _typed(frame.decode(framed)["rows"]) == _typed(built.rows)
 
 
 def test_a_routed_read_keeps_its_causality_fields(tmp_path):

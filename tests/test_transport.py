@@ -21,6 +21,7 @@ from repro.service import frame
 from repro.service.client import ServiceClient
 from repro.service.resilience import CircuitBreaker, RetryPolicy
 from repro.sim.transport import HTTP_TRANSPORT, HttpTransport
+from repro.storage.table import Table
 
 
 @dataclass
@@ -218,7 +219,7 @@ def test_a_2xx_body_that_is_not_json_is_a_transport_failure(fake):
         Reply(body=len(b"[1, 2]").to_bytes(4, "little") + b"[1, 2]", content_type=frame.MEDIA_TYPE),
         # A well-formed frame of one int column, cut one byte short.
         Reply(
-            body=frame.encode({"columns": ["a"], "rows": [(1,), (2,)]})[:-1],
+            body=frame.encode({"columns": ["a"], "rows": Table(["a"], [(1,), (2,)])})[:-1],
             content_type=frame.MEDIA_TYPE,
         ),
     ],
@@ -240,7 +241,8 @@ def test_a_2xx_body_that_is_not_an_object_is_a_transport_failure(fake, reply):
 
 
 def test_a_frame_body_is_decoded_and_the_connection_kept(fake):
-    body = {"columns": ["a", "b"], "rows": [(1, "x"), (2, None)], "row_count": 2,
+    rows = Table(["a", "b"], [(1, "x"), (2, None)])
+    body = {"columns": ["a", "b"], "rows": rows, "row_count": 2,
             "truncated": False, "elapsed": 0.001, "commit_lsn": 7}
     server = fake(lambda n, path, _: Reply(body=frame.encode(body), content_type=frame.MEDIA_TYPE))
     transport = HttpTransport()

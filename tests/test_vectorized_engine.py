@@ -34,9 +34,20 @@ class TestBuildColumn:
         data, valid = build_column([1, 2, 3])
         assert data.dtype == np.int64 and valid is None
 
-    def test_float_layout_mixes_ints(self):
+    def test_float_layout(self):
+        data, valid = build_column([0.5, None, 2.5])
+        assert data.dtype == np.float64 and valid.tolist() == [True, False, True]
+
+    def test_ints_beside_floats_use_object_layout(self):
+        # float64 would hand 1 back as 1.0, where the row engine keeps 1.
         data, valid = build_column([1, 2.5])
-        assert data.dtype == np.float64 and valid is None
+        assert data.dtype == object and valid is None and type(data[0]) is int
+
+    def test_deltas_keep_int_and_float_apart(self):
+        assert build_column([3], np.dtype(np.float64)) is None
+        assert build_column([0.5], np.dtype(np.int64)) is None
+        assert build_column([None], np.dtype(np.float64))[0].dtype == np.float64
+        assert build_column([1, 0.5], np.dtype(object))[0].dtype == object
 
     def test_nulls_only_in_mask(self):
         data, valid = build_column([1, None, 3])

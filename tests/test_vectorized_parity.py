@@ -159,7 +159,8 @@ from repro.algebra.aggregates import STAR, AggSpec, evaluate_spec  # noqa: E402
 from repro.storage.table import Table  # noqa: E402
 
 #: column -> value pool.  ``k1``/``m`` mix ints, floats and strings (object
-#: layout, unorderable), ``f`` mixes ints and floats (float64 layout),
+#: layout, unorderable), ``f`` mixes ints and floats (object layout, or
+#: float64 when an example draws floats only),
 #: ``g`` holds an int beyond 64 bits (object layout of numbers).
 POOLS = {
     "k1": [None, None, 0, 1, "x"],
@@ -356,3 +357,29 @@ def test_literal_predicates_that_folding_keeps(sql):
     row = database.execute(sql)
     assert_bag_equal(row, database.execute(sql, options=EvalOptions(vectorized=True)), sql)
     assert database.resilience_info()["degradations"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Value types: an int stays an int on the batch engine
+# ---------------------------------------------------------------------------
+
+
+def _typed(rows):
+    return [tuple((type(v), repr(v)) for v in row) for row in rows]
+
+
+def test_ints_beside_floats_keep_their_type_on_the_batch_engine():
+    """``==`` holds 1 and 1.0 equal, so the parity suites above cannot
+    see a pivot that widens an int into a float; a JSON client can."""
+    database = Database()
+    database.create_table("n", ["x", "y"], [(1, 1), (2.5, 2), (3, 3)])
+    database.create_table("f", ["x", "y"], [(0.5, 1), (1.5, 2)])
+    vectorized = EvalOptions(vectorized=True)
+    database.execute("SELECT x FROM f", options=vectorized)  # the float64 pivot is warm
+    database.execute("INSERT INTO f VALUES (3, 3)")  # an int delta into it
+    for sql in ("SELECT x, y FROM n", "SELECT x, y FROM f", "SELECT x FROM f WHERE y > 1"):
+        row = database.execute(sql).rows
+        assert _typed(database.execute(sql, options=vectorized).rows) == _typed(row), sql
+    assert _typed(database.execute("SELECT x FROM f", options=vectorized).rows) == _typed(
+        [(0.5,), (1.5,), (3,)]
+    )

@@ -1,11 +1,16 @@
-"""What a result costs on the wire: JSON against typed binary columns.
+"""What a result costs from the server's result Table to the wire: JSON against frame.
 
 Serves RST at SF (1,1,1) × 10 000 rows per SF (the ``fig7_warm`` data)
-from a ``QueryServer`` in this process and prepares Q1 and Q3 (``auto``,
-batch engine).  Per query it prints, as the median of ``--runs`` timings
-taken in alternation on the same body:
+from a ``QueryServer`` in this process and prepares Q1 and Q3 (``auto``)
+on each engine.  The result ``Table`` is the one the server's route
+hands its encoder (``QueryService._route``): on the batch engine it
+holds the root batch and no rows yet.  Per query and engine it prints,
+as the median of ``--runs`` timings taken in alternation:
 
-* ``encode``: the server's ``json.dumps`` against ``frame.encode``;
+* ``to_rows``: building the result's Python rows, which a JSON answer
+  needs and a frame does not (the row engine's rows exist already);
+* ``encode``: result Table → bytes, ``json.dumps`` of the built rows
+  (``to_rows`` included) against ``frame.encode`` of the Table;
 * ``decode``: the client's ``json.loads`` + tupling against
   ``frame.decode`` + tupling (``repro.service.client._result`` both);
 * ``http``: one ``/execute`` round trip on a kept connection, asking for
@@ -17,7 +22,7 @@ and then what encode + decode saved beside what the round trip saved.
 Both sides of ``http`` share one GIL with the server, so its difference
 is what one process sees.  From the repository root::
 
-    PYTHONPATH=src python tools/frame_timing.py            # ≈ 5 s
+    PYTHONPATH=src python tools/frame_timing.py            # ≈ 15 s
     PYTHONPATH=src python tools/frame_timing.py --runs 61
 """
 
@@ -73,40 +78,52 @@ def main() -> None:
 
     try:
         session = json.loads(post("/session", {}, "application/json")[1])["session"]
-        print(f"{'query':6} {'step':8} {'json ms':>9} {'frame ms':>9} {'json B':>9} {'frame B':>9}")
+        print(
+            f"{'query':6} {'engine':10} {'step':8} {'json ms':>9} {'frame ms':>9}"
+            f" {'json B':>9} {'frame B':>9}"
+        )
         for name, sql in (("Q1", Q1), ("Q3", Q3)):
             prepared = {"session": session, "sql": sql, "strategy": "auto"}
             statement = json.loads(post("/prepare", prepared, "application/json")[1])
-            run = {"session": session, "statement": statement["statement"], "engine": "vectorized"}
-            media, framed = post("/execute", run, frame.MEDIA_TYPE)
-            assert media == frame.MEDIA_TYPE, media
-            body = frame.decode(framed)
-            raw = json.dumps(body).encode("utf-8")
-            assert _result(json.loads(raw)) == _result(frame.decode(framed))
-            sizes = f"{len(raw):>9} {len(framed):>9}"
-            steps = {
-                "encode": {
-                    "json": lambda: json.dumps(body).encode("utf-8"),
-                    "frame": lambda: frame.encode(body),
-                },
-                "decode": {
-                    "json": lambda: _result(json.loads(raw)),
-                    "frame": lambda: _result(frame.decode(framed)),
-                },
-                "http": {
-                    "json": lambda: fetch(run, "application/json", json.loads),
-                    "frame": lambda: fetch(run, frame.MEDIA_TYPE, frame.decode),
-                },
-            }
-            saved = {}
-            for step, thunks in steps.items():
-                ms = _alternating(thunks, args.runs)
-                saved[step] = ms["json"] - ms["frame"]
-                print(f"{name:6} {step:8} {ms['json']:9.2f} {ms['frame']:9.2f} {sizes}")
-            print(
-                f"{name:6} saved: encode + decode {saved['encode'] + saved['decode']:.2f} ms,"
-                f" http {saved['http']:.2f} ms"
-            )
+            for engine in ("row", "vectorized"):
+                run = {"session": session, "statement": statement["statement"], "engine": engine}
+                status, body = server.service._route("POST", "/execute", run)
+                assert status == 200, body
+                result = body["rows"]
+
+                def fresh(result=result):
+                    """The result Table as the route hands it over: rows unbuilt."""
+                    return result.head(len(result))
+
+                framed = frame.encode({**body, "rows": fresh()})
+                raw = json.dumps({**body, "rows": fresh().rows}).encode("utf-8")
+                assert _result(json.loads(raw)) == _result(frame.decode(framed))
+                sizes = f"{len(raw):>9} {len(framed):>9}"
+                steps = {
+                    "to_rows": {"json": lambda: fresh().rows, "frame": fresh},
+                    "encode": {
+                        "json": lambda: json.dumps({**body, "rows": fresh().rows}).encode("utf-8"),
+                        "frame": lambda: frame.encode({**body, "rows": fresh()}),
+                    },
+                    "decode": {
+                        "json": lambda: _result(json.loads(raw)),
+                        "frame": lambda: _result(frame.decode(framed)),
+                    },
+                    "http": {
+                        "json": lambda: fetch(run, "application/json", json.loads),
+                        "frame": lambda: fetch(run, frame.MEDIA_TYPE, frame.decode),
+                    },
+                }
+                saved = {}
+                for step, thunks in steps.items():
+                    ms = _alternating(thunks, args.runs)
+                    saved[step] = ms["json"] - ms["frame"]
+                    timings = f"{ms['json']:9.2f} {ms['frame']:9.2f}"
+                    print(f"{name:6} {engine:10} {step:8} {timings} {sizes}")
+                print(
+                    f"{name:6} {engine:10} saved: encode + decode"
+                    f" {saved['encode'] + saved['decode']:.2f} ms, http {saved['http']:.2f} ms"
+                )
     finally:
         connection.close()
         server.stop()
