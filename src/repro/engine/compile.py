@@ -26,18 +26,18 @@ from repro.algebra.aggregates import STAR, AggSpec
 from repro.engine import operators as P
 from repro.engine.evaluate import compile_expr
 from repro.errors import PlanningError
-from repro.storage.catalog import Catalog
 from repro.storage.schema import Schema
 
 
-def compile_plan(
-    plan: L.Operator, catalog: Catalog, vectorized: bool = False
-) -> P.PhysicalOperator:
+def compile_plan(plan: L.Operator, vectorized: bool = False) -> P.PhysicalOperator:
     """Compile a logical plan DAG into a physical plan DAG.
 
     With ``vectorized=True`` the batch compiler is used: operators the
     columnar runtime covers become batch operators, everything else
     falls back per-node to the row interpreter.  Requires numpy.
+
+    The result reads no catalog: scans carry table and index names, which
+    each execution resolves through its own, so one root serves them all.
     """
     if vectorized:
         try:
@@ -47,16 +47,15 @@ def compile_plan(
                 f"the vectorized engine requires numpy ({exc}); "
                 "re-run without vectorized mode"
             ) from exc
-        compiler: _Compiler = VectorCompiler(catalog)
+        compiler: _Compiler = VectorCompiler()
     else:
-        compiler = _Compiler(catalog)
+        compiler = _Compiler()
     compiler.count_references(plan)
     return compiler.compile(plan)
 
 
 class _Compiler:
-    def __init__(self, catalog: Catalog):
-        self.catalog = catalog
+    def __init__(self):
         self.memo: dict[int, P.PhysicalOperator] = {}
         self.refcount: dict[int, int] = {}
         #: id(BypassJoin) -> fused negative-stream filter (logical Select)
@@ -144,52 +143,29 @@ class _Compiler:
     # -- leaves -------------------------------------------------------------
 
     def _compile_Scan(self, node: L.Scan) -> P.PhysicalOperator:
-        table = self.catalog.table(node.table_name)
-        if len(table.schema) != len(node.schema):
-            raise PlanningError(
-                f"scan of {node.table_name!r}: catalog arity {len(table.schema)} "
-                f"!= plan arity {len(node.schema)}"
-            )
-        return P.PScan(node.schema, table.rows)
-
-    def _indexed_table(self, table_name: str, index_name: str):
-        """``(table, index)``, raising when the index no longer belongs to
-        the table.  An MVCC snapshot view reports the live table it froze;
-        the check runs against that base (the operators swap in a
-        per-snapshot transient index at probe time)."""
-        table = self.catalog.table(table_name)
-        index = self.catalog.index(index_name)
-        if index.table is not getattr(table, "base_table", table):
-            raise PlanningError(
-                f"index {index_name!r} no longer belongs to table "
-                f"{table_name!r}; re-plan the query"
-            )
-        return table, index
+        return P.PScan(node.schema, node.table_name)
 
     def _compile_IndexScan(self, node: L.IndexScan) -> P.PhysicalOperator:
-        table, index = self._indexed_table(node.table_name, node.index_name)
         # Bound expressions reference no scan column (the access pass
         # guarantees it), so the schema only matters for arity.
         bounds = tuple((op, self._expr(expr, node.schema)) for op, expr in node.bounds)
         residual = (
             self._expr(node.residual, node.schema) if node.residual is not None else None
         )
-        return P.PIndexScan(node.schema, table, index, bounds, residual, node.projection)
+        return P.PIndexScan(
+            node.schema, node.table_name, node.index_name, bounds, residual, node.projection
+        )
 
     def _compile_IndexNLJoin(self, node: L.IndexNLJoin) -> P.PhysicalOperator:
-        table, index = self._indexed_table(node.right.table_name, node.index_name)
-        if len(table.schema) != len(node.right.schema):
-            raise PlanningError(
-                f"index scan of {node.right.table_name!r}: catalog arity "
-                f"{len(table.schema)} != plan arity {len(node.right.schema)}"
-            )
         left = self.compile(node.left)
         combined = node.left.schema.concat(node.right.schema)
         residual = (
             self._expr(node.residual, combined) if node.residual is not None else None
         )
         left_position = node.left.schema.position(node.left_key)
-        return P.PIndexNLJoin(node.schema, left, table, index, left_position, residual)
+        return P.PIndexNLJoin(
+            node.schema, left, node.right.table_name, node.index_name, left_position, residual
+        )
 
     # -- unary ----------------------------------------------------------------
 

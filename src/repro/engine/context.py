@@ -3,6 +3,8 @@
 A fresh :class:`ExecContext` accompanies every top-level plan execution.
 It provides:
 
+* **the execution's catalog** — a compiled root names its tables; each
+  scan resolves them here once per execution (:meth:`ExecContext.resolved`);
 * **stream memoisation** — bypass operators and shared DAG nodes are
   evaluated once per distinct correlation environment;
 * **subquery memoisation** — the optional cache behind the S2 baseline
@@ -53,8 +55,8 @@ class EvalOptions:
     ``budget_seconds``
         Wall-clock budget; ``None`` disables the check.
     ``collect_stats``
-        Count rows produced per physical operator class (used by tests
-        and the ablation benchmarks; tiny overhead).
+        Count rows produced per physical operator class and node, and
+        time every invocation (EXPLAIN ANALYZE; off, no clock is read).
     ``vectorized``
         Compile to the columnar batch engine (numpy-backed selection
         vectors) with per-operator fallback to the row interpreter.
@@ -98,21 +100,36 @@ class ExecStats:
     rows_produced: dict[str, int] = field(default_factory=dict)
     #: id(physical node) -> (rows produced, invocation count)
     node_rows: dict[int, tuple[int, int]] = field(default_factory=dict)
+    #: id(physical node) -> (inclusive, self) seconds over its invocations
+    node_seconds: dict[int, tuple[float, float]] = field(default_factory=dict)
     subquery_evals: int = 0
     subquery_cache_hits: int = 0
+    #: Seconds the invocation now running has spent in the ones it made.
+    _inner: float = field(default=0.0, init=False, repr=False)
 
-    def record_rows(self, op_name: str, count: int) -> None:
-        self.rows_produced[op_name] = self.rows_produced.get(op_name, 0) + count
+    def start(self) -> tuple[float, float]:
+        """Open one invocation's clock: ``(caller's inner seconds, start)``."""
+        outer, self._inner = self._inner, 0.0
+        return outer, time.perf_counter()
 
-    def record_node(self, node_id: int, count: int) -> None:
-        rows, calls = self.node_rows.get(node_id, (0, 0))
-        self.node_rows[node_id] = (rows + count, calls + 1)
+    def record(self, node, count: int, clock: tuple[float, float]) -> None:
+        """Close ``clock`` for ``node``, which produced ``count`` rows."""
+        outer, start = clock
+        inclusive = time.perf_counter() - start
+        name, key = type(node).__name__, id(node)
+        self.rows_produced[name] = self.rows_produced.get(name, 0) + count
+        rows, calls = self.node_rows.get(key, (0, 0))
+        self.node_rows[key] = (rows + count, calls + 1)
+        total, own = self.node_seconds.get(key, (0.0, 0.0))
+        self.node_seconds[key] = (total + inclusive, own + inclusive - self._inner)
+        self._inner = outer + inclusive
 
 
 class ExecContext:
     """State shared by all operators of one plan execution."""
 
     __slots__ = (
+        "catalog",
         "options",
         "stats",
         "memo",
@@ -125,6 +142,7 @@ class ExecContext:
         "access",
         "root",
         "elapsed",
+        "_resolved",
         "_cancel",
         "_deadline",
         "_max_rows",
@@ -135,7 +153,10 @@ class ExecContext:
         "_tick_granularity",
     )
 
-    def __init__(self, options: EvalOptions | None = None):
+    def __init__(self, catalog, options: EvalOptions | None = None):
+        self.catalog = catalog
+        #: id(scan operator) -> what it resolved through ``catalog``
+        self._resolved: dict[int, object] = {}
         self.options = options or EvalOptions()
         self.stats = ExecStats()
         #: (node id, env signature) -> materialised rows or (pos, neg) pair
@@ -171,6 +192,13 @@ class ExecContext:
             else ARMED_TICK_GRANULARITY
         )
         self._tick_budget = self._tick_granularity
+
+    def resolved(self, op):
+        """``op.resolve(self.catalog)``, once per execution (not per outer row)."""
+        found = self._resolved.get(id(op))
+        if found is None:
+            found = self._resolved[id(op)] = op.resolve(self.catalog)
+        return found
 
     def tick(self, rows: int = 1) -> None:
         """Account for ``rows`` processed rows; enforce budgets and cancel."""

@@ -1,7 +1,7 @@
 """Top-level plan execution.
 
-``execute_plan`` compiles a logical plan against a catalog and runs it in
-a fresh :class:`~repro.engine.context.ExecContext`, returning a
+``execute_plan`` compiles a logical plan (or takes its kept root) and runs
+it over a catalog in a fresh :class:`~repro.engine.context.ExecContext`, returning a
 :class:`~repro.storage.table.Table` whose schema is the plan's output
 schema.  The context (with its statistics) can be returned as well for
 tests and benchmarks that inspect evaluation behaviour.
@@ -26,6 +26,7 @@ def execute_plan(
     catalog: Catalog,
     options: EvalOptions | None = None,
     with_context: bool = False,
+    physical: PhysicalOperator | None = None,
 ):
     """Execute a logical plan and materialise the result.
 
@@ -40,10 +41,13 @@ def execute_plan(
     with_context:
         When true, return ``(table, context)`` so callers can inspect
         :class:`~repro.engine.context.ExecStats`.
+    physical:
+        ``plan`` compiled for the engine ``options`` names (a kept root).
     """
     opts = options or EvalOptions()
-    physical = compile_plan(plan, catalog, vectorized=opts.vectorized)
-    ctx = ExecContext(opts)
+    if physical is None:
+        physical = compile_plan(plan, vectorized=opts.vectorized)
+    ctx = ExecContext(catalog, opts)
     ctx.root = physical
     start = time.perf_counter()
     try:
@@ -85,7 +89,10 @@ def explain_analyze(
 
 
 def render_analyze(ctx: ExecContext, result_rows: int) -> str:
-    """Render the physical tree ``ctx`` just ran, with actual row counts.
+    """Render the physical tree ``ctx`` just ran, with actual row counts
+    and each node's self time: its invocations' time less that of the
+    operators they invoked (a nested-subquery plan's too, which the
+    footer sums).
 
     ``ctx`` must come from an execution with ``collect_stats`` on.
     Shared (memoised) nodes appear once with a ``[shared]`` marker;
@@ -107,6 +114,7 @@ def render_analyze(ctx: ExecContext, result_rows: int) -> str:
             detail = f"rows={produced}"
             if calls > 1:
                 detail += f" calls={calls}"
+            detail += f" self={ctx.stats.node_seconds[id(node)][1] * 1e3:.3f}ms"
         marker = " [shared]" if id(node) in seen else ""
         lines.append(f"{prefix}{connector}{node.describe()}  {detail}{marker}")
         if id(node) in seen:
@@ -126,6 +134,11 @@ def render_analyze(ctx: ExecContext, result_rows: int) -> str:
         f"{ctx.stats.subquery_evals} nested-subquery evaluations, "
         f"{ctx.stats.subquery_cache_hits} cache hits"
     )
+    if ctx.stats.subquery_evals:
+        nested = sum(
+            own for key, (_, own) in ctx.stats.node_seconds.items() if key not in seen
+        )
+        footer += f"; {nested * 1e3:.3f}ms in nested-subquery plans"
     if ctx.options.vectorized:
         names = f" ({', '.join(sorted(set(on_rows)))})" if on_rows else ""
         footer += (

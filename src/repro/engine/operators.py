@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.algebra.aggregates import AggSpec, evaluate_spec
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, PlanningError
 from repro.storage.index import probe_bounds
 from repro.storage.mvcc import resolve_index
 from repro.storage.schema import Schema
@@ -62,7 +62,9 @@ class PhysicalOperator:
     def invoke(self, ctx, env: dict):
         """This operator's result for ``env``: the one contract of both
         engines.  The fault site fires on every invocation, memo hits
-        included; a memo hit is neither charged nor counted again."""
+        included; a memo hit is neither charged nor counted again.  With
+        ``collect_stats`` on, an invocation's rows and time are recorded
+        (:meth:`~repro.engine.context.ExecStats.record`)."""
         if ctx.faults is not None:
             ctx.faults.maybe_fail(self.FAULT_DOMAIN + type(self).__name__)
         if self.memoize:
@@ -70,10 +72,10 @@ class PhysicalOperator:
             result = ctx.memo.get(key)
             if result is not None:
                 return result
-            result = self._run(ctx, env)
+        clock = ctx.stats.start() if ctx.options.collect_stats else None
+        result = self._run(ctx, env)
+        if self.memoize:
             ctx.memo[key] = result
-        else:
-            result = self._run(ctx, env)
         if self.SPLIT:
             positive, negative = result
             produced = len(positive) + len(negative)
@@ -81,9 +83,8 @@ class PhysicalOperator:
         else:
             produced = len(result)
             ctx.account_memory(produced, result)
-        if ctx.options.collect_stats:
-            ctx.stats.record_rows(type(self).__name__, produced)
-            ctx.stats.record_node(id(self), produced)
+        if clock is not None:
+            ctx.stats.record(self, produced, clock)
         return result
 
     #: A row parent's read: the rows themselves for a row operator.
@@ -149,19 +150,47 @@ class PStreamTap(PhysicalOperator):
 
 
 class PScan(PhysicalOperator):
-    """Base-table scan.  Returns the table's row list (never mutated)."""
+    """Base-table scan: the row list (never mutated) of ``table_name``
+    in the execution's catalog, resolved once per execution."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("table_name",)
 
-    def __init__(self, schema: Schema, rows: list):
+    def __init__(self, schema: Schema, table_name: str):
         super().__init__(schema)
-        self.rows = rows
+        self.table_name = table_name
+
+    def resolve(self, catalog):  # through ExecContext.resolved
+        return _table(catalog, self.table_name, len(self.schema)).rows
 
     def _run(self, ctx, env):
         if ctx.faults is not None:
             ctx.faults.maybe_fail("storage.scan")
-        ctx.tick(len(self.rows))
-        return self.rows
+        rows = ctx.resolved(self)
+        ctx.tick(len(rows))
+        return rows
+
+
+def _table(catalog, name: str, arity: int, what: str = "scan"):
+    """Table ``name`` of an execution's catalog; refused at another arity than the plan's."""
+    table = catalog.table(name)
+    if len(table.schema) != arity:
+        raise PlanningError(
+            f"{what} of {name!r}: catalog arity {len(table.schema)} != plan arity {arity}"
+        )
+    return table
+
+
+def _indexed_table(catalog, table_name: str, index_name: str):
+    """``(table, index)``, refused when the index no longer belongs to the
+    table (a snapshot is checked against the live table it froze)."""
+    table = catalog.table(table_name)
+    index = catalog.index(index_name)
+    if index.table is not getattr(table, "base_table", table):
+        raise PlanningError(
+            f"index {index_name!r} no longer belongs to table "
+            f"{table_name!r}; re-plan the query"
+        )
+    return table, index
 
 
 class PIndexScan(PhysicalOperator):
@@ -174,36 +203,40 @@ class PIndexScan(PhysicalOperator):
     the probe examined and a discounted rate for rows it skipped.
     """
 
-    __slots__ = ("table", "index", "bounds", "residual", "projection")
+    __slots__ = ("table_name", "index_name", "bounds", "residual", "projection")
 
-    def __init__(self, schema, table, index, bounds, residual, projection, free_names=()):
+    def __init__(self, schema, table_name, index_name, bounds, residual, projection, free_names=()):
         super().__init__(schema, free_names)
-        self.table = table
-        self.index = index
+        self.table_name = table_name
+        self.index_name = index_name
         self.bounds = tuple(bounds)
         self.residual = residual
         self.projection = tuple(projection) if projection is not None else None
 
+    def resolve(self, catalog):
+        return _indexed_table(catalog, self.table_name, self.index_name)
+
     def _probe(self, ctx, env):
         """The probe of both engines' index scans: the ``storage.scan``
         site, the bounds bound for ``env``, the lookup, its access
-        counters and governor ticks."""
+        counters and governor ticks.  Returns ``(lookup, table)``."""
         if ctx.faults is not None:
             ctx.faults.maybe_fail("storage.scan")
+        table, index = ctx.resolved(self)
         # Live table: the shared, lazily refreshed index.  MVCC snapshot: a
         # per-version transient index over exactly the frozen rows (never
         # the shared one, which a concurrent writer may be rebuilding).
-        index = resolve_index(self.index, self.table)
+        index = resolve_index(index, table)
         evaluated = tuple((op, fn(ctx, env)(())) for op, fn in self.bounds)
         lookup = probe_bounds(index, evaluated)
         ctx.access["index_scans"] += 1
         ctx.tick(max(lookup.rows_examined, 1))
         ctx.tick_skipped(lookup.rows_skipped)
-        return lookup
+        return lookup, table
 
     def _run(self, ctx, env):
-        lookup = self._probe(ctx, env)
-        rows = self.table.rows
+        lookup, table = self._probe(ctx, env)
+        rows = table.rows
         if self.projection is None:
             out = [rows[position] for position in lookup.positions]
         else:
@@ -226,21 +259,28 @@ class PIndexNLJoin(PhysicalOperator):
     matches nothing (NULL keys are also absent from the index buckets).
     """
 
-    __slots__ = ("left", "table", "index", "left_position", "residual")
+    __slots__ = ("left", "table_name", "index_name", "left_position", "residual")
 
-    def __init__(self, schema, left, table, index, left_position, residual, free_names=()):
+    def __init__(
+        self, schema, left, table_name, index_name, left_position, residual, free_names=()
+    ):
         super().__init__(schema, free_names)
         self.left = left
-        self.table = table
-        self.index = index
+        self.table_name = table_name
+        self.index_name = index_name
         self.left_position = left_position
         self.residual = residual
 
+    def resolve(self, catalog):
+        _table(catalog, self.table_name, len(self.schema) - len(self.left.schema), "index scan")
+        return _indexed_table(catalog, self.table_name, self.index_name)
+
     def _run(self, ctx, env):
         left_rows = self.left.execute(ctx, env)
-        index = resolve_index(self.index, self.table)
+        table, index = ctx.resolved(self)
+        index = resolve_index(index, table)
         fn = self.residual(ctx, env) if self.residual is not None else None
-        rows = self.table.rows
+        rows = table.rows
         position = self.left_position
         out = []
         examined = 0

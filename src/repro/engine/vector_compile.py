@@ -50,10 +50,7 @@ class VectorCompiler(_Compiler):
     # -- leaves -------------------------------------------------------------
 
     def _compile_Scan(self, node: L.Scan) -> P.PhysicalOperator:
-        table = self.catalog.table(node.table_name)
-        if len(table.schema) != len(node.schema):
-            return super()._compile_Scan(node)  # let the row path raise
-        return V.VScan(node.schema, table)
+        return V.VScan(node.schema, node.table_name)
 
     def _compile_IndexScan(self, node: L.IndexScan) -> P.PhysicalOperator:
         kernel = None
@@ -65,9 +62,10 @@ class VectorCompiler(_Compiler):
                 # whole scan falls back to the row implementation, which
                 # still probes the index.
                 return super()._compile_IndexScan(node)
-        table, index = self._indexed_table(node.table_name, node.index_name)
         bounds = tuple((op, self._expr(expr, node.schema)) for op, expr in node.bounds)
-        return V.VIndexScan(node.schema, table, index, bounds, kernel, node.projection)
+        return V.VIndexScan(
+            node.schema, node.table_name, node.index_name, bounds, kernel, node.projection
+        )
 
     # IndexNLJoin stays on the row implementation (inherited hook): its
     # per-left-row probe loop has no batch formulation yet, and a row

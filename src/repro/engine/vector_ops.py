@@ -104,35 +104,22 @@ def table_batch(table) -> Batch:
         return base
 
 
-class VScan(VecOperator):
-    """Base-table scan: pivot the row store into a batch once per *table*.
+class VScan(VecOperator, P.PScan):
+    """Base-table scan: the table's column arrays under this scan's
+    (possibly qualified) schema.
 
     The pivot is the single most expensive step of a cold vectorized
-    query, and plans are recompiled per execution, so the column arrays
-    are cached on the table itself, keyed on ``Table.version`` (bumped
-    by every mutation).  Each scan instance only rewraps the shared
-    arrays with its own (possibly qualified) schema.
+    query, so the arrays are cached on the table, keyed on its version
+    (:func:`table_batch`).  A kept root names the table: each execution
+    resolves it in its own catalog (snapshot) once, and its context, not
+    the scan, holds the batch — concurrent executions share one scan.
     """
 
-    __slots__ = ("table", "_batch", "_version")
+    __slots__ = ()
 
-    def __init__(self, schema: Schema, table):
-        super().__init__(schema)
-        self.table = table
-        self._batch: Batch | None = None
-        self._version: int = -1
-
-    def _run(self, ctx, env):
-        table = self.table
-        if ctx.faults is not None:
-            ctx.faults.maybe_fail("storage.scan")
-        ctx.tick(len(table.rows))
-        if self._batch is not None and self._version == table.version:
-            return self._batch
-        base = table_batch(table)
-        self._batch = Batch(self.schema, base.data, base.valid, base.base_length, base.sel)
-        self._version = table.version
-        return self._batch
+    def resolve(self, catalog):
+        base = table_batch(P._table(catalog, self.table_name, len(self.schema)))
+        return Batch(self.schema, base.data, base.valid, base.base_length, base.sel)
 
 
 class VIndexScan(VecOperator, P.PIndexScan):
@@ -147,8 +134,8 @@ class VIndexScan(VecOperator, P.PIndexScan):
     __slots__ = ()
 
     def _run(self, ctx, env):
-        lookup = self._probe(ctx, env)
-        base = table_batch(self.table)
+        lookup, table = self._probe(ctx, env)
+        base = table_batch(table)
         taken = base.take(np.asarray(lookup.positions, dtype=np.int64))
         if self.projection is not None:
             batch = taken.project(self.projection, self.schema)
@@ -571,6 +558,10 @@ class VHashJoin(VecOperator):
     small (``searchsorted`` when it is wide), and the match pairs
     materialise as two index vectors (``np.repeat`` over per-probe match
     counts).  NULL keys never match.
+
+    A left outer join without residual whose non-NULL right codes prove
+    unique and countable — the ⟕ onto Γ(S) that ends every unnesting
+    equivalence — looks each left row up instead (:meth:`_looked_up`).
     """
 
     __slots__ = ("left", "right", "left_keys", "right_keys", "residual", "kind", "default_row")
@@ -607,6 +598,10 @@ class VHashJoin(VecOperator):
             n_left,
             n_right,
         )
+        if self.kind == "left_outer" and self.residual is None:
+            joined = self._looked_up(ctx, left, right, lcodes, rcodes, l_ok, r_ok)
+            if joined is not None:
+                return joined
         left_idx, right_idx = _match_pairs(lcodes, rcodes, l_ok, r_ok)
         ctx.tick(len(left_idx))
 
@@ -618,6 +613,28 @@ class VHashJoin(VecOperator):
             left_idx, right_idx = left_idx[keep], right_idx[keep]
             joined = joined.take(keep)
         return self._result(left, right, left_idx, right_idx, joined)
+
+    def _looked_up(self, ctx, left, right, lcodes, rcodes, l_ok, r_ok) -> Batch | None:
+        """The left columns plus one gather per right column, or ``None`` (the
+        pair path): a right code repeats or is too wide, or a default's layout differs."""
+        defaults = self.default_row or (None,) * len(right.schema)
+        columns = [right.column(p) for p in range(len(right.schema))]
+        if any(
+            value is not None and _const_column(value, 0)[0].dtype != data.dtype
+            for value, (data, _) in zip(defaults, columns)
+        ):
+            return None  # the pair path's concat decides that layout
+        match = _unique_match(lcodes, rcodes, l_ok, r_ok)
+        if match is None:
+            return None
+        found = match >= 0
+        hits = match[found]
+        ctx.tick(len(hits))  # one per matched pair, as on the pair path
+        data, valid = zip(*(
+            _gather_or_default(*column, found, hits, value)
+            for value, column in zip(defaults, columns)
+        ))
+        return Batch(self.schema, left.data + data, left.valid + valid, len(left))
 
     def _result(self, left: Batch, right: Batch, left_idx, right_idx, joined=None) -> Batch:
         """The join of ``kind`` from its matching (left, right) pairs."""
@@ -773,6 +790,39 @@ def _match_pairs(lcodes, rcodes, l_ok, r_ok) -> tuple[np.ndarray, np.ndarray]:
     start_per_pair = np.repeat(starts[pos], match_counts)
     right_idx = r_indices[order[start_per_pair + within]]
     return left_idx, right_idx
+
+
+def _unique_match(lcodes, rcodes, l_ok, r_ok) -> np.ndarray | None:
+    """Each left row's one right row with its code (-1: none), or
+    ``None`` when a non-NULL right code repeats or the range is too wide."""
+    r_indices = np.flatnonzero(r_ok)
+    r_codes = rcodes[r_indices]
+    small = _small_range(r_codes, len(lcodes) + len(rcodes))
+    if small is None:
+        return None
+    lo, span = small
+    row_of = np.full(span, -1, dtype=np.int64)
+    row_of[r_codes - lo] = r_indices
+    if np.count_nonzero(row_of >= 0) != len(r_indices):
+        return None  # a repeated code: several rows per slot
+    match = np.full(len(lcodes), -1, dtype=np.int64)
+    inside = l_ok & (lcodes >= lo) & (lcodes < lo + span)
+    match[inside] = row_of[lcodes[inside] - lo]
+    return match
+
+
+def _gather_or_default(data, valid, found, hits, default):
+    """One right column gathered onto the left rows, ``default`` (f(∅);
+    ``None`` is NULL) where nothing matched, in the column's own layout."""
+    n = len(found)
+    out = np.empty(n, dtype=data.dtype)
+    out.fill(0 if default is None and data.dtype != object else default)  # a tuple stays whole
+    out[found] = data[hits]
+    if valid is None and default is not None:
+        return out, None
+    mask = np.full(n, default is not None)
+    mask[found] = True if valid is None else valid[hits]
+    return out, mask
 
 
 def _paired_batch(schema: Schema, left: Batch, right: Batch, left_idx, right_idx) -> Batch:

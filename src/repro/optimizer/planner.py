@@ -24,6 +24,7 @@ from dataclasses import dataclass, field as dataclass_field, replace as dc_repla
 from repro.algebra import ops as L
 from repro.baselines import reorder_disjuncts_cheap_first
 from repro.engine import EvalOptions, execute_plan
+from repro.engine.compile import compile_plan
 from repro.errors import NotUnnestableError, PlanningError, ReproError
 from repro.optimizer.access import choose_access_paths
 from repro.optimizer.cost import CostModel
@@ -84,6 +85,9 @@ class PlannedQuery:
     :meth:`execute` call binds a concrete set of values — the plan itself
     is shared across bindings (and across threads; execution state lives
     in the per-call :class:`~repro.engine.context.ExecContext`).
+
+    Each engine's physical root is compiled on its first execution and kept
+    in :attr:`roots` (a stale cache entry takes it along); scans resolve tables per run.
     """
 
     sql: str
@@ -97,6 +101,8 @@ class PlannedQuery:
     #: True when the unnesting rewriter failed and the planner healed
     #: itself by falling back to the canonical plan (see plan_query).
     planner_fallback: bool = False
+    #: ``vectorized`` -> the compiled physical root for that engine.
+    roots: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def execute(
         self,
@@ -119,7 +125,10 @@ class PlannedQuery:
             subquery_memo=base.subquery_memo or self.strategy.subquery_memo,
             params=bound if bound is not None else base.params,
         )
-        table, ctx = execute_plan(self.logical, catalog, merged, with_context=True)
+        engine = merged.vectorized
+        if engine not in self.roots:  # racing first runs compile twice; one root is kept
+            self.roots.setdefault(engine, compile_plan(self.logical, engine))
+        table, ctx = execute_plan(self.logical, catalog, merged, True, self.roots[engine])
         if len(self.output_names) == len(table.schema):
             # User-visible names, in place: the rows stay unbuilt if they were.
             table.schema = Schema(self.output_names)

@@ -28,22 +28,22 @@ def scan(catalog, name):
 class TestEnvironmentBinding:
     def test_free_attr_resolved_from_env(self, catalog):
         plan = L.Select(scan(catalog, "s"), E.eq("outer_val", "v"))
-        physical = compile_plan(plan, catalog)
-        rows = physical.execute(ExecContext(), {"outer_val": 1})
+        physical = compile_plan(plan)
+        rows = physical.execute(ExecContext(catalog), {"outer_val": 1})
         assert rows == [(1,), (1,)]
 
     def test_unbound_attr_raises(self, catalog):
         plan = L.Select(scan(catalog, "s"), E.eq("nowhere", "v"))
-        physical = compile_plan(plan, catalog)
+        physical = compile_plan(plan)
         with pytest.raises(ExecutionError, match="unbound attribute"):
-            physical.execute(ExecContext(), {})
+            physical.execute(ExecContext(catalog), {})
 
     def test_env_rebinding_per_execution(self, catalog):
         plan = L.Select(scan(catalog, "s"), E.eq("outer_val", "v"))
-        physical = compile_plan(plan, catalog)
-        assert len(physical.execute(ExecContext(), {"outer_val": 1})) == 2
-        assert len(physical.execute(ExecContext(), {"outer_val": 2})) == 1
-        assert len(physical.execute(ExecContext(), {"outer_val": 9})) == 0
+        physical = compile_plan(plan)
+        assert len(physical.execute(ExecContext(catalog), {"outer_val": 1})) == 2
+        assert len(physical.execute(ExecContext(catalog), {"outer_val": 2})) == 1
+        assert len(physical.execute(ExecContext(catalog), {"outer_val": 9})) == 0
 
     def test_two_level_correlation_chain(self, catalog):
         """x flows two blocks down through chained environments."""

@@ -105,16 +105,16 @@ class TestSubqueryCaching:
 class TestCompile:
     def test_compile_is_pure(self, catalog):
         plan = L.Select(scan(catalog, "r"), E.eq("A1", "A2"))
-        physical = compile_plan(plan, catalog)
-        first = physical.execute(ExecContext(), {})
-        second = physical.execute(ExecContext(), {})
+        physical = compile_plan(plan)
+        first = physical.execute(ExecContext(catalog), {})
+        second = physical.execute(ExecContext(catalog), {})
         assert first == second
 
     def test_hash_join_chosen_for_equality(self, catalog):
         from repro.engine.operators import PHashJoin
 
         plan = L.Join(scan(catalog, "r"), scan(catalog, "s"), E.eq("A2", "B2"))
-        assert isinstance(compile_plan(plan, catalog), PHashJoin)
+        assert isinstance(compile_plan(plan), PHashJoin)
 
     def test_nl_join_chosen_for_theta(self, catalog):
         from repro.engine.operators import PNLJoin
@@ -123,7 +123,7 @@ class TestCompile:
             scan(catalog, "r"), scan(catalog, "s"),
             E.Comparison("<", E.col("A2"), E.col("B2")),
         )
-        assert isinstance(compile_plan(plan, catalog), PNLJoin)
+        assert isinstance(compile_plan(plan), PNLJoin)
 
     def test_negative_stream_filter_fused_into_bypass_join(self, catalog):
         from repro.engine.operators import PStreamTap
@@ -131,7 +131,7 @@ class TestCompile:
         bypass = L.BypassJoin(scan(catalog, "r"), scan(catalog, "s"), E.eq("A2", "B2"))
         filtered = L.Select(bypass.negative, E.Comparison(">", E.col("B1"), E.lit(5)))
         plan = L.UnionAll(bypass.positive, filtered)
-        physical = compile_plan(plan, catalog)
+        physical = compile_plan(plan)
         # The Select disappeared: its right child is the tap directly.
         assert isinstance(physical.right, PStreamTap)
         assert physical.right.source.negative_filter is not None
@@ -153,13 +153,13 @@ class TestCompile:
         from repro.errors import PlanningError
 
         bad = L.Scan("r", Schema(["only_one"]))
-        with pytest.raises(PlanningError):
-            compile_plan(bad, catalog)
+        with pytest.raises(PlanningError, match="catalog arity 2 != plan arity 1"):
+            execute_plan(bad, catalog)  # checked where the scan resolves "r"
 
     def test_bypass_without_tap_rejected_at_runtime(self, catalog):
         from repro.errors import ExecutionError
 
         bypass = L.BypassSelect(scan(catalog, "r"), E.TRUE)
-        physical = compile_plan(bypass, catalog)
+        physical = compile_plan(bypass)
         with pytest.raises(ExecutionError):
-            physical.execute(ExecContext(), {})
+            physical.execute(ExecContext(catalog), {})

@@ -13,6 +13,7 @@ from repro.algebra import expr as E
 from repro.engine import EvalOptions
 from repro.engine.compile import compile_plan
 from repro.optimizer import execute_sql, plan_query
+from repro.storage.catalog import Catalog
 from repro.storage.schema import Schema
 from tests.conftest import assert_bag_equal, make_rst_catalog
 
@@ -116,7 +117,7 @@ class TestBatch:
 def run_predicate(expr, schema, rows):
     kernel = compile_predicate(expr, schema)
     batch = Batch.from_rows(schema, rows)
-    ctx = ExecContext(EvalOptions(vectorized=True))
+    ctx = ExecContext(Catalog(), EvalOptions(vectorized=True))
     is_true, is_false = kernel(ctx, {})(batch)
     return [
         True if t else (False if f else None)
@@ -176,7 +177,7 @@ class TestKernels3VL:
         expr = E.Comparison("=", E.ColumnRef("x"), E.ColumnRef("outer_k"))
         kernel = compile_predicate(expr, self.SCHEMA)
         batch = Batch.from_rows(self.SCHEMA, [(1, 0), (2, 0)])
-        ctx = ExecContext(EvalOptions(vectorized=True))
+        ctx = ExecContext(Catalog(), EvalOptions(vectorized=True))
         is_true, _ = kernel(ctx, {"outer_k": 2})(batch)
         assert is_true.tolist() == [False, True]
 
@@ -211,7 +212,7 @@ def test_agg_combine_kernel_follows_aggregate_combine(name, layout):
         pytest.skip("only MIN/MAX aggregate strings")
     schema = Schema(["g1", "g2"])
     node = E.AggCombine(name, (E.ColumnRef("g1"), E.ColumnRef("g2")))
-    ctx = ExecContext(EvalOptions(vectorized=True))
+    ctx = ExecContext(Catalog(), EvalOptions(vectorized=True))
     by_row = compile_expr(node, schema, None)(ctx, {})
     data, valid = compile_value(node, schema)(ctx, {})(Batch.from_rows(schema, rows))
     assert column_to_pylist(data, valid) == [by_row(row) for row in rows]
@@ -229,15 +230,15 @@ def test_avg_partials_fold_in_a_batch_and_row_correlated_subqueries_have_no_kern
     combine = E.AggCombine("avg", (E.ColumnRef("g1"), E.ColumnRef("g2")))
     rows = [((4, 2), (2, 1)), ((0, 0), (6, 3)), ((0, 0), (0, 0)), ((5, 1), (0, 0))]
     batch = Batch.from_rows(schema, rows)
-    data, valid = compile_value(combine, schema)(ExecContext(), {})(batch)
-    by_row = compile_expr(combine, schema, None)(ExecContext(), {})
+    data, valid = compile_value(combine, schema)(ExecContext(Catalog()), {})(batch)
+    by_row = compile_expr(combine, schema, None)(ExecContext(Catalog()), {})
     assert column_to_pylist(data, valid) == [by_row(row) for row in rows] == [2.0, 2.0, None, 5.0]
     catalog = make_rst_catalog(seed=3)
     correlated = "SELECT A1, (SELECT COUNT(*) FROM s WHERE A2 = B2) FROM r"
     closed = "SELECT A1, (SELECT COUNT(*) FROM s WHERE B4 > 1500) FROM r"
     for sql, expected in ((correlated, "PMap"), (closed, "VMap")):
         planned = plan_query(sql, catalog, "canonical")
-        physical = compile_plan(planned.logical, catalog, vectorized=True)
+        physical = compile_plan(planned.logical, vectorized=True)
         assert expected in _operator_names(physical), sql
 
 
@@ -266,7 +267,7 @@ class TestCompilerRouting:
     def test_simple_plan_is_fully_vectorized(self):
         catalog = make_rst_catalog(seed=3)
         planned = plan_query("SELECT A1, A2 FROM r WHERE A4 > 1500", catalog, "canonical")
-        physical = compile_plan(planned.logical, catalog, vectorized=True)
+        physical = compile_plan(planned.logical, vectorized=True)
         assert isinstance(physical, V.VecOperator)
 
     def test_subquery_predicate_falls_back_to_row_filter(self):
@@ -276,7 +277,7 @@ class TestCompilerRouting:
             catalog,
             "canonical",
         )
-        physical = compile_plan(planned.logical, catalog, vectorized=True)
+        physical = compile_plan(planned.logical, vectorized=True)
         names = _operator_names(physical)
         # The correlated filter stays in the row interpreter, but its
         # scan child is still vectorized.
@@ -287,7 +288,7 @@ class TestCompilerRouting:
         from repro.bench.queries import Q1
 
         planned = plan_query(Q1, catalog, "unnested")
-        physical = compile_plan(planned.logical, catalog, vectorized=True)
+        physical = compile_plan(planned.logical, vectorized=True)
         names = _operator_names(physical)
         assert "VBypassFilter" in names
         assert "VHashGroupBy" in names
@@ -317,7 +318,7 @@ class TestCompilerRouting:
         for sql, catalog in cases:
             for strategy in ("canonical", "unnested"):
                 planned = plan_query(sql, catalog, strategy)
-                physical = compile_plan(planned.logical, catalog, vectorized=True)
+                physical = compile_plan(planned.logical, vectorized=True)
                 modules = {type(node).__module__ for node in _walk(physical)}
                 assert modules <= {"repro.engine.vector_ops", "repro.engine.operators"}
 
@@ -387,7 +388,7 @@ def _compile_all(sql, catalog, strategy):
     from repro.engine.vector_compile import VectorCompiler
 
     planned = plan_query(sql, catalog, strategy)
-    compiler = VectorCompiler(catalog)
+    compiler = VectorCompiler()
     compiler.count_references(planned.logical)
     return compiler.compile(planned.logical), list(compiler.memo.values())
 
