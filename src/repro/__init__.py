@@ -237,7 +237,7 @@ class Database:
             for name in self.catalog.table_names()
         }
         # The definitions only: ``Index.info()`` would also count entries,
-        # which rebuilds an index that DELETE/UPDATE left stale.
+        # which builds the index over the table's current version.
         indexes = [
             {
                 "name": index.name,
@@ -702,8 +702,8 @@ class Database:
         # any read, but on the live catalog under the commit lock: a writer
         # sees its own state, so there is no pin.
         base = self._armed_options(options or EvalOptions())
-        # Plans stay *correct* across DML (indexes refresh lazily, batch
-        # caches key on the table version); the plan cache re-costs them
+        # Plans stay *correct* across DML (index builds and batch caches
+        # key on the table version); the plan cache re-costs them
         # once a table's cardinality drifts far enough.
         with self._commit_lock:
             key = statement.table.lower()

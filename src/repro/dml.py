@@ -33,9 +33,9 @@ moves once per statement, once per row for INSERT.  The catalog's
 statistics are moved by the rows added and removed
 (:meth:`Catalog.apply_delta`), a column batch cached at the pre-statement
 version is carried to the new one by the same delta
-(:meth:`Table.carry_batch`), and an INSERT folds its tail into the
-secondary indexes that were current.  Nothing else is recomputed here:
-stale indexes rebuild on their next probe.
+(:meth:`Table.carry_batch`).  Nothing else is touched here: a secondary
+index is a build per table version, made by the next probe that needs it
+(:func:`repro.storage.index.index_for`).
 """
 
 from __future__ import annotations
@@ -123,9 +123,8 @@ def _execute_insert(stmt: ast.InsertStmt, catalog: Catalog, run) -> DmlResult:
             constants = tuple(_constant_value(expr) for expr in value_row)
             new_rows.append(_scatter(constants, positions, len(table.schema)))
 
-    start, base_version = len(table.rows), table.version
+    base_version = table.version
     table.extend(new_rows)
-    catalog.note_appends(stmt.table, start, base_version)
     catalog.apply_delta(stmt.table, new_rows, [])
     table.carry_batch(base_version, lambda batch: batch.appended(new_rows))
     return DmlResult("insert", stmt.table, len(new_rows))

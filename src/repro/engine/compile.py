@@ -175,12 +175,12 @@ class _Compiler:
             return self.compile(node.child)
         child = self.compile(node.child)
         predicate = self._expr(node.predicate, node.child.schema)
-        return P.PFilter(child, predicate, ())
+        return P.PFilter(child, predicate)
 
     def _compile_BypassSelect(self, node: L.BypassSelect) -> P.PhysicalOperator:
         child = self.compile(node.child)
         predicate = self._expr(node.predicate, node.child.schema)
-        return P.PBypassFilter(child, predicate, ())
+        return P.PBypassFilter(child, predicate)
 
     def _compile_StreamTap(self, node: L.StreamTap) -> P.PhysicalOperator:
         source = self.compile(node.child)
@@ -202,7 +202,7 @@ class _Compiler:
     def _compile_Map(self, node: L.Map) -> P.PhysicalOperator:
         child = self.compile(node.child)
         expression = self._expr(node.expression, node.child.schema)
-        return P.PMap(child, node.schema, expression, ())
+        return P.PMap(child, node.schema, expression)
 
     def _compile_Numbering(self, node: L.Numbering) -> P.PhysicalOperator:
         return P.PNumber(self.compile(node.child), node.schema)
@@ -228,12 +228,12 @@ class _Compiler:
         child = self.compile(node.child)
         key_positions = node.child.schema.positions(node.keys)
         columns = [self._agg_column(spec, node.child.schema) for _, spec in node.aggregates]
-        return P.PHashGroupBy(child, node.schema, key_positions, columns, ())
+        return P.PHashGroupBy(child, node.schema, key_positions, columns)
 
     def _compile_ScalarAggregate(self, node: L.ScalarAggregate) -> P.PhysicalOperator:
         child = self.compile(node.child)
         columns = [self._agg_column(spec, node.child.schema) for _, spec in node.aggregates]
-        return P.PScalarAgg(child, node.schema, columns, ())
+        return P.PScalarAgg(child, node.schema, columns)
 
     def _compile_BinaryGroupBy(self, node: L.BinaryGroupBy) -> P.PhysicalOperator:
         left = self.compile(node.left)
@@ -247,7 +247,6 @@ class _Compiler:
             node.right.schema.position(node.right_key),
             node.op,
             column,
-            (),
         )
 
     # -- joins --------------------------------------------------------------------
@@ -283,10 +282,10 @@ class _Compiler:
         if lkeys:
             residual_fn = self._expr(residual, combined) if residual is not None else None
             return P.PHashJoin(
-                left, right, node.schema, lkeys, rkeys, residual_fn, kind, (), default_row
+                left, right, node.schema, lkeys, rkeys, residual_fn, kind, default_row
             )
         predicate_fn = self._expr(node.predicate, combined)
-        return P.PNLJoin(left, right, node.schema, predicate_fn, kind, (), default_row)
+        return P.PNLJoin(left, right, node.schema, predicate_fn, kind, default_row)
 
     def _compile_Join(self, node: L.Join) -> P.PhysicalOperator:
         return self._compile_join_family(node, "inner")
@@ -303,7 +302,7 @@ class _Compiler:
     def _compile_CrossProduct(self, node: L.CrossProduct) -> P.PhysicalOperator:
         left = self.compile(node.left)
         right = self.compile(node.right)
-        return P.PNLJoin(left, right, node.schema, None, "inner", ())
+        return P.PNLJoin(left, right, node.schema, None, "inner")
 
     def _compile_BypassJoin(self, node: L.BypassJoin) -> P.PhysicalOperator:
         left = self.compile(node.left)
@@ -312,7 +311,7 @@ class _Compiler:
         predicate = self._expr(node.predicate, combined)
         fused = self.fused_negative.get(id(node))
         negative_filter = self._expr(fused, combined) if fused is not None else None
-        return P.PBypassNLJoin(left, right, node.schema, predicate, (), negative_filter)
+        return P.PBypassNLJoin(left, right, node.schema, predicate, negative_filter)
 
     # -- set operations --------------------------------------------------------
 

@@ -34,8 +34,7 @@ from typing import Callable, Sequence
 
 from repro.algebra.aggregates import AggSpec, evaluate_spec
 from repro.errors import ExecutionError, PlanningError
-from repro.storage.index import probe_bounds
-from repro.storage.mvcc import resolve_index
+from repro.storage.index import index_for, probe_bounds
 from repro.storage.schema import Schema
 
 
@@ -51,9 +50,11 @@ class PhysicalOperator:
     #: Whether ``_run`` returns a bypass split, ``(positive, negative)``.
     SPLIT = False
 
-    def __init__(self, schema: Schema, free_names: Sequence[str] = ()):
+    def __init__(self, schema: Schema):
         self.schema = schema
-        self.free_names = tuple(sorted(free_names))
+        #: Correlation attributes the result depends on; the compiler
+        #: sets them from the logical node (the memo key).
+        self.free_names = ()
         self.memoize = False
 
     def env_signature(self, env: dict) -> tuple:
@@ -121,8 +122,8 @@ class PBypassBase(PhysicalOperator):
 
     SPLIT = True
 
-    def __init__(self, schema: Schema, free_names: Sequence[str] = ()):
-        super().__init__(schema, free_names)
+    def __init__(self, schema: Schema):
+        super().__init__(schema)
         self.memoize = True
 
     def execute(self, ctx, env: dict) -> list:
@@ -135,7 +136,7 @@ class PStreamTap(PhysicalOperator):
     __slots__ = ("source", "positive")
 
     def __init__(self, source: PBypassBase, positive: bool):
-        super().__init__(source.schema, source.free_names)
+        super().__init__(source.schema)
         self.source = source
         self.positive = positive
 
@@ -205,8 +206,8 @@ class PIndexScan(PhysicalOperator):
 
     __slots__ = ("table_name", "index_name", "bounds", "residual", "projection")
 
-    def __init__(self, schema, table_name, index_name, bounds, residual, projection, free_names=()):
-        super().__init__(schema, free_names)
+    def __init__(self, schema, table_name, index_name, bounds, residual, projection):
+        super().__init__(schema)
         self.table_name = table_name
         self.index_name = index_name
         self.bounds = tuple(bounds)
@@ -223,10 +224,7 @@ class PIndexScan(PhysicalOperator):
         if ctx.faults is not None:
             ctx.faults.maybe_fail("storage.scan")
         table, index = ctx.resolved(self)
-        # Live table: the shared, lazily refreshed index.  MVCC snapshot: a
-        # per-version transient index over exactly the frozen rows (never
-        # the shared one, which a concurrent writer may be rebuilding).
-        index = resolve_index(index, table)
+        index = index_for(index, table)
         evaluated = tuple((op, fn(ctx, env)(())) for op, fn in self.bounds)
         lookup = probe_bounds(index, evaluated)
         ctx.access["index_scans"] += 1
@@ -261,10 +259,8 @@ class PIndexNLJoin(PhysicalOperator):
 
     __slots__ = ("left", "table_name", "index_name", "left_position", "residual")
 
-    def __init__(
-        self, schema, left, table_name, index_name, left_position, residual, free_names=()
-    ):
-        super().__init__(schema, free_names)
+    def __init__(self, schema, left, table_name, index_name, left_position, residual):
+        super().__init__(schema)
         self.left = left
         self.table_name = table_name
         self.index_name = index_name
@@ -278,7 +274,7 @@ class PIndexNLJoin(PhysicalOperator):
     def _run(self, ctx, env):
         left_rows = self.left.execute(ctx, env)
         table, index = ctx.resolved(self)
-        index = resolve_index(index, table)
+        index = index_for(index, table)
         fn = self.residual(ctx, env) if self.residual is not None else None
         rows = table.rows
         position = self.left_position
@@ -310,8 +306,8 @@ class PFilter(PhysicalOperator):
 
     __slots__ = ("child", "predicate")
 
-    def __init__(self, child: PhysicalOperator, predicate: Callable, free_names):
-        super().__init__(child.schema, free_names)
+    def __init__(self, child: PhysicalOperator, predicate: Callable):
+        super().__init__(child.schema)
         self.child = child
         self.predicate = predicate
 
@@ -327,8 +323,8 @@ class PBypassFilter(PBypassBase):
 
     __slots__ = ("child", "predicate")
 
-    def __init__(self, child: PhysicalOperator, predicate: Callable, free_names):
-        super().__init__(child.schema, free_names)
+    def __init__(self, child: PhysicalOperator, predicate: Callable):
+        super().__init__(child.schema)
         self.child = child
         self.predicate = predicate
 
@@ -352,7 +348,7 @@ class PProject(PhysicalOperator):
     __slots__ = ("child", "positions")
 
     def __init__(self, child: PhysicalOperator, schema: Schema, positions: Sequence[int]):
-        super().__init__(schema, ())
+        super().__init__(schema)
         self.child = child
         self.positions = tuple(positions)
 
@@ -368,8 +364,8 @@ class PMap(PhysicalOperator):
 
     __slots__ = ("child", "expression")
 
-    def __init__(self, child: PhysicalOperator, schema: Schema, expression: Callable, free_names):
-        super().__init__(schema, free_names)
+    def __init__(self, child: PhysicalOperator, schema: Schema, expression: Callable):
+        super().__init__(schema)
         self.child = child
         self.expression = expression
 
@@ -386,7 +382,7 @@ class PDistinct(PhysicalOperator):
     __slots__ = ("child",)
 
     def __init__(self, child: PhysicalOperator):
-        super().__init__(child.schema, ())
+        super().__init__(child.schema)
         self.child = child
 
     def _run(self, ctx, env):
@@ -407,7 +403,7 @@ class PRename(PhysicalOperator):
     __slots__ = ("child",)
 
     def __init__(self, child: PhysicalOperator, schema: Schema):
-        super().__init__(schema, ())
+        super().__init__(schema)
         self.child = child
 
     def _run(self, ctx, env):
@@ -420,7 +416,7 @@ class PNumber(PhysicalOperator):
     __slots__ = ("child",)
 
     def __init__(self, child: PhysicalOperator, schema: Schema):
-        super().__init__(schema, ())
+        super().__init__(schema)
         self.child = child
 
     def _run(self, ctx, env):
@@ -436,7 +432,7 @@ class PSort(PhysicalOperator):
     __slots__ = ("child", "keys")
 
     def __init__(self, child: PhysicalOperator, keys: Sequence[tuple[int, bool]]):
-        super().__init__(child.schema, ())
+        super().__init__(child.schema)
         self.child = child
         self.keys = tuple(keys)
 
@@ -458,7 +454,7 @@ class PLimit(PhysicalOperator):
     __slots__ = ("child", "count")
 
     def __init__(self, child: PhysicalOperator, count: int):
-        super().__init__(child.schema, ())
+        super().__init__(child.schema)
         self.child = child
         self.count = count
 
@@ -510,8 +506,8 @@ class PHashGroupBy(PhysicalOperator):
 
     __slots__ = ("child", "key_positions", "agg_columns")
 
-    def __init__(self, child: PhysicalOperator, schema: Schema, key_positions: Sequence[int], agg_columns: Sequence[_AggColumn], free_names):
-        super().__init__(schema, free_names)
+    def __init__(self, child: PhysicalOperator, schema: Schema, key_positions: Sequence[int], agg_columns: Sequence[_AggColumn]):
+        super().__init__(schema)
         self.child = child
         self.key_positions = tuple(key_positions)
         self.agg_columns = tuple(agg_columns)
@@ -545,8 +541,8 @@ class PScalarAgg(PhysicalOperator):
 
     __slots__ = ("child", "agg_columns")
 
-    def __init__(self, child: PhysicalOperator, schema: Schema, agg_columns: Sequence[_AggColumn], free_names):
-        super().__init__(schema, free_names)
+    def __init__(self, child: PhysicalOperator, schema: Schema, agg_columns: Sequence[_AggColumn]):
+        super().__init__(schema)
         self.child = child
         self.agg_columns = tuple(agg_columns)
 
@@ -577,8 +573,8 @@ class PBinaryGroup(PhysicalOperator):
 
     __slots__ = ("left", "right", "left_key", "right_key", "op", "agg_column")
 
-    def __init__(self, left, right, schema: Schema, left_key: int, right_key: int, op: str, agg_column: _AggColumn, free_names):
-        super().__init__(schema, free_names)
+    def __init__(self, left, right, schema: Schema, left_key: int, right_key: int, op: str, agg_column: _AggColumn):
+        super().__init__(schema)
         self.left = left
         self.right = right
         self.left_key = left_key
@@ -652,8 +648,8 @@ class PHashJoin(PhysicalOperator):
 
     __slots__ = ("left", "right", "left_keys", "right_keys", "residual", "kind", "default_row")
 
-    def __init__(self, left, right, schema: Schema, left_keys, right_keys, residual: Callable | None, kind: str, free_names, default_row: tuple | None = None):
-        super().__init__(schema, free_names)
+    def __init__(self, left, right, schema: Schema, left_keys, right_keys, residual: Callable | None, kind: str, default_row: tuple | None = None):
+        super().__init__(schema)
         self.left = left
         self.right = right
         self.left_keys = tuple(left_keys)
@@ -712,8 +708,8 @@ class PNLJoin(PHashJoin):
 
     __slots__ = ()
 
-    def __init__(self, left, right, schema: Schema, predicate: Callable | None, kind: str, free_names, default_row: tuple | None = None):
-        super().__init__(left, right, schema, (), (), predicate, kind, free_names, default_row)
+    def __init__(self, left, right, schema: Schema, predicate: Callable | None, kind: str, default_row: tuple | None = None):
+        super().__init__(left, right, schema, (), (), predicate, kind, default_row)
 
     def _run(self, ctx, env):
         left_rows = self.left.execute(ctx, env)
@@ -738,8 +734,8 @@ class PBypassNLJoin(PBypassBase):
 
     __slots__ = ("left", "right", "predicate", "negative_filter")
 
-    def __init__(self, left, right, schema: Schema, predicate: Callable, free_names, negative_filter: Callable | None = None):
-        super().__init__(schema, free_names)
+    def __init__(self, left, right, schema: Schema, predicate: Callable, negative_filter: Callable | None = None):
+        super().__init__(schema)
         self.left = left
         self.right = right
         self.predicate = predicate
@@ -774,7 +770,7 @@ class PUnionAll(PhysicalOperator):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
-        super().__init__(left.schema, ())
+        super().__init__(left.schema)
         self.left = left
         self.right = right
 
@@ -788,7 +784,7 @@ class PUnion(PhysicalOperator):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
-        super().__init__(left.schema, ())
+        super().__init__(left.schema)
         self.left = left
         self.right = right
 
@@ -810,7 +806,7 @@ class PIntersect(PhysicalOperator):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
-        super().__init__(left.schema, ())
+        super().__init__(left.schema)
         self.left = left
         self.right = right
 
@@ -831,7 +827,7 @@ class PDifference(PhysicalOperator):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
-        super().__init__(left.schema, ())
+        super().__init__(left.schema)
         self.left = left
         self.right = right
 

@@ -81,7 +81,7 @@ class VectorCompiler(_Compiler):
             kernel = compile_predicate(node.predicate, node.child.schema)
         except VectorizeError:
             return super()._compile_Select(node)
-        return V.VFilter(self._vec(child), kernel, ())
+        return V.VFilter(self._vec(child), kernel)
 
     def _compile_BypassSelect(self, node: L.BypassSelect) -> P.PhysicalOperator:
         child = self.compile(node.child)
@@ -89,7 +89,7 @@ class VectorCompiler(_Compiler):
             kernel = compile_predicate(node.predicate, node.child.schema)
         except VectorizeError:
             return super()._compile_BypassSelect(node)
-        return V.VBypassFilter(self._vec(child), kernel, ())
+        return V.VBypassFilter(self._vec(child), kernel)
 
     def _compile_StreamTap(self, node: L.StreamTap) -> P.PhysicalOperator:
         source = self.compile(node.child)
@@ -118,7 +118,7 @@ class VectorCompiler(_Compiler):
             kernel = compile_value(node.expression, node.child.schema, self.compile_subplan)
         except VectorizeError:
             return super()._compile_Map(node)
-        return V.VMap(self._vec(child), node.schema, kernel, ())
+        return V.VMap(self._vec(child), node.schema, kernel)
 
     def _compile_Numbering(self, node: L.Numbering) -> P.PhysicalOperator:
         return V.VNumber(self._vec(self.compile(node.child)), node.schema)
@@ -152,7 +152,7 @@ class VectorCompiler(_Compiler):
         except VectorizeError:
             return super()._compile_GroupBy(node)
         key_positions = node.child.schema.positions(node.keys)
-        return V.VHashGroupBy(self._vec(child), node.schema, key_positions, columns, ())
+        return V.VHashGroupBy(self._vec(child), node.schema, key_positions, columns)
 
     def _compile_ScalarAggregate(self, node: L.ScalarAggregate) -> P.PhysicalOperator:
         child = self.compile(node.child)
@@ -163,7 +163,7 @@ class VectorCompiler(_Compiler):
             ]
         except VectorizeError:
             return super()._compile_ScalarAggregate(node)
-        return V.VScalarAgg(self._vec(child), node.schema, columns, ())
+        return V.VScalarAgg(self._vec(child), node.schema, columns)
 
     def _compile_BinaryGroupBy(self, node: L.BinaryGroupBy) -> P.PhysicalOperator:
         """``left Γ g; t = t'; f right`` (the only form the rewriter emits)
@@ -181,10 +181,10 @@ class VectorCompiler(_Compiler):
             return super()._compile_BinaryGroupBy(node)
         key = node.right.schema.position(node.right_key)
         grouped_schema = Schema([node.right.schema[key], node.schema[-1]])
-        grouped = V.VHashGroupBy(self._vec(right), grouped_schema, [key], [column], ())
+        grouped = V.VHashGroupBy(self._vec(right), grouped_schema, [key], [column])
         joined = V.VHashJoin(
             self._vec(left), grouped, node.left.schema.concat(grouped_schema),
-            [node.left.schema.position(node.left_key)], [0], None, "left_outer", (),
+            [node.left.schema.position(node.left_key)], [0], None, "left_outer",
             (None, node.spec.empty_result()),
         )
         arity = len(node.left.schema)
@@ -214,8 +214,7 @@ class VectorCompiler(_Compiler):
             )
         if not lkeys:
             return V.VNLJoin(
-                self._vec(left), self._vec(right), node.schema, residual_kernel, kind, (),
-                default_row,
+                self._vec(left), self._vec(right), node.schema, residual_kernel, kind, default_row
             )
         return V.VHashJoin(
             self._vec(left),
@@ -225,14 +224,13 @@ class VectorCompiler(_Compiler):
             rkeys,
             residual_kernel,
             kind,
-            (),
             default_row,
         )
 
     def _compile_CrossProduct(self, node: L.CrossProduct) -> P.PhysicalOperator:
         left = self.compile(node.left)
         right = self.compile(node.right)
-        return V.VNLJoin(self._vec(left), self._vec(right), node.schema, None, "inner", ())
+        return V.VNLJoin(self._vec(left), self._vec(right), node.schema, None, "inner")
 
     def _compile_BypassJoin(self, node: L.BypassJoin) -> P.PhysicalOperator:
         combined = node.left.schema.concat(node.right.schema)

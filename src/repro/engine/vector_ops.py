@@ -154,7 +154,7 @@ class VFromRows(VecOperator):
     __slots__ = ("child",)
 
     def __init__(self, child: P.PhysicalOperator):
-        super().__init__(child.schema, child.free_names)
+        super().__init__(child.schema)
         self.child = child
 
     def _run(self, ctx, env):
@@ -171,8 +171,8 @@ class VFilter(VecOperator):
 
     __slots__ = ("child", "kernel")
 
-    def __init__(self, child: VecOperator, kernel: Callable, free_names):
-        super().__init__(child.schema, free_names)
+    def __init__(self, child: VecOperator, kernel: Callable):
+        super().__init__(child.schema)
         self.child = child
         self.kernel = kernel
 
@@ -202,8 +202,8 @@ class VBypassFilter(VBypassBase):
 
     __slots__ = ("child", "kernel")
 
-    def __init__(self, child: VecOperator, kernel: Callable, free_names):
-        super().__init__(child.schema, free_names)
+    def __init__(self, child: VecOperator, kernel: Callable):
+        super().__init__(child.schema)
         self.child = child
         self.kernel = kernel
 
@@ -234,7 +234,7 @@ class VProject(VecOperator):
     __slots__ = ("child", "positions")
 
     def __init__(self, child: VecOperator, schema: Schema, positions: Sequence[int]):
-        super().__init__(schema, ())
+        super().__init__(schema)
         self.child = child
         self.positions = tuple(positions)
 
@@ -250,7 +250,7 @@ class VRename(VecOperator):
     __slots__ = ("child",)
 
     def __init__(self, child: VecOperator, schema: Schema):
-        super().__init__(schema, ())
+        super().__init__(schema)
         self.child = child
 
     def _run(self, ctx, env):
@@ -262,8 +262,8 @@ class VMap(VecOperator):
 
     __slots__ = ("child", "kernel")
 
-    def __init__(self, child: VecOperator, schema: Schema, kernel: Callable, free_names):
-        super().__init__(schema, free_names)
+    def __init__(self, child: VecOperator, schema: Schema, kernel: Callable):
+        super().__init__(schema)
         self.child = child
         self.kernel = kernel
 
@@ -280,7 +280,7 @@ class VNumber(VecOperator):
     __slots__ = ("child",)
 
     def __init__(self, child: VecOperator, schema: Schema):
-        super().__init__(schema, ())
+        super().__init__(schema)
         self.child = child
 
     def _run(self, ctx, env):
@@ -296,7 +296,7 @@ class VDistinct(VecOperator):
     __slots__ = ("child",)
 
     def __init__(self, child: VecOperator):
-        super().__init__(child.schema, ())
+        super().__init__(child.schema)
         self.child = child
 
     def _run(self, ctx, env):
@@ -311,7 +311,7 @@ class VLimit(VecOperator):
     __slots__ = ("child", "count")
 
     def __init__(self, child: VecOperator, count: int):
-        super().__init__(child.schema, ())
+        super().__init__(child.schema)
         self.child = child
         self.count = count
 
@@ -326,7 +326,7 @@ class VSort(VecOperator):
     __slots__ = ("child", "keys")
 
     def __init__(self, child: VecOperator, keys: Sequence[tuple[int, bool]]):
-        super().__init__(child.schema, ())
+        super().__init__(child.schema)
         self.child = child
         self.keys = tuple(keys)
 
@@ -354,7 +354,7 @@ class VUnionAll(VecOperator):
     __slots__ = ("left", "right")
 
     def __init__(self, left: VecOperator, right: VecOperator):
-        super().__init__(left.schema, ())
+        super().__init__(left.schema)
         self.left = left
         self.right = right
 
@@ -371,7 +371,7 @@ class VUnion(VecOperator):
     __slots__ = ("left", "right")
 
     def __init__(self, left: VecOperator, right: VecOperator):
-        super().__init__(left.schema, ())
+        super().__init__(left.schema)
         self.left = left
         self.right = right
 
@@ -575,10 +575,9 @@ class VHashJoin(VecOperator):
         right_keys,
         residual: Callable | None,
         kind: str,
-        free_names,
         default_row: tuple | None = None,
     ):
-        super().__init__(schema, free_names)
+        super().__init__(schema)
         self.left = left
         self.right = right
         self.left_keys = tuple(left_keys)
@@ -667,8 +666,8 @@ class VNLJoin(VHashJoin):
 
     __slots__ = ()
 
-    def __init__(self, left, right, schema, predicate, kind, free_names, default_row=None):
-        super().__init__(left, right, schema, (), (), predicate, kind, free_names, default_row)
+    def __init__(self, left, right, schema, predicate, kind, default_row=None):
+        super().__init__(left, right, schema, (), (), predicate, kind, default_row)
 
     def _run(self, ctx, env):
         left = self.left.invoke(ctx, env).compact()
@@ -695,7 +694,7 @@ class VBypassJoin(VBypassBase):
     __slots__ = ("left", "right", "kernel", "negative_kernel")
 
     def __init__(self, left, right, schema: Schema, kernel: Callable, negative_kernel):
-        super().__init__(schema, ())
+        super().__init__(schema)
         self.left = left
         self.right = right
         self.kernel = kernel
@@ -963,9 +962,8 @@ class VHashGroupBy(VecOperator):
         schema: Schema,
         key_positions: Sequence[int],
         agg_columns: Sequence[VAggColumn],
-        free_names,
     ):
-        super().__init__(schema, free_names)
+        super().__init__(schema)
         self.child = child
         self.key_positions = tuple(key_positions)
         self.agg_columns = tuple(agg_columns)
@@ -1044,9 +1042,8 @@ class VScalarAgg(VecOperator):
         child: VecOperator,
         schema: Schema,
         agg_columns: Sequence[VAggColumn],
-        free_names,
     ):
-        super().__init__(schema, free_names)
+        super().__init__(schema)
         self.child = child
         self.agg_columns = tuple(agg_columns)
 

@@ -436,13 +436,6 @@ class Catalog:
     def index_info(self) -> list[dict]:
         return [self._indexes[key].info() for key in sorted(self._indexes)]
 
-    def note_appends(self, table_name: str, start: int, base_version: int) -> None:
-        """Fold rows appended at positions ``>= start`` into the indexes
-        that were current at ``base_version``, the table's version just
-        before the appends."""
-        for index in self.indexes_on(table_name):
-            index.note_appends(start, base_version)
-
     def _purge_indexes(self, table_key: str) -> None:
         stale = [key for key, index in self._indexes.items() if index.table_name == table_key]
         for key in stale:

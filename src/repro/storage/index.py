@@ -13,16 +13,14 @@ Two index kinds back the optimizer's access-path selection
   (the resource governor charges skipped rows at a discount; see
   ``ExecContext.tick_skipped``).
 
-Indexes are *self-maintaining*: every structure is stamped with the
-owning table's ``version`` and rebuilt lazily on first use after a
-mutation.  Nothing is rebuilt at DML time; an INSERT folds its appended
-tail into the indexes that were current just before it (see
-:meth:`Index.note_appends`), DELETE and UPDATE leave them stale.
+An index is one immutable build over one table object's rows at one
+``version``, like the column batch.  Nothing is maintained at DML time:
+a probe finds its build through :func:`index_for`, which builds once per
+(table object, version) and index definition.
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
@@ -48,7 +46,7 @@ class IndexLookup(NamedTuple):
 
 
 class Index:
-    """Base class: version-stamped lazy rebuild against one table column."""
+    """Base class: one build over ``table``'s rows at ``version``."""
 
     kind = "abstract"
 
@@ -58,44 +56,13 @@ class Index:
         self.table_name = table_name
         self.column = column
         self.position = table.schema.position(column)
-        self.version = -1
-        self._lock = threading.Lock()
-        self.refresh()
-
-    # -- maintenance -------------------------------------------------------
-
-    def refresh(self) -> None:
-        """Rebuild if the table mutated since the structures were built."""
-        if self.version == self.table.version:
-            return
-        with self._lock:
-            if self.version == self.table.version:
-                return
-            self._rebuild()
-            self.version = self.table.version
-
-    def note_appends(self, start: int, base_version: int) -> None:
-        """Fold rows appended at positions ``>= start`` into the index.
-
-        The INSERT fast path: the caller guarantees that rows below
-        ``start`` are what they were at ``base_version``, the table's
-        version just before the appends.  Only an index that was current
-        then can take the tail alone; one already stale (an
-        out-of-protocol ``table.append``, an earlier DELETE/UPDATE) is
-        missing more than the tail, so it is left stale for the next
-        probe's :meth:`refresh` to rebuild.
-        """
-        with self._lock:
-            if self.version != base_version:
-                return
-            self._extend(start)
-            self.version = self.table.version
+        self.version = table.version
+        self._rebuild()
 
     def _rebuild(self) -> None:
+        """Compute the structures from ``table.rows`` (the constructor's
+        one full pass)."""
         raise NotImplementedError
-
-    def _extend(self, start: int) -> None:
-        self._rebuild()
 
     # -- probing -----------------------------------------------------------
 
@@ -106,13 +73,12 @@ class Index:
     # -- introspection -----------------------------------------------------
 
     def info(self) -> dict:
-        self.refresh()
         return {
             "name": self.name,
             "table": self.table_name,
             "column": self.column,
             "kind": self.kind,
-            "entries": self._entry_count(),
+            "entries": index_for(self, self.table)._entry_count(),
             "rows": len(self.table.rows),
         }
 
@@ -141,16 +107,6 @@ class HashIndex(Index):
             buckets.setdefault(value, []).append(row_pos)
         self.buckets = buckets
 
-    def _extend(self, start: int) -> None:
-        position = self.position
-        buckets = self.buckets
-        rows = self.table.rows
-        for row_pos in range(start, len(rows)):
-            value = rows[row_pos][position]
-            if value is None:
-                continue
-            buckets.setdefault(value, []).append(row_pos)
-
     def eq_positions(self, value) -> tuple[int, ...]:
         if value is None:
             return ()
@@ -168,12 +124,10 @@ class SortedIndex(Index):
     """Range index: non-NULL keys in sorted order beside their positions.
 
     ``_entries`` is one ``(keys, positions, ordered)`` triple — two
-    parallel lists and a flag — replaced as a whole, so a concurrent
-    reader never sees its parts disagree.  Equal keys keep ascending
-    physical positions (the sort is stable, and appended positions are
-    the largest).  Keys without a shared total order leave the index
-    *unordered*, its pairs in physical order: that still serves equality
-    (``==`` is total) but no range.
+    parallel lists and a flag.  Equal keys keep ascending physical
+    positions (the sort is stable).  Keys without a shared total order
+    leave the index *unordered*, its pairs in physical order: that still
+    serves equality (``==`` is total) but no range.
     """
 
     kind = "sorted"
@@ -188,26 +142,6 @@ class SortedIndex(Index):
         except TypeError:
             ordered = False
         self._entries = ([rows[pos][column] for pos in positions], positions, ordered)
-
-    def _extend(self, start: int) -> None:
-        rows = self.table.rows
-        column = self.position
-        keys, positions, ordered = self._entries
-        tail = range(start, len(rows))
-        if not ordered or len(tail) > len(keys):
-            return self._rebuild()
-        keys, positions = list(keys), list(positions)
-        for pos in tail:
-            key = rows[pos][column]
-            if key is None:
-                continue
-            try:
-                at = bisect_right(keys, key)
-            except TypeError:  # the new key broke the total order
-                return self._rebuild()
-            keys.insert(at, key)
-            positions.insert(at, pos)
-        self._entries = (keys, positions, True)
 
     def range_positions(
         self, lo, lo_inclusive: bool, hi, hi_inclusive: bool
@@ -257,6 +191,35 @@ def make_index(name: str, table: Table, table_name: str, column: str, kind: str)
     raise CatalogError(
         f"unknown index kind {kind!r}; supported kinds: {', '.join(INDEX_KINDS)}"
     )
+
+
+def index_for(index: Index, table: Table) -> Index:
+    """The build of ``index``'s definition over ``table`` as it is now.
+
+    The catalog's own build while ``table`` is the table it was made over,
+    still at the version it was made at.  Otherwise one build per (table
+    object, version), cached on the table and published under its
+    ``batch_lock``, double-checked as the column batch is.  The cache keys
+    on the catalog's ``Index`` object, the definition, not on its name:
+    CREATE / DROP INDEX move no table version, and an index re-created
+    under the same name must not answer with its predecessor's build.
+    """
+    version = table.version
+    if table is index.table and version == index.version:
+        return index
+    cached = table.index_cache
+    if cached is not None and cached[0] == version and index in cached[1]:
+        return cached[1][index]
+    with table.batch_lock:
+        cached = table.index_cache
+        if cached is None or cached[0] != version:
+            cached = table.index_cache = (version, {})
+        builds = cached[1]
+        if index not in builds:
+            builds[index] = make_index(
+                index.name, table, index.table_name, index.column, index.kind
+            )
+        return builds[index]
 
 
 def probe_bounds(index: Index, bounds: tuple) -> IndexLookup:

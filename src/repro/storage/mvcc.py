@@ -18,11 +18,10 @@ lock; a long write burst cannot stall them, and a query never observes a
 half-applied statement.  Versions are garbage-collected as soon as no
 pin can reach them (the newest version per table always survives).
 
-Secondary indexes are versioned *transiently*: the shared index always
-describes the live table, so a snapshot reader builds (and caches, per
-version) its own index over exactly the frozen rows — see
-:func:`resolve_index`.  This keeps reader probes free of any shared
-mutable structure.
+Secondary indexes need no versioning of their own: a build is immutable
+and made over one table object at one version, so a snapshot reader
+probes the build over exactly its frozen rows, made once per snapshot
+and index definition — see :func:`repro.storage.index.index_for`.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Iterator
 
 from repro.errors import CatalogError
 from repro.storage.catalog import Catalog, TableStats
-from repro.storage.index import Index, make_index
+from repro.storage.index import Index
 from repro.storage.table import Table
 
 
@@ -90,12 +89,12 @@ class TableSnapshot(Table):
     """A frozen, read-only view of one committed table version.
 
     Structurally a :class:`Table` (so the engines, the vectorized batch
-    pivot cache, and the statistics helpers all work unchanged), plus a
-    pointer back to the live base table for the compiler's index
-    ownership checks and a per-snapshot transient index cache.
+    pivot cache, the index builds and the statistics helpers all work
+    unchanged), plus a pointer back to the live base table for the
+    index ownership checks.
     """
 
-    __slots__ = ("base_table", "snapshot_lsn", "_index_cache", "_index_lock")
+    __slots__ = ("base_table", "snapshot_lsn")
 
     def __init__(self, base: Table, rows: list, lsn: int, table_version: int):
         super().__init__(base.schema, (), name=base.name)
@@ -105,48 +104,11 @@ class TableSnapshot(Table):
         self.version = table_version
         self.base_table = base
         self.snapshot_lsn = lsn
-        self._index_cache: dict[str, Index] = {}
-        self._index_lock = threading.Lock()
 
     def append(self, row) -> None:  # pragma: no cover - defensive
         raise CatalogError(
             f"table snapshot of {self.name!r} (LSN {self.snapshot_lsn}) is read-only"
         )
-
-    def transient_index(self, index: Index) -> Index:
-        """An index equivalent to ``index`` but over *these* frozen rows.
-
-        Built once per (snapshot, index) and cached: the snapshot's rows
-        never change, so the transient index never needs a refresh, and
-        concurrent readers sharing this snapshot share the build.
-        """
-        cached = self._index_cache.get(index.name)
-        if cached is not None:
-            return cached
-        with self._index_lock:
-            cached = self._index_cache.get(index.name)
-            if cached is None:
-                cached = make_index(
-                    index.name, self, index.table_name, index.column, index.kind
-                )
-                self._index_cache[index.name] = cached
-            return cached
-
-
-def resolve_index(index: Index, table: Table) -> Index:
-    """The index to probe for ``table``: shared when live, transient when
-    ``table`` is a snapshot.
-
-    Live tables keep today's behaviour (lazy :meth:`Index.refresh` under
-    the index's own lock).  Snapshot readers never touch the shared
-    index's mutable structures — a concurrent writer may be rebuilding
-    them — and instead probe a per-version transient index built over
-    exactly the frozen rows.
-    """
-    if isinstance(table, TableSnapshot):
-        return table.transient_index(index)
-    index.refresh()
-    return index
 
 
 class SnapshotHandle:

@@ -28,7 +28,7 @@ class Table:
     table only stores data and answers simple statistics queries.
     """
 
-    __slots__ = ("schema", "_rows", "name", "version", "batch_cache", "batch_lock")
+    __slots__ = ("schema", "_rows", "name", "version", "batch_cache", "index_cache", "batch_lock")
 
     def __init__(self, schema: Schema | Sequence[Column | str], rows: Iterable[Row] = (), name: str = ""):
         if not isinstance(schema, Schema):
@@ -37,9 +37,9 @@ class Table:
         self.rows: list[Row] = [tuple(row) for row in rows]
         self.name = name
         #: Bumped by every mutation (append / DML); consumers that cache a
-        #: derived view of ``rows`` (the vectorized engine's column pivot)
-        #: key it on this counter.  Code that mutates ``rows`` directly must
-        #: call :meth:`invalidate`.
+        #: derived view of ``rows`` (the vectorized engine's column pivot,
+        #: the secondary index builds) key it on this counter.  Code that
+        #: mutates ``rows`` directly must call :meth:`invalidate`.
         self.version = 0
         #: ``(version, Batch)`` set by the vectorized engine and carried
         #: forward by writers (:meth:`carry_batch`).  Read with a single
@@ -47,6 +47,10 @@ class Table:
         #: under ``batch_lock`` so concurrent server queries pivot each
         #: table at most once per version.
         self.batch_cache = None
+        #: ``(version, {catalog Index: build})``: the index builds over
+        #: these rows (:func:`repro.storage.index.index_for`), published
+        #: under ``batch_lock`` like the batch.
+        self.index_cache = None
         self.batch_lock = threading.Lock()
         arity = len(schema)
         for row in self.rows:

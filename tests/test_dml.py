@@ -250,8 +250,7 @@ class TestPlannedScan:
         both index kinds must not notice."""
         pytest.importorskip("numpy")
         from repro.engine.vector_ops import table_batch
-        from repro.storage.index import make_index
-        from repro.storage.mvcc import resolve_index
+        from repro.storage.index import index_for, make_index
 
         sizes = dict(n_r=150, n_s=60, n_t=150)
         reference, database = rst_db(**sizes), rst_db(**sizes)
@@ -274,7 +273,7 @@ class TestPlannedScan:
         assert version == table.version and batch.to_rows() == table.rows
         for index in database.catalog.indexes_on("r"):
             rebuilt = make_index(index.name, table, "r", index.column, index.kind)
-            shared = resolve_index(index, table)
+            shared = index_for(index, table)
             for key in {row[index.position] for row in table.rows} | {None, -1}:
                 assert shared.eq_positions(key) == rebuilt.eq_positions(key), (index.name, key)
         probe = "SELECT * FROM r WHERE A2 = 3 AND A4 > 1000"

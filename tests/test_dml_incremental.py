@@ -1,13 +1,13 @@
 """DML keeps what hangs off a table current by the statement's delta.
 
-Every ``INSERT``/``UPDATE``/``DELETE`` moves the catalog's statistics, a
-warm column batch and (for ``INSERT``) the current secondary indexes by
-the rows it changed instead of recomputing them from the table.  The
-property checked here is that nobody can tell: after every statement of a
-random interleaving, each incrementally kept structure equals the one
-rebuilt from the rows — ``TableStats.compute``, ``Batch.from_rows``,
-``make_index`` — and a snapshot pinned before the statement still reads
-the old rows through both engines.
+Every ``INSERT``/``UPDATE``/``DELETE`` moves the catalog's statistics and
+a warm column batch by the rows it changed instead of recomputing them
+from the table; a secondary index is built per table version by the probe
+that needs it (``index_for``).  The property checked here is that nobody
+can tell: after every statement of a random interleaving, each kept
+structure equals the one rebuilt from the rows — ``TableStats.compute``,
+``Batch.from_rows``, ``make_index`` — and a snapshot pinned before the
+statement still reads the old rows through both engines.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from repro.engine.vector_ops import table_batch
 from repro.storage.batch import Batch
 from repro.optimizer.planner import plan_query
 from repro.storage.catalog import TableStats, _ColumnCounts
-from repro.storage.index import make_index
-from repro.storage.mvcc import resolve_index
+from repro.storage.index import index_for, make_index
 
 # NULL-heavy, duplicate-heavy: six values for up to twenty rows.
 value = st.sampled_from([None, None, 0, 1, 2, 7])
@@ -115,7 +114,7 @@ def assert_batch_current(table):
 def assert_indexes_current(db, table):
     for index in db.catalog.indexes_on("t"):
         rebuilt = make_index(index.name, table, "t", index.column, index.kind)
-        shared = resolve_index(index, table)
+        shared = index_for(index, table)
         assert shared.version == table.version
         for key in {row[index.position] for row in table.rows} | {None, 5}:
             assert shared.eq_positions(key) == rebuilt.eq_positions(key), (index.name, key)

@@ -2,12 +2,13 @@
 
 Covers the access-path subsystem end to end — the storage structures
 (hash buckets, key-sorted positions) with their 3VL NULL handling,
-CREATE/DROP INDEX through the SQL front end, DML maintenance (the
-incremental INSERT path and the rebuild path), the optimizer's
+CREATE/DROP INDEX through the SQL front end, the one build per table
+version after DML and re-created definitions, the optimizer's
 access-path selection, both engines' index operators, and the plan-cache
 epoch that makes index DDL invalidate cached plans.
 """
 
+import sys
 import threading
 from collections import Counter
 
@@ -20,7 +21,8 @@ from repro.optimizer.access import choose_access_paths
 from repro.sql import ast
 from repro.sql.parser import parse_any
 from repro.storage import Catalog, HashIndex, Schema, SortedIndex, Table
-from repro.storage.index import probe_bounds
+from repro.storage import index as index_module
+from repro.storage.index import index_for, probe_bounds
 
 from .conftest import make_rst_catalog
 
@@ -126,11 +128,8 @@ class TestHashIndex:
     def test_incremental_extend_on_append(self):
         catalog, table = one_column_table([1, 2])
         index = catalog.create_index("idx", "u", "K", "hash")
-        base_version = table.version
         table.extend([(1,), (None,)])
-        catalog.note_appends("u", 2, base_version)
-        assert index.version == table.version
-        assert index.eq_positions(1) == (0, 2)
+        assert index_for(index, table).eq_positions(1) == (0, 2)
 
 
 class TestSortedIndex:
@@ -172,13 +171,12 @@ class TestSortedIndex:
         assert lookup.rows_skipped == len(table.rows)
 
     def test_extend_rebuilds_only_the_tail(self):
-        """An INSERT's tail is merged into the sorted entries, no rebuild."""
+        """Appended keys land in key order among the old ones."""
         catalog, table = one_column_table(list(range(0, 40, 2)))
         index = catalog.create_index("idx", "u", "K", "sorted")
-        start, base_version = len(table.rows), table.version
+        start = len(table.rows)
         table.extend([(7,), (None,), (4,), (100,)])
-        catalog.note_appends("u", start, base_version)
-        assert index.version == table.version
+        index = index_for(index, table)
         assert probe_bounds(index, ((">=", 4), ("<=", 8))).positions == (
             2, 3, 4, start, start + 2
         )
@@ -188,9 +186,8 @@ class TestSortedIndex:
     def test_extend_with_an_unorderable_key_degrades_to_equality_only(self):
         catalog, table = one_column_table([3, 1, 2])
         index = catalog.create_index("idx", "u", "K", "sorted")
-        base_version = table.version
         table.append(("b",))
-        catalog.note_appends("u", 3, base_version)
+        index = index_for(index, table)
         assert index.eq_positions("b") == (3,)
         assert index.eq_positions(1) == (1,)
         with pytest.raises(TypeError):
@@ -223,28 +220,25 @@ class TestMaintenance:
     def test_insert_uses_incremental_path(self):
         db = make_db()
         db.execute("CREATE INDEX idx_b2 ON s (B2)")
-        index = db.catalog.index("idx_b2")
         baseline = len(db.execute("SELECT * FROM s WHERE B2 = 5").rows)
         db.execute("INSERT INTO s VALUES (999, 5, 0, 0)")
-        assert index.version == db.table("s").version  # maintained eagerly
         after = db.execute("SELECT * FROM s WHERE B2 = 5")
         assert len(after.rows) == baseline + 1
 
     def test_insert_leaves_an_already_stale_index_stale(self):
-        """The INSERT fast path may only extend an index that was current
-        just before the statement: one that an out-of-protocol append had
-        already left behind is missing more than the statement's tail."""
+        """An out-of-protocol append, then an INSERT: the next probe builds
+        over the rows as they are, both new rows included."""
         db = Database()
         db.create_table("t", ["a", "b"], [(1, 10), (2, 20)])
         db.execute("CREATE INDEX t_a ON t (a)")
         index = db.catalog.index("t_a")
         db.table("t").append((3, 30))  # out of protocol: nobody tells the index
         db.execute("INSERT INTO t VALUES (4, 40)")
-        assert index.version != db.table("t").version  # not stamped current
         assert execute_sql("SELECT b FROM t WHERE a = 3", db.catalog).rows == [(30,)]
         assert execute_sql("SELECT b FROM t WHERE a = 4", db.catalog).rows == [(40,)]
-        assert index.eq_positions(3) == (2,)  # the probe rebuilt it
-        assert index.eq_positions(4) == (3,)
+        current = index_for(index, db.table("t"))  # the probe's build
+        assert current.eq_positions(3) == (2,)
+        assert current.eq_positions(4) == (3,)
 
     def test_delete_and_update_rebuild(self):
         db = make_db()
@@ -304,6 +298,154 @@ class TestMaintenance:
         for thread in threads:
             thread.join()
         assert not errors
+
+
+def pair_db() -> Database:
+    """``t(a, b)`` with ``b = 100 - a``: which column a probe read shows."""
+    db = Database()
+    db.create_table("t", ["a", "b"], [(a, 100 - a) for a in range(100)])
+    return db
+
+
+ENGINES = [
+    pytest.param(False, id="row"),
+    pytest.param(True, id="batch"),
+]
+
+
+class TestRecreatedIndex:
+    """CREATE / DROP INDEX leaves the table version where it is; an index
+    re-created under the same name must still answer from its own
+    definition, never from the build of the one it replaced."""
+
+    @pytest.mark.parametrize("vectorized", ENGINES)
+    def test_same_name_on_another_column(self, vectorized):
+        db, options = pair_db(), EvalOptions(vectorized=vectorized)
+        db.execute("CREATE INDEX i ON t (a)")
+        assert db.execute("SELECT * FROM t WHERE a = 7", options=options).rows == [(7, 93)]
+        db.execute("DROP INDEX i")
+        db.execute("CREATE INDEX i ON t (b)")
+        assert db.execute("SELECT * FROM t WHERE b = 7", options=options).rows == [(93, 7)]
+        assert db.access_info()["index_scans"] == 2
+
+    @pytest.mark.parametrize("vectorized", ENGINES)
+    def test_same_name_hash_then_sorted_serves_a_range(self, vectorized):
+        db, options = pair_db(), EvalOptions(vectorized=vectorized)
+        db.execute("CREATE INDEX i ON t (a)")
+        assert db.execute("SELECT * FROM t WHERE a = 7", options=options).rows == [(7, 93)]
+        db.execute("DROP INDEX i")
+        db.execute("CREATE INDEX i ON t (a) USING sorted")
+        rows = db.execute("SELECT a FROM t WHERE a > 90", options=options).rows
+        assert sorted(rows) == [(a,) for a in range(91, 100)]
+        assert db.access_info()["index_scans"] == 2
+
+    @pytest.mark.parametrize("vectorized", ENGINES)
+    def test_pinned_session_from_before_the_drop(self, vectorized):
+        db, options = pair_db(), EvalOptions(vectorized=vectorized)
+        db.execute("CREATE INDEX i ON t (a)")
+        handle = db.pin_snapshot()
+        try:
+            probe = db.execute("SELECT * FROM t WHERE a = 7", options=options, at_lsn=handle.lsn)
+            assert probe.rows == [(7, 93)]
+            db.execute("DROP INDEX i")
+            db.execute("CREATE INDEX i ON t (b)")
+            again = db.execute("SELECT * FROM t WHERE b = 7", options=options, at_lsn=handle.lsn)
+            assert again.rows == [(93, 7)]
+            assert db.access_info()["index_scans"] == 2
+        finally:
+            db.release_snapshot(handle)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The table of every build :func:`index_for` makes, in order."""
+    made = []
+    make_index = index_module.make_index
+
+    def counting(name, table, *rest):
+        made.append(table)
+        return make_index(name, table, *rest)
+
+    monkeypatch.setattr(index_module, "make_index", counting)
+    return made
+
+
+class TestOneBuildPerVersion:
+    """An index is built once per (table object, version): probes of one
+    snapshot or of an unchanged live table share it."""
+
+    PROBE = "SELECT b FROM t WHERE a = 7"
+
+    def test_repeated_probes_build_at_most_once(self, builds):
+        db = pair_db()
+        db.execute("CREATE INDEX i ON t (a)")
+        handle = db.pin_snapshot()
+        try:
+            for _ in range(50):
+                assert db.execute(self.PROBE, at_lsn=handle.lsn).rows == [(93,)]
+                assert execute_sql(self.PROBE, db.catalog).rows == [(93,)]
+            # the snapshot's build; the live table keeps the catalog's own
+            assert len(set(map(id, builds))) == len(builds) <= 2
+            assert db.access_info()["index_scans"] == 50
+        finally:
+            db.release_snapshot(handle)
+
+    def test_insert_rebuilds_once_for_the_live_table_only(self, builds):
+        db = pair_db()
+        db.execute("CREATE INDEX i ON t (a)")
+        handle = db.pin_snapshot()
+        try:
+            assert db.execute(self.PROBE, at_lsn=handle.lsn).rows == [(93,)]
+            assert execute_sql(self.PROBE, db.catalog).rows == [(93,)]
+            builds.clear()
+            db.execute("INSERT INTO t VALUES (7, -1)")
+            for _ in range(3):
+                assert execute_sql(self.PROBE, db.catalog).rows == [(93,), (-1,)]
+                assert db.execute(self.PROBE, at_lsn=handle.lsn).rows == [(93,)]
+            assert builds == [db.table("t")]
+        finally:
+            db.release_snapshot(handle)
+
+    @pytest.mark.parametrize("vectorized", ENGINES)
+    def test_threads_on_a_fresh_snapshot_share_one_build(self, builds, vectorized):
+        db, options = pair_db(), EvalOptions(vectorized=vectorized)
+        db.execute("CREATE INDEX i ON t (a)")
+        db.execute("INSERT INTO t VALUES (7, -1), (8, -2)")  # a version no probe saw
+        handle = db.pin_snapshot()
+        expected = {
+            key: Counter(db.execute(f"SELECT b FROM t WHERE a + 0 = {key}").rows)
+            for key in range(12)
+        }
+        builds.clear()
+        barrier = threading.Barrier(4, timeout=30)
+        answers, errors = [], []
+
+        def reader(offset):
+            try:
+                barrier.wait()
+                for key in range(offset, offset + 12):
+                    sql = f"SELECT b FROM t WHERE a = {key % 12}"
+                    rows = db.execute(sql, options=options, at_lsn=handle.lsn).rows
+                    answers.append((key % 12, Counter(rows)))
+            except BaseException as error:  # noqa: BLE001 - collected
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader, args=(n * 3,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            db.release_snapshot(handle)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(answers) == 48
+        assert all(rows == expected[key] for key, rows in answers)
+        assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------
