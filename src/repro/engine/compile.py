@@ -10,7 +10,9 @@ Responsibilities:
   e.g. Equivalence 4's ``σp±(S)``) and flag those nodes for memoisation;
 * fuse a selection sitting directly on the negative stream of a bypass
   join into the join (Equivalence 5's ``σp(R' ⋈− S)``), so the complement
-  of the match set is filtered while it is produced;
+  of the match set is filtered while it is produced — sharing and fusions
+  are found in one walk (:meth:`_Compiler.analyse`), which also marks the
+  ⟕s onto a Γ the batch compiler lowers as one group-join;
 * compile subscript expressions via :mod:`repro.engine.evaluate`,
   recursing into subquery plans with the *same* compiler instance so that
   shared subtrees stay shared across the expression boundary.
@@ -50,7 +52,7 @@ def compile_plan(plan: L.Operator, vectorized: bool = False) -> P.PhysicalOperat
         compiler: _Compiler = VectorCompiler()
     else:
         compiler = _Compiler()
-    compiler.count_references(plan)
+    compiler.analyse(plan)
     return compiler.compile(plan)
 
 
@@ -62,31 +64,18 @@ class _Compiler:
         self.fused_negative: dict[int, E.Expr] = {}
         #: id(Select) whose filtering was fused into a bypass join
         self.fused_selects: set[int] = set()
+        #: id(LeftOuterJoin) whose right input is a Γ nothing else reads
+        self.group_joins: set[int] = set()
 
-    # -- analysis passes --------------------------------------------------
+    # -- analysis -----------------------------------------------------------
 
-    def count_references(self, root: L.Operator) -> None:
-        """Count parents per node, crossing subquery-plan boundaries."""
+    def analyse(self, root: L.Operator) -> None:
+        """One walk, crossing subquery-plan boundaries: count each node's
+        parents, then keep the fusion candidates whose fused node has no
+        other — ``Select → (−)tap → BypassJoin`` chains and ⟕s onto a Γ."""
         seen: set[int] = set()
-
-        def visit(node: L.Operator) -> None:
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for child in node.children():
-                self.refcount[id(child)] = self.refcount.get(id(child), 0) + 1
-                visit(child)
-            for subplan in node.subquery_plans():
-                self.refcount[id(subplan)] = self.refcount.get(id(subplan), 0) + 1
-                visit(subplan)
-
-        self.refcount[id(root)] = self.refcount.get(id(root), 0) + 1
-        visit(root)
-        self._find_fusions(root, seen)
-
-    def _find_fusions(self, root: L.Operator, all_ids: set[int]) -> None:
-        """Locate ``Select → (−)tap → BypassJoin`` chains safe to fuse."""
-        seen: set[int] = set()
+        selects: list[L.Select] = []
+        joins: list[L.LeftOuterJoin] = []
 
         def visit(node: L.Operator) -> None:
             if id(node) in seen:
@@ -98,18 +87,23 @@ class _Compiler:
                     isinstance(child, L.StreamTap)
                     and not child.positive_stream
                     and isinstance(child.child, L.BypassJoin)
-                    and self.refcount.get(id(child), 0) == 1
-                    and id(child.child) not in self.fused_negative
                     and not node.predicate.contains_subquery()
                 ):
-                    self.fused_negative[id(child.child)] = node.predicate
-                    self.fused_selects.add(id(node))
-            for child in node.children():
+                    selects.append(node)
+            elif isinstance(node, L.LeftOuterJoin) and isinstance(node.right, L.GroupBy):
+                joins.append(node)
+            for child in (*node.children(), *node.subquery_plans()):
+                self.refcount[id(child)] = self.refcount.get(id(child), 0) + 1
                 visit(child)
-            for subplan in node.subquery_plans():
-                visit(subplan)
 
+        self.refcount[id(root)] = self.refcount.get(id(root), 0) + 1
         visit(root)
+        for node in selects:
+            tap = node.child
+            if self.refcount[id(tap)] == 1 and id(tap.child) not in self.fused_negative:
+                self.fused_negative[id(tap.child)] = node.predicate
+                self.fused_selects.add(id(node))
+        self.group_joins = {id(join) for join in joins if self.refcount[id(join.right)] == 1}
 
     # -- compilation --------------------------------------------------------
 

@@ -14,13 +14,13 @@ one operator.  Mixed plans work in both directions:
 * a vectorized parent over a row child: :class:`VFromRows` pivots the
   row output into a batch at the boundary.
 
-All of the row compiler's analysis machinery (reference counting for
-DAG-sharing memoisation, the Eqv. 5 negative-stream filter fusion) is
-inherited unchanged, so vectorized plans keep the same sharing and
-fusion structure as row plans.  Eqv. 5's operators lower onto batch
-forms: ⋈± and joins without an equality key onto the blocked pair
-kernel of :mod:`~repro.engine.vector_ops`, ``=``-keyed binary Γ onto
-Γ + left outer join + π.
+The row compiler's one analysis walk (reference counts for DAG-sharing
+memoisation, the Eqv. 5 negative-stream filter fusion) is inherited, so
+vectorized plans keep the row plans' sharing; it also marks each ⟕ onto
+a Γ no other node reads, which lowers, as every ``=`` binary Γ does
+(under a π), onto one group-join, ``VGroupJoin``.  ⋈± and joins without
+an equality key run the blocked pair kernel of
+:mod:`~repro.engine.vector_ops`.
 """
 
 from __future__ import annotations
@@ -167,30 +167,55 @@ class VectorCompiler(_Compiler):
 
     def _compile_BinaryGroupBy(self, node: L.BinaryGroupBy) -> P.PhysicalOperator:
         """``left Γ g; t = t'; f right`` (the only form the rewriter emits)
-        as Γ t'; f over the right input, a left outer join from ``t`` with
-        default row ``(NULL, f(∅))`` and the key projected away: NULL keys
-        never match and every left row gets exactly one row.  θ-Γ stays on
+        is the group-join of ``left`` onto Γ t'; f over ``right``, default
+        row ``(NULL, f(∅))``, with the key projected away.  θ-Γ stays on
         the row implementation."""
         if node.op != "=" or node.right_key in node.left.schema:
             return super()._compile_BinaryGroupBy(node)
-        left = self.compile(node.left)
-        right = self.compile(node.right)
         try:
             column = self._vec_agg_column(node.spec, node.right.schema, node.star_names)
         except VectorizeError:
             return super()._compile_BinaryGroupBy(node)
         key = node.right.schema.position(node.right_key)
-        grouped_schema = Schema([node.right.schema[key], node.schema[-1]])
-        grouped = V.VHashGroupBy(self._vec(right), grouped_schema, [key], [column])
-        joined = V.VHashJoin(
-            self._vec(left), grouped, node.left.schema.concat(grouped_schema),
-            [node.left.schema.position(node.left_key)], [0], None, "left_outer",
+        joined = V.VGroupJoin(
+            self._vec(self.compile(node.left)),
+            self._vec(self.compile(node.right)),
+            node.left.schema.concat(Schema([node.right.schema[key], node.schema[-1]])),
+            [node.left.schema.position(node.left_key)], [key], [column],
             (None, node.spec.empty_result()),
         )
         arity = len(node.left.schema)
         return V.VProject(joined, node.schema, [*range(arity), arity + 1])
 
     # -- joins --------------------------------------------------------------
+
+    def _compile_LeftOuterJoin(self, node: L.LeftOuterJoin) -> P.PhysicalOperator:
+        """A ⟕ onto a Γ nothing else reads, keyed on exactly its right keys
+        and with no residual, is one group-join: Γ's input is grouped, and
+        looked up, in one operator.  Any other ⟕ runs the pair path."""
+        grouped = node.right
+        if id(node) not in self.group_joins:
+            return super()._compile_LeftOuterJoin(node)
+        lkeys, rkeys, residual = self._split_equi_keys(
+            node.predicate, node.left.schema, grouped.schema
+        )
+        source = grouped.child.schema
+        try:
+            columns = [self._vec_agg_column(spec, source) for _, spec in grouped.aggregates]
+        except VectorizeError:
+            columns = None
+        if residual is not None or sorted(rkeys) != [*range(len(grouped.keys))] or columns is None:
+            return super()._compile_LeftOuterJoin(node)
+        by_key = dict(zip(rkeys, lkeys))  # Γ's key order: the output's
+        return V.VGroupJoin(
+            self._vec(self.compile(node.left)),
+            self._vec(self.compile(grouped.child)),
+            node.schema,
+            [by_key[i] for i in range(len(rkeys))],
+            source.positions(grouped.keys),
+            columns,
+            tuple(node.defaults.get(col.name) for col in grouped.schema),
+        )
 
     def _compile_join_family(
         self, node, kind: str, defaults: dict | None = None

@@ -20,9 +20,10 @@ Joins and grouping are hash-style but expressed with numpy: keys are
 factorised into integer codes (NULL keys get a reserved code and never
 match); groups, first occurrences and join matches are found by counting
 into a table over the code range while that range is O(batch length),
-by sorting it otherwise (:func:`_small_range` is the one rule), and
+by sorting it otherwise (:func:`_countable` is the one rule), and
 the Eqv. 1–5 pre-aggregations (COUNT/SUM/MIN/MAX/AVG) have closed-form
-``bincount``/``ufunc.at`` fast paths.  A join with no equality key — a
+``bincount``/``ufunc.at`` fast paths — run, with the ⟕ that joins them
+back, in one group-join (:class:`VGroupJoin`).  A join with no equality key — a
 θ-correlation, the bypass join ⋈±, a cross product — runs its predicate
 kernel over ``left × right`` in blocks of at most :data:`_BLOCK_PAIRS`
 pairs, the governor ticked before each block is built.  DISTINCT is a
@@ -414,6 +415,11 @@ def _first_occurrences(codes: np.ndarray) -> np.ndarray:
 _SLOTS_PER_ROW = 4
 
 
+def _countable(span: int, n: int) -> bool:
+    """Whether a table of ``span`` slots is O(``n``)."""
+    return span <= _SLOTS_PER_ROW * (n + 64)
+
+
 def _small_range(values: np.ndarray, n: int) -> tuple[int, int] | None:
     """``(min, max - min + 1)`` of an int array when a table with a slot
     per value in that range is O(``n``) — ``(0, 0)`` for no values — and
@@ -422,7 +428,7 @@ def _small_range(values: np.ndarray, n: int) -> tuple[int, int] | None:
         return 0, 0
     lo = int(values.min())
     span = int(values.max()) - lo + 1
-    return (lo, span) if span <= _SLOTS_PER_ROW * (n + 64) else None
+    return (lo, span) if _countable(span, n) else None
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -438,20 +444,26 @@ def _densify(codes: np.ndarray, want_inverse: bool = True):
     A small code range is counted — first occurrences by one reversed
     scatter into a range-sized table (the last write to a slot wins),
     group ids by a running count of the occupied slots.  A wide one is
-    sorted: an unstable ``argsort`` (several times faster than the stable
-    one behind ``np.unique(return_index=True)``), then the first row of
-    a run of equal codes is the least row number in it.
-    """
+    sorted, stably: ``np.sort`` of ``(code - min) << b | row`` keys (``b``
+    bits hold a row number; several times faster than an ``argsort``),
+    whose low bits are the order — a stable ``argsort`` should a key pass
+    63 bits — so a run's first row is its first occurrence."""
     n = len(codes)
     small = _small_range(codes, n)
     if small is None:
-        order = np.argsort(codes)
-        starts = _run_starts(codes[order])
+        lo, shift = int(codes.min()), n.bit_length()
+        if (int(codes.max()) - lo) >> (63 - shift) == 0:
+            packed = np.sort(((codes - lo) << shift) | np.arange(n, dtype=np.int64))
+            order, ordered = packed & ((1 << shift) - 1), packed >> shift
+        else:
+            order = np.argsort(codes, kind="stable")
+            ordered = codes[order]
+        starts = _run_starts(ordered)
         group_ids = None
         if want_inverse:
             group_ids = np.empty(n, dtype=np.int64)
             group_ids[order] = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, n)))
-        return np.minimum.reduceat(order, starts), group_ids
+        return order[starts], group_ids
     lo, span = small
     offsets = codes - lo
     first = np.full(span, -1, dtype=np.int64)
@@ -474,19 +486,25 @@ def _factorize(
     code below ``bound`` (grouping passes its group ids to code
     (group, value) pairs).
     """
-    codes, bound = (np.zeros(n, dtype=np.int64), 1) if seed is None else seed
-    ok = np.ones(n, dtype=bool)
+    codes, bound = (None, 1) if seed is None else seed
+    ok = None
     for data, valid in columns:
         col_codes, cardinality = _factorize_one(data, valid, n)
-        ok &= col_codes > 0
-        if bound * (cardinality + 1) > _CODE_LIMIT:
-            # int64 arithmetic wraps silently: renumber the running codes
-            # 0..k-1 (k <= n) before the next multiply can pass 2**63.
-            first_index, codes = _densify(codes)
-            bound = len(first_index)
-        codes = codes * np.int64(cardinality + 1) + col_codes
+        if valid is not None:  # only a NULL codes 0
+            ok = col_codes > 0 if ok is None else ok & (col_codes > 0)
+        if codes is None:
+            codes = col_codes
+        else:
+            if bound * (cardinality + 1) > _CODE_LIMIT:
+                # int64 arithmetic wraps silently: renumber the running codes
+                # 0..k-1 (k <= n) before the next multiply can pass 2**63.
+                first_index, codes = _densify(codes)
+                bound = len(first_index)
+            codes = codes * np.int64(cardinality + 1) + col_codes
         bound *= cardinality + 1
-    return codes, ok
+    if codes is None:
+        codes = np.zeros(n, dtype=np.int64)
+    return codes, np.ones(n, dtype=bool) if ok is None else ok
 
 
 _CODE_LIMIT = 1 << 62
@@ -557,11 +575,8 @@ class VHashJoin(VecOperator):
     find their run through a code → run table when the code range is
     small (``searchsorted`` when it is wide), and the match pairs
     materialise as two index vectors (``np.repeat`` over per-probe match
-    counts).  NULL keys never match.
-
-    A left outer join without residual whose non-NULL right codes prove
-    unique and countable — the ⟕ onto Γ(S) that ends every unnesting
-    equivalence — looks each left row up instead (:meth:`_looked_up`).
+    counts).  NULL keys never match.  The ⟕ onto Γ(S) that ends every
+    unnesting equivalence runs as :class:`VGroupJoin` instead.
     """
 
     __slots__ = ("left", "right", "left_keys", "right_keys", "residual", "kind", "default_row")
@@ -597,10 +612,6 @@ class VHashJoin(VecOperator):
             n_left,
             n_right,
         )
-        if self.kind == "left_outer" and self.residual is None:
-            joined = self._looked_up(ctx, left, right, lcodes, rcodes, l_ok, r_ok)
-            if joined is not None:
-                return joined
         left_idx, right_idx = _match_pairs(lcodes, rcodes, l_ok, r_ok)
         ctx.tick(len(left_idx))
 
@@ -612,28 +623,6 @@ class VHashJoin(VecOperator):
             left_idx, right_idx = left_idx[keep], right_idx[keep]
             joined = joined.take(keep)
         return self._result(left, right, left_idx, right_idx, joined)
-
-    def _looked_up(self, ctx, left, right, lcodes, rcodes, l_ok, r_ok) -> Batch | None:
-        """The left columns plus one gather per right column, or ``None`` (the
-        pair path): a right code repeats or is too wide, or a default's layout differs."""
-        defaults = self.default_row or (None,) * len(right.schema)
-        columns = [right.column(p) for p in range(len(right.schema))]
-        if any(
-            value is not None and _const_column(value, 0)[0].dtype != data.dtype
-            for value, (data, _) in zip(defaults, columns)
-        ):
-            return None  # the pair path's concat decides that layout
-        match = _unique_match(lcodes, rcodes, l_ok, r_ok)
-        if match is None:
-            return None
-        found = match >= 0
-        hits = match[found]
-        ctx.tick(len(hits))  # one per matched pair, as on the pair path
-        data, valid = zip(*(
-            _gather_or_default(*column, found, hits, value)
-            for value, column in zip(defaults, columns)
-        ))
-        return Batch(self.schema, left.data + data, left.valid + valid, len(left))
 
     def _result(self, left: Batch, right: Batch, left_idx, right_idx, joined=None) -> Batch:
         """The join of ``kind`` from its matching (left, right) pairs."""
@@ -653,9 +642,7 @@ class VHashJoin(VecOperator):
         inner = joined
         if inner is None:
             inner = _paired_batch(self.schema, left, right, left_idx, right_idx)
-        padded = _pad_with_defaults(
-            self.schema, left.filter(unmatched).compact(), self.default_row, len(right.schema)
-        )
+        padded = _pad_with_defaults(self.schema, left.filter(unmatched).compact(), self.default_row)
         return Batch.concat(self.schema, [inner, padded])
 
 
@@ -791,37 +778,19 @@ def _match_pairs(lcodes, rcodes, l_ok, r_ok) -> tuple[np.ndarray, np.ndarray]:
     return left_idx, right_idx
 
 
-def _unique_match(lcodes, rcodes, l_ok, r_ok) -> np.ndarray | None:
-    """Each left row's one right row with its code (-1: none), or
-    ``None`` when a non-NULL right code repeats or the range is too wide."""
-    r_indices = np.flatnonzero(r_ok)
-    r_codes = rcodes[r_indices]
-    small = _small_range(r_codes, len(lcodes) + len(rcodes))
-    if small is None:
-        return None
-    lo, span = small
-    row_of = np.full(span, -1, dtype=np.int64)
-    row_of[r_codes - lo] = r_indices
-    if np.count_nonzero(row_of >= 0) != len(r_indices):
-        return None  # a repeated code: several rows per slot
-    match = np.full(len(lcodes), -1, dtype=np.int64)
-    inside = l_ok & (lcodes >= lo) & (lcodes < lo + span)
-    match[inside] = row_of[lcodes[inside] - lo]
-    return match
-
-
-def _gather_or_default(data, valid, found, hits, default):
-    """One right column gathered onto the left rows, ``default`` (f(∅);
-    ``None`` is NULL) where nothing matched, in the column's own layout."""
-    n = len(found)
-    out = np.empty(n, dtype=data.dtype)
-    out.fill(0 if default is None and data.dtype != object else default)  # a tuple stays whole
-    out[found] = data[hits]
-    if valid is None and default is not None:
-        return out, None
-    mask = np.full(n, default is not None)
-    mask[found] = True if valid is None else valid[hits]
-    return out, mask
+def _gather_or_default(data, valid, empty, slot_of, default):
+    """A column of per-group slots (``data`` is the caller's to overwrite)
+    gathered onto the left rows by ``slot_of``, ``default`` (f(∅); ``None``
+    is NULL) in every ``empty`` slot: in the column's own layout, or
+    ``object`` when the default does not belong in it, as in a concat."""
+    if default is None:
+        mask = ~empty if valid is None else valid & ~empty
+    else:
+        if data.dtype != object and _const_column(default, 0)[0].dtype != data.dtype:
+            data = data.astype(object)
+        data[empty] = _const_column(default, 1)[0]  # a tuple stays whole
+        mask = None if valid is None else valid | empty
+    return data[slot_of], None if mask is None else mask[slot_of]
 
 
 def _paired_batch(schema: Schema, left: Batch, right: Batch, left_idx, right_idx) -> Batch:
@@ -835,15 +804,12 @@ def _paired_batch(schema: Schema, left: Batch, right: Batch, left_idx, right_idx
     return Batch(schema, data, valid, len(left_idx))
 
 
-def _pad_with_defaults(
-    schema: Schema, left: Batch, default_row: tuple | None, right_arity: int
-) -> Batch:
+def _pad_with_defaults(schema: Schema, left: Batch, default_row: tuple) -> Batch:
     """Left rows extended with constant default values for the right side."""
     n = len(left)
-    defaults = default_row if default_row is not None else (None,) * right_arity
     data = list(left.data)
     valid = list(left.valid)
-    for value in defaults:
+    for value in default_row:
         column, mask = _const_column(value, n)
         data.append(column)
         valid.append(mask)
@@ -940,11 +906,61 @@ def _group_fast_path(spec: AggSpec, data, valid, inverse, n_groups: int):
     return out, group_valid
 
 
-def _group_slices(inverse: np.ndarray, n_groups: int) -> list[np.ndarray]:
-    """Row-index arrays per group id (0..n_groups-1)."""
-    order = np.argsort(inverse, kind="stable")
-    boundaries = np.flatnonzero(np.diff(inverse[order])) + 1
-    return np.split(order, boundaries)
+def _group_slices(groups: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``(group, row indices)`` for every group some row falls in."""
+    order = np.argsort(groups, kind="stable")
+    ordered = groups[order]
+    starts = _run_starts(ordered)
+    return list(zip(ordered[starts].tolist(), np.split(order, starts[1:])))
+
+
+def _aggregate(ctx, env, batch: Batch, agg_columns, groups: np.ndarray, n_groups: int):
+    """Each aggregate over a non-empty ``batch`` whose row ``i`` is in group
+    ``groups[i]`` of ``range(n_groups)``, as one ``(data, valid)`` column
+    of ``n_groups`` slots (a slot no row falls in holds nothing defined)."""
+    n = len(batch)
+    out = []
+    slices: list | None = None
+    for column in agg_columns:
+        spec = column.spec
+        name = spec.resolved_name()
+        # COUNT(*) (partial or final — both are the plain count) never
+        # needs the argument values, only the group sizes.
+        if name == "count_star":
+            out.append((np.bincount(groups, minlength=n_groups).astype(np.int64), None))
+            continue
+        columns = column.columns(ctx, env, batch)
+        star = column.kernel is None
+        arg_data, arg_valid = (None, None) if star else columns[0]
+        kept = groups
+        if spec.distinct:
+            # Keep the first row of every (group, value) pair.  A NULL
+            # argument is no value; in a STAR row NULL is a value of
+            # its own.
+            codes, ok = _factorize(columns, n, (groups, n_groups))
+            if star or ok.all():
+                rows = _first_occurrences(codes)
+            else:
+                live = np.flatnonzero(ok)
+                rows = live[_first_occurrences(codes[live])]
+            kept = groups[rows]
+            if not star:
+                arg_data, arg_valid = arg_data[rows], None
+        result = None
+        if not star or name == "count":
+            result = _group_fast_path(spec, arg_data, arg_valid, kept, n_groups)
+        if result is None:
+            # No closed form (AVG pair partials, non-count aggregates
+            # over an object layout): one evaluate_spec per group.
+            extracted = column.pylist(columns)
+            if slices is None:
+                slices = _group_slices(groups)
+            per_group = [None] * n_groups
+            for group, rows in slices:
+                per_group[group] = evaluate_spec(spec, [extracted[i] for i in rows.tolist()])
+            result = build_column(per_group)
+        out.append(result)
+    return out
 
 
 class VHashGroupBy(VecOperator):
@@ -978,58 +994,82 @@ class VHashGroupBy(VecOperator):
         codes, _ = _factorize(key_cols, n)
         first_index, inverse = _densify(codes)
         n_groups = len(first_index)
+        columns = [(d[first_index], None if v is None else v[first_index]) for d, v in key_cols]
+        columns += _aggregate(ctx, env, batch, self.agg_columns, inverse, n_groups)
+        return Batch(self.schema, *zip(*columns), n_groups)
 
-        data = []
-        valid = []
-        for key_data, key_valid in key_cols:
-            data.append(key_data[first_index])
-            valid.append(None if key_valid is None else key_valid[first_index])
 
-        slices: list[np.ndarray] | None = None
-        for column in self.agg_columns:
-            spec = column.spec
-            name = spec.resolved_name()
-            # COUNT(*) (partial or final — both are the plain count) never
-            # needs the argument values, only the group sizes.
-            if name == "count_star":
-                counts = np.bincount(inverse, minlength=n_groups)
-                data.append(counts.astype(np.int64))
-                valid.append(None)
+class VGroupJoin(VecOperator):
+    """The ⟕ onto Γ(S) as one group-join, ``L ⟕^{f(∅)}_{l = k} Γ_{k; f}(S)``
+    (Eqv. 1–4's last step; Eqv. 5's ``=`` binary Γ under a π): L's rows in
+    L's order, each with its group's key and aggregates or the defaults.
+
+    Keys are coded once, in one space shared by L and S; S's NULL-keyed
+    rows meet no left row and go before any aggregate or dedupe.  While
+    the codes count (:func:`_countable`) a code is its group's slot; a
+    wide range is densified, L finding its slot by ``searchsorted`` (a
+    last, empty slot when it has none).  Each column is built per slot,
+    the default in the empty ones, and gathered onto L once.  Ticks are
+    Γ's and then the ⟕'s, Γ's NULL-keyed groups included.
+    """
+
+    __slots__ = ("left", "right", "left_keys", "right_keys", "agg_columns", "default_row")
+
+    def __init__(self, left, right, schema, left_keys, right_keys, agg_columns, default_row):
+        super().__init__(schema)
+        self.left = left
+        self.right = right
+        self.left_keys = tuple(left_keys)
+        self.right_keys = tuple(right_keys)
+        self.agg_columns = tuple(agg_columns)
+        self.default_row = default_row
+
+    def _run(self, ctx, env):
+        left = self.left.invoke(ctx, env).compact()
+        right = self.right.invoke(ctx, env)
+        n_left, n_right = len(left), len(right)
+        ctx.tick(n_right)
+        left_cols = [left.column(p) for p in self.left_keys]
+        lcodes, rcodes, _, r_ok = _shared_codes(
+            left_cols, [right.column(p) for p in self.right_keys], n_left, n_right
+        )
+        null_groups = 0
+        if not r_ok.all():
+            null_groups = len(_first_occurrences(rcodes[~r_ok]))
+            live = np.flatnonzero(r_ok)
+            right, rcodes = right.take(live), rcodes[live]
+        if not len(rcodes):
+            ctx.tick(n_left + null_groups)
+            return _pad_with_defaults(self.schema, left, self.default_row)
+        top = max(int(rcodes.max()), int(lcodes.max(initial=0)))  # codes are >= 0
+        if _countable(top + 1, n_left + n_right):
+            slots, slot_of, n_slots = rcodes, lcodes, top + 1
+        else:
+            firsts, slots = _densify(rcodes)
+            codes = rcodes[firsts]
+            n_slots = len(codes) + 1
+            slot_of = np.minimum(np.searchsorted(codes, lcodes), n_slots - 2)
+            slot_of[codes[slot_of] != lcodes] = n_slots - 1
+        empty = np.bincount(slots, minlength=n_slots) == 0
+        found = ~empty[slot_of]
+        ctx.tick(n_left + null_groups + n_slots - int(np.count_nonzero(empty)))
+        ctx.tick(int(np.count_nonzero(found)))
+        columns = list(zip(left.data, left.valid))
+        first = None
+        for (ld, _), position, default in zip(left_cols, self.right_keys, self.default_row):
+            rd, rv = right.column(position)
+            if ld.dtype == rd.dtype == np.int64 and default is None:
+                columns.append((ld, found))  # equal codes, equal ints: L's own key
                 continue
-            columns = column.columns(ctx, env, batch)
-            star = column.kernel is None
-            arg_data, arg_valid = (None, None) if star else columns[0]
-            groups = inverse
-            if spec.distinct:
-                # Keep the first row of every (group, value) pair.  A NULL
-                # argument is no value; in a STAR row NULL is a value of
-                # its own.
-                codes, ok = _factorize(columns, n, (inverse, n_groups))
-                if star or ok.all():
-                    rows = _first_occurrences(codes)
-                else:
-                    live = np.flatnonzero(ok)
-                    rows = live[_first_occurrences(codes[live])]
-                groups = inverse[rows]
-                if not star:
-                    arg_data, arg_valid = arg_data[rows], None
-            result = None
-            if not star or name == "count":
-                result = _group_fast_path(spec, arg_data, arg_valid, groups, n_groups)
-            if result is None:
-                # No closed form (AVG pair partials, non-count aggregates
-                # over an object layout): one evaluate_spec per group.
-                extracted = column.pylist(columns)
-                if slices is None:
-                    slices = _group_slices(inverse, n_groups)
-                per_group = [
-                    evaluate_spec(spec, [extracted[i] for i in group.tolist()])
-                    for group in slices
-                ]
-                result = build_column(per_group)
-            data.append(result[0])
-            valid.append(result[1])
-        return Batch(self.schema, data, valid, n_groups)
+            if first is None:  # each group's first row, whose key Γ keeps
+                first = np.zeros(n_slots, dtype=np.int64)
+                first[slots[::-1]] = np.arange(len(slots) - 1, -1, -1, dtype=np.int64)
+            rv = None if rv is None else rv[first]
+            columns.append(_gather_or_default(rd[first], rv, empty, slot_of, default))
+        aggregates = _aggregate(ctx, env, right, self.agg_columns, slots, n_slots)
+        for column, default in zip(aggregates, self.default_row[len(left_cols) :]):
+            columns.append(_gather_or_default(*column, empty, slot_of, default))
+        return Batch(self.schema, *zip(*columns), n_left)
 
 
 class VScalarAgg(VecOperator):

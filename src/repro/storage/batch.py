@@ -185,8 +185,7 @@ class Batch:
         This is the selection-vector form of a bypass operator: both
         returned batches alias the same column arrays.
         """
-        indices = np.arange(len(self), dtype=np.int64)
-        return self.take(indices[mask]), self.take(indices[~mask])
+        return self.take(np.flatnonzero(mask)), self.take(np.flatnonzero(~mask))
 
     def head(self, count: int) -> "Batch":
         if count >= len(self):

@@ -1,0 +1,339 @@
+"""The group-join: ``L ⟕^{f(∅)}_{l = k} Γ_{k; f}(S)`` and the ``=`` binary
+Γ as one batch operator (``VGroupJoin``), against the row engine.
+
+Every answer is compared as a bag of ``(type, repr)`` values with the row
+engine's answer to the same logical plan: NULL keys on both sides, empty
+inputs, key and value columns of every layout (int, float, str, bool and
+a mix), a two-column key, a composite key too wide to count, and every
+aggregate the rewriter puts there — Eqv. 4's partials ``fI`` included —
+each with its ``f(∅)`` default.  Beside the answers: L's order, the
+governor's ticks against the unfused lowering (Γ, then the ⟕'s pair
+path), and a shared Γ left unfused.  ``HYPOTHESIS_PROFILE=nightly``
+raises the property test's budget.
+"""
+
+import os
+from collections import Counter
+from contextlib import nullcontext
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from repro.algebra import expr as E
+from repro.algebra import ops as L
+from repro.algebra.aggregates import STAR, AggSpec
+from repro.engine import EvalOptions, execute_plan
+from repro.engine.compile import _Compiler, compile_plan
+from repro.engine.governor import ResourceLimits
+from repro.errors import ResourceExhausted
+from repro.storage import Catalog, Schema, Table
+
+V = pytest.importorskip("repro.engine.vector_ops")
+
+from repro.engine.vector_compile import VectorCompiler  # noqa: E402
+
+VECTORIZED = EvalOptions(vectorized=True)
+NIGHTLY = os.environ.get("HYPOTHESIS_PROFILE") == "nightly"
+
+#: name -> spec; the ⟕'s default for each is ``spec.empty_result()``.
+AGGREGATES = {
+    "count(*)": AggSpec("count"),
+    "count(y)": AggSpec("count", E.col("y")),
+    "count(DISTINCT y)": AggSpec("count", E.col("y"), distinct=True),
+    "count(DISTINCT *)": AggSpec("count", STAR, distinct=True),
+    "sum(y)": AggSpec("sum", E.col("y")),
+    "min(y)": AggSpec("min", E.col("y")),
+    "max(y)": AggSpec("max", E.col("y")),
+    "avg(y)": AggSpec("avg", E.col("y")),
+    "sum(DISTINCT y)": AggSpec("sum", E.col("y"), distinct=True),
+    "countᴵ(y)": AggSpec("count", E.col("y"), as_partial=True),
+    "sumᴵ(y)": AggSpec("sum", E.col("y"), as_partial=True),
+    "avgᴵ(y)": AggSpec("avg", E.col("y"), as_partial=True),
+}
+
+
+def catalog_of(left_rows, right_rows) -> Catalog:
+    """``l(a, b, x)`` and ``s(k, j, y)``: keys ``a = k`` (and ``b = j``)."""
+    catalog = Catalog()
+    catalog.register(Table(Schema(["a", "b", "x"]), left_rows, name="l"))
+    catalog.register(Table(Schema(["k", "j", "y"]), right_rows, name="s"))
+    return catalog
+
+
+def scans(catalog):
+    return (L.Scan(name, catalog.table(name).schema) for name in ("l", "s"))
+
+
+def group_join(catalog, specs=AGGREGATES, two_keys=False, grouped=None):
+    """``l ⟕ Γ_{k(, j); g_i: f_i}(s)`` with each ``f_i(∅)`` as its default."""
+    left, right = scans(catalog)
+    pairs = [("a", "k"), ("b", "j")] if two_keys else [("a", "k")]
+    names = {name: f"g{i}" for i, name in enumerate(specs)}
+    if grouped is None:
+        grouped = L.GroupBy(
+            right, [rk for _, rk in pairs], [(names[n], spec) for n, spec in specs.items()]
+        )
+    predicate = E.conjunction([E.eq(lk, rk) for lk, rk in pairs])
+    defaults = {names[n]: spec.empty_result() for n, spec in specs.items()}
+    return L.LeftOuterJoin(left, grouped, predicate, defaults)
+
+
+def binary_group(catalog, spec):
+    """``l Γ g; a = k; f s`` (Eqv. 5)."""
+    left, right = scans(catalog)
+    return L.BinaryGroupBy(left, right, "g", "a", "k", spec)
+
+
+def typed_bag(table) -> Counter:
+    return Counter(tuple((type(v).__name__, repr(v)) for v in row) for row in table.rows)
+
+
+def walk(physical):
+    stack, seen = [physical], []
+    while stack:
+        node = stack.pop()
+        if all(node is not other for other in seen):
+            seen.append(node)
+            stack.extend(node.children())
+    return seen
+
+
+def assert_agrees(plan, catalog):
+    """The batch answer equals the row engine's, through a group-join."""
+    assert any(isinstance(node, V.VGroupJoin) for node in walk(compile_plan(plan, True)))
+    batch = execute_plan(plan, catalog, VECTORIZED)
+    assert typed_bag(batch) == typed_bag(execute_plan(plan, catalog))
+    return batch
+
+
+def unfused():
+    """The ⟕ onto Γ lowered as before the group-join: Γ, then the ⟕."""
+    return mock.patch.object(
+        VectorCompiler, "_compile_LeftOuterJoin", _Compiler._compile_LeftOuterJoin
+    )
+
+
+# ---------------------------------------------------------------------------
+# fixed inputs
+# ---------------------------------------------------------------------------
+
+LEFT = [(0, 0, "p"), (1, 1, "q"), (None, 0, "r"), (2, None, "s"), (1, 0, "t"), (7, 7, "u")]
+RIGHT = [
+    (0, 0, 5),
+    (None, 0, 5),  # shares y with key 0's group: COUNT(DISTINCT y) there is 1
+    (1, 1, 2),
+    (1, 0, None),
+    (1, 1, 2),
+    (None, None, 9),
+    (2, None, 3),
+    (1, 1, 4),
+]
+
+#: name -> (left rows, right rows)
+INPUTS = {
+    "NULL keys on both sides": (LEFT, RIGHT),
+    "empty left": ([], RIGHT),
+    "empty right": (LEFT, []),
+    "only NULL-keyed right rows": (LEFT, [(None, 0, 1), (None, 1, 2)]),
+    "float keys and values": (
+        [(0.5, 0.0, "p"), (1.0, 1.0, "q"), (-0.0, 0.0, "r")],
+        [(0.5, 0.0, 1.5), (0.0, 0.0, -2.5), (1.0, 1.0, None), (0.5, 0.0, 1.5)],
+    ),
+    "int left keys, float right keys": (LEFT, [(0.0, 0, 1.5), (1.0, 1, 2.5), (1.0, 1, 2.5)]),
+    "string keys, string values": (
+        [("a", "x", 1), ("b", "y", 2), (None, "x", 3)],
+        [("a", "x", "m"), ("a", "x", "n"), ("b", "z", "m"), (None, "x", "m")],
+    ),
+    "bool keys and values": (
+        [(True, False, 1), (False, False, 2), (None, True, 3)],
+        [(True, False, True), (True, False, False), (False, False, True)],
+    ),
+    "mixed layouts": (
+        [(1, "j", "p"), ("a", 1.5, "q"), (2.5, None, "r"), (True, "j", "s")],
+        [(1, "j", 3), ("a", 1.5, 2.5), (1, "j", "w"), (2.5, 0, None), (True, "j", 1)],
+    ),
+    "int values past 2**53": (LEFT, [(0, 0, 2**60), (0, 0, 2**60 + 1), (1, 1, -(2**62))]),
+}
+
+#: Aggregates whose row-engine form rejects some value layouts (a sum or
+#: average over strings, a min over str and int) stay off those inputs.
+NUMERIC_ONLY = {"sum(y)", "avg(y)", "sum(DISTINCT y)", "sumᴵ(y)", "avgᴵ(y)", "min(y)", "max(y)"}
+NON_NUMERIC = {"string keys, string values", "mixed layouts"}
+
+
+def specs_for(name):
+    if name in NON_NUMERIC:
+        return {n: spec for n, spec in AGGREGATES.items() if n not in NUMERIC_ONLY}
+    return AGGREGATES
+
+
+@pytest.mark.parametrize("two_keys", [False, True], ids=["one key", "two keys"])
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_group_join_matches_row_engine(name, two_keys):
+    catalog = catalog_of(*INPUTS[name])
+    assert_agrees(group_join(catalog, specs_for(name), two_keys), catalog)
+
+
+@pytest.mark.parametrize(
+    "name, aggregate", [(name, agg) for name in sorted(INPUTS) for agg in specs_for(name)]
+)
+def test_binary_group_matches_row_engine(name, aggregate):
+    catalog = catalog_of(*INPUTS[name])
+    assert_agrees(binary_group(catalog, AGGREGATES[aggregate]), catalog)
+
+
+def test_null_keyed_row_is_dropped_before_distinct():
+    """An S row with a NULL key and key 0's ``y``: dropped before the
+    (group, value) dedupe, it cannot take key 0's one distinct value."""
+    catalog = catalog_of([(0, 0, "p")], [(None, 0, 5), (0, 0, 5)])
+    spec = {"count(DISTINCT y)": AGGREGATES["count(DISTINCT y)"]}
+    assert assert_agrees(group_join(catalog, spec), catalog).rows == [(0, 0, "p", 0, 1)]
+
+
+def test_keyless_group_by():
+    """A ⟕ with no key onto a Γ with none: every left row meets Γ's one
+    group, or none when S is empty."""
+    for right_rows in (RIGHT, []):
+        catalog = catalog_of(LEFT, right_rows)
+        left, right = scans(catalog)
+        grouped = L.GroupBy(right, [], [("g0", AggSpec("count"))])
+        assert_agrees(L.LeftOuterJoin(left, grouped, E.TRUE, {"g0": 0}), catalog)
+
+
+def test_wide_composite_key_is_densified():
+    """Two key columns of 150 values each code into a range of ~22 000
+    slots: too wide to count over 300 rows, so the groups are densified."""
+    left = [(i, 149 - i, "x") for i in range(150)] + [(None, 1, "y")]
+    right = [(i, 149 - i, i) for i in range(0, 150, 2) for _ in range(2)]
+    catalog = catalog_of(left, right)
+    calls = []
+
+    def spy(codes, want_inverse=True):
+        calls.append(want_inverse)
+        return densify(codes, want_inverse)
+
+    densify = V._densify
+    with mock.patch.object(V, "_densify", spy):
+        assert_agrees(group_join(catalog, {"count(*)": AggSpec("count")}, two_keys=True), catalog)
+    assert calls == [True]
+
+
+def test_left_order_is_kept():
+    catalog = catalog_of(LEFT, RIGHT)
+    for plan in (group_join(catalog), binary_group(catalog, AggSpec("count"))):
+        batch = execute_plan(plan, catalog, VECTORIZED)
+        assert [row[:3] for row in batch.rows] == LEFT
+
+
+def test_empty_default_layouts():
+    """Unmatched rows carry each default in a layout it belongs in: a
+    float AVG beside an int default 0 would read 0.0 in a float column."""
+    catalog = catalog_of([(0, 0, "p"), (5, 5, "q")], [(0, 0, 1), (0, 0, 2)])
+    plan = group_join(catalog, {"avg(y)": AggSpec("avg", E.col("y"))})
+    left, grouped = plan.left, plan.right
+    for default in (0, 0.5, "none", None, (0, 0)):
+        with_default = L.LeftOuterJoin(left, grouped, plan.predicate, {"g0": default})
+        rows = assert_agrees(with_default, catalog).rows
+        assert [type(row[-1]) for row in rows] == [float, type(default)]
+
+
+def test_governor_ticks_and_trip_match_the_unfused_lowering():
+    catalog = catalog_of(LEFT * 40, RIGHT * 30)
+
+    def limited(max_rows):
+        return EvalOptions(vectorized=True, resources=ResourceLimits(max_rows=max_rows))
+
+    for two_keys in (False, True):
+        plan = group_join(catalog, AGGREGATES, two_keys)
+        ticks = {}
+        for lowering in ("group-join", "unfused"):
+            with nullcontext() if lowering == "group-join" else unfused():
+                kinds = {type(node).__name__ for node in walk(compile_plan(plan, True))}
+                assert ("VGroupJoin" in kinds) == (lowering == "group-join")
+                _, ctx = execute_plan(plan, catalog, limited(10**9), with_context=True)
+                ticks[lowering] = ctx.rows_processed
+                execute_plan(plan, catalog, limited(ticks[lowering]))  # exactly the budget
+                with pytest.raises(ResourceExhausted):
+                    execute_plan(plan, catalog, limited(ticks[lowering] - 1))
+        assert ticks["group-join"] == ticks["unfused"]
+
+
+def test_binary_group_ticks_as_its_unfused_form():
+    """``l Γ g; a = k; f s`` ticks as Γ, the ⟕ and the π dropping ``k``
+    (its lowering before the group-join)."""
+    catalog = catalog_of(LEFT * 40, RIGHT * 30)
+    spec = AggSpec("count", STAR, distinct=True)
+    binary = binary_group(catalog, spec)
+    with unfused():
+        join = group_join(catalog, {"count(DISTINCT *)": spec})
+        joined = L.Project(join, [*catalog.table("l").schema.names, "g0"])
+        _, unfused_ctx = execute_plan(
+            joined, catalog, EvalOptions(vectorized=True, resources=ResourceLimits(10**9)),
+            with_context=True,
+        )
+    _, ctx = execute_plan(
+        binary, catalog, EvalOptions(vectorized=True, resources=ResourceLimits(10**9)),
+        with_context=True,
+    )
+    assert ctx.rows_processed == unfused_ctx.rows_processed
+
+
+def test_shared_group_by_is_not_fused():
+    """A Γ another parent reads is computed once (memoised), so neither
+    ⟕ onto it becomes a group-join."""
+    catalog = catalog_of(LEFT, RIGHT)
+    first = group_join(catalog, {"count(*)": AggSpec("count")})
+    second = group_join(catalog, {"count(*)": AggSpec("count")}, grouped=first.right)
+    plan = L.UnionAll(first, second)
+    physical = compile_plan(plan, True)
+    kinds = Counter(type(node).__name__ for node in walk(physical))
+    assert kinds["VGroupJoin"] == 0 and kinds["VHashGroupBy"] == 1 and kinds["VHashJoin"] == 2
+    batch = execute_plan(plan, catalog, VECTORIZED)
+    assert typed_bag(batch) == typed_bag(execute_plan(plan, catalog))
+
+
+# ---------------------------------------------------------------------------
+# generated inputs
+# ---------------------------------------------------------------------------
+
+KEY_LAYOUTS = {
+    "int": st.integers(-2, 3),
+    "float": st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.5]),
+    "str": st.sampled_from(["", "a", "b"]),
+    "bool": st.booleans(),
+    "mixed": st.sampled_from([0, 1, 1.0, 0.5, "a", True]),
+    "wide": st.integers(0, 10**6),  # composite codes past the counting range
+}
+VALUES = st.one_of(st.integers(-3, 3), st.sampled_from([0.5, -1.5, 2**60]), st.booleans())
+
+
+@st.composite
+def instances(draw):
+    """``(left rows, right rows, two_keys)`` over one key layout per side."""
+    left_keys = KEY_LAYOUTS[draw(st.sampled_from(sorted(KEY_LAYOUTS)))]
+    right_keys = left_keys if draw(st.booleans()) else KEY_LAYOUTS[
+        draw(st.sampled_from(sorted(KEY_LAYOUTS)))
+    ]
+
+    def rows(keys, values, max_size):
+        key = st.none() | keys
+        return draw(st.lists(st.tuples(key, key, st.none() | values), max_size=max_size))
+
+    return rows(left_keys, st.sampled_from("pq"), 10), rows(right_keys, VALUES, 14), draw(
+        st.booleans()
+    )
+
+
+@settings(
+    max_examples=2000 if NIGHTLY else 150,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+)
+@given(instances(), st.sampled_from(sorted(AGGREGATES)))
+@example(([(0, 0, "p")], [(None, 0, 5), (0, 0, 5)], False), "count(DISTINCT y)")
+def test_group_join_property(instance, aggregate):
+    left_rows, right_rows, two_keys = instance
+    catalog = catalog_of(left_rows, right_rows)
+    assert_agrees(group_join(catalog, AGGREGATES, two_keys), catalog)
+    assert_agrees(binary_group(catalog, AGGREGATES[aggregate]), catalog)

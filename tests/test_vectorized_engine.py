@@ -291,8 +291,7 @@ class TestCompilerRouting:
         physical = compile_plan(planned.logical, vectorized=True)
         names = _operator_names(physical)
         assert "VBypassFilter" in names
-        assert "VHashGroupBy" in names
-        assert "VHashJoin" in names
+        assert "VGroupJoin" in names  # the ⟕ onto Γ(s), one operator
 
     def test_explain_analyze_with_vectorized_engine(self):
         catalog = make_rst_catalog(seed=3)
@@ -340,7 +339,7 @@ class TestCompilerRouting:
         assert "VMap" in {type(node).__name__ for node in nodes}
 
         _, nodes = _compile_all(Q4, catalog, "auto")
-        assert {"VBypassJoin", "VStreamTap", "VHashGroupBy"} <= {type(n).__name__ for n in nodes}
+        assert {"VBypassJoin", "VStreamTap", "VGroupJoin"} <= {type(n).__name__ for n in nodes}
 
         canonical = {
             Q1: "PFilter VDistinct VFilter VProject*2 VScalarAgg VScan*2",
@@ -389,7 +388,7 @@ def _compile_all(sql, catalog, strategy):
 
     planned = plan_query(sql, catalog, strategy)
     compiler = VectorCompiler()
-    compiler.count_references(planned.logical)
+    compiler.analyse(planned.logical)
     return compiler.compile(planned.logical), list(compiler.memo.values())
 
 
