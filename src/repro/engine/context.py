@@ -102,6 +102,8 @@ class ExecStats:
     node_rows: dict[int, tuple[int, int]] = field(default_factory=dict)
     #: id(physical node) -> (inclusive, self) seconds over its invocations
     node_seconds: dict[int, tuple[float, float]] = field(default_factory=dict)
+    #: id(physical node) -> what it did beyond rows, e.g. ``build=reused``
+    notes: dict[int, str] = field(default_factory=dict)
     subquery_evals: int = 0
     subquery_cache_hits: int = 0
     #: Seconds the invocation now running has spent in the ones it made.

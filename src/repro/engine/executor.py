@@ -115,6 +115,8 @@ def render_analyze(ctx: ExecContext, result_rows: int) -> str:
             if calls > 1:
                 detail += f" calls={calls}"
             detail += f" self={ctx.stats.node_seconds[id(node)][1] * 1e3:.3f}ms"
+            if id(node) in ctx.stats.notes:
+                detail += " " + ctx.stats.notes[id(node)]
         marker = " [shared]" if id(node) in seen else ""
         lines.append(f"{prefix}{connector}{node.describe()}  {detail}{marker}")
         if id(node) in seen:

@@ -18,13 +18,15 @@ The row compiler's one analysis walk (reference counts for DAG-sharing
 memoisation, the Eqv. 5 negative-stream filter fusion) is inherited, so
 vectorized plans keep the row plans' sharing; it also marks each ⟕ onto
 a Γ no other node reads, which lowers, as every ``=`` binary Γ does
-(under a π), onto one group-join, ``VGroupJoin``.  ⋈± and joins without
-an equality key run the blocked pair kernel of
+(under a π), onto one group-join, ``VGroupJoin``, told once (:func:`_pure`)
+whether its aggregates read S alone, so that its build may be kept.  ⋈±
+and joins without an equality key run the blocked pair kernel of
 :mod:`~repro.engine.vector_ops`.
 """
 
 from __future__ import annotations
 
+from repro.algebra import expr as E
 from repro.algebra import ops as L
 from repro.algebra.aggregates import STAR, AggSpec
 from repro.engine import operators as P
@@ -36,6 +38,16 @@ from repro.engine.vector_kernels import (
     compile_value,
 )
 from repro.storage.schema import Schema
+
+
+def _pure(specs, schema: Schema) -> bool:
+    """Whether the aggregates read ``schema``'s columns and nothing else —
+    no parameter, no outer attribute — so a group-join's build depends on
+    its right input alone and may be kept across executions."""
+    args = [spec.arg for spec in specs if spec.arg is not STAR]
+    return all(name in schema for arg in args for name in arg.free_attrs()) and not any(
+        isinstance(node, E.Parameter) for arg in args for node in arg.walk()
+    )
 
 
 class VectorCompiler(_Compiler):
@@ -182,7 +194,7 @@ class VectorCompiler(_Compiler):
             self._vec(self.compile(node.right)),
             node.left.schema.concat(Schema([node.right.schema[key], node.schema[-1]])),
             [node.left.schema.position(node.left_key)], [key], [column],
-            (None, node.spec.empty_result()),
+            (None, node.spec.empty_result()), _pure([node.spec], node.right.schema),
         )
         arity = len(node.left.schema)
         return V.VProject(joined, node.schema, [*range(arity), arity + 1])
@@ -215,6 +227,7 @@ class VectorCompiler(_Compiler):
             source.positions(grouped.keys),
             columns,
             tuple(node.defaults.get(col.name) for col in grouped.schema),
+            _pure([spec for _, spec in grouped.aggregates], source),
         )
 
     def _compile_join_family(

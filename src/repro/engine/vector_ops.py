@@ -23,7 +23,8 @@ into a table over the code range while that range is O(batch length),
 by sorting it otherwise (:func:`_countable` is the one rule), and
 the Eqv. 1–5 pre-aggregations (COUNT/SUM/MIN/MAX/AVG) have closed-form
 ``bincount``/``ufunc.at`` fast paths — run, with the ⟕ that joins them
-back, in one group-join (:class:`VGroupJoin`).  A join with no equality key — a
+back, in one group-join (:class:`VGroupJoin`), whose build over S is kept
+while S's view is unchanged.  A join with no equality key — a
 θ-correlation, the bypass join ⋈±, a cross product — runs its predicate
 kernel over ``left × right`` in blocks of at most :data:`_BLOCK_PAIRS`
 pairs, the governor ticked before each block is built.  DISTINCT is a
@@ -37,6 +38,7 @@ over object-layout columns.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -778,19 +780,20 @@ def _match_pairs(lcodes, rcodes, l_ok, r_ok) -> tuple[np.ndarray, np.ndarray]:
     return left_idx, right_idx
 
 
-def _gather_or_default(data, valid, empty, slot_of, default):
-    """A column of per-group slots (``data`` is the caller's to overwrite)
-    gathered onto the left rows by ``slot_of``, ``default`` (f(∅); ``None``
-    is NULL) in every ``empty`` slot: in the column's own layout, or
-    ``object`` when the default does not belong in it, as in a concat."""
-    if default is None:
-        mask = ~empty if valid is None else valid & ~empty
-    else:
+def _with_default(data, valid, default):
+    """A column of per-group slots whose last, empty slot becomes
+    ``default`` (f(∅); ``None`` is NULL): in the column's own layout, or
+    ``object`` when the default does not belong in it, as in a concat.
+    ``data`` and ``valid`` are the caller's to overwrite."""
+    if default is not None:
         if data.dtype != object and _const_column(default, 0)[0].dtype != data.dtype:
             data = data.astype(object)
-        data[empty] = _const_column(default, 1)[0]  # a tuple stays whole
-        mask = None if valid is None else valid | empty
-    return data[slot_of], None if mask is None else mask[slot_of]
+        data[-1:] = _const_column(default, 1)[0]  # a tuple stays whole
+    elif valid is None:
+        valid = np.ones(len(data), dtype=bool)
+    if valid is not None:
+        valid[-1] = default is not None
+    return data, valid
 
 
 def _paired_batch(schema: Schema, left: Batch, right: Batch, left_idx, right_idx) -> Batch:
@@ -999,23 +1002,43 @@ class VHashGroupBy(VecOperator):
         return Batch(self.schema, *zip(*columns), n_groups)
 
 
+def _view(batch: Batch) -> tuple:
+    """What a build read of ``batch``: every column's ``data`` / ``valid``
+    array, held weakly (a kept build keeps no dead table version alive),
+    the base length and the selection."""
+    refs = tuple(None if a is None else weakref.ref(a) for a in batch.data + batch.valid)
+    return refs, batch.base_length, batch.sel
+
+
+def _same_view(view: tuple, batch: Batch) -> bool:
+    """Whether ``batch`` is ``view`` again: the same arrays and base
+    length, and a selection equal by value (``None`` only to ``None``)."""
+    refs, base_length, sel = view
+    arrays = batch.data + batch.valid
+    return (
+        base_length == batch.base_length
+        and all(a is None if r is None else r() is a for r, a in zip(refs, arrays))
+        and np.array_equal(sel, batch.sel)
+    )
+
+
 class VGroupJoin(VecOperator):
     """The ⟕ onto Γ(S) as one group-join, ``L ⟕^{f(∅)}_{l = k} Γ_{k; f}(S)``
     (Eqv. 1–4's last step; Eqv. 5's ``=`` binary Γ under a π): L's rows in
     L's order, each with its group's key and aggregates or the defaults.
 
-    Keys are coded once, in one space shared by L and S; S's NULL-keyed
-    rows meet no left row and go before any aggregate or dedupe.  While
-    the codes count (:func:`_countable`) a code is its group's slot; a
-    wide range is densified, L finding its slot by ``searchsorted`` (a
-    last, empty slot when it has none).  Each column is built per slot,
-    the default in the empty ones, and gathered onto L once.  Ticks are
-    Γ's and then the ⟕'s, Γ's NULL-keyed groups included.
+    A build over S alone (:meth:`_build`), kept while the right input is
+    the same view (:func:`_same_view`) unless an aggregate reads a
+    parameter or an outer attribute (``pure`` is false), then a probe by L
+    (:meth:`_probe`).  The right child runs either way; the ticks are Γ's
+    and then the ⟕'s, Γ's NULL-keyed groups included, on both paths.
     """
 
-    __slots__ = ("left", "right", "left_keys", "right_keys", "agg_columns", "default_row")
+    __slots__ = (
+        "left", "right", "left_keys", "right_keys", "agg_columns", "default_row", "pure", "built"
+    )
 
-    def __init__(self, left, right, schema, left_keys, right_keys, agg_columns, default_row):
+    def __init__(self, left, right, schema, left_keys, right_keys, agg_columns, default_row, pure):
         super().__init__(schema)
         self.left = left
         self.right = right
@@ -1023,53 +1046,72 @@ class VGroupJoin(VecOperator):
         self.right_keys = tuple(right_keys)
         self.agg_columns = tuple(agg_columns)
         self.default_row = default_row
+        self.pure = pure
+        self.built = None  # (view, group table), one store: a race costs a build
 
     def _run(self, ctx, env):
         left = self.left.invoke(ctx, env).compact()
         right = self.right.invoke(ctx, env)
-        n_left, n_right = len(left), len(right)
-        ctx.tick(n_right)
-        left_cols = [left.column(p) for p in self.left_keys]
-        lcodes, rcodes, _, r_ok = _shared_codes(
-            left_cols, [right.column(p) for p in self.right_keys], n_left, n_right
-        )
+        ctx.tick(len(right))
+        last = self.built
+        reused = last is not None and _same_view(last[0], right)
+        table = last[1] if reused else self._build(ctx, env, right)
+        if self.pure and not reused:
+            self.built = (_view(right), table)
+        ctx.stats.notes[id(self)] = "build=reused" if reused else "build=new"
+        return self._probe(ctx, left, table)
+
+    def _build(self, ctx, env, right: Batch) -> tuple:
+        """S's group table ``(null_groups, n_groups, keys, columns)``: each
+        group's key values, and every column after L's over ``n_groups + 1``
+        slots, the last one empty and holding the default.  S's NULL-keyed
+        rows meet no left row: they go before any aggregate or dedupe."""
+        codes, ok = _factorize([right.column(p) for p in self.right_keys], len(right))
         null_groups = 0
-        if not r_ok.all():
-            null_groups = len(_first_occurrences(rcodes[~r_ok]))
-            live = np.flatnonzero(r_ok)
-            right, rcodes = right.take(live), rcodes[live]
-        if not len(rcodes):
-            ctx.tick(n_left + null_groups)
+        if not ok.all():
+            null_groups = len(_first_occurrences(codes[~ok]))
+            live = np.flatnonzero(ok)
+            right, codes = right.take(live), codes[live]
+        if not len(codes):
+            return null_groups, 0, (), ()
+        firsts, slots = _densify(codes)
+        keys = [(right.column(p)[0][firsts], None) for p in self.right_keys]  # no NULL left
+        columns = [(np.append(data, data[:1]), None) for data, _ in keys]  # + the empty slot
+        columns += _aggregate(ctx, env, right, self.agg_columns, slots, len(firsts) + 1)
+        columns = [_with_default(*column, d) for column, d in zip(columns, self.default_row)]
+        return null_groups, len(firsts), keys, columns
+
+    def _probe(self, ctx, left: Batch, table: tuple) -> Batch:
+        """L's keys coded against the groups' (:func:`_shared_codes`), each
+        left row's slot found through a code → slot table while the codes
+        count, by ``searchsorted`` otherwise, and every column gathered."""
+        null_groups, n_groups, keys, columns = table
+        n_left = len(left)
+        ctx.tick(n_left + null_groups + n_groups)
+        if not n_groups:
             return _pad_with_defaults(self.schema, left, self.default_row)
-        top = max(int(rcodes.max()), int(lcodes.max(initial=0)))  # codes are >= 0
-        if _countable(top + 1, n_left + n_right):
-            slots, slot_of, n_slots = rcodes, lcodes, top + 1
+        left_cols = [left.column(p) for p in self.left_keys]
+        lcodes, gcodes, _, _ = _shared_codes(left_cols, keys, n_left, n_groups)
+        top = max(int(lcodes.max(initial=0)), int(gcodes.max()))  # codes are >= 0
+        if _countable(top + 1, n_left + n_groups):
+            slot_at = np.full(top + 1, n_groups, dtype=np.int64)
+            slot_at[gcodes] = np.arange(n_groups)
+            slot_of = slot_at[lcodes]
         else:
-            firsts, slots = _densify(rcodes)
-            codes = rcodes[firsts]
-            n_slots = len(codes) + 1
-            slot_of = np.minimum(np.searchsorted(codes, lcodes), n_slots - 2)
-            slot_of[codes[slot_of] != lcodes] = n_slots - 1
-        empty = np.bincount(slots, minlength=n_slots) == 0
-        found = ~empty[slot_of]
-        ctx.tick(n_left + null_groups + n_slots - int(np.count_nonzero(empty)))
+            order = _densify(gcodes, want_inverse=False)[0]  # distinct: a permutation
+            ordered = gcodes[order]
+            at = np.minimum(np.searchsorted(ordered, lcodes), n_groups - 1)
+            slot_of = np.where(ordered[at] == lcodes, order[at], n_groups)
+        found = slot_of != n_groups
         ctx.tick(int(np.count_nonzero(found)))
-        columns = list(zip(left.data, left.valid))
-        first = None
-        for (ld, _), position, default in zip(left_cols, self.right_keys, self.default_row):
-            rd, rv = right.column(position)
-            if ld.dtype == rd.dtype == np.int64 and default is None:
-                columns.append((ld, found))  # equal codes, equal ints: L's own key
-                continue
-            if first is None:  # each group's first row, whose key Γ keeps
-                first = np.zeros(n_slots, dtype=np.int64)
-                first[slots[::-1]] = np.arange(len(slots) - 1, -1, -1, dtype=np.int64)
-            rv = None if rv is None else rv[first]
-            columns.append(_gather_or_default(rd[first], rv, empty, slot_of, default))
-        aggregates = _aggregate(ctx, env, right, self.agg_columns, slots, n_slots)
-        for column, default in zip(aggregates, self.default_row[len(left_cols) :]):
-            columns.append(_gather_or_default(*column, empty, slot_of, default))
-        return Batch(self.schema, *zip(*columns), n_left)
+        out = list(zip(left.data, left.valid))
+        for i, ((data, valid), default) in enumerate(zip(columns, self.default_row)):
+            own = left_cols[i][0] if i < len(keys) and default is None else None
+            if own is not None and own.dtype == keys[i][0].dtype == np.int64:
+                out.append((own, found))  # equal codes, equal ints: L's own key
+            else:
+                out.append((data[slot_of], None if valid is None else valid[slot_of]))
+        return Batch(self.schema, *zip(*out), n_left)
 
 
 class VScalarAgg(VecOperator):

@@ -126,3 +126,24 @@ def test_concurrent_writer_does_not_move_the_reported_counts():
     assert "rows=40" in report  # the scan saw the pinned 40 rows, not 41
     assert f"-- {before} result rows" in report
     assert len(database.execute(sql)) == before + 1
+
+
+def test_group_join_line_says_whether_it_built():
+    """A ``VGroupJoin`` line says whether this execution built S's group
+    table or reused the last one: new, then reused, then new once s has
+    changed."""
+    from repro.bench.queries import Q1
+
+    database = Database()
+    source = make_rst_catalog(n_r=40, n_s=35, seed=8)
+    for name in source.table_names():
+        database.register(source.table(name))
+
+    def builds():
+        report = database.explain_analyze(Q1, "auto", EvalOptions(vectorized=True))
+        return re.findall(r"VGroupJoin .*self=\S+ (build=\w+)", report)
+
+    assert builds() == ["build=new"]
+    assert builds() == ["build=reused"]
+    database.execute("INSERT INTO s VALUES (1, 1, 1, 1)")
+    assert builds() == ["build=new"]

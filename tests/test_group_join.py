@@ -8,11 +8,17 @@ a mix), a two-column key, a composite key too wide to count, and every
 aggregate the rewriter puts there — Eqv. 4's partials ``fI`` included —
 each with its ``f(∅)`` default.  Beside the answers: L's order, the
 governor's ticks against the unfused lowering (Γ, then the ⟕'s pair
-path), and a shared Γ left unfused.  ``HYPOTHESIS_PROFILE=nightly``
-raises the property test's budget.
+path), and a shared Γ left unfused.  The last section holds the kept
+build — S's group table, reused while S's view is unchanged — to the row
+engine across DML, DROP/CREATE, pinned snapshots, parameters, fresh
+inputs and threads.  ``HYPOTHESIS_PROFILE=nightly`` raises the property
+tests' budget.
 """
 
+import gc
 import os
+import sys
+import threading
 from collections import Counter
 from contextlib import nullcontext
 from unittest import mock
@@ -20,15 +26,19 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro import Database
 from repro.algebra import expr as E
 from repro.algebra import ops as L
 from repro.algebra.aggregates import STAR, AggSpec
 from repro.engine import EvalOptions, execute_plan
+from repro.engine.context import ExecContext
 from repro.engine.compile import _Compiler, compile_plan
 from repro.engine.governor import ResourceLimits
 from repro.errors import ResourceExhausted
 from repro.storage import Catalog, Schema, Table
+from repro.storage.mvcc import SnapshotCatalog
 
+np = pytest.importorskip("numpy")
 V = pytest.importorskip("repro.engine.vector_ops")
 
 from repro.engine.vector_compile import VectorCompiler  # noqa: E402
@@ -203,7 +213,9 @@ def test_keyless_group_by():
 
 def test_wide_composite_key_is_densified():
     """Two key columns of 150 values each code into a range of ~22 000
-    slots: too wide to count over 300 rows, so the groups are densified."""
+    slots: the build densifies S's codes; too wide to count over L's 151
+    rows and the 75 groups, the probe sorts the groups' codes (one
+    ``_densify`` with no inverse) and searches them."""
     left = [(i, 149 - i, "x") for i in range(150)] + [(None, 1, "y")]
     right = [(i, 149 - i, i) for i in range(0, 150, 2) for _ in range(2)]
     catalog = catalog_of(left, right)
@@ -216,7 +228,7 @@ def test_wide_composite_key_is_densified():
     densify = V._densify
     with mock.patch.object(V, "_densify", spy):
         assert_agrees(group_join(catalog, {"count(*)": AggSpec("count")}, two_keys=True), catalog)
-    assert calls == [True]
+    assert calls == [True, False]
 
 
 def test_left_order_is_kept():
@@ -337,3 +349,265 @@ def test_group_join_property(instance, aggregate):
     catalog = catalog_of(left_rows, right_rows)
     assert_agrees(group_join(catalog, AGGREGATES, two_keys), catalog)
     assert_agrees(binary_group(catalog, AGGREGATES[aggregate]), catalog)
+
+
+# ---------------------------------------------------------------------------
+# the kept build: S's group table, reused while S's view is unchanged
+# ---------------------------------------------------------------------------
+
+COUNT_DISTINCT_STAR = AggSpec("count", STAR, distinct=True)
+NEW, REUSED = ["build=new"] * 2, ["build=reused"] * 2
+INT_LEFT = [row for row in LEFT if row[0] is None or isinstance(row[0], int)]
+
+
+def lowerings(left, source, spec):
+    """``l ⟕ Γ_{k; g: f}(source)`` and ``l Γ g; a = k; f source``."""
+    grouped = L.GroupBy(source, ["k"], [("g", spec)])
+    return (
+        L.LeftOuterJoin(left, grouped, E.eq("a", "k"), {"g": spec.empty_result()}),
+        L.BinaryGroupBy(left, source, "g", "a", "k", spec),
+    )
+
+
+def group_join_node(root):
+    (node,) = [node for node in walk(root) if isinstance(node, V.VGroupJoin)]
+    return node
+
+
+class Kept:
+    """``l`` and ``s`` in a database, and both lowerings of a group-join
+    onto ``source(s)`` compiled once, as a cached plan's roots are."""
+
+    def __init__(self, left_rows, right_rows, spec=COUNT_DISTINCT_STAR, source=None):
+        self.db = Database()
+        self.db.create_table("l", ["a", "b", "x"], left_rows)
+        self.db.create_table("s", ["k", "j", "y"], right_rows)
+        left, right = scans(self.db.catalog)
+        self.plans = lowerings(left, right if source is None else source(right), spec)
+        self.roots = [compile_plan(plan, True) for plan in self.plans]
+
+    def catalog(self, lsn=None):
+        lsn = self.db.commit_lsn if lsn is None else lsn
+        return SnapshotCatalog(self.db.catalog, self.db._snapshots, lsn)
+
+    def builds(self, lsn=None, params=None) -> list:
+        """Each root's answer at ``lsn`` (the newest by default) checked
+        against the row engine's; the group-joins' ``build=`` notes."""
+        catalog, notes = self.catalog(lsn), []
+        for plan, root in zip(self.plans, self.roots):
+            options = EvalOptions(vectorized=True, collect_stats=True, params=params)
+            batch, ctx = execute_plan(plan, catalog, options, with_context=True, physical=root)
+            expected = execute_plan(plan, catalog, EvalOptions(params=params))
+            assert typed_bag(batch) == typed_bag(expected), plan
+            notes += ctx.stats.notes.values()
+        return notes
+
+    def answers(self) -> list:
+        return [sorted(execute_plan(plan, self.catalog()).rows, key=repr) for plan in self.plans]
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "INSERT INTO s VALUES (0, 3, 3)",
+        "DELETE FROM s WHERE k = 1",
+        "UPDATE s SET k = 2 WHERE k = 1",
+        "UPDATE s SET k = NULL WHERE k = 0",
+    ],
+)
+def test_kept_build_is_rebuilt_after_dml(sql):
+    kept = Kept(INT_LEFT, RIGHT)
+    assert kept.builds() == NEW and kept.builds() == REUSED
+    before = kept.answers()
+    kept.db.execute(sql)
+    assert kept.answers() != before, sql
+    assert kept.builds() == NEW and kept.builds() == REUSED
+
+
+def test_non_key_update_lowers_a_distinct_count():
+    """``UPDATE`` carries the untouched key columns' arrays to the next
+    version; only ``y``'s is new.  Making key 1's rows (1, 1, 4) and
+    (1, 1, 2) equal drops its COUNT(DISTINCT *) from 3 to 2."""
+    kept = Kept(INT_LEFT, RIGHT)
+    assert kept.builds() == NEW and kept.builds() == REUSED
+    base = V.table_batch(kept.db.table("s"))
+    kept.db.execute("UPDATE s SET y = 2 WHERE y = 4")
+    after = V.table_batch(kept.db.table("s"))
+    assert after.data[0] is base.data[0] and after.data[2] is not base.data[2]
+    assert kept.builds() == NEW and kept.builds() == REUSED
+    join_answer = {row[:3]: row[-1] for row in kept.answers()[0]}
+    assert join_answer[(1, 1, "q")] == 2
+
+
+def test_recreated_table_is_rebuilt():
+    """DROP + CREATE with as many rows and other values: a new table, new
+    arrays, a new build — never the dropped table's."""
+    kept = Kept(INT_LEFT, RIGHT)
+    assert kept.builds() == NEW and kept.builds() == REUSED
+    kept.db.drop_table("s")
+    kept.db.create_table("s", ["k", "j", "y"], [(1, 9, i) for i in range(len(RIGHT))])
+    assert kept.builds() == NEW and kept.builds() == REUSED
+
+
+def test_pinned_snapshot_between_live_reads():
+    kept = Kept(INT_LEFT, RIGHT)
+    assert kept.builds() == NEW
+    handle = kept.db.pin_snapshot()
+    try:
+        kept.db.execute("INSERT INTO s VALUES (1, 5, 5)")
+        assert kept.builds() == NEW
+        assert kept.builds(handle.lsn) == NEW  # the old version's own arrays
+        assert kept.builds() == NEW and kept.builds() == REUSED
+        assert kept.builds(handle.lsn) == NEW and kept.builds(handle.lsn) == REUSED
+    finally:
+        kept.db.release_snapshot(handle)
+
+
+def test_bypass_stream_of_s_is_reused():
+    """Q2's shape: Γ over σ±'s negative stream.  Its selection vector is
+    a new array every execution, equal by value."""
+    above_two = E.Comparison(">", E.col("y"), E.lit(2))
+    kept = Kept(INT_LEFT, RIGHT, source=lambda s: L.BypassSelect(s, above_two).negative)
+    assert kept.builds() == NEW and kept.builds() == REUSED
+    kept.db.execute("UPDATE s SET y = 9 WHERE y = 2")  # moves rows between the streams
+    assert kept.builds() == NEW and kept.builds() == REUSED
+
+
+def test_selection_is_compared_by_value():
+    """Γ over ``σ_{y > ?}(s)``: the same arrays under another selection
+    are another input; the parameter outside the aggregate is no bar."""
+    above = E.Comparison(">", E.col("y"), E.Parameter(0))
+    kept = Kept(INT_LEFT, RIGHT, source=lambda s: L.Select(s, above))
+    assert kept.builds(params={0: 2}) == NEW
+    assert kept.builds(params={0: 3}) == NEW
+    assert kept.builds(params={0: 3}) == REUSED
+
+
+def test_parameter_in_aggregate_is_never_kept():
+    spec = AggSpec("sum", E.Arithmetic("+", E.col("y"), E.Parameter(0)))
+    kept = Kept(INT_LEFT, RIGHT, spec=spec)
+    for value in (1, 10, 10):
+        assert kept.builds(params={0: value}) == NEW
+    assert all(group_join_node(root).built is None for root in kept.roots)
+
+
+def test_fresh_right_input_builds_every_time_and_keeps_no_array():
+    """Γ over a join's output: new arrays every execution, so every
+    execution builds, and what is kept holds none of them."""
+
+    def joined(s):
+        twin = L.Rename(L.Scan("s", s.schema), {"k": "k2", "j": "j2", "y": "y2"})
+        return L.Project(L.Join(s, twin, E.eq("k", "k2")), ["k", "j", "y"])
+
+    kept = Kept(INT_LEFT, RIGHT, source=joined)
+    for _ in range(3):
+        assert kept.builds() == NEW
+    gc.collect()
+    for root in kept.roots:
+        refs, _, _ = group_join_node(root).built[0]
+        assert all(ref is None or ref() is None for ref in refs)
+
+
+def test_warm_ticks_and_trip_equal_cold():
+    kept = Kept(INT_LEFT * 40, RIGHT * 30)
+
+    def run(plan, root, max_rows):
+        limits = ResourceLimits(max_rows=max_rows)
+        options = EvalOptions(vectorized=True, collect_stats=True, resources=limits)
+        ctx = execute_plan(plan, kept.catalog(), options, with_context=True, physical=root)[1]
+        return ctx.rows_processed, list(ctx.stats.notes.values())
+
+    for plan in kept.plans:
+        ticks, notes = run(plan, compile_plan(plan, True), 10**9)
+        assert notes == ["build=new"]
+        assert run(plan, compile_plan(plan, True), ticks) == (ticks, notes)  # exactly the budget
+        with pytest.raises(ResourceExhausted):
+            run(plan, compile_plan(plan, True), ticks - 1)
+        root = compile_plan(plan, True)
+        run(plan, root, 10**9)
+        assert run(plan, root, ticks) == (ticks, ["build=reused"])
+        with pytest.raises(ResourceExhausted):
+            run(plan, root, ticks - 1)
+
+
+def test_answer_shares_no_memory_with_the_build():
+    kept = Kept(INT_LEFT, RIGHT, spec=AggSpec("max", E.col("y")))
+    kept.builds()
+    for root in kept.roots:
+        batch = root.invoke(ExecContext(kept.catalog(), VECTORIZED), {})
+        _, (_, _, keys, columns) = group_join_node(root).built
+        kept_arrays = [array for column in (*keys, *columns) for array in column]
+        for answer in (*batch.data, *batch.valid):
+            for array in kept_arrays:
+                if answer is not None and array is not None:
+                    assert not np.shares_memory(answer, array)
+
+
+def test_threads_share_one_root_while_s_grows():
+    """Four readers of one compiled root (more than the cores), each at
+    its own snapshot, race to replace the kept build while a writer grows
+    s: every answer is the row engine's at that snapshot."""
+    kept = Kept(INT_LEFT * 20, RIGHT * 20)
+    failures, reads, done = [], [], threading.Event()
+
+    def reader():
+        while not done.is_set():
+            handle = kept.db.pin_snapshot()
+            try:
+                catalog = kept.catalog(handle.lsn)
+                for plan, root in zip(kept.plans, kept.roots):
+                    got = execute_plan(plan, catalog, VECTORIZED, physical=root)
+                    if typed_bag(got) != typed_bag(execute_plan(plan, catalog)):
+                        failures.append(handle.lsn)
+                    reads.append(handle.lsn)
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+            finally:
+                kept.db.release_snapshot(handle)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=reader) for _ in range(4)]
+    try:
+        for thread in threads:
+            thread.start()
+        for i in range(40):
+            kept.db.execute(f"INSERT INTO s VALUES ({i % 4}, {i}, {i % 3})")
+    finally:
+        done.set()
+        for thread in threads:
+            thread.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == [] and len(set(reads)) > 1
+
+
+DML = st.one_of(
+    st.tuples(st.just("INSERT INTO s VALUES ({}, {}, {})"), st.none() | st.integers(-1, 3),
+              st.integers(0, 2), st.none() | st.integers(0, 3)),
+    st.tuples(st.just("DELETE FROM s WHERE k = {}"), st.integers(-1, 3)),
+    st.tuples(st.just("UPDATE s SET k = {} WHERE j = {}"), st.integers(-1, 3), st.integers(0, 2)),
+    st.tuples(st.just("UPDATE s SET y = {} WHERE k = {}"), st.integers(0, 3), st.integers(-1, 3)),
+    st.just(None),  # execute
+)
+
+
+def sql_literal(value):
+    return "NULL" if value is None else str(value)
+
+
+@settings(
+    max_examples=1000 if NIGHTLY else 150,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+)
+@given(st.lists(DML, max_size=12), st.sampled_from(sorted(AGGREGATES)))
+def test_kept_build_property(steps, aggregate):
+    kept = Kept(INT_LEFT, RIGHT, spec=AGGREGATES[aggregate])
+    kept.builds()
+    for step in steps:
+        if step is None:
+            kept.builds()
+        else:
+            kept.db.execute(step[0].format(*map(sql_literal, step[1:])))
+    kept.builds()
