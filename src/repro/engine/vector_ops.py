@@ -16,15 +16,14 @@ its 3VL predicate kernel once and *splits* the input batch into the TRUE
 stream and its complement (FALSE ∪ UNKNOWN) — two selection vectors over
 one set of shared column arrays, no row copying.
 
-Joins and grouping are hash-style but expressed with numpy: keys are
-factorised into integer codes (NULL keys get a reserved code and never
-match); groups, first occurrences and join matches are found by counting
-into a table over the code range while that range is O(batch length),
-by sorting it otherwise (:func:`_countable` is the one rule), and
-the Eqv. 1–5 pre-aggregations (COUNT/SUM/MIN/MAX/AVG) have closed-form
-``bincount``/``ufunc.at`` fast paths — run, with the ⟕ that joins them
-back, in one group-join (:class:`VGroupJoin`), whose build over S is kept
-while S's view is unchanged.  A join with no equality key — a
+Joins and grouping are hash-style but expressed with numpy: one side's
+keys are coded into dense group ids by a
+:class:`~repro.engine.keys.KeyCoder`, and a join looks the other side up
+in them (a NULL key finds no group); the Eqv. 1–5 pre-aggregations
+(COUNT/SUM/MIN/MAX/AVG) have closed-form ``bincount``/``ufunc.at`` fast
+paths — run, with the ⟕ that joins them back, in one group-join
+(:class:`VGroupJoin`), whose build over S, coder included, is kept while
+S's view is unchanged.  A join with no equality key — a
 θ-correlation, the bypass join ⋈±, a cross product — runs its predicate
 kernel over ``left × right`` in blocks of at most :data:`_BLOCK_PAIRS`
 pairs, the governor ticked before each block is built.  DISTINCT is a
@@ -45,6 +44,7 @@ import numpy as np
 
 from repro.algebra.aggregates import AggSpec, evaluate_spec
 from repro.engine import operators as P
+from repro.engine.keys import KeyCoder
 from repro.engine.vector_kernels import _INT64_MAX, _const_column, _int_magnitude
 from repro.storage.batch import Batch, build_column, column_to_pylist
 from repro.storage.schema import Schema
@@ -392,177 +392,17 @@ def _dedupe(batch: Batch) -> Batch:
     here (two NULLs are duplicates, NULL and 0 are not).
     """
     n = len(batch)
-    codes, _ = _factorize([batch.column(p) for p in range(len(batch.schema))], n)
-    keep = _first_occurrences(codes)
-    if len(keep) == n:
+    coder = KeyCoder([batch.column(p) for p in range(len(batch.schema))], n)
+    if coder.n_groups == n:
         return batch
-    return batch.take(keep)
+    return batch.take(_ascending(coder.firsts, n))
 
 
-def _first_occurrences(codes: np.ndarray) -> np.ndarray:
-    """Ascending index of the first row carrying each distinct code."""
-    keep = np.zeros(len(codes), dtype=bool)
-    keep[_densify(codes, want_inverse=False)[0]] = True
+def _ascending(rows: np.ndarray, n: int) -> np.ndarray:
+    """Distinct row numbers below ``n`` in ascending order, by a mask."""
+    keep = np.zeros(n, dtype=bool)
+    keep[rows] = True
     return np.flatnonzero(keep)
-
-
-# ---------------------------------------------------------------------------
-# Key factorisation (shared by joins and grouping)
-# ---------------------------------------------------------------------------
-
-
-#: Counting beats sorting while its table stays O(n): a code range of at
-#: most this many slots per row (of the batch plus 64, so a tiny batch
-#: still counts) is coded, grouped and probed through a table that size.
-_SLOTS_PER_ROW = 4
-
-
-def _countable(span: int, n: int) -> bool:
-    """Whether a table of ``span`` slots is O(``n``)."""
-    return span <= _SLOTS_PER_ROW * (n + 64)
-
-
-def _small_range(values: np.ndarray, n: int) -> tuple[int, int] | None:
-    """``(min, max - min + 1)`` of an int array when a table with a slot
-    per value in that range is O(``n``) — ``(0, 0)`` for no values — and
-    ``None`` when it is not.  Python ints: ``max - min`` can pass 2**63."""
-    if not len(values):
-        return 0, 0
-    lo = int(values.min())
-    span = int(values.max()) - lo + 1
-    return (lo, span) if _countable(span, n) else None
-
-
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """Where each run of equal values begins in a sorted, non-empty array."""
-    return np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-
-
-def _densify(codes: np.ndarray, want_inverse: bool = True):
-    """``(first_index, group_ids)`` of ``codes``, groups in ascending code
-    order: the row each distinct code first occurs in, and every row's
-    group number (``None`` unless wanted).
-
-    A small code range is counted — first occurrences by one reversed
-    scatter into a range-sized table (the last write to a slot wins),
-    group ids by a running count of the occupied slots.  A wide one is
-    sorted, stably: ``np.sort`` of ``(code - min) << b | row`` keys (``b``
-    bits hold a row number; several times faster than an ``argsort``),
-    whose low bits are the order — a stable ``argsort`` should a key pass
-    63 bits — so a run's first row is its first occurrence."""
-    n = len(codes)
-    small = _small_range(codes, n)
-    if small is None:
-        lo, shift = int(codes.min()), n.bit_length()
-        if (int(codes.max()) - lo) >> (63 - shift) == 0:
-            packed = np.sort(((codes - lo) << shift) | np.arange(n, dtype=np.int64))
-            order, ordered = packed & ((1 << shift) - 1), packed >> shift
-        else:
-            order = np.argsort(codes, kind="stable")
-            ordered = codes[order]
-        starts = _run_starts(ordered)
-        group_ids = None
-        if want_inverse:
-            group_ids = np.empty(n, dtype=np.int64)
-            group_ids[order] = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, n)))
-        return order[starts], group_ids
-    lo, span = small
-    offsets = codes - lo
-    first = np.full(span, -1, dtype=np.int64)
-    first[offsets[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
-    present = first >= 0
-    group_ids = (np.cumsum(present) - 1)[offsets] if want_inverse else None
-    return first[present], group_ids
-
-
-def _factorize(
-    columns: Sequence[tuple[np.ndarray, np.ndarray | None]],
-    n: int,
-    seed: tuple[np.ndarray, int] | None = None,
-):
-    """Combine key columns into int codes; NULL keys get ``ok=False``.
-
-    Returns ``(codes, ok)``: ``codes`` is an int64 array where equal rows
-    have equal codes, and ``ok`` marks the rows with no NULL key field.
-    ``seed`` is ``(codes, bound)`` of a factorisation to extend, every
-    code below ``bound`` (grouping passes its group ids to code
-    (group, value) pairs).
-    """
-    codes, bound = (None, 1) if seed is None else seed
-    ok = None
-    for data, valid in columns:
-        col_codes, cardinality = _factorize_one(data, valid, n)
-        if valid is not None:  # only a NULL codes 0
-            ok = col_codes > 0 if ok is None else ok & (col_codes > 0)
-        if codes is None:
-            codes = col_codes
-        else:
-            if bound * (cardinality + 1) > _CODE_LIMIT:
-                # int64 arithmetic wraps silently: renumber the running codes
-                # 0..k-1 (k <= n) before the next multiply can pass 2**63.
-                first_index, codes = _densify(codes)
-                bound = len(first_index)
-            codes = codes * np.int64(cardinality + 1) + col_codes
-        bound *= cardinality + 1
-    if codes is None:
-        codes = np.zeros(n, dtype=np.int64)
-    return codes, np.ones(n, dtype=bool) if ok is None else ok
-
-
-_CODE_LIMIT = 1 << 62
-
-
-def _factorize_one(data: np.ndarray, valid: np.ndarray | None, n: int):
-    """Codes for one column: 0 = NULL, 1..k for the non-NULL values —
-    dense, or ``value - min + 1`` for ints in a small range (``k`` is
-    then the range: order-preserving, not dense)."""
-    live = data if valid is None else data[valid]
-    if data.dtype == object:
-        # Hashing, as the row engine's sets and dicts do: sorting Python
-        # objects costs several times as much and cannot order mixed types.
-        mapping: dict = {}
-        live_codes = np.fromiter(
-            (mapping.setdefault(value, len(mapping) + 1) for value in live.tolist()),
-            dtype=np.int64,
-            count=len(live),
-        )
-        cardinality = len(mapping)
-    else:
-        small = _small_range(live, n) if data.dtype == np.int64 else None
-        if small is not None:
-            live_codes, cardinality = live - small[0] + 1, small[1]
-        else:
-            _, inverse = np.unique(live, return_inverse=True)
-            live_codes = inverse.astype(np.int64) + 1
-            cardinality = int(inverse.max(initial=-1)) + 1
-    if valid is None:
-        return live_codes, cardinality
-    codes = np.zeros(n, dtype=np.int64)
-    codes[valid] = live_codes
-    return codes, cardinality
-
-
-def _shared_codes(
-    left_cols, right_cols, n_left: int, n_right: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Factorise equi-join keys into one shared code space."""
-    merged = []
-    for (ld, lv), (rd, rv) in zip(left_cols, right_cols):
-        if ld.dtype != rd.dtype:
-            ld, rd = ld.astype(object), rd.astype(object)
-        data = np.concatenate([ld, rd])
-        if lv is None and rv is None:
-            valid = None
-        else:
-            valid = np.concatenate(
-                [
-                    np.ones(n_left, dtype=bool) if lv is None else lv,
-                    np.ones(n_right, dtype=bool) if rv is None else rv,
-                ]
-            )
-        merged.append((data, valid))
-    codes, ok = _factorize(merged, n_left + n_right)
-    return codes[:n_left], codes[n_left:], ok[:n_left], ok[n_left:]
 
 
 # ---------------------------------------------------------------------------
@@ -571,14 +411,12 @@ def _shared_codes(
 
 
 class VHashJoin(VecOperator):
-    """Equi-join on factorised key codes; ``kind`` ∈ inner/semi/anti/left_outer.
+    """Equi-join on key codes; ``kind`` ∈ inner/semi/anti/left_outer.
 
-    Right codes are sorted once into runs of equal code; left codes
-    find their run through a code → run table when the code range is
-    small (``searchsorted`` when it is wide), and the match pairs
-    materialise as two index vectors (``np.repeat`` over per-probe match
-    counts).  NULL keys never match.  The ⟕ onto Γ(S) that ends every
-    unnesting equivalence runs as :class:`VGroupJoin` instead.
+    The right side's keys are coded into group ids (:class:`KeyCoder`),
+    the left side's looked up in them (a NULL key in no group), and the
+    match pairs materialise as two index vectors.  The ⟕ onto Γ(S) that
+    ends every unnesting equivalence runs as :class:`VGroupJoin` instead.
     """
 
     __slots__ = ("left", "right", "left_keys", "right_keys", "residual", "kind", "default_row")
@@ -608,13 +446,9 @@ class VHashJoin(VecOperator):
         right = self.right.invoke(ctx, env).compact()
         n_left, n_right = len(left), len(right)
         ctx.tick(n_left + n_right)
-        lcodes, rcodes, l_ok, r_ok = _shared_codes(
-            [left.column(p) for p in self.left_keys],
-            [right.column(p) for p in self.right_keys],
-            n_left,
-            n_right,
-        )
-        left_idx, right_idx = _match_pairs(lcodes, rcodes, l_ok, r_ok)
+        coder = KeyCoder([right.column(p) for p in self.right_keys], n_right)
+        left_ids = coder.lookup([left.column(p) for p in self.left_keys], n_left)
+        left_idx, right_idx = _match_pairs(left_ids, coder.ids(), coder.n_groups)
         ctx.tick(len(left_idx))
 
         joined = None
@@ -743,40 +577,23 @@ def _blocked_pairs(ctx, schema: Schema, left: Batch, right: Batch, split, stream
     ]
 
 
-def _match_pairs(lcodes, rcodes, l_ok, r_ok) -> tuple[np.ndarray, np.ndarray]:
-    """All (left, right) index pairs with equal codes, both sides non-NULL."""
-    r_indices = np.nonzero(r_ok)[0]
-    empty = np.empty(0, dtype=np.int64)
-    if not len(r_indices) or not l_ok.any():
-        return empty, empty
-    r_subset = rcodes[r_indices]
-    order = np.argsort(r_subset, kind="stable")
-    r_sorted = r_subset[order]
-    starts = _run_starts(r_sorted)
-    unique_codes = r_sorted[starts]
-    counts = np.diff(np.append(starts, len(r_sorted)))
-    small = _small_range(unique_codes, len(lcodes) + len(rcodes))
-    if small is None:
-        pos = np.minimum(np.searchsorted(unique_codes, lcodes), len(unique_codes) - 1)
-    else:
-        # A code -> run table; a left code outside it is clipped onto it
-        # and, like one that lands on an empty slot, fails the equality.
-        lo, span = small
-        run_of = np.zeros(span, dtype=np.int64)
-        run_of[unique_codes - lo] = np.arange(len(unique_codes), dtype=np.int64)
-        pos = run_of[np.clip(lcodes, lo, lo + span - 1) - lo]
-    found = l_ok & (unique_codes[pos] == lcodes)
-    match_counts = np.where(found, counts[pos], 0)
+def _match_pairs(left_ids, right_ids, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """All (left, right) index pairs in one group, left-major, right rows
+    in input order: ``right_ids`` are the right coder's, ``left_ids`` its
+    lookup's (``n_groups``, a slot no right row counts, for none)."""
+    counts = np.bincount(right_ids, minlength=n_groups + 1)
+    match_counts = counts[left_ids]
     total = int(match_counts.sum())
     if total == 0:
+        empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    left_idx = np.repeat(np.arange(len(lcodes), dtype=np.int64), match_counts)
-    cumulative = np.cumsum(match_counts)
+    order = np.argsort(right_ids, kind="stable")
+    left_idx = np.repeat(np.arange(len(left_ids), dtype=np.int64), match_counts)
     within = np.arange(total, dtype=np.int64) - np.repeat(
-        cumulative - match_counts, match_counts
+        np.cumsum(match_counts) - match_counts, match_counts
     )
-    start_per_pair = np.repeat(starts[pos], match_counts)
-    right_idx = r_indices[order[start_per_pair + within]]
+    starts = np.cumsum(counts) - counts
+    right_idx = order[np.repeat(starts[left_ids], match_counts) + within]
     return left_idx, right_idx
 
 
@@ -909,12 +726,11 @@ def _group_fast_path(spec: AggSpec, data, valid, inverse, n_groups: int):
     return out, group_valid
 
 
-def _group_slices(groups: np.ndarray) -> list[tuple[int, np.ndarray]]:
+def _group_slices(groups: np.ndarray, n_groups: int) -> list[tuple[int, np.ndarray]]:
     """``(group, row indices)`` for every group some row falls in."""
-    order = np.argsort(groups, kind="stable")
-    ordered = groups[order]
-    starts = _run_starts(ordered)
-    return list(zip(ordered[starts].tolist(), np.split(order, starts[1:])))
+    counts = np.bincount(groups, minlength=n_groups)
+    slices = np.split(np.argsort(groups, kind="stable"), np.cumsum(counts)[:-1])
+    return [(group, slices[group]) for group in np.flatnonzero(counts).tolist()]
 
 
 def _aggregate(ctx, env, batch: Batch, agg_columns, groups: np.ndarray, n_groups: int):
@@ -940,12 +756,11 @@ def _aggregate(ctx, env, batch: Batch, agg_columns, groups: np.ndarray, n_groups
             # Keep the first row of every (group, value) pair.  A NULL
             # argument is no value; in a STAR row NULL is a value of
             # its own.
-            codes, ok = _factorize(columns, n, (groups, n_groups))
-            if star or ok.all():
-                rows = _first_occurrences(codes)
-            else:
-                live = np.flatnonzero(ok)
-                rows = live[_first_occurrences(codes[live])]
+            coder = KeyCoder([(groups, None), *columns], n)
+            rows = coder.firsts
+            if not star:
+                rows = rows[coder.ok[rows]]
+            rows = _ascending(rows, n)
             kept = groups[rows]
             if not star:
                 arg_data, arg_valid = arg_data[rows], None
@@ -957,7 +772,7 @@ def _aggregate(ctx, env, batch: Batch, agg_columns, groups: np.ndarray, n_groups
             # over an object layout): one evaluate_spec per group.
             extracted = column.pylist(columns)
             if slices is None:
-                slices = _group_slices(groups)
+                slices = _group_slices(groups, n_groups)
             per_group = [None] * n_groups
             for group, rows in slices:
                 per_group[group] = evaluate_spec(spec, [extracted[i] for i in rows.tolist()])
@@ -967,10 +782,10 @@ def _aggregate(ctx, env, batch: Batch, agg_columns, groups: np.ndarray, n_groups
 
 
 class VHashGroupBy(VecOperator):
-    """Unary grouping Γ: factorised keys, vectorized aggregate fast paths.
+    """Unary grouping Γ: coded keys, vectorized aggregate fast paths.
 
     NULL grouping keys form their own group (SQL GROUP BY semantics),
-    via the reserved NULL code of the factorisation.
+    via the reserved NULL code of the key coder.
     """
 
     __slots__ = ("child", "key_positions", "agg_columns")
@@ -994,12 +809,11 @@ class VHashGroupBy(VecOperator):
         if n == 0:
             return Batch.empty(self.schema)
         key_cols = [batch.column(p) for p in self.key_positions]
-        codes, _ = _factorize(key_cols, n)
-        first_index, inverse = _densify(codes)
-        n_groups = len(first_index)
-        columns = [(d[first_index], None if v is None else v[first_index]) for d, v in key_cols]
-        columns += _aggregate(ctx, env, batch, self.agg_columns, inverse, n_groups)
-        return Batch(self.schema, *zip(*columns), n_groups)
+        coder = KeyCoder(key_cols, n)
+        firsts = coder.firsts
+        columns = [(d[firsts], None if v is None else v[firsts]) for d, v in key_cols]
+        columns += _aggregate(ctx, env, batch, self.agg_columns, coder.ids(), coder.n_groups)
+        return Batch(self.schema, *zip(*columns), coder.n_groups)
 
 
 def _view(batch: Batch) -> tuple:
@@ -1062,52 +876,35 @@ class VGroupJoin(VecOperator):
         return self._probe(ctx, left, table)
 
     def _build(self, ctx, env, right: Batch) -> tuple:
-        """S's group table ``(null_groups, n_groups, keys, columns)``: each
-        group's key values, and every column after L's over ``n_groups + 1``
-        slots, the last one empty and holding the default.  S's NULL-keyed
-        rows meet no left row: they go before any aggregate or dedupe."""
-        codes, ok = _factorize([right.column(p) for p in self.right_keys], len(right))
-        null_groups = 0
-        if not ok.all():
-            null_groups = len(_first_occurrences(codes[~ok]))
-            live = np.flatnonzero(ok)
-            right, codes = right.take(live), codes[live]
-        if not len(codes):
-            return null_groups, 0, (), ()
-        firsts, slots = _densify(codes)
-        keys = [(right.column(p)[0][firsts], None) for p in self.right_keys]  # no NULL left
-        columns = [(np.append(data, data[:1]), None) for data, _ in keys]  # + the empty slot
-        columns += _aggregate(ctx, env, right, self.agg_columns, slots, len(firsts) + 1)
+        """S's group table ``(coder, columns)``: every column after L's over
+        ``n_groups + 1`` slots, each group's key and aggregates, then an empty
+        slot holding the default.  A NULL-keyed group is one no probe reaches."""
+        keys = [right.column(p) for p in self.right_keys]
+        coder = KeyCoder(keys, len(right))
+        if not coder.n_groups:
+            return coder.kept(), ()
+        at = np.append(coder.firsts, 0)  # + the empty slot
+        columns = [(data[at], None if valid is None else valid[at]) for data, valid in keys]
+        columns += _aggregate(ctx, env, right, self.agg_columns, coder.ids(), coder.n_groups + 1)
         columns = [_with_default(*column, d) for column, d in zip(columns, self.default_row)]
-        return null_groups, len(firsts), keys, columns
+        return coder.kept(), columns
 
     def _probe(self, ctx, left: Batch, table: tuple) -> Batch:
-        """L's keys coded against the groups' (:func:`_shared_codes`), each
-        left row's slot found through a code → slot table while the codes
-        count, by ``searchsorted`` otherwise, and every column gathered."""
-        null_groups, n_groups, keys, columns = table
+        """Each left row's slot by ``coder.lookup`` of L's keys — the empty
+        slot when no group has its key — and every column gathered."""
+        coder, columns = table
         n_left = len(left)
-        ctx.tick(n_left + null_groups + n_groups)
-        if not n_groups:
+        ctx.tick(n_left + coder.n_groups)
+        if not columns:
             return _pad_with_defaults(self.schema, left, self.default_row)
         left_cols = [left.column(p) for p in self.left_keys]
-        lcodes, gcodes, _, _ = _shared_codes(left_cols, keys, n_left, n_groups)
-        top = max(int(lcodes.max(initial=0)), int(gcodes.max()))  # codes are >= 0
-        if _countable(top + 1, n_left + n_groups):
-            slot_at = np.full(top + 1, n_groups, dtype=np.int64)
-            slot_at[gcodes] = np.arange(n_groups)
-            slot_of = slot_at[lcodes]
-        else:
-            order = _densify(gcodes, want_inverse=False)[0]  # distinct: a permutation
-            ordered = gcodes[order]
-            at = np.minimum(np.searchsorted(ordered, lcodes), n_groups - 1)
-            slot_of = np.where(ordered[at] == lcodes, order[at], n_groups)
-        found = slot_of != n_groups
+        slot_of = coder.lookup(left_cols, n_left)
+        found = slot_of != coder.n_groups
         ctx.tick(int(np.count_nonzero(found)))
         out = list(zip(left.data, left.valid))
         for i, ((data, valid), default) in enumerate(zip(columns, self.default_row)):
-            own = left_cols[i][0] if i < len(keys) and default is None else None
-            if own is not None and own.dtype == keys[i][0].dtype == np.int64:
+            own = left_cols[i][0] if i < len(left_cols) and default is None else None
+            if own is not None and own.dtype == data.dtype == np.int64:
                 out.append((own, found))  # equal codes, equal ints: L's own key
             else:
                 out.append((data[slot_of], None if valid is None else valid[slot_of]))

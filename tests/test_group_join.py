@@ -20,7 +20,7 @@ import os
 import sys
 import threading
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from unittest import mock
 
 import pytest
@@ -40,6 +40,7 @@ from repro.storage.mvcc import SnapshotCatalog
 
 np = pytest.importorskip("numpy")
 V = pytest.importorskip("repro.engine.vector_ops")
+K = pytest.importorskip("repro.engine.keys")
 
 from repro.engine.vector_compile import VectorCompiler  # noqa: E402
 
@@ -151,6 +152,19 @@ INPUTS = {
         [(0.5, 0.0, 1.5), (0.0, 0.0, -2.5), (1.0, 1.0, None), (0.5, 0.0, 1.5)],
     ),
     "int left keys, float right keys": (LEFT, [(0.0, 0, 1.5), (1.0, 1, 2.5), (1.0, 1, 2.5)]),
+    # Only S is coded: a layout mismatch is looked up from either side.
+    "float left keys, int right keys": (
+        [(0.0, 0.0, "p"), (-0.0, 1.0, "q"), (1.0, 1.0, "r"), (1.5, 0.0, "s"), (None, 1.0, "t")],
+        [(0, 0, 1), (1, 1, 2), (1, 1, 3), (2, 0, 4), (None, 1, 5)],
+    ),
+    "int keys past 2**53 against float keys": (
+        [(2**53 + 1, 0, "p"), (2**53, 0, "q"), (-(2**53) - 1, 1, "r"), (1, 1, "s")],
+        [(2.0**53, 0.0, 1), (2.0**53, 0.0, 2), (-(2.0**53), 1.0, 3), (1.0, 1.0, 4)],
+    ),
+    "int left keys, object right keys": (
+        LEFT,
+        [(1, 0, 1), ("a", 0, 2), (True, 1, 3), (0.0, 0, 4), (7, 7, None), (None, 0, 6)],
+    ),
     "string keys, string values": (
         [("a", "x", 1), ("b", "y", 2), (None, "x", 3)],
         [("a", "x", "m"), ("a", "x", "n"), ("b", "z", "m"), (None, "x", "m")],
@@ -212,23 +226,35 @@ def test_keyless_group_by():
 
 
 def test_wide_composite_key_is_densified():
-    """Two key columns of 150 values each code into a range of ~22 000
-    slots: the build densifies S's codes; too wide to count over L's 151
-    rows and the 75 groups, the probe sorts the groups' codes (one
-    ``_densify`` with no inverse) and searches them."""
+    """Two key columns of 150 values each code into a range of ~23 000
+    slots, too wide to count over S's 150 rows: the build renumbers S's
+    codes once, by sorting them, and a probe looks L up in the sorted
+    distinct codes (``searchsorted``) — it sorts nothing and builds no
+    renumbering of its own, cold or warm."""
     left = [(i, 149 - i, "x") for i in range(150)] + [(None, 1, "y")]
     right = [(i, 149 - i, i) for i in range(0, 150, 2) for _ in range(2)]
     catalog = catalog_of(left, right)
-    calls = []
+    plan = group_join(catalog, {"count(*)": AggSpec("count")}, two_keys=True)
+    root, expected = compile_plan(plan, True), typed_bag(execute_plan(plan, catalog))
+    calls = Counter()
 
-    def spy(codes, want_inverse=True):
-        calls.append(want_inverse)
-        return densify(codes, want_inverse)
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
 
-    densify = V._densify
-    with mock.patch.object(V, "_densify", spy):
-        assert_agrees(group_join(catalog, {"count(*)": AggSpec("count")}, two_keys=True), catalog)
-    assert calls == [True, False]
+        return wrapper
+
+    for built in (1, 0):  # the build, then the kept one
+        calls.clear()
+        with ExitStack() as stack:
+            for owner, name in ((K.Dense, "__init__"), (np, "sort"), (np, "searchsorted")):
+                stack.enter_context(
+                    mock.patch.object(owner, name, counting(name, getattr(owner, name)))
+                )
+            batch = execute_plan(plan, catalog, VECTORIZED, physical=root)
+        assert typed_bag(batch) == expected
+        assert calls == Counter({"__init__": built, "sort": built, "searchsorted": 1})
 
 
 def test_left_order_is_kept():
@@ -535,8 +561,8 @@ def test_answer_shares_no_memory_with_the_build():
     kept.builds()
     for root in kept.roots:
         batch = root.invoke(ExecContext(kept.catalog(), VECTORIZED), {})
-        _, (_, _, keys, columns) = group_join_node(root).built
-        kept_arrays = [array for column in (*keys, *columns) for array in column]
+        _, (_, columns) = group_join_node(root).built
+        kept_arrays = [array for column in columns for array in column]
         for answer in (*batch.data, *batch.valid):
             for array in kept_arrays:
                 if answer is not None and array is not None:
