@@ -13,8 +13,9 @@ adds the serving machinery on top of the single-shot
 * :mod:`repro.service.metrics` — latency percentiles and counters for
   the ``/metrics`` endpoint;
 * :mod:`repro.service.server` — a concurrent JSON-over-HTTP SQL server
-  (stdlib ``ThreadingHTTPServer``) with sessions, per-query timeouts,
+  (a thread per kept connection) with sessions, per-query timeouts,
   and admission control;
+* :mod:`repro.service.http1` — the HTTP/1.1 subset both ends speak;
 * :mod:`repro.service.frame` — the typed binary columns a result takes
   to a client that asks for them;
 * :mod:`repro.service.client` — a tiny stdlib client for that server,

@@ -1,7 +1,7 @@
 """A small stdlib client for the repro SQL server.
 
 :class:`ServiceClient` speaks the JSON protocol of
-:mod:`repro.service.server` over persistent ``http.client`` connections
+:mod:`repro.service.server` over kept HTTP/1.1 sockets
 (:class:`~repro.sim.transport.HttpTransport`: checked before each send,
 never re-sent on); structured error bodies are
 re-raised as the matching :mod:`repro.errors` exception class, so client

@@ -1,6 +1,7 @@
-"""A concurrent SQL server: JSON over HTTP on stdlib machinery.
+"""A concurrent SQL server: JSON over HTTP/1.1.
 
-``ThreadingHTTPServer`` gives one thread per connection, and connections
+A ``socketserver.ThreadingTCPServer`` gives one thread per connection,
+and the handler speaks :mod:`repro.service.http1` on it.  Connections
 persist: an idle one is closed after ``max_wait_seconds``, an answer
 given while draining says ``Connection: close``, ``stop()`` hangs up on
 all that are open.  The interesting parts live above it:
@@ -72,14 +73,13 @@ Every error body is ``{"error": {"code": ..., "message": ...}}`` — the
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import socket
+import socketserver
 import threading
 import time
 import uuid
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.engine import EvalOptions
 from repro.errors import (
@@ -93,7 +93,7 @@ from repro.errors import (
 )
 from repro.faults import injector_from_env
 from repro.replication.role import NodeRole
-from repro.service import frame
+from repro.service import frame, http1
 from repro.service.metrics import ServerMetrics
 from repro.sim.clock import SYSTEM_CLOCK
 from repro.sql import statement_kind
@@ -727,8 +727,9 @@ _ROUTES = {
 }
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"  # connections persist: one thread each
+class _Handler(socketserver.StreamRequestHandler):
+    """One kept connection: its requests in turn, each answered in one write."""
+
     # With Nagle on, a second write on a kept connection stalls behind
     # the client's delayed ACK (40 ms a request).
     disable_nagle_algorithm = True
@@ -736,75 +737,69 @@ class _Handler(BaseHTTPRequestHandler):
     # connection parks its thread no longer than any wait a client can ask for.
     service: QueryService
 
-    # ThreadingHTTPServer logs every request to stderr by default; the
-    # server's metrics endpoint replaces that.
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
+    def handle(self) -> None:
+        with contextlib.suppress(OSError):  # the idle timeout, a reset, stop()'s hang-up
+            while self._answer_one():
+                pass
 
-    def _respond(self, status: int, body: dict, close: bool = False) -> None:
-        media = "application/json"
-        if status == 200 and self.path in ("/query", "/execute") and self._takes_frame():
+    def _answer_one(self) -> bool:
+        """Read and answer one request; whether the connection carries another."""
+        try:
+            line, headers = http1.read_head(self.rfile) or (None, None)
+            if line is None:
+                return False  # the client hung up between requests
+            words = line.split(" ")
+            if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+                raise ValueError(f"malformed request line {line[:80]!r}")
+            method, path, version = words
+            if method not in ("GET", "POST"):  # its body is left unread: close
+                error = BadRequestError(f"method {method} is not supported")
+                return self._respond(501, {"error": error.as_dict()}, close=True)
+            length = http1.content_length(headers) or 0
+            if length > MAX_BODY_BYTES:
+                raise ValueError(f"request body exceeds {MAX_BODY_BYTES} bytes")
+            if version == "HTTP/1.1" and headers.get("expect", "").lower() == "100-continue":
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            data = self.rfile.read(length)
+            try:
+                payload = json.loads(data) if method == "POST" and data else {}
+            except ValueError:
+                raise ValueError("request body is not valid JSON") from None
+            if not isinstance(payload, dict):
+                raise ValueError("request body must be a JSON object")
+        except ValueError as error:
+            # Checked before the body is read (read(-1) would park this
+            # thread until the client hangs up), or the body is no object:
+            # either way the connection is done.
+            return self._respond(400, {"error": BadRequestError(str(error)).as_dict()}, close=True)
+        accept = headers.get("accept", "").split(",")  # ``*/*`` does not name the frame
+        framed = path in ("/query", "/execute") and any(
+            kind.split(";")[0].strip().lower() == frame.MEDIA_TYPE for kind in accept
+        )
+        route = self.service._route if framed else self.service.handle
+        status, body = route(method, path, payload)
+        close = version == "HTTP/1.0" or "close" in headers.get("connection", "").lower()
+        return self._respond(status, body, framed=framed, close=close)
+
+    def _respond(self, status: int, body: dict, framed: bool = False, close: bool = False) -> bool:
+        """Send head and body in one write; whether the connection carries another request."""
+        if framed and status == 200:
             media, data = frame.MEDIA_TYPE, frame.encode(body)
         else:
-            data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", media)
-        self.send_header("Content-Length", str(len(data)))
-        if close or self.service.draining.is_set():
-            # A pooling client must not come back on this connection (and
-            # send_header makes this answer the connection's last).
-            self.send_header("Connection", "close")
-        # Headers and body leave in one write (one segment when small).
-        wire, self.wfile = self.wfile, io.BytesIO()
-        self.end_headers()
-        head, self.wfile = self.wfile.getvalue(), wire
-        wire.write(head + data)
-
-    def _takes_frame(self) -> bool:
-        """Whether ``Accept`` names the frame's media type (``*/*`` does not)."""
-        accept = self.headers.get("Accept", "").split(",")
-        return any(kind.split(";")[0].strip().lower() == frame.MEDIA_TYPE for kind in accept)
-
-    def do_GET(self):  # noqa: N802 - stdlib naming
-        status, body = self.service.handle("GET", self.path, {})
-        self._respond(status, body)
-
-    def do_POST(self):  # noqa: N802 - stdlib naming
-        try:
-            payload = self._read_payload()
-        except BadRequestError as error:
-            # The body (if any) was not consumed; the connection cannot
-            # carry another request.
-            self._respond(400, {"error": error.as_dict()}, close=True)
-            return
-        route = self.service._route if self._takes_frame() else self.service.handle
-        status, body = route("POST", self.path, payload)
-        self._respond(status, body)
-
-    def _read_payload(self) -> dict:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = -1
-        if length < 0:
-            # Checked before reading: read(-1) would park this thread
-            # until the client hangs up.
-            raise BadRequestError("'Content-Length' must be a non-negative integer")
-        if length > MAX_BODY_BYTES:
-            raise BadRequestError(f"request body exceeds {MAX_BODY_BYTES} bytes")
-        if not length:
-            return {}
-        try:
-            payload = json.loads(self.rfile.read(length))
-        except ValueError:
-            raise BadRequestError("request body is not valid JSON") from None
-        if not isinstance(payload, dict):
-            raise BadRequestError("request body must be a JSON object")
-        return payload
+            media, data = "application/json", json.dumps(body).encode("utf-8")
+        close = close or self.service.draining.is_set()
+        fields = {"Content-Type": media, "Content-Length": len(data)}
+        if close:
+            fields["Connection"] = "close"  # a pooling client must not come back on it
+        self.wfile.write(http1.head(f"HTTP/1.1 {status} {http1.REASONS[status]}", fields) + data)
+        return not close
 
 
-class _HTTPServer(ThreadingHTTPServer):
-    """Tells ``metrics`` (set by :class:`QueryServer`) which connections are open."""
+class _TCPServer(socketserver.ThreadingTCPServer):
+    """A thread per connection; tells ``metrics`` (set by QueryServer) which are open."""
+
+    allow_reuse_address = True
+    daemon_threads = True
 
     def process_request(self, request, client_address):
         self.metrics.connection_opened(request)
@@ -831,8 +826,7 @@ class QueryServer:
         # (``or None``: 0 tells the gates never to wait; a socket has to.)
         bound = {"service": self.service, "timeout": self.config.max_wait_seconds or None}
         handler = type("BoundHandler", (_Handler,), bound)
-        self._httpd = _HTTPServer((self.config.host, self.config.port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _TCPServer((self.config.host, self.config.port), handler)
         self._httpd.metrics = self.service.metrics
         self.service.shutdown_callback = self._httpd.shutdown
         self._thread: threading.Thread | None = None

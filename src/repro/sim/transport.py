@@ -9,8 +9,8 @@ exception stays in the client).  It raises
 failures: the node is unreachable, the connection dropped, or the server
 answered 503 with no body.
 
-:class:`HttpTransport` is the production implementation, on persistent
-``http.client`` connections.  :class:`SimTransport`
+:class:`HttpTransport` is the production implementation, on kept
+sockets that speak :mod:`repro.service.http1`.  :class:`SimTransport`
 delivers the same dicts in-memory to in-process
 :class:`~repro.service.server.QueryService` handlers, under a seeded
 fault model (:class:`SimNet`) that can delay, drop, duplicate and
@@ -20,7 +20,6 @@ process at virtual-time speed.
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
 import socket
@@ -28,7 +27,7 @@ import threading
 from urllib.parse import urlsplit
 
 from repro.errors import ServiceError, ServiceUnavailable
-from repro.service import frame
+from repro.service import frame, http1
 from repro.sim.clock import VirtualClock
 
 
@@ -47,12 +46,13 @@ class Transport:
 
 
 class HttpTransport(Transport):
-    """JSON-over-HTTP on persistent ``http.client`` connections.
+    """JSON over HTTP/1.1 (:mod:`repro.service.http1`) on kept sockets.
 
     Results of ``/query`` and ``/execute`` are asked for as typed binary
-    columns (:mod:`repro.service.frame`).  A 2xx body that does not
-    decode to an object — not JSON, a broken frame, a JSON array — is
-    ``ServiceUnavailable``, never rows, and closes the connection.
+    columns (:mod:`repro.service.frame`).  An answer not framed by its
+    ``Content-Length``, or a 2xx body that does not decode to an object —
+    not JSON, a broken frame, a JSON array — is ``ServiceUnavailable``,
+    never rows, and closes the connection.
 
     One request owns a connection at a time; it goes back to the idle
     list once the body was read in full, unless the response said
@@ -71,7 +71,7 @@ class HttpTransport(Transport):
     def __init__(self):
         self._lock = threading.Lock()
         #: ((host, port), connection), oldest first; owned by no request.
-        self._idle: list[tuple[tuple, http.client.HTTPConnection]] = []
+        self._idle: list[tuple[tuple, _Connection]] = []
 
     def request(
         self,
@@ -82,32 +82,42 @@ class HttpTransport(Transport):
         timeout: float,
     ) -> dict:
         url = urlsplit(base_url + path)
-        host = (url.hostname, url.port)
-        data = None
-        headers = {"Accept": f"{frame.MEDIA_TYPE}, application/json"}
+        host = (url.hostname, url.port or 80)
+        fields = {"Host": url.netloc, "Accept": f"{frame.MEDIA_TYPE}, application/json"}
+        data = b""
         if method == "POST":
             data = json.dumps(payload or {}).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        connection = self._take(host, timeout)
+            fields.update({"Content-Type": "application/json", "Content-Length": len(data)})
+        connection = None
         try:
-            connection.request(method, url.path, body=data, headers=headers)
-            response = connection.getresponse()
-            status, raw = response.status, response.read()
-        except (OSError, http.client.HTTPException) as error:
+            connection = self._take(host, timeout) or _Connection(host, timeout)
+            connection.sock.sendall(http1.head(f"{method} {url.path} HTTP/1.1", fields) + data)
+            head = http1.read_head(connection.rfile)
+            if head is None:
+                raise ConnectionResetError("the server hung up without an answer")
+            line, headers = head
+            length = http1.content_length(headers)
+            if not line.startswith("HTTP/1.1 ") or length is None:
+                raise ValueError(f"not an HTTP/1.1 answer with 'Content-Length': {line[:80]!r}")
+            status, raw = int(line[9:12]), connection.rfile.read(length)
+            if len(raw) < length:
+                raise ConnectionResetError(f"the answer ended after {len(raw)} of {length} bytes")
+        except (OSError, ValueError) as error:
             # Connection refused/reset, DNS failure, socket timeout,
-            # malformed response: the server is unreachable right now.
-            connection.close()
+            # malformed or cut-short answer: the server is unreachable now.
+            if connection is not None:
+                connection.close()
             raise ServiceUnavailable(
                 f"server unreachable: {type(error).__name__}: {error}"
             ) from error
-        framed = response.getheader("Content-Type") == frame.MEDIA_TYPE
+        framed = headers.get("content-type") == frame.MEDIA_TYPE
         try:
             body = frame.decode(raw) if framed else json.loads(raw)
         except ValueError:
             body = None
         if not isinstance(body, dict):
             body = None  # not from our server: do not keep its connection
-        if body is None or response.will_close:
+        if body is None or "close" in headers.get("connection", "").lower():
             connection.close()
         else:
             self._give_back(host, connection)
@@ -123,14 +133,14 @@ class HttpTransport(Transport):
             raise ServiceUnavailable("server is not ready (HTTP 503)")
         raise ServiceError(f"server returned HTTP {status}")
 
-    def _take(self, host: tuple, timeout: float) -> http.client.HTTPConnection:
-        """The newest idle connection the server has not hung up on, or a new one."""
+    def _take(self, host: tuple, timeout: float) -> _Connection | None:
+        """The newest idle connection the server has not hung up on, if any."""
         while True:
             with self._lock:
                 idle = self._idle
                 at = next((i for i in reversed(range(len(idle))) if idle[i][0] == host), None)
                 if at is None:
-                    return http.client.HTTPConnection(*host, timeout=timeout)
+                    return None
                 connection = idle.pop(at)[1]
             try:
                 connection.sock.settimeout(0)
@@ -142,7 +152,7 @@ class HttpTransport(Transport):
                 pass
             connection.close()
 
-    def _give_back(self, host: tuple, connection: http.client.HTTPConnection) -> None:
+    def _give_back(self, host: tuple, connection: _Connection) -> None:
         with self._lock:
             idle = self._idle
             idle.append((host, connection))
@@ -152,6 +162,19 @@ class HttpTransport(Transport):
                 evicted.append(idle.pop(0))
         for _, old in evicted:
             old.close()
+
+
+class _Connection:
+    """A socket to one server and the buffered reader its answers come through."""
+
+    def __init__(self, host: tuple, timeout: float):
+        self.sock = socket.create_connection(host, timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
 
 
 #: Shared default — clients do ``transport or HTTP_TRANSPORT``.

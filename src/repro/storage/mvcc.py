@@ -130,8 +130,9 @@ class SnapshotManager:
 
     All mutating entry points (:meth:`commit`, :meth:`note_drop`) are
     called by the :class:`~repro.Database` facade under its commit lock;
-    :meth:`pin`/:meth:`unpin` take only the manager's own small lock, so
-    readers never contend with a writer's apply+log critical section.
+    :meth:`pin`/:meth:`unpin` and :meth:`snapshot_table` take only the
+    manager's own small lock, so readers never contend with a writer's
+    apply+log critical section.
     """
 
     def __init__(self):
@@ -263,22 +264,27 @@ class SnapshotManager:
            ``table.append``): serve the live table, preserving the
            pre-MVCC semantics of those escape hatches;
         5. otherwise: the frozen snapshot of the newest version.
+
+        The choice is made under the manager's lock: a writer mutates the
+        live table only between :meth:`begin` and :meth:`commit`, so
+        without a capture in progress, drift of the newest version is an
+        out-of-protocol mutation, never a statement not yet committed.
         """
         key = name.lower()
-        entry = self.version_at(key, lsn)
-        if entry is None:
-            return live
-        if entry.dropped:
-            raise CatalogError(
-                f"table {name!r} does not exist at snapshot LSN {lsn}"
-            )
-        chain = self._chains.get(key)
-        if chain and entry is chain[-1]:
-            overlay = self._in_progress.get(key)
-            if overlay is not None:
-                return overlay.build_snapshot(live)
-            if entry.table_ref is not live or entry.table_version != live.version:
+        with self._lock:
+            entry = self.version_at(key, lsn)
+            if entry is None:
                 return live
+            if entry.dropped:
+                raise CatalogError(
+                    f"table {name!r} does not exist at snapshot LSN {lsn}"
+                )
+            if entry is self._chains[key][-1]:
+                overlay = self._in_progress.get(key)
+                if overlay is not None:
+                    entry = overlay
+                elif entry.table_ref is not live or entry.table_version != live.version:
+                    return live
         return entry.build_snapshot(live)
 
     # -- garbage collection --------------------------------------------------

@@ -572,12 +572,17 @@ def test_answer_shares_no_memory_with_the_build():
 def test_threads_share_one_root_while_s_grows():
     """Four readers of one compiled root (more than the cores), each at
     its own snapshot, race to replace the kept build while a writer grows
-    s: every answer is the row engine's at that snapshot."""
+    s: every answer is the row engine's at that snapshot.  After each
+    INSERT the writer waits until every reader has finished a read begun
+    after it, so the reads see more than one LSN whatever the schedule."""
     kept = Kept(INT_LEFT * 20, RIGHT * 20)
     failures, reads, done = [], [], threading.Event()
+    #: One event per reader per INSERT, appended after the INSERT.
+    rounds = [[threading.Event() for _ in range(4)]]
 
-    def reader():
+    def reader(k):
         while not done.is_set():
+            finished = rounds[-1][k]  # taken before the pin: the read is newer
             handle = kept.db.pin_snapshot()
             try:
                 catalog = kept.catalog(handle.lsn)
@@ -590,15 +595,18 @@ def test_threads_share_one_root_while_s_grows():
                 failures.append(error)
             finally:
                 kept.db.release_snapshot(handle)
+                finished.set()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
-    threads = [threading.Thread(target=reader) for _ in range(4)]
+    threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
     try:
         for thread in threads:
             thread.start()
         for i in range(40):
             kept.db.execute(f"INSERT INTO s VALUES ({i % 4}, {i}, {i % 3})")
+            rounds.append([threading.Event() for _ in range(4)])
+            assert all(finished.wait(60) for finished in rounds[-1])
     finally:
         done.set()
         for thread in threads:

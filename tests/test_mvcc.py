@@ -165,6 +165,40 @@ class TestSnapshotRaces:
         assert errors == []
         assert count_and_sum(db) == (200, 2000)
 
+    def test_readers_at_the_newest_lsn_never_see_a_statement_in_flight(self):
+        """A reader pinned at the newest LSN resolves its table while the
+        writer may be inside its next statement: it reads that LSN's rows,
+        never the live table the statement is changing."""
+        db = Database()
+        db.create_table("t", ["a", "b"], [(i, 10) for i in range(50)])
+        first, stop, errors = db.commit_lsn, threading.Event(), []
+
+        def reader(vectorized: bool) -> None:
+            while not stop.is_set():
+                handle = db.pin_snapshot()
+                try:
+                    count, _ = count_and_sum(db, at_lsn=handle.lsn, vectorized=vectorized)
+                finally:
+                    db.release_snapshot(handle)
+                if count != 50 + handle.lsn - first:  # one INSERT per LSN
+                    errors.append(f"LSN {handle.lsn} read {count} rows")
+
+        threads = [threading.Thread(target=reader, args=(k % 2 == 1,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for i in range(300):
+                db.execute(f"INSERT INTO t VALUES ({i}, 10)")
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
 
 class TestServerWriteBurst:
     """Reads keep completing while a long write burst holds the server."""

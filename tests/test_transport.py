@@ -33,6 +33,7 @@ class Reply:
     drop: bool = False  # read the request, close without a word
     delay: float = 0.0
     content_type: str | None = None
+    raw: bytes | None = None  # send these bytes as the whole answer, then close
 
 
 class FakeServer:
@@ -92,6 +93,9 @@ class FakeServer:
                 with self._lock:
                     self.in_flight -= 1
                 if reply.drop:
+                    return
+                if reply.raw is not None:
+                    connection.sendall(reply.raw)
                     return
                 payload = (body or b"{}") if reply.body is None else reply.body
                 head = f"HTTP/1.1 {reply.status} X\r\nContent-Length: {len(payload)}\r\n"
@@ -238,6 +242,26 @@ def test_a_2xx_body_that_is_not_an_object_is_a_transport_failure(fake, reply):
         client.query("SELECT 1")  # not a TypeError out of the client's result
     assert client.breaker.state == "open"  # a failure, not a success
     assert idle(transport) == []  # closed, not pooled
+
+
+@pytest.mark.parametrize(
+    "raw, why",
+    [
+        (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{}", "Content-Length"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n{}", "ended after 2 of 40"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+         "Transfer-Encoding"),
+    ],
+    ids=["no-length", "cut-short", "chunked"],
+)
+def test_an_answer_not_framed_by_its_length_is_a_transport_failure(fake, raw, why):
+    # Each is followed by EOF: a reader that read to the end would get ``{}``.
+    server = fake(lambda n, path, body: Reply(raw=raw) if n == 1 else Reply())
+    transport = HttpTransport()
+    with pytest.raises(ServiceUnavailable, match=f"server unreachable: .*{why}"):
+        ask(transport, server)
+    assert idle(transport) == []  # closed, not pooled
+    assert ask(transport, server, 2) == {"v": 2} and server.accepted == 2
 
 
 def test_a_frame_body_is_decoded_and_the_connection_kept(fake):
