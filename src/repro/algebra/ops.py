@@ -22,7 +22,7 @@ difference.
 Each operator declares its parts once: its ``__init__`` parameters are its
 constructor arguments in order, each kept in the attribute of the same
 name, the inputs first (:meth:`Operator.children`), and ``_EXPRS`` names
-the arguments that are subscript expressions.  ``replace_children``,
+the argument that is its subscript expression.  ``replace_children``,
 ``exprs`` and ``with_exprs`` are derived from that declaration.
 """
 
@@ -42,14 +42,13 @@ from repro.storage.schema import Column, Schema
 def _exprs_reader(names: tuple[str, ...]) -> Callable[["Operator"], tuple[Expr, ...]]:
     """The ``exprs`` method of a class whose ``_EXPRS`` is ``names``.
 
-    Picked once per class: every pass asks every node.  One expression is
-    one attribute read, as fast as a hand-written method; several skip the
-    absent (``None``) ones.
+    Installed once per class: every pass asks every node, and one
+    attribute read is as fast as a hand-written method.
     """
+    if len(names) != 1:
+        raise TypeError("_EXPRS declares one subscript expression; override exprs otherwise")
     read = attrgetter(*names)
-    if len(names) == 1:
-        return lambda self: (read(self),)
-    return lambda self: tuple([expression for expression in read(self) if expression is not None])
+    return lambda self: (read(self),)
 
 
 class Operator:
@@ -61,7 +60,7 @@ class Operator:
 
     #: Constructor arguments in order, read once per class from ``__init__``.
     _ARGS: tuple[str, ...] = ()
-    #: The arguments that are subscript expressions; ``None`` when absent.
+    #: The argument that is the subscript expression, if any.
     _EXPRS: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
@@ -156,10 +155,9 @@ class Operator:
 
     def with_exprs(self, exprs: Sequence[Expr]) -> "Operator":
         """This node with its subscript replaced — the inverse of :meth:`exprs`."""
-        names = [name for name in self._EXPRS if getattr(self, name) is not None]
-        if len(exprs) != len(names):
-            raise ValueError(f"{type(self).__name__} takes {len(names)} subscript expressions")
-        return self._rebuild(dict(zip(names, exprs)))
+        if len(exprs) != len(self._EXPRS):
+            raise ValueError(f"{type(self).__name__} takes {len(self._EXPRS)} subscript expressions")
+        return self._rebuild(dict(zip(self._EXPRS, exprs)))
 
     def _rebuild(self, parts: dict) -> "Operator":
         """The same node with the constructor arguments in ``parts`` replaced."""
@@ -616,55 +614,6 @@ class Join(BinaryOperator):
 
     def label(self):
         return f"Join[{self.predicate.sql()}]"
-
-
-class IndexNLJoin(Join):
-    """Index nested-loop join: probe the right table's index per left row.
-
-    Chosen by the access-path pass when the right input is a plain
-    :class:`Scan` whose table has a hash index on one side of an
-    equi-join key.  ``predicate`` keeps the *full* original join
-    predicate (so semantics and cardinality estimation are unchanged);
-    ``residual`` is the part left over after removing the indexed
-    equi-conjunct, evaluated on each probed pair.
-    """
-
-    __slots__ = ("index_name", "index_kind", "left_key", "right_key", "residual")
-    _EXPRS = ("predicate", "residual")
-
-    def __init__(
-        self,
-        left: Operator,
-        right: Operator,
-        predicate: Expr,
-        index_name: str,
-        index_kind: str,
-        left_key: str,
-        right_key: str,
-        residual: Expr | None,
-    ):
-        super().__init__(left, right, predicate)
-        self.index_name = index_name
-        self.index_kind = index_kind
-        self.left_key = left_key
-        self.right_key = right_key
-        self.residual = residual
-
-    def replace_children(self, children):
-        left, right = children
-        if type(right) is not Scan:
-            # The probe side must stay a plain base-table scan; degrade to
-            # an ordinary join if a transformation changed it.
-            return Join(left, right, self.predicate)
-        return super().replace_children(children)
-
-    def label(self):
-        parts = [
-            f"{self.left_key} = {self.right_key} via {self.index_name}:{self.index_kind}"
-        ]
-        if self.residual is not None:
-            parts.append(f"residual {self.residual.sql()}")
-        return f"IndexNLJoin[{' | '.join(parts)}]"
 
 
 class LeftOuterJoin(BinaryOperator):

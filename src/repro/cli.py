@@ -18,8 +18,8 @@ Commands
 ``run``/``explain``/``shell`` accept repeated ``--index
 name:table:column[:kind]`` options to build secondary indexes before
 planning, and ``run``/``explain`` take ``--explain-access`` to report
-the chosen access paths (index scans, index nested-loop joins, skipped-row
-counters).  The shell's ``\\indexes`` command lists live indexes.
+the chosen access paths (index scans, skipped-row counters).  The
+shell's ``\\indexes`` command lists live indexes.
 
 Datasets are specified either with ``--csv DIR`` (every ``*.csv`` file
 becomes a table named after the file, types inferred from the first data
@@ -393,7 +393,7 @@ def access_report(planned) -> str:
     lines = [
         f"  {node.label()}"
         for node in planned.logical.iter_dag(nested=True)
-        if isinstance(node, (L.IndexScan, L.IndexNLJoin))
+        if isinstance(node, L.IndexScan)
     ]
     if not lines:
         lines.append("  (no index access paths; full scans only)")
@@ -405,7 +405,6 @@ def access_counters(db: Database) -> str:
     return (
         "-- access counters: "
         f"index_scans={info['index_scans']} "
-        f"index_nl_probes={info['index_nl_probes']} "
         f"rows_read={info['rows_read']} "
         f"rows_skipped={info['rows_skipped']}\n"
     )

@@ -150,17 +150,6 @@ class _Compiler:
             node.schema, node.table_name, node.index_name, bounds, residual, node.projection
         )
 
-    def _compile_IndexNLJoin(self, node: L.IndexNLJoin) -> P.PhysicalOperator:
-        left = self.compile(node.left)
-        combined = node.left.schema.concat(node.right.schema)
-        residual = (
-            self._expr(node.residual, combined) if node.residual is not None else None
-        )
-        left_position = node.left.schema.position(node.left_key)
-        return P.PIndexNLJoin(
-            node.schema, left, node.right.table_name, node.index_name, left_position, residual
-        )
-
     # -- unary ----------------------------------------------------------------
 
     def _compile_Select(self, node: L.Select) -> P.PhysicalOperator:

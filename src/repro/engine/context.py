@@ -42,7 +42,7 @@ SKIPPED_ROW_DISCOUNT = 16
 
 #: The access-path counters one execution fills (:attr:`ExecContext.access`)
 #: and ``Database.access_info()`` accumulates.
-ACCESS_COUNTERS = ("index_scans", "index_nl_probes", "rows_read", "rows_skipped")
+ACCESS_COUNTERS = ("index_scans", "rows_read", "rows_skipped")
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ class ExecContext:
         self.rows_processed = 0
         self.memory_bytes = 0
         self.subquery_depth = 0
-        #: Access-path counters, filled by Index{Scan,NLJoin} operators.
+        #: Access-path counters, filled by the IndexScan operators.
         self.access = dict.fromkeys(ACCESS_COUNTERS, 0)
         #: Set by execute_plan: the compiled physical root and the seconds
         #: its run took — what EXPLAIN ANALYZE renders afterwards.

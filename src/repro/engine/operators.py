@@ -250,52 +250,6 @@ class PIndexScan(PhysicalOperator):
         return out
 
 
-class PIndexNLJoin(PhysicalOperator):
-    """Index nested-loop join: per left row, probe the right table's index.
-
-    Equality semantics are 3VL-correct by construction — a NULL left key
-    matches nothing (NULL keys are also absent from the index buckets).
-    """
-
-    __slots__ = ("left", "table_name", "index_name", "left_position", "residual")
-
-    def __init__(self, schema, left, table_name, index_name, left_position, residual):
-        super().__init__(schema)
-        self.left = left
-        self.table_name = table_name
-        self.index_name = index_name
-        self.left_position = left_position
-        self.residual = residual
-
-    def resolve(self, catalog):
-        _table(catalog, self.table_name, len(self.schema) - len(self.left.schema), "index scan")
-        return _indexed_table(catalog, self.table_name, self.index_name)
-
-    def _run(self, ctx, env):
-        left_rows = self.left.execute(ctx, env)
-        table, index = ctx.resolved(self)
-        index = index_for(index, table)
-        fn = self.residual(ctx, env) if self.residual is not None else None
-        rows = table.rows
-        position = self.left_position
-        out = []
-        examined = 0
-        for left_row in left_rows:
-            value = left_row[position]
-            if value is None:
-                continue
-            matches = index.eq_positions(value)
-            examined += len(matches)
-            for match in matches:
-                combined = left_row + rows[match]
-                if fn is None or fn(combined) is True:
-                    out.append(combined)
-        ctx.access["index_nl_probes"] += len(left_rows)
-        ctx.access["rows_read"] += len(out)
-        ctx.tick(len(left_rows) + examined)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # Tuple-at-a-time unary operators
 # ---------------------------------------------------------------------------

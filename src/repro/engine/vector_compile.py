@@ -4,7 +4,7 @@
 ``_compile_<Node>`` hook to *try* the vectorized implementation first.
 Anything the batch runtime cannot express — subqueries correlated with
 the operator's input rows, subqueries in predicates, function calls,
-θ-binary grouping, index nested-loop joins — raises
+θ-binary grouping — raises
 :class:`~repro.engine.vector_kernels.VectorizeError` at compile time (or
 is routed straight to ``super()``), and the row interpreter picks up that
 one operator.  Mixed plans work in both directions:
@@ -78,10 +78,6 @@ class VectorCompiler(_Compiler):
         return V.VIndexScan(
             node.schema, node.table_name, node.index_name, bounds, kernel, node.projection
         )
-
-    # IndexNLJoin stays on the row implementation (inherited hook): its
-    # per-left-row probe loop has no batch formulation yet, and a row
-    # parent consumes a vectorized left child transparently.
 
     # -- unary --------------------------------------------------------------
 

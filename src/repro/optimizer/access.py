@@ -2,19 +2,15 @@
 
 This pass runs after join reordering on every planned alternative
 (canonical and unnested alike).  It walks the plan DAG — including the
-plans nested inside subquery expressions — and rewrites
-
-* ``Select(Scan)`` into :class:`~repro.algebra.ops.IndexScan` when one
-  conjunct is an indexable comparison ``col op expr`` with ``col`` a
-  column of the scanned table and ``expr`` free of that table's
-  attributes (a literal, a parameter, or a *correlation* attribute — the
-  equality-correlation hot path of Eqv. 1 and Eqv. 4).  Every remaining
-  conjunct is pushed along as the scan's residual predicate, and the
-  column requirements collected from enclosing Project/GroupBy nodes
-  narrow the scan's output schema;
-* ``Join(left, Scan)`` into :class:`~repro.algebra.ops.IndexNLJoin`
-  when the right table has a hash index on an equi-join key and the
-  cost model prices probing per left row below the hash join.
+plans nested inside subquery expressions — and rewrites ``Select(Scan)``
+into :class:`~repro.algebra.ops.IndexScan` when one conjunct is an
+indexable comparison ``col op expr`` with ``col`` a column of the
+scanned table and ``expr`` free of that table's attributes (a literal, a
+parameter, or a *correlation* attribute — the equality-correlation hot
+path of Eqv. 1 and Eqv. 4).  Every remaining conjunct is pushed along as
+the scan's residual predicate, and the column requirements collected
+from enclosing Project/GroupBy nodes narrow the scan's output schema.
+An equi-join onto an indexed table stays a hash join.
 
 The pass is **identity-preserving by construction**: when no referenced
 table carries an index the input plan object is returned unchanged, so
@@ -27,7 +23,6 @@ from __future__ import annotations
 from repro.algebra import expr as E
 from repro.algebra import ops as L
 from repro.algebra.aggregates import STAR
-from repro.optimizer.cost import CostModel
 from repro.storage.catalog import Catalog
 
 #: Comparison operators an index can serve, by index kind.
@@ -49,7 +44,7 @@ def choose_access_paths(plan: L.Operator, catalog: Catalog) -> L.Operator:
     Returns the *same object* when nothing applies (in particular when no
     table referenced by the plan has any index).
     """
-    if not _plan_touches_indexes(plan, catalog):
+    if not catalog.index_names() or not _plan_touches_indexes(plan, catalog):
         return plan
     return _Rewriter(catalog).rewrite(plan)
 
@@ -78,8 +73,6 @@ class _Rewriter:
             return cached
         if isinstance(node, L.Select):
             result = self._rewrite_select(node, required)
-        elif type(node) is L.Join:
-            result = self._rewrite_join(node)
         elif isinstance(node, L.Project):
             result = self._rewrite_generic(node, frozenset(node.names))
         elif isinstance(node, (L.GroupBy, L.ScalarAggregate)):
@@ -220,62 +213,4 @@ class _Rewriter:
             if right.contains_subquery() or (right.free_attrs() & scan_attrs):
                 continue
             return oriented.op, left.name, right
-        return None
-
-    # -- Join(left, Scan) → IndexNLJoin ------------------------------------
-
-    def _rewrite_join(self, node: L.Join) -> L.Operator:
-        right = node.right
-        if type(right) is L.Scan and right.table_name in self.catalog:
-            predicate = node.predicate.map_subplans(self.rewrite)
-            probe = self._try_index_nl_join(node, self.rewrite(node.left), right, predicate)
-            if probe is not None:
-                return probe
-        return self._rewrite_generic(node)
-
-    def _try_index_nl_join(
-        self,
-        original: L.Join,
-        left: L.Operator,
-        right: L.Scan,
-        predicate: E.Expr,
-    ) -> L.IndexNLJoin | None:
-        left_attrs = frozenset(original.left.schema.names)
-        right_attrs = frozenset(right.schema.names)
-        base_names = self.catalog.table(right.table_name).schema.names
-        hash_columns = {
-            index.column: index
-            for index in self.catalog.indexes_on(right.table_name)
-            if index.kind == "hash"
-        }
-        if not hash_columns:
-            return None
-
-        conjunct_list = E.conjuncts(predicate)
-        for position, conjunct in enumerate(conjunct_list):
-            keys, _ = E.equi_keys(conjunct, left_attrs, right_attrs)
-            for left_key, right_key in keys:
-                index = hash_columns.get(base_names[right.schema.position(right_key)])
-                if index is None:
-                    continue
-                residual_list = [c for i, c in enumerate(conjunct_list) if i != position]
-                residual = E.conjunction(residual_list) if residual_list else None
-                if residual == E.TRUE:
-                    residual = None
-                probe = L.IndexNLJoin(
-                    left,
-                    right,
-                    predicate,
-                    index.name,
-                    index.kind,
-                    left_key,
-                    right_key,
-                    residual,
-                )
-                # Priced against the join it replaces, over the same left
-                # input; one model each, as a model charges a shared node once.
-                hash_join = L.Join(left, right, predicate)
-                if CostModel(self.catalog).cost(probe) >= CostModel(self.catalog).cost(hash_join):
-                    return None
-                return probe
         return None

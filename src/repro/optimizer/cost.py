@@ -122,16 +122,6 @@ class CostModel:
             rows = self._card(node.child)
             return self._cost(node.child) + C_SORT_FACTOR * rows * _log2(rows)
 
-        if isinstance(node, L.IndexNLJoin):
-            left = self._card(node.left)
-            output = self._card(node)
-            # The right scan is never evaluated in full — each left row
-            # probes the index — so the right child's scan cost is not
-            # charged, only the probes and the residual on matched pairs.
-            base = self._cost(node.left) + C_HASH_BUILD
-            residual = node.residual if node.residual is not None else E.TRUE
-            return base + C_HASH_PROBE * left + self._predicate_cost(residual, output)
-
         if isinstance(node, (L.Join, L.LeftOuterJoin, L.SemiJoin, L.AntiJoin)):
             left = self._card(node.left)
             right = self._card(node.right)

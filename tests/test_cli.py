@@ -89,7 +89,7 @@ class TestRun:
         )
         assert code == 0
         assert "-- access paths:\n  IndexScan(s as q1 via s_b2:hash | q1.B2 = 7)\n" in text
-        assert "-- access counters: index_scans=1 index_nl_probes=0" in text
+        assert "-- access counters: index_scans=1 rows_read=" in text
 
     def test_missing_source_errors(self):
         code, _ = run_cli(["run", "SELECT 1 FROM t"])

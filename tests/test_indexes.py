@@ -483,26 +483,22 @@ class TestPlanning:
         db.execute("CREATE INDEX idx_hash ON s (B2)")
         assert "idx_hash:hash" in db.explain("SELECT * FROM s WHERE B2 = 3")
 
-    def test_selective_left_side_gets_index_nl_join(self):
+    def test_equi_join_onto_an_indexed_table_stays_a_hash_join(self):
         db = Database()
-        db.create_table(
-            "l", ["L1", "L2"], [(i, i % 5) for i in range(4)]
-        )
-        db.create_table(
-            "b", ["R1", "R2"], [(i % 97, i) for i in range(3000)]
-        )
+        db.create_table("l", ["L1", "L2"], [(i, i % 5) for i in range(4)])
+        db.create_table("b", ["R1", "R2"], [(i % 97, i) for i in range(3000)])
         db.analyze()
         db.execute("CREATE INDEX idx_r1 ON b (R1)")
-        plan = db.explain("SELECT * FROM l, b WHERE L2 = R1")
-        assert "IndexNLJoin" in plan
-        rows = db.execute("SELECT * FROM l, b WHERE L2 = R1")
+        sql = "SELECT * FROM l, b WHERE L2 = R1"
+        assert "Join[q1.L2 = q2.R1]" in db.explain(sql)
         expected = [
             left + right
             for left in db.table("l").rows
             for right in db.table("b").rows
             if left[1] == right[0]
         ]
-        assert sorted(rows.rows) == sorted(expected)
+        for options in (None, EvalOptions(vectorized=True)):
+            assert sorted(db.execute(sql, options=options).rows) == sorted(expected)
 
     def test_large_left_side_keeps_hash_join(self):
         db = Database()
@@ -510,7 +506,9 @@ class TestPlanning:
         db.create_table("b", ["R1", "R2"], [(i % 5, i) for i in range(2000)])
         db.analyze()
         db.execute("CREATE INDEX idx_r1 ON b (R1)")
-        assert "IndexNLJoin" not in db.explain("SELECT * FROM l, b WHERE L2 = R1")
+        plan = db.explain("SELECT * FROM l, b WHERE L2 = R1")
+        assert "Join[q1.L2 = q2.R1]" in plan
+        assert "IndexScan" not in plan
 
     def test_projection_pushdown_narrows_index_scan(self):
         db = make_db()

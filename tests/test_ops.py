@@ -158,9 +158,6 @@ def _one_of_each():
         L.Project(r, ["A1"]), L.Distinct(r), L.Rename(r, {"A1": "X"}), L.Map(r, "g", E.col("A1")),
         numbered, L.GroupBy(s, ["B2"], aggregates), L.ScalarAggregate(s, aggregates),
         L.Sort(r, [("A1", True)]), L.Limit(r, 3), L.CrossProduct(r, s), L.Join(r, s, p),
-        L.IndexNLJoin(
-            r, s, E.And((p, E.eq("A2", "B2"))), "s_b1", "hash", "A1", "B1", E.eq("A2", "B2")
-        ),
         L.LeftOuterJoin(r, s, p, {"B2": 0}), L.SemiJoin(r, s, p), L.AntiJoin(r, s, p),
         L.BypassJoin(r, s, p),
         L.BinaryGroupBy(numbered, renamed, "g", "t", "t2", AggSpec("sum", E.col("B1"))),
@@ -208,12 +205,6 @@ class TestPlanPrimitives:
                 assert rebuilt is (bypass.positive if node.positive_stream else bypass.negative)
             else:
                 assert rebuilt.children() == tuple(fresh)
-
-    def test_index_nl_join_degrades_when_its_probe_side_is_no_scan(self):
-        (node,) = [node for node in _one_of_each() if isinstance(node, L.IndexNLJoin)]
-        filtered = L.Select(scan_s(), E.TRUE)
-        rebuilt = node.replace_children([node.left, filtered])
-        assert type(rebuilt) is L.Join and rebuilt.predicate is node.predicate
 
     def test_with_exprs_rejects_a_subscript_on_an_operator_without_one(self):
         with pytest.raises(ValueError):

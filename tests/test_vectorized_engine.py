@@ -355,12 +355,14 @@ class TestCompilerRouting:
             )
             assert shape == expected
 
-    def test_adhoc_pool_keeps_row_operators_only_on_canonical_plans(self):
-        """The ``adhoc_cold`` benchmark's 256 texts on its data: a text
-        ``auto`` unnests compiles to batch operators only (θ-correlations,
-        ``[NOT] EXISTS`` / ``[NOT] IN`` / ``ANY`` / ``ALL`` included); what
-        stays on the row interpreter is the correlated subquery filter of
-        the texts it sends to the canonical plan."""
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_adhoc_pool_keeps_row_operators_only_on_canonical_plans(self, indexed):
+        """The ``adhoc_cold`` benchmark's 256 texts on its data, without and
+        with a hash index on ``s(B2)``: a text ``auto`` unnests compiles to
+        batch operators only (θ-correlations, ``[NOT] EXISTS`` / ``[NOT] IN``
+        / ``ANY`` / ``ALL`` and equi-joins onto the indexed table included);
+        what stays on the row interpreter is the correlated subquery filter
+        of the texts it sends to the canonical plan."""
         from collections import Counter
 
         from repro.datagen import RstConfig, rst_catalog
@@ -368,6 +370,8 @@ class TestCompilerRouting:
         from tests.conftest import generated_texts
 
         catalog = rst_catalog(1, 1, 1, RstConfig(rows_per_sf=100))
+        if indexed:
+            catalog.create_index("s_b2", "s", "B2")
         chosen = Counter()
         for sql in generated_texts(QueryGenConfig(seed=2007, p_linear=0.0), 256):
             alternative = plan_query(sql, catalog, "auto").chosen_alternative

@@ -13,7 +13,8 @@ as the median of ``--runs`` timings taken in alternation:
   (``to_rows`` included) against ``frame.encode`` of the Table;
 * ``decode``: the client's ``json.loads`` + tupling against
   ``frame.decode`` + tupling (``repro.service.client._result`` both);
-* ``http``: one ``/execute`` round trip on a kept connection, asking for
+* ``http``: one ``/execute`` round trip on a kept socket, spoken through
+  ``repro.service.http1`` as the shipped transport speaks it, asking for
   JSON (``Accept: application/json``) against asking for the frame;
 * the body's bytes each way,
 
@@ -29,15 +30,15 @@ is what one process sees.  From the repository root::
 from __future__ import annotations
 
 import argparse
-import http.client
 import json
+import socket
 import statistics
 import time
 
 from repro import Database
 from repro.bench.queries import Q1, Q3
 from repro.datagen import RstConfig, generate_rst
-from repro.service import frame
+from repro.service import frame, http1
 from repro.service.client import _result
 from repro.service.server import QueryServer, ServerConfig
 
@@ -65,26 +66,35 @@ def main() -> None:
     db.analyze()
     server = QueryServer(db, ServerConfig(port=0)).start()
     host, port = server.address
-    connection = http.client.HTTPConnection(host, port)
+    connection = socket.create_connection((host, port))
+    connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    rfile = connection.makefile("rb")
 
-    def post(path: str, payload: dict, accept: str) -> tuple[str, bytes]:
-        headers = {"Content-Type": "application/json", "Accept": accept}
-        connection.request("POST", path, json.dumps(payload), headers)
-        response = connection.getresponse()
-        return response.getheader("Content-Type"), response.read()
+    def post(path: str, payload: dict, accept: str) -> bytes:
+        data = json.dumps(payload).encode("utf-8")
+        fields = {
+            "Host": f"{host}:{port}",
+            "Accept": accept,
+            "Content-Type": "application/json",
+            "Content-Length": len(data),
+        }
+        connection.sendall(http1.head(f"POST {path} HTTP/1.1", fields) + data)
+        line, headers = http1.read_head(rfile)
+        assert line.startswith("HTTP/1.1 200 "), line
+        return rfile.read(http1.content_length(headers))
 
     def fetch(run: dict, accept: str, decode):
-        return _result(decode(post("/execute", run, accept)[1]))
+        return _result(decode(post("/execute", run, accept)))
 
     try:
-        session = json.loads(post("/session", {}, "application/json")[1])["session"]
+        session = json.loads(post("/session", {}, "application/json"))["session"]
         print(
             f"{'query':6} {'engine':10} {'step':8} {'json ms':>9} {'frame ms':>9}"
             f" {'json B':>9} {'frame B':>9}"
         )
         for name, sql in (("Q1", Q1), ("Q3", Q3)):
             prepared = {"session": session, "sql": sql, "strategy": "auto"}
-            statement = json.loads(post("/prepare", prepared, "application/json")[1])
+            statement = json.loads(post("/prepare", prepared, "application/json"))
             for engine in ("row", "vectorized"):
                 run = {"session": session, "statement": statement["statement"], "engine": engine}
                 status, body = server.service._route("POST", "/execute", run)
@@ -125,6 +135,7 @@ def main() -> None:
                     f" {saved['encode'] + saved['decode']:.2f} ms, http {saved['http']:.2f} ms"
                 )
     finally:
+        rfile.close()
         connection.close()
         server.stop()
 
