@@ -13,6 +13,10 @@ from repro.optimizer import plan_query
 #: on every run.
 BENCH_SEED = 20260809
 
+#: The figure and ablation benchmarks time the row interpreter — the
+#: paper's tuple-at-a-time setting — whatever the library's default engine.
+ROW = EvalOptions(vectorized=False)
+
 
 def seeded_rng(workload: str) -> random.Random:
     """A deterministic per-workload RNG (same rows every run)."""
@@ -27,7 +31,7 @@ def bench_query(benchmark, sql, catalog, strategy, rounds=1, budget=120.0):
     a fresh execution context.
     """
     planned = plan_query(sql, catalog, strategy)
-    options = EvalOptions(budget_seconds=budget)
+    options = EvalOptions(vectorized=False, budget_seconds=budget)
 
     def run():
         return planned.execute(catalog, options)
@@ -39,7 +43,7 @@ def bench_query(benchmark, sql, catalog, strategy, rounds=1, budget=120.0):
 def timed(sql, catalog, strategy, budget=120.0):
     """Single timed execution (used by the shape-assertion tests)."""
     planned = plan_query(sql, catalog, strategy)
-    options = EvalOptions(budget_seconds=budget)
+    options = EvalOptions(vectorized=False, budget_seconds=budget)
     start = time.perf_counter()
     table = planned.execute(catalog, options)
     return time.perf_counter() - start, table

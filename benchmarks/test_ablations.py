@@ -16,7 +16,7 @@
 
 import pytest
 
-from benchmarks.bench_util import timed
+from benchmarks.bench_util import ROW, timed
 from repro.bench.queries import Q1, Q2
 from repro.engine import EvalOptions
 from repro.optimizer import plan_query
@@ -32,7 +32,7 @@ WHERE EXISTS (SELECT * FROM s WHERE A2 = B2 AND B4 > 1000) OR A4 > 2500
 def bench_unnest_options(benchmark, sql, catalog, options, rounds=3):
     planned = plan_query(sql, catalog, "unnested", options)
     benchmark.pedantic(
-        lambda: planned.execute(catalog), rounds=rounds, iterations=1, warmup_rounds=0
+        lambda: planned.execute(catalog, ROW), rounds=rounds, iterations=1, warmup_rounds=0
     )
 
 
@@ -49,7 +49,7 @@ class TestEqv2VsEqv3:
         catalog = rst_catalogs(5, 5)
         first = plan_query(Q1, catalog, "unnested", UnnestOptions(disjunct_order="simple_first"))
         second = plan_query(Q1, catalog, "unnested", UnnestOptions(disjunct_order="subquery_first"))
-        assert first.execute(catalog).bag_equals(second.execute(catalog))
+        assert first.execute(catalog, ROW).bag_equals(second.execute(catalog, ROW))
 
     def test_rank_picks_simple_first_for_q1(self, rst_catalogs):
         """With a cheap simple predicate, rank order == Eqv. 2."""
@@ -77,10 +77,10 @@ class TestEqv4VsEqv5:
         import time
 
         start = time.perf_counter()
-        first = eqv4.execute(catalog)
+        first = eqv4.execute(catalog, ROW)
         eqv4_time = time.perf_counter() - start
         start = time.perf_counter()
-        second = eqv5.execute(catalog)
+        second = eqv5.execute(catalog, ROW)
         eqv5_time = time.perf_counter() - start
         assert first.bag_equals(second)
         assert eqv4_time < eqv5_time  # hash-only beats the bypass join
@@ -92,7 +92,7 @@ class TestMemoisation:
         benchmark.group = "ablation-subquery-memo"
         catalog = rst_catalogs(5, 5)
         planned = plan_query(Q1, catalog, "canonical")
-        options = EvalOptions(subquery_memo=memo)
+        options = EvalOptions(vectorized=False, subquery_memo=memo)
         benchmark.pedantic(
             lambda: planned.execute(catalog, options),
             rounds=1, iterations=1, warmup_rounds=0,
@@ -101,7 +101,7 @@ class TestMemoisation:
     def test_memo_hits_on_rst(self, rst_catalogs):
         catalog = rst_catalogs(5, 5)
         planned = plan_query(Q1, catalog, "s2")
-        _, ctx = planned.execute(catalog, with_context=True)
+        _, ctx = planned.execute(catalog, ROW, with_context=True)
         assert ctx.stats.subquery_cache_hits > 0
         # One eval per distinct correlation value: only at full bench
         # scale does the duplicate rate make hits dominate evals.
@@ -127,7 +127,7 @@ class TestBypassVsTagging:
         if encoding == "tagged":
             plan = remove_bypass(plan)
         benchmark.pedantic(
-            lambda: execute_plan(plan, catalog), rounds=3, iterations=1, warmup_rounds=0
+            lambda: execute_plan(plan, catalog, ROW), rounds=3, iterations=1, warmup_rounds=0
         )
 
     @pytest.mark.timing
@@ -141,7 +141,7 @@ class TestBypassVsTagging:
         catalog = rst_catalogs(10, 10)
         tagged = remove_bypass(unnest(translate(parse(Q1), catalog).plan))
         start = time.perf_counter()
-        tagged_result = execute_plan(tagged, catalog)
+        tagged_result = execute_plan(tagged, catalog, ROW)
         tagged_time = time.perf_counter() - start
         canonical_time, canonical_result = timed(Q1, catalog, "canonical")
         assert tagged_result.bag_equals(canonical_result)
@@ -165,10 +165,10 @@ class TestQuantifiedReduction:
         on = plan_query(EXISTS_QUERY, catalog, "unnested", UnnestOptions(enable_quantified=True))
         off = plan_query(EXISTS_QUERY, catalog, "unnested", UnnestOptions(enable_quantified=False))
         start = time.perf_counter()
-        first = on.execute(catalog)
+        first = on.execute(catalog, ROW)
         on_time = time.perf_counter() - start
         start = time.perf_counter()
-        second = off.execute(catalog)
+        second = off.execute(catalog, ROW)
         off_time = time.perf_counter() - start
         assert first.bag_equals(second)
         assert on_time < off_time

@@ -67,7 +67,7 @@ def _best_seconds(db: Database, sql: str) -> float:
     # and seed plans then differ only in access paths, so the ratio
     # isolates the index effect from the unnesting rewrites.
     planned = db.plan(sql, strategy="canonical")
-    options = EvalOptions()
+    options = EvalOptions(vectorized=False)
 
     def one_round() -> float:
         start = time.perf_counter()

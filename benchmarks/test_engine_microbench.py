@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from benchmarks.bench_util import ROW
 from repro.algebra import expr as E
 from repro.algebra import ops as L
 from repro.algebra.aggregates import STAR, AggSpec
@@ -45,7 +46,7 @@ def scan(catalog, name):
 
 def run_bench(benchmark, plan, catalog, rounds=3):
     benchmark.pedantic(
-        lambda: execute_plan(plan, catalog), rounds=rounds, iterations=1, warmup_rounds=0
+        lambda: execute_plan(plan, catalog, ROW), rounds=rounds, iterations=1, warmup_rounds=0
     )
 
 
@@ -120,11 +121,11 @@ class TestBypassOverhead:
         )
         start = time.perf_counter()
         for _ in range(5):
-            first = execute_plan(bypass_plan, catalog)
+            first = execute_plan(bypass_plan, catalog, ROW)
         bypass_time = time.perf_counter() - start
         start = time.perf_counter()
         for _ in range(5):
-            second = execute_plan(double_plan, catalog)
+            second = execute_plan(double_plan, catalog, ROW)
         double_time = time.perf_counter() - start
         assert first.bag_equals(second)
         assert bypass_time < double_time * 1.3

@@ -13,8 +13,6 @@ import pytest
 from repro.bench.harness import run_cell
 from repro.bench.queries import Q1
 
-pytest.importorskip("numpy")
-
 ENGINES = ["row", "vectorized"]
 
 

@@ -8,7 +8,7 @@ magnitude at scale 10×10.
 
 import pytest
 
-from benchmarks.bench_util import bench_query, timed
+from benchmarks.bench_util import ROW, bench_query, timed
 from repro.bench.queries import Q2
 
 GRID = [(1, 1), (5, 5), (10, 10)]
@@ -47,8 +47,8 @@ class TestShape:
         from repro.rewrite import UnnestOptions
 
         catalog = rst_catalogs(5, 5)
-        eqv4 = plan_query(Q2, catalog, "unnested").execute(catalog)
+        eqv4 = plan_query(Q2, catalog, "unnested").execute(catalog, ROW)
         eqv5 = plan_query(
             Q2, catalog, "unnested", UnnestOptions(enable_eqv4=False)
-        ).execute(catalog)
+        ).execute(catalog, ROW)
         assert eqv4.bag_equals(eqv5)

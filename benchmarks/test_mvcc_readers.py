@@ -21,8 +21,6 @@ import pytest
 from benchmarks.bench_util import seeded_rng
 from repro import Database, EvalOptions
 
-pytest.importorskip("numpy")
-
 #: Base rows scale with REPRO_BENCH_ROWS like the RST grids: the default
 #: 250 gives 20_000 rows, the CI smoke setting of 40 gives 3_200.
 ROWS = 80 * int(os.environ.get("REPRO_BENCH_ROWS", "250"))

@@ -93,7 +93,7 @@ def test_every_injected_fault_degrades_once_and_heals(governor_db):
             FaultConfig(sites=("engine.row.PBypass",), seed=1234)
         )
         healed = chaos_db.execute(
-            sql, strategy="unnested", options=EvalOptions(faults=injector)
+            sql, strategy="unnested", options=EvalOptions(vectorized=False, faults=injector)
         )
         assert_bag_equal(healed, baseline, f"{name} chaos fallback diverged")
         assert injector.fired == 1, f"{name}: one fault, on the first bypass"
@@ -109,8 +109,8 @@ def test_armed_governor_overhead_below_ten_percent(governor_db, name):
     db = governor_db
     sql = QUERIES[name]
     db.plan(sql, strategy="canonical")
-    off = _best_seconds(db, sql, EvalOptions())
-    armed = _best_seconds(db, sql, EvalOptions(resources=GENEROUS))
+    off = _best_seconds(db, sql, EvalOptions(vectorized=False))
+    armed = _best_seconds(db, sql, EvalOptions(vectorized=False, resources=GENEROUS))
     ratio = armed / max(off, 1e-9)
     assert ratio < 1.10, (
         f"{name}: governed {armed:.6f}s vs ungoverned {off:.6f}s "

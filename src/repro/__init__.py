@@ -107,17 +107,6 @@ __all__ = [
 DURABILITY_FAULT_PREFIXES = ("storage.wal", "storage.checkpoint")
 
 
-@functools.cache
-def _replay_options() -> EvalOptions:
-    """Redo logged statements on the batch engine when numpy imports (all
-    that ``vectorized=True`` asks for), else on the row engine."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return EvalOptions()
-    return EvalOptions(vectorized=True)
-
-
 class Database:
     """A small façade over catalog + planner + engine.
 
@@ -293,7 +282,7 @@ class Database:
         """
         kind, data = record.kind, record.data
         if kind == "dml":
-            self.execute(data["sql"], options=_replay_options())
+            self.execute(data["sql"])
         elif kind == "create_table":
             self.register(Table.from_payload(data, data["name"]), data["name"])
         elif kind == "drop_table":

@@ -75,8 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_engine_arg(p):
         p.add_argument(
-            "--engine", choices=("row", "vectorized"), default="row",
-            help="execution backend: tuple-at-a-time (row) or columnar batches",
+            "--engine", choices=("row", "vectorized"),
+            help="execution backend: tuple-at-a-time (row) or columnar batches "
+                 "(vectorized, the default)",
         )
 
     def add_index_args(p, explain_access=True):
@@ -371,7 +372,8 @@ def resolve_sql(args) -> str:
 def eval_options(args) -> "EvalOptions":
     from repro.engine import EvalOptions
 
-    return EvalOptions(vectorized=getattr(args, "engine", "row") == "vectorized")
+    engine = getattr(args, "engine", None)
+    return EvalOptions() if engine is None else EvalOptions(vectorized=engine == "vectorized")
 
 
 def apply_indexes(db: Database, args) -> None:
@@ -414,13 +416,14 @@ def cmd_run(args, out) -> int:
     db = load_database(args)
     apply_indexes(db, args)
     sql = resolve_sql(args)
+    options = eval_options(args)
     start = time.perf_counter()
-    result = db.execute(sql, args.strategy, options=eval_options(args))
+    result = db.execute(sql, args.strategy, options=options)
     elapsed = time.perf_counter() - start
     out.write(result.pretty(limit=args.limit))
     out.write(
-        f"({len(result)} rows in {elapsed:.4f}s, "
-        f"strategy {args.strategy}, engine {args.engine})\n"
+        f"({len(result)} rows in {elapsed:.4f}s, strategy {args.strategy}, "
+        f"engine {'vectorized' if options.vectorized else 'row'})\n"
     )
     if args.explain_access:
         out.write(access_report(db.plan(sql, args.strategy)))
@@ -463,7 +466,7 @@ def cmd_compare(args, out) -> int:
         strategy = strategy.strip()
         cell = run_cell(
             sql, db.catalog, strategy, args.budget,
-            vectorized=args.engine == "vectorized",
+            vectorized=eval_options(args).vectorized,
             planner=lambda sql, _catalog, strategy: db.plan(sql, strategy),
         )
         rows = "-" if cell.rows is None else cell.rows

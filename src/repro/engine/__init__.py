@@ -13,8 +13,9 @@ The engine is a materialising, pull-based evaluator over Python tuples:
   equi-key extraction for hash variants and DAG sharing detection;
 * :mod:`repro.engine.executor` — the public entry point.
 
-An opt-in vectorized backend (``EvalOptions(vectorized=True)``) swaps
-the tuple-at-a-time interpreter for columnar batch execution:
+The default backend (``EvalOptions()``, ``vectorized=True``) swaps the
+tuple-at-a-time interpreter for columnar batch execution, falling back
+to it per operator; ``EvalOptions(vectorized=False)`` runs it whole:
 
 * :mod:`repro.engine.vector_kernels` — batched 3VL predicate/expression
   kernels producing truth-pair masks and column arrays;

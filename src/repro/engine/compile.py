@@ -31,24 +31,19 @@ from repro.errors import PlanningError
 from repro.storage.schema import Schema
 
 
-def compile_plan(plan: L.Operator, vectorized: bool = False) -> P.PhysicalOperator:
+def compile_plan(plan: L.Operator, vectorized: bool) -> P.PhysicalOperator:
     """Compile a logical plan DAG into a physical plan DAG.
 
     With ``vectorized=True`` the batch compiler is used: operators the
     columnar runtime covers become batch operators, everything else
-    falls back per-node to the row interpreter.  Requires numpy.
+    falls back per-node to the row interpreter.
 
     The result reads no catalog: scans carry table and index names, which
     each execution resolves through its own, so one root serves them all.
     """
     if vectorized:
-        try:
-            from repro.engine.vector_compile import VectorCompiler
-        except ImportError as exc:  # numpy missing: the row engine still works
-            raise PlanningError(
-                f"the vectorized engine requires numpy ({exc}); "
-                "re-run without vectorized mode"
-            ) from exc
+        from repro.engine.vector_compile import VectorCompiler  # it imports this module
+
         compiler: _Compiler = VectorCompiler()
     else:
         compiler = _Compiler()

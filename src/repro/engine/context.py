@@ -59,8 +59,10 @@ class EvalOptions:
         time every invocation (EXPLAIN ANALYZE; off, no clock is read).
     ``vectorized``
         Compile to the columnar batch engine (numpy-backed selection
-        vectors) with per-operator fallback to the row interpreter.
-        Results are identical to the row engine; see
+        vectors) with per-operator fallback to the row interpreter.  The
+        default: every surface that is not told an engine defers to this
+        field.  ``False`` runs the tuple-at-a-time row engine, the
+        reference the batch engine is tested against; see
         ``docs/vectorized-engine.md``.
     ``params``
         Prepared-statement parameter values, keyed as the SQL front-end
@@ -86,7 +88,7 @@ class EvalOptions:
     subquery_memo: bool = False
     budget_seconds: float | None = None
     collect_stats: bool = False
-    vectorized: bool = False
+    vectorized: bool = True
     params: Mapping | None = None
     cancel_event: object | None = None
     resources: ResourceLimits | None = None

@@ -139,7 +139,7 @@ class ReplicaSetClient:
         params=None,
         strategy: str = "auto",
         timeout: float | None = None,
-        engine: str = "row",
+        engine: str | None = None,
         budget: float | None = None,
     ) -> QueryResult:
         """Run a write on the current primary; fail over if it is deposed.
@@ -276,7 +276,7 @@ class ReplicaSetClient:
         params=None,
         strategy: str = "auto",
         timeout: float | None = None,
-        engine: str = "row",
+        engine: str | None = None,
         min_lsn: int | None = None,
         budget: float | None = None,
     ) -> QueryResult:

@@ -234,7 +234,7 @@ class ServiceClient:
         params=None,
         strategy: str = "auto",
         timeout: float | None = None,
-        engine: str = "row",
+        engine: str | None = None,
         min_lsn: int | None = None,
         lsn_wait: float | None = None,
         era: int | None = None,
@@ -249,17 +249,10 @@ class ServiceClient:
         of acknowledging a write the cluster would not honor.
         ``budget`` bounds the whole call — retries included — and is
         forwarded so the server clamps its own timeout to it."""
-        payload = {"sql": sql, "strategy": strategy, "engine": engine}
-        if params is not None:
-            payload["params"] = params
-        if timeout is not None:
-            payload["timeout"] = timeout
-        if min_lsn is not None:
-            payload["min_lsn"] = min_lsn
-        if lsn_wait is not None:
-            payload["lsn_wait"] = lsn_wait
-        if era is not None:
-            payload["era"] = era
+        payload = _payload(
+            {"sql": sql, "strategy": strategy}, engine=engine, params=params,
+            timeout=timeout, min_lsn=min_lsn, lsn_wait=lsn_wait, era=era,
+        )
         return _result(self._request("POST", "/query", payload, budget=budget))
 
     # -- sessions and prepared statements -----------------------------------
@@ -295,11 +288,7 @@ class ServiceClient:
         wait: float | None = None,
     ) -> dict:
         """Fetch raw WAL frames past ``from_lsn`` (long-polls ``wait``s)."""
-        payload: dict = {"from_lsn": from_lsn}
-        if max_records is not None:
-            payload["max_records"] = max_records
-        if wait is not None:
-            payload["wait"] = wait
+        payload = _payload({"from_lsn": from_lsn}, max_records=max_records, wait=wait)
         return self._request("POST", "/replication/wal", payload)
 
     # -- cluster control (used by the failover coordinator) ------------------
@@ -314,9 +303,7 @@ class ServiceClient:
 
     def replication_demote(self, era: int, leader_url: str | None = None) -> dict:
         """Fence the node: a newer ``era`` reigns (optionally: where)."""
-        payload: dict = {"era": era}
-        if leader_url is not None:
-            payload["leader_url"] = leader_url
+        payload = _payload({"era": era}, leader_url=leader_url)
         return self._request("POST", "/replication/demote", payload)
 
     def replication_repoint(self, leader_url: str, era: int) -> dict:
@@ -347,19 +334,13 @@ class ClientSession:
         params=None,
         strategy: str = "auto",
         timeout: float | None = None,
-        engine: str = "row",
+        engine: str | None = None,
     ) -> QueryResult:
         """Ad-hoc query inside this session (reads its pinned snapshot)."""
-        payload = {
-            "sql": sql,
-            "strategy": strategy,
-            "engine": engine,
-            "session": self.id,
-        }
-        if params is not None:
-            payload["params"] = params
-        if timeout is not None:
-            payload["timeout"] = timeout
+        payload = _payload(
+            {"sql": sql, "strategy": strategy, "session": self.id},
+            engine=engine, params=params, timeout=timeout,
+        )
         return _result(self.client._request("POST", "/query", payload))
 
     def pin(self) -> int:
@@ -397,14 +378,19 @@ class ClientStatement:
         self,
         params=None,
         timeout: float | None = None,
-        engine: str = "row",
+        engine: str | None = None,
     ) -> QueryResult:
-        payload = {"session": self.session.id, "statement": self.id, "engine": engine}
-        if params is not None:
-            payload["params"] = params
-        if timeout is not None:
-            payload["timeout"] = timeout
+        payload = _payload(
+            {"session": self.session.id, "statement": self.id},
+            engine=engine, params=params, timeout=timeout,
+        )
         return _result(self.session.client._request("POST", "/execute", payload))
+
+
+def _payload(fields: dict, **optional) -> dict:
+    """``fields`` plus each ``optional`` one the caller named (not None):
+    a field left out is the server's default — the engine's among them."""
+    return fields | {key: value for key, value in optional.items() if value is not None}
 
 
 def _result(body: dict) -> QueryResult:

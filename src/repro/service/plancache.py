@@ -161,7 +161,7 @@ class PlanCache:
     # -- quarantine ---------------------------------------------------------
 
     def quarantine(
-        self, sql: str, strategy: "str | Strategy" = "auto", engine: str = "row", statement=None
+        self, sql: str, strategy: "str | Strategy", engine: str, statement=None
     ) -> bool:
         """Report that the cached plan for this key failed on ``engine``.
 

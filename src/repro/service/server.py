@@ -567,12 +567,12 @@ class QueryService:
             # pure waste (the caller has already given up on us), so the
             # per-query timeout is clamped to it.
             timeout = budget if timeout is None else min(timeout, budget)
-        engine = _optional_str(payload, "engine", "row")
-        if engine not in ("row", "vectorized"):
+        engine = payload.get("engine")  # absent: EvalOptions' default engine
+        if engine not in (None, "row", "vectorized"):
             raise BadRequestError(f"unknown engine {engine!r} (row | vectorized)")
         options = EvalOptions(
             budget_seconds=timeout,
-            vectorized=engine == "vectorized",
+            vectorized=EvalOptions.vectorized if engine is None else engine == "vectorized",
             cancel_event=self.cancel_event,
             resources=self.config.resources,
         )

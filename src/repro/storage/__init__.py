@@ -1,14 +1,14 @@
 """In-memory storage substrate: schemas, tables, and the catalog.
 
-The engine operates on plain Python tuples; a :class:`~repro.storage.schema.Schema`
+Rows are plain Python tuples; a :class:`~repro.storage.schema.Schema`
 gives positional meaning to the fields.  A :class:`~repro.storage.table.Table`
 is an ordered bag (multiset) of rows, and a
 :class:`~repro.storage.catalog.Catalog` names a collection of tables and
 keeps lightweight statistics used by the cost-based optimizer.
 
-:mod:`repro.storage.batch` (imported lazily; requires numpy) adds the
-columnar :class:`~repro.storage.batch.Batch` representation used by the
-vectorized engine — column arrays, validity masks, selection vectors.
+:mod:`repro.storage.batch` adds the columnar
+:class:`~repro.storage.batch.Batch` the default (vectorized) engine runs
+on — column arrays, validity masks, selection vectors.
 
 :mod:`repro.storage.wal` adds the durability layer: a checksummed
 write-ahead log, checkpoint snapshots, and the crash-recovery scan used

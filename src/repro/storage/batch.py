@@ -20,10 +20,6 @@ NULLs are represented *only* by the validity mask; the data array holds a
 zero fill at invalid positions (numeric layouts) or ``None`` (object
 layout).  Kernels must therefore never interpret the data array at
 positions the mask declares invalid.
-
-The module degrades gracefully without numpy: importing it raises
-``ImportError``, and the engine's compiler reports a clear error when the
-vectorized mode is requested (the row engine never imports this module).
 """
 
 from __future__ import annotations

@@ -96,7 +96,7 @@ class Table:
         cached = self.batch_cache
         if cached is None or cached[0] != self.version:
             return list(zip(*self.rows)) or [()] * len(self.schema)
-        from repro.storage.batch import column_to_pylist  # a batch means numpy
+        from repro.storage.batch import column_to_pylist
 
         columns = map(cached[1].column, range(len(self.schema)))
         return [d if v is None and d.dtype.kind in "if" else column_to_pylist(d, v)

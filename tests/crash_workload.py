@@ -29,8 +29,7 @@ import time
 #: disjunctive linking in a DELETE and an INSERT … SELECT, Q2's disjunctive
 #: correlation in an UPDATE.  Their embedded reads are unnested, so the
 #: recovered side of every differential replays Eqv. 2 / 4 plans — on the
-#: batch engine where numpy imports — against an oracle that ran them live
-#: on the row engine.  (The recovery and torn-write suites format the same
+#: batch engine — against an oracle that ran them live on the row engine.  (The recovery and torn-write suites format the same
 #: templates.)  Every seventh statement of the workload plants rows for
 #: them to hit: ``(2, b), (50, b)`` (two distinct rows share ``b``, so the
 #: DELETE's count is 2 = ``a``) and ``n`` copies of ``(n, b')`` (the

@@ -19,9 +19,7 @@ from repro.errors import PlanningError
 from repro.optimizer import planner
 from tests.conftest import make_rst_catalog
 
-pytest.importorskip("numpy")
-
-ENGINES = {"row": EvalOptions(), "vectorized": EvalOptions(vectorized=True)}
+ENGINES = {"row": EvalOptions(vectorized=False), "vectorized": EvalOptions(vectorized=True)}
 
 #: Q1's shape with a parameter: an unnested plan under ``auto``.
 SQL = (
@@ -45,7 +43,7 @@ def compiles(monkeypatch):
     calls = []
     compile_plan = planner.compile_plan
 
-    def counting(plan, vectorized=False):
+    def counting(plan, vectorized):
         calls.append("vectorized" if vectorized else "row")
         return compile_plan(plan, vectorized)
 

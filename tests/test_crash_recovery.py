@@ -74,7 +74,7 @@ def oracle_states() -> list[list[tuple]]:
     db.create_table("t", ["a", "b"])
     states = [sorted(db.table("t").rows)]
     for sql in crash_workload.statements(NUM_OPS, SEED):
-        db.execute(sql)
+        db.execute(sql, options=EvalOptions(vectorized=False))
         states.append(sorted(tuple(r) for r in db.table("t").rows))
     return states
 
@@ -124,7 +124,8 @@ def recover(data_dir) -> Database:
 
 def recovered_rows_both_engines(db) -> list[tuple]:
     """The table contents via both engines; asserts they agree."""
-    row = sorted(tuple(r) for r in db.execute("SELECT a, b FROM t").rows)
+    row_engine = EvalOptions(vectorized=False)
+    row = sorted(tuple(r) for r in db.execute("SELECT a, b FROM t", options=row_engine).rows)
     vec = sorted(
         tuple(r)
         for r in db.execute(

@@ -56,7 +56,7 @@ class TestRemoveBypass:
         ]
         assert len(maps) == 1
         _, ctx = execute_plan(
-            tagged, rst, EvalOptions(collect_stats=True), with_context=True
+            tagged, rst, EvalOptions(vectorized=False, collect_stats=True), with_context=True
         )
         assert ctx.stats.rows_produced["PMap"] == len(rst.table("r"))
 

@@ -248,7 +248,6 @@ class TestPlannedScan:
         """Eqv. 2 / 3 return σ⁺'s rows first and the join side's after, not
         by ascending ν — the splice, the statistics, the carried batch and
         both index kinds must not notice."""
-        pytest.importorskip("numpy")
         from repro.engine.vector_ops import table_batch
         from repro.storage.index import index_for, make_index
 
@@ -260,7 +259,7 @@ class TestPlannedScan:
         assert first - second and second - first
         assert min(first - second) < max(second) and min(second - first) < max(first)
 
-        expected = reference.execute(sql, "canonical", EvalOptions()).rows
+        expected = reference.execute(sql, "canonical", EvalOptions(vectorized=False)).rows
         table = database.table("r")
         table_batch(table)  # a warm batch for the statement to carry forward
         affected = database.execute(sql, strategy, EvalOptions(vectorized=vectorized)).rows
@@ -283,7 +282,6 @@ class TestPlannedScan:
     def test_no_sargable_conjunct_is_pushed_below_the_numbering(self, vectorized):
         """An IndexScan under ν would number the *matching* rows 1..k, and
         the statement would overwrite the first k rows of the table."""
-        pytest.importorskip("numpy")
         plain, indexed = rst_db(), rst_db()
         indexed.create_index("s_b2", "s", "B2", "hash")
         options = EvalOptions(vectorized=vectorized)
@@ -295,7 +293,6 @@ class TestPlannedScan:
 
     @pytest.mark.parametrize("strategy, vectorized", [("canonical", False), *PLANNED])
     def test_a_subquery_over_the_target_reads_the_pre_statement_state(self, strategy, vectorized):
-        pytest.importorskip("numpy")
         database = rst_db()
         rows = list(database.table("r").rows)
         sizes = {}
@@ -349,7 +346,6 @@ class TestStoppedScan:
     def test_nothing_moves_and_the_next_write_succeeds(
         self, tmp_path, sql, strategy, vectorized, make_options, error
     ):
-        pytest.importorskip("numpy")
         from dataclasses import replace
 
         from repro.engine.vector_ops import table_batch
@@ -374,9 +370,10 @@ class TestStoppedScan:
         sql = PAPER_SHAPED[0].values[0]
         reference, database = rst_db(), rst_db()
         monkeypatch.delenv(ENV_SITES, raising=False)  # the chaos job arms it fleet-wide
-        expected = reference.execute(sql, "canonical").rows
+        row_engine = EvalOptions(vectorized=False)
+        expected = reference.execute(sql, "canonical", row_engine).rows
         monkeypatch.setenv(ENV_SITES, "engine.row.PBypass")
-        assert database.execute(sql, "unnested").rows == expected
+        assert database.execute(sql, "unnested", row_engine).rows == expected
         assert database.table("r").rows == reference.table("r").rows
         info = database.resilience_info()
         assert (info["degradations"], info["fallback_successes"]) == (1, 1)

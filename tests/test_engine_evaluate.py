@@ -11,6 +11,8 @@ from repro.engine.context import ExecContext
 from repro.errors import ExecutionError
 from repro.storage import Catalog, Schema, Table
 
+ROW = EvalOptions(vectorized=False)
+
 
 @pytest.fixture
 def catalog():
@@ -28,19 +30,19 @@ def scan(catalog, name):
 class TestEnvironmentBinding:
     def test_free_attr_resolved_from_env(self, catalog):
         plan = L.Select(scan(catalog, "s"), E.eq("outer_val", "v"))
-        physical = compile_plan(plan)
+        physical = compile_plan(plan, vectorized=False)
         rows = physical.execute(ExecContext(catalog), {"outer_val": 1})
         assert rows == [(1,), (1,)]
 
     def test_unbound_attr_raises(self, catalog):
         plan = L.Select(scan(catalog, "s"), E.eq("nowhere", "v"))
-        physical = compile_plan(plan)
+        physical = compile_plan(plan, vectorized=False)
         with pytest.raises(ExecutionError, match="unbound attribute"):
             physical.execute(ExecContext(catalog), {})
 
     def test_env_rebinding_per_execution(self, catalog):
         plan = L.Select(scan(catalog, "s"), E.eq("outer_val", "v"))
-        physical = compile_plan(plan)
+        physical = compile_plan(plan, vectorized=False)
         assert len(physical.execute(ExecContext(catalog), {"outer_val": 1})) == 2
         assert len(physical.execute(ExecContext(catalog), {"outer_val": 2})) == 1
         assert len(physical.execute(ExecContext(catalog), {"outer_val": 9})) == 0
@@ -62,14 +64,14 @@ class TestEnvironmentBinding:
             [("c1", AggSpec("count", STAR))],
         )
         outer = L.Map(scan(catalog, "r"), "n", E.ScalarSubquery(middle))
-        result = execute_plan(outer, catalog)
+        result = execute_plan(outer, catalog, ROW)
         assert sorted(result.rows) == [(1, 10, 2), (2, 20, 1)]
 
 
 class TestMixedExpressionShapes:
     def _value(self, catalog, expression):
         plan = L.Project(L.Map(scan(catalog, "r"), "out", expression), ["out"])
-        return execute_plan(plan, catalog).rows
+        return execute_plan(plan, catalog, ROW).rows
 
     def test_nested_arithmetic(self, catalog):
         expression = E.Arithmetic(
@@ -106,7 +108,7 @@ class TestAggregateArguments:
             scan(catalog, "r"),
             [("s", AggSpec("sum", E.Arithmetic("+", E.col("x"), E.col("y"))))],
         )
-        assert execute_plan(plan, catalog).rows == [(33,)]
+        assert execute_plan(plan, catalog, ROW).rows == [(33,)]
 
     def test_agg_arg_referencing_outer(self, catalog):
         """sum(v + x): the argument mixes inner and outer attributes."""
@@ -115,7 +117,7 @@ class TestAggregateArguments:
             [("s", AggSpec("sum", E.Arithmetic("+", E.col("v"), E.col("x"))))],
         )
         plan = L.Map(scan(catalog, "r"), "total", E.ScalarSubquery(sub))
-        rows = execute_plan(plan, catalog).rows
+        rows = execute_plan(plan, catalog, ROW).rows
         # x=1: (1+1)+(1+1)+(2+1)=7;  x=2: (1+2)+(1+2)+(2+2)=10
         assert sorted(rows) == [(1, 10, 7), (2, 20, 10)]
 
@@ -124,4 +126,4 @@ class TestAggregateArguments:
             scan(catalog, "s"),
             [("n", AggSpec("count", E.col("v"), distinct=True))],
         )
-        assert execute_plan(plan, catalog).rows == [(2,)]
+        assert execute_plan(plan, catalog, ROW).rows == [(2,)]

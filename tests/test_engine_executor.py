@@ -28,7 +28,7 @@ class TestDagMemoisation:
         shared = L.Select(scan(catalog, "r"), E.Comparison(">", E.col("A1"), E.lit(0)))
         plan = L.UnionAll(shared, shared)
         table, ctx = execute_plan(
-            plan, catalog, EvalOptions(collect_stats=True), with_context=True
+            plan, catalog, EvalOptions(vectorized=False, collect_stats=True), with_context=True
         )
         assert len(table) == 4
         # The filter produced rows once (2), not twice (4).
@@ -39,7 +39,7 @@ class TestDagMemoisation:
         right = L.Select(scan(catalog, "r"), E.Comparison(">", E.col("A1"), E.lit(0)))
         plan = L.UnionAll(left, right)
         _, ctx = execute_plan(
-            plan, catalog, EvalOptions(collect_stats=True), with_context=True
+            plan, catalog, EvalOptions(vectorized=False, collect_stats=True), with_context=True
         )
         assert ctx.stats.rows_produced["PFilter"] == 4
 
@@ -50,7 +50,7 @@ class TestDagMemoisation:
         scalar = L.ScalarAggregate(bypass.positive, [("g2", AggSpec("count", STAR))])
         mapped = L.Map(bypass.negative, "total", E.ScalarSubquery(scalar))
         _, ctx = execute_plan(
-            mapped, catalog, EvalOptions(collect_stats=True), with_context=True
+            mapped, catalog, EvalOptions(vectorized=False, collect_stats=True), with_context=True
         )
         # The bypass partition was computed exactly once.
         assert ctx.stats.rows_produced["PBypassFilter"] == 3
@@ -69,7 +69,7 @@ class TestSubqueryCaching:
 
     def test_no_memo_by_default(self, catalog):
         _, ctx = execute_plan(
-            self._correlated_plan(catalog), catalog, EvalOptions(), with_context=True
+            self._correlated_plan(catalog), catalog, EvalOptions(vectorized=False), with_context=True
         )
         assert ctx.stats.subquery_evals == 3
         assert ctx.stats.subquery_cache_hits == 0
@@ -78,7 +78,7 @@ class TestSubqueryCaching:
         _, ctx = execute_plan(
             self._correlated_plan(catalog),
             catalog,
-            EvalOptions(subquery_memo=True),
+            EvalOptions(vectorized=False, subquery_memo=True),
             with_context=True,
         )
         # A2 values: 1, 1, 9 → two evaluations, one hit.
@@ -91,21 +91,21 @@ class TestSubqueryCaching:
             scan(catalog, "r"),
             E.Comparison("<", E.col("A1"), E.ScalarSubquery(sub)),
         )
-        _, ctx = execute_plan(plan, catalog, EvalOptions(), with_context=True)
+        _, ctx = execute_plan(plan, catalog, EvalOptions(vectorized=False), with_context=True)
         assert ctx.stats.subquery_evals == 1
         assert ctx.stats.subquery_cache_hits == 2
 
     def test_results_identical_with_and_without_memo(self, catalog):
         plan = self._correlated_plan(catalog)
-        cold = execute_plan(plan, catalog, EvalOptions(subquery_memo=False))
-        warm = execute_plan(plan, catalog, EvalOptions(subquery_memo=True))
+        cold = execute_plan(plan, catalog, EvalOptions(vectorized=False, subquery_memo=False))
+        warm = execute_plan(plan, catalog, EvalOptions(vectorized=False, subquery_memo=True))
         assert cold.bag_equals(warm)
 
 
 class TestCompile:
     def test_compile_is_pure(self, catalog):
         plan = L.Select(scan(catalog, "r"), E.eq("A1", "A2"))
-        physical = compile_plan(plan)
+        physical = compile_plan(plan, vectorized=False)
         first = physical.execute(ExecContext(catalog), {})
         second = physical.execute(ExecContext(catalog), {})
         assert first == second
@@ -114,7 +114,7 @@ class TestCompile:
         from repro.engine.operators import PHashJoin
 
         plan = L.Join(scan(catalog, "r"), scan(catalog, "s"), E.eq("A2", "B2"))
-        assert isinstance(compile_plan(plan), PHashJoin)
+        assert isinstance(compile_plan(plan, vectorized=False), PHashJoin)
 
     def test_nl_join_chosen_for_theta(self, catalog):
         from repro.engine.operators import PNLJoin
@@ -123,7 +123,7 @@ class TestCompile:
             scan(catalog, "r"), scan(catalog, "s"),
             E.Comparison("<", E.col("A2"), E.col("B2")),
         )
-        assert isinstance(compile_plan(plan), PNLJoin)
+        assert isinstance(compile_plan(plan, vectorized=False), PNLJoin)
 
     def test_negative_stream_filter_fused_into_bypass_join(self, catalog):
         from repro.engine.operators import PStreamTap
@@ -131,7 +131,7 @@ class TestCompile:
         bypass = L.BypassJoin(scan(catalog, "r"), scan(catalog, "s"), E.eq("A2", "B2"))
         filtered = L.Select(bypass.negative, E.Comparison(">", E.col("B1"), E.lit(5)))
         plan = L.UnionAll(bypass.positive, filtered)
-        physical = compile_plan(plan)
+        physical = compile_plan(plan, vectorized=False)
         # The Select disappeared: its right child is the tap directly.
         assert isinstance(physical.right, PStreamTap)
         assert physical.right.source.negative_filter is not None
@@ -160,6 +160,6 @@ class TestCompile:
         from repro.errors import ExecutionError
 
         bypass = L.BypassSelect(scan(catalog, "r"), E.TRUE)
-        physical = compile_plan(bypass)
+        physical = compile_plan(bypass, vectorized=False)
         with pytest.raises(ExecutionError):
             physical.execute(ExecContext(catalog), {})

@@ -23,7 +23,7 @@ def scan(catalog, name):
 
 
 def run(plan, catalog, **kw):
-    return execute_plan(plan, catalog, EvalOptions(**kw))
+    return execute_plan(plan, catalog, EvalOptions(vectorized=False, **kw))
 
 
 class TestFilterProject:
@@ -154,7 +154,9 @@ class TestBypass:
     def test_bypass_evaluated_once(self, catalog):
         bypass = L.BypassSelect(scan(catalog, "r"), E.Comparison(">", E.col("A1"), E.lit(1)))
         both = L.UnionAll(bypass.positive, bypass.negative)
-        table, ctx = execute_plan(both, catalog, EvalOptions(collect_stats=True), with_context=True)
+        table, ctx = execute_plan(
+            both, catalog, EvalOptions(vectorized=False, collect_stats=True), with_context=True
+        )
         assert ctx.stats.rows_produced.get("PBypassFilter") == 4  # once, not twice
 
 

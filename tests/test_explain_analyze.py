@@ -22,11 +22,12 @@ def db():
 
 SQL = """SELECT DISTINCT * FROM r
          WHERE A1 = (SELECT COUNT(*) FROM s WHERE A2 = B2) OR A4 > 1500"""
+ROW = EvalOptions(vectorized=False)
 
 
 class TestExplainAnalyze:
     def test_unnested_report(self, db):
-        report = db.explain_analyze(SQL, "unnested")
+        report = db.explain_analyze(SQL, "unnested", ROW)
         assert "PBypassFilter" in report
         assert "rows=" in report
         assert "[shared]" in report  # both taps read one bypass node
@@ -94,7 +95,7 @@ class TestRowInterpreterBoundary:
         assert "VFromRows" not in report
 
     def test_row_engine_reports_carry_no_engine_line(self, db):
-        assert "-- engine:" not in db.explain_analyze(SQL, "unnested")
+        assert "-- engine:" not in db.explain_analyze(SQL, "unnested", ROW)
 
 
 class _WriterAtFirstScan:

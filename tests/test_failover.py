@@ -600,7 +600,7 @@ class TestCoordinator:
         )
         writer = ServiceClient(r1.url)
         for sql in PAPER_SHAPED_WRITES:  # replayed unnested, on the batch engine
-            assert writer.query(sql).rows[0][0] > 0, sql
+            assert writer.query(sql, engine="row").rows[0][0] > 0, sql
         token = writer.query("INSERT INTO r VALUES (70, 0, 0, 0)").commit_lsn
         wait_until(lambda: r2.follower.applied_lsn >= token)
         assert ServiceClient(r2.url).query(CHECKSUM_SQL, min_lsn=token).rows == writer.query(

@@ -20,6 +20,8 @@ from repro.faults import (
 
 from .conftest import assert_bag_equal, make_rst_catalog
 
+ROW = EvalOptions(vectorized=False)
+
 PAPER_SQL = [
     # Eqv. 2/3 territory: disjunctive linking over a scalar COUNT.
     """SELECT DISTINCT * FROM r
@@ -132,19 +134,19 @@ class TestChaosParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_unnested_plan_heals_to_canonical_answer(self, sql, seed):
         db = make_db()
-        baseline = db.execute(sql, strategy="canonical")
+        baseline = db.execute(sql, strategy="canonical", options=ROW)
         injector = FaultInjector(
             FaultConfig(sites=("engine.row.PBypass",), seed=seed)
         )
         healed = db.execute(
-            sql, strategy="unnested", options=EvalOptions(faults=injector)
+            sql, strategy="unnested", options=EvalOptions(vectorized=False, faults=injector)
         )
         assert_bag_equal(healed, baseline, "faulted unnested != canonical")
 
     @pytest.mark.parametrize("sql", PAPER_SQL)
     def test_vectorized_plan_heals_to_canonical_answer(self, sql):
         db = make_db()
-        baseline = db.execute(sql, strategy="canonical")
+        baseline = db.execute(sql, strategy="canonical", options=ROW)
         injector = FaultInjector(FaultConfig(sites=("engine.vector",), seed=5))
         healed = db.execute(
             sql,
@@ -162,16 +164,16 @@ class TestChaosParity:
             db.execute(
                 "SELECT A1 FROM r",
                 strategy="canonical",
-                options=EvalOptions(faults=injector),
+                options=EvalOptions(vectorized=False, faults=injector),
             )
 
     def test_env_driven_injection(self, monkeypatch):
         db = make_db()
         sql = PAPER_SQL[0]
-        baseline = db.execute(sql, strategy="canonical")
+        baseline = db.execute(sql, strategy="canonical", options=ROW)
         monkeypatch.setenv(ENV_SITES, "engine.row.PBypass")
         monkeypatch.setenv(ENV_SEED, "1234")
-        healed = db.execute(sql, strategy="unnested")
+        healed = db.execute(sql, strategy="unnested", options=ROW)
         assert_bag_equal(healed, baseline, "env-armed chaos broke parity")
         assert db.resilience_info()["degradations"] >= 1
 

@@ -17,7 +17,6 @@ both engines: the batch forms (Γ + ⟕ + π, the blocked pair kernel) must
 meet the same definitions as the row forms.
 """
 
-import importlib.util
 from collections import Counter
 
 import pytest
@@ -35,7 +34,7 @@ left_rows = st.lists(st.tuples(nullable, value), max_size=10)
 right_rows = st.lists(st.tuples(nullable, value), max_size=10)
 
 SETTINGS = settings(max_examples=80, deadline=None)
-VECTORIZED = (False, True) if importlib.util.find_spec("numpy") else (False,)
+VECTORIZED = (False, True)
 
 
 def run(plan, left, right, vectorized=False):

@@ -10,12 +10,7 @@ from __future__ import annotations
 
 import http.client
 import json
-import os
-import pathlib
 import struct
-import subprocess
-import sys
-import textwrap
 import time
 
 import pytest
@@ -30,13 +25,9 @@ from repro.replication.routing import ReplicaSetClient
 from repro.service import frame
 from repro.service.client import ServiceClient, _result
 from repro.service.server import QueryServer, ServerConfig
+from repro.storage.batch import Batch
 from repro.storage.schema import Schema
 from repro.storage.table import Table
-
-try:
-    from repro.storage.batch import Batch
-except ImportError:  # numpy is optional: the batch engine's cases skip
-    Batch = None
 
 #: An AVG float column with NULLs from unmatched scalar subqueries, and a COUNT.
 MIXED_SQL = (
@@ -108,7 +99,6 @@ def test_a_frame_gives_back_what_json_gives(body):
     assert via_frame == via_json  # columns, counts and causality fields
 
 
-@pytest.mark.skipif(Batch is None, reason="the batch engine needs numpy")
 @settings(max_examples=300, deadline=None)
 @given(result_bodies())
 def test_a_batch_result_frames_to_the_bytes_its_rows_frame_to(body):
@@ -275,8 +265,6 @@ def test_errors_and_other_routes_stay_json_when_the_frame_is_accepted(server):
 )
 @pytest.mark.parametrize("engine", ["row", "vectorized"])
 def test_the_shipped_client_sees_the_rows_json_gives(server, sql, engine):
-    if engine == "vectorized":
-        pytest.importorskip("numpy")
     payload = {"sql": sql, "engine": engine}
     media, raw, _ = _post(server, "/query", payload, "application/json")
     assert media == "application/json"
@@ -348,26 +336,21 @@ def _frame_and_json(server, path: str, sql: str, engine: str):
     return _result(frame.decode(framed)), _result(json.loads(plain))
 
 
-def _engines():
-    if Batch is None:
-        return ["row", pytest.param("vectorized", marks=pytest.mark.skip("needs numpy"))]
-    return ["row", "vectorized"]
-
-
 @pytest.mark.parametrize("sql", EDGE_SQL)
 @pytest.mark.parametrize("path", ["/query", "/execute"])
-@pytest.mark.parametrize("engine", _engines())
+@pytest.mark.parametrize("engine", ["row", "vectorized"])
 def test_a_served_frame_gives_back_what_served_json_gives(edge_server, sql, path, engine):
     via_frame, via_json = _frame_and_json(edge_server, path, sql, engine)
     assert _typed(via_frame.rows) == _typed(via_json.rows)
     assert (via_frame.columns, via_frame.row_count) == (via_json.columns, via_json.row_count)
     expected = Database()
     expected.create_table("w", EDGE_COLUMNS, EDGE_ROWS)
-    assert _typed(via_frame.rows) == _typed(expected.execute(sql).rows)  # the row engine's
+    row_engine = EvalOptions(vectorized=False)
+    assert _typed(via_frame.rows) == _typed(expected.execute(sql, options=row_engine).rows)
 
 
 @pytest.mark.parametrize("path", ["/query", "/execute"])
-@pytest.mark.parametrize("engine", _engines())
+@pytest.mark.parametrize("engine", ["row", "vectorized"])
 def test_a_truncated_answer_frames_its_first_rows(path, engine):
     server = _edge_server(max_rows=2)
     try:
@@ -380,39 +363,10 @@ def test_a_truncated_answer_frames_its_first_rows(path, engine):
     assert (via_json.truncated, via_json.row_count) == (True, 5)
 
 
-def test_a_row_engine_answer_is_framed_without_the_batch_module():
-    """numpy is optional: a server that cannot import ``repro.storage.batch``
-    still frames what the row engine answers."""
-    script = textwrap.dedent(
-        """
-        import sys
-        sys.modules["numpy"] = sys.modules["repro.storage.batch"] = None  # import raises
-        from tests.test_frame import _edge_server, _frame_and_json, _typed
-        server = _edge_server(max_rows=3)
-        try:
-            for path in ("/query", "/execute"):
-                via_frame, via_json = _frame_and_json(server, path, "SELECT * FROM w", "row")
-                assert _typed(via_frame.rows) == _typed(via_json.rows), path
-                assert via_frame.truncated and via_frame.row_count == 5, path
-        finally:
-            server.stop()
-        print("framed")
-        """
-    )
-    root = pathlib.Path(__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
-    done = subprocess.run(
-        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0 and done.stdout.strip() == "framed", done.stderr
-
-
 # -- the batch engine's root columns go to the wire as they are ------------
 
 
 def test_a_framed_batch_answer_builds_no_python_rows(server, monkeypatch):
-    pytest.importorskip("numpy")
     from repro.storage import batch as batch_module
 
     db = server.service.db
@@ -429,7 +383,7 @@ def test_a_framed_batch_answer_builds_no_python_rows(server, monkeypatch):
         {"columns": list(built.schema.names), "rows": built.rows, "row_count": len(built),
          "truncated": False, "elapsed": elapsed}
     ).encode("utf-8")
-    assert sorted(built.rows) == sorted(db.execute(Q1).rows)  # the row engine's bag
+    assert sorted(built.rows) == sorted(db.execute(Q1, options=EvalOptions(vectorized=False)).rows)
 
     calls = []
 

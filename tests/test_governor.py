@@ -218,7 +218,6 @@ class TestWritesAreGoverned:
     @pytest.mark.parametrize("strategy", ["canonical", "unnested"])
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_row_budget_bounds_every_kind_of_write(self, sql, strategy, vectorized):
-        pytest.importorskip("numpy")
         db = make_db()
         before = {name: list(db.table(name).rows) for name in "rst"}
         versions = {name: db.table(name).version for name in "rst"}

@@ -23,6 +23,7 @@ from collections import Counter
 from contextlib import ExitStack, nullcontext
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -31,20 +32,18 @@ from repro.algebra import expr as E
 from repro.algebra import ops as L
 from repro.algebra.aggregates import STAR, AggSpec
 from repro.engine import EvalOptions, execute_plan
+from repro.engine import keys as K
+from repro.engine import vector_ops as V
 from repro.engine.context import ExecContext
 from repro.engine.compile import _Compiler, compile_plan
 from repro.engine.governor import ResourceLimits
+from repro.engine.vector_compile import VectorCompiler
 from repro.errors import ResourceExhausted
 from repro.storage import Catalog, Schema, Table
 from repro.storage.mvcc import SnapshotCatalog
 
-np = pytest.importorskip("numpy")
-V = pytest.importorskip("repro.engine.vector_ops")
-K = pytest.importorskip("repro.engine.keys")
-
-from repro.engine.vector_compile import VectorCompiler  # noqa: E402
-
 VECTORIZED = EvalOptions(vectorized=True)
+ROW = EvalOptions(vectorized=False)
 NIGHTLY = os.environ.get("HYPOTHESIS_PROFILE") == "nightly"
 
 #: name -> spec; the ⟕'s default for each is ``spec.empty_result()``.
@@ -114,7 +113,7 @@ def assert_agrees(plan, catalog):
     """The batch answer equals the row engine's, through a group-join."""
     assert any(isinstance(node, V.VGroupJoin) for node in walk(compile_plan(plan, True)))
     batch = execute_plan(plan, catalog, VECTORIZED)
-    assert typed_bag(batch) == typed_bag(execute_plan(plan, catalog))
+    assert typed_bag(batch) == typed_bag(execute_plan(plan, catalog, ROW))
     return batch
 
 
@@ -235,7 +234,7 @@ def test_wide_composite_key_is_densified():
     right = [(i, 149 - i, i) for i in range(0, 150, 2) for _ in range(2)]
     catalog = catalog_of(left, right)
     plan = group_join(catalog, {"count(*)": AggSpec("count")}, two_keys=True)
-    root, expected = compile_plan(plan, True), typed_bag(execute_plan(plan, catalog))
+    root, expected = compile_plan(plan, True), typed_bag(execute_plan(plan, catalog, ROW))
     calls = Counter()
 
     def counting(name, function):
@@ -328,7 +327,7 @@ def test_shared_group_by_is_not_fused():
     kinds = Counter(type(node).__name__ for node in walk(physical))
     assert kinds["VGroupJoin"] == 0 and kinds["VHashGroupBy"] == 1 and kinds["VHashJoin"] == 2
     batch = execute_plan(plan, catalog, VECTORIZED)
-    assert typed_bag(batch) == typed_bag(execute_plan(plan, catalog))
+    assert typed_bag(batch) == typed_bag(execute_plan(plan, catalog, ROW))
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +422,13 @@ class Kept:
         for plan, root in zip(self.plans, self.roots):
             options = EvalOptions(vectorized=True, collect_stats=True, params=params)
             batch, ctx = execute_plan(plan, catalog, options, with_context=True, physical=root)
-            expected = execute_plan(plan, catalog, EvalOptions(params=params))
+            expected = execute_plan(plan, catalog, EvalOptions(vectorized=False, params=params))
             assert typed_bag(batch) == typed_bag(expected), plan
             notes += ctx.stats.notes.values()
         return notes
 
     def answers(self) -> list:
-        return [sorted(execute_plan(plan, self.catalog()).rows, key=repr) for plan in self.plans]
+        return [sorted(execute_plan(plan, self.catalog(), ROW).rows, key=repr) for plan in self.plans]
 
 
 @pytest.mark.parametrize(
@@ -588,7 +587,7 @@ def test_threads_share_one_root_while_s_grows():
                 catalog = kept.catalog(handle.lsn)
                 for plan, root in zip(kept.plans, kept.roots):
                     got = execute_plan(plan, catalog, VECTORIZED, physical=root)
-                    if typed_bag(got) != typed_bag(execute_plan(plan, catalog)):
+                    if typed_bag(got) != typed_bag(execute_plan(plan, catalog, ROW)):
                         failures.append(handle.lsn)
                     reads.append(handle.lsn)
             except Exception as error:  # noqa: BLE001 - reported below

@@ -18,6 +18,7 @@ import os
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -25,13 +26,10 @@ from repro import Database
 from repro.bench.queries import RST_QUERIES
 from repro.datagen import RstConfig, generate_rst
 from repro.engine import EvalOptions
+from repro.engine import keys as K
+from repro.engine import vector_ops as V
+from repro.storage.batch import build_column
 from tests.conftest import assert_bag_equal
-
-np = pytest.importorskip("numpy")
-
-from repro.engine import keys as K  # noqa: E402
-from repro.engine import vector_ops as V  # noqa: E402
-from repro.storage.batch import build_column  # noqa: E402
 
 NIGHTLY = os.environ.get("HYPOTHESIS_PROFILE") == "nightly"
 
@@ -257,7 +255,7 @@ def test_factorize_stays_exact_when_offset_codes_are_sparse():
     sql = f"SELECT {', '.join(keys)}, COUNT(*) FROM w GROUP BY {', '.join(keys)}"
     vec = database.execute(sql, options=VECTORIZED)
     assert len(vec) == 3
-    assert_bag_equal(database.execute(sql), vec, sql)
+    assert_bag_equal(database.execute(sql, options=EvalOptions(vectorized=False)), vec, sql)
     assert database.resilience_info()["degradations"] == 0
 
 

@@ -21,16 +21,14 @@ from repro.algebra import expr as E
 from repro.algebra import ops as L
 from repro.algebra.aggregates import AggSpec
 from repro.engine import EvalOptions, execute_plan
+from repro.engine.compile import _Compiler
 from repro.engine.governor import ResourceLimits
+from repro.engine.vector_compile import VectorCompiler
 from repro.errors import ResourceExhausted
 from repro.storage import Catalog, Schema, Table
 
-V = pytest.importorskip("repro.engine.vector_ops")
-
-from repro.engine.compile import _Compiler  # noqa: E402
-from repro.engine.vector_compile import VectorCompiler  # noqa: E402
-
 VECTORIZED = EvalOptions(vectorized=True)
+ROW = EvalOptions(vectorized=False)
 
 
 def catalog_of(left_rows, right_rows) -> Catalog:
@@ -61,7 +59,7 @@ def run_paths(catalog, default, keys=(("a", "k"),), options=VECTORIZED):
     for grouped in (True, False):
         plan = outer_join(catalog, default, keys, grouped)
         answer = execute_plan(plan, catalog, options)
-        assert typed_bag(answer) == typed_bag(execute_plan(plan, catalog))
+        assert typed_bag(answer) == typed_bag(execute_plan(plan, catalog, ROW))
         answers.append(answer)
     return tuple(answers)
 

@@ -68,9 +68,8 @@ class TestKeying:
         assert db.cache_info().misses == before + 1
 
     def test_both_engines_share_one_entry(self, db):
-        pytest.importorskip("numpy")
         sql = "SELECT A1 FROM r WHERE A4 > 100"
-        db.execute(sql)
+        db.execute(sql, options=EvalOptions(vectorized=False))
         before = db.cache_info().misses
         db.execute(sql, options=EvalOptions(vectorized=True))
         assert db.cache_info().misses == before
@@ -205,15 +204,14 @@ class TestCachedParity:
 
     @pytest.mark.parametrize("name,sql", [("Q1", Q1), ("Q2", Q2), ("Q3", Q3), ("Q4", Q4)])
     def test_cached_vectorized_matches_row(self, name, sql):
-        pytest.importorskip("numpy")
         db = Database()
         catalog = make_rst_catalog()
         for table_name in catalog.table_names():
             db.register(catalog.table(table_name))
-        vec_options = EvalOptions(vectorized=True)
-        row_cold = db.execute(sql)
+        vec_options, row_options = EvalOptions(vectorized=True), EvalOptions(vectorized=False)
+        row_cold = db.execute(sql, options=row_options)
         vec_cold = db.execute(sql, options=vec_options)
-        row_warm = db.execute(sql)
+        row_warm = db.execute(sql, options=row_options)
         vec_warm = db.execute(sql, options=vec_options)
         assert_bag_equal(vec_cold, row_cold, f"{name} cold")
         assert_bag_equal(vec_warm, row_warm, f"{name} warm")
@@ -295,11 +293,10 @@ class TestFreshnessMatrix:
         assert not replanned(db, T_SQL)
 
     def test_prepared_then_batch_engine_plans_once(self):
-        pytest.importorskip("numpy")
         db = two_table_db()
         statement = db.prepare("SELECT a FROM t WHERE b > ?")
         assert db.cache_info().misses == 1
         statement.execute([10], options=EvalOptions(vectorized=True))
-        statement.execute([10])
+        statement.execute([10], options=EvalOptions(vectorized=False))
         info = db.cache_info()
         assert (info.misses, info.size) == (1, 1)

@@ -18,6 +18,7 @@ from repro.errors import ReproError
 from repro.storage import Schema, Table
 
 SQL = "SELECT A1 FROM r WHERE A4 > 100"
+ROW = EvalOptions(vectorized=False)
 NESTED_SQL = """SELECT DISTINCT * FROM r
     WHERE A1 = (SELECT COUNT(DISTINCT *) FROM s WHERE A2 = B2)
        OR A4 > 1500"""
@@ -114,7 +115,7 @@ class TestDdlRaces:
     def test_quarantine_raced_against_hits(self):
         """A key being quarantined mid-race never serves wrong answers."""
         db = make_db()
-        baseline = sorted(db.execute(NESTED_SQL, strategy="canonical").rows)
+        baseline = sorted(db.execute(NESTED_SQL, strategy="canonical", options=ROW).rows)
         barrier = threading.Barrier(5)
         errors: list[BaseException] = []
 
@@ -122,7 +123,7 @@ class TestDdlRaces:
             barrier.wait()
             try:
                 for _ in range(40):
-                    result = db.execute(NESTED_SQL, strategy="unnested")
+                    result = db.execute(NESTED_SQL, strategy="unnested", options=ROW)
                     assert sorted(result.rows) == baseline
             except BaseException as error:  # noqa: BLE001
                 errors.append(error)
@@ -137,7 +138,7 @@ class TestDdlRaces:
                     result = db.execute(
                         NESTED_SQL,
                         strategy="unnested",
-                        options=EvalOptions(faults=injector),
+                        options=EvalOptions(vectorized=False, faults=injector),
                     )
                     assert sorted(result.rows) == baseline
             except BaseException as error:  # noqa: BLE001
@@ -186,14 +187,14 @@ class TestDdlRaces:
 class TestQuarantineApi:
     def test_quarantine_counts_even_without_a_cached_entry(self):
         db = make_db()
-        evicted = db._plan_cache.quarantine(SQL)
+        evicted = db._plan_cache.quarantine(SQL, "auto", "row")
         assert evicted is False
         assert db.cache_info().quarantined == 1
         assert db.cache_info().quarantined_keys == 1
 
     def test_quarantine_evicts_the_live_entry(self):
         db = make_db()
-        db.execute(SQL)
+        db.execute(SQL, options=ROW)
         assert len(db._plan_cache) == 1
         evicted = db._plan_cache.quarantine(SQL, "auto", "row")
         assert evicted is True
@@ -201,7 +202,7 @@ class TestQuarantineApi:
 
     def test_index_ddl_readmits(self):
         db = make_db()
-        db._plan_cache.quarantine(SQL)
+        db._plan_cache.quarantine(SQL, "auto", "row")
         db.create_index("r_a4", "r", "A4", "sorted")
         assert db.cache_info().quarantined_keys == 0
 

@@ -148,8 +148,7 @@ class TestExecution:
     def test_vectorized_engine_binds_the_same_values(self, db):
         sql = """SELECT DISTINCT * FROM r
                  WHERE A1 = (SELECT COUNT(*) FROM s WHERE A2 = B2 OR B4 > :t)"""
-        pytest.importorskip("numpy")
-        row = db.execute(sql, params={"t": 1200})
+        row = db.execute(sql, params={"t": 1200}, options=EvalOptions(vectorized=False))
         vec = db.execute(sql, params={"t": 1200}, options=EvalOptions(vectorized=True))
         assert_bag_equal(row, vec)
 
@@ -201,7 +200,6 @@ class TestPreparedRunsTheOnePipeline:
     SQL = "SELECT A1 FROM r WHERE A2 = ?"
 
     def test_heals_onto_the_canonical_row_plan(self, db):
-        pytest.importorskip("numpy")
         from repro import FaultConfig, FaultInjector
 
         expected = db.execute("SELECT A1 FROM r WHERE A2 = 3", strategy="canonical")
@@ -242,7 +240,6 @@ class TestPreparedRunsTheOnePipeline:
         executions.  A plan does not depend on the engine, so the entry
         the prepare planned serves them, and ``execute(vectorized)``
         too: the same one miss and one entry as the row order."""
-        pytest.importorskip("numpy")
         vectorized = EvalOptions(vectorized=True)
         statement = db.prepare(self.SQL)
         for value in range(executions):

@@ -35,9 +35,7 @@ from repro.datagen.queries import QueryGenConfig
 from .conftest import generated_texts, make_rst_catalog
 from .sqlite_oracle import instance, load, to_sqlite
 
-pytest.importorskip("numpy")
-
-ENGINES = {"row": EvalOptions(), "vectorized": EvalOptions(vectorized=True)}
+ENGINES = {"row": EvalOptions(vectorized=False), "vectorized": EvalOptions(vectorized=True)}
 FORCED = {
     "eqv2": UnnestOptions(disjunct_order="simple_first"),
     "eqv3": UnnestOptions(disjunct_order="subquery_first"),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database
+from repro import Database, EvalOptions
 from repro.errors import InjectedFault
 from repro.faults import FaultConfig, FaultInjector
 from repro.optimizer.planner import PlannedQuery
@@ -315,8 +315,6 @@ def _raise_once(error):
 
 
 def test_durability_fault_skips_quarantine(data_dir, monkeypatch):
-    from repro.engine import EvalOptions
-
     db = seeded(data_dir)
     monkeypatch.setattr(
         PlannedQuery, "execute", _raise_once(InjectedFault("storage.wal.fsync"))
@@ -336,8 +334,6 @@ def test_durability_fault_skips_quarantine(data_dir, monkeypatch):
 
 
 def test_engine_fault_still_quarantines(data_dir, monkeypatch):
-    from repro.engine import EvalOptions
-
     db = seeded(data_dir)
     monkeypatch.setattr(
         PlannedQuery, "execute", _raise_once(InjectedFault("engine.vector.VSelect"))
@@ -357,8 +353,6 @@ def test_wal_commit_fault_surfaces_and_counts(data_dir):
     """An injected WAL fault on the DML commit path propagates (the
     statement is unacknowledged) and is counted, but the in-memory
     mutation stands and the next statement commits normally."""
-    from repro.engine import EvalOptions
-
     db = seeded(data_dir)
     injector = FaultInjector(FaultConfig(sites=("storage.wal.append",)))
     with pytest.raises(InjectedFault):
@@ -431,7 +425,7 @@ def test_concurrent_dml_commits_in_apply_order(data_dir):
 
 
 # ---------------------------------------------------------------------------
-# Replay reads like a reader: the batch engine when numpy imports
+# Replay reads like a reader: on the batch engine
 # ---------------------------------------------------------------------------
 
 PAPER_SHAPED = (
@@ -449,8 +443,9 @@ def _logged_paper_shaped_writes(data_dir):
     """Run on the canonical plan and the row engine, so that a replay
     (``auto``, the batch engine) redoes every statement on another plan."""
     db = seeded(data_dir)
+    row_engine = EvalOptions(vectorized=False)
     for sql in PAPER_SHAPED:
-        assert db.execute(sql, strategy="canonical").rows[0][0] > 0, sql
+        assert db.execute(sql, strategy="canonical", options=row_engine).rows[0][0] > 0, sql
     expected = list(db.table("r").rows)
     assert expected == [(2, 21), (3, 31), (1, 7), (4, 8), (1, 7), (3, 31), (4, 8)]
     db.close()
@@ -459,7 +454,7 @@ def _logged_paper_shaped_writes(data_dir):
 
 def test_replay_on_another_plan_and_engine_rebuilds_the_same_row_list(data_dir):
     expected = _logged_paper_shaped_writes(data_dir)
-    recovered = open_db(data_dir)  # unnested; the batch engine where numpy imports
+    recovered = open_db(data_dir)  # unnested, on the batch engine
     assert recovered.table("r").rows == expected
     assert recovered.resilience_info()["degradations"] == 0
     assert recovered.catalog.stats("r") == TableStats.compute(recovered.table("r"))
@@ -467,7 +462,6 @@ def test_replay_on_another_plan_and_engine_rebuilds_the_same_row_list(data_dir):
 
 
 def test_replay_runs_on_the_batch_engine_and_a_failing_kernel_heals(data_dir, monkeypatch):
-    pytest.importorskip("numpy")
     expected = _logged_paper_shaped_writes(data_dir)
     # Only the batch engine has these sites: a degradation per statement
     # with an embedded read says which engine replayed it, and the state
@@ -479,24 +473,4 @@ def test_replay_runs_on_the_batch_engine_and_a_failing_kernel_heals(data_dir, mo
     info = recovered.resilience_info()
     assert (info["degradations"], info["fallback_successes"]) == (3, 3)
     assert info["last_degradation"]["engine"] == "vectorized"
-    recovered.close()
-
-
-def test_replay_falls_back_to_the_row_engine_without_numpy(data_dir, monkeypatch):
-    import sys
-
-    import repro
-
-    expected = _logged_paper_shaped_writes(data_dir)
-    monkeypatch.setitem(sys.modules, "numpy", None)  # ``import numpy`` now raises
-    repro._replay_options.cache_clear()
-    try:
-        assert repro._replay_options().vectorized is False
-        monkeypatch.setenv("REPRO_FAULT_SITES", "engine.vector")
-        recovered = open_db(data_dir)
-    finally:
-        monkeypatch.undo()
-        repro._replay_options.cache_clear()
-    assert recovered.table("r").rows == expected
-    assert recovered.resilience_info()["degradations"] == 0
     recovered.close()

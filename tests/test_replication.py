@@ -28,7 +28,7 @@ import time
 
 import pytest
 
-from repro import Database
+from repro import Database, EvalOptions
 from repro.errors import ReadOnlyReplica, ReplicaLagging, ReplicationError
 from repro.replication.replica import (
     ReplicaConfig,
@@ -175,8 +175,9 @@ class TestFollower:
         # plan and the row engine, the follower and the recovery below
         # replay them unnested on the batch engine — same rows, same order
         # (of an INSERT … SELECT's appends too), same statistics.
+        row_engine = EvalOptions(vectorized=False)
         for sql in PAPER_SHAPED_WRITES:
-            assert db.execute(sql, strategy="canonical").rows[0][0] > 0, sql
+            assert db.execute(sql, strategy="canonical", options=row_engine).rows[0][0] > 0, sql
         drain(follower)
         assert follower.applied_lsn == db.wal_lsn
         assert replica_db.table("r").rows == db.table("r").rows

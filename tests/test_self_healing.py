@@ -46,7 +46,7 @@ class TestFallback:
         db = make_db()
         baseline = db.execute(NESTED_SQL, strategy="canonical")
         healed = db.execute(
-            NESTED_SQL, strategy="unnested", options=EvalOptions(faults=bypass_chaos())
+            NESTED_SQL, strategy="unnested", options=EvalOptions(vectorized=False, faults=bypass_chaos())
         )
         assert_bag_equal(healed, baseline, "fallback result diverged")
         info = db.resilience_info()
@@ -74,7 +74,7 @@ class TestFallback:
             db.execute(
                 "SELECT A1 FROM r",
                 strategy="canonical",
-                options=EvalOptions(faults=injector),
+                options=EvalOptions(vectorized=False, faults=injector),
             )
         assert db.resilience_info()["degradations"] == 0
 
@@ -103,7 +103,7 @@ class TestFallback:
         healed = db.execute(
             sql,
             strategy="unnested",
-            options=EvalOptions(faults=bypass_chaos()),
+            options=EvalOptions(vectorized=False, faults=bypass_chaos()),
             params=[1500],
         )
         assert_bag_equal(healed, baseline, "parameterized fallback diverged")
@@ -116,7 +116,7 @@ class TestQuarantine:
         before = db.cache_info()
         assert before.quarantined == 0
         db.execute(
-            NESTED_SQL, strategy="unnested", options=EvalOptions(faults=bypass_chaos())
+            NESTED_SQL, strategy="unnested", options=EvalOptions(vectorized=False, faults=bypass_chaos())
         )
         after = db.cache_info()
         assert after.quarantined == 1
@@ -126,7 +126,7 @@ class TestQuarantine:
     def test_quarantined_key_stops_serving_hits(self):
         db = make_db()
         db.execute(
-            NESTED_SQL, strategy="unnested", options=EvalOptions(faults=bypass_chaos())
+            NESTED_SQL, strategy="unnested", options=EvalOptions(vectorized=False, faults=bypass_chaos())
         )
         hits_before = db.cache_info().hits
         db.execute(NESTED_SQL, strategy="unnested")
@@ -137,7 +137,7 @@ class TestQuarantine:
     def test_analyze_readmits_quarantined_keys(self):
         db = make_db()
         db.execute(
-            NESTED_SQL, strategy="unnested", options=EvalOptions(faults=bypass_chaos())
+            NESTED_SQL, strategy="unnested", options=EvalOptions(vectorized=False, faults=bypass_chaos())
         )
         assert db.cache_info().quarantined_keys == 1
         db.analyze()
@@ -151,7 +151,7 @@ class TestQuarantine:
         other = "SELECT A1 FROM r"
         db.execute(other)
         db.execute(
-            NESTED_SQL, strategy="unnested", options=EvalOptions(faults=bypass_chaos())
+            NESTED_SQL, strategy="unnested", options=EvalOptions(vectorized=False, faults=bypass_chaos())
         )
         hits_before = db.cache_info().hits
         db.execute(other)
@@ -188,7 +188,6 @@ class TestBatchFormsOfEqv5Heal:
 
         from .sqlite_oracle import instance, load, to_sqlite
 
-        pytest.importorskip("numpy")
         sql = RST_QUERIES.get(sql, sql)
         connection, db = load(instance())
         expected = Counter(connection.execute(to_sqlite(sql)).fetchall())

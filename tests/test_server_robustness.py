@@ -68,7 +68,7 @@ class TestStatusMapping:
             WHERE A1 = (SELECT COUNT(DISTINCT *) FROM s WHERE A2 = B2)
                OR A4 > 1500"""
         status, body = service.handle(
-            "POST", "/query", {"sql": sql, "strategy": "unnested"}
+            "POST", "/query", {"sql": sql, "strategy": "unnested", "engine": "row"}
         )
         assert status == 200
         status, metrics = service.handle("GET", "/metrics", {})

@@ -299,12 +299,11 @@ class TestPersistentConnections:
 class TestTimeoutsAndAdmission:
     def test_slow_query_times_out_with_structured_error(self, client):
         with pytest.raises(BudgetExceeded):
-            client.query(SLOW_SQL, timeout=0.2)
+            client.query(SLOW_SQL, timeout=0.2, engine="row")
         metrics = client.metrics()
         assert metrics["server"]["queries_timeout"] >= 1
 
     def test_vectorized_timeout_also_fires(self, client):
-        pytest.importorskip("numpy")
         with pytest.raises(BudgetExceeded):
             client.query(SLOW_SQL, timeout=0.2, engine="vectorized")
 
@@ -315,7 +314,7 @@ class TestTimeoutsAndAdmission:
 
         def worker():
             try:
-                ServiceClient(server.url).query(SLOW_SQL, timeout=2.0)
+                ServiceClient(server.url).query(SLOW_SQL, timeout=2.0, engine="row")
                 outcome = "ok"
             except AdmissionRejected:
                 outcome = "rejected"
@@ -404,7 +403,6 @@ class TestConcurrentClients:
         assert all(result == expected for result in results)
 
     def test_concurrent_mixed_engines_agree(self, server):
-        pytest.importorskip("numpy")
         sql = "SELECT A1 FROM r WHERE A1 = (SELECT COUNT(*) FROM s WHERE A2 = B2)"
         results = {}
         lock = threading.Lock()
@@ -434,10 +432,9 @@ class TestCancellation:
         cancel = threading.Event()
         cancel.set()
         with pytest.raises(QueryCancelled):
-            db.execute(SLOW_SQL, options=EvalOptions(cancel_event=cancel))
+            db.execute(SLOW_SQL, options=EvalOptions(cancel_event=cancel, vectorized=False))
 
     def test_cancel_event_aborts_vectorized_engine(self):
-        pytest.importorskip("numpy")
         db = make_db()
         cancel = threading.Event()
         cancel.set()
@@ -454,7 +451,7 @@ class TestCancellation:
 
         def slow_query():
             try:
-                client.query(SLOW_SQL, timeout=60)
+                client.query(SLOW_SQL, timeout=60, engine="row")  # seconds on the row engine
                 outcome["result"] = "finished"
             except QueryCancelled:
                 outcome["result"] = "cancelled"
@@ -476,10 +473,9 @@ class TestBatchCacheThreading:
     """Regression: concurrent vectorized scans publish the pivot safely."""
 
     def test_concurrent_cold_scans_share_one_batch(self):
-        pytest.importorskip("numpy")
         db = make_db(rows=500)
         sql = "SELECT COUNT(*) FROM r WHERE A4 > 100"
-        expected = db.execute(sql).rows
+        expected = db.execute(sql, options=EvalOptions(vectorized=False)).rows
         table = db.table("r")
         results, errors = [], []
         lock = threading.Lock()
@@ -507,7 +503,6 @@ class TestBatchCacheThreading:
         assert cached is not None and cached[0] == table.version
 
     def test_mutation_between_scans_refreshes_the_cache(self):
-        pytest.importorskip("numpy")
         db = make_db(rows=50)
         options = EvalOptions(vectorized=True)
         first = db.execute("SELECT COUNT(*) FROM r", options=options)

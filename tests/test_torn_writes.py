@@ -80,8 +80,8 @@ STATES = [
 #: The same log with the paper's predicates in it — Q2's disjunctive
 #: correlation in an UPDATE that survives every tear, Q1's disjunctive
 #: linking in the DELETE that is torn — so that recovery replays and
-#: drops statements whose embedded read is unnested (on the batch engine
-#: where numpy imports).  Both of the DELETE's streams contribute a row.
+#: drops statements whose embedded read is unnested (on the batch
+#: engine).  Both of the DELETE's streams contribute a row.
 PAPER_STATEMENTS = STATEMENTS[:3] + [
     Q2_UPDATE.format(t="t", pivot=25),
     Q1_DELETE.format(t="t", pivot=2),

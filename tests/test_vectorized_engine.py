@@ -6,23 +6,21 @@ column layouts, zero-copy selection-vector splits, 3VL truth pairs,
 fallback routing — at the component level.
 """
 
+import numpy as np
 import pytest
 
 from repro import Database
 from repro.algebra import expr as E
 from repro.engine import EvalOptions
+from repro.engine import vector_ops as V
 from repro.engine.compile import compile_plan
+from repro.engine.context import ExecContext
+from repro.engine.vector_kernels import compile_predicate
 from repro.optimizer import execute_sql, plan_query
+from repro.storage.batch import Batch, build_column
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Schema
 from tests.conftest import assert_bag_equal, make_rst_catalog
-
-np = pytest.importorskip("numpy")
-
-from repro.engine import vector_ops as V  # noqa: E402
-from repro.engine.context import ExecContext  # noqa: E402
-from repro.engine.vector_kernels import compile_predicate  # noqa: E402
-from repro.storage.batch import Batch, build_column  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +248,7 @@ def test_broadcast_scalar_subquery_is_evaluated_once_or_never(n_r):
     catalog = make_rst_catalog(n_r=n_r, seed=3)
     sql = "SELECT A1, (SELECT COUNT(*) FROM s WHERE B4 > 1500) FROM r"
     planned = plan_query(sql, catalog, "canonical")
-    row, row_ctx = planned.execute(catalog, EvalOptions(), with_context=True)
+    row, row_ctx = planned.execute(catalog, EvalOptions(vectorized=False), with_context=True)
     vec, vec_ctx = planned.execute(catalog, EvalOptions(vectorized=True), with_context=True)
     assert_bag_equal(row, vec)
     assert row_ctx.stats.subquery_evals == vec_ctx.stats.subquery_evals == min(n_r, 1)
@@ -447,7 +445,7 @@ TARGETED = {
 def test_targeted_operator_parity(name, nulls):
     catalog = make_rst_catalog(n_r=30, n_s=28, n_t=20, seed=42, null_rate=nulls)
     sql = TARGETED[name]
-    row = execute_sql(sql, catalog, "auto", options=EvalOptions())
+    row = execute_sql(sql, catalog, "auto", options=EvalOptions(vectorized=False))
     vec = execute_sql(sql, catalog, "auto", options=EvalOptions(vectorized=True))
     if "ORDER BY" in sql:
         assert row.rows == vec.rows, f"ordered results diverge for {name}"
@@ -460,7 +458,7 @@ def test_division_by_zero_raises_in_both_engines():
 
     catalog = make_rst_catalog(seed=5)
     sql = "SELECT A1 / (A2 - A2) FROM r"
-    for options in (EvalOptions(), EvalOptions(vectorized=True)):
+    for options in (EvalOptions(vectorized=False), EvalOptions(vectorized=True)):
         with pytest.raises((ZeroDivisionError, ReproError)):
             execute_sql(sql, catalog, "auto", options=options)
 

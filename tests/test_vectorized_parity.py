@@ -16,8 +16,6 @@ from repro.engine import EvalOptions
 from repro.optimizer import execute_sql
 from tests.conftest import assert_bag_equal, make_rst_catalog
 
-np = pytest.importorskip("numpy")
-
 AGG_LINKING = [
     "COUNT(*)", "COUNT(B1)", "COUNT(DISTINCT B1)", "SUM(B1)",
     "SUM(DISTINCT B1)", "AVG(B1)", "MIN(B1)", "MAX(B1)", "MIN(DISTINCT B1)",
@@ -100,7 +98,7 @@ def empty_inner():
 
 
 def both_engines(sql: str, catalog, strategy: str) -> None:
-    row = execute_sql(sql, catalog, strategy, options=EvalOptions())
+    row = execute_sql(sql, catalog, strategy, options=EvalOptions(vectorized=False))
     vec = execute_sql(sql, catalog, strategy, options=EvalOptions(vectorized=True))
     assert_bag_equal(row, vec, f"engines diverge ({strategy}) for {sql!r}")
 
@@ -240,7 +238,7 @@ def test_distinct_aggregates_agree_with_the_row_engine_and_evaluate_spec(rows):
         sql = f"SELECT {key_list + ', ' if keys else ''}{select} FROM t"
         if keys:
             sql += f" GROUP BY {key_list}"
-        row = execute_sql(sql, database.catalog, "canonical", options=EvalOptions())
+        row = execute_sql(sql, database.catalog, "canonical", options=EvalOptions(vectorized=False))
         vec = execute_sql(sql, database.catalog, "canonical", options=EvalOptions(vectorized=True))
         assert_bag_equal(row, vec, f"engines diverge for GROUP BY {keys} over {rows}")
         reference = Table(row.schema, _reference(rows, keys))
@@ -262,7 +260,7 @@ def test_duplicate_elimination_keeps_first_occurrences_in_row_engine_order(left,
         "SELECT k1, m, f FROM t UNION SELECT k1, m, f FROM u",
         "SELECT v FROM t UNION SELECT k2 FROM u",
     ):
-        row = execute_sql(sql, database.catalog, "canonical", options=EvalOptions())
+        row = execute_sql(sql, database.catalog, "canonical", options=EvalOptions(vectorized=False))
         vec = execute_sql(sql, database.catalog, "canonical", options=EvalOptions(vectorized=True))
         assert row.rows == vec.rows, f"{sql} over {left} / {right}"
 
@@ -293,7 +291,9 @@ def test_adhoc_pool_runs_vectorized_without_healing(adhoc_pool):
 
     texts, catalog = adhoc_pool
     for sql in texts:
-        expected = plan_query(sql, catalog, "canonical").execute(catalog)
+        expected = plan_query(sql, catalog, "canonical").execute(
+            catalog, EvalOptions(vectorized=False)
+        )
         for strategy in ("auto", "unnested"):
             got = plan_query(sql, catalog, strategy).execute(catalog, EvalOptions(vectorized=True))
             assert_bag_equal(expected, got, f"({strategy}, vectorized) for {sql!r}")
@@ -334,7 +334,7 @@ def test_unary_minus_agrees_with_python_numbers(values):
         ("SELECT -A, B FROM t", negated),
         ("SELECT -A, B FROM t WHERE -A > 0", [(v, i) for v, i in negated if v is not None and v > 0]),
     ):
-        for options in (EvalOptions(), EvalOptions(vectorized=True)):
+        for options in (EvalOptions(vectorized=False), EvalOptions(vectorized=True)):
             got = database.execute(sql, options=options).rows
             assert sorted(got, key=repr) == sorted(expected, key=repr), (sql, options)
     assert database.resilience_info()["degradations"] == 0
@@ -354,7 +354,7 @@ def test_literal_predicates_that_folding_keeps(sql):
     branch behind a first one: the batch engine evaluates those literals."""
     database = Database()
     database.create_table("t", ["A"], [(-1,), (0,), (2,), (None,)])
-    row = database.execute(sql)
+    row = database.execute(sql, options=EvalOptions(vectorized=False))
     assert_bag_equal(row, database.execute(sql, options=EvalOptions(vectorized=True)), sql)
     assert database.resilience_info()["degradations"] == 0
 
@@ -378,7 +378,7 @@ def test_ints_beside_floats_keep_their_type_on_the_batch_engine():
     database.execute("SELECT x FROM f", options=vectorized)  # the float64 pivot is warm
     database.execute("INSERT INTO f VALUES (3, 3)")  # an int delta into it
     for sql in ("SELECT x, y FROM n", "SELECT x, y FROM f", "SELECT x FROM f WHERE y > 1"):
-        row = database.execute(sql).rows
+        row = database.execute(sql, options=EvalOptions(vectorized=False)).rows
         assert _typed(database.execute(sql, options=vectorized).rows) == _typed(row), sql
     assert _typed(database.execute("SELECT x FROM f", options=vectorized).rows) == _typed(
         [(0.5,), (1.5,), (3,)]

@@ -25,7 +25,7 @@ units U plus ``C_OP`` × its operator evaluations N.  The tool reads U and N
 of every timed plan from ``repro.optimizer.cost`` (``C_OP`` set to 0, then
 to 1), fits time ≈ a·U + b·N over the pool by least squares, reports
 ``C_OP`` = b / a, and sweeps ``C_OP``: what auto's choices would cost with
-each value.  Needs numpy.  From the repository root::
+each value.  From the repository root::
 
     python tools/plan_regret.py                  # every group, ≈ 2 min
     python tools/plan_regret.py --groups pool    # the pool only, ≈ 30 s
