@@ -654,7 +654,9 @@ class Database:
         (``CREATE INDEX name ON table (col) [USING hash|sorted]`` and
         ``DROP INDEX name``).  ``params`` supplies
         values for ``?`` / ``:name`` placeholders in queries (a sequence
-        or a mapping respectively); parameterized DML is not supported.
+        or a mapping respectively); DML takes none.  A flat UPDATE /
+        DELETE lifts its own literals into parameters instead, so the
+        statements that differ only in literals share one cached plan.
 
         Execution is *self-healing*: if the chosen plan fails with a
         retryable runtime error (an injected fault, an unexpected engine
@@ -691,6 +693,15 @@ class Database:
         # any read, but on the live catalog under the commit lock: a writer
         # sees its own state, so there is no pin.
         base = self._armed_options(options or EvalOptions())
+
+        def run(plan_for, lifted=None, params=None):
+            quarantine = None
+            if lifted is not None:  # a flat write: its plan is cached like a read's
+                cache = self._plan_cache
+                plan_for = functools.partial(cache.get_or_plan, "", statement=lifted, plan=plan_for)
+                quarantine = functools.partial(cache.quarantine, "", strategy, statement=lifted)
+            return self._run_healed(plan_for, strategy, base, self.catalog, params, quarantine)[0]
+
         # Plans stay *correct* across DML (index builds and batch caches
         # key on the table version); the plan cache re-costs them
         # once a table's cardinality drifts far enough.
@@ -702,10 +713,7 @@ class Database:
             if key in self.catalog:
                 self._snapshots.begin(key, self.catalog.table(key))
             try:
-                result = execute_dml(
-                    statement, self.catalog,
-                    lambda plan_for: self._run_healed(plan_for, strategy, base, self.catalog)[0],
-                )
+                result = execute_dml(statement, self.catalog, run)
                 # The statement commits (is acknowledged) only once its
                 # WAL record is synced; durability fault sites arm from
                 # the same options/env plumbing as the engine sites.
@@ -760,8 +768,8 @@ class Database:
     ) -> tuple[Table, object, PlannedQuery]:
         """Plan, run, heal, count — the one place a plan is executed.
 
-        ``plan_for(strategy)`` plans: a read's comes from the plan cache, a
-        DML statement's embedded read from :mod:`repro.dml`.  A
+        ``plan_for(strategy)`` plans: a read's and a flat write's come from
+        the plan cache, any other write's from :mod:`repro.dml`.  A
         retryable failure re-runs once on the canonical row-engine plan.
         Returns the result, the execution context, and the plan that
         produced it (the canonical fallback when the execution healed).
@@ -779,8 +787,8 @@ class Database:
             # Quarantine the failing cache key so the poisoned plan stops
             # serving hits.  Faults on the durability path are exempt: a
             # failed WAL write or checkpoint says nothing about the plan
-            # that happened to be executing.  (Nothing is cached for DML,
-            # so it passes no ``quarantine``.)
+            # that happened to be executing.  (A write with a nested
+            # block is planned per statement, so it passes no ``quarantine``.)
             if (getattr(error, "site", "") or "").startswith(DURABILITY_FAULT_PREFIXES):
                 self._durability_exemptions += 1
             elif quarantine is not None:

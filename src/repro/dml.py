@@ -19,9 +19,15 @@ mutation statements on top of it:
   of deleting with ``NOT p``.  The sequence numbers, sorted, are the
   positions to drop or overwrite in a copy of the rows.
 
+A flat DELETE / UPDATE, one with no nested query block, has no plan
+choice a literal could move (no rank(p) orders its disjuncts), so its
+literals become positional parameters (:func:`_lifted`): every statement
+of one shape runs the one plan its first statement cached.
+
 This module runs nothing: the caller's ``run`` executes the planned read
 (:class:`repro.Database` passes its armed, governed, self-healing runner,
-which is how strategy, engine, timeout, limits and faults reach writes).
+which is how strategy, engine, timeout, limits and faults reach writes,
+and caches a lifted statement's plan in its plan cache).
 The read finishes before the first row is touched, so a failed or
 cancelled one leaves nothing to undo, and a subquery over the table
 being modified sees the pre-statement state.
@@ -40,7 +46,7 @@ index is a build per table version, made by the next probe that needs it
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 
 from repro.algebra import expr as E
@@ -49,6 +55,7 @@ from repro.errors import TranslationError
 from repro.optimizer.planner import plan_query, plan_translation
 from repro.optimizer.simplify import simplify_expr
 from repro.sql import ast
+from repro.sql.parameters import ParamSpec, walk_statement
 from repro.sql.translate import TranslationResult, _Scope, _Translator
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
@@ -72,11 +79,15 @@ class DmlResult:
 def execute_dml(stmt, catalog: Catalog, run=None) -> DmlResult:
     """Execute a parsed DML statement.
 
-    ``run(plan_for)`` executes the statement's embedded read and returns
-    its result table; ``plan_for(strategy)`` plans it.  Without one the
-    read is planned ``auto`` and runs bare on the row engine.
+    ``run(plan_for, lifted=None, params=None)`` executes the statement's
+    embedded read and returns its result table; ``plan_for(strategy)``
+    plans it.  A flat DELETE / UPDATE passes its literal-free statement,
+    the key its plan is cached under, and the literals to bind.  Without
+    a ``run`` the read is planned ``auto`` and runs on the default engine.
     """
-    run = run or (lambda plan_for: plan_for("auto").execute(catalog))
+    run = run or (
+        lambda plan_for, _=None, params=None: plan_for("auto").execute(catalog, params=params)
+    )
     if isinstance(stmt, ast.InsertStmt):
         result = _execute_insert(stmt, catalog, run)
     elif isinstance(stmt, ast.DeleteStmt):
@@ -178,30 +189,63 @@ def _constant_value(expr_node: ast.Node):
 # ---------------------------------------------------------------------------
 
 
-def _positive_stream(stmt, assignments, catalog: Catalog, run):
+#: A nested block's Eqv. 2-vs-3 choice reads its literals; a placeholder
+#: of the user's own is refused by the caller.
+_KEEPS_LITERALS = (ast.Subquery, ast.ExistsOp, ast.InSubqueryOp, ast.QuantifiedOp, ast.Parameter)
+
+
+def _lifted(stmt):
+    """``(stmt with each literal the next positional parameter, the
+    literals)``, or ``(None, [])`` for a statement that keeps them.  TRUE
+    and FALSE stay, where σ reads a truth value; a bound NULL keeps 3VL."""
+    if any(isinstance(node, _KEEPS_LITERALS) for node in walk_statement(stmt)):
+        return None, []
+    values: list = []
+
+    def lift(node):
+        if isinstance(node, ast.Constant) and not isinstance(node.value, bool):
+            values.append(node.value)
+            return ast.Parameter(len(values) - 1)
+        if isinstance(node, tuple):
+            return tuple(map(lift, node))
+        if isinstance(node, ast.Node):
+            return replace(node, **{f: lift(getattr(node, f)) for f in node.__dataclass_fields__})
+        return node
+
+    return lift(stmt), values
+
+
+def _positive_stream(stmt, catalog: Catalog, run):
     """``σ_where(ν(stmt.table))``, planned like a query and run once.
 
     Returns ``(positions, values)``: the positions (ascending) of the
     rows ``stmt.where`` is TRUE for and, per such row, the values of the
-    ``assignments`` expressions (AST nodes) against the old row.
+    UPDATE's assignments against the old row.
     """
-    translator = _Translator(catalog)
-    table = catalog.table(stmt.table)
-    scope = _Scope(None)
-    qualifier = translator.table_counter.next("q")
-    scope.add_table(stmt.table, qualifier, table.schema.names)
-    scan = L.Scan(stmt.table, table.schema.qualify(qualifier), qualifier)
-    predicate = (
-        translator.translate_expr(stmt.where, scope) if stmt.where is not None else E.TRUE
-    )
-    plan: L.Operator = L.Select(L.Numbering(scan, "dml.seq"), predicate)
-    for index, value_node in enumerate(assignments):
-        plan = L.Map(plan, f"dml.new{index}", translator.translate_expr(value_node, scope))
-    translation = TranslationResult(plan, tuple(plan.schema.names))
-    hit = run(lambda strategy: plan_translation(translation, catalog, strategy)).rows
+    lifted, params = _lifted(stmt)
+
+    def plan_for(strategy):
+        read = lifted or stmt
+        translator = _Translator(catalog)
+        table = catalog.table(read.table)
+        scope = _Scope(None)
+        qualifier = translator.table_counter.next("q")
+        scope.add_table(read.table, qualifier, table.schema.names)
+        scan = L.Scan(read.table, table.schema.qualify(qualifier), qualifier)
+        predicate = (
+            translator.translate_expr(read.where, scope) if read.where is not None else E.TRUE
+        )
+        plan: L.Operator = L.Select(L.Numbering(scan, "dml.seq"), predicate)
+        for index, (_, value_node) in enumerate(getattr(read, "assignments", ())):
+            plan = L.Map(plan, f"dml.new{index}", translator.translate_expr(value_node, scope))
+        translation = TranslationResult(plan, tuple(plan.schema.names))
+        spec = ParamSpec(positional=len(params))
+        return plan_translation(translation, catalog, strategy, param_spec=spec)
+
+    hit = run(plan_for, lifted, params).rows
     # ν numbers from 1, in scan order; an unnested plan returns its rows
     # stream by stream, and the splices below want ascending positions.
-    arity = len(table.schema)
+    arity = len(catalog.table(stmt.table).schema)
     hit.sort(key=itemgetter(arity))
     return [row[arity] - 1 for row in hit], [row[arity + 1 :] for row in hit]
 
@@ -224,7 +268,7 @@ def _execute_delete(stmt: ast.DeleteStmt, catalog: Catalog, run) -> DmlResult:
     if stmt.where is None:  # nothing is read, so nothing to plan or govern
         positions = range(len(old))
     else:
-        positions, _ = _positive_stream(stmt, (), catalog, run)
+        positions, _ = _positive_stream(stmt, catalog, run)
     kept: list = []
     begin = 0
     for position in positions:
@@ -238,11 +282,11 @@ def _execute_delete(stmt: ast.DeleteStmt, catalog: Catalog, run) -> DmlResult:
 
 def _execute_update(stmt: ast.UpdateStmt, catalog: Catalog, run) -> DmlResult:
     table = catalog.table(stmt.table)
-    names, value_nodes = zip(*stmt.assignments)
+    names = [name for name, _ in stmt.assignments]
     columns = _column_positions(table, names, "UPDATE SET list")
     # All assignment values come from the *old* row (SQL semantics:
     # SET a = b, b = a swaps).
-    positions, values = _positive_stream(stmt, value_nodes, catalog, run)
+    positions, values = _positive_stream(stmt, catalog, run)
     rows = list(table.rows)
     removed, added = [], []
     for position, new_values in zip(positions, values):

@@ -215,10 +215,15 @@ class ExecContext:
         self._tick_budget -= rows
         if self._tick_budget <= 0:
             self._tick_budget = self._tick_granularity
-            if self._cancel is not None and self._cancel.is_set():
-                raise QueryCancelled()
-            if self._deadline is not None and time.perf_counter() > self._deadline:
-                raise BudgetExceeded(self.options.budget_seconds)
+            self.poll()
+
+    def poll(self) -> None:
+        """Check cancel and deadline now, charging no rows (for work over
+        rows already ticked)."""
+        if self._cancel is not None and self._cancel.is_set():
+            raise QueryCancelled()
+        if self._deadline is not None and time.perf_counter() > self._deadline:
+            raise BudgetExceeded(self.options.budget_seconds)
 
     def tick_skipped(self, rows: int) -> None:
         """Account for rows an index pruned without reading.

@@ -44,6 +44,38 @@ def compile_expr(expression: E.Expr, schema: Schema, subplan_compiler: Callable)
     return compiler.compile(expression)
 
 
+def scalar_of(node: E.Expr, schema) -> Callable | None:
+    """``(ctx, env) -> value`` for a node that is one value per binding — a
+    literal, a parameter, a correlation value (a column not in ``schema``)
+    — on both engines; ``None`` for any other node."""
+    if isinstance(node, E.Literal):
+        return lambda ctx, env, value=node.value: value
+    if isinstance(node, E.Parameter):
+
+        def parameter(ctx, env, key=node.key):
+            if ctx.params is None or key not in ctx.params:
+                from repro.sql.parameters import format_key
+
+                raise ExecutionError(
+                    f"unbound parameter {format_key(key)}: execute the plan with parameter values"
+                )
+            return ctx.params[key]
+
+        return parameter
+    if isinstance(node, E.ColumnRef) and node.name not in schema:
+
+        def correlated(ctx, env, name=node.name):
+            if name not in env:
+                raise ExecutionError(
+                    f"unbound attribute {name!r}: not in schema and not in "
+                    "the correlation environment"
+                )
+            return env[name]
+
+        return correlated
+    return None
+
+
 class _ExprCompiler:
     def __init__(self, schema: Schema, subplan_compiler: Callable):
         self.schema = schema
@@ -57,53 +89,26 @@ class _ExprCompiler:
 
     # -- leaves ----------------------------------------------------------
 
-    def _compile_Literal(self, node: E.Literal) -> Compiled:
-        value = node.value
+    def _compile_scalar(self, node: E.Expr) -> Compiled:
+        scalar = scalar_of(node, self.schema)
 
-        def bind(ctx, env, value=value):
+        def bind(ctx, env):
+            value = scalar(ctx, env)
             return lambda row: value
 
         return bind
 
-    def _compile_Parameter(self, node: E.Parameter) -> Compiled:
-        key = node.key
-
-        def bind(ctx, env, key=key):
-            params = ctx.params
-            if params is None or key not in params:
-                from repro.sql.parameters import format_key
-
-                raise ExecutionError(
-                    f"unbound parameter {format_key(key)}: execute the plan "
-                    "with parameter values"
-                )
-            value = params[key]
-            return lambda row: value
-
-        return bind
+    _compile_Literal = _compile_Parameter = _compile_scalar
 
     def _compile_ColumnRef(self, node: E.ColumnRef) -> Compiled:
-        if node.name in self.schema:
-            position = self.schema.position(node.name)
+        if node.name not in self.schema:
+            return self._compile_scalar(node)
+        position = self.schema.position(node.name)
 
-            def bind(ctx, env, position=position):
-                return lambda row: row[position]
+        def bind(ctx, env, position=position):
+            return lambda row: row[position]
 
-            return bind
-
-        name = node.name
-
-        def bind_env(ctx, env, name=name):
-            try:
-                value = env[name]
-            except KeyError:
-                raise ExecutionError(
-                    f"unbound attribute {name!r}: not in schema and not in "
-                    "the correlation environment"
-                ) from None
-            return lambda row: value
-
-        return bind_env
+        return bind
 
     # -- comparisons and arithmetic -------------------------------------------
 

@@ -37,8 +37,7 @@ import numpy as np
 
 from repro.algebra import expr as E
 from repro.algebra.aggregates import get_aggregate
-from repro.engine.evaluate import _like_to_regex, compile_expr
-from repro.errors import ExecutionError
+from repro.engine.evaluate import _like_to_regex, compile_expr, scalar_of
 from repro.storage.batch import build_column, column_to_pylist
 
 #: bind(ctx, env) -> fn(batch) -> (data, valid) or (is_true, is_false).
@@ -186,53 +185,26 @@ class _KernelCompiler:
 
     # -- value kernels ----------------------------------------------------
 
-    def _value_Literal(self, node: E.Literal) -> Compiled:
-        value = node.value
+    def _value_scalar(self, node: E.Expr) -> Compiled:
+        scalar = scalar_of(node, self.schema)
 
         def bind(ctx, env):
+            value = scalar(ctx, env)
             return lambda batch: _const_column(value, len(batch))
 
         return bind
 
-    def _value_Parameter(self, node: E.Parameter) -> Compiled:
-        key = node.key
-
-        def bind(ctx, env, key=key):
-            params = ctx.params
-            if params is None or key not in params:
-                from repro.sql.parameters import format_key
-
-                raise ExecutionError(
-                    f"unbound parameter {format_key(key)}: execute the plan "
-                    "with parameter values"
-                )
-            value = params[key]
-            return lambda batch: _const_column(value, len(batch))
-
-        return bind
+    _value_Literal = _value_Parameter = _value_scalar
 
     def _value_ColumnRef(self, node: E.ColumnRef) -> Compiled:
-        if node.name in self.schema:
-            position = self.schema.position(node.name)
+        if node.name not in self.schema:
+            return self._value_scalar(node)
+        position = self.schema.position(node.name)
 
-            def bind(ctx, env, position=position):
-                return lambda batch: batch.column(position)
+        def bind(ctx, env, position=position):
+            return lambda batch: batch.column(position)
 
-            return bind
-
-        name = node.name
-
-        def bind_env(ctx, env, name=name):
-            try:
-                value = env[name]
-            except KeyError:
-                raise ExecutionError(
-                    f"unbound attribute {name!r}: not in schema and not in "
-                    "the correlation environment"
-                ) from None
-            return lambda batch: _const_column(value, len(batch))
-
-        return bind_env
+        return bind
 
     def _value_Arithmetic(self, node: E.Arithmetic) -> Compiled:
         left = self.value(node.left)
@@ -485,7 +457,9 @@ class _KernelCompiler:
 
     def _pred_InList(self, node: E.InList) -> Compiled:
         operand = self.value(node.operand)
-        items = [self._constant_item(item) for item in node.items]
+        items = [scalar_of(item, self.schema) for item in node.items]
+        if None in items:
+            raise VectorizeError("IN list item is not a bindable constant")
         negated = node.negated
 
         def bind(ctx, env):
@@ -523,26 +497,6 @@ class _KernelCompiler:
             return fn
 
         return bind
-
-    def _constant_item(self, item: E.Expr) -> Callable:
-        """IN-list items must bind to scalars (literals or correlation values)."""
-        if isinstance(item, E.Literal):
-            value = item.value
-            return lambda ctx, env: value
-        if isinstance(item, E.ColumnRef) and item.name not in self.schema:
-            name = item.name
-
-            def lookup(ctx, env, name=name):
-                try:
-                    return env[name]
-                except KeyError:
-                    raise ExecutionError(
-                        f"unbound attribute {name!r}: not in schema and not in "
-                        "the correlation environment"
-                    ) from None
-
-            return lookup
-        raise VectorizeError("IN list item is not a bindable constant")
 
     def _pred_And(self, node: E.And) -> Compiled:
         parts = [self.predicate(item) for item in node.items]

@@ -453,20 +453,21 @@ class VHashJoin(VecOperator):
 
         joined = None
         if self.residual is not None and len(left_idx):
-            joined = _paired_batch(self.schema, left, right, left_idx, right_idx)
+            joined = _paired_batch(self.schema, left, right, left_idx, right_idx, ctx)
             is_true, _ = self.residual(ctx, env)(joined)
             keep = np.nonzero(is_true)[0]
             left_idx, right_idx = left_idx[keep], right_idx[keep]
             joined = joined.take(keep)
-        return self._result(left, right, left_idx, right_idx, joined)
+        return self._result(ctx, left, right, left_idx, right_idx, joined)
 
-    def _result(self, left: Batch, right: Batch, left_idx, right_idx, joined=None) -> Batch:
-        """The join of ``kind`` from its matching (left, right) pairs."""
+    def _result(self, ctx, left: Batch, right: Batch, left_idx, right_idx, joined=None):
+        """The join of ``kind`` from its matching (left, right) pairs,
+        gathered block by block and polled under ``ctx``."""
         kind = self.kind
         if kind == "inner":
             if joined is not None:
                 return joined
-            return _paired_batch(self.schema, left, right, left_idx, right_idx)
+            return _paired_batch(self.schema, left, right, left_idx, right_idx, ctx)
         unmatched = np.ones(len(left), dtype=bool)
         unmatched[left_idx] = False
         if kind == "semi":
@@ -477,7 +478,7 @@ class VHashJoin(VecOperator):
         # the f(∅) defaults (the count-bug fix).
         inner = joined
         if inner is None:
-            inner = _paired_batch(self.schema, left, right, left_idx, right_idx)
+            inner = _paired_batch(self.schema, left, right, left_idx, right_idx, ctx)
         padded = _pad_with_defaults(self.schema, left.filter(unmatched).compact(), self.default_row)
         return Batch.concat(self.schema, [inner, padded])
 
@@ -505,7 +506,7 @@ class VNLJoin(VHashJoin):
                 return predicate(pairs)[:1]  # the TRUE mask
 
         ((left_idx, right_idx),) = _blocked_pairs(ctx, self.schema, left, right, split, 1)
-        return self._result(left, right, left_idx, right_idx)
+        return self._result(ctx, left, right, left_idx, right_idx)
 
 
 class VBypassJoin(VBypassBase):
@@ -538,7 +539,7 @@ class VBypassJoin(VBypassBase):
             return is_true, rest
 
         streams = _blocked_pairs(ctx, self.schema, left, right, split, 2)
-        return tuple(_paired_batch(self.schema, left, right, *s) for s in streams)
+        return tuple(_paired_batch(self.schema, left, right, *s, ctx) for s in streams)
 
 
 #: The most (left, right) pairs a join without an equality key holds at
@@ -613,15 +614,29 @@ def _with_default(data, valid, default):
     return data, valid
 
 
-def _paired_batch(schema: Schema, left: Batch, right: Batch, left_idx, right_idx) -> Batch:
-    """Materialise the concatenated (x ∘ y) batch for matched index pairs."""
-    data, valid = [], []
-    for source, indices in ((left, left_idx), (right, right_idx)):
-        for position in range(len(source.schema)):
-            d, v = source.column(position)
-            data.append(d[indices])
-            valid.append(None if v is None else v[indices])
-    return Batch(schema, data, valid, len(left_idx))
+def _paired_batch(schema: Schema, left: Batch, right: Batch, left_idx, right_idx, ctx=None):
+    """Materialise the concatenated (x ∘ y) batch for matched index pairs,
+    :data:`_BLOCK_PAIRS` rows at a time; with ``ctx`` each block polls for
+    cancel and deadline before it is built (its pairs were ticked when
+    enumerated), so a cancel lands inside a large product."""
+    columns = [
+        (source.column(position), indices)
+        for source, indices in ((left, left_idx), (right, right_idx))
+        for position in range(len(source.schema))
+    ]
+    n = len(left_idx)
+    data = [np.empty(n, d.dtype) for (d, _), _ in columns]
+    valid = [None if v is None else np.empty(n, bool) for (_, v), _ in columns]
+    for start in range(0, n, _BLOCK_PAIRS):
+        block = slice(start, start + _BLOCK_PAIRS)
+        if ctx is not None:
+            ctx.poll()
+        for ((d, v), indices), out, out_valid in zip(columns, data, valid):
+            # In range by construction; "clip" gathers into ``out`` unbuffered.
+            np.take(d, indices[block], out=out[block], mode="clip")
+            if v is not None:
+                np.take(v, indices[block], out=out_valid[block], mode="clip")
+    return Batch(schema, data, valid, n)
 
 
 def _pad_with_defaults(schema: Schema, left: Batch, default_row: tuple) -> Batch:

@@ -105,7 +105,7 @@ class PlanCache:
     # -- the main entry point ----------------------------------------------
 
     def get_or_plan(
-        self, sql: str, strategy: "str | Strategy" = "auto", statement=None
+        self, sql: str, strategy: "str | Strategy" = "auto", statement=None, plan=None
     ) -> PlannedQuery:
         """Return a cached plan for ``sql`` or plan-and-insert it.
 
@@ -114,7 +114,9 @@ class PlanCache:
         holding the parsed tree already (prepared statements) pass it as
         ``statement`` and skip even the parse.  Callers with non-default
         :class:`~repro.rewrite.UnnestOptions` must plan directly — those
-        knobs are not part of the key.
+        knobs are not part of the key.  ``plan(strategy)`` plans a miss
+        in place of :func:`plan_query`: a flat write's ν + σ read, keyed
+        on its lifted statement (:mod:`repro.dml`).
         """
         if statement is None:
             statement = parse(sql)
@@ -137,7 +139,10 @@ class PlanCache:
         # stamps are copied first, so a change that lands while planning
         # runs leaves an entry that is already stale.
         stamps = self.catalog.stamps()
-        planned = plan_query(sql, self.catalog, strategy, statement=statement)
+        if plan is None:
+            planned = plan_query(sql, self.catalog, strategy, statement=statement)
+        else:
+            planned = plan(strategy)
         if quarantined:
             # A plan for this key failed at runtime; keep planning fresh
             # per execution but never re-publish it to other callers.

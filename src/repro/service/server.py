@@ -360,8 +360,9 @@ class QueryService:
     def _metrics_body(self) -> dict:
         with self._sessions_lock:
             session_count = len(self._sessions)
+        engine = "vectorized" if EvalOptions().vectorized else "row"  # a request naming none
         body = {
-            "server": self.metrics.snapshot(),
+            "server": {**self.metrics.snapshot(), "engine": engine},
             "admission": self._admission.snapshot(),
             "sessions": session_count,
             "sessions_expired": self._sessions_expired,

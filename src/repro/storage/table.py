@@ -209,12 +209,13 @@ class Table:
         ``key`` is the catalog name it is registered under — the fallback
         for a table that carries no name of its own.  The key order is
         part of the format: checkpoints and log records are compared
-        byte for byte across nodes.
+        byte for byte across nodes.  The rows stay tuples, which JSON
+        writes as the lists they come back as: a checkpoint copies no row.
         """
         return {
             "table_name": self.name or key,
             "columns": [[col.name, col.type.value] for col in self.schema],
-            "rows": [list(row) for row in self.rows],
+            "rows": list(self.rows),
         }
 
     @classmethod

@@ -17,7 +17,11 @@ The instance, the loader and the dialect shim (SQLite has no
 ``COUNT(DISTINCT *)``) are shared with the read oracle:
 ``tests/sqlite_oracle.py``.
 
-The second half needs no second system: predicates drawn from
+A property test draws sequences of flat writes that differ only in their
+literals — so every statement after a shape's first runs the plan that
+first one cached — and checks them against SQLite the same way.
+
+The last part needs no second system: predicates drawn from
 ``datagen/queries.py``'s generator (the whole problem class, quantified
 forms included) used as ``DELETE`` / ``UPDATE`` predicates must leave a
 (row, canonical) and a (vectorized, auto) database bag-equal with equal
@@ -26,6 +30,7 @@ forms included) used as ``DELETE`` / ``UPDATE`` predicates must leave a
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 
 import pytest
@@ -160,3 +165,50 @@ def test_generated_predicates_leave_both_configurations_bag_equal(script, data_s
         assert reference.table("r").rows == candidate.table("r").rows, sql
         assert candidate.catalog.stats("r") == reference.catalog.stats("r"), sql
         assert candidate.catalog.stats("r") == TableStats.compute(candidate.table("r")), sql
+
+
+# ---------------------------------------------------------------------------
+# Literal-only shape sequences: one cached plan per shape, against SQLite
+# ---------------------------------------------------------------------------
+
+#: ``HYPOTHESIS_PROFILE=nightly`` (the nightly workflow) raises the budget.
+NIGHTLY = os.environ.get("HYPOTHESIS_PROFILE") == "nightly"
+
+#: Flat writes: each statement of a shape binds its literals to the plan
+#: the shape's first statement cached (repro.dml lifts them).
+SHAPES = [
+    "DELETE FROM r WHERE A1 = {} OR A4 > {}",
+    "UPDATE r SET A3 = A3 + {} WHERE A2 = {} OR A1 IN ({}, {})",
+    "UPDATE s SET B1 = {} WHERE B4 BETWEEN {} AND {}",
+    "DELETE FROM s WHERE B2 <> {} AND B3 <= {}",
+    "UPDATE t SET C4 = {}, C1 = {} WHERE C3 = {} OR C2 < {}",
+    "INSERT INTO r VALUES ({}, {}, {}, {})",
+]
+literal = st.one_of(
+    st.none(),
+    st.integers(-5, 3000),
+    st.floats(-5, 3000, allow_nan=False).map(lambda value: round(value, 2)),
+)
+shape_script = st.lists(
+    st.tuples(st.sampled_from(SHAPES), st.lists(literal, min_size=4, max_size=4)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(
+    max_examples=2000 if NIGHTLY else 40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(script=shape_script, vectorized=st.booleans())
+def test_literal_only_shape_sequences_agree_with_sqlite(script, vectorized):
+    connection, database = load(instance())
+    options = EvalOptions(vectorized=vectorized)
+    for shape, values in script:
+        sql = shape.format(*("NULL" if value is None else repr(value) for value in values))
+        expected = connection.execute(sql).rowcount
+        assert database.execute(sql, options=options).rows == [(expected,)], sql
+        for name in SCHEMAS:
+            theirs = Counter(connection.execute(f"SELECT * FROM {name}").fetchall())
+            assert Counter(database.table(name).rows) == theirs, (sql, name)

@@ -324,6 +324,53 @@ class TestBlockedPairKernel:
             self.run(catalog, shape, cancel_event=SetAfterThreePolls())
         assert 0 < len(blocks) < 4
 
+    def test_a_cross_product_is_cancelled_inside_its_gather(self, blocks):
+        """r × s over 512 × 512 rows: four pair blocks, one poll each, then
+        the output is gathered block by block, each block polled before
+        it is built — so a cancel that flips after the enumeration's polls
+        is raised at the gather's first, not after the product exists."""
+        from repro.algebra import ops as L
+        from repro.engine import execute_plan
+        from repro.engine.vector_ops import _BLOCK_PAIRS
+        from repro.errors import QueryCancelled
+
+        catalog = make_rst_catalog(n_r=512, n_s=512, seed=5)
+        product = L.CrossProduct(*(L.Scan(name, catalog.table(name).schema) for name in "rs"))
+        enumerated = -(-512 * 512 // _BLOCK_PAIRS)
+
+        class SetAfterTheEnumeration:
+            polls = 0
+
+            def is_set(self):
+                self.polls += 1
+                return self.polls > enumerated
+
+        cancel = SetAfterTheEnumeration()
+        with pytest.raises(QueryCancelled):
+            execute_plan(product, catalog, EvalOptions(vectorized=True, cancel_event=cancel))
+        assert len(blocks) == enumerated and cancel.polls == enumerated + 1
+
+    @pytest.mark.parametrize("shape, charged", [("cross", 121_400), ("bypass", 241_400)])
+    def test_the_gather_charges_no_pair_twice(self, shape, charged):
+        """300 × 400 rows: the scans and the join's inputs charge 1 400
+        rows, the enumeration each of the 120 000 pairs once, and the
+        bypass's union its 120 000 output rows once more — the gather that
+        builds the output polls but charges nothing, so a ``max_rows`` of
+        exactly that figure passes."""
+        from repro.algebra import expr as E
+        from repro.algebra import ops as L
+        from repro.engine import execute_plan
+
+        catalog = make_rst_catalog(n_r=300, n_s=400, seed=5)
+        r, s = (L.Scan(name, catalog.table(name).schema) for name in "rs")
+        bypass = L.BypassJoin(r, s, E.Comparison("<", E.col("A4"), E.col("B4")))
+        plan = L.CrossProduct(r, s)
+        if shape == "bypass":
+            plan = L.UnionAll(bypass.positive, bypass.negative)
+        options = EvalOptions(vectorized=True, resources=ResourceLimits(max_rows=charged))
+        result, ctx = execute_plan(plan, catalog, options, with_context=True)
+        assert len(result) == 120_000 and ctx.rows_processed == charged
+
     @pytest.mark.parametrize("shape", ["theta", "bypass"])
     def test_wall_clock_budget_is_seen_between_blocks(self, catalog, shape, blocks, monkeypatch):
         """A clock that advances 10 ms per reading: a 45-ms budget lapses

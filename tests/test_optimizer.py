@@ -275,8 +275,9 @@ class TestPlanner:
         )
         planned = []  # (PlannedQuery, what both alternatives come to), before the write lands
 
-        def recording(translation, catalog, strategy="auto"):
-            query = plan_translation(translation, catalog, strategy)
+        def recording(translation, catalog, strategy="auto", **planning):
+            # ``planning``: a lifted write's ``param_spec`` (repro.dml._lifted).
+            query = plan_translation(translation, catalog, strategy, **planning)
             assert unnest_calls == []
             planned.append((query, self._both_alternatives(translation, catalog)))
             return query

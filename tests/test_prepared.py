@@ -96,8 +96,14 @@ class TestBinding:
             db.execute("SELECT A1 FROM r WHERE A4 > 100", params=[100])
 
     def test_dml_with_params_rejected(self, db):
-        with pytest.raises(ParameterError, match="DML"):
-            db.execute("INSERT INTO r VALUES (99, 0, 0, 0)", params=[99])
+        # A flat DELETE / UPDATE lifts its own literals; the user's stay refused.
+        for sql in (
+            "INSERT INTO r VALUES (99, 0, 0, 0)",
+            "DELETE FROM r WHERE A1 = ?",
+            "UPDATE r SET A3 = 1 WHERE A1 = ?",
+        ):
+            with pytest.raises(ParameterError, match="DML"):
+                db.execute(sql, params=[99])
 
     def test_unbound_execution_raises_execution_error(self, db):
         planned = db.plan("SELECT A1 FROM r WHERE A4 > ?")

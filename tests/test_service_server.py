@@ -206,6 +206,8 @@ class TestHttpProtocol:
         latency = metrics["server"]["latency"]
         assert latency["count"] >= 1
         assert latency["p50"] <= latency["p95"] <= latency["max"]
+        # What a request that names no engine runs on.
+        assert metrics["server"]["engine"] == "vectorized" and EvalOptions().vectorized
         cache = metrics["plan_cache"]
         assert set(cache) >= {"hits", "misses", "hit_rate", "size", "capacity"}
         assert "queued" in metrics["admission"]
@@ -451,7 +453,7 @@ class TestCancellation:
 
         def slow_query():
             try:
-                client.query(SLOW_SQL, timeout=60, engine="row")  # seconds on the row engine
+                client.query(SLOW_SQL, timeout=60)
                 outcome["result"] = "finished"
             except QueryCancelled:
                 outcome["result"] = "cancelled"

@@ -6,6 +6,7 @@ from repro.errors import CatalogError, SchemaError
 from repro.storage import Catalog, Column, ColumnType, Schema, Table
 from repro.storage.catalog import TableStats
 from repro.storage.table import make_table
+from repro.storage.wal import _encode_payload
 
 
 class TestTable:
@@ -28,6 +29,23 @@ class TestTable:
         table = Table(Schema(["a"]))
         with pytest.raises(SchemaError):
             table.append((1, 2))
+
+    def test_payload_bytes_match_rows_copied_into_lists(self):
+        """``to_payload`` hands JSON the row tuples: the snapshot and the
+        ``create_table`` record are byte for byte what lists encoded."""
+        from repro import Database
+
+        rows = [(1, None, 2.5, "a\"b"), (None, -3, float("inf"), "é ü"), (7, 8, 1e-07, None)]
+        db = Database()
+        db.create_table("m", ["M1", "M2", "M3", "M4"], rows)
+        table = db.table("m")
+        as_lists = {**table.to_payload("m"), "rows": [list(row) for row in table.rows]}
+        record = _encode_payload("create_table", {"name": "m", **table.to_payload("m")})
+        assert record == _encode_payload("create_table", {"name": "m", **as_lists})
+        state = db._snapshot_state()
+        snapshot = _encode_payload("snapshot", state)
+        assert snapshot == _encode_payload("snapshot", {**state, "tables": {"m": as_lists}})
+        assert Table.from_payload(table.to_payload("m"), "m").rows == rows
 
     def test_bag_equals_ignores_order(self):
         left = Table(Schema(["a"]), [(1,), (2,), (2,)])
